@@ -7,10 +7,11 @@
 //
 // "send" POSTs an XML message to an HTTP incoming-gateway endpoint of a
 // running server; key=value pairs become explicit message properties
-// (X-Demaq-* headers). "status" reads the JSON endpoint served by
+// (X-Demaq-Property headers). "status" reads the JSON endpoint served by
 // demaqd -status and prints the engine counters, including the
 // set-oriented execution stats (batches claimed, average batch size,
-// deadlock requeues).
+// deadlock requeues) and the outgoing gateway senders' (transfers sent,
+// consume commits, send errors).
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"demaq"
+	"demaq/internal/gateway"
 )
 
 func main() {
@@ -67,7 +69,7 @@ func main() {
 			if !ok {
 				fatal(fmt.Errorf("property argument %q is not key=value", kv))
 			}
-			req.Header.Set("X-Demaq-"+k, v)
+			req.Header.Add(gateway.PropertyHeader, gateway.EncodeProperty(k, v))
 		}
 		client := &http.Client{Timeout: 30 * time.Second}
 		resp, err := client.Do(req)
@@ -113,6 +115,9 @@ func main() {
 		fmt.Printf("backlog            %d\n", st.Backlog)
 		fmt.Printf("batches claimed    %d\n", st.BatchesClaimed)
 		fmt.Printf("avg batch size     %.2f\n", st.AvgBatchSize)
+		fmt.Printf("gateway sent       %d\n", st.GatewaySent)
+		fmt.Printf("gateway commits    %d\n", st.GatewayConsumeCommits)
+		fmt.Printf("gateway errors     %d\n", st.GatewaySendErrors)
 	default:
 		usage()
 	}

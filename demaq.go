@@ -426,6 +426,10 @@ func FormatStats(st Stats) string {
 		st.Processed, st.RulesEvaluated, st.RulesFired, st.Enqueued, st.Resets,
 		st.Errors, st.Deadlocks, st.DeadlockRequeues, st.Collected, st.Backlog,
 		st.BatchesClaimed, st.AvgBatchSize)
+	if st.GatewaySent > 0 {
+		s += fmt.Sprintf(" gw-sent=%d gw-commits=%d gw-errors=%d",
+			st.GatewaySent, st.GatewayConsumeCommits, st.GatewaySendErrors)
+	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
 		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
 	if st.WALThrottles > 0 || st.WALShed > 0 {

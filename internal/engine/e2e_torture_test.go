@@ -34,7 +34,9 @@ import (
 //     number, so a post-restart retransmit reuses the pre-crash number
 //     and the receiver's window suppresses it;
 //   - the sender-side queue keeps a transfer unprocessed until acked, so
-//     no transfer is lost to a crash.
+//     no transfer is lost to a crash. The sender marks acked transfers in
+//     batches, so a crash can leave several acked transfers unmarked; the
+//     backlog sweep makes sure such batches exist at its crash sites.
 
 const e2eNodeApp = `
 create queue in kind incomingGateway mode persistent
@@ -63,6 +65,11 @@ var e2eFiles = fstest.MapFS{
 
 const e2eJobs = 12
 
+// e2eBacklogJobs is the workload of the backlog sweep: deep enough that the
+// outgoing sender, once the receiver is reachable, runs ahead of its consume
+// commits.
+const e2eBacklogJobs = 32
+
 func e2eConfig(fs *store.FaultFS, fn *gateway.FaultNet) Config {
 	cfg := Config{
 		Dir:        "e2e", // virtual: all I/O goes through the FaultFS
@@ -80,9 +87,18 @@ func e2eConfig(fs *store.FaultFS, fn *gateway.FaultNet) Config {
 // FaultFS crashes. arm configures the crash site (or nothing, for the
 // fault-free enumeration pass) before traffic starts.
 type e2eRun struct {
-	t  *testing.T
-	fs *store.FaultFS
-	fn *gateway.FaultNet
+	t    *testing.T
+	fs   *store.FaultFS
+	fn   *gateway.FaultNet
+	jobs int
+
+	// backlog cuts the receiver off until every job is admitted, so the
+	// whole workload piles up in the outgoing queue and is then sent in one
+	// go. healDiskOp/healNetOp are the op counts at that moment, and stats
+	// the node's counters at the end of the run.
+	backlog               bool
+	healDiskOp, healNetOp int
+	stats                 Stats
 
 	mu  sync.Mutex
 	eng *Engine
@@ -93,7 +109,7 @@ type e2eRun struct {
 
 func newE2ERun(t *testing.T, fsSeed, netSeed int64) *e2eRun {
 	t.Helper()
-	r := &e2eRun{t: t, fs: store.NewFaultFS(fsSeed), fn: gateway.NewFaultNet(netSeed)}
+	r := &e2eRun{t: t, fs: store.NewFaultFS(fsSeed), fn: gateway.NewFaultNet(netSeed), jobs: e2eJobs}
 	return r
 }
 
@@ -162,6 +178,9 @@ func (r *e2eRun) run() []string {
 		t.Fatal(err)
 	}
 
+	if r.backlog {
+		r.fn.Partition("fnet://recv/")
+	}
 	r.openNode()
 
 	// Crash monitor: whenever the node's storage crashes (armed disk site
@@ -193,7 +212,7 @@ func (r *e2eRun) run() []string {
 	if err := clientRel.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= e2eJobs; i++ {
+	for i := 1; i <= r.jobs; i++ {
 		done := make(chan error, 1)
 		clientRel.SendAsync("fnet://node/in",
 			[]byte(fmt.Sprintf("<job><n>%d</n></job>", i)), nil,
@@ -208,13 +227,18 @@ func (r *e2eRun) run() []string {
 		}
 	}
 
+	if r.backlog {
+		r.healDiskOp, r.healNetOp = r.fs.Ops(), r.fn.Ops()
+		r.fn.HealPartition("fnet://recv/")
+	}
+
 	// All jobs admitted; wait for the pipeline to deliver every one.
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		r.recvMu.Lock()
 		n := len(r.got)
 		r.recvMu.Unlock()
-		if n >= e2eJobs {
+		if n >= r.jobs {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -255,9 +279,10 @@ func (r *e2eRun) run() []string {
 			}
 			t.Fatal(err)
 		}
-		if len(msgs) != e2eJobs {
-			t.Fatalf("node admitted %d jobs, want %d (lost or duplicated at the incoming gateway)", len(msgs), e2eJobs)
+		if len(msgs) != r.jobs {
+			t.Fatalf("node admitted %d jobs, want %d (lost or duplicated at the incoming gateway)", len(msgs), r.jobs)
 		}
+		r.stats = eng.Stats()
 		if err := eng.Stop(); err != nil {
 			if r.fs.Crashed() {
 				continue
@@ -273,12 +298,17 @@ func (r *e2eRun) run() []string {
 	return append([]string(nil), r.got...)
 }
 
-// checkExactlyOnce asserts the receiver saw jobs 1..N exactly once, in
-// send order.
+// checkExactlyOnce asserts the receiver saw jobs 1..e2eJobs exactly once,
+// in send order.
 func checkExactlyOnce(t *testing.T, got []string, site string) {
 	t.Helper()
-	if len(got) != e2eJobs {
-		t.Fatalf("%s: receiver got %d transfers, want %d: %v", site, len(got), e2eJobs, got)
+	checkExactlyOnceN(t, got, e2eJobs, site)
+}
+
+func checkExactlyOnceN(t *testing.T, got []string, jobs int, site string) {
+	t.Helper()
+	if len(got) != jobs {
+		t.Fatalf("%s: receiver got %d transfers, want %d: %v", site, len(got), jobs, got)
 	}
 	for i, p := range got {
 		want := fmt.Sprintf("<done>%d</done>", i+1)
@@ -352,6 +382,56 @@ func TestE2ETortureNetCrashSweep(t *testing.T) {
 				}
 			})
 			checkExactlyOnce(t, r.run(), fmt.Sprintf("crash at net op %d", k))
+		})
+	}
+}
+
+// TestE2ETortureBacklogCrashSweep repeats the two sweeps over the part of
+// the workload where the sender's consume commits cover several acked
+// transfers: the receiver is cut off until every job sits in the outgoing
+// queue, and the node is crashed at the disk and network op sites from the
+// moment the backlog starts to flow. A crash then leaves up to a whole
+// consume batch acked but unmarked; the restarted sender repeats those
+// transfers under their durable sequence numbers and the receiver still
+// sees every job exactly once, in order.
+func TestE2ETortureBacklogCrashSweep(t *testing.T) {
+	backlogRun := func(t *testing.T, fsSeed, netSeed int64) *e2eRun {
+		r := newE2ERun(t, fsSeed, netSeed)
+		r.jobs, r.backlog = e2eBacklogJobs, true
+		return r
+	}
+	probe := backlogRun(t, 1, 1)
+	checkExactlyOnceN(t, probe.run(), e2eBacklogJobs, "probe")
+	if st := probe.stats; st.GatewaySent != e2eBacklogJobs || st.GatewayConsumeCommits >= st.GatewaySent {
+		t.Fatalf("backlog of %d: %d transfers in %d consume commits — no consume batch above one to crash into",
+			e2eBacklogJobs, st.GatewaySent, st.GatewayConsumeCommits)
+	}
+	t.Logf("probe: %d transfers in %d consume commits", probe.stats.GatewaySent, probe.stats.GatewayConsumeCommits)
+
+	from, to := probe.healDiskOp, probe.fs.Ops()
+	stride := e2eStride(t, to-from, 6, 48)
+	t.Logf("sweeping %d of %d disk sites (stride %d)", (to-from+stride-1)/stride, to-from, stride)
+	for k := from + 1; k <= to; k += stride {
+		k := k
+		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) {
+			r := backlogRun(t, int64(42+k), int64(100+k))
+			r.fs.CrashAt(k)
+			checkExactlyOnceN(t, r.run(), e2eBacklogJobs, fmt.Sprintf("crash at disk op %d", k))
+		})
+	}
+	from, to = probe.healNetOp, probe.fn.Ops()
+	stride = e2eStride(t, to-from, 6, 48)
+	t.Logf("sweeping %d of %d net sites (stride %d)", (to-from+stride-1)/stride, to-from, stride)
+	for k := from + 1; k <= to; k += stride {
+		k := k
+		t.Run(fmt.Sprintf("net-op-%d", k), func(t *testing.T) {
+			r := backlogRun(t, int64(7000+k), int64(9000+k))
+			r.fn.SetOpHook(func(op gateway.NetOp) {
+				if op.N == k {
+					r.fs.CrashNow()
+				}
+			})
+			checkExactlyOnceN(t, r.run(), e2eBacklogJobs, fmt.Sprintf("crash at net op %d", k))
 		})
 	}
 }

@@ -165,6 +165,15 @@ type Stats struct {
 	// the transport can recycle its read buffer immediately).
 	IngestBytesPooled uint64
 
+	// GatewaySent counts the transfers the outgoing gateway senders
+	// completed, GatewaySendErrors those of them that failed and became
+	// <disconnectedTransport/> error messages. GatewayConsumeCommits counts
+	// the transactions that marked them processed: GatewaySent over it is
+	// the average consume batch (1 on an idle or paced node).
+	GatewaySent           uint64
+	GatewayConsumeCommits uint64
+	GatewaySendErrors     uint64
+
 	// Storage health, from the page store. WALLiveBytes is the log volume
 	// the next recovery would replay through (what the WAL budgets bound);
 	// WALSegments is how many segment files hold it. DirtyPages counts
@@ -212,6 +221,7 @@ type Engine struct {
 	stats struct {
 		processed, rulesEval, rulesFired, enqueued, resets, errors, deadlocks, collected atomic.Uint64
 		batches, batchMsgs, deadlockRequeues, ingestShed, walShed                        atomic.Uint64
+		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
 	}
 
 	// degraded flips (one-way, until restart) when the store reports a
@@ -496,9 +506,9 @@ func (e *Engine) Stop() error {
 	return e.ms.Close()
 }
 
-// Drain blocks until the scheduler has no pending or in-flight work, or the
-// timeout elapses. Timers that have not fired and in-flight gateway
-// transfers are not waited for.
+// Drain blocks until the scheduler has no pending or in-flight work and
+// every outgoing gateway message has been sent and consumed, or the timeout
+// elapses. Timers that have not fired are not waited for.
 func (e *Engine) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -610,6 +620,10 @@ func (e *Engine) Stats() Stats {
 		BatchesClaimed:   e.stats.batches.Load(),
 		DeadlockRequeues: e.stats.deadlockRequeues.Load(),
 		IngestShed:       e.stats.ingestShed.Load(),
+
+		GatewaySent:           e.stats.gatewaySent.Load(),
+		GatewayConsumeCommits: e.stats.gatewayConsumeCommits.Load(),
+		GatewaySendErrors:     e.stats.gatewaySendErrors.Load(),
 	}
 	if st.BatchesClaimed > 0 {
 		st.AvgBatchSize = float64(e.stats.batchMsgs.Load()) / float64(st.BatchesClaimed)

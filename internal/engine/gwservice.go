@@ -17,17 +17,24 @@ import (
 )
 
 // gatewayService connects gateway queues to transports (paper Sec. 2.1.2 /
-// 4.2). Outgoing gateway queues are consumed by sender workers: each
-// unprocessed message is transmitted to the endpoint resolved from the
-// queue's WSDL interface; the message is marked processed only once the
-// transfer completed (with the reliable-messaging policy: acknowledged), so
-// in-flight transfers survive crashes in the persistent queue. Incoming
+// 4.2). Each outgoing gateway queue is consumed by a two-stage sender
+// pipeline. The transmit stage sends the queue's unprocessed messages, in
+// queue order, to the endpoint resolved from the queue's WSDL interface and
+// never waits for a commit; the consume stage marks every transfer completed
+// so far processed in one transaction — whatever accumulated while its
+// previous commit was flushing, so an idle node commits batches of one and a
+// backlogged one amortizes the flush (Sec. 4's set-oriented processing,
+// applied to the back door). A message is marked only once its transfer
+// completed (with the reliable-messaging policy: acknowledged), so in-flight
+// transfers survive crashes in the persistent queue; a crash re-sends at
+// most the sent-but-unmarked window of consumeBatchCap messages. Incoming
 // gateway queues subscribe an endpoint and enqueue every delivery with the
 // Sender system property.
 //
 // Network failures are not hidden (Sec. 2.1.2): a failed transfer becomes
 // an <error><disconnectedTransport/> message in the error queue, which
-// application rules compensate (Fig. 10's deadLink rule).
+// application rules compensate (Fig. 10's deadLink rule). It is enqueued in
+// the transaction that consumes the failed message.
 type gatewayService struct {
 	eng *Engine
 
@@ -35,7 +42,6 @@ type gatewayService struct {
 	outgoing     map[string]*outgoingGW
 	incoming     map[string]*incomingGW
 	incomingRels []*gateway.Reliable
-	inflight     int
 	started      bool
 	stopCh       chan struct{}
 	unsubs       []func()
@@ -78,13 +84,47 @@ func (g *gatewayService) sessionStore() gateway.SessionStore {
 	return msSessionStore{ms: g.eng.ms}
 }
 
+// consumeBatchCap bounds the sent-but-unmarked window of one outgoing queue:
+// the transmit stage holds a slot per transfer from before the send until
+// the consume commit, so a crash re-sends at most this many messages (plain
+// transports: duplicates at the receiver; WS-RM: suppressed, the durable
+// message ID is the wire sequence number).
+const consumeBatchCap = 64
+
+// outgoingWorkCap is how many accepted message IDs an outgoing queue buffers
+// ahead of its transmit stage. Past it the IDs are not held in memory at
+// all: the persistent queue is the backlog, and the transmit stage re-reads
+// it when the buffer runs dry.
+const outgoingWorkCap = 1024
+
 type outgoingGW struct {
 	decl     *qdl.QueueDecl
 	dest     string
 	element  string
 	reliable *gateway.Reliable
 	tr       gateway.Transport
-	work     chan msgstore.MsgID
+
+	work  chan msgstore.MsgID // accepted IDs, in transmit order
+	slots chan struct{}       // semaphore: one slot per sent-but-unmarked transfer
+	done  chan transfer       // completed transfers; never blocks, a sender holds a slot
+
+	mu sync.Mutex
+	// known holds every accepted message until its consume commit (buffered
+	// in work, being sent, or sent and unmarked). It makes a second submit of
+	// the same message — a refill racing routeNewMessage — a no-op, and it
+	// is what Drain waits for.
+	known map[msgstore.MsgID]struct{}
+	// overflow is set when work was full: from then on submits are left to
+	// the persistent queue, so that nothing overtakes them, until a refill
+	// has caught up.
+	overflow bool
+}
+
+// transfer is one completed send on its way to the consume stage.
+type transfer struct {
+	id  msgstore.MsgID
+	doc *xmldom.Node // the payload, for the error message of a failed transfer
+	err error
 }
 
 type incomingGW struct {
@@ -156,9 +196,14 @@ func (g *gatewayService) declareOutgoing(decl *qdl.QueueDecl) {
 		return
 	}
 	gw := &outgoingGW{decl: decl, dest: port.Address, element: port.Element, tr: tr,
-		work: make(chan msgstore.MsgID, 1024)}
+		work:  make(chan msgstore.MsgID, outgoingWorkCap),
+		slots: make(chan struct{}, consumeBatchCap),
+		done:  make(chan transfer, consumeBatchCap),
+		known: map[msgstore.MsgID]struct{}{}}
 	if reliablePol != nil {
-		source := port.Address + "#reply-" + decl.Name
+		// The ack endpoint is a path below the destination, not a fragment
+		// of it: a URL fragment never reaches an HTTP server.
+		source := port.Address + "/reply-" + decl.Name
 		rel, err := gateway.NewReliable(tr, source, 25*time.Millisecond, 40)
 		if err != nil {
 			g.eng.log.Error("outgoing gateway disabled", "queue", decl.Name, "err", err)
@@ -268,8 +313,9 @@ func (g *gatewayService) start() {
 
 	for _, out := range outgoing {
 		out := out
-		g.eng.wg.Add(1)
-		go g.senderLoop(out)
+		g.eng.wg.Add(2)
+		go g.transmitLoop(out)
+		go g.consumeLoop(out)
 	}
 }
 
@@ -300,6 +346,9 @@ func (g *gatewayService) stop() {
 	g.started = false
 	g.mu.Unlock()
 	g.stopIncoming()
+	// Stop the senders before failing their pending reliable sends: a send
+	// cut short by the shutdown is not a network failure.
+	close(g.stopCh)
 	g.mu.Lock()
 	for _, out := range g.outgoing {
 		if out.reliable != nil {
@@ -307,69 +356,143 @@ func (g *gatewayService) stop() {
 		}
 	}
 	g.mu.Unlock()
-	close(g.stopCh)
 }
 
-// submit queues an outgoing message for transmission. On overflow or
-// shutdown the message simply stays unprocessed in its persistent queue
-// and is re-submitted on the next start.
+// submit accepts an outgoing message for transmission. A message that does
+// not fit the in-memory buffer simply stays unprocessed in its persistent
+// queue; the transmit stage picks it up from there (refill).
 func (g *gatewayService) submit(queue string, id msgstore.MsgID) {
 	g.mu.Lock()
 	gw, ok := g.outgoing[queue]
-	if ok {
-		g.inflight++
-	}
 	g.mu.Unlock()
 	if !ok {
 		g.eng.log.Warn("message in outgoing gateway queue without transport", "queue", queue, "id", id)
 		return
 	}
-	select {
-	case gw.work <- id:
-	default:
-		g.mu.Lock()
-		g.inflight--
-		g.mu.Unlock()
-		g.eng.log.Warn("outgoing gateway backlog full; message deferred to restart", "queue", queue, "id", id)
+	gw.mu.Lock()
+	if !gw.overflow {
+		gw.accept(id)
 	}
+	gw.mu.Unlock()
 }
 
+// accept buffers a message for the transmit stage unless the sender already
+// holds it, and reports false when the buffer is full. Called with gw.mu
+// held: that serializes the pushes, so the length check decides.
+func (gw *outgoingGW) accept(id msgstore.MsgID) bool {
+	if _, dup := gw.known[id]; dup {
+		return true
+	}
+	if len(gw.work) == cap(gw.work) {
+		gw.overflow = true
+		return false
+	}
+	gw.work <- id
+	gw.known[id] = struct{}{}
+	return true
+}
+
+// refill re-reads the persistent queue after submit overflowed, once the
+// buffer has run dry: the unprocessed messages the sender does not already
+// hold are accepted in queue order, as far as the buffer takes them. It
+// reports whether there is anything to send.
+func (g *gatewayService) refill(gw *outgoingGW) bool {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	if !gw.overflow {
+		return false
+	}
+	gw.overflow = false
+	for _, id := range g.eng.ms.UnprocessedIDs(gw.decl.Name) {
+		if !gw.accept(id) {
+			break
+		}
+	}
+	return len(gw.work) > 0
+}
+
+// forget drops messages the sender is done with: consumed, or skipped.
+func (gw *outgoingGW) forget(ids ...msgstore.MsgID) {
+	gw.mu.Lock()
+	for _, id := range ids {
+		delete(gw.known, id)
+	}
+	gw.mu.Unlock()
+}
+
+// idle reports whether every accepted outgoing message has been consumed
+// and none is waiting in a persistent queue for a refill.
 func (g *gatewayService) idle() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.inflight == 0
+	for _, gw := range g.outgoing {
+		gw.mu.Lock()
+		busy := len(gw.known) > 0 || gw.overflow
+		gw.mu.Unlock()
+		if busy {
+			return false
+		}
+	}
+	return true
 }
 
-func (g *gatewayService) senderLoop(gw *outgoingGW) {
+func (g *gatewayService) stopped() bool {
+	select {
+	case <-g.stopCh:
+		return true
+	default:
+		return false
+	}
+}
+
+// transmitLoop is the first stage of an outgoing queue's sender: it sends
+// the accepted messages one after the other — per-queue wire order is the
+// order of acceptance, and a WS-RM queue has one unacknowledged transfer in
+// flight — and hands each completed transfer to the consume stage without
+// waiting for it. Closing done on the way out lets the consume stage commit
+// what was sent before it exits.
+func (g *gatewayService) transmitLoop(gw *outgoingGW) {
 	defer g.eng.wg.Done()
-	for {
+	defer close(gw.done)
+	for !g.stopped() {
+		var id msgstore.MsgID
 		select {
-		case <-g.stopCh:
-			return
-		case id := <-gw.work:
-			g.sendOne(gw, id)
-			g.mu.Lock()
-			g.inflight--
-			g.mu.Unlock()
+		case id = <-gw.work:
+		default:
+			if g.refill(gw) {
+				continue
+			}
+			select {
+			case <-g.stopCh:
+				return
+			case id = <-gw.work:
+			}
+		}
+		if !g.transmit(gw, id) {
+			gw.forget(id)
 		}
 	}
 }
 
-func (g *gatewayService) sendOne(gw *outgoingGW, id msgstore.MsgID) {
+// transmit sends one message and queues the completed transfer for the
+// consume stage. It reports false when there is nothing to consume: the
+// message is gone or already processed, it was rejected before the send, or
+// the engine stopped (the message then stays unprocessed for the next start).
+func (g *gatewayService) transmit(gw *outgoingGW, id msgstore.MsgID) bool {
 	e := g.eng
 	msg, ok := e.ms.Get(id)
 	if !ok || msg.Processed {
-		return
+		return false
 	}
 	doc, err := e.ms.Doc(id)
 	if err != nil {
 		e.log.Error("gateway payload load failed", "id", id, "err", err)
-		return
+		return false
 	}
 	if gw.element != "" && doc.Root() != nil && doc.Root().Name.Local != gw.element {
 		e.handleRuleError(gw.decl.Name, id,
 			fmt.Errorf("payload element <%s> does not match interface element <%s>", doc.Root().Name.Local, gw.element))
-		return
+		return false
 	}
 	// Outgoing messages cross the text/binary boundary here: payloads are
 	// stored as binary trees and lazily re-serialized to wire XML.
@@ -378,51 +501,133 @@ func (g *gatewayService) sendOne(gw *outgoingGW, id msgstore.MsgID) {
 	for k, v := range msg.Props {
 		props[k] = v.StringValue()
 	}
-	complete := func(err error) {
-		if err != nil {
-			// Network failure surfaces as an application-visible error
-			// message (Sec. 3.6), and the message is consumed.
-			e.consumeGatewayMessage(id)
-			e.emitNetworkError(gw.decl.Name, doc, err)
-			return
-		}
-		e.consumeGatewayMessage(id)
+	select {
+	case gw.slots <- struct{}{}:
+	case <-g.stopCh:
+		return false
 	}
 	if gw.reliable != nil {
 		// The durable message ID is the reliable sequence number: a
 		// retransmit after a crash-restart reuses the pre-crash number, so
 		// the receiver's dedup window suppresses the one duplicate a
 		// restored send counter alone could not.
-		done := make(chan error, 1)
-		gw.reliable.SendAsyncSeq(gw.dest, uint64(id), payload, props, func(err error) { done <- err })
-		complete(<-done)
-		return
+		acked := make(chan error, 1)
+		gw.reliable.SendAsyncSeq(gw.dest, uint64(id), payload, props, func(err error) { acked <- err })
+		err = <-acked
+	} else {
+		err = gw.tr.Send(gw.dest, payload, props)
 	}
-	complete(gw.tr.Send(gw.dest, payload, props))
+	if err != nil && g.stopped() {
+		// Stopping fails the pending reliable sends; that is not a network
+		// failure the application should see.
+		<-gw.slots
+		return false
+	}
+	e.stats.gatewaySent.Add(1)
+	gw.done <- transfer{id: id, doc: doc, err: err}
+	return true
 }
 
-func (e *Engine) consumeGatewayMessage(id msgstore.MsgID) {
+// consumeLoop is the second stage: it takes every transfer completed so far
+// — what accumulated while the previous commit was flushing — and consumes
+// the lot in one transaction. A failed commit halts the queue's sender until
+// the next start, like a worker parks its claim on a dead device: the slots
+// of the unmarked transfers are never released, so the transmit stage stops
+// within the window instead of piling up duplicates for the restart.
+func (g *gatewayService) consumeLoop(gw *outgoingGW) {
+	defer g.eng.wg.Done()
+	batch := make([]transfer, 0, consumeBatchCap)
+	for first := range gw.done {
+		batch = append(batch[:0], first)
+	more:
+		for {
+			select {
+			case t, ok := <-gw.done:
+				if !ok {
+					break more
+				}
+				batch = append(batch, t)
+			default:
+				break more
+			}
+		}
+		if !g.consume(gw, batch) {
+			return
+		}
+		for range batch {
+			<-gw.slots
+		}
+	}
+}
+
+// consume marks a batch of completed transfers processed in one transaction.
+// A network failure surfaces as an application-visible error message
+// (Sec. 3.6) enqueued in that same transaction: the failed message is never
+// consumed without its error, whichever side of the commit a crash lands on.
+// It reports whether the commit succeeded.
+func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
+	e := g.eng
+	now := time.Now().UTC()
 	tx := e.ms.Begin()
-	tx.MarkProcessed(id)
-	if _, err := tx.Commit(); err != nil {
-		e.log.Error("gateway consume failed", "id", id, "err", err)
+	ids := make([]msgstore.MsgID, len(batch))
+	var errMsgs []stagedError
+	var failed uint64
+	for i, t := range batch {
+		ids[i] = t.id
+		if t.err == nil {
+			continue
+		}
+		failed++
+		if se, ok := e.stageNetworkError(tx, gw.decl.Name, t.doc, t.err, now); ok {
+			errMsgs = append(errMsgs, se)
+		}
 	}
-	e.stats.processed.Add(1)
+	tx.MarkProcessedAll(ids)
+	if _, err := tx.Commit(); err != nil {
+		// The messages stay unprocessed and are sent again on the next start.
+		e.noteStorageError(err)
+		e.log.Error("gateway consume failed; outgoing queue halted until restart",
+			"queue", gw.decl.Name, "messages", len(ids), "err", err)
+		return false
+	}
+	e.stats.gatewayConsumeCommits.Add(1)
+	e.stats.processed.Add(uint64(len(ids)))
+	e.stats.errors.Add(failed)
+	e.stats.gatewaySendErrors.Add(failed)
+	for _, se := range errMsgs {
+		e.slices.OnEnqueue(se.id, se.target, se.props)
+		if q, ok := e.ms.Queue(se.target); ok {
+			e.routeNewMessage(q, se.id)
+		}
+	}
+	// Only now are the messages done with: Drain must not see an idle sender
+	// before the error messages have reached their consumers.
+	gw.forget(ids...)
+	return true
 }
 
-func (e *Engine) emitNetworkError(queue string, doc *xmldom.Node, cause error) {
-	e.stats.errors.Add(1)
+// stagedError is an error message enqueued in a transaction that has not
+// committed yet; the caller publishes it to the slices and its consumer
+// after the commit.
+type stagedError struct {
+	id     msgstore.MsgID
+	target string
+	props  map[string]xdm.Value
+}
+
+// stageNetworkError stages the <disconnectedTransport/> error message of a
+// failed transfer into tx.
+func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.Node, cause error, now time.Time) (stagedError, bool) {
 	target := e.errorQueueFor(nil, queue)
 	if target == "" {
 		e.log.Error("network error with no error queue", "queue", queue, "err", cause)
-		return
+		return stagedError{}, false
 	}
 	var initial *xmldom.Node
 	if doc != nil {
 		initial = doc.Root()
 	}
 	errDoc := buildErrorDoc(ErrorNetwork, "DQNET0001", "", queue, cause.Error(), initial)
-	now := time.Now().UTC()
 	props := map[string]xdm.Value{
 		property.SysCreatingRule: xdm.NewString("demaq:gateway"),
 		property.SysCreated:      xdm.NewDateTime(now),
@@ -430,20 +635,12 @@ func (e *Engine) emitNetworkError(queue string, doc *xmldom.Node, cause error) {
 	if pv, err := e.prog.Properties.Evaluate(target, errDoc, nil, nil, props, now); err == nil {
 		props = pv
 	}
-	tx := e.ms.Begin()
 	nid, err := tx.Enqueue(target, errDoc, props, now)
 	if err != nil {
-		tx.Abort()
 		e.log.Error("network error enqueue failed", "err", err)
-		return
+		return stagedError{}, false
 	}
-	if _, err := tx.Commit(); err != nil {
-		return
-	}
-	e.slices.OnEnqueue(nid, target, props)
-	if q, ok := e.ms.Queue(target); ok {
-		e.routeNewMessage(q, nid)
-	}
+	return stagedError{id: nid, target: target, props: props}, true
 }
 
 // deliver enqueues an external message arriving at an incoming gateway,

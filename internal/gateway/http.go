@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,11 @@ import (
 )
 
 // HTTPTransport is the real network binding: messages are POSTed as the
-// request body with properties in X-Demaq-* headers — the shape of the
-// paper's SOAP/HTTP binding without the envelope ceremony. Addresses have
-// the form "http://host:port/path". One HTTPTransport can both serve local
-// endpoints (it runs one shared listener per host:port it subscribes on)
-// and send to remote ones.
+// request body with their properties in X-Demaq-Property headers — the shape
+// of the paper's SOAP/HTTP binding without the envelope ceremony. Addresses
+// have the form "http://host:port/path". One HTTPTransport can both serve
+// local endpoints (it runs one shared listener per host:port it subscribes
+// on) and send to remote ones.
 type HTTPTransport struct {
 	mu        sync.Mutex
 	client    *http.Client
@@ -96,7 +97,40 @@ func NewHTTPTransportOptions(opts HTTPOptions) *HTTPTransport {
 // Scheme implements Transport.
 func (t *HTTPTransport) Scheme() string { return "http" }
 
-const headerPrefix = "X-Demaq-"
+// Properties travel as one "X-Demaq-Property: name=value" header line each,
+// name and value query-escaped. A property name cannot be a header name:
+// header names are case-insensitive (Go canonicalizes "demaq-rm-seq" to
+// "Demaq-Rm-Seq") and exclude the ':' of "demaq:rule". Hand-written clients
+// may still send "X-Demaq-<Name>: value" for names that survive that.
+const (
+	headerPrefix   = "X-Demaq-"
+	PropertyHeader = headerPrefix + "Property"
+)
+
+// EncodeProperty renders one property as a PropertyHeader value.
+func EncodeProperty(name, value string) string {
+	return url.QueryEscape(name) + "=" + url.QueryEscape(value)
+}
+
+// decodeProperties reads the properties of a request.
+func decodeProperties(h http.Header) (map[string]string, error) {
+	props := map[string]string{}
+	for k, vs := range h {
+		if k != PropertyHeader && strings.HasPrefix(k, headerPrefix) && len(vs) > 0 {
+			props[k[len(headerPrefix):]] = vs[0]
+		}
+	}
+	for _, line := range h[PropertyHeader] {
+		name, value, ok := strings.Cut(line, "=")
+		name, nerr := url.QueryUnescape(name)
+		value, verr := url.QueryUnescape(value)
+		if !ok || nerr != nil || verr != nil {
+			return nil, fmt.Errorf("gateway: malformed %s header %q", PropertyHeader, line)
+		}
+		props[name] = value
+	}
+	return props, nil
+}
 
 // Send implements Transport.
 func (t *HTTPTransport) Send(dest string, payload []byte, props map[string]string) error {
@@ -106,7 +140,7 @@ func (t *HTTPTransport) Send(dest string, payload []byte, props map[string]strin
 	}
 	req.Header.Set("Content-Type", "application/xml")
 	for k, v := range props {
-		req.Header.Set(headerPrefix+k, v)
+		req.Header.Add(PropertyHeader, EncodeProperty(k, v))
 	}
 	resp, err := t.client.Do(req)
 	if err != nil {
@@ -223,11 +257,11 @@ func (t *HTTPTransport) serve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
-	props := map[string]string{}
-	for k, vs := range r.Header {
-		if strings.HasPrefix(k, headerPrefix) && len(vs) > 0 {
-			props[k[len(headerPrefix):]] = vs[0]
-		}
+	props, err := decodeProperties(r.Header)
+	if err != nil {
+		t.bodies.Put(bp)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	// Remote address as the sender when the peer did not identify itself.
 	if props["Sender"] == "" {

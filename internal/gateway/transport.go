@@ -9,7 +9,7 @@
 // for the paper's SOAP/HTTP/SMTP stack that makes failure injection
 // deterministic (see DESIGN.md). The HTTP transport is a real loopback
 // binding with the message payload as the request body and properties as
-// X-Demaq-* headers.
+// X-Demaq-Property headers.
 package gateway
 
 import (

@@ -118,6 +118,9 @@ func main() {
 		fmt.Printf("gateway sent       %d\n", st.GatewaySent)
 		fmt.Printf("gateway commits    %d\n", st.GatewayConsumeCommits)
 		fmt.Printf("gateway errors     %d\n", st.GatewaySendErrors)
+		fmt.Printf("pipelined commits  %d\n", st.PipelinedCommits)
+		fmt.Printf("durability waits   %d\n", st.DurabilityWaits)
+		fmt.Printf("undurable batches  %d\n", st.UndurableBatches)
 	default:
 		usage()
 	}

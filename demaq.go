@@ -430,6 +430,10 @@ func FormatStats(st Stats) string {
 		s += fmt.Sprintf(" gw-sent=%d gw-commits=%d gw-errors=%d",
 			st.GatewaySent, st.GatewayConsumeCommits, st.GatewaySendErrors)
 	}
+	if st.PipelinedCommits > 0 {
+		s += fmt.Sprintf(" pipelined=%d dur-waits=%d undurable=%d",
+			st.PipelinedCommits, st.DurabilityWaits, st.UndurableBatches)
+	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
 		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
 	if st.WALThrottles > 0 || st.WALShed > 0 {

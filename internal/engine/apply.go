@@ -6,6 +6,7 @@ import (
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
+	"demaq/internal/qdl"
 	locks "demaq/internal/txn"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
@@ -102,7 +103,7 @@ type batchItem struct {
 // processed, in one message-store transaction: the single-message shape of
 // applyBatch.
 func (e *Engine) applyUpdates(txnID uint64, id msgstore.MsgID, queue string,
-	parentProps map[string]xdm.Value, updates *xquery.UpdateList, now time.Time, ruleName string) error {
+	parentProps map[string]xdm.Value, updates *xquery.UpdateList, now time.Time, ruleName string) (precommit, error) {
 	return e.applyBatch(txnID, queue, []batchItem{
 		{id: id, props: parentProps, updates: updates, ruleName: ruleName},
 	}, now)
@@ -113,14 +114,20 @@ func (e *Engine) applyUpdates(txnID uint64, id msgstore.MsgID, queue string,
 // Target queues and slices are locked before any effect is applied (strict
 // 2PL: everything is held until the worker releases at transaction end);
 // within the batch each distinct resource costs one lock-manager round.
-func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now time.Time) error {
-	type staged struct {
-		up    *xquery.EnqueueUpdate
-		props map[string]xdm.Value
-		id    msgstore.MsgID
-		queue *msgstore.Queue
+//
+// The transaction ends in a pre-commit: the effects are published, the
+// derived state is updated and the new messages reach their internal
+// consumers before the log is flushed, so that the worker can release its
+// locks and go on. The returned precommit carries what has to wait for
+// durability; the worker hands it to the durability stage.
+func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now time.Time) (precommit, error) {
+	// Parked like any claim on a dead device: the log only buffers, so a
+	// pre-commit would go through and the backlog would be processed into a
+	// state no restart will ever see.
+	if e.degraded.Load() {
+		return precommit{}, ErrDegraded
 	}
-	var stagedEnqs []staged
+	var stagedEnqs []stagedMsg
 
 	// lockOnce dedupes lock acquisition across the batch: re-acquiring a
 	// held resource is already cheap inside the manager, but every call
@@ -151,12 +158,12 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 					mode = locks.X
 				}
 				if err := lockOnce(locks.Resource("q", u.Queue), mode); err != nil {
-					return err
+					return precommit{}, err
 				}
 			case *xquery.ResetUpdate:
 				if e.cfg.Granularity == LockSlice {
 					if err := lockOnce(locks.Resource("sl", u.Slicing, u.Key.StringValue()), locks.X); err != nil {
-						return err
+						return precommit{}, err
 					}
 				}
 			}
@@ -170,10 +177,9 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		for _, up := range it.updates.Updates {
 			switch u := up.(type) {
 			case *xquery.EnqueueUpdate:
-				q, ok := e.ms.Queue(u.Queue)
-				if !ok {
+				if _, ok := e.ms.Queue(u.Queue); !ok {
 					tx.Abort()
-					return fmt.Errorf("engine: enqueue into unknown queue %q", u.Queue)
+					return precommit{}, fmt.Errorf("engine: enqueue into unknown queue %q", u.Queue)
 				}
 				system := map[string]xdm.Value{
 					property.SysCreatingRule: xdm.NewString(it.ruleName),
@@ -182,32 +188,30 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 				props, err := e.prog.Properties.Evaluate(u.Queue, u.Doc, u.Props, it.props, system, now)
 				if err != nil {
 					tx.Abort()
-					return err
+					return precommit{}, err
 				}
 				// Validate against the queue schema, if declared.
 				if decl := e.queueDecl(u.Queue); decl != nil && decl.Schema != "" {
 					if err := e.validateSchema(decl, u.Doc); err != nil {
 						tx.Abort()
-						return err
+						return precommit{}, err
 					}
 				}
 				nid, err := tx.Enqueue(u.Queue, u.Doc, props, now)
 				if err != nil {
 					tx.Abort()
-					return err
+					return precommit{}, err
 				}
 				// Lock the new message's slices (they change shape).
 				if e.cfg.Granularity == LockSlice {
-					for propName, v := range props {
-						for _, sl := range e.slicingsOn(propName, u.Queue) {
-							if err := lockOnce(locks.Resource("sl", sl, v.StringValue()), locks.X); err != nil {
-								tx.Abort()
-								return err
-							}
+					for _, res := range e.sliceLocks(u.Queue, props) {
+						if err := lockOnce(res, locks.X); err != nil {
+							tx.Abort()
+							return precommit{}, err
 						}
 					}
 				}
-				stagedEnqs = append(stagedEnqs, staged{up: u, props: props, id: nid, queue: q})
+				stagedEnqs = append(stagedEnqs, stagedMsg{id: nid, queue: u.Queue, props: props})
 			case *xquery.ResetUpdate:
 				tx.RecordReset(u.Slicing, u.Key.StringValue())
 			}
@@ -215,23 +219,33 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 	}
 	if err := tx.MarkProcessedAll(processed); err != nil {
 		tx.Abort()
-		return err
+		return precommit{}, err
 	}
-	if _, err := tx.Commit(); err != nil {
-		return err
+	_, lsn, err := tx.Precommit()
+	if err != nil {
+		return precommit{}, err
 	}
 
-	// Post-commit: derived state and routing.
-	for _, st := range stagedEnqs {
-		e.slices.OnEnqueue(st.id, st.up.Queue, st.props)
+	// Post-pre-commit, still under the locks: derived state and routing. The
+	// internal consumers — the rule scheduler, the echo timers — get their
+	// messages at once; a message in an outgoing gateway queue is parked on
+	// the transaction until it is durable.
+	pc := precommit{lsn: lsn}
+	for _, m := range stagedEnqs {
+		e.slices.OnEnqueue(m.id, m.queue, m.props)
 		e.stats.enqueued.Add(1)
-		e.routeNewMessage(st.queue, st.id)
+		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
+			pc.outgoing = append(pc.outgoing, m)
+		} else {
+			e.routeNewMessage(m.queue, m.id)
+		}
 	}
 	for _, re := range tx.AppliedResets {
 		e.slices.Reset(re.Slicing, re.Key, msgstore.MsgID(re.Watermark))
 		e.stats.resets.Add(1)
 	}
-	return nil
+	pc.lsn = e.outputLSN(lsn, pc.outgoing)
+	return pc, nil
 }
 
 // slicingsOn returns the slicings over a property applicable to a queue.

@@ -1,0 +1,258 @@
+package engine
+
+import (
+	"sort"
+	"time"
+
+	"demaq/internal/msgstore"
+	"demaq/internal/qdl"
+	locks "demaq/internal/txn"
+	"demaq/internal/xdm"
+)
+
+// The worker commit pipeline. A message-processing transaction ends in a
+// pre-commit (msgstore.Txn.Precommit): its commit record is in the log, its
+// effects are published, its locks are released and its worker claims the
+// next batch — no worker waits for the device with a lock in its hands (only
+// the stage's back-pressure makes one wait at all). That is safe
+// because there is one log: whoever reads pre-committed state commits behind
+// it, so a crash loses a suffix of the history and never a transaction
+// something durable depends on. What may not run ahead of the disk is what
+// leaves the node: the durability stage below waits for the log once per
+// group of pre-committed transactions and only then hands their messages for
+// outgoing gateway queues to the senders and completes their scheduler
+// claims (which is what Drain and Shutdown observe). Admission is the other
+// durability gate: an external enqueue returns — and its HTTP 202 or WS-RM
+// ack goes out — only after its own commit is durable (commitExternal).
+
+// precommit is a pre-committed transaction on its way to durability.
+type precommit struct {
+	lsn      uint64      // WaitDurable target (outputLSN); 0: nothing to wait for
+	outgoing []stagedMsg // created in outgoing gateway queues: submitted once durable
+	claims   int         // scheduler claims the transaction completes
+}
+
+// stagedMsg is a message staged into a transaction, on its way to its slices
+// and its consumer.
+type stagedMsg struct {
+	id    msgstore.MsgID
+	queue string
+	props map[string]xdm.Value
+}
+
+// undurableCap bounds how many pre-committed worker transactions may be
+// waiting for the log at once; a worker that finds them all taken waits for
+// the flush in progress. Deep enough that the workers never stall on a 1 ms
+// device, small enough that the pre-committed window stays a few flushes.
+//
+// Of those, at most outputCap may carry messages for the outside. Output has
+// to wait for the log whatever the workers do, so where every transaction
+// sends — one commit and one send per input — running ahead buys nothing,
+// and it costs the admissions: the workers' pre-commits then land during
+// every flush, the stage starts the next flush the moment the last one
+// completes, and the inputs that the sends it has just released bring in
+// miss that flush by a hair and pay for two (bench/history-lookup: ack p50
+// 1.5 -> 1.9 ms). With the bound such workers are paced by the device, only
+// without their locks; chains of internal transactions are not touched by
+// it. Two is how far the benchmark's 2-worker node ran ahead when every
+// worker waited for its own commit. A bound that grows with the workers was
+// measured against it (CHANGES.md, PR 15): no different at 16 workers, at 4
+// workers 7 % more procurement throughput for acks 3-7 % slower — not worth
+// tying the pacing of output to a deployment setting.
+const (
+	undurableCap = 64
+	outputCap    = 2
+)
+
+// durabilityStage is the one goroutine per engine that turns pre-committed
+// worker transactions into durable ones: it takes whatever accumulated while
+// the previous flush ran and waits for the log once, for the highest LSN of
+// the lot — natural group commit, no linger of its own.
+type durabilityStage struct {
+	eng      *Engine
+	slots    chan struct{}  // semaphore: one slot per un-durable transaction
+	outSlots chan struct{}  // semaphore: and one of these if it has outgoing messages
+	queue    chan precommit // never blocks: a sender holds a slot
+}
+
+func newDurabilityStage(e *Engine) *durabilityStage {
+	return &durabilityStage{eng: e,
+		slots:    make(chan struct{}, undurableCap),
+		outSlots: make(chan struct{}, outputCap),
+		queue:    make(chan precommit, undurableCap)}
+}
+
+// add hands a worker's pre-committed transaction, completing claims
+// scheduler claims, to the stage. Called with no logical lock held.
+func (d *durabilityStage) add(pc precommit, claims int) {
+	pc.claims = claims
+	if pc.lsn == 0 {
+		// Nothing was logged (a duplicate schedule, transient queues only)
+		// and nothing is owed to the outside (outputLSN): there is no flush
+		// to wait for.
+		d.eng.settle([]precommit{pc})
+		return
+	}
+	d.slots <- struct{}{}
+	if len(pc.outgoing) > 0 {
+		d.outSlots <- struct{}{}
+	}
+	d.eng.stats.pipelinedCommits.Add(1)
+	d.queue <- pc
+}
+
+// undurable is the number of transactions handed over and not yet settled.
+func (d *durabilityStage) undurable() int { return len(d.slots) }
+
+// loop runs until the queue is closed, which Stop does once the workers are
+// gone, and settles what they left behind on the way out.
+func (d *durabilityStage) loop() {
+	defer d.eng.wg.Done()
+	batch := make([]precommit, 0, undurableCap)
+	for first := range d.queue {
+		batch = append(batch[:0], first)
+	more:
+		for {
+			select {
+			case pc, ok := <-d.queue:
+				if !ok {
+					break more
+				}
+				batch = append(batch, pc)
+			default:
+				break more
+			}
+		}
+		d.eng.stats.durabilityWaits.Add(1)
+		d.eng.settle(batch)
+		for _, pc := range batch {
+			<-d.slots
+			if len(pc.outgoing) > 0 {
+				<-d.outSlots
+			}
+		}
+	}
+}
+
+// settle waits until a group of pre-committed transactions is durable and
+// then performs what they owe the outside: the outgoing gateway submits and
+// the scheduler claims. When the log fails, nothing that is not durable
+// leaves the node: the engine turns degraded, the claims are completed all
+// the same — the messages count as processed in memory, and a restart
+// re-derives what the durable prefix of the log does not hold from the
+// messages it finds unprocessed, as after any crash — so that Shutdown can
+// finish.
+func (e *Engine) settle(batch []precommit) {
+	var lsn uint64
+	for _, pc := range batch {
+		if pc.lsn > lsn {
+			lsn = pc.lsn
+		}
+	}
+	err := e.ms.WaitDurable(lsn)
+	if err != nil {
+		e.noteStorageError(err)
+		e.log.Error("pre-committed transactions lost: the log did not become durable",
+			"transactions", len(batch), "err", err)
+	}
+	for _, pc := range batch {
+		if err == nil {
+			for _, m := range pc.outgoing {
+				e.gws.submit(m.queue, m.id)
+			}
+		}
+		if pc.claims > 0 {
+			e.sched.DoneN(pc.claims)
+		}
+	}
+}
+
+// outputLSN returns what has to be durable before the messages staged by a
+// transaction that pre-committed at lsn may leave the node. That is its own
+// commit record — unless it touched transient queues only and logged nothing
+// (lsn 0): what it consumed may still be the pre-committed work of
+// transactions that did, so its messages for outgoing gateway queues wait
+// for the log as it stands, and for their turn in the stage like any other.
+func (e *Engine) outputLSN(lsn uint64, msgs []stagedMsg) uint64 {
+	if lsn != 0 {
+		return lsn
+	}
+	for _, m := range msgs {
+		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
+			return e.ms.LogEnd()
+		}
+	}
+	return 0
+}
+
+// sliceLocks returns the lock resources of the slices a new message with
+// these properties joins in queue.
+func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
+	var res []string
+	for propName, v := range props {
+		for _, sl := range e.slicingsOn(propName, queue) {
+			res = append(res, locks.Resource("sl", sl, v.StringValue()))
+		}
+	}
+	return res
+}
+
+// commitExternal commits a transaction that does not run under a worker's
+// locks — admission, the echo timers, the gateway senders, error messages
+// raised outside a rule — and publishes the messages it stages. Like
+// applyBatch does for rule-created messages, it holds the X lock of every
+// slice a new message joins around pre-commit, publish and OnEnqueue: a
+// member never appears between two rules of one message's evaluation. The
+// locks (taken in sorted order; a deadlock victim starts over) are released
+// before the wait for the log, so nothing here holds a logical lock across
+// the device; the messages reach their consumers once they are durable.
+func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
+	lsn, err := e.precommitLocked(tx, msgs)
+	if err != nil {
+		return err
+	}
+	if err := e.ms.WaitDurable(e.outputLSN(lsn, msgs)); err != nil {
+		return err
+	}
+	for _, m := range msgs {
+		e.routeNewMessage(m.queue, m.id)
+	}
+	return nil
+}
+
+// precommitLocked is the part of commitExternal that runs under the slice
+// locks.
+func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, error) {
+	var res []string
+	if e.cfg.Granularity == LockSlice {
+		for _, m := range msgs {
+			res = append(res, e.sliceLocks(m.queue, m.props)...)
+		}
+		sort.Strings(res)
+	}
+	if len(res) > 0 {
+		txnID := e.txnSeq.Add(1)
+		defer e.lm.ReleaseAll(txnID)
+		backoff := 50 * time.Microsecond
+		for i := 0; i < len(res); i++ {
+			if err := e.lm.Acquire(txnID, res[i], locks.X); err != nil {
+				// Only ErrDeadlock comes back: let the other side through and
+				// start over.
+				e.lm.ReleaseAll(txnID)
+				time.Sleep(backoff)
+				if backoff < 10*time.Millisecond {
+					backoff *= 2
+				}
+				i = -1
+			}
+		}
+	}
+	_, lsn, err := tx.Precommit()
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range msgs {
+		e.slices.OnEnqueue(m.id, m.queue, m.props)
+	}
+	return lsn, nil
+}

@@ -174,6 +174,16 @@ type Stats struct {
 	GatewayConsumeCommits uint64
 	GatewaySendErrors     uint64
 
+	// PipelinedCommits counts the worker transactions that pre-committed and
+	// went on without waiting for the log, DurabilityWaits the waits for the
+	// log that made them durable: the first over the second is the number of
+	// transactions per flush wait (1 on an idle or paced node).
+	// UndurableBatches is a gauge: the pre-committed worker transactions not
+	// yet known durable, at most undurableCap.
+	PipelinedCommits uint64
+	DurabilityWaits  uint64
+	UndurableBatches int
+
 	// Storage health, from the page store. WALLiveBytes is the log volume
 	// the next recovery would replay through (what the WAL budgets bound);
 	// WALSegments is how many segment files hold it. DirtyPages counts
@@ -206,6 +216,7 @@ type Engine struct {
 	sched  *scheduler
 	timers *timerService
 	gws    *gatewayService
+	dur    *durabilityStage
 
 	txnSeq atomic.Uint64
 
@@ -222,6 +233,7 @@ type Engine struct {
 		processed, rulesEval, rulesFired, enqueued, resets, errors, deadlocks, collected atomic.Uint64
 		batches, batchMsgs, deadlockRequeues, ingestShed, walShed                        atomic.Uint64
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
+		pipelinedCommits, durabilityWaits                                                atomic.Uint64
 	}
 
 	// degraded flips (one-way, until restart) when the store reports a
@@ -236,6 +248,7 @@ type Engine struct {
 	schemas map[string]*schema.Schema
 
 	wg       sync.WaitGroup
+	workers  sync.WaitGroup // the rule workers: the durability stage outlives them
 	stopGC   chan struct{}
 	stopCkpt chan struct{}
 	started  bool
@@ -378,6 +391,7 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 	}
 	e.timers = newTimerService(e)
 	e.gws = newGatewayService(e)
+	e.dur = newDurabilityStage(e)
 	for _, q := range app.Queues {
 		switch q.Kind {
 		case qdl.KindEcho:
@@ -464,8 +478,10 @@ func (e *Engine) Start() {
 		return
 	}
 	e.started = true
+	e.wg.Add(1)
+	go e.dur.loop()
 	for i := 0; i < e.cfg.Workers; i++ {
-		e.wg.Add(1)
+		e.workers.Add(1)
 		go e.worker(uint64(i))
 	}
 	e.timers.start()
@@ -500,15 +516,20 @@ func (e *Engine) Stop() error {
 	if e.stopCkpt != nil {
 		close(e.stopCkpt)
 	}
+	// The workers feed the durability stage: it settles what they leave
+	// behind and exits once they are gone.
+	e.workers.Wait()
+	close(e.dur.queue)
 	e.wg.Wait()
 	// ms.Close runs a final quiescent checkpoint: a clean shutdown leaves
 	// nothing for the next Open to replay.
 	return e.ms.Close()
 }
 
-// Drain blocks until the scheduler has no pending or in-flight work and
-// every outgoing gateway message has been sent and consumed, or the timeout
-// elapses. Timers that have not fired are not waited for.
+// Drain blocks until the scheduler has no pending or in-flight work — a
+// claim is in flight until the transaction that processed it is durable —
+// and every outgoing gateway message has been sent and consumed, or the
+// timeout elapses. Timers that have not fired are not waited for.
 func (e *Engine) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -624,6 +645,10 @@ func (e *Engine) Stats() Stats {
 		GatewaySent:           e.stats.gatewaySent.Load(),
 		GatewayConsumeCommits: e.stats.gatewayConsumeCommits.Load(),
 		GatewaySendErrors:     e.stats.gatewaySendErrors.Load(),
+
+		PipelinedCommits: e.stats.pipelinedCommits.Load(),
+		DurabilityWaits:  e.stats.durabilityWaits.Load(),
+		UndurableBatches: e.dur.undurable(),
 	}
 	if st.BatchesClaimed > 0 {
 		st.AvgBatchSize = float64(e.stats.batchMsgs.Load()) / float64(st.BatchesClaimed)
@@ -745,8 +770,7 @@ func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]
 	if err := e.admitIngest(); err != nil {
 		return 0, err
 	}
-	q, ok := e.ms.Queue(queue)
-	if !ok {
+	if _, ok := e.ms.Queue(queue); !ok {
 		return 0, fmt.Errorf("engine: unknown queue %q", queue)
 	}
 	if decl := e.queueDecl(queue); decl != nil && decl.Schema != "" {
@@ -770,13 +794,11 @@ func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]
 	if sess != nil {
 		tx.PutSession(*sess)
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := e.commitExternal(tx, stagedMsg{id: id, queue: queue, props: props}); err != nil {
 		e.noteStorageError(err)
 		return 0, err
 	}
-	e.slices.OnEnqueue(id, queue, props)
 	e.stats.enqueued.Add(1)
-	e.routeNewMessage(q, id)
 	return id, nil
 }
 
@@ -863,13 +885,11 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 	if sess != nil {
 		tx.PutSession(*sess)
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := e.commitExternal(tx, stagedMsg{id: id, queue: queue, props: props}); err != nil {
 		e.noteStorageError(err)
 		return 0, err
 	}
-	e.slices.OnEnqueue(id, queue, props)
 	e.stats.enqueued.Add(1)
-	e.routeNewMessage(q, id)
 	return id, nil
 }
 
@@ -880,15 +900,14 @@ func (e *Engine) EnqueueXML(queue, xml string, explicit map[string]xdm.Value) (m
 
 // routeNewMessage hands a committed message to its consumer: the rule
 // scheduler, the timer service (echo queues) or the gateway sender.
-func (e *Engine) routeNewMessage(q *msgstore.Queue, id msgstore.MsgID) {
-	kind := e.queueKind(q.Name)
-	switch kind {
+func (e *Engine) routeNewMessage(queue string, id msgstore.MsgID) {
+	switch e.queueKind(queue) {
 	case qdl.KindEcho:
-		e.timers.schedule(q.Name, id)
+		e.timers.schedule(queue, id)
 	case qdl.KindOutgoingGateway:
-		e.gws.submit(q.Name, id)
+		e.gws.submit(queue, id)
 	default:
-		e.sched.Add(q.Name, id)
+		e.sched.Add(queue, id)
 	}
 }
 
@@ -908,7 +927,7 @@ func (e *Engine) queueDecl(name string) *qdl.QueueDecl {
 // otherwise the worker claims same-queue batches and processes them
 // set-oriented, falling back to single messages on failure.
 func (e *Engine) worker(seq uint64) {
-	defer e.wg.Done()
+	defer e.workers.Done()
 	// Per-worker PRNG for backoff jitter: colliding workers must not
 	// retry in lockstep, and the global rand would be a contention point.
 	rng := rand.New(rand.NewPCG(uint64(time.Now().UnixNano()), seq))
@@ -938,10 +957,13 @@ func (e *Engine) worker(seq uint64) {
 
 func (e *Engine) processWithRetry(queue string, id msgstore.MsgID, rng *rand.Rand) {
 	backoff := time.Microsecond * 50
+	// cause is set once processing failed for good: the attempts from then
+	// on consume the message together with its error message.
+	var cause error
 	for attempt := 0; ; attempt++ {
-		err := e.processMessage(queue, id)
+		pc, err := e.processMessage(queue, id, cause)
 		if err == nil {
-			e.sched.Done()
+			e.dur.add(pc, 1)
 			return
 		}
 		if err == locks.ErrDeadlock {
@@ -969,17 +991,22 @@ func (e *Engine) processWithRetry(queue string, id msgstore.MsgID, rng *rand.Ran
 		// disk) and flip to degraded mode. Routing to the error queue
 		// would both misattribute the failure and need the same dead
 		// disk to commit.
-		if store.IsPermanent(err) || e.degraded.Load() {
+		if e.retryable(err) {
 			e.noteStorageError(err)
 			e.sched.Requeue(queue, id)
 			time.Sleep(10 * time.Millisecond) // don't spin against a dead device
 			return
 		}
+		if cause != nil {
+			// Not even the error path can consume it: the message stays
+			// unprocessed in its queue until the next start.
+			e.log.Error("failed to consume message after error", "id", id, "err", err)
+			e.sched.Done()
+			return
+		}
 		// Non-retryable: route to the error queue and consume the message
 		// so it is processed exactly once.
-		e.handleRuleError(queue, id, err)
-		e.sched.Done()
-		return
+		cause = err
 	}
 }
 
@@ -999,9 +1026,9 @@ func (e *Engine) runBatch(queue string, prio int, ids []msgstore.MsgID, rng *ran
 		e.processWithRetry(queue, ids[0], rng)
 		return
 	}
-	attempted, err := e.processBatch(queue, prio, ids)
+	attempted, pc, err := e.processBatch(queue, prio, ids)
 	if err == nil {
-		e.sched.DoneN(len(attempted))
+		e.dur.add(pc, len(attempted))
 		return
 	}
 	if err == locks.ErrDeadlock {
@@ -1097,69 +1124,80 @@ func (e *Engine) probeMasks(queue string, ids []msgstore.MsgID) []uint64 {
 
 // processMessage runs the execution-model cycle for one message: evaluate
 // all applicable rules (queue plan + slice plans), then apply the combined
-// pending update list and the processed flag in a single transaction.
-func (e *Engine) processMessage(queue string, id msgstore.MsgID) error {
+// pending update list and the processed flag in a single transaction, which
+// is pre-committed when processMessage returns — and its locks released.
+// With a cause the message has already failed for good: nothing is
+// evaluated, the message is consumed with the error message of the cause.
+func (e *Engine) processMessage(queue string, id msgstore.MsgID, cause error) (precommit, error) {
 	txnID := e.txnSeq.Add(1)
 	defer e.lm.ReleaseAll(txnID)
 
+	if err := e.lockSlices(txnID, e.slices.SlicesOf(id)); err != nil {
+		return precommit{}, err
+	}
 	// Home-queue lock: coarse X, or IX + message X under slice locking.
 	if e.cfg.Granularity == LockQueue {
 		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X); err != nil {
-			return err
+			return precommit{}, err
 		}
 	} else {
 		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.IX); err != nil {
-			return err
+			return precommit{}, err
 		}
 		if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
-			return err
+			return precommit{}, err
 		}
 	}
 
 	msg, ok := e.ms.Get(id)
 	if !ok {
-		return fmt.Errorf("engine: message %d vanished", id)
+		if cause != nil {
+			return precommit{}, nil // nothing left to consume
+		}
+		return precommit{}, fmt.Errorf("engine: message %d vanished", id)
 	}
 	if msg.Processed {
-		return nil // duplicate schedule after crash recovery
+		return precommit{}, nil // duplicate schedule after crash recovery
+	}
+	now := time.Now().UTC()
+	if cause != nil {
+		doc, _ := e.ms.Doc(id)
+		return e.consumed(e.applyError(txnID, queue, id, doc, nil, cause, now))
 	}
 	fetch := e.docFetcher(queue, id)
 	if e.cfg.ScanDispatch {
 		if _, _, err := fetch(); err != nil {
-			return err
+			return precommit{}, err
 		}
 	}
-	now := time.Now().UTC()
 	rt := &evalRuntime{eng: e, txnID: txnID, queue: queue, now: now}
 	combined, ruleName, _, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, 0, false, false)
 	if err != nil {
-		return err
+		return precommit{}, err
 	}
 	if failed != nil {
 		// Error path: the message still counts as processed (Sec. 3.6);
-		// the error becomes a message in the appropriate error queue.
-		if err := e.applyUpdates(txnID, id, queue, msg.Props, &xquery.UpdateList{}, now, ""); err != nil {
-			return err
-		}
-		// The error message embeds the original document: use the complete
-		// tree, never a projected view of it. fetch is memoized — the
-		// failing rule already evaluated on the document.
+		// the error becomes a message in the appropriate error queue. It
+		// embeds the original document: use the complete tree, never a
+		// projected view of it. fetch is memoized — the failing rule
+		// already evaluated on the document.
 		doc, pruned, _ := fetch()
-		errDoc := doc
 		if len(pruned) > 0 {
 			if full, derr := e.ms.Doc(id); derr == nil {
-				errDoc = full
+				doc = full
 			}
 		}
-		e.emitError(queue, id, errDoc, failed.rule, failed.err)
+		return e.consumed(e.applyError(txnID, queue, id, doc, failed.rule, failed.err, now))
+	}
+	return e.consumed(e.applyUpdates(txnID, id, queue, msg.Props, combined, now, ruleName))
+}
+
+// consumed counts a message whose transaction pre-committed.
+func (e *Engine) consumed(pc precommit, err error) (precommit, error) {
+	if err == nil {
 		e.stats.processed.Add(1)
-		return nil
 	}
-	if err := e.applyUpdates(txnID, id, queue, msg.Props, combined, now, ruleName); err != nil {
-		return err
-	}
-	e.stats.processed.Add(1)
-	return nil
+	return pc, err
 }
 
 // processBatch runs the execution-model cycle for a whole same-queue batch
@@ -1177,19 +1215,22 @@ func (e *Engine) processMessage(queue string, id msgstore.MsgID) error {
 // reported to the caller, which bisects down to the single-message path.
 // It returns the prefix of ids it was responsible for (the remainder, if
 // any, was requeued after preemption).
-func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (attempted []msgstore.MsgID, err error) {
+func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (attempted []msgstore.MsgID, pc precommit, err error) {
 	txnID := e.txnSeq.Add(1)
 	defer e.lm.ReleaseAll(txnID)
 
 	attempted = ids
+	if err := e.lockSlices(txnID, e.slices.SlicesOf(ids[0])); err != nil {
+		return attempted, pc, err
+	}
 	// Home-queue lock: one round for the whole batch.
 	if e.cfg.Granularity == LockQueue {
 		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X); err != nil {
-			return attempted, err
+			return attempted, pc, err
 		}
 	} else {
 		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.IX); err != nil {
-			return attempted, err
+			return attempted, pc, err
 		}
 	}
 
@@ -1207,7 +1248,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		}
 		msg, ok := e.ms.Get(id)
 		if !ok {
-			return attempted, fmt.Errorf("engine: message %d vanished", id)
+			return attempted, pc, fmt.Errorf("engine: message %d vanished", id)
 		}
 		if msg.Processed {
 			continue // duplicate schedule after crash recovery
@@ -1215,7 +1256,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		fetch := e.docFetcher(queue, id)
 		if e.cfg.ScanDispatch {
 			if _, _, err := fetch(); err != nil {
-				return attempted, err
+				return attempted, pc, err
 			}
 		}
 		var mask uint64
@@ -1233,13 +1274,13 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 			break
 		}
 		if err != nil {
-			return attempted, err
+			return attempted, pc, err
 		}
 		if failed != nil {
 			// Per-message error-queue semantics belong to the
 			// single-message path: fail the batch so bisection isolates
 			// the message.
-			return attempted, failed.err
+			return attempted, pc, failed.err
 		}
 		// Re-check the processed flag now that evalMessage holds the
 		// message lock: the pre-lock snapshot above can race a duplicate
@@ -1271,13 +1312,31 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		}
 	}
 	if len(items) == 0 {
-		return attempted, nil
+		return attempted, pc, nil
 	}
-	if err := e.applyBatch(txnID, queue, items, now); err != nil {
-		return attempted, err
+	if pc, err = e.applyBatch(txnID, queue, items, now); err != nil {
+		return attempted, pc, err
 	}
 	e.stats.processed.Add(uint64(len(items)))
-	return attempted, nil
+	return attempted, pc, nil
+}
+
+// lockSlices takes the exclusive locks of the slices a message belongs to
+// (they are read by slice rules and advanced by resets). A transaction does
+// so for its first message before it takes its home-queue lock: two
+// messages of one slice are then serialized while the second holds nothing,
+// instead of its queue's intention lock — which the first may need out of
+// the way for a qs:queue() read, and the two would deadlock.
+func (e *Engine) lockSlices(txnID uint64, memberships []struct{ Slicing, Key string }) error {
+	if e.cfg.Granularity != LockSlice {
+		return nil
+	}
+	for _, mb := range memberships {
+		if err := e.lm.Acquire(txnID, locks.Resource("sl", mb.Slicing, mb.Key), locks.X); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // errNotBatchable signals that a message's applicable rules touch shared
@@ -1287,7 +1346,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 var errNotBatchable = fmt.Errorf("engine: message not batchable mid-batch")
 
 // evalMessage evaluates every applicable rule of one message inside txnID
-// — locking the message's slices first — and accumulates the pending
+// — under the locks of the message's slices — and accumulates the pending
 // updates. A rule failure comes back in failed (the per-message error
 // path); deadlocks and system errors come back as err and abort the whole
 // processing transaction. rt is reused across the messages of a batch; the
@@ -1299,8 +1358,9 @@ var errNotBatchable = fmt.Errorf("engine: message not batchable mid-batch")
 // equivalent. With noShared set, a shared message is rejected with
 // errNotBatchable before anything is locked or evaluated, so a requeued
 // message is immediately claimable by another worker. With lockMsg set
-// (the batch path; processMessage locks up front itself) the message's
-// exclusive lock is acquired here, after that rejection point.
+// (the batch path; processMessage locks up front itself) the exclusive locks
+// of the message and of its slices are acquired here, after that rejection
+// point.
 func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared, lockMsg bool) (combined *xquery.UpdateList, ruleName string, shared bool, failed *ruleError, err error) {
 	// Element names are the dispatch key set: computed lazily, only when
 	// some applicable rule actually has an element trigger — that is the
@@ -1367,13 +1427,9 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 		}
 	}
 
-	// Lock the slices of the message (they are read by slice rules and
-	// advanced by resets).
-	if e.cfg.Granularity == LockSlice {
-		for _, mb := range memberships {
-			if err := e.lm.Acquire(txnID, locks.Resource("sl", mb.Slicing, mb.Key), locks.X); err != nil {
-				return nil, "", shared, nil, err
-			}
+	if lockMsg {
+		if err := e.lockSlices(txnID, memberships); err != nil {
+			return nil, "", shared, nil, err
 		}
 	}
 

@@ -276,19 +276,26 @@ func TestErrorHandlerRuleCompensates(t *testing.T) {
 func TestSchedulerPriorities(t *testing.T) {
 	// Single worker: the high-priority queue must be served first even
 	// though the low-priority messages arrived earlier.
-	e := newEngine(t, `
+	// The workers start after the burst is in: a worker does not wait for
+	// the log and would otherwise finish each low message before the next
+	// enqueue's flush returns.
+	e, err := New(Config{Dir: t.TempDir(), Workers: 1}, qdl.MustParse(`
 		create queue low kind basic mode persistent priority 1;
 		create queue high kind basic mode persistent priority 10;
 		create queue outLow kind basic mode persistent;
 		create queue outHigh kind basic mode persistent;
 		create rule rl for low if (//m) then do enqueue <l/> into outLow;
 		create rule rh for high if (//m) then do enqueue <h/> into outHigh;
-	`, func(c *Config) { c.Workers = 1 })
-	// Stop workers from racing the setup: enqueue a burst.
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
 	for i := 0; i < 20; i++ {
 		e.EnqueueXML("low", `<m/>`, nil)
 	}
 	e.EnqueueXML("high", `<m/>`, nil)
+	e.Start()
 	drain(t, e)
 	// Both completed; order was observed by message IDs in out queues.
 	outHigh, _ := e.MessageStore().Messages("outHigh")

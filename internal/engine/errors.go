@@ -1,12 +1,13 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/rule"
+	"demaq/internal/store"
+	locks "demaq/internal/txn"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 	"demaq/internal/xquery"
@@ -97,67 +98,124 @@ func (e *Engine) errorQueueFor(r *rule.Rule, queue string) string {
 	return ""
 }
 
-// emitError enqueues an error message (its own transaction: the failing
-// processing transaction has been rolled back or completed separately).
-func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error) {
-	e.stats.errors.Add(1)
-	kind, code := classify(cause)
-	ruleName := ""
-	if r != nil {
-		ruleName = r.Name
+// errorHandlerRule is the creating-rule system property of the error
+// messages the engine raises for rule and message errors.
+const errorHandlerRule = "demaq:errorHandler"
+
+func ruleNameOf(r *rule.Rule) string {
+	if r == nil {
+		return ""
 	}
+	return r.Name
+}
+
+// errorUpdate builds the error message of a failure as a pending enqueue
+// into the error queue resolved for the rule/queue pair. ok is false when no
+// error queue is configured: the failure is then only logged.
+func (e *Engine) errorUpdate(queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error) (up *xquery.EnqueueUpdate, ok bool) {
+	ruleName := ruleNameOf(r)
 	target := e.errorQueueFor(r, queue)
 	if target == "" {
 		e.log.Error("rule error with no error queue configured",
 			"queue", queue, "rule", ruleName, "msg", id, "err", cause)
-		return
+		return nil, false
 	}
+	kind, code := classify(cause)
 	var initial *xmldom.Node
 	if doc != nil {
 		initial = doc.Root()
 	}
-	errDoc := buildErrorDoc(kind, code, ruleName, queue, cause.Error(), initial)
+	return &xquery.EnqueueUpdate{Queue: target,
+		Doc: buildErrorDoc(kind, code, ruleName, queue, cause.Error(), initial)}, true
+}
+
+// emitError enqueues the error message of a failure that has no message to
+// consume with it (a malformed or invalid external document, a misdirected
+// echo), in a transaction of its own.
+func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error) {
+	e.stats.errors.Add(1)
+	up, ok := e.errorUpdate(queue, id, doc, r, cause)
+	if !ok {
+		return
+	}
 	now := time.Now().UTC()
 	system := map[string]xdm.Value{
-		property.SysCreatingRule: xdm.NewString("demaq:errorHandler"),
+		property.SysCreatingRule: xdm.NewString(errorHandlerRule),
 		property.SysCreated:      xdm.NewDateTime(now),
 	}
-	props, err := e.prog.Properties.Evaluate(target, errDoc, nil, nil, system, now)
+	props, err := e.prog.Properties.Evaluate(up.Queue, up.Doc, nil, nil, system, now)
 	if err != nil {
 		e.log.Error("error-message property evaluation failed", "err", err)
 		props = system
 	}
 	tx := e.ms.Begin()
-	nid, err := tx.Enqueue(target, errDoc, props, now)
+	nid, err := tx.Enqueue(up.Queue, up.Doc, props, now)
 	if err != nil {
 		tx.Abort()
-		e.log.Error("error enqueue failed", "target", target, "err", err)
+		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
 		return
 	}
-	if _, err := tx.Commit(); err != nil {
-		e.log.Error("error enqueue commit failed", "target", target, "err", err)
+	if err := e.commitExternal(tx, stagedMsg{id: nid, queue: up.Queue, props: props}); err != nil {
+		e.log.Error("error enqueue commit failed", "target", up.Queue, "err", err)
 		return
-	}
-	e.slices.OnEnqueue(nid, target, props)
-	if q, ok := e.ms.Queue(target); ok {
-		e.routeNewMessage(q, nid)
 	}
 	e.log.Warn("error routed to error queue",
-		"queue", queue, "rule", ruleName, "target", target, "err", cause)
+		"queue", queue, "rule", ruleNameOf(r), "target", up.Queue, "err", cause)
 }
 
-// handleRuleError consumes a message whose processing failed
-// unrecoverably: the message is marked processed (exactly-once) and the
-// error is materialized.
-func (e *Engine) handleRuleError(queue string, id msgstore.MsgID, cause error) {
-	doc, _ := e.ms.Doc(id)
-	tx := e.ms.Begin()
-	tx.MarkProcessed(id)
-	if _, err := tx.Commit(); err != nil {
-		e.log.Error("failed to consume message after error", "id", id, "err", err)
+// applyError consumes, inside txnID, a message whose processing failed for
+// good: it is marked processed — exactly once (Sec. 3.6) — and its error
+// message is enqueued in the same transaction, so no crash leaves the one
+// without the other. doc is the complete document of the message (never a
+// projected view: the error message embeds it), r the failing rule, if one
+// is to blame.
+func (e *Engine) applyError(txnID uint64, queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error, now time.Time) (precommit, error) {
+	updates := &xquery.UpdateList{}
+	up, routed := e.errorUpdate(queue, id, doc, r, cause)
+	if routed {
+		updates.Append(up)
 	}
-	e.stats.processed.Add(1)
-	e.emitError(queue, id, doc, nil, cause)
+	pc, err := e.applyUpdates(txnID, id, queue, nil, updates, now, errorHandlerRule)
+	if err != nil && routed && !e.retryable(err) {
+		// The error message itself is not acceptable to its queue: consume
+		// the message without it rather than never.
+		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
+		routed = false
+		pc, err = e.applyUpdates(txnID, id, queue, nil, &xquery.UpdateList{}, now, errorHandlerRule)
+	}
+	if err != nil {
+		return pc, err
+	}
+	e.stats.errors.Add(1)
+	if routed {
+		e.log.Warn("error routed to error queue",
+			"queue", queue, "rule", ruleNameOf(r), "target", up.Queue, "err", cause)
+	}
+	return pc, nil
 }
 
-var _ = fmt.Sprintf
+// retryable reports whether a failed processing attempt says nothing about
+// the message: a deadlock victim, or a storage failure.
+func (e *Engine) retryable(err error) bool {
+	return err == locks.ErrDeadlock || store.IsPermanent(err) || e.degraded.Load()
+}
+
+// handleRuleError consumes a message that an engine service — not a rule
+// worker, which does the same under its own retry loop — found unprocessable,
+// and waits until that is durable.
+func (e *Engine) handleRuleError(queue string, id msgstore.MsgID, cause error) {
+	for backoff := 50 * time.Microsecond; ; backoff *= 2 {
+		pc, err := e.processMessage(queue, id, cause)
+		if err == locks.ErrDeadlock && backoff < time.Second {
+			time.Sleep(backoff)
+			continue
+		}
+		if err != nil {
+			e.noteStorageError(err)
+			e.log.Error("failed to consume message after error", "id", id, "err", err)
+			return
+		}
+		e.settle([]precommit{pc})
+		return
+	}
+}

@@ -213,6 +213,10 @@ type crashNode struct {
 	cfg Config
 	app *qdl.Application
 	eng *Engine
+
+	// onReboot, if set, sees the recovered store after a crash, before the
+	// node is started again.
+	onReboot func()
 }
 
 func newCrashNode(t *testing.T, src string, files fstest.MapFS, tr gateway.Transport) *crashNode {
@@ -254,6 +258,9 @@ func (c *crashNode) settle() (crashed bool) {
 			c.eng.Stop()
 			c.fs.ClearFault()
 			c.open()
+			if c.onReboot != nil {
+				c.onReboot()
+			}
 			c.eng.Start()
 		}
 		time.Sleep(200 * time.Microsecond)

@@ -396,14 +396,30 @@ func (gw *outgoingGW) accept(id msgstore.MsgID) bool {
 // buffer has run dry: the unprocessed messages the sender does not already
 // hold are accepted in queue order, as far as the buffer takes them. It
 // reports whether there is anything to send.
+//
+// The queue also lists what the workers have pre-committed and the
+// durability stage has not released yet. Whatever the read returned was in
+// the log by then, so refill waits for the log as it stands after the read
+// before it accepts anything: nothing leaves the node ahead of the disk this
+// way either. The wait is made with gw.mu held, so that no submit slips in
+// between the read and the buffer: whoever needs the lock meanwhile — the
+// stage with a submit, Drain — is held up for the rest of one flush, which it
+// would mostly have waited for anyway. On a dead log nothing is accepted and
+// the backlog stays where it is, for the next start.
 func (g *gatewayService) refill(gw *outgoingGW) bool {
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	if !gw.overflow {
 		return false
 	}
+	ms := g.eng.ms
+	ids := ms.UnprocessedIDs(gw.decl.Name)
+	if err := ms.WaitDurable(ms.LogEnd()); err != nil {
+		g.eng.noteStorageError(err)
+		return false
+	}
 	gw.overflow = false
-	for _, id := range g.eng.ms.UnprocessedIDs(gw.decl.Name) {
+	for _, id := range ids {
 		if !gw.accept(id) {
 			break
 		}
@@ -570,7 +586,7 @@ func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
 	now := time.Now().UTC()
 	tx := e.ms.Begin()
 	ids := make([]msgstore.MsgID, len(batch))
-	var errMsgs []stagedError
+	var errMsgs []stagedMsg
 	var failed uint64
 	for i, t := range batch {
 		ids[i] = t.id
@@ -583,7 +599,7 @@ func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
 		}
 	}
 	tx.MarkProcessedAll(ids)
-	if _, err := tx.Commit(); err != nil {
+	if err := e.commitExternal(tx, errMsgs...); err != nil {
 		// The messages stay unprocessed and are sent again on the next start.
 		e.noteStorageError(err)
 		e.log.Error("gateway consume failed; outgoing queue halted until restart",
@@ -594,34 +610,19 @@ func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
 	e.stats.processed.Add(uint64(len(ids)))
 	e.stats.errors.Add(failed)
 	e.stats.gatewaySendErrors.Add(failed)
-	for _, se := range errMsgs {
-		e.slices.OnEnqueue(se.id, se.target, se.props)
-		if q, ok := e.ms.Queue(se.target); ok {
-			e.routeNewMessage(q, se.id)
-		}
-	}
 	// Only now are the messages done with: Drain must not see an idle sender
 	// before the error messages have reached their consumers.
 	gw.forget(ids...)
 	return true
 }
 
-// stagedError is an error message enqueued in a transaction that has not
-// committed yet; the caller publishes it to the slices and its consumer
-// after the commit.
-type stagedError struct {
-	id     msgstore.MsgID
-	target string
-	props  map[string]xdm.Value
-}
-
 // stageNetworkError stages the <disconnectedTransport/> error message of a
 // failed transfer into tx.
-func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.Node, cause error, now time.Time) (stagedError, bool) {
+func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.Node, cause error, now time.Time) (stagedMsg, bool) {
 	target := e.errorQueueFor(nil, queue)
 	if target == "" {
 		e.log.Error("network error with no error queue", "queue", queue, "err", cause)
-		return stagedError{}, false
+		return stagedMsg{}, false
 	}
 	var initial *xmldom.Node
 	if doc != nil {
@@ -638,9 +639,9 @@ func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.N
 	nid, err := tx.Enqueue(target, errDoc, props, now)
 	if err != nil {
 		e.log.Error("network error enqueue failed", "err", err)
-		return stagedError{}, false
+		return stagedMsg{}, false
 	}
-	return stagedError{id: nid, target: target, props: props}, true
+	return stagedMsg{id: nid, queue: target, props: props}, true
 }
 
 // deliver enqueues an external message arriving at an incoming gateway,

@@ -150,8 +150,7 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 		e.emitError(queue, id, nil, nil, fmt.Errorf("echo message %d has no target property", id))
 		return t.consume(id)
 	}
-	tq, ok := e.ms.Queue(target)
-	if !ok {
+	if _, ok := e.ms.Queue(target); !ok {
 		e.emitError(queue, id, nil, nil, fmt.Errorf("echo target queue %q does not exist", target))
 		return t.consume(id)
 	}
@@ -178,12 +177,10 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 		tx.Abort()
 		return err
 	}
-	if _, err := tx.Commit(); err != nil {
+	if err := e.commitExternal(tx, stagedMsg{id: nid, queue: target, props: props}); err != nil {
 		return err
 	}
-	e.slices.OnEnqueue(nid, target, props)
 	e.stats.enqueued.Add(1)
-	e.routeNewMessage(tq, nid)
 	return nil
 }
 

@@ -11,16 +11,22 @@ import (
 )
 
 // Txn is a message-store transaction. Mutations are buffered and applied
-// atomically at Commit, which runs a three-phase pipeline:
+// atomically at Precommit, which runs a three-phase pipeline:
 //
 //  1. prepare — resolve target queues and messages (short read locks only)
 //     and decide whether a page-store transaction is needed;
-//  2. persist — run the page-store transaction with NO msgstore lock held,
-//     so concurrent committers overlap inside the WAL and their commit
-//     fsyncs coalesce (group commit);
+//  2. persist — run the page-store transaction with NO msgstore lock held
+//     and pre-commit it: the commit record is in the log, not yet flushed;
 //  3. publish — apply the in-memory indexes under the per-shard and
 //     per-queue locks; queue message lists stay in ID order even when
 //     commits complete out of ID order.
+//
+// Store.WaitDurable on the LSN Precommit returned is the fourth step, and
+// Commit is the two in a row. A caller that holds logical locks releases
+// them between the two (early lock release): whoever reads the published
+// state commits behind it in the one log, so a crash loses a suffix of the
+// pre-committed history and never a transaction something durable depends
+// on. Only what leaves the node has to wait for the flush.
 //
 // This mirrors the paper's execution model, where rule evaluation produces
 // a pending action list that is applied as a unit (Sec. 3.1), while the
@@ -144,8 +150,32 @@ func (t *Txn) MarkProcessedAll(ids []MsgID) error {
 
 // Commit applies the staged mutations atomically and durably.
 func (t *Txn) Commit() ([]Message, error) {
+	out, lsn, err := t.Precommit()
+	if err != nil {
+		return nil, err
+	}
+	if err := t.ms.WaitDurable(lsn); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// WaitDurable returns once every transaction pre-committed at or below lsn
+// survives a crash; see store.Store.WaitDurable.
+func (ms *Store) WaitDurable(lsn uint64) error { return ms.ps.WaitDurable(lsn) }
+
+// LogEnd returns the LSN covering everything pre-committed so far — the one
+// to wait for before acting on state read without a transaction of one's
+// own in the log; see store.Store.LogEnd.
+func (ms *Store) LogEnd() uint64 { return ms.ps.LogEnd() }
+
+// Precommit applies the staged mutations atomically — persisted, the commit
+// record logged, the in-memory indexes published — and returns the LSN to
+// hand to WaitDurable (0 when nothing persistent was touched). From here on
+// the transaction can only be lost by a crash or a dead log device.
+func (t *Txn) Precommit() ([]Message, uint64, error) {
 	if t.done {
-		return nil, fmt.Errorf("msgstore: transaction finished")
+		return nil, 0, fmt.Errorf("msgstore: transaction finished")
 	}
 	t.done = true
 	ms := t.ms
@@ -155,7 +185,7 @@ func (t *Txn) Commit() ([]Message, error) {
 	for _, pe := range t.enqueues {
 		pe.q = ms.getQueue(pe.queue)
 		if pe.q == nil {
-			return nil, fmt.Errorf("msgstore: unknown queue %q", pe.queue)
+			return nil, 0, fmt.Errorf("msgstore: unknown queue %q", pe.queue)
 		}
 		if pe.q.Mode == Persistent {
 			needDisk = true
@@ -174,6 +204,7 @@ func (t *Txn) Commit() ([]Message, error) {
 	}
 
 	// --- persist: one page-store transaction, no msgstore lock held ---
+	var lsn uint64
 	if needDisk {
 		pt := ms.ps.Begin()
 		bufp := recBufPool.Get().(*[]byte)
@@ -199,7 +230,7 @@ func (t *Txn) Commit() ([]Message, error) {
 			if err != nil {
 				pt.Abort()
 				recBufPool.Put(bufp)
-				return nil, err
+				return nil, 0, err
 			}
 			pe.rid = rid
 			// The status side-heap record rides in the same page-store
@@ -210,7 +241,7 @@ func (t *Txn) Commit() ([]Message, error) {
 			if err != nil {
 				pt.Abort()
 				recBufPool.Put(bufp)
-				return nil, err
+				return nil, 0, err
 			}
 			pe.statusRID = srid
 		}
@@ -237,7 +268,7 @@ func (t *Txn) Commit() ([]Message, error) {
 			}
 			if err != nil {
 				pt.Abort()
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		// Persist slice resets with the current ID high-water mark (every
@@ -246,7 +277,7 @@ func (t *Txn) Commit() ([]Message, error) {
 			re.Watermark = MsgID(ms.nextID.Load() - 1)
 			if err := ms.writeReset(pt, re); err != nil {
 				pt.Abort()
-				return nil, err
+				return nil, 0, err
 			}
 			t.AppliedResets = append(t.AppliedResets, re)
 		}
@@ -260,12 +291,13 @@ func (t *Txn) Commit() ([]Message, error) {
 			rid, err := ms.writeSession(pt, sessVers[i], s)
 			if err != nil {
 				pt.Abort()
-				return nil, err
+				return nil, 0, err
 			}
 			sessRids[i] = rid
 		}
-		if err := pt.Commit(); err != nil {
-			return nil, err
+		var err error
+		if lsn, err = pt.Precommit(); err != nil {
+			return nil, 0, err
 		}
 		for i, s := range t.sessions {
 			ms.publishSession(s, sessVers[i], sessRids[i])
@@ -312,7 +344,7 @@ func (t *Txn) Commit() ([]Message, error) {
 	for _, m := range toProcess {
 		m.processed.Store(true)
 	}
-	return out, nil
+	return out, lsn, nil
 }
 
 // publishByID inserts a commit's messages into the sharded point index.

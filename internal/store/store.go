@@ -208,7 +208,7 @@ type Store struct {
 	nextHeap  uint32
 
 	nextTxn atomic.Uint64
-	commits atomic.Uint64 // incremented after the commit flush
+	commits atomic.Uint64 // incremented with the commit record (pre-commit), once per transaction
 	aborts  atomic.Uint64
 
 	// txnMu guards activeTxns: every transaction that has logged at least

@@ -762,3 +762,48 @@ func TestRecoveryLoserOverflowChunkUndo(t *testing.T) {
 		t.Fatalf("heap has %d records after recovery, want 2", count)
 	}
 }
+
+// TestPrecommitDurableOnlyAfterWait: pre-committed transactions are lost by a
+// crash until the log has been waited for, and one WaitDurable(LogEnd())
+// covers all of them, whichever LSNs they got.
+func TestPrecommitDurableOnlyAfterWait(t *testing.T) {
+	for _, wait := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(dir, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _ := s.CreateHeap("q")
+		var last uint64
+		for i := 0; i < 10; i++ {
+			tx := s.Begin()
+			tx.Insert(h, []byte(fmt.Sprintf("msg-%d", i)))
+			lsn, err := tx.Precommit()
+			if err != nil || lsn <= last {
+				t.Fatalf("pre-commit %d: lsn %d after %d, err %v", i, lsn, last, err)
+			}
+			last = lsn
+		}
+		if end := s.LogEnd(); end < last {
+			t.Fatalf("LogEnd %d below the last commit LSN %d", end, last)
+		}
+		if wait {
+			if err := s.WaitDurable(s.LogEnd()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.CrashForTest()
+
+		s2, err := Open(dir, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, _ := s2.Heap("q")
+		n := 0
+		s2.Scan(h2, func(RID, []byte) bool { n++; return true })
+		s2.Close()
+		if want := map[bool]int{false: 0, true: 10}[wait]; n != want {
+			t.Fatalf("waited=%v: %d records survive the crash, want %d", wait, n, want)
+		}
+	}
+}

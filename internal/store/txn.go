@@ -63,12 +63,24 @@ func (s *Store) forgetTxn(t *Txn) {
 	s.txnMu.Unlock()
 }
 
-// Commit makes the transaction durable. The WAL flush — the expensive
-// fsync — runs after all bookkeeping, so concurrent committers overlap in
-// the log and coalesce their fsyncs (group commit). Isolation between the
-// committing transactions is the responsibility of the logical lock layer
-// above.
+// Commit makes the transaction durable: Precommit, then wait for the log.
 func (t *Txn) Commit() error {
+	lsn, err := t.Precommit()
+	if err != nil {
+		return err
+	}
+	return t.s.WaitDurable(lsn)
+}
+
+// Precommit appends the commit record and returns its LSN without waiting
+// for the log: the transaction is finished — it can no longer abort, and its
+// effects are what every later transaction sees — but it survives a crash
+// only once WaitDurable(lsn) has returned. There is one log, so a
+// transaction that pre-commits later has a higher LSN and is never durable
+// without this one: a crash loses a suffix of the pre-committed history.
+// Isolation between the committing transactions is the responsibility of
+// the logical lock layer above. The LSN is 0 for a read-only transaction.
+func (t *Txn) Precommit() (uint64, error) {
 	// Graceful degradation under a WAL hard budget: when the live log has
 	// outgrown the soft budget, commits pay a growing delay — outside every
 	// lock — so the checkpointer can catch up before the engine must shed.
@@ -78,35 +90,40 @@ func (t *Txn) Commit() error {
 	lsn, err := t.s.prepareCommit(t)
 	t.s.gunlock()
 	t.s.ckptMu.RUnlock()
-	// The flush itself may run outside the checkpoint fence: a checkpoint
-	// that slipped in after the fence released has already flushed this
-	// LSN, making the flush a durable no-op.
-	return t.s.finishCommit(lsn, err)
+	return lsn, err
 }
+
+// WaitDurable returns once the log is durable up to lsn (at once for 0, or
+// when a concurrent flush already covered it). The WAL flush — the
+// expensive fsync — runs outside the checkpoint fence and every store lock,
+// so concurrent waiters overlap in the log and coalesce their fsyncs (group
+// commit); a caller holding many pre-committed LSNs waits once, for the
+// largest. With SyncCommits off the log is written but not fsynced.
+func (s *Store) WaitDurable(lsn uint64) error {
+	if lsn == 0 {
+		return nil
+	}
+	return s.log.flush(lsn)
+}
+
+// LogEnd returns the LSN that covers every log record appended so far:
+// once WaitDurable(LogEnd()) has returned, everything that was pre-committed
+// before the call is durable, whoever's it was.
+func (s *Store) LogEnd() uint64 { return s.log.size() }
 
 // commitTxn commits an internal auto-committed transaction (DDL, batch
 // deletes) from a caller already inside the store.
 func (s *Store) commitTxn(t *Txn) error {
 	lsn, err := s.prepareCommit(t)
-	return s.finishCommit(lsn, err)
-}
-
-// finishCommit flushes the log up to the commit record and counts the
-// commit. The wal serializes flushes internally.
-func (s *Store) finishCommit(lsn uint64, err error) error {
-	if err != nil || lsn == 0 {
+	if err != nil {
 		return err
 	}
-	if err := s.log.flush(lsn); err != nil {
-		return err
-	}
-	s.commits.Add(1)
-	return nil
+	return s.WaitDurable(lsn)
 }
 
-// prepareCommit appends the commit record and releases deferred page frees;
-// it returns the LSN the caller must flush to (0 for read-only
-// transactions).
+// prepareCommit appends the commit record, releases deferred page frees
+// and counts the commit; it returns the LSN the caller must flush to (0 for
+// read-only transactions).
 func (s *Store) prepareCommit(t *Txn) (uint64, error) {
 	if t.done {
 		return 0, ErrTxnDone
@@ -118,6 +135,7 @@ func (s *Store) prepareCommit(t *Txn) (uint64, error) {
 	// Deferred overflow frees become visible with the commit.
 	s.freePages(t.freeOnCommit)
 	lsn := s.log.append(&logRecord{typ: recCommit, txn: t.id, prevLSN: t.lastLSN})
+	s.commits.Add(1)
 	// Once the commit record is in the log the transaction no longer
 	// constrains the checkpoint redo offset: recovery treats it as finished
 	// (or, if the record misses durability, replays and undoes from the

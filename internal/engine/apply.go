@@ -6,7 +6,6 @@ import (
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
-	"demaq/internal/qdl"
 	locks "demaq/internal/txn"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
@@ -230,22 +229,16 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 	// internal consumers — the rule scheduler, the echo timers — get their
 	// messages at once; a message in an outgoing gateway queue is parked on
 	// the transaction until it is durable.
-	pc := precommit{lsn: lsn}
 	for _, m := range stagedEnqs {
 		e.slices.OnEnqueue(m.id, m.queue, m.props)
-		e.stats.enqueued.Add(1)
-		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
-			pc.outgoing = append(pc.outgoing, m)
-		} else {
-			e.routeNewMessage(m.queue, m.id)
-		}
 	}
+	e.stats.enqueued.Add(uint64(len(stagedEnqs)))
 	for _, re := range tx.AppliedResets {
 		e.slices.Reset(re.Slicing, re.Key, msgstore.MsgID(re.Watermark))
 		e.stats.resets.Add(1)
 	}
-	pc.lsn = e.outputLSN(lsn, pc.outgoing)
-	return pc, nil
+	outgoing := e.routeStaged(stagedEnqs)
+	return precommit{lsn: e.outputLSN(lsn, outgoing), outgoing: outgoing}, nil
 }
 
 // slicingsOn returns the slicings over a property applicable to a queue.

@@ -10,26 +10,48 @@ import (
 	"demaq/internal/xdm"
 )
 
-// The worker commit pipeline. A message-processing transaction ends in a
-// pre-commit (msgstore.Txn.Precommit): its commit record is in the log, its
-// effects are published, its locks are released and its worker claims the
-// next batch — no worker waits for the device with a lock in its hands (only
-// the stage's back-pressure makes one wait at all). That is safe
-// because there is one log: whoever reads pre-committed state commits behind
-// it, so a crash loses a suffix of the history and never a transaction
-// something durable depends on. What may not run ahead of the disk is what
-// leaves the node: the durability stage below waits for the log once per
-// group of pre-committed transactions and only then hands their messages for
-// outgoing gateway queues to the senders and completes their scheduler
-// claims (which is what Drain and Shutdown observe). Admission is the other
-// durability gate: an external enqueue returns — and its HTTP 202 or WS-RM
-// ack goes out — only after its own commit is durable (commitExternal).
+// The commit pipeline. Every transaction of the engine — a worker's, an
+// admission's, a timer's, a sender's — ends in a pre-commit
+// (msgstore.Txn.Precommit): its commit record is in the log, its effects are
+// published, its locks are released, and the messages it created for internal
+// consumers (the rule scheduler, the echo timers) are handed over at once. No
+// one waits for the device with a lock in its hands, and no message waits for
+// a flush to be worked on.
+//
+// That is safe because there is one log. Whoever reads pre-committed state
+// commits behind it: a worker that processes an admitted message whose
+// admission is not durable yet gets a higher commit LSN than the admission,
+// so a crash loses a suffix of the history and never a transaction something
+// durable depends on. And a log that fails to flush is dead for good (the
+// failure is sticky): the engine turns degraded, applyBatch refuses further
+// pre-commits with ErrDegraded, and settle performs nothing on behalf of a
+// transaction it could not make durable.
+//
+// What may not run ahead of the disk is what leaves the node, and there are
+// exactly two such things, both performed by settle once WaitDurable has
+// returned for the transaction's outputLSN:
+//
+//   - the handover of a message in an outgoing gateway queue to its sender
+//     (gws.submit) — for the workers through the durability stage below, which
+//     waits for the log once per group of pre-committed transactions and also
+//     completes their scheduler claims (which is what Drain and Shutdown
+//     observe);
+//   - the return to an external caller — the HTTP 202, the WS-RM ack, the
+//     result of Enqueue/EnqueueWire — which commitExternal (or, for a WS-RM
+//     transfer, the second phase of the staged handler) makes after settle.
+//
+// So an input pays one flush before its ack and its rule chain pays one more
+// before its output leaves, but the two overlap: the chain runs while the
+// admission's flush is under way, and nothing external can observe a message
+// whose admission — or anything else its existence depends on — is not
+// durable.
 
-// precommit is a pre-committed transaction on its way to durability.
+// precommit is a pre-committed transaction on its way to durability: a
+// worker's, or one committed by commitExternal.
 type precommit struct {
 	lsn      uint64      // WaitDurable target (outputLSN); 0: nothing to wait for
 	outgoing []stagedMsg // created in outgoing gateway queues: submitted once durable
-	claims   int         // scheduler claims the transaction completes
+	claims   int         // scheduler claims the transaction completes (workers only)
 }
 
 // stagedMsg is a message staged into a transaction, on its way to its slices
@@ -90,7 +112,7 @@ func (d *durabilityStage) add(pc precommit, claims int) {
 		// Nothing was logged (a duplicate schedule, transient queues only)
 		// and nothing is owed to the outside (outputLSN): there is no flush
 		// to wait for.
-		d.eng.settle([]precommit{pc})
+		d.eng.settle(pc)
 		return
 	}
 	d.slots <- struct{}{}
@@ -124,7 +146,7 @@ func (d *durabilityStage) loop() {
 			}
 		}
 		d.eng.stats.durabilityWaits.Add(1)
-		d.eng.settle(batch)
+		d.eng.settle(batch...)
 		for _, pc := range batch {
 			<-d.slots
 			if len(pc.outgoing) > 0 {
@@ -137,12 +159,12 @@ func (d *durabilityStage) loop() {
 // settle waits until a group of pre-committed transactions is durable and
 // then performs what they owe the outside: the outgoing gateway submits and
 // the scheduler claims. When the log fails, nothing that is not durable
-// leaves the node: the engine turns degraded, the claims are completed all
-// the same — the messages count as processed in memory, and a restart
-// re-derives what the durable prefix of the log does not hold from the
-// messages it finds unprocessed, as after any crash — so that Shutdown can
-// finish.
-func (e *Engine) settle(batch []precommit) {
+// leaves the node: the engine turns degraded, the error goes back to whoever
+// has a caller to refuse, and the claims are completed all the same — the
+// messages count as processed in memory, and a restart re-derives what the
+// durable prefix of the log does not hold from the messages it finds
+// unprocessed, as after any crash — so that Shutdown can finish.
+func (e *Engine) settle(batch ...precommit) error {
 	var lsn uint64
 	for _, pc := range batch {
 		if pc.lsn > lsn {
@@ -165,6 +187,22 @@ func (e *Engine) settle(batch []precommit) {
 			e.sched.DoneN(pc.claims)
 		}
 	}
+	return err
+}
+
+// routeStaged hands the messages a pre-committed transaction created to
+// their internal consumers — the rule scheduler, the echo timers — and
+// returns those in outgoing gateway queues, which stay parked on the
+// transaction until settle finds it durable.
+func (e *Engine) routeStaged(msgs []stagedMsg) (outgoing []stagedMsg) {
+	for _, m := range msgs {
+		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
+			outgoing = append(outgoing, m)
+		} else {
+			e.routeNewMessage(m.queue, m.id)
+		}
+	}
+	return outgoing
 }
 
 // outputLSN returns what has to be durable before the messages staged by a
@@ -199,28 +237,38 @@ func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
 
 // commitExternal commits a transaction that does not run under a worker's
 // locks — admission, the echo timers, the gateway senders, error messages
-// raised outside a rule — and publishes the messages it stages. Like
-// applyBatch does for rule-created messages, it holds the X lock of every
-// slice a new message joins around pre-commit, publish and OnEnqueue: a
-// member never appears between two rules of one message's evaluation. The
-// locks (taken in sorted order; a deadlock victim starts over) are released
-// before the wait for the log, so nothing here holds a logical lock across
-// the device; the messages reach their consumers once they are durable.
+// raised outside a rule — and returns once it is durable. It is
+// precommitExternal and settle in a row, as msgstore's Commit is Precommit
+// and WaitDurable: the messages it stages reach their internal consumers
+// before the wait, the outgoing gateway senders and the caller after it.
 func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
-	lsn, err := e.precommitLocked(tx, msgs)
+	pc, err := e.precommitExternal(tx, msgs)
 	if err != nil {
 		return err
 	}
-	if err := e.ms.WaitDurable(e.outputLSN(lsn, msgs)); err != nil {
-		return err
-	}
-	for _, m := range msgs {
-		e.routeNewMessage(m.queue, m.id)
-	}
-	return nil
+	return e.settle(pc)
 }
 
-// precommitLocked is the part of commitExternal that runs under the slice
+// precommitExternal pre-commits such a transaction and publishes the
+// messages it stages. Like applyBatch does for rule-created messages, it
+// holds the X lock of every slice a new message joins around pre-commit,
+// publish and OnEnqueue: a member never appears between two rules of one
+// message's evaluation. With the locks released again — nothing here holds a
+// logical lock across the device — the messages for internal consumers are
+// routed, ahead of the log like a worker's: whatever processes them commits
+// behind this transaction (the header of this file has the argument). The
+// caller owes the returned precommit a settle, and may tell no one outside
+// the node about the transaction before that has returned nil.
+func (e *Engine) precommitExternal(tx *msgstore.Txn, msgs []stagedMsg) (precommit, error) {
+	lsn, err := e.precommitLocked(tx, msgs)
+	if err != nil {
+		return precommit{}, err
+	}
+	outgoing := e.routeStaged(msgs)
+	return precommit{lsn: e.outputLSN(lsn, outgoing), outgoing: outgoing}, nil
+}
+
+// precommitLocked is the part of precommitExternal that runs under the slice
 // locks.
 func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, error) {
 	var res []string

@@ -671,15 +671,40 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// CollectGarbage runs one retention GC pass (Sec. 2.3.3).
+// CollectGarbage runs one retention GC pass (Sec. 2.3.3). It may run beside
+// the rule workers: each queue is collected under its exclusive lock, which
+// keeps out the transactions that work in the queue (they hold its intention
+// lock) and, above all, a rule's qs:queue() read (which holds it shared):
+// that read lists the queue and then fetches what it listed, and a message
+// removed in between would fail the rule. The collector holds one lock at a
+// time and nothing else while it waits for it, so it can delay the workers
+// but never deadlock with them.
 func (e *Engine) CollectGarbage() (int, error) {
 	if e.degraded.Load() {
 		return 0, ErrDegraded
 	}
-	n, err := e.slices.CollectGarbage()
-	e.stats.collected.Add(uint64(n))
-	e.noteStorageError(err)
-	return n, err
+	total := 0
+	for _, queue := range e.ms.QueueNames() {
+		n, err := e.collectQueue(queue)
+		total += n
+		e.stats.collected.Add(uint64(n))
+		if err != nil {
+			e.noteStorageError(err)
+			return total, err
+		}
+	}
+	return total, nil
+}
+
+func (e *Engine) collectQueue(queue string) (int, error) {
+	txnID := e.txnSeq.Add(1)
+	defer e.lm.ReleaseAll(txnID)
+	// Only ErrDeadlock can come back, and hardly that: nobody waits for a
+	// transaction that holds nothing. Ask again.
+	for e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X) != nil {
+		time.Sleep(50 * time.Microsecond)
+	}
+	return e.slices.CollectQueue(queue)
 }
 
 // checkpointLoop is the fuzzy checkpoint scheduler. It polls the page
@@ -758,48 +783,81 @@ func (e *Engine) gcLoop() {
 // are evaluated; explicit props (e.g. the Sender system property) may be
 // supplied.
 func (e *Engine) Enqueue(queue string, doc *xmldom.Node, explicit map[string]xdm.Value) (msgstore.MsgID, error) {
-	return e.enqueueDoc(queue, doc, explicit, nil)
+	return e.admitted(e.enqueueDoc(queue, doc, explicit, nil))
 }
 
-// enqueueDoc is Enqueue with an optional reliable-session snapshot staged
+// enqueueDoc is the first phase of Enqueue — everything up to the
+// pre-commit, see admit — with an optional reliable-session snapshot staged
 // into the same transaction: the transfer becoming durable and its
 // retransmits becoming suppressible are then one atomic fact — the ack the
 // gateway sends afterwards is never a lie, whichever side of the commit a
 // crash lands on.
-func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]xdm.Value, sess *msgstore.SessionState) (msgstore.MsgID, error) {
+func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]xdm.Value, sess *msgstore.SessionState) (admission, error) {
 	if err := e.admitIngest(); err != nil {
-		return 0, err
+		return admission{}, err
 	}
 	if _, ok := e.ms.Queue(queue); !ok {
-		return 0, fmt.Errorf("engine: unknown queue %q", queue)
+		return admission{}, fmt.Errorf("engine: unknown queue %q", queue)
 	}
 	if decl := e.queueDecl(queue); decl != nil && decl.Schema != "" {
 		if err := e.validateSchema(decl, doc); err != nil {
-			return 0, err
+			return admission{}, err
 		}
 	}
 	now := time.Now().UTC()
 	system := map[string]xdm.Value{}
 	props, err := e.prog.Properties.Evaluate(queue, doc, explicit, nil, system, now)
 	if err != nil {
-		return 0, err
+		return admission{}, err
 	}
+	return e.admit(queue, props, sess, func(tx *msgstore.Txn) (msgstore.MsgID, error) {
+		return tx.Enqueue(queue, doc, props, now)
+	})
+}
+
+// admission is an external message that is pre-committed and scheduled, and
+// not yet known to be durable.
+type admission struct {
+	id msgstore.MsgID
+	pc precommit
+}
+
+// admit is the tail of every external enqueue: the message, staged by stage,
+// and the session snapshot, if any, are pre-committed in a transaction of
+// their own, and the message is scheduled. The caller owes the admission an
+// admitted before it acknowledges the message to anyone.
+func (e *Engine) admit(queue string, props map[string]xdm.Value, sess *msgstore.SessionState,
+	stage func(*msgstore.Txn) (msgstore.MsgID, error)) (admission, error) {
 	tx := e.ms.Begin()
-	id, err := tx.Enqueue(queue, doc, props, now)
+	id, err := stage(tx)
 	if err != nil {
 		tx.Abort()
 		e.noteStorageError(err)
-		return 0, err
+		return admission{}, err
 	}
 	if sess != nil {
 		tx.PutSession(*sess)
 	}
-	if err := e.commitExternal(tx, stagedMsg{id: id, queue: queue, props: props}); err != nil {
+	pc, err := e.precommitExternal(tx, []stagedMsg{{id: id, queue: queue, props: props}})
+	if err != nil {
 		e.noteStorageError(err)
+		return admission{}, err
+	}
+	return admission{id: id, pc: pc}, nil
+}
+
+// admitted is the second phase of an external enqueue: it waits until the
+// admission is durable. Only then does the message count, and only then may
+// its ack — the return to the caller, the HTTP 202, the WS-RM ack — go out.
+func (e *Engine) admitted(a admission, err error) (msgstore.MsgID, error) {
+	if err != nil {
+		return 0, err
+	}
+	if err := e.settle(a.pc); err != nil {
 		return 0, err
 	}
 	e.stats.enqueued.Add(1)
-	return id, nil
+	return a.id, nil
 }
 
 // EnqueueWire inserts an external message arriving as wire XML. This is
@@ -815,18 +873,19 @@ func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]
 // document), echo and outgoing-gateway kinds — transparently fall back to
 // parse-and-enqueue with identical semantics and error surface.
 func (e *Engine) EnqueueWire(queue string, wire []byte, explicit map[string]xdm.Value) (msgstore.MsgID, error) {
-	return e.enqueueWire(queue, wire, explicit, nil)
+	return e.admitted(e.enqueueWire(queue, wire, explicit, nil))
 }
 
-// enqueueWire is EnqueueWire with an optional reliable-session snapshot
-// staged into the enqueue transaction (see enqueueDoc).
-func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.Value, sess *msgstore.SessionState) (msgstore.MsgID, error) {
+// enqueueWire is the first phase of EnqueueWire, with an optional
+// reliable-session snapshot staged into the enqueue transaction (see
+// enqueueDoc).
+func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.Value, sess *msgstore.SessionState) (admission, error) {
 	if err := e.admitIngest(); err != nil {
-		return 0, err
+		return admission{}, err
 	}
 	q, ok := e.ms.Queue(queue)
 	if !ok {
-		return 0, fmt.Errorf("engine: unknown queue %q", queue)
+		return admission{}, fmt.Errorf("engine: unknown queue %q", queue)
 	}
 	decl := e.queueDecl(queue)
 	kind := e.queueKind(queue)
@@ -836,14 +895,14 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 		(kind != qdl.KindBasic && kind != qdl.KindIncomingGateway) {
 		doc, err := xmldom.Parse(wire)
 		if err != nil {
-			return 0, err
+			return admission{}, err
 		}
 		return e.enqueueDoc(queue, doc, explicit, sess)
 	}
 	proj := e.projs[queue]
 	enc, err := xmldom.StreamEncode(nil, wire, proj)
 	if err != nil {
-		return 0, err
+		return admission{}, err
 	}
 	// Decode the encoding we just produced: the partial (projected) tree
 	// when a projection applied, the complete tree otherwise. It seeds the
@@ -867,30 +926,17 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 		doc, err = xmldom.DecodeOwned(enc)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("engine: streaming ingest self-decode: %w", err)
+		return admission{}, fmt.Errorf("engine: streaming ingest self-decode: %w", err)
 	}
 	now := time.Now().UTC()
 	system := map[string]xdm.Value{}
 	props, err := e.prog.Properties.Evaluate(queue, doc, explicit, nil, system, now)
 	if err != nil {
-		return 0, err
+		return admission{}, err
 	}
-	tx := e.ms.Begin()
-	id, err := tx.EnqueueEncoded(queue, enc, doc, fp, pruned, props, now)
-	if err != nil {
-		tx.Abort()
-		e.noteStorageError(err)
-		return 0, err
-	}
-	if sess != nil {
-		tx.PutSession(*sess)
-	}
-	if err := e.commitExternal(tx, stagedMsg{id: id, queue: queue, props: props}); err != nil {
-		e.noteStorageError(err)
-		return 0, err
-	}
-	e.stats.enqueued.Add(1)
-	return id, nil
+	return e.admit(queue, props, sess, func(tx *msgstore.Txn) (msgstore.MsgID, error) {
+		return tx.EnqueueEncoded(queue, enc, doc, fp, pruned, props, now)
+	})
 }
 
 // EnqueueXML enqueues wire XML given as a string.

@@ -215,7 +215,7 @@ func (e *Engine) handleRuleError(queue string, id msgstore.MsgID, cause error) {
 			e.log.Error("failed to consume message after error", "id", id, "err", err)
 			return
 		}
-		e.settle([]precommit{pc})
+		e.settle(pc)
 		return
 	}
 }

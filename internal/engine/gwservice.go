@@ -271,19 +271,18 @@ func (g *gatewayService) start() {
 				Session:       g.sessionStore(),
 			})
 			if err == nil {
-				// The handler threads the post-admit dedup snapshot into the
-				// enqueue transaction: the transfer and the window update
-				// that suppresses its retransmits commit atomically, and the
-				// ack goes out only after both are durable.
+				// The handler stages the post-admit dedup snapshot into the
+				// enqueue transaction: the transfer and the window update that
+				// suppresses its retransmits commit atomically. Its first
+				// phase ends at the pre-commit, under the peer's admit lock;
+				// the wait for the log, and then the ack, come after it.
 				addr, durable := in.addr, !g.eng.cfg.NoDurableSessions
-				err = rel.Subscribe(func(payload []byte, props map[string]string) error {
+				err = rel.SubscribeStaged(func(payload []byte, props map[string]string, rs gateway.RecvSession) (func() error, error) {
 					var sess *msgstore.SessionState
-					if durable {
-						if rs, ok := rel.PendingRecvSession(props); ok {
-							sess = &msgstore.SessionState{
-								Kind: msgstore.SessionRecv, Endpoint: addr,
-								Peer: rs.Peer, Seq: rs.High, Window: rs.Window,
-							}
+					if durable && rs.Peer != "" {
+						sess = &msgstore.SessionState{
+							Kind: msgstore.SessionRecv, Endpoint: addr,
+							Peer: rs.Peer, Seq: rs.High, Window: rs.Window,
 						}
 					}
 					return g.deliver(in.decl.Name, payload, props, sess)
@@ -299,7 +298,11 @@ func (g *gatewayService) start() {
 			continue
 		}
 		handler := func(payload []byte, props map[string]string) error {
-			return g.deliver(in.decl.Name, payload, props, nil)
+			durable, err := g.deliver(in.decl.Name, payload, props, nil)
+			if err != nil {
+				return err
+			}
+			return durable()
 		}
 		unsub, err := tr.Subscribe(in.addr, handler)
 		if err != nil {
@@ -644,11 +647,14 @@ func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.N
 	return stagedMsg{id: nid, queue: target, props: props}, true
 }
 
-// deliver enqueues an external message arriving at an incoming gateway,
+// deliver admits an external message arriving at an incoming gateway,
 // validating against the queue schema and recording transport metadata as
 // system properties (Sec. 2.2 "System"). A non-nil sess is the reliable
-// receive-session snapshot persisted atomically with the enqueue.
-func (g *gatewayService) deliver(queue string, payload []byte, props map[string]string, sess *msgstore.SessionState) error {
+// receive-session snapshot persisted atomically with the enqueue. When
+// deliver returns, the message is pre-committed and scheduled; the returned
+// durable waits for the log, and only after it has returned nil may the
+// transport acknowledge the delivery.
+func (g *gatewayService) deliver(queue string, payload []byte, props map[string]string, sess *msgstore.SessionState) (durable func() error, err error) {
 	e := g.eng
 	explicit := map[string]xdm.Value{}
 	if s := props["Sender"]; s != "" {
@@ -657,6 +663,7 @@ func (g *gatewayService) deliver(queue string, payload []byte, props map[string]
 	if c := props["Connection"]; c != "" {
 		explicit[property.SysConnection] = xdm.NewString(c)
 	}
+	var a admission
 	if decl := e.queueDecl(queue); decl != nil && decl.Schema != "" {
 		// Schema queues take the tree path: validation walks the whole
 		// document and the error message embeds it.
@@ -664,26 +671,29 @@ func (g *gatewayService) deliver(queue string, payload []byte, props map[string]
 		if err != nil {
 			// Message-related error (Sec. 3.6): a malformed external document.
 			e.emitError(queue, 0, nil, nil, err)
-			return err
+			return nil, err
 		}
 		if err := e.validateSchema(decl, doc); err != nil {
 			e.emitError(queue, 0, doc, nil, err)
-			return err
+			return nil, err
 		}
-		_, err = e.enqueueDoc(queue, doc, explicit, sess)
-		return err
-	}
-	// Streaming ingest straight from the wire buffer; enqueueWire copies
-	// what it keeps, so the transport may recycle payload afterwards.
-	_, err := e.enqueueWire(queue, payload, explicit, sess)
-	if err != nil {
-		// Distinguish a malformed document (an application-visible error
-		// message, Sec. 3.6) from internal enqueue failures. The re-parse
-		// only happens on this cold error path.
+		if a, err = e.enqueueDoc(queue, doc, explicit, sess); err != nil {
+			return nil, err
+		}
+	} else if a, err = e.enqueueWire(queue, payload, explicit, sess); err != nil {
+		// Streaming ingest went straight from the wire buffer (enqueueWire
+		// copies what it keeps, so the transport may recycle payload
+		// afterwards). Distinguish a malformed document (an
+		// application-visible error message, Sec. 3.6) from internal enqueue
+		// failures. The re-parse only happens on this cold error path.
 		if _, perr := xmldom.Parse(payload); perr != nil {
 			e.emitError(queue, 0, nil, nil, perr)
-			return perr
+			return nil, perr
 		}
+		return nil, err
 	}
-	return err
+	return func() error {
+		_, err := e.admitted(a, nil)
+		return err
+	}, nil
 }

@@ -66,15 +66,17 @@ type pendingSend struct {
 const recvWindowWords = 16
 
 type recvState struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // the per-peer admit lock
 	high   uint64
 	window [recvWindowWords]uint64
 
-	// pending holds the post-admit snapshot between the dedup check and the
-	// handler's return, so the handler can persist it in the transaction
-	// that makes the transfer durable (PendingRecvSession). Written and
-	// cleared under mu; the handler runs on the goroutine holding mu.
-	pending *RecvSession
+	// undurable holds the sequence numbers the window lists as admitted whose
+	// admission the handler has not reported durable yet. They are not
+	// acknowledged, whoever asks: a retransmit of one of them is dropped, its
+	// ack goes out when the original's wait returns. One whose wait failed
+	// stays here — the receiver's log is dead, and this endpoint acknowledges
+	// nothing it could not make durable.
+	undurable map[uint64]struct{}
 }
 
 // RecvSession is the externally visible receive-session snapshot: the
@@ -84,6 +86,22 @@ type RecvSession struct {
 	High   uint64
 	Window []uint64
 }
+
+// StagedHandler is the two-phase Handler of a receiver that commits ahead of
+// its log. The call itself is the first phase and runs under the per-peer
+// admit lock: it makes the transfer's effects and sess — the receive session
+// as it is once this transfer is admitted — one atomic, ordered, but not yet
+// durable fact (a pre-commit), and returns without waiting for the device.
+// The returned durable is the second phase, called without the lock: it
+// returns nil once that fact survives a crash, and only then is the transfer
+// acknowledged. A nil durable means the first phase was durable already.
+//
+// Since first phases run one at a time per peer, in arrival order, a log
+// that keeps a prefix of what was pre-committed always holds a consistent
+// window. An error from durable must mean that the log is lost for good:
+// the in-memory window already lists the transfer, so it is never
+// acknowledged — not to a retransmit either — for the life of the endpoint.
+type StagedHandler func(payload []byte, props map[string]string, sess RecvSession) (durable func() error, err error)
 
 // SessionStore persists reliable-session state across restarts. Implemented
 // by the engine over the message store; nil keeps the pre-existing
@@ -421,32 +439,23 @@ func (rs *recvState) admitted(seq uint64) (uint64, [recvWindowWords]uint64) {
 	return high, w
 }
 
-// PendingRecvSession returns the receive-session snapshot that admitting
-// the transfer currently in the handler will produce. Valid only while the
-// Subscribe handler for that transfer is running (the handler's goroutine
-// holds the per-peer admit lock); the handler persists the snapshot in the
-// same transaction as the transfer's effects, making "message durable" and
-// "retransmit suppressed" one atomic fact.
-func (r *Reliable) PendingRecvSession(props map[string]string) (RecvSession, bool) {
-	peer := props[propSource]
-	if peer == "" {
-		return RecvSession{}, false
-	}
-	r.mu.Lock()
-	rs := r.recv[peer]
-	r.mu.Unlock()
-	if rs == nil || rs.pending == nil {
-		return RecvSession{}, false
-	}
-	return *rs.pending, true
+// Subscribe registers the receiving side with a handler that is done — its
+// effects durable — when it returns; see SubscribeStaged.
+func (r *Reliable) Subscribe(h Handler) error {
+	return r.SubscribeStaged(func(payload []byte, props map[string]string, _ RecvSession) (func() error, error) {
+		return nil, h(payload, props)
+	})
 }
 
-// Subscribe registers the receiving side: application messages are
-// de-duplicated, acknowledged, and handed to h; acknowledgements complete
-// pending sends. The dedup check, the handler, and the window update run
-// under the per-peer admit lock, so two concurrent deliveries of the same
-// retransmitted transfer cannot both pass the check.
-func (r *Reliable) Subscribe(h Handler) error {
+// SubscribeStaged registers the receiving side: application messages are
+// de-duplicated, handed to h and acknowledged; acknowledgements complete
+// pending sends. The per-peer admit lock covers the dedup check, the
+// handler's first phase and the window update — so two concurrent deliveries
+// of the same retransmitted transfer cannot both pass the check, and
+// snapshots are staged in the order the window grew — and nothing else: the
+// wait for the receiver's log and the ack transfer happen after the unlock,
+// so the transfers of one session in flight together share a flush.
+func (r *Reliable) SubscribeStaged(h StagedHandler) error {
 	unsub, err := r.tr.Subscribe(r.source, func(payload []byte, props map[string]string) error {
 		if ackStr, isAck := props[propAck]; isAck {
 			seq, err := strconv.ParseUint(ackStr, 10, 64)
@@ -459,35 +468,55 @@ func (r *Reliable) Subscribe(h Handler) error {
 		source := props[propSource]
 		if !hasSeq || source == "" {
 			// Not a reliable-protocol message; deliver as-is.
-			return h(payload, props)
+			durable, err := h(payload, props, RecvSession{})
+			if err == nil && durable != nil {
+				err = durable()
+			}
+			return err
 		}
 		seq, err := strconv.ParseUint(seqStr, 10, 64)
 		if err != nil {
 			return fmt.Errorf("gateway: bad sequence number %q", seqStr)
 		}
+		ack := func() { _ = r.tr.Send(source, nil, map[string]string{propAck: seqStr}) }
 		rs := r.recvStateFor(source)
 		rs.mu.Lock()
 		if rs.isDup(seq) {
+			_, undurable := rs.undurable[seq]
 			rs.mu.Unlock()
 			r.mu.Lock()
 			r.duplicates++
 			r.mu.Unlock()
-			// Re-acknowledge: the previous ack may have been lost.
-			_ = r.tr.Send(source, nil, map[string]string{propAck: seqStr})
+			if !undurable {
+				// Re-acknowledge: the previous ack may have been lost.
+				ack()
+			}
 			return nil
 		}
 		high, w := rs.admitted(seq)
-		rs.pending = &RecvSession{Peer: source, High: high, Window: w[:]}
-		err = h(payload, props)
-		rs.pending = nil
+		durable, err := h(payload, props, RecvSession{Peer: source, High: high, Window: w[:]})
 		if err != nil {
 			rs.mu.Unlock()
 			// No ack: the sender retransmits and the message is retried.
 			return err
 		}
 		rs.high, rs.window = high, w
+		if durable != nil {
+			if rs.undurable == nil {
+				rs.undurable = map[uint64]struct{}{}
+			}
+			rs.undurable[seq] = struct{}{}
+		}
 		rs.mu.Unlock()
-		_ = r.tr.Send(source, nil, map[string]string{propAck: seqStr})
+		if durable != nil {
+			if err := durable(); err != nil {
+				return err
+			}
+			rs.mu.Lock()
+			delete(rs.undurable, seq)
+			rs.mu.Unlock()
+		}
+		ack()
 		return nil
 	})
 	if err != nil {

@@ -284,25 +284,23 @@ func (m *Manager) Removable(id msgstore.MsgID) bool {
 	return true
 }
 
-// CollectGarbage scans the processed messages of every queue and physically
-// removes those no longer held by any live slice, using the redo-only
-// batch delete. It returns the number of messages removed. This is the
-// background task of Sec. 4.4.2 / experiment E8; it runs decoupled from
-// message processing.
-func (m *Manager) CollectGarbage() (int, error) {
-	total := 0
-	for _, queue := range m.ms.QueueNames() {
-		removable := m.removableSet(m.ms.ProcessedIDs(queue))
-		if len(removable) == 0 {
-			continue
-		}
-		if err := m.ms.Remove(queue, removable); err != nil {
-			return total, err
-		}
-		m.OnRemove(removable)
-		total += len(removable)
+// CollectQueue scans the processed messages of a queue and physically
+// removes those no longer held by any live slice, using the redo-only batch
+// delete. It returns the number of messages removed. This is the background
+// task of Sec. 4.4.2 / experiment E8; it runs decoupled from message
+// processing, but a reader that lists the queue and then fetches what it
+// listed must be kept out for the duration (the engine holds the queue's
+// exclusive lock around the call).
+func (m *Manager) CollectQueue(queue string) (int, error) {
+	removable := m.removableSet(m.ms.ProcessedIDs(queue))
+	if len(removable) == 0 {
+		return 0, nil
 	}
-	return total, nil
+	if err := m.ms.Remove(queue, removable); err != nil {
+		return 0, err
+	}
+	m.OnRemove(removable)
+	return len(removable), nil
 }
 
 // removableSet filters ids down to those no longer held by any live slice

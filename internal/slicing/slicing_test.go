@@ -104,7 +104,7 @@ func TestRetention(t *testing.T) {
 	noSlice := put(t, ms, props, sm, "crm", `<m>plain</m>`)
 
 	// Unprocessed: never collected.
-	if n, _ := sm.CollectGarbage(); n != 0 {
+	if n, _ := sm.CollectQueue("crm"); n != 0 {
 		t.Fatalf("collected unprocessed: %d", n)
 	}
 	tx := ms.Begin()
@@ -119,7 +119,7 @@ func TestRetention(t *testing.T) {
 	if !sm.Removable(noSlice) {
 		t.Fatal("sliceless processed message must be removable")
 	}
-	n, err := sm.CollectGarbage()
+	n, err := sm.CollectQueue("crm")
 	if err != nil || n != 1 {
 		t.Fatalf("gc: %d %v", n, err)
 	}
@@ -132,7 +132,7 @@ func TestRetention(t *testing.T) {
 
 	// After reset, a becomes collectable.
 	sm.Reset("requestMsgs", "r1", a)
-	n, _ = sm.CollectGarbage()
+	n, _ = sm.CollectQueue("crm")
 	if n != 1 {
 		t.Fatalf("gc after reset: %d", n)
 	}

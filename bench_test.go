@@ -1,25 +1,26 @@
 package demaq
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md §6,
-// regenerating the measurements recorded in EXPERIMENTS.md. The paper
-// (CIDR 2007) publishes no quantitative tables; these benchmarks quantify
-// its performance *claims* (Sections 2-4). cmd/demaq-bench runs the same
-// experiments as parameter sweeps and prints result tables.
+// Paper comparisons: one benchmark per optimisation choice the paper names
+// and the product therefore keeps selectable. The paper (CIDR 2007)
+// publishes no quantitative tables; these benchmarks quantify its
+// performance *claims* — E1 materialised slices (Sec. 4.3,
+// Options.NoMaterializedSlices), E2 slice- vs queue-granularity locking
+// (Sec. 4.3, Options.CoarseLocking), E3 unlogged retention deletes (Sec.
+// 4.1, store.Options.UnloggedDeletes), E4 rule compilation (Sec. 4.4.1,
+// Options.NoRuleOptimizations), E6 state-as-messages vs a dehydration store
+// (Sec. 2.1, internal/baseline) — plus A3, the commit durability policy
+// (Options.NoSync). Everything else is measured end to end by bench/ (see
+// bench/README.md).
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
 	"demaq/internal/baseline"
-	"demaq/internal/engine"
-	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
-	"demaq/internal/qdl"
-	"demaq/internal/rule"
 	"demaq/internal/slicing"
 	"demaq/internal/store"
 	"demaq/internal/xdm"
@@ -77,8 +78,7 @@ func BenchmarkE1SliceAccess(b *testing.B) {
 		for _, mat := range []bool{true, false} {
 			name := fmt.Sprintf("msgs=%d/materialized=%v", n, mat)
 			b.Run(name, func(b *testing.B) {
-				// noIndex keeps the merged baseline a pure queue scan; the
-				// merged-with-property-index contrast is E17's.
+				// noIndex keeps the merged baseline a pure queue scan.
 				sm := setupSliceBench(b, n, n/10, mat, true)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -133,7 +133,7 @@ func BenchmarkE2LockGranularity(b *testing.B) {
 // --- E3: append-only logging and unlogged retention deletes (Sec. 4.1) ---
 
 func BenchmarkE3LoggingRecovery(b *testing.B) {
-	payload := []byte(fmt.Sprintf("<m>%s</m>", stringsRepeat("x", 900)))
+	payload := []byte(fmt.Sprintf("<m>%s</m>", strings.Repeat("x", 900)))
 	for _, unlogged := range []bool{true, false} {
 		name := "deletes=unlogged"
 		if !unlogged {
@@ -234,56 +234,6 @@ func BenchmarkE4RuleCompiler(b *testing.B) {
 	}
 }
 
-// --- E5: priority scheduling (Sec. 3.1/4.4.2) ---
-
-func BenchmarkE5Scheduler(b *testing.B) {
-	app := `
-		create queue low kind basic mode persistent priority 1;
-		create queue high kind basic mode persistent priority 10;
-		create queue sink kind basic mode persistent;
-		create rule rl for low if (//m) then do enqueue <l/> into sink;
-		create rule rh for high if (//m) then do enqueue <h/> into sink;
-	`
-	b.Run("high-priority-latency-under-flood", func(b *testing.B) {
-		srv, err := Open(b.TempDir(), app, &Options{Workers: 2, NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		// Flood the low-priority queue before starting.
-		for i := 0; i < 2000; i++ {
-			srv.Enqueue("low", `<m/>`, nil)
-		}
-		srv.Start()
-		var totalLatency time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			srv.Enqueue("high", `<m/>`, nil)
-			// Wait until this high message is processed.
-			for {
-				st := srv.Stats()
-				msgs, _ := srv.eng.MessageStore().Messages("high")
-				done := true
-				for _, m := range msgs {
-					if !m.Processed {
-						done = false
-					}
-				}
-				_ = st
-				if done {
-					break
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-			totalLatency += time.Since(start)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(totalLatency.Microseconds())/float64(b.N), "µs/high-msg")
-		srv.Drain(120 * time.Second)
-	})
-}
-
 // --- E6: state-as-messages vs dehydration store (Sec. 2.1) ---
 
 func BenchmarkE6StateModel(b *testing.B) {
@@ -325,145 +275,6 @@ func BenchmarkE6StateModel(b *testing.B) {
 	})
 }
 
-// --- E7: end-to-end pipeline throughput (Sec. 1/3) ---
-
-func BenchmarkE7Pipeline(b *testing.B) {
-	app := `
-		create queue inbox kind basic mode persistent;
-		create queue stage1 kind basic mode persistent;
-		create queue stage2 kind basic mode persistent;
-		create queue outbox kind basic mode persistent;
-		create rule s0 for inbox if (//order) then
-		  do enqueue <checked>{//order/id}</checked> into stage1;
-		create rule s1 for stage1 if (//checked) then
-		  do enqueue <priced>{//checked/id}</priced> into stage2;
-		create rule s2 for stage2 if (//priced) then
-		  do enqueue <done>{//priced/id}</done> into outbox;
-	`
-	for _, size := range []int{256, 4096, 65536} {
-		b.Run(fmt.Sprintf("payload=%dB", size), func(b *testing.B) {
-			srv, err := Open(b.TempDir(), app, &Options{Workers: 4, NoSync: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			srv.Start()
-			pad := stringsRepeat("p", size)
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv.Enqueue("inbox", fmt.Sprintf(`<order><id>%d</id><pad>%s</pad></order>`, i, pad), nil)
-			}
-			if !srv.Drain(300 * time.Second) {
-				b.Fatal("drain")
-			}
-		})
-	}
-}
-
-// --- E8: retention garbage collection off the critical path (Sec. 2.3.3) ---
-
-func BenchmarkE8RetentionGC(b *testing.B) {
-	srv, err := Open(b.TempDir(), `
-		create queue in kind basic mode persistent;
-		create property k as xs:string fixed queue in value //k;
-		create slicing byK on k;
-		create rule done for byK
-		  if (qs:slice()[/finish]) then do reset;
-	`, &Options{Workers: 4, NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	srv.Start()
-	b.ResetTimer()
-	collected := 0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := 0; j < 100; j++ {
-			srv.Enqueue("in", fmt.Sprintf(`<m><k>g%d-%d</k></m>`, i, j%10), nil)
-		}
-		for j := 0; j < 10; j++ {
-			srv.Enqueue("in", fmt.Sprintf(`<finish><k>g%d-%d</k></finish>`, i, j), nil)
-		}
-		srv.Drain(60 * time.Second)
-		b.StartTimer()
-		n, err := srv.CollectGarbage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		collected += n
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(collected)/float64(b.N), "collected/pass")
-}
-
-// --- E9: reliable messaging under loss (Sec. 4.2) ---
-
-func BenchmarkE9ReliableMessaging(b *testing.B) {
-	for _, loss := range []float64{0, 0.1, 0.3} {
-		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
-			net := gateway.NewNetwork(99)
-			defer net.Close()
-			net.SetLossRate(loss)
-			recv, _ := gateway.NewReliable(net, "sim://b/in", 2*time.Millisecond, 200)
-			defer recv.Close()
-			recv.Subscribe(func([]byte, map[string]string) error { return nil })
-			send, _ := gateway.NewReliable(net, "sim://a/out", 2*time.Millisecond, 200)
-			defer send.Close()
-			send.Subscribe(func([]byte, map[string]string) error { return nil })
-			payload := []byte("<m>reliable payload</m>")
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				wg.Add(1)
-				send.SendAsync("sim://b/in", payload, nil, func(err error) {
-					if err != nil {
-						b.Error(err)
-					}
-					wg.Done()
-				})
-			}
-			wg.Wait()
-			b.StopTimer()
-			_, retransmits, _ := send.Stats()
-			b.ReportMetric(float64(retransmits)/float64(b.N), "retransmits/op")
-		})
-	}
-}
-
-// --- A2: buffer pool size ablation ---
-
-func BenchmarkA2BufferPool(b *testing.B) {
-	for _, pages := range []int{32, 4096} {
-		b.Run(fmt.Sprintf("pool=%dpages", pages), func(b *testing.B) {
-			opts := store.DefaultOptions()
-			opts.SyncCommits = false
-			opts.BufferPages = pages
-			s, err := store.Open(b.TempDir(), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			h, _ := s.CreateHeap("q")
-			payload := []byte(stringsRepeat("d", 2000))
-			tx := s.Begin()
-			for i := 0; i < 2000; i++ { // ~500 pages, far beyond the small pool
-				tx.Insert(h, payload)
-			}
-			tx.Commit()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				s.Scan(h, func(store.RID, []byte) bool { n++; return true })
-				if n != 2000 {
-					b.Fatal("scan count")
-				}
-			}
-		})
-	}
-}
-
 // --- A3: commit durability policy ablation ---
 
 func BenchmarkA3CommitPolicy(b *testing.B) {
@@ -493,607 +304,5 @@ func BenchmarkA3CommitPolicy(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- E10: concurrent commit throughput and fsync coalescing ---
-//
-// Measures the three-phase commit pipeline: N workers commit independent
-// one-message transactions with SyncCommits enabled. Because the message
-// store holds no lock across the page-store commit, workers overlap inside
-// the WAL and group commit coalesces their fsyncs; the fsyncs/commit
-// metric drops below 1 as workers increase, and commit throughput scales
-// instead of serializing behind a single store mutex.
-
-func BenchmarkE10ConcurrentCommit(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := msgstore.DefaultOptions()
-			opts.Store.SyncCommits = true
-			ms, err := msgstore.Open(b.TempDir(), opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ms.Close()
-			if _, err := ms.CreateQueue("q", msgstore.Persistent, 0); err != nil {
-				b.Fatal(err)
-			}
-			doc := xmldom.MustParse(`<order><id>42</id><total>99.50</total></order>`)
-			before := ms.PageStore().Stats()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				share := b.N / workers
-				if w < b.N%workers {
-					share++
-				}
-				wg.Add(1)
-				go func(share int) {
-					defer wg.Done()
-					for i := 0; i < share; i++ {
-						tx := ms.Begin()
-						if _, err := tx.Enqueue("q", doc, nil, time.Now()); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(share)
-			}
-			wg.Wait()
-			b.StopTimer()
-			after := ms.PageStore().Stats()
-			commits := after.Commits - before.Commits
-			fsyncs := after.WALFsyncs - before.WALFsyncs
-			if commits > 0 {
-				b.ReportMetric(float64(fsyncs)/float64(commits), "fsyncs/commit")
-			}
-		})
-	}
-}
-
-// --- E11: compiled rule programs vs the AST interpreter (Sec. 4.4.1) ---
-//
-// Measures pure rule-evaluation throughput on the E7 pipeline workload:
-// the three stage rules are compiled once and evaluated against their
-// triggering messages, comparing the flat instruction backend (default)
-// with the reference AST interpreter (the NoRuleOptimizations path). The
-// store and scheduler are deliberately out of the loop so the metric
-// isolates what the compilation tentpole changes.
-
-type benchRuntime struct{ doc *xmldom.Node }
-
-func (r benchRuntime) Message() (*xmldom.Node, error)          { return r.doc, nil }
-func (benchRuntime) Queue(string) ([]*xmldom.Node, error)      { return nil, nil }
-func (benchRuntime) Property(string) (xdm.Value, error)        { return xdm.Value{}, fmt.Errorf("no props") }
-func (benchRuntime) Slice() ([]*xmldom.Node, error)            { return nil, nil }
-func (benchRuntime) SliceKey() (xdm.Value, error)              { return xdm.Value{}, nil }
-func (benchRuntime) Collection(string) ([]*xmldom.Node, error) { return nil, nil }
-func (benchRuntime) Now() time.Time                            { return time.Unix(0, 0).UTC() }
-
-func BenchmarkE11CompiledRules(b *testing.B) {
-	const pipelineApp = `
-		create queue inbox kind basic mode persistent;
-		create queue stage1 kind basic mode persistent;
-		create queue stage2 kind basic mode persistent;
-		create queue outbox kind basic mode persistent;
-		create rule s0 for inbox if (//order) then
-		  do enqueue <checked>{//order/id}</checked> into stage1;
-		create rule s1 for stage1 if (//checked) then
-		  do enqueue <priced>{//checked/id}</priced> into stage2;
-		create rule s2 for stage2 if (//priced) then
-		  do enqueue <done>{//priced/id}</done> into outbox;
-	`
-	app, err := qdl.Parse(pipelineApp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pad := stringsRepeat("p", 4096)
-	msgs := map[string]*xmldom.Node{
-		"inbox":  xmldom.MustParse(fmt.Sprintf(`<order><id>7</id><pad>%s</pad></order>`, pad)),
-		"stage1": xmldom.MustParse(fmt.Sprintf(`<checked><id>7</id><pad>%s</pad></checked>`, pad)),
-		"stage2": xmldom.MustParse(fmt.Sprintf(`<priced><id>7</id><pad>%s</pad></priced>`, pad)),
-	}
-	queues := []string{"inbox", "stage1", "stage2"}
-
-	for _, compiled := range []bool{false, true} {
-		name := "backend=interpreted"
-		opts := rule.Options{Dispatch: true, InlineFixedProps: true}
-		if compiled {
-			name = "backend=compiled"
-			opts = rule.DefaultOptions()
-		}
-		b.Run(name, func(b *testing.B) {
-			prog, err := rule.Compile(app, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			evaluated := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range queues {
-					doc := msgs[q]
-					plan := prog.QueuePlans[q]
-					for _, r := range plan.RulesFor(rule.ElementNames(doc)) {
-						_, ups, err := xquery.Eval(r.Body, benchRuntime{doc: doc}, xquery.EvalOptions{ContextDoc: doc})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if ups.Len() != 1 {
-							b.Fatalf("rule %s produced %d updates", r.Name, ups.Len())
-						}
-						evaluated++
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(evaluated)/b.Elapsed().Seconds(), "rules/sec")
-		})
-	}
-}
-
-// --- E12: native binary document storage vs text-parse rehydration ---
-//
-// Measures cold-cache Store.Doc: the cost of turning a stored payload back
-// into a usable tree. The binary tree encoding (default) materializes with
-// one arena allocation and sliced strings; the TextPayloads baseline pays
-// a full character-level XML parse with per-node allocations. Payload
-// sizes bracket typical messages (4KB) and large documents (64KB).
-
-// e12Payload builds a structured order document of roughly size bytes.
-func e12Payload(size int) string {
-	const item = `<item sku="A-1001" qty="3"><name>article</name><price cur="EUR">19.90</price><note>mixed <b>content</b> tail</note></item>`
-	n := size / len(item)
-	if n < 1 {
-		n = 1
-	}
-	out := make([]byte, 0, size+128)
-	out = append(out, `<order id="42" state="open">`...)
-	for i := 0; i < n; i++ {
-		out = append(out, item...)
-	}
-	out = append(out, `</order>`...)
-	return string(out)
-}
-
-func BenchmarkE12Rehydration(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10} {
-		for _, text := range []bool{false, true} {
-			format := "binary"
-			if text {
-				format = "text"
-			}
-			b.Run(fmt.Sprintf("size=%dKB/format=%s", size>>10, format), func(b *testing.B) {
-				opts := msgstore.DefaultOptions()
-				opts.TextPayloads = text
-				opts.CacheDocs = 2 // force every timed Doc onto the cold path
-				ms, err := msgstore.Open(b.TempDir(), opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ms.Close()
-				if _, err := ms.CreateQueue("q", msgstore.Persistent, 0); err != nil {
-					b.Fatal(err)
-				}
-				doc := xmldom.MustParse(e12Payload(size))
-				const nMsgs = 64
-				ids := make([]msgstore.MsgID, nMsgs)
-				for i := range ids {
-					tx := ms.Begin()
-					id, err := tx.Enqueue("q", doc, nil, time.Now())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := tx.Commit(); err != nil {
-						b.Fatal(err)
-					}
-					ids[i] = id
-				}
-				ms.FlushDocCache()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ms.Doc(ids[i%nMsgs]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := ms.Stats()
-				payload := st.PayloadEncodedBytes
-				if text {
-					payload = st.PayloadTextBytes
-				}
-				b.ReportMetric(float64(payload)/nMsgs/1024, "KB/doc")
-			})
-		}
-	}
-}
-
-// --- E13: set-oriented batch execution on the pipeline workload ---
-//
-// Measures end-to-end processing throughput of the E7 pipeline with
-// durable commits, sweeping Config.BatchSize: batch=1 is the
-// tuple-at-a-time baseline (one transaction ID, one lock round, one WAL
-// commit per message), batch=32 claims, evaluates and commits whole
-// groups. The workload is preloaded (untimed) so the timed region is pure
-// set-oriented processing: Start + Drain over b.N input messages, each
-// traversing three rule stages (4·b.N processed messages). fsyncs/msg and
-// allocs are reported to show where the batch amortization lands.
-
-func BenchmarkE13BatchPipeline(b *testing.B) {
-	app := `
-		create queue inbox kind basic mode persistent;
-		create queue stage1 kind basic mode persistent;
-		create queue stage2 kind basic mode persistent;
-		create queue outbox kind basic mode persistent;
-		create rule s0 for inbox if (//order) then
-		  do enqueue <checked>{//order/id}</checked> into stage1;
-		create rule s1 for stage1 if (//checked) then
-		  do enqueue <priced>{//checked/id}</priced> into stage2;
-		create rule s2 for stage2 if (//priced) then
-		  do enqueue <done>{//priced/id}</done> into outbox;
-	`
-	for _, batch := range []int{1, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			srv, err := Open(b.TempDir(), app, &Options{Workers: 8, BatchSize: batch})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			// Preload b.N messages (untimed); 8 concurrent enqueuers let
-			// the ingest commits coalesce in the WAL.
-			pad := stringsRepeat("p", 1024)
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				share := b.N / 8
-				if w < b.N%8 {
-					share++
-				}
-				wg.Add(1)
-				go func(w, share int) {
-					defer wg.Done()
-					for i := 0; i < share; i++ {
-						if _, err := srv.Enqueue("inbox",
-							fmt.Sprintf(`<order><id>%d-%d</id><pad>%s</pad></order>`, w, i, pad), nil); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, share)
-			}
-			wg.Wait()
-			before := srv.PageStats()
-			st0 := srv.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			srv.Start()
-			if !srv.Drain(600 * time.Second) {
-				b.Fatal("drain")
-			}
-			b.StopTimer()
-			after := srv.PageStats()
-			st1 := srv.Stats()
-			processed := st1.Processed - st0.Processed
-			if processed > 0 {
-				b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "msgs/sec")
-				b.ReportMetric(float64(after.WALFsyncs-before.WALFsyncs)/float64(processed), "fsyncs/msg")
-			}
-			b.ReportMetric(st1.AvgBatchSize, "avgbatch")
-		})
-	}
-}
-
-func stringsRepeat(s string, n int) string {
-	out := make([]byte, 0, len(s)*n)
-	for i := 0; i < n; i++ {
-		out = append(out, s...)
-	}
-	return string(out)
-}
-
-// --- E14: fine-grained page-store concurrency (per-page latches) ---
-//
-// Measures raw page-store parallelism on the doc-cache-miss rehydration
-// path: N goroutines issue cold record reads against a buffer pool far
-// smaller than the working set, so every read runs the full miss path
-// (pool probe, disk I/O, eviction write-back). The latched engine is
-// compared against the pre-E14 single store mutex, reachable via
-// store.Options.GlobalLock. The mixed variant adds committing inserters
-// next to the readers.
-//
-// Miss I/O is modeled with store.Options.BenchIODelay (100µs, an
-// NVMe-class random read): benchmark machines serve the working set from
-// the OS page cache, where preads never block, which would measure memcpy
-// speed instead of the thing E14 changed — whether a goroutine waiting on
-// the device blocks every other store operation (global mutex) or only
-// readers of that one page (per-page latches).
-
-const e14IODelay = 100 * time.Microsecond
-
-func setupE14Store(b *testing.B, globalLock bool) (*store.Store, []store.RID) {
-	b.Helper()
-	opts := store.DefaultOptions()
-	opts.BufferPages = 64 // working set ~1000 pages: reads stay cold
-	opts.SyncCommits = false
-	opts.GlobalLock = globalLock
-	opts.BenchIODelay = e14IODelay
-	s, err := store.Open(b.TempDir(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := s.CreateHeap("q")
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte(stringsRepeat("x", 1900)) // ~4 records per page
-	tx := s.Begin()
-	rids := make([]store.RID, 0, 4000)
-	for i := 0; i < 4000; i++ {
-		rid, err := tx.Insert(h, payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	return s, rids
-}
-
-func BenchmarkE14StoreScalability(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		globalLock bool
-	}{{"latched", false}, {"globalmutex", true}} {
-		for _, workers := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("coldread/%s/gr=%d", mode.name, workers), func(b *testing.B) {
-				s, rids := setupE14Store(b, mode.globalLock)
-				defer s.Close()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					share := b.N / workers
-					if w < b.N%workers {
-						share++
-					}
-					// Disjoint rid partitions per goroutine: every worker
-					// misses on its own pages instead of drafting behind
-					// frames another worker just loaded.
-					chunk := rids[w*len(rids)/workers : (w+1)*len(rids)/workers]
-					wg.Add(1)
-					go func(w, share int, chunk []store.RID) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(w)))
-						for i := 0; i < share; i++ {
-							if _, err := s.Read(chunk[rng.Intn(len(chunk))]); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w, share, chunk)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reads/sec")
-			})
-		}
-	}
-	for _, mode := range []struct {
-		name       string
-		globalLock bool
-	}{{"latched", false}, {"globalmutex", true}} {
-		b.Run(fmt.Sprintf("mixed/%s/gr=8", mode.name), func(b *testing.B) {
-			s, rids := setupE14Store(b, mode.globalLock)
-			defer s.Close()
-			h, _ := s.Heap("q")
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				share := b.N / 8
-				if w < b.N%8 {
-					share++
-				}
-				wg.Add(1)
-				go func(w, share int) {
-					defer wg.Done()
-					if w%2 == 0 { // reader
-						chunk := rids[w*len(rids)/8 : (w+1)*len(rids)/8]
-						rng := rand.New(rand.NewSource(int64(w)))
-						for i := 0; i < share; i++ {
-							if _, err := s.Read(chunk[rng.Intn(len(chunk))]); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-						return
-					}
-					payload := []byte(stringsRepeat("y", 400))
-					for i := 0; i < share; i++ { // inserter
-						tx := s.Begin()
-						if _, err := tx.Insert(h, payload); err != nil {
-							b.Error(err)
-							return
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, share)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-		})
-	}
-}
-
-// --- E17: index-backed dispatch and merged slice access ---
-//
-// BenchmarkE17IndexedDispatch measures backlog drain throughput of a
-// property-prefiltered routing rule: the default engine resolves the ~99%
-// non-matching messages with secondary-index range probes over each claimed
-// batch and never fetches their documents; the ScanDispatch baseline
-// fetches and decodes every claimed document before the same prefilter.
-// The // descents keep the queue unprojected so the baseline pays the full
-// decode. cmd/demaq-bench -e E17 runs the same contrast as a backlog sweep.
-
-const e17BenchApp = `
-	create queue inbox kind basic mode persistent;
-	create queue hits kind basic mode persistent;
-	create property route as xs:string queue inbox value //route;
-	create rule hot for inbox
-	  if (qs:property("route") = "hot") then do enqueue <hit>{//id/text()}</hit> into hits;
-`
-
-func BenchmarkE17IndexedDispatch(b *testing.B) {
-	filler := stringsRepeat(`<i a="7"><b>19.9</b><c>EA</c><d>2</d><e>ok</e></i>`, 120)
-	for _, scan := range []bool{false, true} {
-		name := "mode=indexed"
-		if scan {
-			name = "mode=scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			srv, err := Open(b.TempDir(), e17BenchApp, &Options{
-				Workers: 8, BatchSize: 128, NoSync: true, ScanDispatch: scan,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			// Preload b.N messages (untimed): the timed region is pure
-			// backlog drain, where dispatch strategy is the variable.
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				share := b.N / 8
-				if w < b.N%8 {
-					share++
-				}
-				wg.Add(1)
-				go func(w, share int) {
-					defer wg.Done()
-					for i := 0; i < share; i++ {
-						route := "cold"
-						if i%100 == 0 {
-							route = "hot"
-						}
-						doc := fmt.Sprintf(`<order><id>%d-%d</id><route>%s</route>%s</order>`, w, i, route, filler)
-						if _, err := srv.Enqueue("inbox", doc, nil); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, share)
-			}
-			wg.Wait()
-			st0 := srv.Stats()
-			b.ResetTimer()
-			srv.Start()
-			if !srv.Drain(600 * time.Second) {
-				b.Fatal("drain")
-			}
-			b.StopTimer()
-			processed := srv.Stats().Processed - st0.Processed
-			if processed > 0 {
-				b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "msgs/sec")
-			}
-		})
-	}
-}
-
-func BenchmarkE17MergedSliceAccess(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		for _, noIndex := range []bool{false, true} {
-			name := fmt.Sprintf("msgs=%d/mode=indexed", n)
-			if noIndex {
-				name = fmt.Sprintf("msgs=%d/mode=scan", n)
-			}
-			b.Run(name, func(b *testing.B) {
-				sm := setupSliceBench(b, n, n/10, false, noIndex)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					members := sm.SliceMembers("byK", fmt.Sprintf("s%d", i%(n/10)))
-					if len(members) != 10 {
-						b.Fatalf("slice size %d", len(members))
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- E16: streaming ingest with per-queue path projection ---
-
-// e16App references only the order id: the projection analysis keeps the
-// <order> spine and its id attribute and prunes the item subtrees into
-// opaque byte spans at ingest.
-const e16App = `
-	create queue in kind basic mode persistent;
-	create queue out kind basic mode persistent;
-	create rule route for in if (exists(/order/@id)) then
-	  do enqueue <routed>{string(/order/@id)}</routed> into out;
-`
-
-// e16AppStreaming uses a // descent, which defeats the static analysis:
-// the queue streams into the full binary encoding (no DOM tree either),
-// but without projection.
-const e16AppStreaming = `
-	create queue in kind basic mode persistent;
-	create queue out kind basic mode persistent;
-	create rule route for in if (//order) then
-	  do enqueue <routed>seen</routed> into out;
-`
-
-// BenchmarkE16Ingest measures pure ingest cost (the engine is never
-// started, so no rules run): wire XML in, committed message out.
-//
-//	legacy-dom: parse into a DOM tree, encode the tree (Config.FullIngest)
-//	streaming:  SAX-style streaming encode, full document kept
-//	projected:  streaming encode, unreferenced subtrees stored as spans
-func BenchmarkE16Ingest(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10} {
-		payload := []byte(e12Payload(size))
-		for _, mode := range []string{"legacy-dom", "streaming", "projected"} {
-			b.Run(fmt.Sprintf("size=%dKB/mode=%s", size>>10, mode), func(b *testing.B) {
-				src := e16App
-				if mode == "streaming" {
-					src = e16AppStreaming
-				}
-				app, err := qdl.Parse(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := engine.Config{Dir: b.TempDir(), Workers: 1, FullIngest: mode == "legacy-dom"}
-				cfg.Store = msgstore.DefaultOptions()
-				cfg.Store.Store.SyncCommits = false
-				e, err := engine.New(cfg, app)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer e.Stop()
-				switch mode {
-				case "projected":
-					if e.Projection("in") == nil {
-						b.Fatal("e16App must yield a projection for queue in")
-					}
-				default:
-					if e.Projection("in") != nil {
-						b.Fatalf("mode %s must not project", mode)
-					}
-				}
-				b.SetBytes(int64(len(payload)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.EnqueueWire("in", payload, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -64,20 +64,9 @@ type Options struct {
 	// definition instead of maintaining the B-tree index (experiment E1).
 	NoMaterializedSlices bool
 	// NoRuleOptimizations disables condition dispatch, property inlining
-	// and the compiled rule backend (experiment E4/E11 baseline): rule
-	// bodies then run on the reference AST interpreter.
+	// and the compiled rule backend (experiment E4 baseline): rule bodies
+	// then run on the reference AST interpreter.
 	NoRuleOptimizations bool
-	// FullIngest disables streaming ingest and per-queue path projection
-	// (the experiment E16 baseline): incoming wire XML is parsed into a
-	// DOM tree and re-encoded instead of being encoded in one streaming
-	// pass.
-	FullIngest bool
-	// ScanDispatch disables the secondary (property, value) → message
-	// index and the index-backed dispatch built on it (the experiment E17
-	// baseline): property prefilters are checked per message against the
-	// property map, merged slice access scans whole queues, and every
-	// claimed message's document is fetched eagerly.
-	ScanDispatch bool
 	// GCInterval enables periodic retention garbage collection.
 	GCInterval time.Duration
 	// MaxIngestBacklog bounds the scheduler backlog admission control
@@ -98,10 +87,6 @@ type Options struct {
 	// bounding crash-recovery replay even on an idle node. Zero disables
 	// the time trigger (budget triggers, if configured, still apply).
 	CheckpointInterval time.Duration
-	// NoDurableSessions disables persisting reliable-messaging session
-	// state; exactly-once across a whole-node crash-restart then degrades
-	// to at-least-once (experiment E18 baseline).
-	NoDurableSessions bool
 	// Resources resolves WSDL, policy and schema files referenced by the
 	// application.
 	Resources fs.FS
@@ -150,54 +135,60 @@ func OpenApplication(dir string, app *qdl.Application, opts *Options) (*Server, 
 	if opts == nil {
 		opts = &Options{}
 	}
+	srv := &Server{}
+	if opts.NetworkSeed != 0 {
+		srv.net = &SimNetwork{n: gateway.NewNetwork(opts.NetworkSeed)}
+	}
+	if opts.EnableHTTP {
+		srv.http = gateway.NewHTTPTransport()
+	}
+	return srv.open(dir, app, opts)
+}
+
+// open builds the engine of a server whose transports are already set.
+func (s *Server) open(dir string, app *qdl.Application, opts *Options) (*Server, error) {
+	reg := gateway.NewRegistry()
+	if s.net != nil {
+		reg.Add(s.net.n)
+	}
+	if s.http != nil {
+		reg.Add(s.http)
+	}
+	eng, err := engine.New(engineConfig(dir, opts, reg), app)
+	if err != nil {
+		return nil, err
+	}
+	s.eng = eng
+	return s, nil
+}
+
+// engineConfig is the one mapping from Options to the engine's
+// configuration; fields Options does not expose keep their zero value,
+// which is the production default throughout engine.Config.
+func engineConfig(dir string, opts *Options, reg *gateway.Registry) engine.Config {
 	storeOpts := msgstore.DefaultOptions()
 	storeOpts.Store.SyncCommits = !opts.NoSync
 	storeOpts.Store.WALSoftBudget = opts.WALSoftBudget
 	storeOpts.Store.WALHardBudget = opts.WALHardBudget
-	storeOpts.NoPropertyIndex = opts.ScanDispatch
-	ruleOpts := rule.DefaultOptions()
-	if opts.NoRuleOptimizations {
-		ruleOpts = rule.Options{}
-	}
-	gran := engine.LockSlice
-	if opts.CoarseLocking {
-		gran = engine.LockQueue
-	}
 	materialized := !opts.NoMaterializedSlices
 	cfg := engine.Config{
 		Dir:                dir,
 		Workers:            opts.Workers,
 		BatchSize:          opts.BatchSize,
-		Granularity:        gran,
 		Store:              storeOpts,
-		Rules:              ruleOpts,
+		Rules:              rule.Options{Unoptimized: opts.NoRuleOptimizations},
 		Materialized:       &materialized,
 		GCInterval:         opts.GCInterval,
 		Logger:             opts.Logger,
 		Resources:          opts.Resources,
-		FullIngest:         opts.FullIngest,
-		ScanDispatch:       opts.ScanDispatch,
+		Transports:         reg,
 		MaxBacklog:         opts.MaxIngestBacklog,
-		NoDurableSessions:  opts.NoDurableSessions,
 		CheckpointInterval: opts.CheckpointInterval,
 	}
-	srv := &Server{}
-	reg := gateway.NewRegistry()
-	if opts.NetworkSeed != 0 {
-		srv.net = &SimNetwork{n: gateway.NewNetwork(opts.NetworkSeed)}
-		reg.Add(srv.net.n)
+	if opts.CoarseLocking {
+		cfg.Granularity = engine.LockQueue
 	}
-	if opts.EnableHTTP {
-		srv.http = gateway.NewHTTPTransport()
-		reg.Add(srv.http)
-	}
-	cfg.Transports = reg
-	eng, err := engine.New(cfg, app)
-	if err != nil {
-		return nil, err
-	}
-	srv.eng = eng
-	return srv, nil
+	return cfg
 }
 
 // Start launches message processing and background services.
@@ -326,16 +317,6 @@ func (s *Server) Stats() Stats { return s.eng.Stats() }
 // or nil.
 func (s *Server) Network() *SimNetwork { return s.net }
 
-// ConnectTo shares this server's simulated network with another server
-// configuration: pass the returned value as the Transports of a second
-// node. Used by multi-node examples.
-func (s *Server) shareNet() *gateway.Network {
-	if s.net == nil {
-		return nil
-	}
-	return s.net.n
-}
-
 // OpenPeer opens a second node sharing this server's transports (simulated
 // network and/or HTTP), so multi-node applications run in one process.
 func (s *Server) OpenPeer(dir, source string, opts *Options) (*Server, error) {
@@ -346,41 +327,7 @@ func (s *Server) OpenPeer(dir, source string, opts *Options) (*Server, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	storeOpts := msgstore.DefaultOptions()
-	storeOpts.Store.SyncCommits = !opts.NoSync
-	storeOpts.Store.WALSoftBudget = opts.WALSoftBudget
-	storeOpts.Store.WALHardBudget = opts.WALHardBudget
-	storeOpts.NoPropertyIndex = opts.ScanDispatch
-	ruleOpts := rule.DefaultOptions()
-	if opts.NoRuleOptimizations {
-		ruleOpts = rule.Options{}
-	}
-	materialized := !opts.NoMaterializedSlices
-	reg := gateway.NewRegistry()
-	peer := &Server{}
-	if n := s.shareNet(); n != nil {
-		peer.net = s.net
-		reg.Add(n)
-	}
-	if s.http != nil {
-		peer.http = s.http
-		reg.Add(s.http)
-	}
-	cfg := engine.Config{
-		Dir: dir, Workers: opts.Workers, BatchSize: opts.BatchSize,
-		Store: storeOpts, Rules: ruleOpts, Materialized: &materialized,
-		GCInterval: opts.GCInterval, Logger: opts.Logger,
-		Resources: opts.Resources, Transports: reg, FullIngest: opts.FullIngest,
-		ScanDispatch: opts.ScanDispatch, MaxBacklog: opts.MaxIngestBacklog,
-		NoDurableSessions:  opts.NoDurableSessions,
-		CheckpointInterval: opts.CheckpointInterval,
-	}
-	eng, err := engine.New(cfg, app)
-	if err != nil {
-		return nil, err
-	}
-	peer.eng = eng
-	return peer, nil
+	return (&Server{net: s.net, http: s.http}).open(dir, app, opts)
 }
 
 // SimNetwork exposes the failure-injection knobs of the simulated network.

@@ -1,9 +1,12 @@
 package demaq
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"demaq/internal/engine"
 )
 
 const quickApp = `
@@ -165,5 +168,39 @@ func TestFormatStatsDegraded(t *testing.T) {
 	s := FormatStats(st)
 	if !strings.Contains(s, "DEGRADED") || !strings.Contains(s, "disk failure") {
 		t.Fatalf("degraded stats not surfaced: %s", s)
+	}
+}
+
+// TestOpenPeerHonoursOptions: a peer node is configured by the same Options
+// mapping as a primary — every option set reaches its engine, lock
+// granularity included.
+func TestOpenPeerHonoursOptions(t *testing.T) {
+	opts := &Options{
+		Workers: 3, BatchSize: 7, CoarseLocking: true, NoSync: true,
+		NoMaterializedSlices: true, NoRuleOptimizations: true,
+		GCInterval: time.Hour, MaxIngestBacklog: 11,
+		WALSoftBudget: 1 << 20, WALHardBudget: 2 << 20,
+		CheckpointInterval: time.Minute, NetworkSeed: 1,
+	}
+	srv, err := Open(t.TempDir(), quickApp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer, err := srv.OpenPeer(t.TempDir(), quickApp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.eng.Stop()
+	want, got := srv.eng.Config(), peer.eng.Config()
+	if got.Granularity != engine.LockQueue {
+		t.Errorf("peer granularity %v, want queue locking", got.Granularity)
+	}
+	// Everything but the node's own directory and transport registry is
+	// the same mapping of the same options.
+	want.Dir, got.Dir = "", ""
+	want.Transports, got.Transports = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("peer config\n  %+v\nprimary config\n  %+v", got, want)
 	}
 }

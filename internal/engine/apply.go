@@ -92,19 +92,18 @@ func (rt *evalRuntime) Now() time.Time { return rt.now }
 // list plus the context needed to apply it — into the combined batch
 // commit.
 type batchItem struct {
-	id       msgstore.MsgID
-	props    map[string]xdm.Value // parent props, inherited by child messages
-	updates  *xquery.UpdateList
-	ruleName string
+	id      msgstore.MsgID
+	props   map[string]xdm.Value // parent props, inherited by child messages
+	updates *xquery.UpdateList
 }
 
 // applyUpdates executes one message's pending update list and marks it
 // processed, in one message-store transaction: the single-message shape of
 // applyBatch.
 func (e *Engine) applyUpdates(txnID uint64, id msgstore.MsgID, queue string,
-	parentProps map[string]xdm.Value, updates *xquery.UpdateList, now time.Time, ruleName string) (precommit, error) {
+	parentProps map[string]xdm.Value, updates *xquery.UpdateList, now time.Time) (precommit, error) {
 	return e.applyBatch(txnID, queue, []batchItem{
-		{id: id, props: parentProps, updates: updates, ruleName: ruleName},
+		{id: id, props: parentProps, updates: updates},
 	}, now)
 }
 
@@ -181,7 +180,7 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 					return precommit{}, fmt.Errorf("engine: enqueue into unknown queue %q", u.Queue)
 				}
 				system := map[string]xdm.Value{
-					property.SysCreatingRule: xdm.NewString(it.ruleName),
+					property.SysCreatingRule: xdm.NewString(u.Rule),
 					property.SysCreated:      xdm.NewDateTime(now),
 				}
 				props, err := e.prog.Properties.Evaluate(u.Queue, u.Doc, u.Props, it.props, system, now)

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
+	"demaq/internal/rule"
 )
 
 // dispatchDiffApp exercises every path the secondary index touches:
@@ -33,22 +35,40 @@ const dispatchDiffApp = `
 	    do enqueue <joined>{qs:slicekey()}<n>{count(qs:slice())}</n></joined> into joined;
 `
 
-func runDispatchDiff(t *testing.T, batchSize, n int, scan bool) (map[string][]string, Stats) {
+// diffRun is one configuration of the differential workload: scan turns the
+// secondary index off (msgstore.Options.NoPropertyIndex), unoptimized turns
+// the rule optimizations off (rule.Options.Unoptimized). The zero value is
+// the production path.
+type diffRun struct{ scan, unoptimized bool }
+
+func runDispatchDiff(t *testing.T, batchSize, n int, run diffRun) (map[string][]string, Stats) {
 	t.Helper()
 	app := qdl.MustParse(dispatchDiffApp)
 	merged := false // merged slice access: the path the index vs queue scan decides
 	cfg := Config{
 		Dir: t.TempDir(), Workers: 8, BatchSize: batchSize,
-		Materialized: &merged, ScanDispatch: scan,
+		Materialized: &merged, Rules: rule.Options{Unoptimized: run.unoptimized},
 	}
 	cfg.Store = msgstore.DefaultOptions()
 	cfg.Store.Store.SyncCommits = false
-	cfg.Store.NoPropertyIndex = scan
+	cfg.Store.NoPropertyIndex = run.scan
 	e, err := New(cfg, app)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	// Each side must really be the path it is named after, or the
+	// comparison holds vacuously.
+	inbox := e.Program().QueuePlans["inbox"]
+	if got, want := inbox.IndexDispatchable(), !run.unoptimized; got != want {
+		t.Fatalf("%+v: inbox plan index-dispatchable = %v, want %v", run, got, want)
+	}
+	if got, want := e.MessageStore().PropertyIndexEnabled(), !run.scan; got != want {
+		t.Fatalf("%+v: property index enabled = %v, want %v", run, got, want)
+	}
+	if got, want := inbox.Rules[0].Body.HasProgram(), !run.unoptimized; got != want {
+		t.Fatalf("%+v: rule bodies compiled = %v, want %v", run, got, want)
+	}
 	// Preload the whole workload before starting the workers: rule outputs
 	// like count(qs:slice()) depend on how much of the stream has arrived
 	// when a rule fires, so racing enqueues against processing would make
@@ -81,50 +101,118 @@ func runDispatchDiff(t *testing.T, batchSize, n int, scan bool) (map[string][]st
 	return state, e.Stats()
 }
 
-// TestIndexedScanDispatchDifferential runs the same workload through
-// index-backed dispatch/slice access and through the scan baseline
-// (ScanDispatch + NoPropertyIndex), at batch sizes 1 and 32, and asserts
+// diffAgainstProduction runs the workload on the production path and on the
+// reference configuration ref, at batch sizes 1 and 32, and asserts
 // identical final store state — every queue including the error queue —
-// and identical processed/error counts. Runs under -race in CI.
-func TestIndexedScanDispatchDifferential(t *testing.T) {
+// and identical processed/error counts.
+func diffAgainstProduction(t *testing.T, ref diffRun) {
 	const n = 210
 	for _, batch := range []int{1, 32} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			indexed, idxStats := runDispatchDiff(t, batch, n, false)
-			scanned, scanStats := runDispatchDiff(t, batch, n, true)
-			if len(indexed) != len(scanned) {
-				t.Fatalf("queue sets differ: %d vs %d", len(indexed), len(scanned))
+			got, gotStats := runDispatchDiff(t, batch, n, diffRun{})
+			want, wantStats := runDispatchDiff(t, batch, n, ref)
+			if len(got) != len(want) {
+				t.Fatalf("queue sets differ: %d vs %d", len(got), len(want))
 			}
 			// The diff must not hold vacuously: every exercised path has
 			// to have produced output.
 			for _, q := range []string{"eu", "us", "joined", "errs"} {
-				if len(scanned[q]) == 0 {
+				if len(want[q]) == 0 {
 					t.Fatalf("queue %q empty — workload did not exercise its path", q)
 				}
 			}
-			for q, want := range scanned {
-				got, ok := indexed[q]
+			for q, wantMsgs := range want {
+				gotMsgs, ok := got[q]
 				if !ok {
-					t.Fatalf("queue %q missing in indexed run", q)
+					t.Fatalf("queue %q missing in production run", q)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("queue %q: %d messages indexed vs %d scanned", q, len(got), len(want))
+				if len(gotMsgs) != len(wantMsgs) {
+					t.Fatalf("queue %q: %d messages in production vs %d in reference", q, len(gotMsgs), len(wantMsgs))
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("queue %q message %d differs:\n  scan:    %s\n  indexed: %s", q, i, want[i], got[i])
+				for i := range wantMsgs {
+					if gotMsgs[i] != wantMsgs[i] {
+						t.Errorf("queue %q message %d differs:\n  reference:  %s\n  production: %s", q, i, wantMsgs[i], gotMsgs[i])
 					}
 				}
 			}
-			if idxStats.Processed != scanStats.Processed {
-				t.Errorf("processed: indexed %d, scan %d", idxStats.Processed, scanStats.Processed)
+			if gotStats.Processed != wantStats.Processed {
+				t.Errorf("processed: production %d, reference %d", gotStats.Processed, wantStats.Processed)
 			}
-			if idxStats.Errors != scanStats.Errors {
-				t.Errorf("errors: indexed %d, scan %d", idxStats.Errors, scanStats.Errors)
+			if gotStats.Errors != wantStats.Errors {
+				t.Errorf("errors: production %d, reference %d", gotStats.Errors, wantStats.Errors)
 			}
-			if want := uint64(n / 7); idxStats.Errors != want {
-				t.Errorf("poison errors: %d, want %d", idxStats.Errors, want)
+			if want := uint64(n / 7); gotStats.Errors != want {
+				t.Errorf("poison errors: %d, want %d", gotStats.Errors, want)
 			}
 		})
+	}
+}
+
+// TestIndexedScanDispatchDifferential compares index-backed dispatch/slice
+// access with the scan reference (no property index). Runs under -race in
+// CI.
+func TestIndexedScanDispatchDifferential(t *testing.T) {
+	diffAgainstProduction(t, diffRun{scan: true})
+}
+
+// TestRuleOptimizationDifferential compares the optimizing rule compiler
+// (dispatch, view merging, compiled bodies) with the AST interpreter that
+// evaluates every rule for every message — the engine-level twin of
+// xquery/differential_test.go. Runs under -race in CI.
+func TestRuleOptimizationDifferential(t *testing.T) {
+	diffAgainstProduction(t, diffRun{unoptimized: true})
+}
+
+// TestZeroConfigIsProduction pins that a Config with no Rules set compiles
+// the same program as an explicit rule.DefaultOptions(): dispatching plans
+// (element triggers, property prefilters, index probes) over compiled
+// bodies — every engine test that leaves Rules zero runs the path
+// production runs.
+func TestZeroConfigIsProduction(t *testing.T) {
+	app := qdl.MustParse(dispatchDiffApp)
+	e, err := New(Config{Dir: t.TempDir()}, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	want, err := rule.Compile(app, rule.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := e.Program()
+	triggers, preds := 0, 0
+	check := func(gotPlans, wantPlans map[string]*rule.Plan) {
+		if len(gotPlans) != len(wantPlans) {
+			t.Fatalf("plans: %d, want %d", len(gotPlans), len(wantPlans))
+		}
+		for target, wp := range wantPlans {
+			gp := gotPlans[target]
+			if gp == nil || len(gp.Rules) != len(wp.Rules) {
+				t.Fatalf("plan %q: %+v, want %d rules", target, gp, len(wp.Rules))
+			}
+			if !reflect.DeepEqual(gp.IndexProbes(), wp.IndexProbes()) {
+				t.Errorf("plan %q probes: %+v, want %+v", target, gp.IndexProbes(), wp.IndexProbes())
+			}
+			for i, wr := range wp.Rules {
+				gr := gp.Rules[i]
+				if gr.Name != wr.Name || gr.Trigger != wr.Trigger || gr.Access != wr.Access ||
+					!reflect.DeepEqual(gr.PropPreds, wr.PropPreds) {
+					t.Errorf("rule %q planned {%q %v %+v}, want {%q %v %+v}", wr.Name,
+						gr.Trigger, gr.Access, gr.PropPreds, wr.Trigger, wr.Access, wr.PropPreds)
+				}
+				if !gr.Body.HasProgram() {
+					t.Errorf("rule %q runs on the interpreter", gr.Name)
+				}
+				if gr.Trigger != "" {
+					triggers++
+				}
+				preds += len(gr.PropPreds)
+			}
+		}
+	}
+	check(got.QueuePlans, want.QueuePlans)
+	check(got.SlicePlans, want.SlicePlans)
+	if triggers == 0 || preds == 0 {
+		t.Fatalf("app exercises no dispatch: %d triggers, %d property prefilters", triggers, preds)
 	}
 }

@@ -64,7 +64,8 @@ type Config struct {
 	// non-zero field means the caller owns the whole page-store
 	// configuration and it is used verbatim.
 	Store msgstore.Options
-	// Rules configures the rule compiler.
+	// Rules configures the rule compiler; the zero value is the production
+	// compiler with every optimization on.
 	Rules rule.Options
 	// Materialized selects the slice index implementation (E1).
 	Materialized *bool
@@ -72,9 +73,10 @@ type Config struct {
 	// commits as one set-oriented unit (default DefaultBatchSize). The
 	// batch shares one transaction ID, one home-queue lock round and one
 	// message-store commit — one WAL cohort instead of one per message.
-	// 1 selects the exact tuple-at-a-time legacy path. On deadlock or
-	// rule error the batch is bisected down to single messages, whose
-	// retry and error-queue semantics are the reference.
+	// 1 selects the exact tuple-at-a-time path, the test reference of
+	// TestBatchSingleDifferential. On deadlock or rule error the batch is
+	// bisected down to single messages, whose retry and error-queue
+	// semantics are the reference.
 	BatchSize int
 	// GCInterval runs the retention garbage collector periodically;
 	// zero disables the background task (CollectGarbage can be called
@@ -89,19 +91,11 @@ type Config struct {
 	Resources fs.FS
 	// Transports carries the gateway transports, keyed by scheme.
 	Transports *gateway.Registry
-	// FullIngest disables the streaming ingest path (experiment E16
-	// baseline): wire XML is always parsed into a DOM tree and re-encoded,
-	// and no per-queue path projection is applied.
+	// FullIngest disables the streaming ingest path: wire XML is always
+	// parsed into a DOM tree and re-encoded, and no per-queue path
+	// projection is applied. Test reference for
+	// TestProjectedIngestDifferential; not an operating mode.
 	FullIngest bool
-	// ScanDispatch restores the per-message dispatch baseline (experiment
-	// E17): every claimed message's document is fetched eagerly and
-	// property prefilters are checked one message at a time against the
-	// property map, never through secondary-index probes. The default
-	// (false) resolves a batch's prefilters with index range scans over
-	// the claimed id window and defers each document fetch until a rule is
-	// actually selected for that message — at deep backlogs most messages
-	// are dispatched away without ever decoding their payloads.
-	ScanDispatch bool
 	// MaxBacklog bounds the scheduler backlog admission control tolerates:
 	// when more unprocessed messages are waiting, ingest is shed with
 	// ErrOverloaded (HTTP: 429 Retry-After) instead of growing the backlog
@@ -116,12 +110,6 @@ type Config struct {
 	// whenever the live WAL outgrows it or too many buffered pages are
 	// dirty. Checkpoints are fuzzy — commits keep flowing while they run.
 	CheckpointInterval time.Duration
-	// NoDurableSessions disables persisting reliable-messaging session
-	// state (receive dedup windows, send sequence reservations) in the
-	// message store. Exactly-once across a whole-node crash-restart then no
-	// longer holds — retransmitted transfers admitted before the crash can
-	// be re-admitted after it. Benchmark knob (experiment E18 baseline).
-	NoDurableSessions bool
 }
 
 // DefaultBatchSize is the tuned default for Config.BatchSize.
@@ -460,6 +448,10 @@ func (e *Engine) Projection(queue string) *xmldom.Projection { return e.projs[qu
 
 // Program exposes the compiled application.
 func (e *Engine) Program() *rule.Program { return e.prog }
+
+// Config returns the configuration in effect, defaults filled in
+// (introspection, tests).
+func (e *Engine) Config() Config { return e.cfg }
 
 // MessageStore exposes the message store (introspection, tests).
 func (e *Engine) MessageStore() *msgstore.Store { return e.ms }
@@ -861,12 +853,12 @@ func (e *Engine) admitted(a admission, err error) (msgstore.MsgID, error) {
 }
 
 // EnqueueWire inserts an external message arriving as wire XML. This is
-// the streaming ingest path (experiment E16): the bytes are encoded
-// straight into the binary payload format by a SAX-style pass — no
-// intermediate DOM tree — and, when the queue has a static path
-// projection, subtrees the queue's rules never read are carried through
-// as opaque byte spans and skipped at decode time. The encoder copies
-// everything it keeps, so the caller may reuse wire after the call.
+// the streaming ingest path: the bytes are encoded straight into the
+// binary payload format by a SAX-style pass — no intermediate DOM tree —
+// and, when the queue has a static path projection, subtrees the queue's
+// rules never read are carried through as opaque byte spans and skipped at
+// decode time. The encoder copies everything it keeps, so the caller may
+// reuse wire after the call.
 //
 // Queues that cannot stream — full-ingest or text-payload configuration,
 // transient mode, a declared schema (validation walks the whole
@@ -1114,10 +1106,9 @@ func (e *Engine) docFetcher(queue string, id msgstore.MsgID) func() (*xmldom.Nod
 // the per-message check inside SelectIndexed (the posting may be absent
 // because the property is absent, which admits the rule — or because the
 // posting raced the commit publish, where propMatch stays authoritative).
-// Returns nil when the plan, the store, or the configuration rules probing
-// out.
+// Returns nil when the plan or the store rules probing out.
 func (e *Engine) probeMasks(queue string, ids []msgstore.MsgID) []uint64 {
-	if e.cfg.ScanDispatch || len(ids) < 2 {
+	if len(ids) < 2 {
 		return nil
 	}
 	plan := e.prog.QueuePlans[queue]
@@ -1211,13 +1202,8 @@ func (e *Engine) processMessage(queue string, id msgstore.MsgID, cause error) (p
 		return e.consumed(e.applyError(txnID, queue, id, doc, nil, cause, now))
 	}
 	fetch := e.docFetcher(queue, id)
-	if e.cfg.ScanDispatch {
-		if _, _, err := fetch(); err != nil {
-			return precommit{}, err
-		}
-	}
 	rt := &evalRuntime{eng: e, txnID: txnID, queue: queue, now: now}
-	combined, ruleName, _, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, 0, false, false)
+	combined, _, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, 0, false, false)
 	if err != nil {
 		return precommit{}, err
 	}
@@ -1235,7 +1221,7 @@ func (e *Engine) processMessage(queue string, id msgstore.MsgID, cause error) (p
 		}
 		return e.consumed(e.applyError(txnID, queue, id, doc, failed.rule, failed.err, now))
 	}
-	return e.consumed(e.applyUpdates(txnID, id, queue, msg.Props, combined, now, ruleName))
+	return e.consumed(e.applyUpdates(txnID, id, queue, msg.Props, combined, now))
 }
 
 // consumed counts a message whose transaction pre-committed.
@@ -1300,16 +1286,11 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 			continue // duplicate schedule after crash recovery
 		}
 		fetch := e.docFetcher(queue, id)
-		if e.cfg.ScanDispatch {
-			if _, _, err := fetch(); err != nil {
-				return attempted, pc, err
-			}
-		}
 		var mask uint64
 		if masks != nil {
 			mask = masks[i]
 		}
-		combined, ruleName, shared, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, len(items) > 0, true)
+		combined, shared, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, len(items) > 0, true)
 		if err == errNotBatchable {
 			// This message's rules read or mutate shared state and
 			// updates from earlier batch members are already pending:
@@ -1346,7 +1327,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		if dup {
 			continue
 		}
-		items = append(items, batchItem{id: id, props: msg.Props, updates: combined, ruleName: ruleName})
+		items = append(items, batchItem{id: id, props: msg.Props, updates: combined})
 		if shared {
 			// A shared-state message rides alone (it was first, so its
 			// reads were live): close the batch behind it.
@@ -1407,7 +1388,7 @@ var errNotBatchable = fmt.Errorf("engine: message not batchable mid-batch")
 // (the batch path; processMessage locks up front itself) the exclusive locks
 // of the message and of its slices are acquired here, after that rejection
 // point.
-func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared, lockMsg bool) (combined *xquery.UpdateList, ruleName string, shared bool, failed *ruleError, err error) {
+func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared, lockMsg bool) (combined *xquery.UpdateList, shared bool, failed *ruleError, err error) {
 	// Element names are the dispatch key set: computed lazily, only when
 	// some applicable rule actually has an element trigger — that is the
 	// first point the document is needed at all; a message whose rules are
@@ -1456,7 +1437,7 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 		}
 	}
 	if fetchErr != nil {
-		return nil, "", false, nil, fetchErr
+		return nil, false, nil, fetchErr
 	}
 	for _, rc := range toRun {
 		if rc.r.Body.SharedState() {
@@ -1465,26 +1446,26 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 		}
 	}
 	if shared && noShared {
-		return nil, "", true, nil, errNotBatchable
+		return nil, true, nil, errNotBatchable
 	}
 	if lockMsg && e.cfg.Granularity == LockSlice {
 		if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
-			return nil, "", shared, nil, err
+			return nil, shared, nil, err
 		}
 	}
 
 	if lockMsg {
 		if err := e.lockSlices(txnID, memberships); err != nil {
-			return nil, "", shared, nil, err
+			return nil, shared, nil, err
 		}
 	}
 
 	if len(toRun) == 0 {
-		return combined, "", shared, nil, nil
+		return combined, shared, nil, nil
 	}
 	doc, _, err := fetch()
 	if err != nil {
-		return nil, "", shared, nil, err
+		return nil, shared, nil, err
 	}
 	rt.msgID, rt.doc, rt.props = id, doc, props
 	for _, rc := range toRun {
@@ -1493,26 +1474,30 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 		_, updates, evalErr := xquery.Eval(rc.r.Body, rt, xquery.EvalOptions{ContextDoc: doc})
 		if evalErr != nil {
 			if evalErr == locks.ErrDeadlock {
-				return nil, "", shared, nil, evalErr
+				return nil, shared, nil, evalErr
 			}
-			return nil, "", shared, &ruleError{rule: rc.r, err: evalErr}, nil
+			return nil, shared, &ruleError{rule: rc.r, err: evalErr}, nil
 		}
 		if updates.Len() > 0 {
 			e.stats.rulesFired.Add(1)
 		}
 		for _, up := range updates.Updates {
-			if r, isReset := up.(*xquery.ResetUpdate); isReset && r.Implicit {
-				// Resolve the implicit reset against the rule's slice.
-				if rc.slicing == "" {
-					return nil, "", shared, &ruleError{rule: rc.r, err: fmt.Errorf("bare 'do reset' outside a slicing rule")}, nil
+			switch u := up.(type) {
+			case *xquery.EnqueueUpdate:
+				u.Rule = rc.r.Name
+			case *xquery.ResetUpdate:
+				if u.Implicit {
+					// Resolve the implicit reset against the rule's slice.
+					if rc.slicing == "" {
+						return nil, shared, &ruleError{rule: rc.r, err: fmt.Errorf("bare 'do reset' outside a slicing rule")}, nil
+					}
+					u.Slicing, u.Key = rc.slicing, xdm.NewString(rc.key)
 				}
-				r.Slicing, r.Key = rc.slicing, xdm.NewString(rc.key)
 			}
 			combined.Append(up)
 		}
 	}
-	ruleName = toRun[0].r.Name
-	return combined, ruleName, shared, nil, nil
+	return combined, shared, nil, nil
 }
 
 type ruleError struct {

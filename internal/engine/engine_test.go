@@ -154,6 +154,31 @@ func TestPropertiesFlowThroughEnqueue(t *testing.T) {
 	}
 }
 
+// TestCreatingRuleNamesTheRule: when several rules fire on one message each
+// created message carries the name of the rule that created it, whatever
+// else was selected before it.
+func TestCreatingRuleNamesTheRule(t *testing.T) {
+	e := newEngine(t, `
+		create queue in kind basic mode persistent;
+		create queue out kind basic mode persistent;
+		create rule first for in
+		  if (//m) then do enqueue <a/> into out;
+		create rule second for in
+		  if (//m) then do enqueue <b/> into out;
+	`, nil)
+	e.EnqueueXML("in", `<m/>`, nil)
+	drain(t, e)
+	out, _ := e.MessageStore().Messages("out")
+	if len(out) != 2 {
+		t.Fatalf("outputs: %d", len(out))
+	}
+	for i, want := range []string{"first", "second"} {
+		if got := out[i].Props["demaq:rule"].S; got != want {
+			t.Errorf("output %d created by %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestSliceJoinAcrossQueues(t *testing.T) {
 	// A two-way join via a slicing: emit <both/> only once both parts for
 	// the same key have arrived (the Fig. 7 pattern reduced to two inputs).

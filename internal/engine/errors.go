@@ -125,7 +125,7 @@ func (e *Engine) errorUpdate(queue string, id msgstore.MsgID, doc *xmldom.Node, 
 	if doc != nil {
 		initial = doc.Root()
 	}
-	return &xquery.EnqueueUpdate{Queue: target,
+	return &xquery.EnqueueUpdate{Queue: target, Rule: errorHandlerRule,
 		Doc: buildErrorDoc(kind, code, ruleName, queue, cause.Error(), initial)}, true
 }
 
@@ -175,13 +175,13 @@ func (e *Engine) applyError(txnID uint64, queue string, id msgstore.MsgID, doc *
 	if routed {
 		updates.Append(up)
 	}
-	pc, err := e.applyUpdates(txnID, id, queue, nil, updates, now, errorHandlerRule)
+	pc, err := e.applyUpdates(txnID, id, queue, nil, updates, now)
 	if err != nil && routed && !e.retryable(err) {
 		// The error message itself is not acceptable to its queue: consume
 		// the message without it rather than never.
 		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
 		routed = false
-		pc, err = e.applyUpdates(txnID, id, queue, nil, &xquery.UpdateList{}, now, errorHandlerRule)
+		pc, err = e.applyUpdates(txnID, id, queue, nil, &xquery.UpdateList{}, now)
 	}
 	if err != nil {
 		return pc, err

@@ -75,15 +75,6 @@ func (s msSessionStore) RecvSessions(endpoint string) []gateway.RecvSession {
 	return out
 }
 
-// sessionStore returns the durable session backend, or nil when the
-// configuration opts out (experiment E18 baseline).
-func (g *gatewayService) sessionStore() gateway.SessionStore {
-	if g.eng.cfg.NoDurableSessions {
-		return nil
-	}
-	return msSessionStore{ms: g.eng.ms}
-}
-
 // consumeBatchCap bounds the sent-but-unmarked window of one outgoing queue:
 // the transmit stage holds a slot per transfer from before the send until
 // the consume commit, so a crash re-sends at most this many messages (plain
@@ -268,7 +259,7 @@ func (g *gatewayService) start() {
 			rel, err := gateway.NewReliableOptions(tr, in.addr, gateway.ReliableOptions{
 				RetryInterval: 25 * time.Millisecond,
 				MaxRetries:    40,
-				Session:       g.sessionStore(),
+				Session:       msSessionStore{ms: g.eng.ms},
 			})
 			if err == nil {
 				// The handler stages the post-admit dedup snapshot into the
@@ -276,10 +267,10 @@ func (g *gatewayService) start() {
 				// suppresses its retransmits commit atomically. Its first
 				// phase ends at the pre-commit, under the peer's admit lock;
 				// the wait for the log, and then the ack, come after it.
-				addr, durable := in.addr, !g.eng.cfg.NoDurableSessions
+				addr := in.addr
 				err = rel.SubscribeStaged(func(payload []byte, props map[string]string, rs gateway.RecvSession) (func() error, error) {
 					var sess *msgstore.SessionState
-					if durable && rs.Peer != "" {
+					if rs.Peer != "" {
 						sess = &msgstore.SessionState{
 							Kind: msgstore.SessionRecv, Endpoint: addr,
 							Peer: rs.Peer, Seq: rs.High, Window: rs.Window,

@@ -9,8 +9,7 @@ import (
 
 // Network is the simulated in-process network. Addresses have the form
 // "sim://node/endpoint". Failure behavior is configurable per network and
-// per destination, with a seeded generator for reproducible experiments
-// (E9 sweeps the loss rate).
+// per destination, with a seeded generator for reproducible experiments.
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[string]Handler

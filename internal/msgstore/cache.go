@@ -16,7 +16,7 @@ import (
 // content) deep-copies. The contract is enforced under -race by
 // TestDocCacheSharedEvaluationRace.
 //
-// Striping (experiment E14): entries are partitioned by MsgID across up to
+// Striping: entries are partitioned by MsgID across up to
 // maxCacheShards independent LRU shards, each behind its own mutex, so the
 // per-Doc cache probe of every worker no longer funnels through one global
 // lock. The configured capacity is split exactly across the shards (small

@@ -208,17 +208,18 @@ type Options struct {
 	CacheDocs int // parsed-document cache capacity (default 4096)
 
 	// TextPayloads stores message payloads and collection documents as
-	// serialized XML text instead of the binary tree encoding. This is
-	// the pre-E12 baseline, kept reachable for comparison benchmarks;
-	// rehydration then pays a full character-level parse per doc-cache
-	// miss. Reads always dispatch on the stored format, so a store
-	// written in one mode opens fine in the other.
+	// serialized XML text instead of the binary tree encoding, the
+	// format of early stores; rehydration then pays a full
+	// character-level parse per doc-cache miss. Reads always dispatch on
+	// the stored format, so a store written in one mode opens fine in the
+	// other.
 	TextPayloads bool
 
 	// NoPropertyIndex disables the secondary (property, value) → MsgID
-	// index. This is the scan baseline of experiment E17: index-backed
-	// dispatch and merged slice access then fall back to per-message
-	// property probes and whole-queue scans.
+	// index: index-backed dispatch and merged slice access then fall back
+	// to per-message property probes and whole-queue scans. Test reference
+	// for TestIndexedScanDispatchDifferential and slicing's regression
+	// tests; not an operating mode.
 	NoPropertyIndex bool
 }
 
@@ -228,7 +229,7 @@ func DefaultOptions() Options {
 }
 
 // Stats reports message-store counters: document-cache effectiveness and
-// payload bytes written per storage format (experiment E12).
+// payload bytes written per storage format.
 type Stats struct {
 	DocCacheHits      uint64
 	DocCacheMisses    uint64

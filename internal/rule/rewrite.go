@@ -32,7 +32,7 @@ func rewrite(body xpath.Expr, prog *Program, queue string) xpath.Expr {
 				fc.Args = []xpath.Expr{xpath.NewLiteral(xdm.NewString(queue))}
 			}
 		case "property":
-			if !prog.opts.InlineFixedProps || len(fc.Args) != 1 {
+			if prog.opts.Unoptimized || len(fc.Args) != 1 {
 				return e
 			}
 			lit, ok := fc.Args[0].(*xpath.Literal)

@@ -22,22 +22,21 @@ import (
 	"demaq/internal/xquery"
 )
 
-// Options control the compiler's optimizations (E4 ablation knobs).
+// Options select between the optimizing compiler and the paper's
+// unoptimized baseline. The zero value is production.
 type Options struct {
-	// Dispatch builds the condition-dispatch index (element triggers and
-	// property prefilters).
-	Dispatch bool
-	// InlineFixedProps rewrites qs:property("p") for fixed string
-	// properties into the property's defining expression (view merging).
-	InlineFixedProps bool
-	// Compile lowers rule bodies and property expressions to the xquery
-	// compiled backend; disabled they run on the reference AST interpreter.
-	Compile bool
+	// Unoptimized turns every optimization off at once: no
+	// condition-dispatch index (element triggers, property prefilters), no
+	// inlining of fixed properties (view merging), and rule bodies and
+	// property expressions run on the reference AST interpreter instead of
+	// the xquery compiled backend. It is the baseline of experiment E4 and
+	// the oracle of the engine's rule-optimization differential test.
+	Unoptimized bool
 }
 
-// DefaultOptions enables all optimizations.
+// DefaultOptions enables all optimizations; it is the zero Options.
 func DefaultOptions() Options {
-	return Options{Dispatch: true, InlineFixedProps: true, Compile: true}
+	return Options{}
 }
 
 // PropPred is a necessary property condition of a rule: the rule can only
@@ -50,7 +49,7 @@ type PropPred struct {
 }
 
 // AccessPath is the planner's choice of how dispatch establishes a rule's
-// property prefilter (E17): probing the message's materialized property map
+// property prefilter: probing the message's materialized property map
 // one message at a time, or answering the whole claimed batch with range
 // scans of the message store's (property, value) secondary index.
 type AccessPath uint8
@@ -199,7 +198,7 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 			PerQueue: map[string]*xquery.Compiled{},
 		}
 		for _, b := range pd.Bindings {
-			compiled, err := xquery.Compile(b.Value, xquery.CompileOptions{NoProgram: !opts.Compile})
+			compiled, err := xquery.Compile(b.Value, xquery.CompileOptions{NoProgram: opts.Unoptimized})
 			if err != nil {
 				return nil, fmt.Errorf("rule: property %q: %v", pd.Name, err)
 			}
@@ -255,14 +254,14 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 		// view-merging rewrite below may replace the qs:property() calls
 		// they are derived from.
 		var propPreds []PropPred
-		if opts.Dispatch && !onSlicing {
+		if !opts.Unoptimized && !onSlicing {
 			propPreds = analyzePropPreds(body, prog)
 		}
 		if !onSlicing {
 			body = rewrite(body, prog, rd.Target)
 		}
 		compiled, err := xquery.Compile(body, xquery.CompileOptions{
-			AllowSlice: onSlicing, NoProgram: !opts.Compile,
+			AllowSlice: onSlicing, NoProgram: opts.Unoptimized,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rule: %q: %v", rd.Name, err)
@@ -272,7 +271,7 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 			ErrorQueue: rd.ErrorQueue, Body: compiled, Order: i,
 			PropPreds: propPreds,
 		}
-		if opts.Dispatch {
+		if !opts.Unoptimized {
 			r.Trigger = analyzeTrigger(body)
 		}
 		plan.Rules = append(plan.Rules, r)
@@ -531,7 +530,7 @@ func propCallName(e xpath.Expr, prog *Program) (string, bool) {
 	// where the materialized property map cannot — skipping the rule
 	// would silently swallow the Sec. 3.6 error-queue message. Only the
 	// qs:property() runtime lookup is guaranteed to agree with the map.
-	if def.Fixed && prog.opts.InlineFixedProps {
+	if def.Fixed {
 		return "", false
 	}
 	return name, true

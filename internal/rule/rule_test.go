@@ -1,6 +1,7 @@
 package rule
 
 import (
+	"strings"
 	"testing"
 
 	"demaq/internal/qdl"
@@ -65,7 +66,7 @@ func TestDispatchIndex(t *testing.T) {
 }
 
 func TestDispatchDisabledEvaluatesAll(t *testing.T) {
-	prog := MustCompile(miniApp, Options{Dispatch: false})
+	prog := MustCompile(miniApp, Options{Unoptimized: true})
 	crm := prog.QueuePlans["crm"]
 	doc := xmldom.MustParse(`<unrelated/>`)
 	if got := len(crm.RulesFor(ElementNames(doc))); got != 3 {
@@ -145,7 +146,7 @@ func TestFixedPropertyInlining(t *testing.T) {
 		  queue crm value //requestID;
 		create rule r for crm
 		  do enqueue <log>{qs:property("requestID")}</log> into crm;
-	`, Options{Dispatch: true, InlineFixedProps: false})
+	`, Options{Unoptimized: true})
 	still2 := false
 	rewriteExpr(prog2.QueuePlans["crm"].Rules[0].Body.AST(), func(e xpath.Expr) xpath.Expr {
 		if fc, ok := e.(*xpath.FuncCall); ok && fc.Prefix == "qs" && fc.Local == "property" {
@@ -234,7 +235,7 @@ func TestPropPredAnalysis(t *testing.T) {
 }
 
 // TestPropPredSkipsInlinedProperties pins the soundness rule: a fixed
-// string property that InlineFixedProps rewrites into its defining
+// string property that view merging rewrites into its defining
 // expression must not become a prefilter — the inlined body re-evaluates
 // the expression against the document and can error (e.g. string() over a
 // multi-node match) where the materialized property map cannot, and
@@ -251,11 +252,11 @@ func TestPropPredSkipsInlinedProperties(t *testing.T) {
 	if got := prog.QueuePlans["orders"].Rules[0].PropPreds; len(got) != 0 {
 		t.Fatalf("inlined fixed property must not become a prefilter: %+v", got)
 	}
-	// Without inlining the runtime lookup agrees with the property map,
-	// so the prefilter is sound and kept.
-	prog2 := MustCompile(app, Options{Dispatch: true, InlineFixedProps: false, Compile: true})
+	// A non-fixed property is never inlined: the runtime lookup agrees
+	// with the property map, so the prefilter is sound and kept.
+	prog2 := MustCompile(strings.Replace(app, " fixed ", " ", 1), DefaultOptions())
 	if got := prog2.QueuePlans["orders"].Rules[0].PropPreds; len(got) != 1 {
-		t.Fatalf("non-inlined fixed property should carry a prefilter: %+v", got)
+		t.Fatalf("non-inlined property should carry a prefilter: %+v", got)
 	}
 }
 
@@ -287,7 +288,7 @@ func TestSelectLazyNames(t *testing.T) {
 	prog := MustCompile(`
 		create queue q kind basic mode persistent;
 		create rule r for q do enqueue <x/> into q;
-	`, Options{Dispatch: false, Compile: true})
+	`, DefaultOptions())
 	plan := prog.QueuePlans["q"]
 	called := false
 	sel := plan.Select(nil, func() map[string]bool { called = true; return nil })
@@ -299,11 +300,11 @@ func TestSelectLazyNames(t *testing.T) {
 	}
 }
 
-func TestCompileDisabledKeepsInterpreter(t *testing.T) {
-	prog := MustCompile(miniApp, Options{Dispatch: true, InlineFixedProps: true})
+func TestUnoptimizedKeepsInterpreter(t *testing.T) {
+	prog := MustCompile(miniApp, Options{Unoptimized: true})
 	for _, r := range prog.QueuePlans["crm"].Rules {
 		if r.Body.HasProgram() {
-			t.Fatalf("rule %s compiled despite Compile=false", r.Name)
+			t.Fatalf("rule %s compiled despite Unoptimized", r.Name)
 		}
 	}
 	prog2 := MustCompile(miniApp, DefaultOptions())

@@ -287,7 +287,7 @@ func (m *Manager) Removable(id msgstore.MsgID) bool {
 // CollectQueue scans the processed messages of a queue and physically
 // removes those no longer held by any live slice, using the redo-only batch
 // delete. It returns the number of messages removed. This is the background
-// task of Sec. 4.4.2 / experiment E8; it runs decoupled from message
+// task of Sec. 4.4.2; it runs decoupled from message
 // processing, but a reader that lists the queue and then fetches what it
 // listed must be kept out for the duration (the engine holds the queue's
 // exclusive lock around the call).

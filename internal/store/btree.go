@@ -13,8 +13,8 @@ import (
 // logged heaps at startup rather than logged themselves, so the tree keeps
 // no page images or WAL hooks.
 //
-// The tree is safe for concurrent use with reader parallelism (experiment
-// E14): a root-level reader/writer lock admits any number of concurrent
+// The tree is safe for concurrent use with reader parallelism: a
+// root-level reader/writer lock admits any number of concurrent
 // readers, and leaf-level latches let non-splitting inserts and lazy
 // deletes run under the shared root lock too — writers go exclusive only
 // for structure modifications (splits). Interior nodes and leaf chain

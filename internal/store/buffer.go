@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The buffer pool is lock-striped: frames live in poolShardCount
@@ -71,11 +70,10 @@ type poolShard struct {
 // failing — multi-page operations never dead-end on a full pool — and
 // shrinks back as pins release or later misses find evictable frames.
 type bufferPool struct {
-	shards  [poolShardCount]poolShard
-	clock   atomic.Uint64
-	file    File
-	log     *wal
-	ioDelay time.Duration // Options.BenchIODelay: modeled device latency
+	shards [poolShardCount]poolShard
+	clock  atomic.Uint64
+	file   File
+	log    *wal
 
 	// imaged tracks pages whose full image has been logged since the last
 	// checkpoint (torn-write protection, see writeBack). Cleared by the
@@ -160,9 +158,6 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 
 		if load {
 			bp.misses.Add(1)
-			if bp.ioDelay > 0 {
-				time.Sleep(bp.ioDelay)
-			}
 			_, err := bp.file.ReadAt(f.pg.buf, int64(id)*PageSize)
 			sh.mu.Lock()
 			if err != nil {
@@ -296,9 +291,6 @@ func (bp *bufferPool) writeBack(f *frame) error {
 	// WAL rule: log first.
 	if err := bp.log.flush(lsn); err != nil {
 		return err
-	}
-	if bp.ioDelay > 0 {
-		time.Sleep(bp.ioDelay)
 	}
 	if _, err := bp.file.WriteAt(f.pg.buf, int64(f.pg.id)*PageSize); err != nil {
 		return fmt.Errorf("store: write page %d: %w", f.pg.id, err)

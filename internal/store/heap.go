@@ -60,8 +60,6 @@ func (s *Store) heapByID(id uint32) (*heapInfo, error) {
 func (s *Store) CreateHeap(name string) (HeapID, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	s.glock()
-	defer s.gunlock()
 	s.heapMu.Lock()
 	defer s.heapMu.Unlock()
 	if id, ok := s.heapNames[name]; ok {
@@ -204,8 +202,6 @@ func (s *Store) insertHeap(t *Txn, h *heapInfo, payload []byte) (RID, error) {
 func (t *Txn) Insert(h HeapID, payload []byte) (RID, error) {
 	t.s.ckptMu.RLock()
 	defer t.s.ckptMu.RUnlock()
-	t.s.glock()
-	defer t.s.gunlock()
 	if err := t.ensureActive(); err != nil {
 		return NilRID, err
 	}
@@ -280,8 +276,6 @@ func (s *Store) readRecord(rid RID) ([]byte, error) {
 func (s *Store) Read(rid RID) ([]byte, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	s.glock()
-	defer s.gunlock()
 	return s.readRecord(rid)
 }
 
@@ -290,8 +284,6 @@ func (s *Store) Read(rid RID) ([]byte, error) {
 func (t *Txn) Delete(h HeapID, rid RID) error {
 	t.s.ckptMu.RLock()
 	defer t.s.ckptMu.RUnlock()
-	t.s.glock()
-	defer t.s.gunlock()
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
@@ -354,8 +346,6 @@ func (s *Store) chainPages(first PageID) []PageID {
 func (t *Txn) SetByte(rid RID, off int, val byte) error {
 	t.s.ckptMu.RLock()
 	defer t.s.ckptMu.RUnlock()
-	t.s.glock()
-	defer t.s.gunlock()
 	if err := t.ensureActive(); err != nil {
 		return err
 	}
@@ -399,8 +389,6 @@ func (t *Txn) SetByte(rid RID, off int, val byte) error {
 func (s *Store) Scan(h HeapID, fn func(rid RID, payload []byte) bool) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	s.glock()
-	defer s.gunlock()
 	hi, err := s.heapByID(uint32(h))
 	if err != nil {
 		return err
@@ -449,8 +437,6 @@ func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) err
 func (s *Store) BatchDelete(h HeapID, rids []RID) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	s.glock()
-	defer s.gunlock()
 	if len(rids) == 0 {
 		return nil
 	}

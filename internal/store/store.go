@@ -29,18 +29,6 @@ type Options struct {
 	// images (Sec. 4.1). Disabled, deletes are logged with full before
 	// images, which is the comparison baseline of experiment E3.
 	UnloggedDeletes bool
-	// GlobalLock serializes every public store operation under one mutex,
-	// recreating the coarse-grained engine that predates the fine-grained
-	// latching. It exists as the comparison baseline of experiment E14 and
-	// is never enabled in production configurations.
-	GlobalLock bool
-	// BenchIODelay injects a fixed delay into buffer-pool page reads and
-	// eviction write-backs, modeling a storage device's access latency.
-	// Benchmark machines serve the working set from the OS page cache,
-	// where preads never block; the delay restores the I/O wait that the
-	// latched pool overlaps across goroutines — and that a global store
-	// mutex serializes. Benchmarks only; zero in production.
-	BenchIODelay time.Duration
 
 	// WALSegmentSize is the roll threshold for WAL segment files in bytes
 	// (0 = 4 MiB). Smaller segments reclaim space sooner after a
@@ -150,7 +138,7 @@ type Stats struct {
 	Commits      uint64
 	Aborts       uint64
 
-	// Group-commit observability (experiment E10): WALFsyncs counts
+	// Group-commit observability: WALFsyncs counts
 	// physical fsyncs; WALFlushCalls counts commit flush requests that had
 	// work to do; WALCoalesced counts requests satisfied by another
 	// committer's fsync. WALFsyncs / Commits < 1 under concurrency means
@@ -175,7 +163,7 @@ type Stats struct {
 }
 
 // Store is the page-based storage engine. All operations are safe for
-// concurrent use. Synchronization is fine-grained (experiment E14): the
+// concurrent use. Synchronization is fine-grained: the
 // buffer pool is lock-striped with per-page latches (see buffer.go for the
 // latch hierarchy), page allocation and the free list sit under allocMu,
 // the heap catalog under heapMu, and each heap serializes only its own
@@ -240,25 +228,6 @@ type Store struct {
 	// checkpointing, but the store must not lose committed data when a
 	// caller gets that wrong.
 	ckptMu sync.RWMutex
-
-	// globalMu is the Options.GlobalLock baseline: when enabled, public
-	// operations hold it exactly where the pre-E14 engine held its single
-	// store mutex (commit fsyncs stayed outside it even then).
-	globalMu sync.Mutex
-}
-
-// glock/gunlock implement the GlobalLock comparison baseline; they are
-// no-ops in the default configuration.
-func (s *Store) glock() {
-	if s.opts.GlobalLock {
-		s.globalMu.Lock()
-	}
-}
-
-func (s *Store) gunlock() {
-	if s.opts.GlobalLock {
-		s.globalMu.Unlock()
-	}
 }
 
 // Open opens (creating if necessary) a store in dir and runs crash
@@ -354,7 +323,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.nextTxn.Store(1)
 	s.pool = newBufferPool(opts.BufferPages, file, log)
-	s.pool.ioDelay = opts.BenchIODelay
 
 	if isNew {
 		if err := s.format(); err != nil {
@@ -555,20 +523,6 @@ func (s *Store) Checkpoint() error {
 		return nil
 	}
 	return s.checkpointFuzzy()
-}
-
-// SharpCheckpoint is the pre-fuzzy protocol: it quiesces every data
-// operation for the whole flush. It remains as the comparison baseline of
-// experiment E19 (commit latency during checkpoint, sharp vs fuzzy).
-func (s *Store) SharpCheckpoint() error {
-	s.lifeMu.Lock()
-	defer s.lifeMu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	return s.checkpoint()
 }
 
 func (s *Store) checkpointFuzzy() error {

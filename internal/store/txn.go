@@ -26,8 +26,6 @@ type Txn struct {
 
 // Begin starts a transaction.
 func (s *Store) Begin() *Txn {
-	s.glock()
-	defer s.gunlock()
 	return s.beginTxn()
 }
 
@@ -86,9 +84,7 @@ func (t *Txn) Precommit() (uint64, error) {
 	// lock — so the checkpointer can catch up before the engine must shed.
 	t.s.commitThrottle()
 	t.s.ckptMu.RLock()
-	t.s.glock()
 	lsn, err := t.s.prepareCommit(t)
-	t.s.gunlock()
 	t.s.ckptMu.RUnlock()
 	return lsn, err
 }
@@ -152,8 +148,6 @@ func (s *Store) prepareCommit(t *Txn) (uint64, error) {
 func (t *Txn) Abort() error {
 	t.s.ckptMu.RLock()
 	defer t.s.ckptMu.RUnlock()
-	t.s.glock()
-	defer t.s.gunlock()
 	return t.s.abortTxn(t)
 }
 

@@ -52,6 +52,10 @@ type EnqueueUpdate struct {
 	Queue string
 	Doc   *xmldom.Node // document node
 	Props map[string]xdm.Value
+	// Rule names the rule whose evaluation produced the update. The
+	// evaluator leaves it empty; the engine stamps it when it concatenates
+	// the rules' lists, and it becomes the message's demaq:rule property.
+	Rule string
 }
 
 func (*EnqueueUpdate) updateMarker() {}

@@ -60,8 +60,10 @@ type Options struct {
 	// NoSync disables fsync on commit, trading the durability of the most
 	// recent transactions for throughput (experiment A3).
 	NoSync bool
-	// NoMaterializedSlices evaluates slice access by re-running the slice
-	// definition instead of maintaining the B-tree index (experiment E1).
+	// NoMaterializedSlices keeps no derived index over the message store:
+	// slice access re-runs the slice definition as a queue scan instead of
+	// reading a range of the property B-tree, and rule dispatch probes
+	// message by message (experiment E1 baseline).
 	NoMaterializedSlices bool
 	// NoRuleOptimizations disables condition dispatch, property inlining
 	// and the compiled rule backend (experiment E4 baseline): rule bodies
@@ -170,14 +172,13 @@ func engineConfig(dir string, opts *Options, reg *gateway.Registry) engine.Confi
 	storeOpts.Store.SyncCommits = !opts.NoSync
 	storeOpts.Store.WALSoftBudget = opts.WALSoftBudget
 	storeOpts.Store.WALHardBudget = opts.WALHardBudget
-	materialized := !opts.NoMaterializedSlices
+	storeOpts.NoPropertyIndex = opts.NoMaterializedSlices
 	cfg := engine.Config{
 		Dir:                dir,
 		Workers:            opts.Workers,
 		BatchSize:          opts.BatchSize,
 		Store:              storeOpts,
 		Rules:              rule.Options{Unoptimized: opts.NoRuleOptimizations},
-		Materialized:       &materialized,
 		GCInterval:         opts.GCInterval,
 		Logger:             opts.Logger,
 		Resources:          opts.Resources,

@@ -114,7 +114,7 @@ func (e *Engine) applyUpdates(txnID uint64, id msgstore.MsgID, queue string,
 // within the batch each distinct resource costs one lock-manager round.
 //
 // The transaction ends in a pre-commit: the effects are published, the
-// derived state is updated and the new messages reach their internal
+// reset watermarks move and the new messages reach their internal
 // consumers before the log is flushed, so that the worker can release its
 // locks and go on. The returned precommit carries what has to wait for
 // durability; the worker hands it to the durability stage.
@@ -224,36 +224,15 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		return precommit{}, err
 	}
 
-	// Post-pre-commit, still under the locks: derived state and routing. The
-	// internal consumers — the rule scheduler, the echo timers — get their
+	// Post-pre-commit, still under the locks: reset watermarks and routing.
+	// The internal consumers — the rule scheduler, the echo timers — get their
 	// messages at once; a message in an outgoing gateway queue is parked on
 	// the transaction until it is durable.
-	for _, m := range stagedEnqs {
-		e.slices.OnEnqueue(m.id, m.queue, m.props)
-	}
 	e.stats.enqueued.Add(uint64(len(stagedEnqs)))
 	for _, re := range tx.AppliedResets {
-		e.slices.Reset(re.Slicing, re.Key, msgstore.MsgID(re.Watermark))
+		e.slices.Reset(re)
 		e.stats.resets.Add(1)
 	}
 	outgoing := e.routeStaged(stagedEnqs)
 	return precommit{lsn: e.outputLSN(lsn, outgoing), outgoing: outgoing}, nil
-}
-
-// slicingsOn returns the slicings over a property applicable to a queue.
-func (e *Engine) slicingsOn(propName, queue string) []string {
-	def, ok := e.prog.Properties.Def(propName)
-	if !ok {
-		return nil
-	}
-	if _, onQueue := def.PerQueue[queue]; !onQueue {
-		return nil
-	}
-	var out []string
-	for sl, p := range e.prog.SlicingProps {
-		if p == propName {
-			out = append(out, sl)
-		}
-	}
-	return out
 }

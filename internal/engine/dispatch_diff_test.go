@@ -13,7 +13,7 @@ import (
 
 // dispatchDiffApp exercises every path the secondary index touches:
 // property-prefiltered routing rules (index probes at dispatch), a slicing
-// with a qs:slice join rule (index-backed merged slice access), and a
+// with a qs:slice join rule (slice members as an index range), and a
 // poison rule feeding the error queue.
 const dispatchDiffApp = `
 	create queue inbox kind basic mode persistent;
@@ -44,10 +44,9 @@ type diffRun struct{ scan, unoptimized bool }
 func runDispatchDiff(t *testing.T, batchSize, n int, run diffRun) (map[string][]string, Stats) {
 	t.Helper()
 	app := qdl.MustParse(dispatchDiffApp)
-	merged := false // merged slice access: the path the index vs queue scan decides
 	cfg := Config{
 		Dir: t.TempDir(), Workers: 8, BatchSize: batchSize,
-		Materialized: &merged, Rules: rule.Options{Unoptimized: run.unoptimized},
+		Rules: rule.Options{Unoptimized: run.unoptimized},
 	}
 	cfg.Store = msgstore.DefaultOptions()
 	cfg.Store.Store.SyncCommits = false

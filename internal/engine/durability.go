@@ -227,10 +227,8 @@ func (e *Engine) outputLSN(lsn uint64, msgs []stagedMsg) uint64 {
 // these properties joins in queue.
 func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
 	var res []string
-	for propName, v := range props {
-		for _, sl := range e.slicingsOn(propName, queue) {
-			res = append(res, locks.Resource("sl", sl, v.StringValue()))
-		}
+	for _, mb := range e.slices.Memberships(queue, props) {
+		res = append(res, locks.Resource("sl", mb.Slicing, mb.Key))
 	}
 	return res
 }
@@ -251,14 +249,15 @@ func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
 
 // precommitExternal pre-commits such a transaction and publishes the
 // messages it stages. Like applyBatch does for rule-created messages, it
-// holds the X lock of every slice a new message joins around pre-commit,
-// publish and OnEnqueue: a member never appears between two rules of one
-// message's evaluation. With the locks released again — nothing here holds a
-// logical lock across the device — the messages for internal consumers are
-// routed, ahead of the log like a worker's: whatever processes them commits
-// behind this transaction (the header of this file has the argument). The
-// caller owes the returned precommit a settle, and may tell no one outside
-// the node about the transaction before that has returned nil.
+// holds the X lock of every slice a new message joins around pre-commit and
+// publish (which posts it in the property index the slices are ranges of): a
+// member never appears between two rules of one message's evaluation. With
+// the locks released again — nothing here holds a logical lock across the
+// device — the messages for internal consumers are routed, ahead of the log
+// like a worker's: whatever processes them commits behind this transaction
+// (the header of this file has the argument). The caller owes the returned
+// precommit a settle, and may tell no one outside the node about the
+// transaction before that has returned nil.
 func (e *Engine) precommitExternal(tx *msgstore.Txn, msgs []stagedMsg) (precommit, error) {
 	lsn, err := e.precommitLocked(tx, msgs)
 	if err != nil {
@@ -296,11 +295,5 @@ func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, er
 		}
 	}
 	_, lsn, err := tx.Precommit()
-	if err != nil {
-		return 0, err
-	}
-	for _, m := range msgs {
-		e.slices.OnEnqueue(m.id, m.queue, m.props)
-	}
-	return lsn, nil
+	return lsn, err
 }

@@ -67,8 +67,6 @@ type Config struct {
 	// Rules configures the rule compiler; the zero value is the production
 	// compiler with every optimization on.
 	Rules rule.Options
-	// Materialized selects the slice index implementation (E1).
-	Materialized *bool
 	// BatchSize caps how many messages a worker claims, evaluates and
 	// commits as one set-oriented unit (default DefaultBatchSize). The
 	// batch shares one transaction ID, one home-queue lock round and one
@@ -335,15 +333,6 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 		e.decls[q.Name] = q
 	}
 	e.projs = e.computeProjections(prog, app)
-	materialized := true
-	if cfg.Materialized != nil {
-		materialized = *cfg.Materialized
-	}
-	e.slices = slicing.NewManager(ms, prog.Properties, materialized)
-	for name, propName := range prog.SlicingProps {
-		e.slices.Define(name, propName)
-	}
-
 	// Declare queues and collections.
 	for _, q := range app.Queues {
 		mode := msgstore.Persistent
@@ -363,19 +352,11 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 		}
 	}
 
-	// Rebuild derived state: slice memberships, reset watermarks,
-	// scheduler backlog, pending timers.
-	if err := e.slices.Rebuild(); err != nil {
+	// Rebuild derived state: reset watermarks, scheduler backlog, pending
+	// timers. Slice membership needs none: it is read off the message store.
+	if e.slices, err = e.openSlices(prog); err != nil {
 		ms.Close()
 		return nil, err
-	}
-	events, err := ms.ResetEvents()
-	if err != nil {
-		ms.Close()
-		return nil, err
-	}
-	for _, ev := range events {
-		e.slices.Reset(ev.Slicing, ev.Key, msgstore.MsgID(ev.Watermark))
 	}
 	e.timers = newTimerService(e)
 	e.gws = newGatewayService(e)
@@ -403,6 +384,23 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// openSlices builds the slicing view of a program over the message store and
+// replays the persisted resets into it.
+func (e *Engine) openSlices(prog *rule.Program) (*slicing.Manager, error) {
+	sm := slicing.NewManager(e.ms, prog.Properties)
+	for name, propName := range prog.SlicingProps {
+		sm.Define(name, propName)
+	}
+	events, err := e.ms.ResetEvents()
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range events {
+		sm.Reset(ev)
+	}
+	return sm, nil
 }
 
 // computeProjections derives the per-queue path projections used by the
@@ -684,6 +682,11 @@ func (e *Engine) CollectGarbage() (int, error) {
 			e.noteStorageError(err)
 			return total, err
 		}
+	}
+	// The resets that dismissed what is gone now go last: see PruneResets.
+	if err := e.slices.PruneResets(); err != nil {
+		e.noteStorageError(err)
+		return total, err
 	}
 	return total, nil
 }
@@ -1354,7 +1357,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 // messages of one slice are then serialized while the second holds nothing,
 // instead of its queue's intention lock — which the first may need out of
 // the way for a qs:queue() read, and the two would deadlock.
-func (e *Engine) lockSlices(txnID uint64, memberships []struct{ Slicing, Key string }) error {
+func (e *Engine) lockSlices(txnID uint64, memberships []slicing.Membership) error {
 	if e.cfg.Granularity != LockSlice {
 		return nil
 	}

@@ -6,7 +6,6 @@ import (
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
 	"demaq/internal/rule"
-	"demaq/internal/slicing"
 )
 
 // Reload replaces the running application program — the dynamic queue and
@@ -22,9 +21,10 @@ import (
 //     and mode are immutable (messages persist under the old contract);
 //   - gateway and echo queues cannot be added at runtime (transports and
 //     endpoint subscriptions are wired at Start);
-//   - rules, properties, slicings and collections may change freely;
-//     slice memberships are rebuilt from the store under the new
-//     definitions, and persisted reset watermarks are replayed.
+//   - rules, properties, slicings and collections may change freely: slice
+//     membership is read off the store under the new definitions (a new
+//     slicing sees the messages enqueued before it), and the persisted reset
+//     watermarks are replayed.
 func (e *Engine) Reload(app *qdl.Application) error {
 	prog, err := rule.Compile(app, e.cfg.Rules)
 	if err != nil {
@@ -77,7 +77,7 @@ func (e *Engine) Reload(app *qdl.Application) error {
 		}
 	}
 
-	// Apply: new queues, collections, program swap, derived-state rebuild.
+	// Apply: new queues, collections, program swap, reset replay.
 	for _, q := range app.Queues {
 		mode := msgstore.Persistent
 		if !q.Persistent {
@@ -106,23 +106,9 @@ func (e *Engine) Reload(app *qdl.Application) error {
 	// stored message ever loses data to a rule change.
 	e.projs = e.computeProjections(prog, app)
 
-	materialized := true
-	if e.cfg.Materialized != nil {
-		materialized = *e.cfg.Materialized
-	}
-	sm := slicing.NewManager(e.ms, prog.Properties, materialized)
-	for name, propName := range prog.SlicingProps {
-		sm.Define(name, propName)
-	}
-	if err := sm.Rebuild(); err != nil {
-		return err
-	}
-	events, err := e.ms.ResetEvents()
+	sm, err := e.openSlices(prog)
 	if err != nil {
 		return err
-	}
-	for _, ev := range events {
-		sm.Reset(ev.Slicing, ev.Key, msgstore.MsgID(ev.Watermark))
 	}
 	e.slices = sm
 	e.log.Info("application reloaded",

@@ -66,22 +66,32 @@ func TestReloadEvolutionGuards(t *testing.T) {
 	}
 }
 
-func TestReloadRebuildSlicingState(t *testing.T) {
+// TestReloadNeedsNoRebuild: slice membership is read off the message store,
+// so a reload has nothing to rebuild — the members of an existing slicing are
+// still there, a slicing the reload adds sees the messages enqueued before it,
+// and the one thing replayed is the persisted resets.
+func TestReloadNeedsNoRebuild(t *testing.T) {
 	e := newEngine(t, `
 		create queue in kind basic mode persistent;
 		create property k as xs:string fixed queue in value //k;
 		create slicing byK on k;
+		create rule done for byK if (//last) then do reset;
 	`, nil)
 	e.EnqueueXML("in", `<m><k>a</k></m>`, nil)
 	e.EnqueueXML("in", `<m><k>a</k></m>`, nil)
+	e.EnqueueXML("in", `<m><k>b</k><last/></m>`, nil)
 	drain(t, e)
-	// Reload with a new rule over the existing slicing; memberships of
-	// pre-existing messages must survive the rebuild.
+	if n := len(e.Slices().SliceMembers("byK", "b")); n != 0 {
+		t.Fatalf("slice b after its reset: %d members", n)
+	}
+	// Reload with a new rule over the existing slicing and a second slicing
+	// over the same property.
 	app := qdl.MustParse(`
 		create queue in kind basic mode persistent;
 		create queue joined kind basic mode persistent;
 		create property k as xs:string fixed queue in value //k;
 		create slicing byK on k;
+		create slicing alsoByK on k;
 		create rule pair for byK
 		  if (count(qs:slice()) >= 3) then
 		    do enqueue <trio>{qs:slicekey()}</trio> into joined;
@@ -91,6 +101,16 @@ func TestReloadRebuildSlicingState(t *testing.T) {
 	}
 	if n := len(e.Slices().SliceMembers("byK", "a")); n != 2 {
 		t.Fatalf("memberships after reload: %d", n)
+	}
+	if n := len(e.Slices().SliceMembers("byK", "b")); n != 0 {
+		t.Fatalf("reset of slice b lost in the reload: %d members", n)
+	}
+	// The new slicing is in its first lifetime everywhere: byK's reset of b
+	// is not its reset.
+	for key, want := range map[string]int{"a": 2, "b": 1} {
+		if n := len(e.Slices().SliceMembers("alsoByK", key)); n != want {
+			t.Fatalf("slicing added by the reload: %d members with key %s, want %d", n, key, want)
+		}
 	}
 	e.EnqueueXML("in", `<m><k>a</k></m>`, nil)
 	drain(t, e)

@@ -105,7 +105,7 @@ func TestConcurrentEnqueueProcessRemove(t *testing.T) {
 	rwg.Wait()
 
 	for _, queue := range []string{"disk", "mem"} {
-		if got := len(ms.ProcessedIDs(queue)); got != totalPerQ {
+		if got := len(processedIDs(ms, queue)); got != totalPerQ {
 			t.Fatalf("queue %s: %d processed, want %d", queue, got, totalPerQ)
 		}
 		if got := len(ms.UnprocessedIDs(queue)); got != 0 {
@@ -114,7 +114,7 @@ func TestConcurrentEnqueueProcessRemove(t *testing.T) {
 	}
 	// Remove everything processed from the persistent queue, concurrently
 	// with a scanner.
-	if err := ms.Remove("disk", ms.ProcessedIDs("disk")); err != nil {
+	if err := ms.Remove("disk", processedIDs(ms, "disk")); err != nil {
 		t.Fatal(err)
 	}
 	if msgs, _ := ms.Messages("disk"); len(msgs) != 0 {

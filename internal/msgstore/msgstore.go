@@ -136,7 +136,8 @@ type Store struct {
 
 	// propIndex is the secondary index (property, value) → MsgID over the
 	// string form of every non-system message property, nil when disabled
-	// (Options.NoPropertyIndex). Like the slicing index it is derived data:
+	// (Options.NoPropertyIndex). It is the one derived index — dispatch
+	// probes and slice access (internal/slicing) are ranges of it:
 	// maintained at commit publish time and on Remove, rebuilt from the
 	// heaps on Open, never logged. Keys use the length-prefixed codec
 	// (store.IndexKey), so embedded separator bytes cannot leak entries
@@ -151,6 +152,11 @@ type Store struct {
 	payloadTextBytes atomic.Uint64
 
 	nextID atomic.Uint64 // next MsgID to assign
+
+	// The system heaps (resets.go, session.go), created by Open so that no
+	// commit path ever pays for catalog DDL.
+	resetsHeap   store.HeapID
+	sessionsHeap store.HeapID
 
 	qmu    sync.RWMutex // guards the queues map (not queue contents)
 	queues map[string]*Queue
@@ -215,11 +221,10 @@ type Options struct {
 	// other.
 	TextPayloads bool
 
-	// NoPropertyIndex disables the secondary (property, value) → MsgID
-	// index: index-backed dispatch and merged slice access then fall back
-	// to per-message property probes and whole-queue scans. Test reference
-	// for TestIndexedScanDispatchDifferential and slicing's regression
-	// tests; not an operating mode.
+	// NoPropertyIndex keeps no derived index: dispatch and slice access
+	// then fall back to per-message property probes and whole-queue scans.
+	// Test reference for TestIndexedScanDispatchDifferential and slicing's
+	// differential, and experiment E1's baseline; not an operating mode.
 	NoPropertyIndex bool
 }
 
@@ -297,7 +302,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	if err := ms.loadSessions(); err != nil {
+	if err := ms.openSystemHeaps(); err != nil {
 		ps.Close()
 		return nil, err
 	}
@@ -305,6 +310,31 @@ func Open(dir string, opts Options) (*Store, error) {
 	ms.sessGCDone = make(chan struct{})
 	go ms.sessionCompactor()
 	return ms, nil
+}
+
+// openSystemHeaps creates or finds the reset and session heaps and loads
+// what they hold. A reset watermark is a message id, and the ids of removed
+// messages are not on disk any more: the ids assigned from here on start
+// above every watermark on record, or a new member of a slice reset before
+// the restart would be born dismissed.
+func (ms *Store) openSystemHeaps() error {
+	var err error
+	if ms.resetsHeap, err = ms.ps.CreateHeap(resetsHeapName); err != nil {
+		return err
+	}
+	if ms.sessionsHeap, err = ms.ps.CreateHeap(sessionsHeapName); err != nil {
+		return err
+	}
+	resets, err := ms.ResetEvents()
+	if err != nil {
+		return err
+	}
+	for _, e := range resets {
+		if next := uint64(e.Watermark) + 1; next > ms.nextID.Load() {
+			ms.nextID.Store(next)
+		}
+	}
+	return ms.loadSessions()
 }
 
 // Close stops the session compactor and closes the underlying store.
@@ -653,25 +683,6 @@ func (ms *Store) unindexMessage(m *msgMeta) {
 // maintained; when false the Property* scans return nothing and callers
 // must use their scan fallbacks.
 func (ms *Store) PropertyIndexEnabled() bool { return ms.propIndex != nil }
-
-// PropertyIDsAfter appends to dst the ids of live messages whose property
-// prop has the string form value and whose id is strictly greater than
-// after, in ascending id order — one contiguous index range scan.
-func (ms *Store) PropertyIDsAfter(prop, value string, after MsgID, dst []MsgID) []MsgID {
-	if ms.propIndex == nil {
-		return dst
-	}
-	prefix := store.IndexKeyPrefix(prop, value)
-	lo := store.AppendIndexKeyID(append([]byte(nil), prefix...), uint64(after)+1)
-	ms.propIndex.ScanPrefixFrom(prefix, lo, func(k, _ []byte) bool {
-		id := MsgID(store.IndexKeyID(k))
-		if ms.lookup(id) != nil {
-			dst = append(dst, id)
-		}
-		return true
-	})
-	return dst
-}
 
 // PropertyIDsRange appends to dst the ids of live messages whose property
 // prop has the string form value, restricted to the window lo <= id <= hi,

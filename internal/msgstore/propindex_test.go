@@ -10,7 +10,7 @@ import (
 )
 
 func propIDs(ms *Store, prop, value string) []MsgID {
-	return ms.PropertyIDsAfter(prop, value, 0, nil)
+	return ms.PropertyIDsRange(prop, value, 0, ^MsgID(0), nil)
 }
 
 // TestPropertyIndexBasics covers insert-on-publish, value isolation,
@@ -59,7 +59,7 @@ func TestPropertyIndexBasics(t *testing.T) {
 	}
 
 	// After, mid-stream.
-	tail := ms.PropertyIDsAfter("region", "emea", ids[6], nil)
+	tail := ms.PropertyIDsRange("region", "emea", ids[6]+1, ^MsgID(0), nil)
 	if len(tail) != 3 || tail[0] != ids[7] {
 		t.Fatalf("after: %v", tail)
 	}
@@ -102,7 +102,7 @@ func TestPropertyIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ms2.Close()
-	got := ms2.PropertyIDsAfter("k", "v", 0, nil)
+	got := ms2.PropertyIDsRange("k", "v", 0, ^MsgID(0), nil)
 	if len(got) != 4 || got[0] != ids[2] {
 		t.Fatalf("rebuilt index: %v (want %v)", got, ids[2:])
 	}

@@ -10,17 +10,20 @@ import (
 // Slice resets must survive restarts with the transaction that performed
 // them: losing a reset would make already-dismissed messages visible in
 // their slices again, changing application behavior (Sec. 2.3.2). Resets
-// are therefore persisted as small append-only event records
-// (slicing, key, watermark) in a system heap, written inside the same
-// page-store transaction as the triggering message's other effects.
+// are therefore persisted as small event records (slicing, key, watermark)
+// in a system heap, written inside the same page-store transaction as the
+// triggering message's other effects, and deleted again (DeleteResets) once
+// the collector has removed every message they dismissed.
 
 const resetsHeapName = "sys:resets"
 
-// ResetEvent is one persisted slice reset.
+// ResetEvent is one persisted slice reset. RID locates its record, for
+// DeleteResets; it is the zero RID for an event that was never written.
 type ResetEvent struct {
 	Slicing   string
 	Key       string
 	Watermark MsgID
+	RID       store.RID
 }
 
 func encodeReset(e ResetEvent) []byte {
@@ -62,34 +65,37 @@ func (t *Txn) RecordReset(slicing, key string) {
 	t.resets = append(t.resets, ResetEvent{Slicing: slicing, Key: key})
 }
 
-// writeReset appends one reset event to the system heap inside pt. It is
-// called from the persist phase of Commit without any msgstore lock held;
-// heap creation is idempotent under the page store's own lock.
-func (ms *Store) writeReset(pt *store.Txn, e ResetEvent) error {
-	h, ok := ms.ps.Heap(resetsHeapName)
-	if !ok {
-		var err error
-		h, err = ms.ps.CreateHeap(resetsHeapName)
-		if err != nil {
-			return err
-		}
-	}
-	_, err := pt.Insert(h, encodeReset(e))
-	return err
-}
-
-// ResetEvents replays all persisted reset events (startup).
+// ResetEvents replays all persisted reset events (startup). A record that
+// does not decode is an error: skipping it would lose a reset.
 func (ms *Store) ResetEvents() ([]ResetEvent, error) {
-	h, ok := ms.ps.Heap(resetsHeapName)
-	if !ok {
-		return nil, nil
-	}
 	var out []ResetEvent
-	err := ms.ps.Scan(h, func(_ store.RID, data []byte) bool {
-		if e, err := decodeReset(data); err == nil {
-			out = append(out, e)
+	var decodeErr error
+	err := ms.ps.Scan(ms.resetsHeap, func(rid store.RID, data []byte) bool {
+		e, err := decodeReset(data)
+		if err != nil {
+			decodeErr = fmt.Errorf("%w (record %s of %s)", err, rid, resetsHeapName)
+			return false
 		}
+		e.RID = rid
+		out = append(out, e)
 		return true
 	})
+	if err == nil {
+		err = decodeErr
+	}
 	return out, err
+}
+
+// DeleteResets removes the records of reset events nothing depends on any
+// more (zero RIDs are skipped), in one page-store transaction. A caller that
+// deletes the messages a reset dismissed first, in this log, never has the
+// reset gone and the messages back after a crash.
+func (ms *Store) DeleteResets(rids []store.RID) error {
+	written := rids[:0:0]
+	for _, rid := range rids {
+		if rid != (store.RID{}) {
+			written = append(written, rid)
+		}
+	}
+	return ms.ps.BatchDelete(ms.resetsHeap, written)
 }

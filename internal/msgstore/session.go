@@ -160,7 +160,7 @@ func (ms *Store) PutSession(s SessionState) error {
 	}
 	ver := ms.sessVer.Add(1)
 	pt := ms.ps.Begin()
-	rid, err := ms.writeSession(pt, ver, s)
+	rid, err := pt.Insert(ms.sessionsHeap, encodeSession(ver, s))
 	if err != nil {
 		pt.Abort()
 		return err
@@ -170,21 +170,6 @@ func (ms *Store) PutSession(s SessionState) error {
 	}
 	ms.publishSession(s, ver, rid)
 	return nil
-}
-
-// writeSession appends one versioned session snapshot to the system heap
-// inside pt. Called from the persist phase without msgstore locks; heap
-// creation is idempotent under the page store's own lock.
-func (ms *Store) writeSession(pt *store.Txn, ver uint64, s SessionState) (store.RID, error) {
-	h, ok := ms.ps.Heap(sessionsHeapName)
-	if !ok {
-		var err error
-		h, err = ms.ps.CreateHeap(sessionsHeapName)
-		if err != nil {
-			return store.RID{}, err
-		}
-	}
-	return pt.Insert(h, encodeSession(ver, s))
 }
 
 // publishSession installs a committed snapshot in the in-memory map (newest
@@ -234,9 +219,7 @@ func (ms *Store) publishSession(s SessionState, ver uint64, rid store.RID) {
 func (ms *Store) sessionCompactor() {
 	defer close(ms.sessGCDone)
 	for stale := range ms.sessGC {
-		if h, ok := ms.ps.Heap(sessionsHeapName); ok {
-			_ = ms.ps.BatchDelete(h, stale) // GC only; stale versions are harmless
-		}
+		_ = ms.ps.BatchDelete(ms.sessionsHeap, stale) // GC only; stale versions are harmless
 	}
 }
 
@@ -244,12 +227,8 @@ func (ms *Store) sessionCompactor() {
 // newest version per key wins, every on-disk version is remembered for
 // compaction, and the version counter resumes past the maximum seen.
 func (ms *Store) loadSessions() error {
-	h, ok := ms.ps.Heap(sessionsHeapName)
-	if !ok {
-		return nil
-	}
 	var maxVer uint64
-	err := ms.ps.Scan(h, func(rid store.RID, data []byte) bool {
+	err := ms.ps.Scan(ms.sessionsHeap, func(rid store.RID, data []byte) bool {
 		ver, s, err := decodeSession(data)
 		if err != nil {
 			return true // skip corrupt records; superseded snapshots carry the state

@@ -176,7 +176,7 @@ func runTortureWorkload(ms *Store, mdl *model, iters int) error {
 			for _, qn := range tortureQueues {
 				ms.UnprocessedIDs(qn)
 			}
-			ms.PropertyIDsAfter("kind", "k1", 0, nil)
+			ms.PropertyIDsRange("kind", "k1", 0, ^MsgID(0), nil)
 			if mm := mdl.firstWhere(func(m *modelMsg) bool { return !m.removed }); mm != nil {
 				if _, err := ms.Doc(mm.id); err != nil {
 					return err

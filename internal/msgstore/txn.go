@@ -275,7 +275,8 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 		// message that exists now is dismissed from the slice).
 		for _, re := range t.resets {
 			re.Watermark = MsgID(ms.nextID.Load() - 1)
-			if err := ms.writeReset(pt, re); err != nil {
+			var err error
+			if re.RID, err = pt.Insert(ms.resetsHeap, encodeReset(re)); err != nil {
 				pt.Abort()
 				return nil, 0, err
 			}
@@ -288,7 +289,7 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 		sessRids := make([]store.RID, len(t.sessions))
 		for i, s := range t.sessions {
 			sessVers[i] = ms.sessVer.Add(1)
-			rid, err := ms.writeSession(pt, sessVers[i], s)
+			rid, err := pt.Insert(ms.sessionsHeap, encodeSession(sessVers[i], s))
 			if err != nil {
 				pt.Abort()
 				return nil, 0, err
@@ -677,23 +678,6 @@ func (ms *Store) UnprocessedIDs(queue string) []MsgID {
 	var out []MsgID
 	for _, m := range q.msgs {
 		if !m.dead.Load() && !m.processed.Load() {
-			out = append(out, m.id)
-		}
-	}
-	return out
-}
-
-// ProcessedIDs returns the IDs of processed (retention-eligible) messages.
-func (ms *Store) ProcessedIDs(queue string) []MsgID {
-	q := ms.getQueue(queue)
-	if q == nil {
-		return nil
-	}
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	var out []MsgID
-	for _, m := range q.msgs {
-		if !m.dead.Load() && m.processed.Load() {
 			out = append(out, m.id)
 		}
 	}

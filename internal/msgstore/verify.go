@@ -148,37 +148,35 @@ func (ms *Store) VerifyIntegrity() error {
 	}
 	// Session heap: every record decodes, and the newest on-disk version of
 	// each key matches the in-memory snapshot the gateway trusts.
-	if h, ok := ms.ps.Heap(sessionsHeapName); ok {
-		best := map[sessionKey]uint64{}
-		var scanErr error
-		err := ms.ps.Scan(h, func(rid store.RID, data []byte) bool {
-			ver, s, err := decodeSession(data)
-			if err != nil {
-				scanErr = fmt.Errorf("session record %s does not decode: %w", rid, err)
-				return false
-			}
-			key := sessionKey{kind: s.Kind, endpoint: s.Endpoint, peer: s.Peer}
-			if ver > best[key] {
-				best[key] = ver
-			}
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
+	best := map[sessionKey]uint64{}
+	var scanErr error
+	err := ms.ps.Scan(ms.sessionsHeap, func(rid store.RID, data []byte) bool {
+		ver, s, err := decodeSession(data)
 		if err != nil {
-			return err
+			scanErr = fmt.Errorf("session record %s does not decode: %w", rid, err)
+			return false
 		}
-		ms.sessMu.Lock()
-		for key, ver := range best {
-			e := ms.sessions[key]
-			if e == nil || e.ver != ver {
-				ms.sessMu.Unlock()
-				return fmt.Errorf("session %v/%q/%q: on-disk version %d not the published snapshot", key.kind, key.endpoint, key.peer, ver)
-			}
+		key := sessionKey{kind: s.Kind, endpoint: s.Endpoint, peer: s.Peer}
+		if ver > best[key] {
+			best[key] = ver
 		}
-		ms.sessMu.Unlock()
+		return true
+	})
+	if err == nil {
+		err = scanErr
 	}
+	if err != nil {
+		return err
+	}
+	ms.sessMu.Lock()
+	for key, ver := range best {
+		e := ms.sessions[key]
+		if e == nil || e.ver != ver {
+			ms.sessMu.Unlock()
+			return fmt.Errorf("session %v/%q/%q: on-disk version %d not the published snapshot", key.kind, key.endpoint, key.peer, ver)
+		}
+	}
+	ms.sessMu.Unlock()
 	return ms.ps.VerifyPageLSNs()
 }
 

@@ -17,12 +17,14 @@ import (
 	"demaq/internal/xquery"
 )
 
-// System property names set by the engine (Sec. 2.2 "System").
+// System property names set by the engine (Sec. 2.2 "System"). The message
+// store leaves the whole SystemPrefix namespace out of its property index.
 const (
-	SysCreatingRule = "demaq:rule"       // name of the rule that created the message
-	SysCreated      = "demaq:created"    // creation timestamp
-	SysSender       = "demaq:sender"     // sender of incoming gateway messages
-	SysConnection   = "demaq:connection" // connection handle for synchronous replies
+	SystemPrefix    = "demaq:"
+	SysCreatingRule = SystemPrefix + "rule"       // name of the rule that created the message
+	SysCreated      = SystemPrefix + "created"    // creation timestamp
+	SysSender       = SystemPrefix + "sender"     // sender of incoming gateway messages
+	SysConnection   = SystemPrefix + "connection" // connection handle for synchronous replies
 )
 
 // Def is one property definition.

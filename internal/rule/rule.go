@@ -13,6 +13,7 @@ package rule
 
 import (
 	"fmt"
+	"strings"
 
 	"demaq/internal/property"
 	"demaq/internal/qdl"
@@ -224,6 +225,10 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 	for _, sd := range app.Slicings {
 		if _, ok := prog.Properties.Def(sd.Property); !ok {
 			return nil, fmt.Errorf("rule: slicing %q: unknown property %q", sd.Name, sd.Property)
+		}
+		if strings.HasPrefix(sd.Property, property.SystemPrefix) {
+			return nil, fmt.Errorf("rule: slicing %q: %q is a system property; a slice is a range of the property index, which leaves %s out",
+				sd.Name, sd.Property, property.SystemPrefix)
 		}
 		if _, dup := prog.SlicingProps[sd.Name]; dup {
 			return nil, fmt.Errorf("rule: slicing %q declared twice", sd.Name)

@@ -192,6 +192,23 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestSlicingOverSystemPropertyRejected: the message store indexes no
+// "demaq:" property, and a slice is a range of that index — such a slicing
+// would be silently empty, so the compiler refuses it by name.
+func TestSlicingOverSystemPropertyRejected(t *testing.T) {
+	app, err := qdl.Parse(`
+		create queue q kind basic mode persistent;
+		create property demaq:tag as xs:string queue q value //tag;
+		create slicing byTag on demaq:tag;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Compile(app, DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), `slicing "byTag"`) || !strings.Contains(err.Error(), "system property") {
+		t.Fatalf("slicing over a demaq: property compiled: %v", err)
+	}
+}
+
 const propPredApp = `
 create queue orders kind basic mode persistent;
 create queue eu kind basic mode persistent;

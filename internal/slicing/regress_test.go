@@ -2,21 +2,21 @@ package slicing
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
+	"demaq/internal/store"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 	"demaq/internal/xquery"
 )
 
-// putProps enqueues with a hand-built property map (bypassing Evaluate) and
-// feeds OnEnqueue of every given manager, so materialized and merged
-// managers observe the identical commit.
-func putProps(t *testing.T, ms *msgstore.Store, queue string, props map[string]xdm.Value, sms ...*Manager) msgstore.MsgID {
+// putProps enqueues with a hand-built property map (bypassing Evaluate).
+func putProps(t testing.TB, ms *msgstore.Store, queue string, props map[string]xdm.Value) msgstore.MsgID {
 	t.Helper()
 	tx := ms.Begin()
 	id, err := tx.Enqueue(queue, xmldom.MustParse(`<m/>`), props, time.Now())
@@ -26,135 +26,133 @@ func putProps(t *testing.T, ms *msgstore.Store, queue string, props map[string]x
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sm := range sms {
-		sm.OnEnqueue(id, queue, props)
-	}
 	return id
 }
 
-// TestUndeclaredPropertyFormsNoSlice pins the materialized/merged divergence:
-// OnEnqueue used to record membership when props.Def returned !ok, while the
-// merged path (which derives the slice from def.Queues()) returned nil for
-// the same slice — the E1 ablation paths disagreed, and retention held such
-// messages forever on the materialized side.
-func TestUndeclaredPropertyFormsNoSlice(t *testing.T) {
-	ms, _, _ := setup(t, true)
-	props := property.NewManager() // "ghost" never declared
-	mat := NewManager(ms, props, true)
-	mat.Define("ghosts", "ghost")
-	mer := NewManager(ms, props, false)
-	mer.Define("ghosts", "ghost")
-
-	id := putProps(t, ms, "crm", map[string]xdm.Value{"ghost": xdm.NewString("g1")}, mat, mer)
-
-	matGot := mat.SliceMembers("ghosts", "g1")
-	merGot := mer.SliceMembers("ghosts", "g1")
-	if len(matGot) != 0 || len(merGot) != 0 {
-		t.Fatalf("undeclared property formed a slice: materialized=%v merged=%v", matGot, merGot)
-	}
-	tx := ms.Begin()
-	tx.MarkProcessed(id)
-	tx.Commit()
-	if !mat.Removable(id) {
-		t.Fatal("phantom membership blocks retention")
-	}
-}
-
 // TestMaterializedMergedDifferential drives the same workload — several
-// keys, several queues, an off-queue property, a reset — through a
-// materialized manager, a merged manager using the store's property index,
-// and a merged manager on a scan-only store, and demands identical slice
-// views from all three.
+// keys, several queues (one transient), an off-queue property, an undeclared
+// property, a reset, a collector pass, a slicing declared after its members —
+// through a manager reading the store's property index and a manager on a
+// scan-only store, and demands from both the slice views of a model kept by
+// hand. The store has no other derived index: msgstore.VerifyIntegrity holds
+// the property index to a recomputation, this holds the view on top of it.
 func TestMaterializedMergedDifferential(t *testing.T) {
-	scanOpts := msgstore.DefaultOptions()
-	scanOpts.NoPropertyIndex = true
+	props := requestIDProps("crm", "customer", "tmp") // "other" deliberately absent
 	stores := map[string]*msgstore.Store{}
-	for name, opts := range map[string]msgstore.Options{"indexed": msgstore.DefaultOptions(), "scan": scanOpts} {
-		ms, err := msgstore.Open(t.TempDir(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+	managers := map[string]*Manager{}
+	for _, mode := range modes {
+		ms := openStore(t, t.TempDir(), mode.noIndex)
 		t.Cleanup(func() { ms.Close() })
 		ms.CreateQueue("crm", msgstore.Persistent, 0)
 		ms.CreateQueue("customer", msgstore.Persistent, 0)
 		ms.CreateQueue("other", msgstore.Persistent, 0)
-		stores[name] = ms
-	}
-	props := property.NewManager()
-	props.Define(&property.Def{
-		Name: "requestID", Type: xdm.TypeString,
-		PerQueue: map[string]*xquery.Compiled{
-			"crm":      xquery.MustCompile(`//requestID`, xquery.CompileOptions{}),
-			"customer": xquery.MustCompile(`//requestID`, xquery.CompileOptions{}),
-			// "other" deliberately absent: the property is not defined there.
-		},
-	})
-	managers := map[string]*Manager{}
-	perStore := map[string][]*Manager{"indexed": nil, "scan": nil}
-	for _, mode := range []string{"materialized", "merged-indexed", "merged-scan"} {
-		storeName := "indexed"
-		if mode == "merged-scan" {
-			storeName = "scan"
-		}
-		sm := NewManager(stores[storeName], props, mode == "materialized")
+		ms.CreateQueue("tmp", msgstore.Transient, 0)
+		stores[mode.name] = ms
+		sm := NewManager(ms, props)
 		sm.Define("requestMsgs", "requestID")
-		managers[mode] = sm
-		perStore[storeName] = append(perStore[storeName], sm)
-	}
-	if !stores["indexed"].PropertyIndexEnabled() || stores["scan"].PropertyIndexEnabled() {
-		t.Fatal("store index setup wrong")
+		// "ghost" is never declared: a message may carry a value of that
+		// name (set by a rule, inherited), which must form no slice — the
+		// scan cannot see it, and a phantom membership would block retention.
+		sm.Define("ghosts", "ghost")
+		managers[mode.name] = sm
 	}
 
 	keys := []string{"r1", "r2", "r\x00odd", ""}
-	for i := 0; i < 20; i++ {
-		key := keys[i%len(keys)]
-		queue := []string{"crm", "customer", "other"}[i%3]
-		pv := map[string]xdm.Value{"requestID": xdm.NewString(key)}
-		for storeName, ms := range stores {
-			putProps(t, ms, queue, pv, perStore[storeName]...)
+	queues := []string{"crm", "customer", "other", "tmp"}
+	model := map[string][]msgstore.MsgID{} // key → members on the queues the property is defined on
+	var inCRM []msgstore.MsgID
+	for i := 0; i < 32; i++ {
+		key, queue := keys[i%len(keys)], queues[i/len(keys)%len(queues)]
+		pv := map[string]xdm.Value{"requestID": xdm.NewString(key), "ghost": xdm.NewString("g1")}
+		id := putProps(t, stores["index-range"], queue, pv)
+		if other := putProps(t, stores["queue-scan"], queue, pv); other != id {
+			t.Fatalf("the stores assign different ids: %d, %d", id, other)
+		}
+		if queue != "other" {
+			model[key] = append(model[key], id)
+		}
+		if queue == "crm" {
+			inCRM = append(inCRM, id)
 		}
 	}
-	check := func(stage string) {
+	check := func(stage, slicing string, want map[string][]msgstore.MsgID) {
 		t.Helper()
 		for _, key := range keys {
-			want := fmt.Sprint(managers["materialized"].SliceMembers("requestMsgs", key))
-			for _, mode := range []string{"merged-indexed", "merged-scan"} {
-				if got := fmt.Sprint(managers[mode].SliceMembers("requestMsgs", key)); got != want {
-					t.Fatalf("%s: key %q: %s=%s, materialized=%s", stage, key, mode, got, want)
+			for mode, sm := range managers {
+				if got := sm.SliceMembers(slicing, key); !slices.Equal(got, want[key]) {
+					t.Fatalf("%s: %s key %q: %s=%v, model=%v", stage, slicing, key, mode, got, want[key])
 				}
 			}
 		}
 	}
-	check("initial")
-	for _, sm := range managers {
-		sm.Reset("requestMsgs", "r1", 10)
+	check("initial", "requestMsgs", model)
+	for mode, sm := range managers {
+		if got := sm.SliceMembers("ghosts", "g1"); len(got) != 0 {
+			t.Fatalf("%s: undeclared property formed a slice: %v", mode, got)
+		}
 	}
-	check("after reset")
+
+	const watermark = 10
+	visible := map[string][]msgstore.MsgID{}
+	for key, ids := range model {
+		visible[key] = ids
+	}
+	visible["r1"] = slices.DeleteFunc(slices.Clone(model["r1"]), func(id msgstore.MsgID) bool { return id <= watermark })
+	if len(visible["r1"]) == 0 || len(visible["r1"]) == len(model["r1"]) {
+		t.Fatalf("setup: the reset dismisses %d of %d members", len(model["r1"])-len(visible["r1"]), len(model["r1"]))
+	}
+	for _, sm := range managers {
+		reset(sm, "requestMsgs", "r1", watermark)
+	}
+	check("after reset", "requestMsgs", visible)
+
+	// The collector takes the processed messages no live slice holds: in crm
+	// that is the dismissed member of r1 and nothing else — the ghost value
+	// holds nothing back.
+	dismissedInCRM := inCRM[0]
+	for mode, sm := range managers {
+		markProcessed(t, stores[mode], inCRM...)
+		if n, err := sm.CollectQueue("crm"); n != 1 || err != nil {
+			t.Fatalf("%s: collected %d (%v), want message %d alone", mode, n, err, dismissedInCRM)
+		}
+		if _, live := stores[mode].Get(dismissedInCRM); live {
+			t.Fatalf("%s: dismissed message %d survived the pass", mode, dismissedInCRM)
+		}
+	}
+	check("after collect", "requestMsgs", visible)
+
+	// A slicing declared now finds the members enqueued before it, in its
+	// own first lifetime: the reset of requestMsgs/r1 is not its reset.
+	stored := map[string][]msgstore.MsgID{}
+	for key, ids := range model {
+		stored[key] = slices.DeleteFunc(slices.Clone(ids), func(id msgstore.MsgID) bool { return id == dismissedInCRM })
+	}
+	for _, sm := range managers {
+		sm.Define("late", "requestID")
+	}
+	check("late slicing", "late", stored)
 }
 
-// TestSliceKeySeparatorIsolation pins the indexKey codec fix: under the old
-// "\x00"-separated keys the pairs (slicing "s", key "k\x00x") and (slicing
-// "s\x00k", key "x") encoded to the same scan prefix, so each slice leaked
+// TestSliceKeySeparatorIsolation pins the index key codec: under
+// "\x00"-separated keys the pairs (property "p", key "k\x00x") and (property
+// "p\x00k", key "x") encode to the same scan prefix, so each slice would leak
 // the other's members.
 func TestSliceKeySeparatorIsolation(t *testing.T) {
-	ms, err := msgstore.Open(t.TempDir(), msgstore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := openStore(t, t.TempDir(), false)
 	defer ms.Close()
 	ms.CreateQueue("q", msgstore.Persistent, 0)
 	props := property.NewManager()
-	for _, p := range []string{"p1", "p2"} {
+	for _, p := range []string{"p", "p\x00k"} {
 		props.Define(&property.Def{Name: p, Type: xdm.TypeString, PerQueue: map[string]*xquery.Compiled{
 			"q": xquery.MustCompile(`//x`, xquery.CompileOptions{}),
 		}})
 	}
-	sm := NewManager(ms, props, true)
-	sm.Define("s", "p1")
-	sm.Define("s\x00k", "p2")
+	sm := NewManager(ms, props)
+	sm.Define("s", "p")
+	sm.Define("s\x00k", "p\x00k")
 
-	a := putProps(t, ms, "q", map[string]xdm.Value{"p1": xdm.NewString("k\x00x")}, sm)
-	b := putProps(t, ms, "q", map[string]xdm.Value{"p2": xdm.NewString("x")}, sm)
+	a := putProps(t, ms, "q", map[string]xdm.Value{"p": xdm.NewString("k\x00x")})
+	b := putProps(t, ms, "q", map[string]xdm.Value{"p\x00k": xdm.NewString("x")})
 
 	if got := sm.SliceMembers("s", "k\x00x"); len(got) != 1 || got[0] != a {
 		t.Fatalf("slice s/k\\0x: %v (leak from sibling pair)", got)
@@ -165,33 +163,51 @@ func TestSliceKeySeparatorIsolation(t *testing.T) {
 }
 
 // TestSliceMembersWatermarkRace pins the single-lock watermark read: a
-// writer interleaves Reset with sentinel memberships while readers assert
-// that any view containing sentinel n holds no member at or below the
-// watermark that preceded n. With the watermark read under one RLock and
-// the index scanned under a second, a Reset landing between them produces
-// exactly such a stale view. Run under -race in CI.
+// writer interleaves Reset with new members while readers assert that any
+// view containing member n holds no member at or below the watermark that
+// preceded n. With the watermark read under one RLock and the index scanned
+// under a second, a Reset landing between them produces exactly such a stale
+// view. Run under -race in CI.
 func TestSliceMembersWatermarkRace(t *testing.T) {
-	_, _, sm := setup(t, true)
+	opts := msgstore.DefaultOptions()
+	opts.Store.SyncCommits = false // more interleavings per second
+	ms, err := msgstore.Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	ms.CreateQueue("crm", msgstore.Persistent, 0)
+	sm := NewManager(ms, requestIDProps("crm"))
+	sm.Define("requestMsgs", "requestID")
 	pv := map[string]xdm.Value{"requestID": xdm.NewString("r1")}
 
 	var mu sync.Mutex
 	wmOf := map[msgstore.MsgID]msgstore.MsgID{}
 	stop := make(chan struct{})
-	done := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
 		var last msgstore.MsgID
-		for n := msgstore.MsgID(1); ; n++ {
+		for {
 			select {
 			case <-stop:
+				done <- nil
 				return
 			default:
 			}
-			sm.Reset("requestMsgs", "r1", last)
+			reset(sm, "requestMsgs", "r1", last)
+			tx := ms.Begin()
+			n, err := tx.Enqueue("crm", xmldom.MustParse(`<m/>`), pv, time.Now())
+			if err != nil {
+				done <- err
+				return
+			}
 			mu.Lock()
 			wmOf[n] = last
 			mu.Unlock()
-			sm.OnEnqueue(n, "crm", pv)
+			if _, err := tx.Commit(); err != nil {
+				done <- err
+				return
+			}
 			last = n
 		}
 	}()
@@ -210,43 +226,197 @@ func TestSliceMembersWatermarkRace(t *testing.T) {
 		mu.Unlock()
 		for _, id := range got {
 			if id <= maxWM {
-				t.Fatalf("member %d visible alongside a sentinel whose reset watermark is %d", id, maxWM)
+				t.Fatalf("member %d visible alongside a member whose reset watermark is %d", id, maxWM)
 			}
 		}
 	}
 	close(stop)
-	<-done
-}
-
-// TestSortIDs pins enqueue-order output for the merged queue-scan path,
-// which interleaves queues and relies on the sort.
-func TestSortIDs(t *testing.T) {
-	ids := []msgstore.MsgID{9, 3, 7, 1, 8, 2, 2, 5}
-	sortIDs(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			t.Fatalf("unsorted: %v", ids)
-		}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestRemovableSetMatchesRemovable pins the batched GC candidate pass
-// against the per-ID predicate it replaced.
-func TestRemovableSetMatchesRemovable(t *testing.T) {
-	ms, _, sm := setup(t, true)
-	var all []msgstore.MsgID
-	for i := 0; i < 12; i++ {
-		key := fmt.Sprintf("r%d", i%3)
-		all = append(all, putProps(t, ms, "crm", map[string]xdm.Value{"requestID": xdm.NewString(key)}, sm))
+// TestQueueScanKeepsEnqueueOrder pins enqueue-order output for the queue
+// scan, which goes queue by queue and relies on the sort: the later message
+// sits in the queue scanned first.
+func TestQueueScanKeepsEnqueueOrder(t *testing.T) {
+	ms, props, sm := setup(t, true)
+	var want []msgstore.MsgID
+	for _, queue := range []string{"customer", "crm", "customer", "crm"} {
+		want = append(want, put(t, ms, props, queue, `<m><requestID>r1</requestID></m>`))
 	}
-	sm.Reset("requestMsgs", "r1", all[len(all)-1])
-	got := map[msgstore.MsgID]bool{}
-	for _, id := range sm.removableSet(all) {
-		got[id] = true
+	if got := sm.SliceMembers("requestMsgs", "r1"); !slices.Equal(got, want) {
+		t.Fatalf("scan order %v, enqueue order %v", got, want)
 	}
-	for _, id := range all {
-		if want := sm.Removable(id); got[id] != want {
-			t.Fatalf("id %d: removableSet=%v Removable=%v", id, got[id], want)
+}
+
+// joinAndReset runs one request's life on a slice: two members join, are
+// processed, and a persisted reset dismisses them.
+func joinAndReset(t testing.TB, ms *msgstore.Store, sm *Manager, key string) (dismissed []msgstore.MsgID) {
+	pv := map[string]xdm.Value{"requestID": xdm.NewString(key)}
+	dismissed = []msgstore.MsgID{putProps(t, ms, "crm", pv), putProps(t, ms, "customer", pv)}
+	tx := ms.Begin()
+	tx.MarkProcessedAll(dismissed)
+	tx.RecordReset("requestMsgs", key)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range tx.AppliedResets {
+		sm.Reset(ev)
+	}
+	return dismissed
+}
+
+func collectPass(sm *Manager) error {
+	for _, queue := range []string{"crm", "customer"} {
+		if _, err := sm.CollectQueue(queue); err != nil {
+			return err
 		}
+	}
+	return sm.PruneResets()
+}
+
+// TestResetLogStaysBounded: a reset is remembered, in memory and on disk,
+// only while a message it dismisses is still stored. 5 000 join-and-reset
+// cycles with a collector pass every 100 leave neither 5 000 watermarks nor
+// 5 000 records to replay — and a slice that is reset over and over while it
+// keeps a dismissed member keeps one record, not one per reset.
+func TestResetLogStaysBounded(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			cycles := 5000
+			if mode.noIndex {
+				cycles = 500 // every probe of the reference is a queue scan
+			}
+			opts := msgstore.DefaultOptions()
+			opts.Store.SyncCommits = false
+			opts.NoPropertyIndex = mode.noIndex
+			ms, err := msgstore.Open(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ms.Close()
+			ms.CreateQueue("crm", msgstore.Persistent, 0)
+			ms.CreateQueue("customer", msgstore.Persistent, 0)
+			sm := NewManager(ms, requestIDProps("crm", "customer"))
+			sm.Define("requestMsgs", "requestID")
+
+			// Never processed, so never collected: the resets of "hot" always
+			// have something left to dismiss.
+			hot := putProps(t, ms, "crm", map[string]xdm.Value{"requestID": xdm.NewString("hot")})
+			for i := 0; i < cycles; i++ {
+				joinAndReset(t, ms, sm, fmt.Sprintf("r%d", i))
+				tx := ms.Begin()
+				tx.RecordReset("requestMsgs", "hot")
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				sm.Reset(tx.AppliedResets[0])
+				if i%100 == 99 {
+					if err := collectPass(sm); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			events, err := ms.ResetEvents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sm.resets) != 1 || len(events) != 1 || events[0].Key != "hot" {
+				t.Fatalf("after %d cycles and a final pass: %d watermarks, %d reset records", cycles, len(sm.resets), len(events))
+			}
+			if got := sm.SliceMembers("requestMsgs", "hot"); len(got) != 0 {
+				t.Fatalf("message %d dismissed %d times is visible: %v", hot, cycles, got)
+			}
+		})
+	}
+}
+
+// TestCollectPassCrashSweep crashes one collector pass at every disk
+// operation and reopens: whatever the crash kept of the message deletes and
+// of the reset-record deletes, no dismissed message is visible in its slice
+// again, and no member of a live slice is lost.
+func TestCollectPassCrashSweep(t *testing.T) {
+	const dir = "sweep" // FaultFS only
+	props := requestIDProps("crm", "customer")
+	type outcome struct {
+		dismissed map[string][]msgstore.MsgID
+		live      []msgstore.MsgID
+	}
+	// run builds the state and runs one pass; it returns the op count before
+	// the pass and the first error.
+	run := func(fs *store.FaultFS) (out outcome, before int, err error) {
+		opts := msgstore.DefaultOptions()
+		opts.Store.VFS = fs
+		ms, err := msgstore.Open(dir, opts)
+		if err != nil {
+			return out, 0, err
+		}
+		defer ms.Crash()
+		ms.CreateQueue("crm", msgstore.Persistent, 0)
+		ms.CreateQueue("customer", msgstore.Persistent, 0)
+		sm := NewManager(ms, props)
+		sm.Define("requestMsgs", "requestID")
+		out.dismissed = map[string][]msgstore.MsgID{}
+		for i := 0; i < 4; i++ {
+			key := fmt.Sprintf("r%d", i)
+			out.dismissed[key] = joinAndReset(t, ms, sm, key)
+		}
+		// A second lifetime of r0 and a slice never reset: both stay.
+		out.live = append(out.live, putProps(t, ms, "crm", map[string]xdm.Value{"requestID": xdm.NewString("r0")}))
+		out.live = append(out.live, putProps(t, ms, "customer", map[string]xdm.Value{"requestID": xdm.NewString("keep")}))
+		markProcessed(t, ms, out.live...)
+		before = fs.Ops()
+		return out, before, collectPass(sm)
+	}
+	fs := store.NewFaultFS(1)
+	_, before, err := run(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := fs.Ops()
+	if total-before < 4 {
+		t.Fatalf("the pass made %d disk operations", total-before)
+	}
+	for k := before + 1; k <= total; k++ {
+		fs := store.NewFaultFS(int64(100 + k))
+		fs.CrashAt(k)
+		out, _, err := run(fs)
+		if !fs.Crashed() {
+			t.Fatalf("crash point %d not reached: %v", k, err)
+		}
+		fs.ClearFault()
+		opts := msgstore.DefaultOptions()
+		opts.Store.VFS = fs
+		ms, err := msgstore.Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen after crash at %d: %v", k, err)
+		}
+		if err := ms.VerifyIntegrity(); err != nil {
+			t.Fatalf("crash at %d: %v", k, err)
+		}
+		sm := NewManager(ms, props)
+		sm.Define("requestMsgs", "requestID")
+		events, err := ms.ResetEvents()
+		if err != nil {
+			t.Fatalf("crash at %d: %v", k, err)
+		}
+		for _, ev := range events {
+			sm.Reset(ev)
+		}
+		for key, ids := range out.dismissed {
+			for _, id := range sm.SliceMembers("requestMsgs", key) {
+				if slices.Contains(ids, id) {
+					t.Fatalf("crash at %d: dismissed message %d is back in slice %s", k, id, key)
+				}
+			}
+		}
+		if got := sm.SliceMembers("requestMsgs", "r0"); !slices.Equal(got, out.live[:1]) {
+			t.Fatalf("crash at %d: second lifetime of r0 holds %v, want %v", k, got, out.live[:1])
+		}
+		if got := sm.SliceMembers("requestMsgs", "keep"); !slices.Equal(got, out.live[1:]) {
+			t.Fatalf("crash at %d: live slice holds %v, want %v", k, got, out.live[1:])
+		}
+		ms.Crash()
 	}
 }

@@ -5,23 +5,27 @@
 // the last reset, and the retention rule guarantees a processed message is
 // physically removable only once it belongs to no live slice (Sec. 2.3.3).
 //
-// The manager supports two implementations of slice access, the subject of
-// experiment E1:
+// A slice is a derived relation — the messages that carry the slicing
+// property with the slice key, on a queue the property is defined on, above
+// the slice's reset watermark — and the manager is a view of it that stores
+// no membership. The members of a slice are a range of the message store's
+// property index, keyed (property, value, msgID): the paper's "physical
+// representation of the slices ... using a B-Tree indexed by the slice key"
+// (Sec. 4.3), which the store keeps for every property. The slices of a
+// message follow from its queue and its properties. On a store that keeps no
+// index (msgstore.Options.NoPropertyIndex) members are found by scanning the
+// queues instead: the reference the index is tested against, and experiment
+// E1's "merging the slice definition into the rules" baseline.
 //
-//   - materialized: a B+tree index keyed (slicing, key, msgID), maintained
-//     on enqueue — the paper's "physical representation of the slices ...
-//     using a B-Tree indexed by the slice key" (Sec. 4.3);
-//   - merged: no index; each access re-evaluates the slice definition by
-//     scanning the queues the slicing property is defined on, the
-//     "merging the slice definition into the rules" baseline.
-//
-// Slice state is derived data rebuilt on startup from the message store;
-// resets are persisted as watermark events so slice visibility survives
-// restarts.
+// The one piece of state is the reset watermarks. They are replayed at
+// start-up from the events the message store persists, and forgotten again,
+// record and all, once the collector has removed every message they dismiss.
 package slicing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 
 	"demaq/internal/msgstore"
@@ -36,46 +40,39 @@ type Slicing struct {
 	Property string
 }
 
-// membership records that a message belongs to a slice.
-type membership struct {
-	slicing string
-	key     string
+// Membership names one slice: a slicing and a slice key.
+type Membership struct{ Slicing, Key string }
+
+// lifetime is the reset state of one slice: its members at or below the
+// watermark are dismissed, and record is the persisted event that says so.
+type lifetime struct {
+	watermark msgstore.MsgID
+	record    store.RID
 }
 
-// Manager tracks slice membership, lifetimes and retention.
+// Manager answers slice membership, lifetime and retention questions.
 type Manager struct {
-	mu        sync.RWMutex
-	ms        *msgstore.Store
-	props     *property.Manager
-	slicings  map[string]*Slicing
-	byProp    map[string][]*Slicing
-	index     *store.BTree // IndexKey(msgID, slicing, key) → nil
-	memberOf  map[msgstore.MsgID][]membership
-	watermark map[string]msgstore.MsgID // slicing \x00 key → last reset watermark
-
-	materialized bool
+	mu       sync.RWMutex
+	ms       *msgstore.Store
+	props    *property.Manager
+	slicings map[string]*Slicing
+	byProp   map[string][]*Slicing
+	resets   map[Membership]lifetime
+	// superseded holds the records of resets that a later reset of the same
+	// slice has overtaken, until PruneResets deletes them.
+	superseded []store.RID
 }
 
-// NewManager creates a slicing manager. materialized selects the indexed
-// implementation (the default and the paper's recommendation).
-func NewManager(ms *msgstore.Store, props *property.Manager, materialized bool) *Manager {
+// NewManager creates a slicing manager over a message store.
+func NewManager(ms *msgstore.Store, props *property.Manager) *Manager {
 	return &Manager{
-		ms:           ms,
-		props:        props,
-		slicings:     map[string]*Slicing{},
-		byProp:       map[string][]*Slicing{},
-		index:        store.NewBTree(),
-		memberOf:     map[msgstore.MsgID][]membership{},
-		watermark:    map[string]msgstore.MsgID{},
-		materialized: materialized,
+		ms:       ms,
+		props:    props,
+		slicings: map[string]*Slicing{},
+		byProp:   map[string][]*Slicing{},
+		resets:   map[Membership]lifetime{},
 	}
 }
-
-// SetMaterialized switches the slice access implementation (E1 ablation).
-func (m *Manager) SetMaterialized(on bool) { m.materialized = on }
-
-// Materialized reports the current implementation.
-func (m *Manager) Materialized() bool { return m.materialized }
 
 // Define registers a slicing over a property.
 func (m *Manager) Define(name, prop string) *Slicing {
@@ -90,199 +87,128 @@ func (m *Manager) Define(name, prop string) *Slicing {
 	return s
 }
 
-// Get returns a slicing by name.
-func (m *Manager) Get(name string) (*Slicing, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s, ok := m.slicings[name]
-	return s, ok
-}
-
-// Names lists declared slicings.
-func (m *Manager) Names() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.slicings))
-	for n := range m.slicings {
-		out = append(out, n)
+// slicedOn is the membership rule: a property value puts a message into a
+// slice only if the property is declared and defined on the message's queue.
+// A value that merely travelled there — inherited, or set by the enqueuing
+// rule — forms no slice.
+func (m *Manager) slicedOn(prop, queue string) bool {
+	def, ok := m.props.Def(prop)
+	if !ok {
+		return false
 	}
-	return out
+	_, onQueue := def.PerQueue[queue]
+	return onQueue
 }
 
-func sliceID(slicing, key string) string { return slicing + "\x00" + key }
-
-// indexKey builds the B-tree key of one membership row using the shared
-// length-prefixed codec. The previous "\x00"-separated layout was ambiguous:
-// a slice key embedding NUL made one slice's prefix cover another's rows
-// (slicing "s", key "k\x00x" collided with slicing "s\x00k", key "x"), so
-// ScanPrefix leaked entries across (slicing, key) pairs. Length prefixes are
-// prefix-free for any byte content.
-func indexKey(slicing, key string, id msgstore.MsgID) []byte {
-	return store.IndexKey(uint64(id), slicing, key)
+// Memberships returns the slices a new message in queue with these properties
+// joins, in a fixed order. The engine locks them before it publishes the
+// message.
+func (m *Manager) Memberships(queue string, props map[string]xdm.Value) []Membership {
+	return m.memberships(^msgstore.MsgID(0), queue, props)
 }
 
-// OnEnqueue records slice memberships for a newly committed message, based
-// on its evaluated properties. The engine calls it while holding the locks
-// of the affected slices.
-func (m *Manager) OnEnqueue(id msgstore.MsgID, queue string, props map[string]xdm.Value) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for propName, v := range props {
-		slicings := m.byProp[propName]
-		if len(slicings) == 0 {
-			continue
-		}
-		// Membership requires a declared property defined on this queue.
-		// An undeclared property must not form a slice: the merged path
-		// re-derives membership by scanning def.Queues(), so anything it
-		// cannot see must not be materialized either, or the two E1
-		// implementations diverge.
-		def, ok := m.props.Def(propName)
-		if !ok {
-			continue
-		}
-		if _, onQueue := def.PerQueue[queue]; !onQueue {
+// SlicesOf returns the slices a stored message belongs to, restricted to
+// current lifetimes.
+func (m *Manager) SlicesOf(id msgstore.MsgID) []Membership {
+	msg, ok := m.ms.Get(id)
+	if !ok {
+		return nil
+	}
+	return m.memberships(id, msg.Queue, msg.Props)
+}
+
+// memberships lists the slices message id in queue with these properties is
+// a live member of: one per slicing over each sliced property it carries,
+// unless a reset has dismissed it. A message still to be published passes
+// the highest id — it is above every watermark.
+func (m *Manager) memberships(id msgstore.MsgID, queue string, props map[string]xdm.Value) []Membership {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var out []Membership
+	for prop, slicings := range m.byProp {
+		v, ok := props[prop]
+		if !ok || !m.slicedOn(prop, queue) {
 			continue
 		}
 		key := v.StringValue()
 		for _, s := range slicings {
-			if m.materialized {
-				m.index.Insert(indexKey(s.Name, key, id), nil)
+			if mb := (Membership{s.Name, key}); id > m.resets[mb].watermark {
+				out = append(out, mb)
 			}
-			m.memberOf[id] = append(m.memberOf[id], membership{slicing: s.Name, key: key})
 		}
 	}
-}
-
-// OnRemove drops index entries of physically deleted messages.
-func (m *Manager) OnRemove(ids []msgstore.MsgID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, id := range ids {
-		for _, mb := range m.memberOf[id] {
-			m.index.Delete(indexKey(mb.slicing, mb.key, id))
-		}
-		delete(m.memberOf, id)
-	}
+	slices.SortFunc(out, func(a, b Membership) int {
+		return cmp.Or(strings.Compare(a.Slicing, b.Slicing), strings.Compare(a.Key, b.Key))
+	})
+	return out
 }
 
 // SliceMembers returns the IDs of messages visible in the slice (current
-// lifetime only), in enqueue order.
+// lifetime only), in enqueue order. The watermark is read and the members
+// are listed under one lock acquisition: a Reset landing in between would
+// show members of the new lifetime next to ones it dismissed.
 func (m *Manager) SliceMembers(slicing, key string) []msgstore.MsgID {
 	m.mu.RLock()
+	defer m.mu.RUnlock()
 	s, ok := m.slicings[slicing]
 	if !ok {
-		m.mu.RUnlock()
 		return nil
 	}
-	if m.materialized {
-		// Watermark read and index scan happen under the same lock
-		// acquisition. Reading the watermark under one RLock and scanning
-		// under a second let a concurrent Reset land in the gap, returning
-		// members of the new lifetime filtered by the old lifetime's
-		// watermark.
-		wm := m.watermark[sliceID(slicing, key)]
-		var out []msgstore.MsgID
-		m.index.ScanPrefix(store.IndexKeyPrefix(slicing, key), func(k, _ []byte) bool {
-			if id := msgstore.MsgID(store.IndexKeyID(k)); id > wm {
-				out = append(out, id)
-			}
-			return true
-		})
-		m.mu.RUnlock()
-		return out
-	}
-	wm := m.watermark[sliceID(slicing, key)]
-	prop := s.Property
-	m.mu.RUnlock()
+	return m.members(s.Property, key, m.resets[Membership{slicing, key}].watermark+1, ^msgstore.MsgID(0))
+}
 
-	// Merged evaluation: re-derive the slice from the message store. With
-	// the store's property index this is one contiguous (property, value)
-	// range scan already bounded below by the watermark, filtered to the
-	// queues the property is defined on; without it, the unindexed E1
-	// baseline scans every such queue.
-	def, ok := m.props.Def(prop)
-	if !ok {
-		return nil
-	}
+// members lists the live messages with lo <= id <= hi that carry key as
+// their value of prop on a queue prop is defined on, ascending: one
+// contiguous range of the property index, or the scan of those queues on a
+// store that keeps none.
+func (m *Manager) members(prop, key string, lo, hi msgstore.MsgID) []msgstore.MsgID {
 	if m.ms.PropertyIndexEnabled() {
-		ids := m.ms.PropertyIDsAfter(prop, key, wm, nil)
+		ids := m.ms.PropertyIDsRange(prop, key, lo, hi, nil)
 		out := ids[:0]
 		for _, id := range ids {
-			if msg, live := m.ms.Get(id); live {
-				if _, onQueue := def.PerQueue[msg.Queue]; onQueue {
-					out = append(out, id)
-				}
+			if msg, live := m.ms.Get(id); live && m.slicedOn(prop, msg.Queue) {
+				out = append(out, id)
 			}
 		}
 		return out // index scans ascend by id, so enqueue order is free
 	}
 	var out []msgstore.MsgID
-	for _, queue := range def.Queues() {
-		msgs, err := m.ms.Messages(queue)
-		if err != nil {
+	for _, queue := range m.ms.QueueNames() {
+		if !m.slicedOn(prop, queue) {
 			continue
 		}
+		msgs, _ := m.ms.Messages(queue) // fails for an unknown queue only
 		for _, msg := range msgs {
-			if v, ok := msg.Props[prop]; ok && v.StringValue() == key && msg.ID > wm {
+			if v, ok := msg.Props[prop]; ok && v.StringValue() == key && lo <= msg.ID && msg.ID <= hi {
 				out = append(out, msg.ID)
 			}
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out) // the scan went queue by queue
 	return out
 }
 
-func sortIDs(ids []msgstore.MsgID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-// SlicesOf returns the (slicing, key) pairs the message belongs to,
-// restricted to current lifetimes.
-func (m *Manager) SlicesOf(id msgstore.MsgID) []struct{ Slicing, Key string } {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []struct{ Slicing, Key string }
-	for _, mb := range m.memberOf[id] {
-		if id > m.watermark[sliceID(mb.slicing, mb.key)] {
-			out = append(out, struct{ Slicing, Key string }{mb.slicing, mb.key})
-		}
-	}
-	return out
-}
-
-// Reset begins a new lifetime for a slice: messages at or below the
-// watermark disappear from slice view and become retention-eligible.
-// The watermark is the message-store ID high-water mark at reset time.
-func (m *Manager) Reset(slicing, key string, watermark msgstore.MsgID) {
+// Reset begins a new lifetime for a slice: messages at or below the event's
+// watermark — the message-store ID high-water mark at reset time — disappear
+// from slice view and become retention-eligible.
+func (m *Manager) Reset(ev msgstore.ResetEvent) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sid := sliceID(slicing, key)
-	if watermark > m.watermark[sid] {
-		m.watermark[sid] = watermark
+	mb := Membership{ev.Slicing, ev.Key}
+	if cur, ok := m.resets[mb]; ok {
+		if ev.Watermark <= cur.watermark {
+			m.superseded = append(m.superseded, ev.RID)
+			return
+		}
+		m.superseded = append(m.superseded, cur.record)
 	}
-}
-
-// Watermark returns the current reset watermark for a slice.
-func (m *Manager) Watermark(slicing, key string) msgstore.MsgID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.watermark[sliceID(slicing, key)]
+	m.resets[mb] = lifetime{watermark: ev.Watermark, record: ev.RID}
 }
 
 // Removable reports whether a processed message may be physically deleted:
 // it must belong to no live slice (Sec. 2.3.3). Messages that were never in
 // any slice are removable once processed.
-func (m *Manager) Removable(id msgstore.MsgID) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, mb := range m.memberOf[id] {
-		if id > m.watermark[sliceID(mb.slicing, mb.key)] {
-			return false
-		}
-	}
-	return true
-}
+func (m *Manager) Removable(id msgstore.MsgID) bool { return len(m.SlicesOf(id)) == 0 }
 
 // CollectQueue scans the processed messages of a queue and physically
 // removes those no longer held by any live slice, using the redo-only batch
@@ -292,54 +218,43 @@ func (m *Manager) Removable(id msgstore.MsgID) bool {
 // listed must be kept out for the duration (the engine holds the queue's
 // exclusive lock around the call).
 func (m *Manager) CollectQueue(queue string) (int, error) {
-	removable := m.removableSet(m.ms.ProcessedIDs(queue))
+	msgs, err := m.ms.Messages(queue)
+	if err != nil {
+		return 0, err
+	}
+	var removable []msgstore.MsgID
+	for _, msg := range msgs {
+		if msg.Processed && len(m.memberships(msg.ID, queue, msg.Props)) == 0 {
+			removable = append(removable, msg.ID)
+		}
+	}
 	if len(removable) == 0 {
 		return 0, nil
 	}
 	if err := m.ms.Remove(queue, removable); err != nil {
 		return 0, err
 	}
-	m.OnRemove(removable)
 	return len(removable), nil
 }
 
-// removableSet filters ids down to those no longer held by any live slice
-// under one lock acquisition — the GC candidate pass over a whole queue used
-// to pay an RLock round-trip per message via Removable.
-func (m *Manager) removableSet(ids []msgstore.MsgID) []msgstore.MsgID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []msgstore.MsgID
-	for _, id := range ids {
-		held := false
-		for _, mb := range m.memberOf[id] {
-			if id > m.watermark[sliceID(mb.slicing, mb.key)] {
-				held = true
-				break
-			}
-		}
-		if !held {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Rebuild reconstructs memberships and the index from the message store
-// (startup path: slice state is derived data).
-func (m *Manager) Rebuild() error {
+// PruneResets forgets every reset that dismisses no message any more: a
+// watermark is needed only while a member at or below it is still stored,
+// and message ids never come back. The collector calls it after its
+// CollectQueue round, so the deletes of the dismissed messages are in the
+// log ahead of the delete of the reset records: whatever a crash keeps of
+// the round, no dismissed message comes back without its reset. A record
+// that outlives its map entry is replayed at the next start and pruned again.
+func (m *Manager) PruneResets() error {
 	m.mu.Lock()
-	m.index = store.NewBTree()
-	m.memberOf = map[msgstore.MsgID][]membership{}
-	m.mu.Unlock()
-	for _, queue := range m.ms.QueueNames() {
-		msgs, err := m.ms.Messages(queue)
-		if err != nil {
-			return err
-		}
-		for _, msg := range msgs {
-			m.OnEnqueue(msg.ID, queue, msg.Props)
+	dead := m.superseded
+	m.superseded = nil
+	for mb, lt := range m.resets {
+		s, ok := m.slicings[mb.Slicing]
+		if ok && len(m.members(s.Property, mb.Key, 0, lt.watermark)) == 0 {
+			delete(m.resets, mb)
+			dead = append(dead, lt.record)
 		}
 	}
-	return nil
+	m.mu.Unlock()
+	return m.ms.DeleteResets(dead)
 }

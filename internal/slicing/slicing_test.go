@@ -12,52 +12,79 @@ import (
 	"demaq/internal/xquery"
 )
 
-func setup(t *testing.T, materialized bool) (*msgstore.Store, *property.Manager, *Manager) {
+// modes are the two ways slice members are found: as a range of the store's
+// property index (production) and by scanning the queues of a store that
+// keeps no index (the reference).
+var modes = []struct {
+	name    string
+	noIndex bool
+}{{"index-range", false}, {"queue-scan", true}}
+
+func openStore(t testing.TB, dir string, noIndex bool) *msgstore.Store {
 	t.Helper()
-	ms, err := msgstore.Open(t.TempDir(), msgstore.DefaultOptions())
+	opts := msgstore.DefaultOptions()
+	opts.NoPropertyIndex = noIndex
+	ms, err := msgstore.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ms.Close() })
+	if ms.PropertyIndexEnabled() == noIndex {
+		t.Fatal("store index setup wrong")
+	}
+	return ms
+}
+
+func requestIDProps(queues ...string) *property.Manager {
 	props := property.NewManager()
-	props.Define(&property.Def{
-		Name: "requestID", Type: xdm.TypeString, Fixed: true,
-		PerQueue: map[string]*xquery.Compiled{
-			"crm":      xquery.MustCompile(`//requestID`, xquery.CompileOptions{}),
-			"customer": xquery.MustCompile(`//requestID`, xquery.CompileOptions{}),
-		},
-	})
-	sm := NewManager(ms, props, materialized)
+	def := &property.Def{Name: "requestID", Type: xdm.TypeString, Fixed: true, PerQueue: map[string]*xquery.Compiled{}}
+	for _, q := range queues {
+		def.PerQueue[q] = xquery.MustCompile(`//requestID`, xquery.CompileOptions{})
+	}
+	props.Define(def)
+	return props
+}
+
+func setup(t *testing.T, noIndex bool) (*msgstore.Store, *property.Manager, *Manager) {
+	t.Helper()
+	ms := openStore(t, t.TempDir(), noIndex)
+	t.Cleanup(func() { ms.Close() })
+	props := requestIDProps("crm", "customer")
+	sm := NewManager(ms, props)
 	sm.Define("requestMsgs", "requestID")
 	ms.CreateQueue("crm", msgstore.Persistent, 0)
 	ms.CreateQueue("customer", msgstore.Persistent, 0)
 	return ms, props, sm
 }
 
-func put(t *testing.T, ms *msgstore.Store, props *property.Manager, sm *Manager, queue, xml string) msgstore.MsgID {
+// put enqueues a message with its evaluated properties: all a slice needs.
+func put(t *testing.T, ms *msgstore.Store, props *property.Manager, queue, xml string) msgstore.MsgID {
 	t.Helper()
 	doc := xmldom.MustParse(xml)
 	pv, err := props.Evaluate(queue, doc, nil, nil, nil, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return putProps(t, ms, queue, pv)
+}
+
+func reset(sm *Manager, slicing, key string, watermark msgstore.MsgID) {
+	sm.Reset(msgstore.ResetEvent{Slicing: slicing, Key: key, Watermark: watermark})
+}
+
+func markProcessed(t *testing.T, ms *msgstore.Store, ids ...msgstore.MsgID) {
+	t.Helper()
 	tx := ms.Begin()
-	id, err := tx.Enqueue(queue, doc, pv, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx.MarkProcessedAll(ids)
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	sm.OnEnqueue(id, queue, pv)
-	return id
 }
 
-func testMembership(t *testing.T, materialized bool) {
-	ms, props, sm := setup(t, materialized)
-	a := put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
-	b := put(t, ms, props, sm, "customer", `<m><requestID>r1</requestID></m>`)
-	c := put(t, ms, props, sm, "crm", `<m><requestID>r2</requestID></m>`)
+func testMembership(t *testing.T, noIndex bool) {
+	ms, props, sm := setup(t, noIndex)
+	a := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+	b := put(t, ms, props, "customer", `<m><requestID>r1</requestID></m>`)
+	c := put(t, ms, props, "crm", `<m><requestID>r2</requestID></m>`)
 
 	got := sm.SliceMembers("requestMsgs", "r1")
 	if len(got) != 2 || got[0] != a || got[1] != b {
@@ -76,20 +103,20 @@ func testMembership(t *testing.T, materialized bool) {
 	}
 }
 
-func TestMembershipMaterialized(t *testing.T) { testMembership(t, true) }
-func TestMembershipMerged(t *testing.T)       { testMembership(t, false) }
+func TestMembershipMaterialized(t *testing.T) { testMembership(t, false) }
+func TestMembershipMerged(t *testing.T)       { testMembership(t, true) }
 
 func TestResetLifetimes(t *testing.T) {
-	for _, mat := range []bool{true, false} {
-		t.Run(fmt.Sprintf("materialized=%v", mat), func(t *testing.T) {
-			ms, props, sm := setup(t, mat)
-			a := put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
-			sm.Reset("requestMsgs", "r1", a) // watermark = a
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			ms, props, sm := setup(t, mode.noIndex)
+			a := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+			reset(sm, "requestMsgs", "r1", a) // watermark = a
 			if got := sm.SliceMembers("requestMsgs", "r1"); len(got) != 0 {
 				t.Fatalf("after reset: %v", got)
 			}
 			// New lifetime: a later message is visible again.
-			b := put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
+			b := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
 			got := sm.SliceMembers("requestMsgs", "r1")
 			if len(got) != 1 || got[0] != b {
 				t.Fatalf("new lifetime: %v", got)
@@ -99,18 +126,15 @@ func TestResetLifetimes(t *testing.T) {
 }
 
 func TestRetention(t *testing.T) {
-	ms, props, sm := setup(t, true)
-	a := put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
-	noSlice := put(t, ms, props, sm, "crm", `<m>plain</m>`)
+	ms, props, sm := setup(t, false)
+	a := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+	noSlice := put(t, ms, props, "crm", `<m>plain</m>`)
 
 	// Unprocessed: never collected.
 	if n, _ := sm.CollectQueue("crm"); n != 0 {
 		t.Fatalf("collected unprocessed: %d", n)
 	}
-	tx := ms.Begin()
-	tx.MarkProcessed(a)
-	tx.MarkProcessed(noSlice)
-	tx.Commit()
+	markProcessed(t, ms, a, noSlice)
 
 	// a is in a live slice: retained. noSlice: removable.
 	if sm.Removable(a) {
@@ -131,7 +155,7 @@ func TestRetention(t *testing.T) {
 	}
 
 	// After reset, a becomes collectable.
-	sm.Reset("requestMsgs", "r1", a)
+	reset(sm, "requestMsgs", "r1", a)
 	n, _ = sm.CollectQueue("crm")
 	if n != 1 {
 		t.Fatalf("gc after reset: %d", n)
@@ -144,10 +168,7 @@ func TestRetention(t *testing.T) {
 func TestMultiSliceRetention(t *testing.T) {
 	// A message in two slices is retained until *both* are reset
 	// (Sec. 2.3.3: "as long as it is contained in at least one slice").
-	ms, err := msgstore.Open(t.TempDir(), msgstore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := openStore(t, t.TempDir(), false)
 	defer ms.Close()
 	props := property.NewManager()
 	props.Define(&property.Def{Name: "p1", Type: xdm.TypeString, PerQueue: map[string]*xquery.Compiled{
@@ -156,95 +177,90 @@ func TestMultiSliceRetention(t *testing.T) {
 	props.Define(&property.Def{Name: "p2", Type: xdm.TypeString, PerQueue: map[string]*xquery.Compiled{
 		"q": xquery.MustCompile(`//b`, xquery.CompileOptions{}),
 	}})
-	sm := NewManager(ms, props, true)
+	sm := NewManager(ms, props)
 	sm.Define("s1", "p1")
 	sm.Define("s2", "p2")
 	ms.CreateQueue("q", msgstore.Persistent, 0)
 
-	id := put(t, ms, props, sm, "q", `<m><a>x</a><b>y</b></m>`)
-	tx := ms.Begin()
-	tx.MarkProcessed(id)
-	tx.Commit()
+	id := put(t, ms, props, "q", `<m><a>x</a><b>y</b></m>`)
+	markProcessed(t, ms, id)
 
 	if sm.Removable(id) {
 		t.Fatal("member of two live slices")
 	}
-	sm.Reset("s1", "x", id)
+	reset(sm, "s1", "x", id)
 	if sm.Removable(id) {
 		t.Fatal("still member of s2")
 	}
-	sm.Reset("s2", "y", id)
+	reset(sm, "s2", "y", id)
 	if !sm.Removable(id) {
 		t.Fatal("all slices reset: removable")
 	}
 }
 
-func TestRebuildAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	ms, err := msgstore.Open(dir, msgstore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	props := property.NewManager()
-	props.Define(&property.Def{
-		Name: "requestID", Type: xdm.TypeString, Fixed: true,
-		PerQueue: map[string]*xquery.Compiled{
-			"crm": xquery.MustCompile(`//requestID`, xquery.CompileOptions{}),
-		},
-	})
-	sm := NewManager(ms, props, true)
-	sm.Define("requestMsgs", "requestID")
-	ms.CreateQueue("crm", msgstore.Persistent, 0)
+// TestReopenNeedsNoRebuild: after a crash the slices are simply there again —
+// membership is read off the reopened store, and replaying the persisted
+// resets is the only start-up step.
+func TestReopenNeedsNoRebuild(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ms := openStore(t, dir, mode.noIndex)
+			props := requestIDProps("crm")
+			ms.CreateQueue("crm", msgstore.Persistent, 0)
 
-	a := put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
-	put(t, ms, props, sm, "crm", `<m><requestID>r1</requestID></m>`)
+			put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+			put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+			other := put(t, ms, props, "crm", `<m><requestID>r2</requestID></m>`)
 
-	// Persist a reset of r1 up to message a, through the txn path.
-	tx := ms.Begin()
-	tx.RecordReset("requestMsgs", "r1")
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Note: this reset's watermark covers both messages (high-water mark).
-	ms.Crash()
+			// Persist a reset of r1 through the txn path; its watermark is
+			// the ID high-water mark, so it covers all three messages.
+			tx := ms.Begin()
+			tx.RecordReset("requestMsgs", "r1")
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			later := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
+			ms.Crash()
 
-	ms2, err := msgstore.Open(dir, msgstore.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+			ms2 := openStore(t, dir, mode.noIndex)
+			defer ms2.Close()
+			ms2.CreateQueue("crm", msgstore.Persistent, 0)
+			sm2 := NewManager(ms2, props)
+			sm2.Define("requestMsgs", "requestID")
+			if got := sm2.SliceMembers("requestMsgs", "r2"); len(got) != 1 || got[0] != other {
+				t.Fatalf("slice r2 after reopen: %v", got)
+			}
+			events, err := ms2.ResetEvents()
+			if err != nil || len(events) != 1 {
+				t.Fatalf("reset events: %v %v", events, err)
+			}
+			for _, e := range events {
+				sm2.Reset(e)
+			}
+			// The first two messages predate the persisted watermark.
+			if got := sm2.SliceMembers("requestMsgs", "r1"); len(got) != 1 || got[0] != later {
+				t.Fatalf("reset lost across restart: %v", got)
+			}
+		})
 	}
-	defer ms2.Close()
-	ms2.CreateQueue("crm", msgstore.Persistent, 0)
-	sm2 := NewManager(ms2, props, true)
-	sm2.Define("requestMsgs", "requestID")
-	if err := sm2.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ms2.ResetEvents()
-	if err != nil || len(events) != 1 {
-		t.Fatalf("reset events: %v %v", events, err)
-	}
-	for _, e := range events {
-		sm2.Reset(e.Slicing, e.Key, e.Watermark)
-	}
-	// Both messages predate the persisted watermark: slice empty.
-	if got := sm2.SliceMembers("requestMsgs", "r1"); len(got) != 0 {
-		t.Fatalf("reset lost across restart: %v", got)
-	}
-	_ = a
 }
 
 func TestMaterializedAndMergedAgree(t *testing.T) {
-	ms, props, sm := setup(t, true)
+	views := map[string][]msgstore.MsgID{}
 	var want []msgstore.MsgID
-	for i := 0; i < 30; i++ {
-		id := put(t, ms, props, sm, "crm", fmt.Sprintf(`<m><requestID>r%d</requestID></m>`, i%5))
-		if i%5 == 3 {
-			want = append(want, id)
+	for _, mode := range modes {
+		ms, props, sm := setup(t, mode.noIndex)
+		want = want[:0]
+		for i := 0; i < 30; i++ {
+			id := put(t, ms, props, "crm", fmt.Sprintf(`<m><requestID>r%d</requestID></m>`, i%5))
+			if i%5 == 3 {
+				want = append(want, id)
+			}
 		}
+		views[mode.name] = sm.SliceMembers("requestMsgs", "r3")
 	}
-	mat := sm.SliceMembers("requestMsgs", "r3")
-	sm.SetMaterialized(false)
-	merged := sm.SliceMembers("requestMsgs", "r3")
+	mat, merged := views["index-range"], views["queue-scan"]
 	if len(mat) != len(want) || len(merged) != len(want) {
 		t.Fatalf("sizes: mat=%d merged=%d want=%d", len(mat), len(merged), len(want))
 	}

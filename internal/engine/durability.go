@@ -130,21 +130,7 @@ func (d *durabilityStage) undurable() int { return len(d.slots) }
 // gone, and settles what they left behind on the way out.
 func (d *durabilityStage) loop() {
 	defer d.eng.wg.Done()
-	batch := make([]precommit, 0, undurableCap)
-	for first := range d.queue {
-		batch = append(batch[:0], first)
-	more:
-		for {
-			select {
-			case pc, ok := <-d.queue:
-				if !ok {
-					break more
-				}
-				batch = append(batch, pc)
-			default:
-				break more
-			}
-		}
+	commitBatches(d.queue, func(batch []precommit) bool {
 		d.eng.stats.durabilityWaits.Add(1)
 		d.eng.settle(batch...)
 		for _, pc := range batch {
@@ -152,6 +138,32 @@ func (d *durabilityStage) loop() {
 			if len(pc.outgoing) > 0 {
 				<-d.outSlots
 			}
+		}
+		return true
+	})
+}
+
+// commitBatches is the accumulate-and-commit loop of the pipeline stages:
+// each round takes whatever accumulated on ch while the previous commit ran
+// and hands the lot to commit, until ch is closed or commit reports false.
+func commitBatches[T any](ch <-chan T, commit func([]T) bool) {
+	batch := make([]T, 0, cap(ch))
+	for first := range ch {
+		batch = append(batch[:0], first)
+	more:
+		for {
+			select {
+			case v, ok := <-ch:
+				if !ok {
+					break more
+				}
+				batch = append(batch, v)
+			default:
+				break more
+			}
+		}
+		if !commit(batch) {
+			return
 		}
 	}
 }

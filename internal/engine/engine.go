@@ -413,7 +413,7 @@ func (e *Engine) openSlices(prog *rule.Program) (*slicing.Manager, error) {
 // projection from the analysis (imprecise rules, `//` descents, or a
 // union that covers the document anyway) simply leaves the queue out.
 func (e *Engine) computeProjections(prog *rule.Program, app *qdl.Application) map[string]*xmldom.Projection {
-	if e.cfg.FullIngest || e.cfg.Store.TextPayloads {
+	if e.cfg.FullIngest {
 		return nil
 	}
 	projs := map[string]*xmldom.Projection{}
@@ -884,7 +884,7 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 	}
 	decl := e.queueDecl(queue)
 	kind := e.queueKind(queue)
-	if e.cfg.FullIngest || e.cfg.Store.TextPayloads ||
+	if e.cfg.FullIngest ||
 		q.Mode != msgstore.Persistent ||
 		(decl != nil && decl.Schema != "") ||
 		(kind != qdl.KindBasic && kind != qdl.KindIncomingGateway) {

@@ -546,28 +546,15 @@ func (g *gatewayService) transmit(gw *outgoingGW, id msgstore.MsgID) bool {
 // within the window instead of piling up duplicates for the restart.
 func (g *gatewayService) consumeLoop(gw *outgoingGW) {
 	defer g.eng.wg.Done()
-	batch := make([]transfer, 0, consumeBatchCap)
-	for first := range gw.done {
-		batch = append(batch[:0], first)
-	more:
-		for {
-			select {
-			case t, ok := <-gw.done:
-				if !ok {
-					break more
-				}
-				batch = append(batch, t)
-			default:
-				break more
-			}
-		}
+	commitBatches(gw.done, func(batch []transfer) bool {
 		if !g.consume(gw, batch) {
-			return
+			return false
 		}
 		for range batch {
 			<-gw.slots
 		}
-	}
+		return true
+	})
 }
 
 // consume marks a batch of completed transfers processed in one transaction.

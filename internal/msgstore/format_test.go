@@ -1,8 +1,14 @@
 package msgstore
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"demaq/internal/store"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 )
@@ -70,49 +76,6 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 	if !xmldom.DeepEqual(want, doc) {
 		t.Fatal("rehydration after reopen differs")
-	}
-}
-
-// TestTextPayloadBaseline keeps the pre-E12 text format reachable and
-// interoperable: a store written with TextPayloads reopens in binary mode
-// and serves both old text records and new binary ones.
-func TestTextPayloadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	opts := DefaultOptions()
-	opts.TextPayloads = true
-	ms, err := Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.CreateQueue("q", Persistent, 0); err != nil {
-		t.Fatal(err)
-	}
-	textID := enqueue(t, ms, "q", formatTestDoc, nil)
-	if st := ms.Stats(); st.PayloadTextBytes == 0 || st.PayloadEncodedBytes != 0 {
-		t.Fatalf("text mode accounting wrong: %+v", st)
-	}
-	ms.FlushDocCache()
-	if _, err := ms.Doc(textID); err != nil {
-		t.Fatal(err)
-	}
-	ms.Close()
-
-	ms, err = Open(dir, DefaultOptions()) // binary mode
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	binID := enqueue(t, ms, "q", formatTestDoc, nil)
-	ms.FlushDocCache()
-	want := xmldom.MustParse(formatTestDoc)
-	for _, id := range []MsgID{textID, binID} {
-		doc, err := ms.Doc(id)
-		if err != nil {
-			t.Fatalf("message %d: %v", id, err)
-		}
-		if !xmldom.DeepEqual(want, doc) {
-			t.Fatalf("message %d: mixed-format rehydration differs", id)
-		}
 	}
 }
 
@@ -188,4 +151,119 @@ func TestCollectionsBinaryFormat(t *testing.T) {
 	if len(docs) != 1 || !xmldom.DeepEqual(want, docs[0]) {
 		t.Fatalf("collection recovery differs: %d docs", len(docs))
 	}
+}
+
+// TestOnDiskFormatUnchanged compares what the store writes, byte for byte,
+// with hex captured at the commit before the text-payload, in-place-status
+// and pre-slot-header readers were retired — a change that deleted only
+// readers, so it had to leave every written byte alone. A difference here is
+// a format change: it needs a version bump and a way to open old stores.
+// Slot A is the one the reopen's checkpoint writes; its redo offset is the
+// log position after exactly this sequence of writes.
+func TestOnDiskFormatUnchanged(t *testing.T) {
+	want := map[string]string{
+		"tree-encoded record":     "02010000000000000015cd853dfe9c971702000800637573746f6d657201040061636d650500746f74616c03020034325500000001040000056f726465720875726e3a70726f630170046974656d00000371747900000573746174650801010200000302010102013301040d776964676574202620626f6c7405046e6f74650203000104046f70656e",
+		"pre-encoded record":      "02020000000000000015cd853dfe9c971702000800637573746f6d657201040061636d650500746f74616c03020034325500000001040000056f726465720875726e3a70726f630170046974656d00000371747900000573746174650801010200000302010102013301040d776964676574202620626f6c7405046e6f74650203000104046f70656e",
+		"status record":           "010000000000000002",
+		"processed status record": "010000000000000003",
+		"header slot A":           "0300000000000000dca4000000000000896b2527",
+	}
+	dir := t.TempDir()
+	ms, err := Open(dir, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms.CreateQueue("q", Persistent, 0); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(1_700_000_000, 123_456_789)
+	props := map[string]xdm.Value{"customer": xdm.NewString("acme"), "total": xdm.NewInteger(42)}
+	enc, err := xmldom.StreamEncode(nil, []byte(formatTestDoc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := ms.Begin()
+	treeID, err := tx.Enqueue("q", xmldom.MustParse(formatTestDoc), props, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encID, err := tx.EnqueueEncoded("q", enc, xmldom.MustParse(formatTestDoc), 0, nil, props, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	read := func(rid store.RID) string {
+		t.Helper()
+		b, err := ms.ps.Read(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(b)
+	}
+	tree, pre := ms.lookup(treeID), ms.lookup(encID)
+	got := map[string]string{
+		"tree-encoded record": read(tree.rid),
+		"pre-encoded record":  read(pre.rid),
+		"status record":       read(tree.statusRID),
+	}
+	tx = ms.Begin()
+	tx.MarkProcessed(treeID)
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got["processed status record"] = read(tree.statusRID)
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ms, err = Open(dir, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := os.ReadFile(filepath.Join(dir, "data.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["header slot A"] = hex.EncodeToString(hdr[64:84])
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s changed:\nwant %s\ngot  %s", k, w, got[k])
+		}
+	}
+}
+
+// FuzzMessageRecord feeds the message-record reader arbitrary bytes, seeded
+// with the builder's output for both payload kinds: decodeMessage and
+// payloadOffset never panic, and whenever decodeMessage accepts a record,
+// payloadOffset finds its payload inside it.
+func FuzzMessageRecord(f *testing.F) {
+	props := map[string]xdm.Value{"customer": xdm.NewString("acme"), "total": xdm.NewInteger(42)}
+	enc, err := xmldom.StreamEncode(nil, []byte(formatTestDoc), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ms Store
+	at := time.Unix(1_700_000_000, 0)
+	for _, pe := range []*pendingEnqueue{
+		{id: 1, at: at, props: props, doc: xmldom.MustParse(formatTestDoc)},
+		{id: 2, at: at, props: props, enc: enc},
+		{id: 3, at: at, enc: enc},
+	} {
+		f.Add(ms.appendMessageRecord(nil, pe))
+	}
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		po := payloadOffset(rec)
+		if _, err := decodeMessage(rec); err != nil {
+			return
+		}
+		if po < 4 || po > len(rec) {
+			t.Fatalf("decoded record of %d bytes, payload offset %d", len(rec), po)
+		}
+		if n := int(binary.LittleEndian.Uint32(rec[po-4:])); n > len(rec)-po {
+			t.Fatalf("decoded record of %d bytes, payload of %d bytes at %d", len(rec), n, po)
+		}
+	})
 }

@@ -4,8 +4,9 @@
 //
 // The store follows the paper's append-only model (Sec. 2.3.3): message
 // payloads are never modified after enqueue; the only in-place mutation is
-// the processed flag, and physical removal is driven by the retention
-// logic in internal/slicing via redo-only batch deletes.
+// the processed flag, which lives in a status side-heap of its own, and
+// physical removal is driven by the retention logic in internal/slicing via
+// redo-only batch deletes.
 //
 // Concurrency: there is no store-wide mutex. State is striped so that
 // independent transactions never contend (Sec. 4.3's fine-grained locking
@@ -58,37 +59,15 @@ const (
 // id, rid, doc, props, enqueued and q are immutable once the message is
 // published; processed and dead are the only mutable fields.
 type msgMeta struct {
-	id  MsgID
-	rid store.RID // persistent queues
-	// statusRID locates the message's 9-byte record in the queue's status
-	// side-heap; the zero RID (page 0 is the store header) means the record
-	// predates the side-heap and processed marking falls back to rewriting
-	// the payload record's status byte in place.
-	statusRID store.RID
+	id        MsgID
+	rid       store.RID // persistent queues
+	statusRID store.RID // persistent queues: the 9-byte status side-heap record
 	doc       *xmldom.Node
 	props     map[string]xdm.Value
 	enqueued  time.Time
 	q         *Queue
-	binary    bool // payload stored in the binary tree encoding
 	processed atomic.Bool
 	dead      atomic.Bool // physically removed
-}
-
-// status returns the on-disk status byte of the message. The processed
-// write path (Txn.Commit, store.Txn.SetByte) rewrites the whole byte, so
-// it must re-synthesize the payload-format bit alongside the flag.
-// Authoritative in the status side-heap record; the copy in the payload
-// record is written once at insert and only consulted when no side-heap
-// entry exists (legacy stores).
-func (m *msgMeta) status(processed bool) byte {
-	s := byte(0)
-	if processed {
-		s |= statusProcessed
-	}
-	if m.binary {
-		s |= statusBinaryPayload
-	}
-	return s
 }
 
 // Queue is one message queue.
@@ -145,11 +124,7 @@ type Store struct {
 	// each pair's postings in ascending id order.
 	propIndex *store.BTree
 
-	// textPayloads selects the on-disk payload format for new writes
-	// (Options.TextPayloads); reads dispatch on the per-record format bit.
-	textPayloads     bool
-	payloadEncBytes  atomic.Uint64
-	payloadTextBytes atomic.Uint64
+	payloadEncBytes atomic.Uint64
 
 	nextID atomic.Uint64 // next MsgID to assign
 
@@ -213,14 +188,6 @@ type Options struct {
 	Store     store.Options
 	CacheDocs int // parsed-document cache capacity (default 4096)
 
-	// TextPayloads stores message payloads and collection documents as
-	// serialized XML text instead of the binary tree encoding, the
-	// format of early stores; rehydration then pays a full
-	// character-level parse per doc-cache miss. Reads always dispatch on
-	// the stored format, so a store written in one mode opens fine in the
-	// other.
-	TextPayloads bool
-
 	// NoPropertyIndex keeps no derived index: dispatch and slice access
 	// then fall back to per-message property probes and whole-queue scans.
 	// Test reference for TestIndexedScanDispatchDifferential and slicing's
@@ -234,7 +201,7 @@ func DefaultOptions() Options {
 }
 
 // Stats reports message-store counters: document-cache effectiveness and
-// payload bytes written per storage format.
+// payload bytes written.
 type Stats struct {
 	DocCacheHits      uint64
 	DocCacheMisses    uint64
@@ -242,18 +209,18 @@ type Stats struct {
 	DocCacheSize      int
 	DocCacheCap       int
 
-	// PayloadEncodedBytes / PayloadTextBytes accumulate the payload sizes
-	// written in the binary tree encoding and as XML text respectively
-	// (messages and collection documents).
+	// PayloadEncodedBytes accumulates the payload sizes written (messages
+	// and collection documents, all in the binary tree encoding).
 	PayloadEncodedBytes uint64
-	PayloadTextBytes    uint64
+	// PayloadTextBytes is always 0: text payloads are no longer written. It
+	// stays only because the benchmark (bench/layers.go) still reads it.
+	PayloadTextBytes uint64
 }
 
 // Stats returns a snapshot of the store counters.
 func (ms *Store) Stats() Stats {
 	st := ms.cache.stats()
 	st.PayloadEncodedBytes = ms.payloadEncBytes.Load()
-	st.PayloadTextBytes = ms.payloadTextBytes.Load()
 	return st
 }
 
@@ -274,12 +241,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	ms := &Store{
-		ps:           ps,
-		queues:       map[string]*Queue{},
-		colls:        map[string]*collection{},
-		sessions:     map[sessionKey]*sessionEntry{},
-		cache:        newDocCache(opts.CacheDocs),
-		textPayloads: opts.TextPayloads,
+		ps:       ps,
+		queues:   map[string]*Queue{},
+		colls:    map[string]*collection{},
+		sessions: map[sessionKey]*sessionEntry{},
+		cache:    newDocCache(opts.CacheDocs),
 	}
 	if !opts.NoPropertyIndex {
 		ms.propIndex = store.NewBTree()
@@ -330,11 +296,17 @@ func (ms *Store) openSystemHeaps() error {
 		return err
 	}
 	for _, e := range resets {
-		if next := uint64(e.Watermark) + 1; next > ms.nextID.Load() {
-			ms.nextID.Store(next)
-		}
+		ms.assignAbove(e.Watermark)
 	}
 	return ms.loadSessions()
+}
+
+// assignAbove makes the message ids assigned from here on start above id.
+// Open calls it single-threaded.
+func (ms *Store) assignAbove(id MsgID) {
+	if next := uint64(id) + 1; next > ms.nextID.Load() {
+		ms.nextID.Store(next)
+	}
 }
 
 // Close stops the session compactor and closes the underlying store.
@@ -402,61 +374,67 @@ func (ms *Store) QueueNames() []string {
 	return out
 }
 
+// loadQueue rebuilds a persistent queue from its two heaps. A record that
+// does not decode, a status record of the wrong size, or a payload with no
+// status record fails the open: skipping one would lose a message, or its
+// processed flag, without a word.
 func (ms *Store) loadQueue(name string) error {
 	h, _ := ms.ps.Heap("q:" + name)
 	q := &Queue{Name: name, Mode: Persistent, heap: h}
-	// Scan the status side-heap first so the payload scan can join against
-	// it; a side-heap entry is authoritative over the payload record's
-	// status byte (which is only written at insert). Stores written before
-	// the side-heap existed get one created now — their new messages use
-	// it, while pre-existing records keep the in-place fallback.
+	// CreateQueue makes q: and s: in two catalog commits, so a crash between
+	// them leaves a queue without its status heap — and without messages, as
+	// none could be enqueued before CreateQueue returned.
+	sh, ok := ms.ps.Heap("s:" + name)
+	if !ok {
+		var err error
+		if sh, err = ms.ps.CreateHeap("s:" + name); err != nil {
+			return err
+		}
+	}
+	q.statusHeap = sh
+	// Status records first, so the payload scan can join against them. Every
+	// status id raises the next id, not only the live ones: an orphan left
+	// by a crash inside Remove must never meet a new message with its id.
 	type statusEntry struct {
 		rid    store.RID
 		status byte
 	}
-	var statuses map[MsgID]statusEntry
-	if sh, ok := ms.ps.Heap("s:" + name); ok {
-		q.statusHeap = sh
-		statuses = make(map[MsgID]statusEntry)
-		err := ms.ps.Scan(sh, func(rid store.RID, payload []byte) bool {
-			if len(payload) == statusRecSize {
-				statuses[MsgID(binary.LittleEndian.Uint64(payload))] = statusEntry{rid: rid, status: payload[8]}
-			}
-			return true
-		})
-		if err != nil {
-			return err
+	statuses := make(map[MsgID]statusEntry)
+	var loadErr error
+	err := ms.ps.Scan(sh, func(rid store.RID, rec []byte) bool {
+		if len(rec) != statusRecSize {
+			loadErr = fmt.Errorf("msgstore: status record of %d bytes (record %s of s:%s)", len(rec), rid, name)
+			return false
 		}
-	} else {
-		sh, err := ms.ps.CreateHeap("s:" + name)
-		if err != nil {
-			return err
-		}
-		q.statusHeap = sh
-	}
-	err := ms.ps.Scan(h, func(rid store.RID, payload []byte) bool {
-		m, err := decodeMessage(payload)
-		if err != nil {
-			return true // skip corrupt records; recovery guarantees should prevent this
-		}
-		m.rid = rid
-		m.q = q
-		if e, ok := statuses[m.id]; ok {
-			m.statusRID = e.rid
-			m.processed.Store(e.status&statusProcessed != 0)
-		}
-		q.msgs = append(q.msgs, m)
-		if !m.dead.Load() {
-			q.live++
-		}
-		sh := ms.shard(m.id)
-		sh.byID[m.id] = m
-		ms.indexMessage(m)
-		if next := uint64(m.id) + 1; next > ms.nextID.Load() {
-			ms.nextID.Store(next)
-		}
+		id := MsgID(binary.LittleEndian.Uint64(rec))
+		statuses[id] = statusEntry{rid: rid, status: rec[8]}
+		ms.assignAbove(id)
 		return true
 	})
+	if err == nil && loadErr == nil {
+		err = ms.ps.Scan(h, func(rid store.RID, rec []byte) bool {
+			m, err := decodeMessage(rec)
+			if err != nil {
+				loadErr = fmt.Errorf("%w (record %s of q:%s)", err, rid, name)
+				return false
+			}
+			e, ok := statuses[m.id]
+			if !ok {
+				loadErr = fmt.Errorf("msgstore: message %d has no status record (record %s of q:%s)", m.id, rid, name)
+				return false
+			}
+			m.rid, m.statusRID, m.q = rid, e.rid, q
+			m.processed.Store(e.status&statusProcessed != 0)
+			q.msgs = append(q.msgs, m)
+			q.live++
+			ms.shard(m.id).byID[m.id] = m
+			ms.indexMessage(m)
+			return true
+		})
+	}
+	if err == nil {
+		err = loadErr
+	}
 	if err != nil {
 		return err
 	}
@@ -468,13 +446,19 @@ func (ms *Store) loadQueue(name string) error {
 func (ms *Store) loadCollection(name string) error {
 	h, _ := ms.ps.Heap("c:" + name)
 	c := &collection{name: name, heap: h}
-	err := ms.ps.Scan(h, func(_ store.RID, payload []byte) bool {
-		doc, err := xmldom.Materialize(payload)
-		if err == nil {
-			c.docs = append(c.docs, doc)
+	var loadErr error
+	err := ms.ps.Scan(h, func(rid store.RID, rec []byte) bool {
+		doc, err := xmldom.Decode(rec)
+		if err != nil {
+			loadErr = fmt.Errorf("msgstore: %w (record %s of c:%s)", err, rid, name)
+			return false
 		}
+		c.docs = append(c.docs, doc)
 		return true
 	})
+	if err == nil {
+		err = loadErr
+	}
 	if err != nil {
 		return err
 	}
@@ -484,23 +468,21 @@ func (ms *Store) loadCollection(name string) error {
 
 // --- message record encoding ---
 //
-//	[0]   status byte: bit0 processed, bit1 binary-encoded payload
+//	[0]   status byte: bit0 processed (never set here), bit1 binary payload
+//	      (always set)
 //	[1:9] msgID
 //	[9:17] enqueued unix nanos
 //	[17:19] property count
 //	per property: u16 name len, name, u8 type, u16 value len, value (lexical)
-//	u32 payload len, payload (binary tree encoding, or serialized XML text
-//	when bit1 is unset)
+//	u32 payload len, payload (binary tree encoding)
 //
-// Payload records are immutable after insert. The live status byte of a
-// message lives in the queue's status side-heap ("s:" + name) as a 9-byte
-// record [msgID u64 LE, status byte]: ~600 statuses share one 8KB page, so
-// marking a claimed batch processed dirties one or two dense pages instead
-// of rewriting a payload page per message. The copy of the status byte at
-// payload offset 0 is consulted only for records written before the
-// side-heap existed, which are also the only ones still updated in place
-// (store.Txn.SetByte rewrites the whole byte, so both bits must be
-// re-synthesized whenever it is written).
+// Payload records are immutable after insert. The status byte of a message
+// lives in the queue's status side-heap ("s:" + name) as a 9-byte record
+// [msgID u64 LE, status byte]: ~600 statuses share one 8KB page, so marking a
+// claimed batch processed dirties one or two dense pages instead of
+// rewriting a payload page per message. The payload record's copy at offset 0
+// is written once and never read: keeping it leaves the record format, and
+// every store already written, unchanged.
 
 const (
 	statusProcessed     = byte(1 << 0)
@@ -508,6 +490,16 @@ const (
 
 	statusRecSize = 9 // [0:8] msgID little-endian, [8] status byte
 )
+
+// statusByte is the on-disk status byte of a message. store.Txn.SetByte
+// rewrites the whole byte, so the payload-format bit rides along with the
+// processed flag.
+func statusByte(processed bool) byte {
+	if processed {
+		return statusBinaryPayload | statusProcessed
+	}
+	return statusBinaryPayload
+}
 
 // appendStatusRecord builds the status side-heap record for a message.
 func appendStatusRecord(dst []byte, id MsgID, status byte) []byte {
@@ -520,23 +512,23 @@ func appendStatusRecord(dst []byte, id MsgID, status byte) []byte {
 // page store copies the record on Insert).
 var recBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// appendMessageRecord appends the full record of m — header, properties
-// and the payload rendered from doc in the store's configured format — and
-// returns the extended buffer.
-func (ms *Store) appendMessageRecord(dst []byte, m *msgMeta, doc *xmldom.Node) []byte {
-	m.binary = !ms.textPayloads
+// appendMessageRecord appends the full record of a staged message — header,
+// properties and payload — and returns the extended buffer. The payload is
+// pe.enc verbatim when the streaming ingest path pre-encoded it, else pe.doc
+// rendered in the binary tree encoding.
+func (ms *Store) appendMessageRecord(dst []byte, pe *pendingEnqueue) []byte {
 	type kv struct {
 		k, v string
 		t    uint8
 	}
-	props := make([]kv, 0, len(m.props))
-	for k, v := range m.props {
+	props := make([]kv, 0, len(pe.props))
+	for k, v := range pe.props {
 		props = append(props, kv{k: k, v: v.StringValue(), t: uint8(v.T)})
 	}
 	sort.Slice(props, func(i, j int) bool { return props[i].k < props[j].k })
-	dst = append(dst, m.status(m.processed.Load()))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.id))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.enqueued.UnixNano()))
+	dst = append(dst, statusByte(false))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(pe.id))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(pe.at.UnixNano()))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(props)))
 	for _, p := range props {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.k)))
@@ -547,45 +539,14 @@ func (ms *Store) appendMessageRecord(dst []byte, m *msgMeta, doc *xmldom.Node) [
 	}
 	lenOff := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	if m.binary {
-		dst = xmldom.EncodeAppend(dst, doc)
-		ms.payloadEncBytes.Add(uint64(len(dst) - lenOff - 4))
+	if pe.enc != nil {
+		dst = append(dst, pe.enc...)
 	} else {
-		dst = xmldom.AppendSerialize(dst, doc)
-		ms.payloadTextBytes.Add(uint64(len(dst) - lenOff - 4))
+		dst = xmldom.EncodeAppend(dst, pe.doc)
 	}
-	binary.LittleEndian.PutUint32(dst[lenOff:], uint32(len(dst)-lenOff-4))
-	return dst
-}
-
-// appendEncodedRecord appends the full record of m with a payload that is
-// already in the binary document encoding (streaming ingest): the header is
-// identical to appendMessageRecord, the payload bytes are copied verbatim.
-func (ms *Store) appendEncodedRecord(dst []byte, m *msgMeta, enc []byte) []byte {
-	m.binary = true
-	type kv struct {
-		k, v string
-		t    uint8
-	}
-	props := make([]kv, 0, len(m.props))
-	for k, v := range m.props {
-		props = append(props, kv{k: k, v: v.StringValue(), t: uint8(v.T)})
-	}
-	sort.Slice(props, func(i, j int) bool { return props[i].k < props[j].k })
-	dst = append(dst, m.status(m.processed.Load()))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.id))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.enqueued.UnixNano()))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(props)))
-	for _, p := range props {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.k)))
-		dst = append(dst, p.k...)
-		dst = append(dst, p.t)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.v)))
-		dst = append(dst, p.v...)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
-	dst = append(dst, enc...)
-	ms.payloadEncBytes.Add(uint64(len(enc)))
+	n := len(dst) - lenOff - 4
+	binary.LittleEndian.PutUint32(dst[lenOff:], uint32(n))
+	ms.payloadEncBytes.Add(uint64(n))
 	return dst
 }
 
@@ -596,9 +557,7 @@ func decodeMessage(data []byte) (*msgMeta, error) {
 	m := &msgMeta{
 		id:       MsgID(binary.LittleEndian.Uint64(data[1:])),
 		enqueued: time.Unix(0, int64(binary.LittleEndian.Uint64(data[9:]))).UTC(),
-		binary:   data[0]&statusBinaryPayload != 0,
 	}
-	m.processed.Store(data[0]&statusProcessed != 0)
 	n := int(binary.LittleEndian.Uint16(data[17:]))
 	off := 19
 	if n > 0 {

@@ -1,6 +1,8 @@
 package msgstore
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,67 +57,125 @@ func TestStatusSideHeapKeepsPayloadImmutable(t *testing.T) {
 	}
 }
 
-// TestStatusSideHeapLegacyFallback simulates a store written before the
-// status side-heap existed: payload records with no side record must keep
-// working via the in-place status-byte update, and recovery must read the
-// flag back from the payload record.
-func TestStatusSideHeapLegacyFallback(t *testing.T) {
+// TestOrphanStatusIDsNotReused: Remove deletes payloads, then status
+// records, in two commits. A crash between them leaves an orphan status
+// record whose id no payload holds any more; the ids handed out after the
+// restart must start above it, or a new message would share the orphan's id
+// and could come back processed from the next open.
+func TestOrphanStatusIDsNotReused(t *testing.T) {
 	dir := t.TempDir()
 	ms, err := Open(dir, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms.CreateQueue("q", Persistent, 0)
-	var ids []MsgID
+	keep := enqueue(t, ms, "q", `<m>keep</m>`, nil)
+	top := enqueue(t, ms, "q", `<m>top</m>`, nil)
 	tx := ms.Begin()
-	for i := 0; i < 3; i++ {
-		id, _ := tx.Enqueue("q", xmldom.MustParse(`<m>x</m>`), nil, time.Now())
-		ids = append(ids, id)
-	}
+	tx.MarkProcessed(top)
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the side-heap records to make the payload records look legacy.
-	q := ms.getQueue("q")
-	var srids []store.RID
-	ms.ps.Scan(q.statusHeap, func(rid store.RID, _ []byte) bool {
-		srids = append(srids, rid)
-		return true
-	})
-	if len(srids) != 3 {
-		t.Fatalf("expected 3 status records, got %d", len(srids))
-	}
-	if err := ms.ps.BatchDelete(q.statusHeap, srids); err != nil {
+	// The first half of Remove(top): its payload only.
+	if err := ms.ps.BatchDelete(ms.getQueue("q").heap, []store.RID{ms.lookup(top).rid}); err != nil {
 		t.Fatal(err)
 	}
 	ms.Crash()
 
-	ms2, err := Open(dir, DefaultOptions())
+	ms, err = Open(dir, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ms2.lookup(ids[1]).statusRID; got != (store.RID{}) {
-		t.Fatalf("legacy message should have no statusRID, got %v", got)
-	}
-	tx = ms2.Begin()
-	tx.MarkProcessed(ids[1])
-	if _, err := tx.Commit(); err != nil {
+	if err := ms.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	ms2.Crash()
+	fresh := enqueue(t, ms, "q", `<m>fresh</m>`, nil)
+	if fresh <= top {
+		t.Fatalf("new message got id %d, at or below the orphan status record's %d", fresh, top)
+	}
+	ms.Crash()
 
-	ms3, err := Open(dir, DefaultOptions())
+	ms, err = Open(dir, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms3.Close()
-	msgs, _ := ms3.Messages("q")
-	if len(msgs) != 3 {
-		t.Fatalf("recovered %d messages", len(msgs))
+	defer ms.Close()
+	if err := ms.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
 	}
-	for i, m := range msgs {
-		if m.Processed != (i == 1) {
-			t.Fatalf("message %d processed=%v after legacy-fallback recovery", i, m.Processed)
-		}
+	if got := ms.UnprocessedIDs("q"); !slices.Equal(got, []MsgID{keep, fresh}) {
+		t.Fatalf("unprocessed after the second reopen: %v, want [%d %d]", got, keep, fresh)
 	}
+}
+
+// TestLoadersFailLoudly: a record the loaders cannot use is a message, a
+// processed flag or a master-data document lost. Open refuses the store and
+// names the heap and the record instead of skipping it.
+func TestLoadersFailLoudly(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		heap string
+		// corrupt damages the store and returns the RID the error must name.
+		corrupt func(t *testing.T, ms *Store) store.RID
+	}{
+		{"undecodable payload", "q:q", func(t *testing.T, ms *Store) store.RID {
+			return insertRaw(t, ms, "q:q", []byte{statusBinaryPayload, 1, 2, 3})
+		}},
+		{"status record of the wrong size", "s:q", func(t *testing.T, ms *Store) store.RID {
+			return insertRaw(t, ms, "s:q", appendStatusRecord(nil, 99, statusByte(false))[:5])
+		}},
+		{"payload without status record", "q:q", func(t *testing.T, ms *Store) store.RID {
+			m := ms.lookup(enqueue(t, ms, "q", `<m>x</m>`, nil))
+			if err := ms.ps.BatchDelete(m.q.statusHeap, []store.RID{m.statusRID}); err != nil {
+				t.Fatal(err)
+			}
+			return m.rid
+		}},
+		{"undecodable collection document", "c:rates", func(t *testing.T, ms *Store) store.RID {
+			if err := ms.CreateCollection("rates"); err != nil {
+				t.Fatal(err)
+			}
+			return insertRaw(t, ms, "c:rates", []byte(`<rate>1.09</rate>`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ms, err := Open(dir, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.CreateQueue("q", Persistent, 0)
+			enqueue(t, ms, "q", `<m>ok</m>`, nil)
+			rid := tc.corrupt(t, ms)
+			if err := ms.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ms, err = Open(dir, DefaultOptions())
+			if err == nil {
+				ms.Close()
+				t.Fatal("the store opened")
+			}
+			if want := "record " + rid.String() + " of " + tc.heap; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		})
+	}
+}
+
+// insertRaw commits one record into a heap as it is, bypassing the encoders.
+func insertRaw(t *testing.T, ms *Store, heap string, rec []byte) store.RID {
+	t.Helper()
+	h, ok := ms.ps.Heap(heap)
+	if !ok {
+		t.Fatalf("no heap %s", heap)
+	}
+	pt := ms.ps.Begin()
+	rid, err := pt.Insert(h, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return rid
 }

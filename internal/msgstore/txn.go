@@ -71,7 +71,6 @@ type pendingEnqueue struct {
 	q         *Queue    // prepare
 	rid       store.RID // persist (persistent queues)
 	statusRID store.RID // persist: status side-heap record
-	binary    bool      // persist: payload format written
 }
 
 // Begin starts a transaction.
@@ -104,14 +103,10 @@ func (t *Txn) Enqueue(queue string, doc *xmldom.Node, props map[string]xdm.Value
 // strings); the caller must not reuse the buffer.
 //
 // Projected payloads require a persistent queue (a transient message is
-// held only as its cached tree, which must be complete); stores configured
-// for text payloads cannot accept pre-encoded records at all.
+// held only as its cached tree, which must be complete).
 func (t *Txn) EnqueueEncoded(queue string, enc []byte, doc *xmldom.Node, fp uint64, pruned []string, props map[string]xdm.Value, at time.Time) (MsgID, error) {
 	if t.done {
 		return 0, fmt.Errorf("msgstore: transaction finished")
-	}
-	if t.ms.textPayloads {
-		return 0, fmt.Errorf("msgstore: pre-encoded enqueue on a text-payload store")
 	}
 	q := t.ms.getQueue(queue)
 	if q == nil {
@@ -213,19 +208,11 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 				continue
 			}
 			// The single-parse ingest contract: the sealed tree handed to
-			// Enqueue is rendered straight into the record buffer (binary
-			// encoding by default), with no intermediate string. Streaming
-			// enqueues skip even that: the pre-encoded payload bytes are
-			// spliced into the record as-is.
-			m := &msgMeta{id: pe.id, props: pe.props, enqueued: pe.at}
-			var rec []byte
-			if pe.enc != nil {
-				rec = ms.appendEncodedRecord((*bufp)[:0], m, pe.enc)
-			} else {
-				rec = ms.appendMessageRecord((*bufp)[:0], m, pe.doc)
-			}
+			// Enqueue is rendered straight into the record buffer, with no
+			// intermediate string. Streaming enqueues skip even that: the
+			// pre-encoded payload bytes are spliced into the record as-is.
+			rec := ms.appendMessageRecord((*bufp)[:0], pe)
 			*bufp = rec
-			pe.binary = m.binary
 			rid, err := pt.Insert(pe.q.heap, rec)
 			if err != nil {
 				pt.Abort()
@@ -237,7 +224,7 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 			// transaction, so a message and its status slot are atomic:
 			// recovery sees both or neither.
 			var srec [statusRecSize]byte
-			srid, err := pt.Insert(pe.q.statusHeap, appendStatusRecord(srec[:0], pe.id, m.status(false)))
+			srid, err := pt.Insert(pe.q.statusHeap, appendStatusRecord(srec[:0], pe.id, statusByte(false)))
 			if err != nil {
 				pt.Abort()
 				recBufPool.Put(bufp)
@@ -254,19 +241,9 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 			if m.q.Mode != Persistent || m.dead.Load() {
 				continue
 			}
-			// SetByte rewrites the whole status byte, so the payload-format
-			// bit is re-synthesized alongside the processed flag. Both
-			// concurrent markers compute the same value, so the write stays
-			// idempotent. Messages written before the status side-heap
-			// existed have no side record; they keep the in-place update of
-			// the payload record's first byte.
-			var err error
-			if m.statusRID != (store.RID{}) {
-				err = pt.SetByte(m.statusRID, 8, m.status(true))
-			} else {
-				err = pt.SetByte(m.rid, 0, m.status(true))
-			}
-			if err != nil {
+			// Both concurrent markers write the same byte, so the write
+			// stays idempotent.
+			if err := pt.SetByte(m.statusRID, 8, statusByte(true)); err != nil {
 				pt.Abort()
 				return nil, 0, err
 			}
@@ -312,7 +289,7 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 		metas := make([]*msgMeta, n)
 		for i, pe := range t.enqueues {
 			q := pe.q
-			m := &msgMeta{id: pe.id, props: pe.props, enqueued: pe.at, q: q, binary: pe.binary}
+			m := &msgMeta{id: pe.id, props: pe.props, enqueued: pe.at, q: q}
 			if q.Mode == Persistent {
 				m.rid = pe.rid
 				m.statusRID = pe.statusRID
@@ -463,22 +440,15 @@ func (ms *Store) Doc(id MsgID) (*xmldom.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rehydration dispatches on the record's format bit: binary payloads
-	// decode structurally (one arena, no character-level parse), text
-	// payloads take the parse baseline. The record buffer from Read is
-	// freshly allocated and never touched again, so the decoded tree may
-	// alias it (DecodeOwned) instead of copying the payload once more.
+	// Rehydration is a structural decode (one arena, no character-level
+	// parse). The record buffer from Read is freshly allocated and never
+	// touched again, so the decoded tree may alias it (DecodeOwned) instead
+	// of copying the payload once more.
 	po := payloadOffset(data)
 	if po < 0 {
 		return nil, fmt.Errorf("msgstore: message %d record corrupt", id)
 	}
-	payload := data[po:]
-	var doc *xmldom.Node
-	if data[0]&statusBinaryPayload != 0 {
-		doc, err = xmldom.DecodeOwned(payload)
-	} else {
-		doc, err = xmldom.Parse(payload)
-	}
+	doc, err := xmldom.DecodeOwned(data[po:])
 	if err != nil {
 		return nil, fmt.Errorf("msgstore: message %d payload: %w", id, err)
 	}
@@ -492,8 +462,8 @@ func (ms *Store) Doc(id MsgID) (*xmldom.Node, error) {
 // returned (spans skipped) together with the local names of the elements
 // pruned into spans — the caller merges those into its element-name
 // dispatch index. In every other case (full record, fingerprint mismatch
-// after a rule change, text payload, fp == 0 meaning "no projection") the
-// complete document is materialized exactly like Doc.
+// after a rule change, fp == 0 meaning "no projection") the complete
+// document is materialized exactly like Doc.
 func (ms *Store) DocProjected(id MsgID, fp uint64) (*xmldom.Node, []string, error) {
 	if fp == 0 {
 		doc, err := ms.Doc(id)
@@ -528,12 +498,7 @@ func (ms *Store) DocProjected(id MsgID, fp uint64) (*xmldom.Node, []string, erro
 	}
 	// Stored under a different (or no) projection: materialize fully. The
 	// decode expands any spans transparently.
-	var doc *xmldom.Node
-	if data[0]&statusBinaryPayload != 0 {
-		doc, err = xmldom.DecodeOwned(payload)
-	} else {
-		doc, err = xmldom.Parse(payload)
-	}
+	doc, err := xmldom.DecodeOwned(payload)
 	if err != nil {
 		return nil, nil, fmt.Errorf("msgstore: message %d payload: %w", id, err)
 	}
@@ -624,9 +589,7 @@ func (ms *Store) Remove(queue string, ids []MsgID) error {
 		dropped = append(dropped, m)
 		if q.Mode == Persistent {
 			rids = append(rids, m.rid)
-			if m.statusRID != (store.RID{}) {
-				statusRids = append(statusRids, m.statusRID)
-			}
+			statusRids = append(statusRids, m.statusRID)
 		}
 		ms.cache.drop(id)
 	}
@@ -652,18 +615,17 @@ func (ms *Store) Remove(queue string, ids []MsgID) error {
 	q.mu.Unlock()
 	// Disk deletion runs outside all msgstore locks; recovery re-runs of a
 	// lost batch delete are idempotent (processed messages re-collect).
-	// The status side-heap records go second: a crash between the two
-	// deletes leaves orphaned status entries, which loadQueue's join simply
-	// never matches against a payload record.
-	if len(rids) > 0 {
-		if err := ms.ps.BatchDelete(q.heap, rids); err != nil {
-			return err
-		}
-		if len(statusRids) > 0 {
-			return ms.ps.BatchDelete(q.statusHeap, statusRids)
-		}
+	// Payloads go first, their status records second: a crash between the
+	// two deletes leaves orphan status records, which loadQueue's join never
+	// matches and whose ids it never hands out again. The reverse order
+	// would leave payloads without a status record, which Open refuses.
+	if len(rids) == 0 {
+		return nil
 	}
-	return nil
+	if err := ms.ps.BatchDelete(q.heap, rids); err != nil {
+		return err
+	}
+	return ms.ps.BatchDelete(q.statusHeap, statusRids)
 }
 
 // UnprocessedIDs returns the IDs of unprocessed messages per queue, used by
@@ -728,14 +690,8 @@ func (ms *Store) AddToCollection(name string, doc *xmldom.Node) error {
 	defer c.mu.Unlock()
 	pt := ms.ps.Begin()
 	bufp := recBufPool.Get().(*[]byte)
-	var rec []byte
-	if ms.textPayloads {
-		rec = xmldom.AppendSerialize((*bufp)[:0], doc)
-		ms.payloadTextBytes.Add(uint64(len(rec)))
-	} else {
-		rec = xmldom.EncodeAppend((*bufp)[:0], doc)
-		ms.payloadEncBytes.Add(uint64(len(rec)))
-	}
+	rec := xmldom.EncodeAppend((*bufp)[:0], doc)
+	ms.payloadEncBytes.Add(uint64(len(rec)))
 	*bufp = rec
 	_, err = pt.Insert(c.heap, rec)
 	recBufPool.Put(bufp)

@@ -14,9 +14,10 @@ import (
 //
 //   - every payload record decodes, and no message id appears twice;
 //   - the status side-heap joins cleanly: every live message's processed
-//     flag agrees with its authoritative status record, and orphan status
-//     records (payload deleted, status delete lost in the crash — the one
-//     state the Remove WAL ordering permits) reference no live payload;
+//     flag agrees with its status record, orphan status records (payload
+//     deleted, status delete lost in the crash — the one state the Remove
+//     WAL ordering permits) reference no live payload, and no status record
+//     carries an id the store may still hand out;
 //   - the property index matches a recomputation from the queue scan,
 //     posting for posting;
 //   - no page carries an LSN beyond the end of the log.
@@ -108,6 +109,10 @@ func (ms *Store) VerifyIntegrity() error {
 			}
 			id := MsgID(binary.LittleEndian.Uint64(payload))
 			processed := payload[8]&statusProcessed != 0
+			if next := ms.nextID.Load(); uint64(id) >= next {
+				scanErr = fmt.Errorf("queue %s: status record %s has id %d, next id to assign is %d", q.Name, rid, id, next)
+				return false
+			}
 			if !seen[id] {
 				return true // orphan: payload delete durable, status delete lost
 			}

@@ -66,13 +66,12 @@ const (
 	// offset recovery replays from — in two CRC-protected ping-pong slots.
 	// Checkpoints alternate between them, so a torn or lost slot write
 	// leaves the previous slot — which pairs with the still-intact previous
-	// on-disk state — valid. Offset 40 holds the legacy (pre-slot) value
-	// for stores formatted by older versions.
-	hdrLegacyBase = 40
-	hdrSlotA      = 64
-	hdrSlotB      = 96
-	hdrSlotSize   = 20 // seq u64 | redo offset u64 | crc32 u32
-	headerBytes   = hdrSlotB + hdrSlotSize
+	// on-disk state — valid. Format writes slot A before anything can be
+	// logged, so a header with no valid slot is a torn format.
+	hdrSlotA    = 64
+	hdrSlotB    = 96
+	hdrSlotSize = 20 // seq u64 | redo offset u64 | crc32 u32
+	headerBytes = hdrSlotB + hdrSlotSize
 )
 
 // writeHeaderSlot encodes one header slot into b.
@@ -82,10 +81,9 @@ func writeHeaderSlot(b []byte, seq, redo uint64) {
 	binary.LittleEndian.PutUint32(b[16:], crc32.ChecksumIEEE(b[:16]))
 }
 
-// parseHeaderSlots returns the newest valid (redo offset, seq) pair,
-// falling back to the legacy field (seq 0) when neither slot validates.
+// parseHeaderSlots returns the newest valid (redo offset, seq) pair; seq is
+// 0 when neither slot validates.
 func parseHeaderSlots(hdr []byte) (redo, seq uint64) {
-	redo = binary.LittleEndian.Uint64(hdr[hdrLegacyBase:])
 	for _, off := range []int{hdrSlotA, hdrSlotB} {
 		s := hdr[off : off+hdrSlotSize]
 		if crc32.ChecksumIEEE(s[:16]) != binary.LittleEndian.Uint32(s[16:]) {
@@ -281,11 +279,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	// A crash during the initial format can leave a missing, empty, or torn
 	// data file. Formatting syncs before any WAL record can exist, so a
-	// short or bad-magic header alongside an EMPTY WAL means nothing was
-	// ever committed and reformatting is safe. With a non-empty WAL the
-	// header is load-bearing — silently resetting the redo offset to zero
-	// would let stale page LSNs mask the redo of newer log records — so
-	// the open must fail instead.
+	// short header, a bad magic or no valid slot alongside an EMPTY WAL
+	// means nothing was ever committed and reformatting is safe. With a
+	// non-empty WAL the header is load-bearing — silently resetting the
+	// redo offset to zero would let stale page LSNs mask the redo of newer
+	// log records — so the open must fail instead.
 	isNew := size < 2*PageSize
 	redoOff, hdrSeq := uint64(0), uint64(0)
 	if !isNew {
@@ -293,14 +291,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		if _, err := file.ReadAt(hdr, 0); err != nil {
 			return fail(fmt.Errorf("store: read header: %w", err))
 		}
-		if string(hdr[24:24+len(storeMagic)]) != storeMagic {
-			isNew = true // torn format — unless the WAL says otherwise below
-		} else {
+		if string(hdr[24:24+len(storeMagic)]) == storeMagic {
 			redoOff, hdrSeq = parseHeaderSlots(hdr)
 		}
-	}
-	if isNew {
-		redoOff, hdrSeq = 0, 0
+		isNew = hdrSeq == 0 // torn format — unless the WAL says otherwise below
 	}
 	log, err := openWALDir(vfs, dir, redoOff, opts.SyncCommits, uint64(opts.WALSegmentSize))
 	if err != nil {
@@ -308,7 +302,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if isNew && log.size() > 0 {
 		log.close()
-		return fail(fmt.Errorf("store: truncated header (data file %d bytes) with non-empty WAL", size))
+		return fail(fmt.Errorf("store: torn or truncated header (data file %d bytes) with non-empty WAL", size))
 	}
 	s := &Store{
 		dir:        dir,

@@ -540,6 +540,49 @@ func TestOpenShortHeaderFails(t *testing.T) {
 	s.Close()
 }
 
+// TestOpenHeaderWithoutValidSlotFails: the header's two checkpoint slots are
+// the only record of where recovery starts. A store whose slots both fail
+// their CRC must not open from a guess — there is no pre-slot field to fall
+// back on any more.
+func TestOpenHeaderWithoutValidSlotFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.CreateHeap("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := s.Begin()
+	if _, err := tx.Insert(h, []byte("committed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "data.db")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int{hdrSlotA, hdrSlotB} {
+		data[off+hdrSlotSize-1] ^= 0xff // the CRC's last byte
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(dir, DefaultOptions()); err == nil {
+		s.Close()
+		t.Fatal("Open succeeded on a header with no valid checkpoint slot")
+	} else if !strings.Contains(err.Error(), "header") {
+		t.Fatalf("want header error, got: %v", err)
+	}
+}
+
 // TestOpenEmptyDataFile checks that a zero-length data file — the residue
 // of a crash between file creation and the first header write — is treated
 // as a fresh store and reformatted.

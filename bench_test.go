@@ -59,7 +59,7 @@ func setupSliceBench(b *testing.B, nMsgs, nSlices int, materialized bool) *slici
 		key := fmt.Sprintf("s%d", i%nSlices)
 		doc := xmldom.MustParse(fmt.Sprintf(`<m><k>%s</k><data>payload %d</data></m>`, key, i))
 		pv := map[string]xdm.Value{"k": xdm.NewString(key)}
-		if _, err := tx.Enqueue("q", doc, pv, time.Now()); err != nil {
+		if err := tx.Enqueue("q", doc, pv, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}

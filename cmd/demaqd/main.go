@@ -32,7 +32,7 @@ func main() {
 		appFile    = flag.String("app", "", "application file (QDL+QML statements)")
 		dataDir    = flag.String("data", "./demaq-data", "data directory")
 		workers    = flag.Int("workers", 4, "message-processing workers")
-		batchSize  = flag.Int("batch", 0, "messages claimed and committed per set-oriented batch (0 = tuned default, 1 = tuple-at-a-time)")
+		batchSize  = flag.Int("batch", 0, "messages claimed and committed per set-oriented batch (0 = tuned default, 1 = one message per transaction)")
 		check      = flag.Bool("check", false, "validate the application and exit")
 		useHTTP    = flag.Bool("http", false, "attach the HTTP gateway transport")
 		simSeed    = flag.Int64("sim", 0, "attach the simulated network transport with this seed")

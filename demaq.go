@@ -48,11 +48,10 @@ type Options struct {
 	Workers int
 	// BatchSize caps how many messages a worker claims, evaluates and
 	// commits as one set-oriented unit (0 = tuned default, currently 32;
-	// 1 = tuple-at-a-time processing, the pre-batching behavior). Larger
+	// 1 = one message per transaction, each a batch of one). Larger
 	// batches amortize transaction, locking and WAL-commit overhead;
-	// failures bisect back to single-message semantics, and batches of
-	// low-priority work yield to higher-priority arrivals between
-	// messages.
+	// failures bisect down to batches of one, and batches of low-priority
+	// work yield to higher-priority arrivals between messages.
 	BatchSize int
 	// CoarseLocking switches from slice- to queue-granularity locks
 	// (the experiment E2 baseline; slower under contention).

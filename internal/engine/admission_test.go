@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
 	"demaq/internal/store"
+	"demaq/internal/xmldom"
 )
 
 // Tests of admission in the commit pipeline: an admitted message is scheduled
@@ -160,6 +163,57 @@ func TestAdmissionWALFailureAfterSchedule(t *testing.T) {
 	checkAllProcessed(t, c.eng, "in", len(in))
 	checkAllProcessed(t, c.eng, "out", len(in))
 	checkInOrder(t, rec.payloads(), len(in))
+}
+
+// TestMalformedTransferDoesNotWaitForLog: a malformed transfer is refused
+// without waiting for the flush of its error message — the gateway handler
+// may hold a reliable session's peer lock — and the error message is in its
+// queue once the log goes through.
+func TestMalformedTransferDoesNotWaitForLog(t *testing.T) {
+	vfs := &syncVFS{VFS: store.NewFaultFS(29)}
+	e, err := New(Config{Dir: "malformed", Workers: 1, Logger: quietLog,
+		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
+		qdl.MustParse(`
+		create queue in kind basic mode persistent errorqueue errs;
+		create queue errs kind basic mode persistent;
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	e.Start()
+	release := vfs.holdSyncs()
+	defer release()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.gws.deliver("in", []byte(`<m>unclosed`), nil, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var pe *xmldom.ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("malformed transfer refused with %v, want a parse error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a malformed transfer waits for the log before it is refused")
+	}
+	release()
+	if !e.Drain(10 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	waitFor(t, 10*time.Second, func() bool { return e.Stats().UndurableBatches == 0 })
+	errs, _ := e.MessageStore().Messages("errs")
+	if len(errs) != 1 {
+		t.Fatalf("errs holds %d messages, want the error of the malformed transfer", len(errs))
+	}
+	doc, err := e.MessageStore().Doc(errs[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind := xmldom.AppendSerialize(nil, doc); !strings.Contains(string(kind), "<kind>message</kind>") {
+		t.Fatalf("error message %s", kind)
+	}
 }
 
 // --- WS-RM admission ---------------------------------------------------------

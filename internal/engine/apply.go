@@ -97,16 +97,6 @@ type batchItem struct {
 	updates *xquery.UpdateList
 }
 
-// applyUpdates executes one message's pending update list and marks it
-// processed, in one message-store transaction: the single-message shape of
-// applyBatch.
-func (e *Engine) applyUpdates(txnID uint64, id msgstore.MsgID, queue string,
-	parentProps map[string]xdm.Value, updates *xquery.UpdateList, now time.Time) (precommit, error) {
-	return e.applyBatch(txnID, queue, []batchItem{
-		{id: id, props: parentProps, updates: updates},
-	}, now)
-}
-
 // applyBatch executes the pending update lists of a whole batch and marks
 // every triggering message processed, in one message-store transaction.
 // Target queues and slices are locked before any effect is applied (strict
@@ -195,12 +185,12 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 						return precommit{}, err
 					}
 				}
-				nid, err := tx.Enqueue(u.Queue, u.Doc, props, now)
-				if err != nil {
+				if err := tx.Enqueue(u.Queue, u.Doc, props, now); err != nil {
 					tx.Abort()
 					return precommit{}, err
 				}
-				// Lock the new message's slices (they change shape).
+				// Lock the new message's slices (they change shape) before
+				// the pre-commit gives it its id.
 				if e.cfg.Granularity == LockSlice {
 					for _, res := range e.sliceLocks(u.Queue, props) {
 						if err := lockOnce(res, locks.X); err != nil {
@@ -209,7 +199,7 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 						}
 					}
 				}
-				stagedEnqs = append(stagedEnqs, stagedMsg{id: nid, queue: u.Queue, props: props})
+				stagedEnqs = append(stagedEnqs, stagedMsg{queue: u.Queue, props: props})
 			case *xquery.ResetUpdate:
 				tx.RecordReset(u.Slicing, u.Key.StringValue())
 			}
@@ -219,7 +209,7 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		tx.Abort()
 		return precommit{}, err
 	}
-	_, lsn, err := tx.Precommit()
+	lsn, err := precommitStaged(tx, stagedEnqs)
 	if err != nil {
 		return precommit{}, err
 	}

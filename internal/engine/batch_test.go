@@ -131,19 +131,24 @@ func TestSchedulerPreemptFor(t *testing.T) {
 
 // --- batch/single differential: identical final state ---
 
-// pipelineDiffApp is the E7 pipeline plus an error-injecting rule: orders
-// carrying <poison/> fail rule evaluation and must land in the error queue
-// with no pipeline output, identically at every batch size.
+// pipelineDiffApp is the E7 pipeline plus two error-injecting rules, each
+// with an error queue of its own: orders carrying <poison/> or <bad/> fail
+// rule evaluation and must land in their rule's error queue — not in the
+// inbox's — with no pipeline output, identically at every batch size.
 const pipelineDiffApp = `
-	create queue inbox kind basic mode persistent;
+	create queue inbox kind basic mode persistent errorqueue inboxErrs;
 	create queue stage1 kind basic mode persistent;
 	create queue stage2 kind basic mode persistent;
 	create queue outbox kind basic mode persistent;
 	create queue errs kind basic mode persistent;
+	create queue badErrs kind basic mode persistent;
+	create queue inboxErrs kind basic mode persistent;
 	create rule s0 for inbox if (//order) then
 	  do enqueue <checked>{//order/id}</checked> into stage1;
 	create rule poison for inbox errorqueue errs
 	  if (//order/poison) then do enqueue <x>{1 idiv 0}</x> into outbox;
+	create rule bad for inbox errorqueue badErrs
+	  if (//order/bad) then do enqueue <x>{1 idiv 0}</x> into outbox;
 	create rule s1 for stage1 if (//checked) then
 	  do enqueue <priced>{//checked/id}</priced> into stage2;
 	create rule s2 for stage2 if (//priced) then
@@ -195,8 +200,11 @@ func runPipelineDiff(t *testing.T, batchSize, n int) (map[string][]string, Stats
 	e.Start()
 	for i := 0; i < n; i++ {
 		doc := fmt.Sprintf(`<order><id>%d</id></order>`, i)
-		if i%6 == 5 {
+		switch i % 6 {
+		case 5:
 			doc = fmt.Sprintf(`<order><id>%d</id><poison/></order>`, i)
+		case 2:
+			doc = fmt.Sprintf(`<order><id>%d</id><bad/></order>`, i)
 		}
 		if _, err := e.EnqueueXML("inbox", doc, nil); err != nil {
 			t.Fatal(err)
@@ -212,7 +220,7 @@ func runPipelineDiff(t *testing.T, batchSize, n int) (map[string][]string, Stats
 	return state, e.Stats()
 }
 
-// TestBatchSingleDifferential runs the same workload tuple-at-a-time
+// TestBatchSingleDifferential runs the same workload in batches of one
 // (BatchSize 1) and set-oriented (BatchSize 32) and asserts identical
 // final store state, error-queue contents and processed counts. Runs
 // under -race in CI.
@@ -247,8 +255,25 @@ func TestBatchSingleDifferential(t *testing.T) {
 	if singleStats.Enqueued != batchStats.Enqueued {
 		t.Errorf("enqueued: single %d, batch %d", singleStats.Enqueued, batchStats.Enqueued)
 	}
-	if want := uint64(n / 6); singleStats.Errors != want {
-		t.Errorf("poison errors: %d, want %d", singleStats.Errors, want)
+	if want := uint64(2 * n / 6); singleStats.Errors != want {
+		t.Errorf("rule errors: %d, want %d", singleStats.Errors, want)
+	}
+	// The error message names the failing rule, lands in that rule's error
+	// queue and embeds the complete triggering document.
+	for name, state := range map[string]map[string][]string{"single": single, "batch": batch} {
+		for queue, marker := range map[string]string{"errs": "poison", "badErrs": "bad"} {
+			if got := len(state[queue]); got != n/6 {
+				t.Errorf("%s: %s holds %d error messages, want %d", name, queue, got, n/6)
+			}
+			for _, m := range state[queue] {
+				if !strings.Contains(m, "<rule>"+marker+"</rule>") || !strings.Contains(m, "<"+marker+"/></order></initialMessage>") {
+					t.Errorf("%s: error message in %s does not name rule %s or embed its order: %s", name, queue, marker, m)
+				}
+			}
+		}
+		if got := len(state["inboxErrs"]); got != 0 {
+			t.Errorf("%s: %d rule errors fell back to the queue's error queue", name, got)
+		}
 	}
 	if batchStats.BatchesClaimed == 0 || batchStats.AvgBatchSize <= 1 {
 		t.Errorf("batch run did not batch: %d claims, avg %.2f",

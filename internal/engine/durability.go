@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"demaq/internal/msgstore"
@@ -37,8 +38,8 @@ import (
 //     completes their scheduler claims (which is what Drain and Shutdown
 //     observe);
 //   - the return to an external caller — the HTTP 202, the WS-RM ack, the
-//     result of Enqueue/EnqueueWire — which commitExternal (or, for a WS-RM
-//     transfer, the second phase of the staged handler) makes after settle.
+//     result of Enqueue/EnqueueWire — which commitExternal (or, for an
+//     admission, admitted) makes after settle.
 //
 // So an input pays one flush before its ack and its rule chain pays one more
 // before its output leaves, but the two overlap: the chain runs while the
@@ -55,11 +56,24 @@ type precommit struct {
 }
 
 // stagedMsg is a message staged into a transaction, on its way to its slices
-// and its consumer.
+// and its consumer. Its id is known once the transaction has pre-committed.
 type stagedMsg struct {
 	id    msgstore.MsgID
 	queue string
 	props map[string]xdm.Value
+}
+
+// precommitStaged pre-commits tx and fills in the ids of staged, the messages
+// it enqueues, in staging order.
+func precommitStaged(tx *msgstore.Txn, staged []stagedMsg) (uint64, error) {
+	msgs, lsn, err := tx.Precommit()
+	if err != nil {
+		return 0, err
+	}
+	for i, m := range msgs {
+		staged[i].id = m.ID
+	}
+	return lsn, nil
 }
 
 // undurableCap bounds how many pre-committed worker transactions may be
@@ -95,6 +109,9 @@ type durabilityStage struct {
 	slots    chan struct{}  // semaphore: one slot per un-durable transaction
 	outSlots chan struct{}  // semaphore: and one of these if it has outgoing messages
 	queue    chan precommit // never blocks: a sender holds a slot
+
+	mu      sync.RWMutex // held shared by add, exclusively by close
+	stopped bool
 }
 
 func newDurabilityStage(e *Engine) *durabilityStage {
@@ -104,14 +121,18 @@ func newDurabilityStage(e *Engine) *durabilityStage {
 		queue:    make(chan precommit, undurableCap)}
 }
 
-// add hands a worker's pre-committed transaction, completing claims
-// scheduler claims, to the stage. Called with no logical lock held.
+// add hands a pre-committed transaction, completing claims scheduler claims,
+// to the stage. Called with no logical lock held, by the workers and by the
+// engine's own error messages; those may come after the stage has stopped,
+// and then settle here.
 func (d *durabilityStage) add(pc precommit, claims int) {
 	pc.claims = claims
-	if pc.lsn == 0 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if pc.lsn == 0 || d.stopped {
 		// Nothing was logged (a duplicate schedule, transient queues only)
 		// and nothing is owed to the outside (outputLSN): there is no flush
-		// to wait for.
+		// to wait for. Once the stage has stopped, the caller waits itself.
 		d.eng.settle(pc)
 		return
 	}
@@ -123,11 +144,20 @@ func (d *durabilityStage) add(pc precommit, claims int) {
 	d.queue <- pc
 }
 
+// close stops the stage once the workers are gone: the loop settles what is
+// queued and exits.
+func (d *durabilityStage) close() {
+	d.mu.Lock()
+	d.stopped = true
+	close(d.queue)
+	d.mu.Unlock()
+}
+
 // undurable is the number of transactions handed over and not yet settled.
 func (d *durabilityStage) undurable() int { return len(d.slots) }
 
-// loop runs until the queue is closed, which Stop does once the workers are
-// gone, and settles what they left behind on the way out.
+// loop runs until the stage is closed and settles what was left behind on
+// the way out.
 func (d *durabilityStage) loop() {
 	defer d.eng.wg.Done()
 	commitBatches(d.queue, func(batch []precommit) bool {
@@ -246,10 +276,9 @@ func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
 }
 
 // commitExternal commits a transaction that does not run under a worker's
-// locks — admission, the echo timers, the gateway senders, error messages
-// raised outside a rule — and returns once it is durable. It is
-// precommitExternal and settle in a row, as msgstore's Commit is Precommit
-// and WaitDurable: the messages it stages reach their internal consumers
+// locks — the echo timers, the gateway senders — and returns once it is
+// durable. It is precommitExternal and settle in a row, as msgstore's Commit
+// is Precommit and WaitDurable: the messages it stages reach their internal consumers
 // before the wait, the outgoing gateway senders and the caller after it.
 func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
 	pc, err := e.precommitExternal(tx, msgs)
@@ -306,6 +335,5 @@ func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, er
 			}
 		}
 	}
-	_, lsn, err := tx.Precommit()
-	return lsn, err
+	return precommitStaged(tx, msgs)
 }

@@ -6,8 +6,9 @@
 // and applying it in one transaction. Execution is set-oriented
 // (Config.BatchSize): workers claim same-queue batches and commit them as
 // one unit, amortizing transaction, locking and WAL overhead across the
-// batch; messages whose rules touch shared state run alone, failures
-// bisect back to tuple-at-a-time semantics, and higher-priority arrivals
+// batch. A claim of one message is a batch of one: there is no separate
+// single-message path. Messages whose rules touch shared state run alone,
+// failures bisect down to batches of one, and higher-priority arrivals
 // preempt a running batch between messages. Error handling (Sec. 3.6),
 // echo-queue timers (Sec. 2.1.3), gateway communication (Sec. 4.2) and
 // retention-based garbage collection (Sec. 2.3.3) run as engine services.
@@ -71,10 +72,10 @@ type Config struct {
 	// commits as one set-oriented unit (default DefaultBatchSize). The
 	// batch shares one transaction ID, one home-queue lock round and one
 	// message-store commit — one WAL cohort instead of one per message.
-	// 1 selects the exact tuple-at-a-time path, the test reference of
-	// TestBatchSingleDifferential. On deadlock or rule error the batch is
-	// bisected down to single messages, whose retry and error-queue
-	// semantics are the reference.
+	// 1 claims batches of one: one message per transaction, with live
+	// reads — the test reference of TestBatchSingleDifferential. On
+	// deadlock or rule error a batch is bisected down to batches of one,
+	// whose retry and error-queue semantics are the reference.
 	BatchSize int
 	// GCInterval runs the retention garbage collector periodically;
 	// zero disables the background task (CollectGarbage can be called
@@ -472,7 +473,7 @@ func (e *Engine) Start() {
 	go e.dur.loop()
 	for i := 0; i < e.cfg.Workers; i++ {
 		e.workers.Add(1)
-		go e.worker(uint64(i))
+		go e.worker()
 	}
 	e.timers.start()
 	e.gws.start()
@@ -509,7 +510,7 @@ func (e *Engine) Stop() error {
 	// The workers feed the durability stage: it settles what they leave
 	// behind and exits once they are gone.
 	e.workers.Wait()
-	close(e.dur.queue)
+	e.dur.close()
 	e.wg.Wait()
 	// ms.Close runs a final quiescent checkpoint: a clean shutdown leaves
 	// nothing for the next Open to replay.
@@ -805,7 +806,7 @@ func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]
 	if err != nil {
 		return admission{}, err
 	}
-	return e.admit(queue, props, sess, func(tx *msgstore.Txn) (msgstore.MsgID, error) {
+	return e.admit(queue, props, sess, func(tx *msgstore.Txn) error {
 		return tx.Enqueue(queue, doc, props, now)
 	})
 }
@@ -822,10 +823,9 @@ type admission struct {
 // their own, and the message is scheduled. The caller owes the admission an
 // admitted before it acknowledges the message to anyone.
 func (e *Engine) admit(queue string, props map[string]xdm.Value, sess *msgstore.SessionState,
-	stage func(*msgstore.Txn) (msgstore.MsgID, error)) (admission, error) {
+	stage func(*msgstore.Txn) error) (admission, error) {
 	tx := e.ms.Begin()
-	id, err := stage(tx)
-	if err != nil {
+	if err := stage(tx); err != nil {
 		tx.Abort()
 		e.noteStorageError(err)
 		return admission{}, err
@@ -833,12 +833,13 @@ func (e *Engine) admit(queue string, props map[string]xdm.Value, sess *msgstore.
 	if sess != nil {
 		tx.PutSession(*sess)
 	}
-	pc, err := e.precommitExternal(tx, []stagedMsg{{id: id, queue: queue, props: props}})
+	staged := []stagedMsg{{queue: queue, props: props}}
+	pc, err := e.precommitExternal(tx, staged)
 	if err != nil {
 		e.noteStorageError(err)
 		return admission{}, err
 	}
-	return admission{id: id, pc: pc}, nil
+	return admission{id: staged[0].id, pc: pc}, nil
 }
 
 // admitted is the second phase of an external enqueue: it waits until the
@@ -929,7 +930,7 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 	if err != nil {
 		return admission{}, err
 	}
-	return e.admit(queue, props, sess, func(tx *msgstore.Txn) (msgstore.MsgID, error) {
+	return e.admit(queue, props, sess, func(tx *msgstore.Txn) error {
 		return tx.EnqueueEncoded(queue, enc, doc, fp, pruned, props, now)
 	})
 }
@@ -963,26 +964,11 @@ func (e *Engine) queueDecl(name string) *qdl.QueueDecl {
 	return e.decls[name]
 }
 
-// worker is the message-processing loop. With BatchSize 1 every message is
-// claimed and committed individually (the tuple-at-a-time legacy path);
-// otherwise the worker claims same-queue batches and processes them
-// set-oriented, falling back to single messages on failure.
-func (e *Engine) worker(seq uint64) {
+// worker is the message-processing loop: it claims same-queue batches of up
+// to BatchSize messages and processes them set-oriented. A claim of one
+// message is a batch of one.
+func (e *Engine) worker() {
 	defer e.workers.Done()
-	// Per-worker PRNG for backoff jitter: colliding workers must not
-	// retry in lockstep, and the global rand would be a contention point.
-	rng := rand.New(rand.NewPCG(uint64(time.Now().UnixNano()), seq))
-	if e.cfg.BatchSize <= 1 {
-		for {
-			queue, id, ok := e.sched.Claim()
-			if !ok {
-				return
-			}
-			e.stats.batches.Add(1)
-			e.stats.batchMsgs.Add(1)
-			e.processWithRetry(queue, id, rng)
-		}
-	}
 	buf := make([]msgstore.MsgID, 0, e.cfg.BatchSize)
 	for {
 		queue, prio, ids, ok := e.sched.ClaimBatch(e.cfg.BatchSize, buf[:0])
@@ -992,82 +978,52 @@ func (e *Engine) worker(seq uint64) {
 		buf = ids
 		e.stats.batches.Add(1)
 		e.stats.batchMsgs.Add(uint64(len(ids)))
-		e.runBatch(queue, prio, ids, rng)
-	}
-}
-
-func (e *Engine) processWithRetry(queue string, id msgstore.MsgID, rng *rand.Rand) {
-	backoff := time.Microsecond * 50
-	// cause is set once processing failed for good: the attempts from then
-	// on consume the message together with its error message.
-	var cause error
-	for attempt := 0; ; attempt++ {
-		pc, err := e.processMessage(queue, id, cause)
-		if err == nil {
-			e.dur.add(pc, 1)
-			return
-		}
-		if err == locks.ErrDeadlock {
-			e.stats.deadlocks.Add(1)
-			if attempt >= e.cfg.MaxRetries {
-				// Retry budget exhausted: nothing is wrong with the
-				// message itself, only with the timing — hand it back to
-				// the scheduler instead of poisoning an error queue.
-				e.stats.deadlockRequeues.Add(1)
-				e.sched.Requeue(queue, id)
-				return
-			}
-			// Jittered exponential backoff: a deterministic schedule
-			// would march the colliding workers into the same conflict
-			// again.
-			time.Sleep(backoff + time.Duration(rng.Int64N(int64(backoff))))
-			if backoff < 10*time.Millisecond {
-				backoff *= 2
-			}
-			continue
-		}
-		// A permanent storage failure is a device fault, not a message
-		// fault: park the message back on the scheduler (it stays
-		// unprocessed and will be retried after a restart on a healthy
-		// disk) and flip to degraded mode. Routing to the error queue
-		// would both misattribute the failure and need the same dead
-		// disk to commit.
-		if e.retryable(err) {
-			e.noteStorageError(err)
-			e.sched.Requeue(queue, id)
-			time.Sleep(10 * time.Millisecond) // don't spin against a dead device
-			return
-		}
-		if cause != nil {
-			// Not even the error path can consume it: the message stays
-			// unprocessed in its queue until the next start.
-			e.log.Error("failed to consume message after error", "id", id, "err", err)
-			e.sched.Done()
-			return
-		}
-		// Non-retryable: route to the error queue and consume the message
-		// so it is processed exactly once.
-		cause = err
+		e.runBatch(queue, prio, ids)
 	}
 }
 
 // runBatch processes a claimed batch, bisecting on failure: a batch that
 // deadlocks or contains a rule error is split in half and retried, so the
-// failure converges onto single-message processing — whose retry and
-// error-queue semantics are the reference — while the healthy majority of
-// the batch still commits set-oriented. Healthy members of a failing
-// batch are re-evaluated once per split level; RulesEvaluated/RulesFired
-// count evaluations performed, so they run higher on such workloads —
-// exactly as the legacy path's deadlock retries already re-count.
-func (e *Engine) runBatch(queue string, prio int, ids []msgstore.MsgID, rng *rand.Rand) {
-	if len(ids) == 0 {
+// failure converges onto batches of one — whose retry and error-queue
+// semantics are the reference — while the healthy majority of the batch
+// still commits set-oriented. Healthy members of a failing batch are
+// re-evaluated once per split level; RulesEvaluated/RulesFired count
+// evaluations performed, so they run higher on such workloads — exactly as
+// deadlock retries already re-count.
+func (e *Engine) runBatch(queue string, prio int, ids []msgstore.MsgID) {
+	switch len(ids) {
+	case 0:
+		return
+	case 1:
+		pc, err := e.processAlone(queue, ids[0], nil)
+		switch {
+		case err == nil:
+			e.dur.add(pc, 1)
+		case err == locks.ErrDeadlock:
+			// Retry budget exhausted: nothing is wrong with the message
+			// itself, only with the timing — hand it back to the scheduler
+			// instead of poisoning an error queue.
+			e.stats.deadlockRequeues.Add(1)
+			e.sched.RequeueFront(queue, ids)
+		case e.retryable(err):
+			// A permanent storage failure is a device fault, not a message
+			// fault: park the message back on the scheduler (it stays
+			// unprocessed and will be retried after a restart on a healthy
+			// disk) and flip to degraded mode. Routing to the error queue
+			// would both misattribute the failure and need the same dead
+			// disk to commit.
+			e.noteStorageError(err)
+			e.sched.RequeueFront(queue, ids)
+			time.Sleep(10 * time.Millisecond) // don't spin against a dead device
+		default:
+			// Not even the error path can consume it: the message stays
+			// unprocessed in its queue until the next start.
+			e.log.Error("failed to consume message after error", "id", ids[0], "err", err)
+			e.sched.DoneN(1)
+		}
 		return
 	}
-	if len(ids) == 1 {
-		e.processWithRetry(queue, ids[0], rng)
-		return
-	}
-	attempted, pc, err := e.processBatch(queue, prio, ids)
+	attempted, pc, err := e.processBatch(queue, prio, ids, nil)
 	if err == nil {
 		e.dur.add(pc, len(attempted))
 		return
@@ -1076,8 +1032,42 @@ func (e *Engine) runBatch(queue string, prio int, ids []msgstore.MsgID, rng *ran
 		e.stats.deadlocks.Add(1)
 	}
 	mid := len(attempted) / 2
-	e.runBatch(queue, prio, attempted[:mid], rng)
-	e.runBatch(queue, prio, attempted[mid:], rng)
+	e.runBatch(queue, prio, attempted[:mid])
+	e.runBatch(queue, prio, attempted[mid:])
+}
+
+// processAlone runs one message as a batch of one until it is consumed.
+// Deadlocks retry with jittered exponential backoff, up to MaxRetries; any
+// other failure that says something about the message is consumed on the
+// next attempt, together with the error message of its cause (Sec. 3.6). A
+// non-nil cause starts there. It returns the failure it gave up on: the
+// deadlock that spent the budget, a storage failure, or the failure of the
+// consume itself.
+func (e *Engine) processAlone(queue string, id msgstore.MsgID, cause error) (precommit, error) {
+	ids := []msgstore.MsgID{id}
+	backoff := 50 * time.Microsecond
+	for attempt := 0; ; attempt++ {
+		_, pc, err := e.processBatch(queue, 0, ids, cause)
+		switch {
+		case err == nil:
+			return pc, nil
+		case err == locks.ErrDeadlock:
+			e.stats.deadlocks.Add(1)
+			if attempt >= e.cfg.MaxRetries {
+				return pc, err
+			}
+			// Jittered backoff: a deterministic schedule would march the
+			// colliding workers into the same conflict again.
+			time.Sleep(backoff + rand.N(backoff))
+			if backoff < 10*time.Millisecond {
+				backoff *= 2
+			}
+		case e.retryable(err) || cause != nil:
+			return pc, err
+		default:
+			cause = err
+		}
+	}
 }
 
 // docFetcher returns a memoized projected-document fetch for one message.
@@ -1162,95 +1152,27 @@ func (e *Engine) probeMasks(queue string, ids []msgstore.MsgID) []uint64 {
 	return masks
 }
 
-// processMessage runs the execution-model cycle for one message: evaluate
-// all applicable rules (queue plan + slice plans), then apply the combined
-// pending update list and the processed flag in a single transaction, which
-// is pre-committed when processMessage returns — and its locks released.
-// With a cause the message has already failed for good: nothing is
-// evaluated, the message is consumed with the error message of the cause.
-func (e *Engine) processMessage(queue string, id msgstore.MsgID, cause error) (precommit, error) {
-	txnID := e.txnSeq.Add(1)
-	defer e.lm.ReleaseAll(txnID)
-
-	if err := e.lockSlices(txnID, e.slices.SlicesOf(id)); err != nil {
-		return precommit{}, err
-	}
-	// Home-queue lock: coarse X, or IX + message X under slice locking.
-	if e.cfg.Granularity == LockQueue {
-		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X); err != nil {
-			return precommit{}, err
-		}
-	} else {
-		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.IX); err != nil {
-			return precommit{}, err
-		}
-		if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
-			return precommit{}, err
-		}
-	}
-
-	msg, ok := e.ms.Get(id)
-	if !ok {
-		if cause != nil {
-			return precommit{}, nil // nothing left to consume
-		}
-		return precommit{}, fmt.Errorf("engine: message %d vanished", id)
-	}
-	if msg.Processed {
-		return precommit{}, nil // duplicate schedule after crash recovery
-	}
-	now := time.Now().UTC()
-	if cause != nil {
-		doc, _ := e.ms.Doc(id)
-		return e.consumed(e.applyError(txnID, queue, id, doc, nil, cause, now))
-	}
-	fetch := e.docFetcher(queue, id)
-	rt := &evalRuntime{eng: e, txnID: txnID, queue: queue, now: now}
-	combined, _, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, 0, false, false)
-	if err != nil {
-		return precommit{}, err
-	}
-	if failed != nil {
-		// Error path: the message still counts as processed (Sec. 3.6);
-		// the error becomes a message in the appropriate error queue. It
-		// embeds the original document: use the complete tree, never a
-		// projected view of it. fetch is memoized — the failing rule
-		// already evaluated on the document.
-		doc, pruned, _ := fetch()
-		if len(pruned) > 0 {
-			if full, derr := e.ms.Doc(id); derr == nil {
-				doc = full
-			}
-		}
-		return e.consumed(e.applyError(txnID, queue, id, doc, failed.rule, failed.err, now))
-	}
-	return e.consumed(e.applyUpdates(txnID, id, queue, msg.Props, combined, now))
-}
-
-// consumed counts a message whose transaction pre-committed.
-func (e *Engine) consumed(pc precommit, err error) (precommit, error) {
-	if err == nil {
-		e.stats.processed.Add(1)
-	}
-	return pc, err
-}
-
-// processBatch runs the execution-model cycle for a whole same-queue batch
-// under one transaction ID: one home-queue lock round, per-message rule
-// evaluation through a single reused evalRuntime into per-message pending
-// update lists, and one combined message-store transaction that marks
-// every message processed and performs every enqueue and reset — one
+// processBatch runs the execution-model cycle for a same-queue batch under
+// one transaction ID: one home-queue lock round, per-message rule evaluation
+// through a single reused evalRuntime into per-message pending update lists,
+// and one combined message-store transaction that marks every message
+// processed and performs every enqueue and reset — one
 // prepare/persist/publish cycle and one WAL commit cohort instead of
-// len(ids). Between messages the worker polls the scheduler: if work of
-// strictly higher priority became runnable, the evaluated prefix commits
-// and the rest of the batch is requeued in order.
+// len(ids). The transaction is pre-committed when processBatch returns, and
+// its locks released. Between messages the worker polls the scheduler: if
+// work of strictly higher priority became runnable, the evaluated prefix
+// commits and the rest of the batch is requeued in order.
 //
-// Any failure — deadlock or rule error — aborts the batch with no effects
-// applied (the transaction never commits, all locks are released) and is
-// reported to the caller, which bisects down to the single-message path.
-// It returns the prefix of ids it was responsible for (the remainder, if
-// any, was requeued after preemption).
-func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (attempted []msgstore.MsgID, pc precommit, err error) {
+// A batch of one is the reference: a rule error consumes the message in the
+// same transaction, together with the error message naming the failing rule
+// (Sec. 3.6). With a cause the message has already failed for good: nothing
+// is evaluated, the message is consumed with the error message of the cause.
+// In a larger batch any failure — deadlock or rule error — aborts the batch
+// with no effects applied (the transaction never commits, all locks are
+// released) and is reported to the caller, which bisects down to batches of
+// one. It returns the prefix of ids it was responsible for (the remainder,
+// if any, was requeued after preemption).
+func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, cause error) (attempted []msgstore.MsgID, pc precommit, err error) {
 	txnID := e.txnSeq.Add(1)
 	defer e.lm.ReleaseAll(txnID)
 
@@ -1259,14 +1181,12 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		return attempted, pc, err
 	}
 	// Home-queue lock: one round for the whole batch.
+	mode := locks.IX
 	if e.cfg.Granularity == LockQueue {
-		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X); err != nil {
-			return attempted, pc, err
-		}
-	} else {
-		if err := e.lm.Acquire(txnID, locks.Resource("q", queue), locks.IX); err != nil {
-			return attempted, pc, err
-		}
+		mode = locks.X
+	}
+	if err := e.lm.Acquire(txnID, locks.Resource("q", queue), mode); err != nil {
+		return attempted, pc, err
 	}
 
 	now := time.Now().UTC()
@@ -1282,18 +1202,28 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 			break
 		}
 		msg, ok := e.ms.Get(id)
-		if !ok {
+		if !ok && cause == nil {
 			return attempted, pc, fmt.Errorf("engine: message %d vanished", id)
 		}
-		if msg.Processed {
-			continue // duplicate schedule after crash recovery
+		if !ok || msg.Processed {
+			continue // consumed already, or a duplicate schedule after crash recovery
 		}
 		fetch := e.docFetcher(queue, id)
-		var mask uint64
-		if masks != nil {
-			mask = masks[i]
+		var (
+			combined *xquery.UpdateList
+			shared   bool
+			failed   *ruleError
+		)
+		if cause != nil {
+			failed = &ruleError{err: cause}
+			err = e.lockMessage(txnID, id, e.slices.SlicesOf(id))
+		} else {
+			var mask uint64
+			if masks != nil {
+				mask = masks[i]
+			}
+			combined, shared, failed, err = e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, len(items) > 0)
 		}
-		combined, shared, failed, err := e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, len(items) > 0, true)
 		if err == errNotBatchable {
 			// This message's rules read or mutate shared state and
 			// updates from earlier batch members are already pending:
@@ -1306,19 +1236,33 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID) (att
 		if err != nil {
 			return attempted, pc, err
 		}
-		if failed != nil {
-			// Per-message error-queue semantics belong to the
-			// single-message path: fail the batch so bisection isolates
-			// the message.
-			return attempted, pc, failed.err
-		}
-		// Re-check the processed flag now that evalMessage holds the
-		// message lock: the pre-lock snapshot above can race a duplicate
-		// schedule of the same ID (the legacy path reads the flag with
-		// the lock already held). False under the lock is final — any
-		// other processor must take this lock to commit the flag.
+		// Re-check the processed flag now that the message lock is held: the
+		// pre-lock snapshot above can race a duplicate schedule of the same
+		// ID. False under the lock is final — any other processor must take
+		// this lock to commit the flag.
 		if cur, ok := e.ms.Get(id); !ok || cur.Processed {
 			continue
+		}
+		if failed != nil {
+			if len(ids) > 1 {
+				// Fail the batch so bisection isolates the message.
+				return attempted, pc, failed.err
+			}
+			// Error path: the message still counts as processed (Sec. 3.6);
+			// the error becomes a message in the appropriate error queue. It
+			// embeds the original document: use the complete tree, never a
+			// projected view of it. fetch is memoized — a failing rule
+			// already evaluated on the document.
+			doc, pruned, _ := fetch()
+			if len(pruned) > 0 {
+				if full, derr := e.ms.Doc(id); derr == nil {
+					doc = full
+				}
+			}
+			if pc, err = e.applyError(txnID, queue, id, doc, failed.rule, failed.err, now); err == nil {
+				e.stats.processed.Add(1)
+			}
+			return attempted, pc, err
 		}
 		dup := false
 		for _, it := range items {
@@ -1369,6 +1313,19 @@ func (e *Engine) lockSlices(txnID uint64, memberships []slicing.Membership) erro
 	return nil
 }
 
+// lockMessage takes the exclusive locks of a message and of the slices it
+// belongs to, under slice locking; the home-queue lock covers both under
+// queue locking.
+func (e *Engine) lockMessage(txnID uint64, id msgstore.MsgID, memberships []slicing.Membership) error {
+	if e.cfg.Granularity != LockSlice {
+		return nil
+	}
+	if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
+		return err
+	}
+	return e.lockSlices(txnID, memberships)
+}
+
 // errNotBatchable signals that a message's applicable rules touch shared
 // state and therefore may not evaluate in the middle of a batch (whose
 // earlier pending updates are not visible yet). The message is requeued
@@ -1384,14 +1341,12 @@ var errNotBatchable = fmt.Errorf("engine: message not batchable mid-batch")
 //
 // shared reports whether any applicable rule observes or mutates shared
 // state (qs:slice/qs:queue reads, resets): such a message must be the only
-// one in its transaction to keep batch and tuple-at-a-time execution
-// equivalent. With noShared set, a shared message is rejected with
-// errNotBatchable before anything is locked or evaluated, so a requeued
-// message is immediately claimable by another worker. With lockMsg set
-// (the batch path; processMessage locks up front itself) the exclusive locks
-// of the message and of its slices are acquired here, after that rejection
-// point.
-func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared, lockMsg bool) (combined *xquery.UpdateList, shared bool, failed *ruleError, err error) {
+// one in its transaction to keep every batch equivalent to batches of one.
+// With noShared set, a shared message is rejected with errNotBatchable
+// before anything is locked or evaluated, so a requeued message is
+// immediately claimable by another worker; past that point the exclusive
+// locks of the message and of its slices are acquired.
+func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared bool) (combined *xquery.UpdateList, shared bool, failed *ruleError, err error) {
 	// Element names are the dispatch key set: computed lazily, only when
 	// some applicable rule actually has an element trigger — that is the
 	// first point the document is needed at all; a message whose rules are
@@ -1451,16 +1406,8 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 	if shared && noShared {
 		return nil, true, nil, errNotBatchable
 	}
-	if lockMsg && e.cfg.Granularity == LockSlice {
-		if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
-			return nil, shared, nil, err
-		}
-	}
-
-	if lockMsg {
-		if err := e.lockSlices(txnID, memberships); err != nil {
-			return nil, shared, nil, err
-		}
+	if err := e.lockMessage(txnID, id, memberships); err != nil {
+		return nil, shared, nil, err
 	}
 
 	if len(toRun) == 0 {

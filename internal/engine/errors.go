@@ -131,7 +131,10 @@ func (e *Engine) errorUpdate(queue string, id msgstore.MsgID, doc *xmldom.Node, 
 
 // emitError enqueues the error message of a failure that has no message to
 // consume with it (a malformed or invalid external document, a misdirected
-// echo), in a transaction of its own.
+// echo), in a transaction of its own. It does not wait for the log: the
+// message reaches its consumer at pre-commit like a worker's, and the
+// durability stage makes it durable — the caller, a gateway handler that may
+// hold a reliable session's peer lock, answers its sender at once.
 func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error) {
 	e.stats.errors.Add(1)
 	up, ok := e.errorUpdate(queue, id, doc, r, cause)
@@ -149,16 +152,18 @@ func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r 
 		props = system
 	}
 	tx := e.ms.Begin()
-	nid, err := tx.Enqueue(up.Queue, up.Doc, props, now)
-	if err != nil {
+	if err := tx.Enqueue(up.Queue, up.Doc, props, now); err != nil {
 		tx.Abort()
 		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
 		return
 	}
-	if err := e.commitExternal(tx, stagedMsg{id: nid, queue: up.Queue, props: props}); err != nil {
+	pc, err := e.precommitExternal(tx, []stagedMsg{{queue: up.Queue, props: props}})
+	if err != nil {
+		e.noteStorageError(err)
 		e.log.Error("error enqueue commit failed", "target", up.Queue, "err", err)
 		return
 	}
+	e.dur.add(pc, 0)
 	e.log.Warn("error routed to error queue",
 		"queue", queue, "rule", ruleNameOf(r), "target", up.Queue, "err", cause)
 }
@@ -175,13 +180,13 @@ func (e *Engine) applyError(txnID uint64, queue string, id msgstore.MsgID, doc *
 	if routed {
 		updates.Append(up)
 	}
-	pc, err := e.applyUpdates(txnID, id, queue, nil, updates, now)
+	pc, err := e.applyBatch(txnID, queue, []batchItem{{id: id, updates: updates}}, now)
 	if err != nil && routed && !e.retryable(err) {
 		// The error message itself is not acceptable to its queue: consume
 		// the message without it rather than never.
 		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
 		routed = false
-		pc, err = e.applyUpdates(txnID, id, queue, nil, &xquery.UpdateList{}, now)
+		pc, err = e.applyBatch(txnID, queue, []batchItem{{id: id, updates: &xquery.UpdateList{}}}, now)
 	}
 	if err != nil {
 		return pc, err
@@ -201,21 +206,14 @@ func (e *Engine) retryable(err error) bool {
 }
 
 // handleRuleError consumes a message that an engine service — not a rule
-// worker, which does the same under its own retry loop — found unprocessable,
+// worker — found unprocessable, the way a worker consumes a failed message,
 // and waits until that is durable.
 func (e *Engine) handleRuleError(queue string, id msgstore.MsgID, cause error) {
-	for backoff := 50 * time.Microsecond; ; backoff *= 2 {
-		pc, err := e.processMessage(queue, id, cause)
-		if err == locks.ErrDeadlock && backoff < time.Second {
-			time.Sleep(backoff)
-			continue
-		}
-		if err != nil {
-			e.noteStorageError(err)
-			e.log.Error("failed to consume message after error", "id", id, "err", err)
-			return
-		}
-		e.settle(pc)
+	pc, err := e.processAlone(queue, id, cause)
+	if err != nil {
+		e.noteStorageError(err)
+		e.log.Error("failed to consume message after error", "id", id, "err", err)
 		return
 	}
+	e.settle(pc)
 }

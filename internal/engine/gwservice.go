@@ -617,12 +617,11 @@ func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.N
 	if pv, err := e.prog.Properties.Evaluate(target, errDoc, nil, nil, props, now); err == nil {
 		props = pv
 	}
-	nid, err := tx.Enqueue(target, errDoc, props, now)
-	if err != nil {
+	if err := tx.Enqueue(target, errDoc, props, now); err != nil {
 		e.log.Error("network error enqueue failed", "err", err)
 		return stagedMsg{}, false
 	}
-	return stagedMsg{id: nid, queue: target, props: props}, true
+	return stagedMsg{queue: target, props: props}, true
 }
 
 // deliver admits an external message arriving at an incoming gateway,

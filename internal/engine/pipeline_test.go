@@ -166,6 +166,54 @@ func TestAdmissionTakesSliceLock(t *testing.T) {
 	e.lm.ReleaseAll(foreign)
 }
 
+// TestAdmissionStagedBeforeSliceReset: a message staged before a reset of
+// the slice it joins, and published after it, is a member of the slice. Its
+// ID is assigned under the slice lock, so the reset's watermark — the highest
+// ID at the reset — lies below it.
+func TestAdmissionStagedBeforeSliceReset(t *testing.T) {
+	e, err := New(Config{Dir: t.TempDir(), Workers: 1, Logger: quietLog}, qdl.MustParse(`
+		create queue in kind basic mode persistent;
+		create property key as xs:string fixed queue in value //key;
+		create slicing byKey on key;
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop() // never started: the message stays unprocessed
+
+	const owner = 1 << 40
+	if err := e.lm.Acquire(owner, locks.Resource("sl", "byKey", "k1"), locks.X); err != nil {
+		t.Fatal(err)
+	}
+	waits, _ := e.lm.Stats()
+	done := make(chan enqueueResult, 1)
+	go func() {
+		id, err := e.EnqueueWire("in", []byte(`<part><key>k1</key></part>`), nil)
+		done <- enqueueResult{id, err}
+	}()
+	// The admission has staged its message and waits for the slice lock.
+	waitFor(t, 10*time.Second, func() bool { w, _ := e.lm.Stats(); return w > waits })
+
+	// The lock owner resets the slice, as a rule's do reset would, and lets go.
+	tx := e.ms.Begin()
+	tx.RecordReset("byKey", "k1")
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, re := range tx.AppliedResets {
+		e.slices.Reset(re)
+	}
+	e.lm.ReleaseAll(owner)
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if ids := e.Slices().SliceMembers("byKey", "k1"); len(ids) != 1 || ids[0] != r.id {
+		t.Fatalf("slice members %v after the reset, want the admitted message %d", ids, r.id)
+	}
+}
+
 // --- the rule-error crash hole ---------------------------------------------
 
 const failingApp = `
@@ -503,9 +551,9 @@ func TestDrainWaitsForDurability(t *testing.T) {
 // consumed a message always has a higher commit LSN than the one that created
 // it, so the log can lose the consumer without the creator but never the
 // other way round — the argument early lock release rests on. The workers are
-// the test's own, so that it sees what processMessage returns: they claim
-// from the engine's scheduler, which a message reaches only through
-// applyBatch's routing.
+// the test's own, so that it sees what processBatch returns: they claim
+// batches of one from the engine's scheduler, which a message reaches only
+// through applyBatch's routing.
 func TestEarlyLockReleaseOrdering(t *testing.T) {
 	const n, stages, workers = 60, 5, 8
 	var app strings.Builder
@@ -532,21 +580,21 @@ func TestEarlyLockReleaseOrdering(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				queue, id, ok := e.sched.Claim()
+				queue, prio, ids, ok := e.sched.ClaimBatch(1, nil)
 				if !ok {
 					return
 				}
-				doc, err := e.ms.Doc(id)
+				doc, err := e.ms.Doc(ids[0])
 				var pc precommit
 				if err == nil {
-					pc, err = e.processMessage(queue, id, nil)
+					_, pc, err = e.processBatch(queue, prio, ids, nil)
 					for err == locks.ErrDeadlock {
-						pc, err = e.processMessage(queue, id, nil)
+						_, pc, err = e.processBatch(queue, prio, ids, nil)
 					}
 				}
 				if err != nil {
 					t.Error(err)
-					e.sched.Done()
+					e.sched.DoneN(1)
 					continue
 				}
 				var s, k int
@@ -555,7 +603,7 @@ func TestEarlyLockReleaseOrdering(t *testing.T) {
 				mu.Lock()
 				lsn[s][k] = pc.lsn
 				mu.Unlock()
-				e.sched.Done()
+				e.sched.DoneN(1)
 			}
 		}()
 	}

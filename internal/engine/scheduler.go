@@ -10,23 +10,23 @@ import (
 )
 
 // scheduler implements the execution model of Sec. 3.1/4.4.2: it maintains
-// the set of unprocessed messages and hands them to workers — one at a
-// time (Claim) or as same-queue batches (ClaimBatch) — honoring queue
-// priorities first and temporal order (message ID) second —
+// the set of unprocessed messages and hands them to workers as same-queue
+// batches (ClaimBatch; a claim of one message is a batch of one) — honoring
+// queue priorities first and temporal order (message ID) second —
 // "a message in a high priority queue may be processed before another one
 // stored in a queue with a lower priority, even if it has been created
 // more recently".
 //
 // Dispatch is O(log #queues): non-empty queues live in a priority heap
-// keyed (priority desc, head message ID asc), so Claim pops the best queue
-// directly instead of scanning all queues. Each queue buffers its messages
-// in a ring deque, making both Add (back) and Requeue (front, the deadlock
-// victim path) O(1). Claimers and idle-waiters use separate condition
+// keyed (priority desc, head message ID asc), so ClaimBatch pops the best
+// queue directly instead of scanning all queues. Each queue buffers its
+// messages in a ring deque, making both Add (back) and RequeueFront (front:
+// a deadlock victim, a preempted suffix) O(1) per message. Claimers and idle-waiters use separate condition
 // variables so adding one message signals exactly one worker instead of
 // waking the whole pool.
 type scheduler struct {
 	mu       sync.Mutex
-	workCond *sync.Cond // waits in Claim; Signal per available message
+	workCond *sync.Cond // waits in ClaimBatch; Signal per available message
 	idleCond *sync.Cond // waits in WaitIdle; Broadcast on idle transitions
 	queues   map[string]*schedQueue
 	active   queueHeap // non-empty queues, best dispatch candidate on top
@@ -185,28 +185,10 @@ func (s *scheduler) Add(queue string, id msgstore.MsgID) {
 	s.workCond.Signal()
 }
 
-// Requeue returns a message to the front of its queue after a retryable
-// failure (deadlock victim).
-func (s *scheduler) Requeue(queue string, id msgstore.MsgID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q := s.queueLocked(queue)
-	q.pushFront(id)
-	if q.heapIdx < 0 {
-		heap.Push(&s.active, q)
-	} else {
-		heap.Fix(&s.active, q.heapIdx) // head got older
-	}
-	s.updateTopLocked()
-	s.pending++
-	s.inflight--
-	s.workCond.Signal()
-}
-
-// RequeueFront returns the unprocessed suffix of a claimed batch to the
-// front of its queue, preserving order (ids must be in claim order). Used
-// when a batch is preempted by higher-priority work after partial
-// completion.
+// RequeueFront returns claimed messages to the front of their queue,
+// preserving order (ids must be in claim order): a deadlock victim that
+// spent its retries, a message parked on a dead device, or the unprocessed
+// suffix of a batch preempted by higher-priority work.
 func (s *scheduler) RequeueFront(queue string, ids []msgstore.MsgID) {
 	if len(ids) == 0 {
 		return
@@ -230,36 +212,10 @@ func (s *scheduler) RequeueFront(queue string, ids []msgstore.MsgID) {
 	}
 }
 
-// Claim blocks until a message is available (or the scheduler closes) and
-// returns the next message to process: from the highest-priority non-empty
-// queue, oldest head first on ties.
-func (s *scheduler) Claim() (queue string, id msgstore.MsgID, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return "", 0, false
-		}
-		if len(s.active) > 0 {
-			best := s.active[0]
-			id := best.popFront()
-			if best.empty() {
-				heap.Pop(&s.active)
-			} else {
-				heap.Fix(&s.active, 0) // head advanced to a newer message
-			}
-			s.updateTopLocked()
-			s.pending--
-			s.inflight++
-			return best.name, id, true
-		}
-		s.workCond.Wait()
-	}
-}
-
-// ClaimBatch blocks like Claim but pops up to max runnable messages from
-// the best queue in one lock round, appending them to buf (callers reuse
-// the buffer across rounds). The batch preserves the dispatch order —
+// ClaimBatch blocks until a message is available (or the scheduler closes)
+// and pops up to max runnable messages from the best queue — the
+// highest-priority non-empty one, oldest head first on ties — in one lock
+// round, appending them to buf (callers reuse the buffer across rounds). The batch preserves the dispatch order —
 // priority first, message ID second — and comes from a single queue, so
 // the engine can process it under one home-queue lock. It also returns the
 // queue's priority so the worker can poll PreemptFor between messages.
@@ -268,8 +224,8 @@ func (s *scheduler) Claim() (queue string, id msgstore.MsgID, ok bool) {
 // (rounded up): a deep backlog still fills batches to the cap, but a
 // shallow one is not drained by a single claimer — the remainder stays
 // claimable by other workers and by the priority dispatch, so a
-// higher-priority arrival overtakes it exactly as it would under
-// tuple-at-a-time claiming. (A batch commits as one unit; once claimed,
+// higher-priority arrival overtakes it exactly as it would under claims
+// of one. (A batch commits as one unit; once claimed,
 // its messages are beyond preemption, so the claim itself must stay
 // modest when the backlog is.)
 func (s *scheduler) ClaimBatch(max int, buf []msgstore.MsgID) (queue string, priority int, ids []msgstore.MsgID, ok bool) {
@@ -305,9 +261,6 @@ func (s *scheduler) ClaimBatch(max int, buf []msgstore.MsgID) (queue string, pri
 		s.workCond.Wait()
 	}
 }
-
-// Done reports completion of a claimed message.
-func (s *scheduler) Done() { s.DoneN(1) }
 
 // DoneN reports completion of n claimed messages (a batch, possibly a
 // partial one after preemption).

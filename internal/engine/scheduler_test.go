@@ -24,11 +24,11 @@ func TestSchedulerPriorityThenAge(t *testing.T) {
 		{"high", 3}, {"high", 4}, {"mid", 2}, {"low", 1},
 	}
 	for i, want := range expect {
-		q, id, ok := s.Claim()
+		q, id, ok := claim(s)
 		if !ok || q != want.queue || id != want.id {
 			t.Fatalf("claim %d = (%s,%d), want (%s,%d)", i, q, id, want.queue, want.id)
 		}
-		s.Done()
+		s.DoneN(1)
 	}
 	if !s.Idle() {
 		t.Fatal("should be idle")
@@ -42,18 +42,18 @@ func TestSchedulerTieBreaksOnOldestHead(t *testing.T) {
 	s.Add("b", 2)
 	s.Add("a", 1)
 	s.Add("b", 3)
-	q, id, _ := s.Claim()
+	q, id, _ := claim(s)
 	if q != "a" || id != 1 {
 		t.Fatalf("first claim (%s,%d)", q, id)
 	}
-	s.Done()
-	q, id, _ = s.Claim()
+	s.DoneN(1)
+	q, id, _ = claim(s)
 	if q != "b" || id != 2 {
 		t.Fatalf("second claim (%s,%d)", q, id)
 	}
-	s.Done()
-	s.Claim()
-	s.Done()
+	s.DoneN(1)
+	claim(s)
+	s.DoneN(1)
 }
 
 func TestSchedulerRequeuePreservesOrder(t *testing.T) {
@@ -61,21 +61,21 @@ func TestSchedulerRequeuePreservesOrder(t *testing.T) {
 	s.DeclareQueue("q", 0)
 	s.Add("q", 10)
 	s.Add("q", 11)
-	_, id, _ := s.Claim()
+	_, id, _ := claim(s)
 	if id != 10 {
 		t.Fatal("first")
 	}
-	s.Requeue("q", 10) // deadlock victim goes back to the front
-	_, id, _ = s.Claim()
+	s.RequeueFront("q", []msgstore.MsgID{10}) // deadlock victim goes back to the front
+	_, id, _ = claim(s)
 	if id != 10 {
 		t.Fatalf("requeued message should be claimed first, got %d", id)
 	}
-	s.Done()
-	_, id, _ = s.Claim()
+	s.DoneN(1)
+	_, id, _ = claim(s)
 	if id != 11 {
 		t.Fatal("order after requeue")
 	}
-	s.Done()
+	s.DoneN(1)
 }
 
 func TestSchedulerCloseUnblocksClaimers(t *testing.T) {
@@ -85,7 +85,7 @@ func TestSchedulerCloseUnblocksClaimers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, ok := s.Claim(); ok {
+			if _, _, ok := claim(s); ok {
 				t.Error("claim after close should report !ok")
 			}
 		}()
@@ -108,8 +108,8 @@ func TestSchedulerWaitIdle(t *testing.T) {
 		t.Fatal("WaitIdle returned while work pending")
 	default:
 	}
-	s.Claim()
-	s.Done()
+	claim(s)
+	s.DoneN(1)
 	<-done // must return now
 	if s.Backlog() != 0 {
 		t.Fatal("backlog")
@@ -127,14 +127,14 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				_, id, ok := s.Claim()
+				_, id, ok := claim(s)
 				if !ok {
 					return
 				}
 				if _, dup := claimed.LoadOrStore(id, true); dup {
 					t.Errorf("message %d claimed twice", id)
 				}
-				s.Done()
+				s.DoneN(1)
 			}
 		}()
 	}
@@ -149,4 +149,13 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 	if count != n {
 		t.Fatalf("claimed %d of %d", count, n)
 	}
+}
+
+// claim takes a batch of one, as a worker with BatchSize 1 does.
+func claim(s *scheduler) (queue string, id msgstore.MsgID, ok bool) {
+	queue, _, ids, ok := s.ClaimBatch(1, nil)
+	if !ok {
+		return "", 0, false
+	}
+	return queue, ids[0], true
 }

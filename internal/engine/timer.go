@@ -168,8 +168,7 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 		return err
 	}
 	tx := e.ms.Begin()
-	nid, err := tx.Enqueue(target, doc, props, now)
-	if err != nil {
+	if err := tx.Enqueue(target, doc, props, now); err != nil {
 		tx.Abort()
 		return err
 	}
@@ -177,7 +176,7 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 		tx.Abort()
 		return err
 	}
-	if err := e.commitExternal(tx, stagedMsg{id: nid, queue: target, props: props}); err != nil {
+	if err := e.commitExternal(tx, stagedMsg{queue: target, props: props}); err != nil {
 		return err
 	}
 	e.stats.enqueued.Add(1)

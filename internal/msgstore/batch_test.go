@@ -29,29 +29,28 @@ func TestBatchCommitMultiQueue(t *testing.T) {
 
 	// Seed messages to mark processed in the same batch commit.
 	seed := ms.Begin()
-	var seeded []MsgID
 	for i := 0; i < 10; i++ {
-		id, err := seed.Enqueue("qa", xmldom.MustParse(fmt.Sprintf(`<seed n="%d"/>`, i)), nil, time.Now())
-		if err != nil {
+		if err := seed.Enqueue("qa", xmldom.MustParse(fmt.Sprintf(`<seed n="%d"/>`, i)), nil, time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		seeded = append(seeded, id)
 	}
-	if _, err := seed.Commit(); err != nil {
+	seedOut, err := seed.Commit()
+	if err != nil {
 		t.Fatal(err)
+	}
+	var seeded []MsgID
+	for _, m := range seedOut {
+		seeded = append(seeded, m.ID)
 	}
 
 	// One batch transaction: 60 enqueues interleaved across 3 queues plus
 	// all 10 processed flags.
 	tx := ms.Begin()
-	perQueue := map[string][]MsgID{}
 	for i := 0; i < 60; i++ {
 		q := queues[i%len(queues)]
-		id, err := tx.Enqueue(q, xmldom.MustParse(fmt.Sprintf(`<m n="%d"/>`, i)), nil, time.Now())
-		if err != nil {
+		if err := tx.Enqueue(q, xmldom.MustParse(fmt.Sprintf(`<m n="%d"/>`, i)), nil, time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		perQueue[q] = append(perQueue[q], id)
 	}
 	if err := tx.MarkProcessedAll(seeded); err != nil {
 		t.Fatal(err)
@@ -62,6 +61,13 @@ func TestBatchCommitMultiQueue(t *testing.T) {
 	}
 	if len(out) != 60 {
 		t.Fatalf("commit returned %d messages, want 60", len(out))
+	}
+	perQueue := map[string][]MsgID{}
+	for i, m := range out {
+		if q := queues[i%len(queues)]; m.Queue != q {
+			t.Fatalf("message %d in %s, staged into %s", i, m.Queue, q)
+		}
+		perQueue[m.Queue] = append(perQueue[m.Queue], m.ID)
 	}
 
 	for _, q := range queues {
@@ -107,17 +113,20 @@ func TestBatchCommitSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := ms.Begin()
-	var ids []MsgID
 	for i := 0; i < 8; i++ {
-		id, _ := seed.Enqueue("q", xmldom.MustParse(`<in/>`), nil, time.Now())
-		ids = append(ids, id)
+		seed.Enqueue("q", xmldom.MustParse(`<in/>`), nil, time.Now())
 	}
-	if _, err := seed.Commit(); err != nil {
+	seedOut, err := seed.Commit()
+	if err != nil {
 		t.Fatal(err)
+	}
+	var ids []MsgID
+	for _, m := range seedOut {
+		ids = append(ids, m.ID)
 	}
 	tx := ms.Begin()
 	for i := 0; i < 5; i++ {
-		if _, err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<out n="%d"/>`, i)), nil, time.Now()); err != nil {
+		if err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<out n="%d"/>`, i)), nil, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

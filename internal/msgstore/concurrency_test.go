@@ -39,16 +39,16 @@ func TestConcurrentEnqueueProcessRemove(t *testing.T) {
 				for _, queue := range []string{"disk", "mem"} {
 					tx := ms.Begin()
 					doc := xmldom.MustParse(fmt.Sprintf(`<m w="%d" i="%d">payload</m>`, w, i))
-					id, err := tx.Enqueue(queue, doc, map[string]xdm.Value{"w": xdm.NewInteger(int64(w))}, time.Now())
+					if err := tx.Enqueue(queue, doc, map[string]xdm.Value{"w": xdm.NewInteger(int64(w))}, time.Now()); err != nil {
+						t.Error(err)
+						return
+					}
+					out, err := tx.Commit()
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if _, err := tx.Commit(); err != nil {
-						t.Error(err)
-						return
-					}
-					idCh <- id
+					idCh <- out[0].ID
 				}
 			}
 		}(w)
@@ -141,16 +141,16 @@ func TestConcurrentCommitDurability(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tx := ms.Begin()
-				id, err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m>%d-%d</m>`, w, i)), nil, time.Now())
+				if err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m>%d-%d</m>`, w, i)), nil, time.Now()); err != nil {
+					t.Error(err)
+					return
+				}
+				out, err := tx.Commit()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := tx.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-				committed[w] = append(committed[w], id)
+				committed[w] = append(committed[w], out[0].ID)
 			}
 		}(w)
 	}
@@ -213,38 +213,39 @@ func TestConcurrentCollections(t *testing.T) {
 	}
 }
 
-// TestInterleavedCommitOrderVisibility pins the publish invariant directly:
-// a transaction with a smaller pre-assigned ID committing after a larger
-// one must still surface in ID order in queue scans.
+// TestInterleavedCommitOrderVisibility pins when a message gets its ID: at
+// commit, not at staging. A transaction staged first and committed second
+// gets the larger ID, and queue scans surface the messages in ID order.
 func TestInterleavedCommitOrderVisibility(t *testing.T) {
 	ms := openTemp(t)
 	ms.CreateQueue("q", Persistent, 0)
 
 	t1 := ms.Begin()
-	id1, err := t1.Enqueue("q", xmldom.MustParse(`<first/>`), nil, time.Now())
-	if err != nil {
+	if err := t1.Enqueue("q", xmldom.MustParse(`<first/>`), nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	t2 := ms.Begin()
-	id2, err := t2.Enqueue("q", xmldom.MustParse(`<second/>`), nil, time.Now())
+	if err := t2.Enqueue("q", xmldom.MustParse(`<second/>`), nil, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	// The later-staged transaction commits first.
+	out2, err := t2.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id1 >= id2 {
-		t.Fatalf("pre-assigned IDs not ordered: %d, %d", id1, id2)
-	}
-	// Later ID commits first.
-	if _, err := t2.Commit(); err != nil {
+	out1, err := t1.Commit()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := t1.Commit(); err != nil {
-		t.Fatal(err)
+	id1, id2 := out1[0].ID, out2[0].ID
+	if id2 >= id1 {
+		t.Fatalf("IDs follow staging, not commit: first %d, second %d", id1, id2)
 	}
 	msgs, err := ms.Messages("q")
 	if err != nil || len(msgs) != 2 {
 		t.Fatalf("messages: %v %v", msgs, err)
 	}
-	if msgs[0].ID != id1 || msgs[1].ID != id2 {
-		t.Fatalf("scan order %d,%d; want %d,%d", msgs[0].ID, msgs[1].ID, id1, id2)
+	if msgs[0].ID != id2 || msgs[1].ID != id1 {
+		t.Fatalf("scan order %d,%d; want %d,%d", msgs[0].ID, msgs[1].ID, id2, id1)
 	}
 }

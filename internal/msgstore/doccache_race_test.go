@@ -34,13 +34,14 @@ func TestDocCacheSharedEvaluationRace(t *testing.T) {
 	}
 	tx := ms.Begin()
 	doc := xmldom.MustParse(`<order><id>42</id><items><item n="1">a</item><item n="2">b</item></items><total>99.5</total></order>`)
-	id, err := tx.Enqueue("q", doc, map[string]xdm.Value{"k": xdm.NewString("v")}, time.Now())
+	if err := tx.Enqueue("q", doc, map[string]xdm.Value{"k": xdm.NewString("v")}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	out, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	id := out[0].ID
 
 	shared, err := ms.Doc(id)
 	if err != nil {

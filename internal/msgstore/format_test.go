@@ -183,17 +183,17 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := ms.Begin()
-	treeID, err := tx.Enqueue("q", xmldom.MustParse(formatTestDoc), props, at)
+	if err := tx.Enqueue("q", xmldom.MustParse(formatTestDoc), props, at); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.EnqueueEncoded("q", enc, xmldom.MustParse(formatTestDoc), 0, nil, props, at); err != nil {
+		t.Fatal(err)
+	}
+	out, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	encID, err := tx.EnqueueEncoded("q", enc, xmldom.MustParse(formatTestDoc), 0, nil, props, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	treeID, encID := out[0].ID, out[1].ID
 	read := func(rid store.RID) string {
 		t.Helper()
 		b, err := ms.ps.Read(rid)

@@ -23,14 +23,14 @@ func openTemp(t *testing.T) *Store {
 func enqueue(t *testing.T, ms *Store, queue, xml string, props map[string]xdm.Value) MsgID {
 	t.Helper()
 	tx := ms.Begin()
-	id, err := tx.Enqueue(queue, xmldom.MustParse(xml), props, time.Now())
+	if err := tx.Enqueue(queue, xmldom.MustParse(xml), props, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	out, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return out[0].ID
 }
 
 // processedIDs lists the processed (retention-eligible) messages of a queue.
@@ -153,10 +153,10 @@ func TestRestartRecoversMessagesAndFlags(t *testing.T) {
 	var ids []MsgID
 	for i := 0; i < 5; i++ {
 		tx := ms.Begin()
-		id, _ := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m n="%d">body</m>`, i)),
+		tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m n="%d">body</m>`, i)),
 			map[string]xdm.Value{"n": xdm.NewInteger(int64(i))}, time.Now())
-		tx.Commit()
-		ids = append(ids, id)
+		out, _ := tx.Commit()
+		ids = append(ids, out[0].ID)
 	}
 	tx := ms.Begin()
 	tx.MarkProcessed(ids[2])
@@ -189,9 +189,9 @@ func TestRestartRecoversMessagesAndFlags(t *testing.T) {
 	}
 	// New IDs continue after the recovered maximum.
 	tx2 := ms2.Begin()
-	nid, _ := tx2.Enqueue("q", xmldom.MustParse(`<m/>`), nil, time.Now())
-	tx2.Commit()
-	if nid <= ids[4] {
+	tx2.Enqueue("q", xmldom.MustParse(`<m/>`), nil, time.Now())
+	out, _ := tx2.Commit()
+	if nid := out[0].ID; nid <= ids[4] {
 		t.Fatalf("ID sequence regressed: %d <= %d", nid, ids[4])
 	}
 }

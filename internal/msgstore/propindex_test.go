@@ -138,7 +138,7 @@ func TestPropertyIndexSkipsSystemProps(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := ms.Begin()
-	if _, err := tx.Enqueue("q", xmldom.MustParse(`<m/>`), map[string]xdm.Value{
+	if err := tx.Enqueue("q", xmldom.MustParse(`<m/>`), map[string]xdm.Value{
 		"demaq:rule": xdm.NewString("r1"),
 		"user":       xdm.NewString("u1"),
 	}, time.Now()); err != nil {

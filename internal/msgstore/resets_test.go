@@ -29,7 +29,7 @@ func TestFirstTransferCreatesNoHeap(t *testing.T) {
 		}
 	}
 	tx := ms.Begin()
-	if _, err := tx.Enqueue("q", xmldom.MustParse(`<m/>`), nil, time.Now()); err != nil {
+	if err := tx.Enqueue("q", xmldom.MustParse(`<m/>`), nil, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tx.PutSession(SessionState{Kind: SessionRecv, Endpoint: "sim://here", Peer: "sim://there", Seq: 1, Window: []uint64{1}})

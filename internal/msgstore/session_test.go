@@ -73,7 +73,7 @@ func TestSessionTxnAtomicity(t *testing.T) {
 	}
 	for i := 1; i <= 5; i++ {
 		tx := ms.Begin()
-		if _, err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m n="%d"/>`, i)), nil, time.Now()); err != nil {
+		if err := tx.Enqueue("q", xmldom.MustParse(fmt.Sprintf(`<m n="%d"/>`, i)), nil, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		tx.PutSession(SessionState{Kind: SessionRecv, Endpoint: "ep", Peer: "peer", Seq: uint64(i), Window: []uint64{1}})

@@ -24,10 +24,12 @@ func TestStatusSideHeapKeepsPayloadImmutable(t *testing.T) {
 	defer ms.Close()
 	ms.CreateQueue("q", Persistent, 0)
 	tx := ms.Begin()
-	id, _ := tx.Enqueue("q", xmldom.MustParse(`<m>x</m>`), map[string]xdm.Value{"k": xdm.NewString("v")}, time.Now())
-	if _, err := tx.Commit(); err != nil {
+	tx.Enqueue("q", xmldom.MustParse(`<m>x</m>`), map[string]xdm.Value{"k": xdm.NewString("v")}, time.Now())
+	out, err := tx.Commit()
+	if err != nil {
 		t.Fatal(err)
 	}
+	id := out[0].ID
 	m := ms.lookup(id)
 	if m.statusRID == (store.RID{}) {
 		t.Fatal("new message has no status side-heap record")

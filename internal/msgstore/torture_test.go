@@ -118,27 +118,35 @@ func runTortureWorkload(ms *Store, mdl *model, iters int) error {
 
 		tx := ms.Begin()
 		var pend []*modelMsg
-		id, err := tx.Enqueue(q, xmldom.MustParse(xml), props, time.Now())
-		if err != nil {
+		if err := tx.Enqueue(q, xmldom.MustParse(xml), props, time.Now()); err != nil {
 			return err
 		}
-		pend = append(pend, &modelMsg{id: id, queue: q, props: sprops, text: text})
+		pend = append(pend, &modelMsg{queue: q, props: sprops, text: text})
 		if i%6 == 0 {
 			// Multi-message transaction: atomicity across both enqueues.
 			xml2, text2 := tortureDoc(i + 1000)
 			props2, sprops2 := tortureProps(i + 1000)
 			q2 := tortureQueues[(i+1)%len(tortureQueues)]
-			id2, err := tx.Enqueue(q2, xmldom.MustParse(xml2), props2, time.Now())
-			if err != nil {
+			if err := tx.Enqueue(q2, xmldom.MustParse(xml2), props2, time.Now()); err != nil {
 				return err
 			}
-			pend = append(pend, &modelMsg{id: id2, queue: q2, props: sprops2, text: text2})
+			pend = append(pend, &modelMsg{queue: q2, props: sprops2, text: text2})
 		}
-		if _, err := tx.Commit(); err != nil {
+		// The run is single-threaded: the commit assigns the next IDs in
+		// staging order, which the model needs even if the commit crashes.
+		next := MsgID(ms.nextID.Load())
+		for i, mm := range pend {
+			mm.id = next + MsgID(i)
+		}
+		out, err := tx.Commit()
+		if err != nil {
 			mdl.maybeEnq = pend
 			return err
 		}
-		for _, mm := range pend {
+		for i, mm := range pend {
+			if out[i].ID != mm.id {
+				return fmt.Errorf("enqueue %d got ID %d, want %d", i, out[i].ID, mm.id)
+			}
 			mdl.order = append(mdl.order, mm.id)
 			mdl.msgs[mm.id] = mm
 		}

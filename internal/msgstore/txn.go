@@ -58,7 +58,6 @@ type pendingEnqueue struct {
 	doc   *xmldom.Node
 	props map[string]xdm.Value
 	at    time.Time
-	id    MsgID
 
 	// Streaming ingest (EnqueueEncoded): the payload already rendered in
 	// the binary encoding; doc is then the decoded tree for the doc cache
@@ -68,6 +67,7 @@ type pendingEnqueue struct {
 	pruned []string
 
 	// Filled during Commit.
+	id        MsgID     // prepare
 	q         *Queue    // prepare
 	rid       store.RID // persist (persistent queues)
 	statusRID store.RID // persist: status side-heap record
@@ -76,21 +76,23 @@ type pendingEnqueue struct {
 // Begin starts a transaction.
 func (ms *Store) Begin() *Txn { return &Txn{ms: ms} }
 
-// Enqueue stages a message for insertion and returns its pre-assigned ID.
-// The document must be a sealed document node.
-func (t *Txn) Enqueue(queue string, doc *xmldom.Node, props map[string]xdm.Value, at time.Time) (MsgID, error) {
+// Enqueue stages a message for insertion. The document must be a sealed
+// document node. The message gets its ID at Precommit — under whatever
+// logical locks the caller holds by then, so that a reset of a slice the
+// message joins is ordered either wholly before it or wholly after it — and
+// Precommit's result lists the IDs in staging order.
+func (t *Txn) Enqueue(queue string, doc *xmldom.Node, props map[string]xdm.Value, at time.Time) error {
 	if t.done {
-		return 0, fmt.Errorf("msgstore: transaction finished")
+		return fmt.Errorf("msgstore: transaction finished")
 	}
 	if t.ms.getQueue(queue) == nil {
-		return 0, fmt.Errorf("msgstore: unknown queue %q", queue)
+		return fmt.Errorf("msgstore: unknown queue %q", queue)
 	}
-	id := MsgID(t.ms.nextID.Add(1) - 1)
 	if doc.Kind != xmldom.DocumentNode {
 		doc = doc.CloneAsDocument()
 	}
-	t.enqueues = append(t.enqueues, &pendingEnqueue{queue: queue, doc: doc, props: props, at: at.UTC(), id: id})
-	return id, nil
+	t.enqueues = append(t.enqueues, &pendingEnqueue{queue: queue, doc: doc, props: props, at: at.UTC()})
+	return nil
 }
 
 // EnqueueEncoded stages a message whose payload was already rendered into
@@ -104,23 +106,22 @@ func (t *Txn) Enqueue(queue string, doc *xmldom.Node, props map[string]xdm.Value
 //
 // Projected payloads require a persistent queue (a transient message is
 // held only as its cached tree, which must be complete).
-func (t *Txn) EnqueueEncoded(queue string, enc []byte, doc *xmldom.Node, fp uint64, pruned []string, props map[string]xdm.Value, at time.Time) (MsgID, error) {
+func (t *Txn) EnqueueEncoded(queue string, enc []byte, doc *xmldom.Node, fp uint64, pruned []string, props map[string]xdm.Value, at time.Time) error {
 	if t.done {
-		return 0, fmt.Errorf("msgstore: transaction finished")
+		return fmt.Errorf("msgstore: transaction finished")
 	}
 	q := t.ms.getQueue(queue)
 	if q == nil {
-		return 0, fmt.Errorf("msgstore: unknown queue %q", queue)
+		return fmt.Errorf("msgstore: unknown queue %q", queue)
 	}
 	if fp != 0 && q.Mode != Persistent {
-		return 0, fmt.Errorf("msgstore: projected payload for transient queue %q", queue)
+		return fmt.Errorf("msgstore: projected payload for transient queue %q", queue)
 	}
-	id := MsgID(t.ms.nextID.Add(1) - 1)
 	t.enqueues = append(t.enqueues, &pendingEnqueue{
-		queue: queue, doc: doc, props: props, at: at.UTC(), id: id,
+		queue: queue, doc: doc, props: props, at: at.UTC(),
 		enc: enc, fp: fp, pruned: pruned,
 	})
-	return id, nil
+	return nil
 }
 
 // MarkProcessed stages setting the processed flag of a message.
@@ -165,9 +166,10 @@ func (ms *Store) WaitDurable(lsn uint64) error { return ms.ps.WaitDurable(lsn) }
 func (ms *Store) LogEnd() uint64 { return ms.ps.LogEnd() }
 
 // Precommit applies the staged mutations atomically — persisted, the commit
-// record logged, the in-memory indexes published — and returns the LSN to
-// hand to WaitDurable (0 when nothing persistent was touched). From here on
-// the transaction can only be lost by a crash or a dead log device.
+// record logged, the in-memory indexes published — and returns the enqueued
+// messages in staging order, with the IDs assigned here, and the LSN to hand
+// to WaitDurable (0 when nothing persistent was touched). From here on the
+// transaction can only be lost by a crash or a dead log device.
 func (t *Txn) Precommit() ([]Message, uint64, error) {
 	if t.done {
 		return nil, 0, fmt.Errorf("msgstore: transaction finished")
@@ -175,9 +177,11 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 	t.done = true
 	ms := t.ms
 
-	// --- prepare: resolve targets, no page-store work yet ---
+	// --- prepare: resolve targets and assign IDs, no page-store work yet ---
 	needDisk := len(t.resets) > 0 || len(t.sessions) > 0
-	for _, pe := range t.enqueues {
+	next := ms.nextID.Add(uint64(len(t.enqueues))) - uint64(len(t.enqueues))
+	for i, pe := range t.enqueues {
+		pe.id = MsgID(next + uint64(i))
 		pe.q = ms.getQueue(pe.queue)
 		if pe.q == nil {
 			return nil, 0, fmt.Errorf("msgstore: unknown queue %q", pe.queue)
@@ -358,7 +362,7 @@ func (ms *Store) publishByID(metas []*msgMeta) {
 
 // publishToQueues inserts a commit's messages into their queues' ordered
 // lists, grouped so each distinct queue lock is taken once. metas are in
-// staging order — ascending pre-assigned IDs — so per-queue sub-batches
+// staging order — ascending IDs — so per-queue sub-batches
 // stay sorted and usually hit insertSorted's append fast path.
 func (ms *Store) publishToQueues(metas []*msgMeta) {
 	if len(metas) == 1 {
@@ -412,8 +416,7 @@ func (q *Queue) insertSorted(m *msgMeta) {
 	q.msgs[i] = m
 }
 
-// Abort discards the staged mutations. Pre-assigned message IDs are simply
-// skipped (IDs are ordering tokens, not dense).
+// Abort discards the staged mutations.
 func (t *Txn) Abort() {
 	t.done = true
 	t.enqueues = nil

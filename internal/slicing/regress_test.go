@@ -19,14 +19,14 @@ import (
 func putProps(t testing.TB, ms *msgstore.Store, queue string, props map[string]xdm.Value) msgstore.MsgID {
 	t.Helper()
 	tx := ms.Begin()
-	id, err := tx.Enqueue(queue, xmldom.MustParse(`<m/>`), props, time.Now())
+	if err := tx.Enqueue(queue, xmldom.MustParse(`<m/>`), props, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	out, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return out[0].ID
 }
 
 // TestMaterializedMergedDifferential drives the same workload — several
@@ -196,18 +196,21 @@ func TestSliceMembersWatermarkRace(t *testing.T) {
 			}
 			reset(sm, "requestMsgs", "r1", last)
 			tx := ms.Begin()
-			n, err := tx.Enqueue("crm", xmldom.MustParse(`<m/>`), pv, time.Now())
+			if err := tx.Enqueue("crm", xmldom.MustParse(`<m/>`), pv, time.Now()); err != nil {
+				done <- err
+				return
+			}
+			out, err := tx.Commit()
 			if err != nil {
 				done <- err
 				return
 			}
+			// Recorded after the publish: a reader that sees n before this
+			// only checks the view less strictly.
+			n := out[0].ID
 			mu.Lock()
 			wmOf[n] = last
 			mu.Unlock()
-			if _, err := tx.Commit(); err != nil {
-				done <- err
-				return
-			}
 			last = n
 		}
 	}()

@@ -209,20 +209,19 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		tx.Abort()
 		return precommit{}, err
 	}
-	lsn, err := precommitStaged(tx, stagedEnqs)
+	lsn, err := e.precommitStaged(tx, stagedEnqs)
 	if err != nil {
 		return precommit{}, err
 	}
 
 	// Post-pre-commit, still under the locks: reset watermarks and routing.
 	// The internal consumers — the rule scheduler, the echo timers — get their
-	// messages at once; a message in an outgoing gateway queue is parked on
-	// the transaction until it is durable.
+	// messages at once; a message in an outgoing gateway queue waits in its
+	// queue until it is released.
 	e.stats.enqueued.Add(uint64(len(stagedEnqs)))
 	for _, re := range tx.AppliedResets {
 		e.slices.Reset(re)
 		e.stats.resets.Add(1)
 	}
-	outgoing := e.routeStaged(stagedEnqs)
-	return precommit{lsn: e.outputLSN(lsn, outgoing), outgoing: outgoing}, nil
+	return e.routeStaged(lsn, stagedEnqs), nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,14 +30,14 @@ import (
 // transaction it could not make durable.
 //
 // What may not run ahead of the disk is what leaves the node, and there are
-// exactly two such things, both performed by settle once WaitDurable has
-// returned for the transaction's outputLSN:
+// exactly two such things:
 //
-//   - the handover of a message in an outgoing gateway queue to its sender
-//     (gws.submit) — for the workers through the durability stage below, which
-//     waits for the log once per group of pre-committed transactions and also
-//     completes their scheduler claims (which is what Drain and Shutdown
-//     observe);
+//   - the sending of a message in an outgoing gateway queue, which its sender
+//     reads off the queue once the log is durable up to the message's release
+//     LSN (msgstore.Message.Release); settle nudges the senders — for the
+//     workers through the durability stage below, which waits for the log
+//     once per group of pre-committed transactions and also completes their
+//     scheduler claims (which is what Drain and Shutdown observe);
 //   - the return to an external caller — the HTTP 202, the WS-RM ack, the
 //     result of Enqueue/EnqueueWire — which commitExternal (or, for an
 //     admission, admitted) makes after settle.
@@ -50,28 +51,32 @@ import (
 // precommit is a pre-committed transaction on its way to durability: a
 // worker's, or one committed by commitExternal.
 type precommit struct {
-	lsn      uint64      // WaitDurable target (outputLSN); 0: nothing to wait for
-	outgoing []stagedMsg // created in outgoing gateway queues: submitted once durable
-	claims   int         // scheduler claims the transaction completes (workers only)
+	lsn    uint64 // WaitDurable target (routeStaged); 0: nothing to wait for
+	output bool   // created messages in outgoing gateway queues: settle nudges their senders
+	claims int    // scheduler claims the transaction completes (workers only)
 }
 
 // stagedMsg is a message staged into a transaction, on its way to its slices
-// and its consumer. Its id is known once the transaction has pre-committed.
+// and its consumer. Its id and release LSN are set when the transaction
+// pre-commits.
 type stagedMsg struct {
-	id    msgstore.MsgID
-	queue string
-	props map[string]xdm.Value
+	id      msgstore.MsgID
+	release uint64
+	queue   string
+	props   map[string]xdm.Value
 }
 
-// precommitStaged pre-commits tx and fills in the ids of staged, the messages
-// it enqueues, in staging order.
-func precommitStaged(tx *msgstore.Txn, staged []stagedMsg) (uint64, error) {
+// precommitStaged pre-commits tx and fills in the ids and release LSNs of
+// staged, the messages it enqueues, in staging order. A failed pre-commit
+// has moved a publication frontier a sender may have stopped at.
+func (e *Engine) precommitStaged(tx *msgstore.Txn, staged []stagedMsg) (uint64, error) {
 	msgs, lsn, err := tx.Precommit()
 	if err != nil {
+		e.gws.nudge()
 		return 0, err
 	}
 	for i, m := range msgs {
-		staged[i].id = m.ID
+		staged[i].id, staged[i].release = m.ID, m.Release
 	}
 	return lsn, nil
 }
@@ -131,13 +136,13 @@ func (d *durabilityStage) add(pc precommit, claims int) {
 	defer d.mu.RUnlock()
 	if pc.lsn == 0 || d.stopped {
 		// Nothing was logged (a duplicate schedule, transient queues only)
-		// and nothing is owed to the outside (outputLSN): there is no flush
+		// and nothing is owed to the outside (routeStaged): there is no flush
 		// to wait for. Once the stage has stopped, the caller waits itself.
 		d.eng.settle(pc)
 		return
 	}
 	d.slots <- struct{}{}
-	if len(pc.outgoing) > 0 {
+	if pc.output {
 		d.outSlots <- struct{}{}
 	}
 	d.eng.stats.pipelinedCommits.Add(1)
@@ -165,7 +170,7 @@ func (d *durabilityStage) loop() {
 		d.eng.settle(batch...)
 		for _, pc := range batch {
 			<-d.slots
-			if len(pc.outgoing) > 0 {
+			if pc.output {
 				<-d.outSlots
 			}
 		}
@@ -199,13 +204,14 @@ func commitBatches[T any](ch <-chan T, commit func([]T) bool) {
 }
 
 // settle waits until a group of pre-committed transactions is durable and
-// then performs what they owe the outside: the outgoing gateway submits and
-// the scheduler claims. When the log fails, nothing that is not durable
-// leaves the node: the engine turns degraded, the error goes back to whoever
-// has a caller to refuse, and the claims are completed all the same — the
-// messages count as processed in memory, and a restart re-derives what the
-// durable prefix of the log does not hold from the messages it finds
-// unprocessed, as after any crash — so that Shutdown can finish.
+// then performs what they owe the outside: it nudges the outgoing gateway
+// senders and completes the scheduler claims. When the log fails, nothing
+// that is not durable leaves the node: the engine turns degraded, the error
+// goes back to whoever has a caller to refuse, and the claims are completed
+// all the same — the messages count as processed in memory, and a restart
+// re-derives what the durable prefix of the log does not hold from the
+// messages it finds unprocessed, as after any crash — so that Shutdown can
+// finish.
 func (e *Engine) settle(batch ...precommit) error {
 	var lsn uint64
 	for _, pc := range batch {
@@ -219,12 +225,10 @@ func (e *Engine) settle(batch ...precommit) error {
 		e.log.Error("pre-committed transactions lost: the log did not become durable",
 			"transactions", len(batch), "err", err)
 	}
+	if err == nil && slices.ContainsFunc(batch, func(pc precommit) bool { return pc.output }) {
+		e.gws.nudge()
+	}
 	for _, pc := range batch {
-		if err == nil {
-			for _, m := range pc.outgoing {
-				e.gws.submit(m.queue, m.id)
-			}
-		}
 		if pc.claims > 0 {
 			e.sched.DoneN(pc.claims)
 		}
@@ -232,37 +236,27 @@ func (e *Engine) settle(batch ...precommit) error {
 	return err
 }
 
-// routeStaged hands the messages a pre-committed transaction created to
-// their internal consumers — the rule scheduler, the echo timers — and
-// returns those in outgoing gateway queues, which stay parked on the
-// transaction until settle finds it durable.
-func (e *Engine) routeStaged(msgs []stagedMsg) (outgoing []stagedMsg) {
+// routeStaged hands the messages a transaction that pre-committed at lsn
+// created to their internal consumers — the rule scheduler, the echo timers
+// — and returns what the transaction owes the outside. A message in an
+// outgoing gateway queue stays where it is, for its sender to read once its
+// release LSN is durable: the transaction waits for that — its own commit
+// record, or, if it logged nothing (lsn 0), the log end at its publish — and
+// for its turn in the stage like any other.
+func (e *Engine) routeStaged(lsn uint64, msgs []stagedMsg) precommit {
+	pc := precommit{lsn: lsn}
 	for _, m := range msgs {
-		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
-			outgoing = append(outgoing, m)
-		} else {
-			e.routeNewMessage(m.queue, m.id)
+		switch e.queueKind(m.queue) {
+		case qdl.KindOutgoingGateway:
+			pc.output = true
+			pc.lsn = max(pc.lsn, m.release)
+		case qdl.KindEcho:
+			e.timers.schedule(m.queue, m.id)
+		default:
+			e.sched.Add(m.queue, m.id)
 		}
 	}
-	return outgoing
-}
-
-// outputLSN returns what has to be durable before the messages staged by a
-// transaction that pre-committed at lsn may leave the node. That is its own
-// commit record — unless it touched transient queues only and logged nothing
-// (lsn 0): what it consumed may still be the pre-committed work of
-// transactions that did, so its messages for outgoing gateway queues wait
-// for the log as it stands, and for their turn in the stage like any other.
-func (e *Engine) outputLSN(lsn uint64, msgs []stagedMsg) uint64 {
-	if lsn != 0 {
-		return lsn
-	}
-	for _, m := range msgs {
-		if e.queueKind(m.queue) == qdl.KindOutgoingGateway {
-			return e.ms.LogEnd()
-		}
-	}
-	return 0
+	return pc
 }
 
 // sliceLocks returns the lock resources of the slices a new message with
@@ -278,8 +272,9 @@ func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
 // commitExternal commits a transaction that does not run under a worker's
 // locks — the echo timers, the gateway senders — and returns once it is
 // durable. It is precommitExternal and settle in a row, as msgstore's Commit
-// is Precommit and WaitDurable: the messages it stages reach their internal consumers
-// before the wait, the outgoing gateway senders and the caller after it.
+// is Precommit and WaitDurable: the messages it stages reach their internal
+// consumers before the wait; the outgoing gateway senders are nudged, and the
+// caller returns, after it.
 func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
 	pc, err := e.precommitExternal(tx, msgs)
 	if err != nil {
@@ -304,8 +299,7 @@ func (e *Engine) precommitExternal(tx *msgstore.Txn, msgs []stagedMsg) (precommi
 	if err != nil {
 		return precommit{}, err
 	}
-	outgoing := e.routeStaged(msgs)
-	return precommit{lsn: e.outputLSN(lsn, outgoing), outgoing: outgoing}, nil
+	return e.routeStaged(lsn, msgs), nil
 }
 
 // precommitLocked is the part of precommitExternal that runs under the slice
@@ -335,5 +329,5 @@ func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, er
 			}
 		}
 	}
-	return precommitStaged(tx, msgs)
+	return e.precommitStaged(tx, msgs)
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io/fs"
 	"log/slog"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"sync"
@@ -166,7 +167,7 @@ type Stats struct {
 	// log that made them durable: the first over the second is the number of
 	// transactions per flush wait (1 on an idle or paced node).
 	// UndurableBatches is a gauge: the pre-committed worker transactions not
-	// yet known durable, at most undurableCap.
+	// yet found durable, at most undurableCap.
 	PipelinedCommits uint64
 	DurabilityWaits  uint64
 	UndurableBatches int
@@ -364,23 +365,17 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 	e.dur = newDurabilityStage(e)
 	for _, q := range app.Queues {
 		switch q.Kind {
-		case qdl.KindEcho:
-			for _, id := range ms.UnprocessedIDs(q.Name) {
-				e.timers.schedule(q.Name, id)
-			}
 		case qdl.KindOutgoingGateway:
-			e.gws.declareOutgoing(q)
-			for _, id := range ms.UnprocessedIDs(q.Name) {
-				e.gws.submit(q.Name, id)
-			}
+			e.gws.declareOutgoing(q) // its sender reads the queue from the start
+			continue
 		case qdl.KindIncomingGateway:
 			e.gws.declareIncoming(q)
-			for _, id := range ms.UnprocessedIDs(q.Name) {
-				e.sched.Add(q.Name, id)
-			}
-		default:
-			for _, id := range ms.UnprocessedIDs(q.Name) {
-				e.sched.Add(q.Name, id)
+		}
+		for _, m := range ms.UnprocessedAfter(q.Name, 0, math.MaxInt, nil) {
+			if q.Kind == qdl.KindEcho {
+				e.timers.schedule(q.Name, m.ID)
+			} else {
+				e.sched.Add(q.Name, m.ID)
 			}
 		}
 	}
@@ -812,7 +807,7 @@ func (e *Engine) enqueueDoc(queue string, doc *xmldom.Node, explicit map[string]
 }
 
 // admission is an external message that is pre-committed and scheduled, and
-// not yet known to be durable.
+// not yet found durable.
 type admission struct {
 	id msgstore.MsgID
 	pc precommit
@@ -938,19 +933,6 @@ func (e *Engine) enqueueWire(queue string, wire []byte, explicit map[string]xdm.
 // EnqueueXML enqueues wire XML given as a string.
 func (e *Engine) EnqueueXML(queue, xml string, explicit map[string]xdm.Value) (msgstore.MsgID, error) {
 	return e.EnqueueWire(queue, []byte(xml), explicit)
-}
-
-// routeNewMessage hands a committed message to its consumer: the rule
-// scheduler, the timer service (echo queues) or the gateway sender.
-func (e *Engine) routeNewMessage(queue string, id msgstore.MsgID) {
-	switch e.queueKind(queue) {
-	case qdl.KindEcho:
-		e.timers.schedule(queue, id)
-	case qdl.KindOutgoingGateway:
-		e.gws.submit(queue, id)
-	default:
-		e.sched.Add(queue, id)
-	}
 }
 
 func (e *Engine) queueKind(name string) qdl.QueueKind {

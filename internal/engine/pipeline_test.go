@@ -685,12 +685,13 @@ func TestOutputBackpressure(t *testing.T) {
 	}
 }
 
-// TestRefillWaitsForDurability: when the sender's buffer has overflowed, the
-// transmit stage refills it from the queue itself — which also lists what the
-// workers have pre-committed and the durability stage still holds back. None
-// of that is sent before the log has it.
-func TestRefillWaitsForDurability(t *testing.T) {
-	const direct, forwarded = outgoingWorkCap + 8, 4
+// TestSenderSendsOnlyReleased: the transmit stage reads the queue itself,
+// which also lists what the workers have pre-committed and the durability
+// stage still holds back. Behind a deep backlog of released messages, none
+// of those is sent before the log has it, and each is sent exactly once
+// after.
+func TestSenderSendsOnlyReleased(t *testing.T) {
+	const direct, forwarded = 1032, 4
 	fn := gateway.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{gate: make(chan struct{})}
@@ -699,8 +700,8 @@ func TestRefillWaitsForDurability(t *testing.T) {
 	}
 	vfs := &syncVFS{VFS: store.NewFaultFS(11)}
 	// A transient outgoing queue: consuming a transfer costs no flush, so the
-	// sender gets through its buffer — to the refill — while the log is held.
-	e, err := New(Config{Dir: "refill", Workers: 2, Logger: quietLog,
+	// sender works off the direct backlog while the log is held.
+	e, err := New(Config{Dir: "released", Workers: 2, Logger: quietLog,
 		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
 		qdl.MustParse(`
@@ -715,7 +716,7 @@ func TestRefillWaitsForDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	enqueueNumbered(t, e, "out", direct) // not started: the buffer overflows
+	enqueueNumbered(t, e, "out", direct) // not started: a backlog, all released
 	for i := 1; i <= forwarded; i++ {
 		if _, err := e.EnqueueXML("in", fmt.Sprintf("<f>%d</f>", i), nil); err != nil {
 			t.Fatal(err)
@@ -730,9 +731,9 @@ func TestRefillWaitsForDurability(t *testing.T) {
 	if msgs, _ := e.MessageStore().Messages("out"); len(msgs) != direct+forwarded {
 		t.Fatalf("out lists %d messages, want %d", len(msgs), direct+forwarded)
 	}
-	// ...then the sender works off its buffer and turns to the queue.
+	// ...then the sender works off the backlog and reaches the forwards.
 	close(rec.gate)
-	waitFor(t, 30*time.Second, func() bool { return len(rec.payloads()) >= outgoingWorkCap })
+	waitFor(t, 30*time.Second, func() bool { return len(rec.payloads()) >= direct })
 	time.Sleep(30 * time.Millisecond)
 	for _, p := range rec.payloads() {
 		if strings.HasPrefix(p, "<f>") {

@@ -2,7 +2,9 @@ package msgstore
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,7 +110,7 @@ func TestConcurrentEnqueueProcessRemove(t *testing.T) {
 		if got := len(processedIDs(ms, queue)); got != totalPerQ {
 			t.Fatalf("queue %s: %d processed, want %d", queue, got, totalPerQ)
 		}
-		if got := len(ms.UnprocessedIDs(queue)); got != 0 {
+		if got := len(unprocessedIDs(ms, queue)); got != 0 {
 			t.Fatalf("queue %s: %d unprocessed left", queue, got)
 		}
 	}
@@ -247,5 +249,103 @@ func TestInterleavedCommitOrderVisibility(t *testing.T) {
 	}
 	if msgs[0].ID != id2 || msgs[1].ID != id1 {
 		t.Fatalf("scan order %d,%d; want %d,%d", msgs[0].ID, msgs[1].ID, id2, id1)
+	}
+}
+
+// TestCursorFollowsPublication: producers commit batches into one queue —
+// and into a second one, so that the ids of a queue have gaps — while a
+// reader follows the queue with a cursor through UnprocessedAfter, marking
+// what it read processed. Ids are assigned before the commit and published
+// after it, so the producers publish out of id order; the publication
+// frontier keeps the cursor from passing an id that is published later.
+// The reader sees every message exactly once, in increasing id order.
+func TestCursorFollowsPublication(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Store.SyncCommits = false
+	ms, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Close()
+	ms.CreateQueue("out", Persistent, 0)
+	ms.CreateQueue("other", Persistent, 0)
+
+	const producers, txns = 8, 150
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	produced := make([][]MsgID, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				tx := ms.Begin()
+				queues := []string{"out"}
+				for k := 0; k < i%3; k++ {
+					queues = append(queues, "out")
+				}
+				if i%4 == 1 {
+					queues = append([]string{"other"}, queues...)
+				}
+				for _, q := range queues {
+					if err := tx.Enqueue(q, xmldom.MustParse(`<m/>`), nil, time.Now()); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				out, _, err := tx.Precommit()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, m := range out {
+					if m.Queue == "out" {
+						produced[p] = append(produced[p], m.ID)
+					}
+				}
+			}
+		}(p)
+	}
+	go func() { wg.Wait(); done.Store(true) }()
+
+	seen := map[MsgID]bool{}
+	var cursor MsgID
+	var buf []Message
+	for {
+		finished := done.Load()
+		buf = ms.UnprocessedAfter("out", cursor, 16, buf[:0])
+		if len(buf) == 0 {
+			if finished {
+				break
+			}
+			runtime.Gosched()
+			continue
+		}
+		ids := make([]MsgID, 0, len(buf))
+		for _, m := range buf {
+			if m.ID <= cursor || seen[m.ID] {
+				t.Fatalf("read %d with the cursor at %d", m.ID, cursor)
+			}
+			seen[m.ID] = true
+			cursor = m.ID
+			ids = append(ids, m.ID)
+		}
+		tx := ms.Begin()
+		tx.MarkProcessedAll(ids)
+		if _, _, err := tx.Precommit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := 0
+	for _, ids := range produced {
+		total += len(ids)
+		for _, id := range ids {
+			if !seen[id] {
+				t.Fatalf("message %d was published behind the cursor and never read", id)
+			}
+		}
+	}
+	if len(seen) != total {
+		t.Fatalf("read %d messages, %d were committed", len(seen), total)
 	}
 }

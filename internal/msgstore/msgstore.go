@@ -15,7 +15,8 @@
 //   - the queue registry has its own RWMutex (DDL is rare);
 //   - each Queue guards its message list with a per-queue RWMutex;
 //   - the byID index is sharded by message ID with per-shard RWMutexes;
-//   - message IDs come from an atomic counter;
+//   - message IDs come from a counter advanced under pubMu, which also
+//     guards each queue's publication frontier;
 //   - collections have per-collection mutexes under a registry RWMutex;
 //   - the processed/dead message flags are atomics.
 //
@@ -56,8 +57,8 @@ const (
 // msgMeta is the in-memory descriptor of one message. Payloads of
 // persistent messages stay on disk and are parsed on demand through the
 // document cache; transient messages keep their document in memory.
-// id, rid, doc, props, enqueued and q are immutable once the message is
-// published; processed and dead are the only mutable fields.
+// id, rid, doc, props, enqueued, release and q are immutable once the
+// message is published; processed and dead are the only mutable fields.
 type msgMeta struct {
 	id        MsgID
 	rid       store.RID // persistent queues
@@ -65,6 +66,7 @@ type msgMeta struct {
 	doc       *xmldom.Node
 	props     map[string]xdm.Value
 	enqueued  time.Time
+	release   uint64 // Message.Release; 0 for a message loaded at Open
 	q         *Queue
 	processed atomic.Bool
 	dead      atomic.Bool // physically removed
@@ -88,6 +90,11 @@ type Queue struct {
 	mu   sync.RWMutex
 	msgs []*msgMeta // in id order; GC'd entries flagged dead and compacted
 	live int
+
+	// inflight holds, in ascending order, the lowest id each pre-committing
+	// transaction has handed to a message of this queue: its first entry is
+	// the queue's publication frontier. Guarded by Store.pubMu.
+	inflight []MsgID
 }
 
 // Message is the externally visible message descriptor.
@@ -97,6 +104,10 @@ type Message struct {
 	Props     map[string]xdm.Value
 	Enqueued  time.Time
 	Processed bool
+	// Release is the LSN that must be durable before the message may leave
+	// the node: its transaction's commit LSN or, if that logged nothing
+	// (transient queues only), the log end at publish, covering its inputs.
+	Release uint64
 }
 
 // idShardCount stripes the byID index. Power of two so the shard selector
@@ -126,7 +137,10 @@ type Store struct {
 
 	payloadEncBytes atomic.Uint64
 
-	nextID atomic.Uint64 // next MsgID to assign
+	// pubMu orders id assignment against the frontier reads (Queue.inflight):
+	// a transaction takes its ids and claims its frontiers in one step.
+	pubMu  sync.Mutex
+	nextID atomic.Uint64 // next MsgID to assign; advanced under pubMu
 
 	// The system heaps (resets.go, session.go), created by Open so that no
 	// commit path ever pays for catalog DDL.

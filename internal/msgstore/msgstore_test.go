@@ -2,6 +2,7 @@ package msgstore
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,14 @@ func processedIDs(ms *Store, queue string) []MsgID {
 		if m.Processed {
 			out = append(out, m.ID)
 		}
+	}
+	return out
+}
+
+func unprocessedIDs(ms *Store, queue string) []MsgID {
+	var out []MsgID
+	for _, m := range ms.UnprocessedAfter(queue, 0, math.MaxInt, nil) {
+		out = append(out, m.ID)
 	}
 	return out
 }
@@ -101,7 +110,7 @@ func TestQueueOrderAndProcessed(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ms.UnprocessedIDs("q"); len(got) != 8 {
+	if got := unprocessedIDs(ms, "q"); len(got) != 8 {
 		t.Fatalf("unprocessed: %d", len(got))
 	}
 	if got := processedIDs(ms, "q"); len(got) != 2 {

@@ -105,7 +105,7 @@ func TestOrphanStatusIDsNotReused(t *testing.T) {
 	if err := ms.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ms.UnprocessedIDs("q"); !slices.Equal(got, []MsgID{keep, fresh}) {
+	if got := unprocessedIDs(ms, "q"); !slices.Equal(got, []MsgID{keep, fresh}) {
 		t.Fatalf("unprocessed after the second reopen: %v, want [%d %d]", got, keep, fresh)
 	}
 }

@@ -182,7 +182,7 @@ func runTortureWorkload(ms *Store, mdl *model, iters int) error {
 			// Reads mixed in: they evict dirty pages through the tiny pool,
 			// adding write-back crash points mid-read.
 			for _, qn := range tortureQueues {
-				ms.UnprocessedIDs(qn)
+				unprocessedIDs(ms, qn)
 			}
 			ms.PropertyIDsRange("kind", "k1", 0, ^MsgID(0), nil)
 			if mm := mdl.firstWhere(func(m *modelMsg) bool { return !m.removed }); mm != nil {

@@ -2,6 +2,7 @@ package msgstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,13 +14,15 @@ import (
 // Txn is a message-store transaction. Mutations are buffered and applied
 // atomically at Precommit, which runs a three-phase pipeline:
 //
-//  1. prepare — resolve target queues and messages (short read locks only)
-//     and decide whether a page-store transaction is needed;
+//  1. prepare — resolve target queues and messages (short read locks only),
+//     assign the new messages' IDs and decide whether a page-store
+//     transaction is needed;
 //  2. persist — run the page-store transaction with NO msgstore lock held
 //     and pre-commit it: the commit record is in the log, not yet flushed;
 //  3. publish — apply the in-memory indexes under the per-shard and
 //     per-queue locks; queue message lists stay in ID order even when
-//     commits complete out of ID order.
+//     commits complete out of ID order, and each queue's publication
+//     frontier (UnprocessedAfter) stays below the IDs still on their way.
 //
 // Store.WaitDurable on the LSN Precommit returned is the fourth step, and
 // Commit is the two in a row. A caller that holds logical locks releases
@@ -165,6 +168,10 @@ func (ms *Store) WaitDurable(lsn uint64) error { return ms.ps.WaitDurable(lsn) }
 // own in the log; see store.Store.LogEnd.
 func (ms *Store) LogEnd() uint64 { return ms.ps.LogEnd() }
 
+// Durable returns the highest LSN that is durable now, without waiting; see
+// store.Store.Durable.
+func (ms *Store) Durable() uint64 { return ms.ps.Durable() }
+
 // Precommit applies the staged mutations atomically — persisted, the commit
 // record logged, the in-memory indexes published — and returns the enqueued
 // messages in staging order, with the IDs assigned here, and the LSN to hand
@@ -179,9 +186,7 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 
 	// --- prepare: resolve targets and assign IDs, no page-store work yet ---
 	needDisk := len(t.resets) > 0 || len(t.sessions) > 0
-	next := ms.nextID.Add(uint64(len(t.enqueues))) - uint64(len(t.enqueues))
-	for i, pe := range t.enqueues {
-		pe.id = MsgID(next + uint64(i))
+	for _, pe := range t.enqueues {
 		pe.q = ms.getQueue(pe.queue)
 		if pe.q == nil {
 			return nil, 0, fmt.Errorf("msgstore: unknown queue %q", pe.queue)
@@ -189,6 +194,10 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 		if pe.q.Mode == Persistent {
 			needDisk = true
 		}
+	}
+	if len(t.enqueues) > 0 {
+		ms.assignIDs(t.enqueues)
+		defer ms.releaseFrontiers(t.enqueues)
 	}
 	toProcess := make([]*msgMeta, 0, len(t.processed))
 	for _, id := range t.processed {
@@ -290,10 +299,16 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 	// takes each shard and queue lock once, not once per message ---
 	var out []Message
 	if n := len(t.enqueues); n > 0 {
+		// Message.Release: read here, after whatever the transaction consumed
+		// was published, the log end covers the commits that published it.
+		release := lsn
+		if release == 0 {
+			release = ms.LogEnd()
+		}
 		metas := make([]*msgMeta, n)
 		for i, pe := range t.enqueues {
 			q := pe.q
-			m := &msgMeta{id: pe.id, props: pe.props, enqueued: pe.at, q: q}
+			m := &msgMeta{id: pe.id, props: pe.props, enqueued: pe.at, release: release, q: q}
 			if q.Mode == Persistent {
 				m.rid = pe.rid
 				m.statusRID = pe.statusRID
@@ -320,7 +335,7 @@ func (t *Txn) Precommit() ([]Message, uint64, error) {
 		}
 		out = make([]Message, n)
 		for i, m := range metas {
-			out[i] = Message{ID: m.id, Queue: m.q.Name, Props: m.props, Enqueued: m.enqueued}
+			out[i] = Message{ID: m.id, Queue: m.q.Name, Props: m.props, Enqueued: m.enqueued, Release: m.release}
 		}
 	}
 	for _, m := range toProcess {
@@ -414,6 +429,35 @@ func (q *Queue) insertSorted(m *msgMeta) {
 	q.msgs = append(q.msgs, nil)
 	copy(q.msgs[i+1:], q.msgs[i:])
 	q.msgs[i] = m
+}
+
+// assignIDs gives a transaction's messages their ids and claims, for each
+// queue they go to, the frontier at the lowest of them: no reader of that
+// queue gets past it until releaseFrontiers, once the messages are published
+// (or the transaction has failed). Ids and claims are made in one step, so
+// the ids handed out under pubMu ascend and every inflight list stays
+// sorted; an entry at or above next is this transaction's own.
+func (ms *Store) assignIDs(pes []*pendingEnqueue) {
+	ms.pubMu.Lock()
+	defer ms.pubMu.Unlock()
+	next := MsgID(ms.nextID.Add(uint64(len(pes))) - uint64(len(pes)))
+	for i, pe := range pes {
+		pe.id = next + MsgID(i)
+		if f := pe.q.inflight; len(f) == 0 || f[len(f)-1] < next {
+			pe.q.inflight = append(f, pe.id)
+		}
+	}
+}
+
+// releaseFrontiers drops the frontier claims of assignIDs.
+func (ms *Store) releaseFrontiers(pes []*pendingEnqueue) {
+	ms.pubMu.Lock()
+	defer ms.pubMu.Unlock()
+	for _, pe := range pes {
+		if i, ok := slices.BinarySearch(pe.q.inflight, pe.id); ok {
+			pe.q.inflight = slices.Delete(pe.q.inflight, i, i+1)
+		}
+	}
 }
 
 // Abort discards the staged mutations.
@@ -515,7 +559,7 @@ func (ms *Store) Get(id MsgID) (Message, bool) {
 	if m == nil {
 		return Message{}, false
 	}
-	return Message{ID: m.id, Queue: m.q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load()}, true
+	return Message{ID: m.id, Queue: m.q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release}, true
 }
 
 // Property returns one property value of a message.
@@ -541,7 +585,7 @@ func (ms *Store) Messages(queue string) ([]Message, error) {
 		if m.dead.Load() {
 			continue
 		}
-		out = append(out, Message{ID: m.id, Queue: q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load()})
+		out = append(out, Message{ID: m.id, Queue: q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release})
 	}
 	return out, nil
 }
@@ -631,22 +675,37 @@ func (ms *Store) Remove(queue string, ids []MsgID) error {
 	return ms.ps.BatchDelete(q.statusHeap, statusRids)
 }
 
-// UnprocessedIDs returns the IDs of unprocessed messages per queue, used by
-// the engine to rebuild scheduler state after a restart.
-func (ms *Store) UnprocessedIDs(queue string) []MsgID {
+// UnprocessedAfter appends to dst, in id order, up to limit live unprocessed
+// messages of queue with ids above after. Ids are assigned before commit and
+// published after it, so two committers may publish out of id order; the
+// read stops at the queue's publication frontier, and a reader that moves a
+// cursor along its results never passes a message published later. The
+// start is found by binary search: the cost does not grow with the
+// processed history below after.
+func (ms *Store) UnprocessedAfter(queue string, after MsgID, limit int, dst []Message) []Message {
 	q := ms.getQueue(queue)
 	if q == nil {
-		return nil
+		return dst
 	}
+	// Every id below the frontier is published or never will be.
+	ms.pubMu.Lock()
+	frontier := MsgID(ms.nextID.Load())
+	if len(q.inflight) > 0 {
+		frontier = q.inflight[0]
+	}
+	ms.pubMu.Unlock()
 	q.mu.RLock()
 	defer q.mu.RUnlock()
-	var out []MsgID
-	for _, m := range q.msgs {
-		if !m.dead.Load() && !m.processed.Load() {
-			out = append(out, m.id)
+	i := sort.Search(len(q.msgs), func(i int) bool { return q.msgs[i].id > after })
+	for n := 0; i < len(q.msgs) && q.msgs[i].id < frontier && n < limit; i++ {
+		m := q.msgs[i]
+		if m.dead.Load() || m.processed.Load() {
+			continue
 		}
+		dst = append(dst, Message{ID: m.id, Queue: q.Name, Props: m.props, Enqueued: m.enqueued, Release: m.release})
+		n++
 	}
-	return out
+	return dst
 }
 
 // --- collections (master data, fn:collection) ---

@@ -107,6 +107,10 @@ func (s *Store) WaitDurable(lsn uint64) error {
 // before the call is durable, whoever's it was.
 func (s *Store) LogEnd() uint64 { return s.log.size() }
 
+// Durable returns the highest LSN that is durable now: WaitDurable(lsn)
+// would return at once for every lsn at or below it. It does not wait.
+func (s *Store) Durable() uint64 { return s.log.durable() }
+
 // commitTxn commits an internal auto-committed transaction (DDL, batch
 // deletes) from a caller already inside the store.
 func (s *Store) commitTxn(t *Txn) error {

@@ -576,6 +576,14 @@ func (w *wal) size() uint64 {
 	return w.bufStart + uint64(len(w.buf))
 }
 
+// durable returns the logical offset known durable, without waiting for a
+// flush in progress.
+func (w *wal) durable() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.flushed
+}
+
 // liveBytes returns the log bytes a crash right now would have to replay
 // through: everything at or after the published redo offset. This is the
 // quantity the WAL soft/hard budgets bound.

@@ -447,6 +447,92 @@ func TestPlainSenderAtLeastOnceAcrossCrash(t *testing.T) {
 	}
 }
 
+// TestPlainSenderTrickleAcrossCrash: messages are published one transaction
+// at a time while the sender chases them, so the crash lands among enqueue
+// commits and small consume commits alike. After the reboot the receiver has
+// exactly the messages the queue holds — none lost, and none sent whose
+// enqueue the crash undid — first deliveries in queue order, with the
+// duplicates bounded by the consume batch cap.
+func TestPlainSenderTrickleAcrossCrash(t *testing.T) {
+	const n = 40
+	run := func(t *testing.T, k int) (from, to int) {
+		fn := gateway.NewFaultNet(1)
+		defer fn.Close()
+		rec := &recorder{}
+		if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+			t.Fatal(err)
+		}
+		c := newCrashNode(t, senderApp, senderFiles, fn)
+		c.open()
+		defer func() { c.eng.Stop() }()
+		c.eng.Start()
+		from = c.fs.Ops()
+		if k > 0 {
+			c.fs.CrashAt(k)
+		}
+		crashed := false
+		for i := 1; i <= n; i++ {
+			// A failed enqueue may or may not have survived the crash; the
+			// queue read below is the judge.
+			if _, err := c.eng.EnqueueXML("out", fmt.Sprintf("<m>%d</m>", i), nil); err != nil {
+				if !c.fs.Crashed() {
+					t.Fatal(err)
+				}
+				crashed = c.settle() || crashed
+			}
+		}
+		crashed = c.settle() || crashed
+		if err := c.eng.MessageStore().VerifyIntegrity(); err != nil {
+			t.Fatalf("integrity: %v", err)
+		}
+		msgs, err := c.eng.MessageStore().Messages("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, m := range msgs {
+			if !m.Processed {
+				t.Fatalf("message %d of out is still unprocessed", m.ID)
+			}
+			doc, err := c.eng.MessageStore().Doc(m.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, fmt.Sprintf("<m>%s</m>", doc.StringValue()))
+		}
+		if k == 0 && len(want) != n {
+			t.Fatalf("queue holds %d messages without a crash, want %d", len(want), n)
+		}
+		seen, dups := map[string]bool{}, 0
+		var first []string
+		for _, p := range rec.payloads() {
+			if seen[p] {
+				dups++
+				continue
+			}
+			seen[p] = true
+			first = append(first, p)
+		}
+		if strings.Join(first, "") != strings.Join(want, "") {
+			t.Fatalf("first deliveries %v, queue holds %v", first, want)
+		}
+		if dups > consumeBatchCap {
+			t.Fatalf("%d duplicates after one crash, cap is %d", dups, consumeBatchCap)
+		}
+		if !crashed && dups != 0 {
+			t.Fatalf("%d duplicates without a crash", dups)
+		}
+		return from, c.fs.Ops()
+	}
+	from, to := run(t, 0)
+	sites := sweepSites(t, from, to, 12)
+	t.Logf("crashing at %d of %d disk sites", len(sites), to-from)
+	for _, k := range sites {
+		k := k
+		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
+	}
+}
+
 // --- the real socket path ----------------------------------------------------
 
 // tapTransport wraps the shared HTTP transport of a loopback pair: it keeps

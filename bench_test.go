@@ -6,8 +6,10 @@ package demaq
 // performance *claims* — E1 materialised slices (Sec. 4.3,
 // Options.NoMaterializedSlices), E2 slice- vs queue-granularity locking
 // (Sec. 4.3, Options.CoarseLocking), E3 unlogged retention deletes (Sec.
-// 4.1, store.Options.UnloggedDeletes), E4 rule compilation (Sec. 4.4.1,
-// Options.NoRuleOptimizations), E6 state-as-messages vs a dehydration store
+// 4.1, store.Options.UnloggedDeletes), E4 rule-plan dispatch and view
+// merging (Sec. 4.4.1, Options.NoRuleOptimizations; both sides run compiled
+// bodies, which internal/xquery's BenchmarkEvalBackends compares with the
+// reference interpreter), E6 state-as-messages vs a dehydration store
 // (Sec. 2.1, internal/baseline) — plus A3, the commit durability policy
 // (Options.NoSync). Everything else is measured end to end by bench/ (see
 // bench/README.md).

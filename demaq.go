@@ -64,9 +64,10 @@ type Options struct {
 	// reading a range of the property B-tree, and rule dispatch probes
 	// message by message (experiment E1 baseline).
 	NoMaterializedSlices bool
-	// NoRuleOptimizations disables condition dispatch, property inlining
-	// and the compiled rule backend (experiment E4 baseline): rule bodies
-	// then run on the reference AST interpreter.
+	// NoRuleOptimizations disables condition dispatch (element triggers,
+	// property prefilters) and the inlining of fixed properties (view
+	// merging): every rule is evaluated for every message, as a compiled
+	// program like any other (experiment E4 baseline).
 	NoRuleOptimizations bool
 	// GCInterval enables periodic retention garbage collection.
 	GCInterval time.Duration

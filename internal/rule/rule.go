@@ -26,12 +26,12 @@ import (
 // Options select between the optimizing compiler and the paper's
 // unoptimized baseline. The zero value is production.
 type Options struct {
-	// Unoptimized turns every optimization off at once: no
-	// condition-dispatch index (element triggers, property prefilters), no
-	// inlining of fixed properties (view merging), and rule bodies and
-	// property expressions run on the reference AST interpreter instead of
-	// the xquery compiled backend. It is the baseline of experiment E4 and
-	// the oracle of the engine's rule-optimization differential test.
+	// Unoptimized turns the plan optimizations of Sec. 4.4.1 off at once:
+	// no condition-dispatch index (element triggers, property prefilters,
+	// index probes) and no inlining of fixed properties (view merging).
+	// Every rule is evaluated for every message of its queue, as a compiled
+	// program like any other. It is the baseline of experiment E4 and the
+	// reference of the engine's rule-optimization differential test.
 	Unoptimized bool
 }
 
@@ -199,7 +199,7 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 			PerQueue: map[string]*xquery.Compiled{},
 		}
 		for _, b := range pd.Bindings {
-			compiled, err := xquery.Compile(b.Value, xquery.CompileOptions{NoProgram: opts.Unoptimized})
+			compiled, err := xquery.Compile(b.Value, xquery.CompileOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("rule: property %q: %v", pd.Name, err)
 			}
@@ -265,9 +265,7 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 		if !onSlicing {
 			body = rewrite(body, prog, rd.Target)
 		}
-		compiled, err := xquery.Compile(body, xquery.CompileOptions{
-			AllowSlice: onSlicing, NoProgram: opts.Unoptimized,
-		})
+		compiled, err := xquery.Compile(body, xquery.CompileOptions{AllowSlice: onSlicing})
 		if err != nil {
 			return nil, fmt.Errorf("rule: %q: %v", rd.Name, err)
 		}
@@ -472,7 +470,7 @@ func pathTrigger(e xpath.Expr) string {
 //
 // Only the leftmost conjunct is sound to prefilter on: "and" evaluates
 // left-to-right with short-circuiting, so when the leftmost conjunct is
-// false the interpreter never evaluates the rest of the condition — a
+// false evaluation never reaches the rest of the condition — a
 // later conjunct that would raise a dynamic error (and route the message
 // to an error queue, Sec. 3.6) is unreachable, and skipping the rule is
 // observationally identical. A property test in any other position may be

@@ -244,8 +244,8 @@ func TestPropPredAnalysis(t *testing.T) {
 		t.Fatalf("bigOrders must not carry preds: %+v", got)
 	}
 	// A property test that is not the leftmost conjunct is refused: an
-	// earlier conjunct could raise a dynamic error that the interpreter
-	// would route to an error queue, so skipping is unsound.
+	// earlier conjunct could raise a dynamic error that evaluation would
+	// route to an error queue, so skipping is unsound.
 	if got := byName["lateTest"].PropPreds; len(got) != 0 {
 		t.Fatalf("non-leftmost property test must not carry preds: %+v", got)
 	}
@@ -317,18 +317,66 @@ func TestSelectLazyNames(t *testing.T) {
 	}
 }
 
-func TestUnoptimizedKeepsInterpreter(t *testing.T) {
-	prog := MustCompile(miniApp, Options{Unoptimized: true})
-	for _, r := range prog.QueuePlans["crm"].Rules {
-		if r.Body.HasProgram() {
-			t.Fatalf("rule %s compiled despite Unoptimized", r.Name)
+// TestUnoptimizedPlansNoDispatch pins what Unoptimized means: no element
+// triggers, no property prefilters, no index probes and no view merging —
+// while the default options plan all four for the same application.
+func TestUnoptimizedPlansNoDispatch(t *testing.T) {
+	const app = miniApp + `
+		create property channel as xs:string queue crm value //channel;
+		create rule r5 for crm
+		  if (qs:property("channel") = "web") then do enqueue <w/> into audit;
+	`
+	readsRequestID := func(r *Rule) bool {
+		found := false
+		rewriteExpr(r.Body.AST(), func(e xpath.Expr) xpath.Expr {
+			if fc, ok := e.(*xpath.FuncCall); ok && fc.Prefix == "qs" && fc.Local == "property" {
+				if lit, ok := fc.Args[0].(*xpath.Literal); ok && lit.Value.S == "requestID" {
+					found = true
+				}
+			}
+			return e
+		})
+		return found
+	}
+
+	unopt := MustCompile(app, Options{Unoptimized: true})
+	for _, plans := range []map[string]*Plan{unopt.QueuePlans, unopt.SlicePlans} {
+		for _, plan := range plans {
+			if len(plan.IndexProbes()) != 0 {
+				t.Errorf("unoptimized plan %q probes the index: %+v", plan.Target, plan.IndexProbes())
+			}
+			for _, r := range plan.Rules {
+				if r.Trigger != "" || len(r.PropPreds) != 0 || r.Access != AccessScan {
+					t.Errorf("unoptimized rule %s dispatches: trigger %q, preds %+v, access %v",
+						r.Name, r.Trigger, r.PropPreds, r.Access)
+				}
+			}
 		}
 	}
-	prog2 := MustCompile(miniApp, DefaultOptions())
-	for _, r := range prog2.QueuePlans["crm"].Rules {
-		if !r.Body.HasProgram() {
-			t.Fatalf("rule %s not compiled under default options", r.Name)
-		}
+	byName := map[string]*Rule{}
+	for _, r := range unopt.QueuePlans["crm"].Rules {
+		byName[r.Name] = r
+	}
+	if !readsRequestID(byName["r3"]) {
+		t.Error("unoptimized r3 inlined the fixed property requestID")
+	}
+
+	opt := MustCompile(app, DefaultOptions())
+	crm := opt.QueuePlans["crm"]
+	for _, r := range crm.Rules {
+		byName[r.Name] = r
+	}
+	if byName["r1"].Trigger != "offerRequest" || byName["r2"].Trigger != "payment" {
+		t.Errorf("default triggers: r1 %q, r2 %q", byName["r1"].Trigger, byName["r2"].Trigger)
+	}
+	if readsRequestID(byName["r3"]) {
+		t.Error("default r3 still reads requestID through qs:property: not view-merged")
+	}
+	if got := byName["r5"].PropPreds; len(got) != 1 || got[0] != (PropPred{Name: "channel", Value: "web"}) {
+		t.Errorf("default r5 prefilter: %+v", got)
+	}
+	if got := crm.IndexProbes(); len(got) != 1 || got[0] != (IndexProbe{Rule: 3, Name: "channel", Value: "web"}) {
+		t.Errorf("default crm probes: %+v", got)
 	}
 }
 

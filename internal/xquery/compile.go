@@ -6,14 +6,13 @@ import (
 
 // Compiled is a statically checked, executable expression. The compile
 // phase resolves function references, verifies variable scoping, records
-// whether the expression contains update primitives, and — unless
-// CompileOptions.NoProgram is set — lowers the AST into a flat evaluation
-// program (program.go) that Eval executes instead of walking the tree. The
-// rule compiler (internal/rule) performs its rewrites on the AST before
+// whether the expression contains update primitives, and lowers the AST
+// into the evaluation program (program.go) that Eval runs. The rule
+// compiler (internal/rule) performs its rewrites on the AST before
 // compiling.
 type Compiled struct {
 	ast      xpath.Expr
-	prog     *program // nil: evaluate by AST interpretation
+	prog     *program // never nil
 	updating bool
 	// usesSlice reports whether qs:slice()/qs:slicekey() occur; such
 	// expressions are only valid for rules attached to slicings (Sec. 3.5.2).
@@ -42,10 +41,6 @@ func (c *Compiled) SharedState() bool { return c.sharedState }
 // UsesSlice reports whether the expression calls qs:slice()/qs:slicekey().
 func (c *Compiled) UsesSlice() bool { return c.usesSlice }
 
-// HasProgram reports whether Eval runs the compiled backend (true) or the
-// AST interpreter (false).
-func (c *Compiled) HasProgram() bool { return c.prog != nil }
-
 // CompileOptions configure static analysis.
 type CompileOptions struct {
 	// AllowSlice permits qs:slice()/qs:slicekey(); set for slicing rules.
@@ -53,13 +48,10 @@ type CompileOptions struct {
 	// ExtraVars are names of variables bound externally (beyond FLWOR and
 	// quantified bindings).
 	ExtraVars []string
-	// NoProgram skips lowering to the compiled backend; Eval then uses the
-	// reference AST interpreter (the engine's NoRuleOptimizations knob).
-	NoProgram bool
 }
 
 // Compile statically checks an expression and lowers it to an evaluation
-// program.
+// program. An expression it cannot lower is an error.
 func Compile(e xpath.Expr, opts CompileOptions) (*Compiled, error) {
 	c := &Compiled{ast: e}
 	vars := map[string]bool{}
@@ -69,13 +61,11 @@ func Compile(e xpath.Expr, opts CompileOptions) (*Compiled, error) {
 	if err := c.check(e, vars, opts); err != nil {
 		return nil, err
 	}
-	if !opts.NoProgram {
-		// Lowering failures are not user errors: the static check above has
-		// accepted the expression, so fall back to the interpreter.
-		if p, err := lower(e, opts); err == nil && p != nil {
-			c.prog = p
-		}
+	p, err := lower(e, opts)
+	if err != nil {
+		return nil, err
 	}
+	c.prog = p
 	return c, nil
 }
 

@@ -1,12 +1,12 @@
 package xquery
 
-// Differential testing of the compiled backend against the AST
-// interpreter: a generated corpus of expressions (axes × predicates ×
-// functions × constructors × FLWOR × update primitives) is evaluated by
-// both backends over randomized documents, asserting identical result
-// sequences, identical pending update lists and identical error codes.
-// The interpreter (eval.go) is the reference; any divergence is a bug in
-// program.go.
+// Differential testing of the evaluation program against the reference
+// AST interpreter (interp_test.go): a generated corpus of expressions
+// (axes × predicates × functions × constructors × FLWOR × update
+// primitives) is evaluated by both over randomized documents, asserting
+// identical result sequences, identical pending update lists and identical
+// error codes. The interpreter is the reference; any divergence is a bug
+// in program.go.
 
 import (
 	"fmt"
@@ -424,9 +424,33 @@ func diffRuntime(doc *xmldom.Node) *fakeRuntime {
 	}
 }
 
+// compareBackends evaluates c with the reference interpreter and with its
+// program and describes the first difference in results, pending updates
+// or error codes, or returns "" when the two agree.
+func compareBackends(c *Compiled, rt Runtime, opts EvalOptions) string {
+	iSeq, iUps, iErr := evalInterpreted(c, rt, opts)
+	cSeq, cUps, cErr := Eval(c, rt, opts)
+	if (iErr == nil) != (cErr == nil) {
+		return fmt.Sprintf("error mismatch: interpreted=%v compiled=%v", iErr, cErr)
+	}
+	if iErr != nil {
+		if errCode(iErr) != errCode(cErr) {
+			return fmt.Sprintf("error codes differ: interpreted=%v compiled=%v", iErr, cErr)
+		}
+		return ""
+	}
+	if ok, why := seqsEqual(iSeq, cSeq, opts.ContextDoc); !ok {
+		return "result " + why
+	}
+	if ok, why := updatesEqual(iUps, cUps); !ok {
+		return "updates " + why
+	}
+	return ""
+}
+
 // runDifferentialCase evaluates one expression over one document with both
-// backends and reports a mismatch description, or "" when equivalent.
-func runDifferentialCase(t *testing.T, src string, doc *xmldom.Node) (lowered bool, mismatch string) {
+// evaluators and reports a mismatch description, or "" when equivalent.
+func runDifferentialCase(t *testing.T, src string, doc *xmldom.Node) string {
 	t.Helper()
 	e, err := parseExpr(src)
 	if err != nil {
@@ -436,28 +460,7 @@ func runDifferentialCase(t *testing.T, src string, doc *xmldom.Node) (lowered bo
 	if err != nil {
 		t.Fatalf("generator produced uncompilable expression %q: %v", src, err)
 	}
-	rt := diffRuntime(doc)
-	iSeq, iUps, iErr := EvalInterpreted(c, rt, EvalOptions{ContextDoc: doc})
-	cSeq, cUps, cErr := Eval(c, rt, EvalOptions{ContextDoc: doc})
-	if !c.HasProgram() {
-		return false, "" // both ran the interpreter; nothing to compare
-	}
-	if (iErr == nil) != (cErr == nil) {
-		return true, fmt.Sprintf("error mismatch: interpreted=%v compiled=%v", iErr, cErr)
-	}
-	if iErr != nil {
-		if errCode(iErr) != errCode(cErr) {
-			return true, fmt.Sprintf("error codes differ: interpreted=%v compiled=%v", iErr, cErr)
-		}
-		return true, ""
-	}
-	if ok, why := seqsEqual(iSeq, cSeq, doc); !ok {
-		return true, "result " + why
-	}
-	if ok, why := updatesEqual(iUps, cUps); !ok {
-		return true, "updates " + why
-	}
-	return true, ""
+	return compareBackends(c, diffRuntime(doc), EvalOptions{ContextDoc: doc})
 }
 
 // TestDifferentialCompiledVsInterpreted is the main equivalence net: ≥1000
@@ -472,17 +475,13 @@ func TestDifferentialCompiledVsInterpreted(t *testing.T) {
 		docs[i] = genDoc(docRand)
 	}
 
-	pairs, lowered, failures := 0, 0, 0
+	pairs, failures := 0, 0
 	for i := 0; i < nExprs; i++ {
 		g := &exprGen{r: rand.New(rand.NewSource(int64(i)))}
 		src := g.gen(3)
 		for d, doc := range docs {
 			pairs++
-			wasLowered, mismatch := runDifferentialCase(t, src, doc)
-			if wasLowered {
-				lowered++
-			}
-			if mismatch != "" {
+			if mismatch := runDifferentialCase(t, src, doc); mismatch != "" {
 				failures++
 				t.Errorf("seed=%d doc=%d expr=%q: %s", i, d, src, mismatch)
 				if failures > 20 {
@@ -494,97 +493,100 @@ func TestDifferentialCompiledVsInterpreted(t *testing.T) {
 	if pairs < 1000 {
 		t.Fatalf("differential corpus too small: %d pairs", pairs)
 	}
-	// The backend must actually lower the overwhelming majority of the
-	// corpus — otherwise the harness is comparing the interpreter with
-	// itself.
-	if lowered < pairs*9/10 {
-		t.Fatalf("only %d/%d pairs ran the compiled backend", lowered, pairs)
-	}
-	t.Logf("differential corpus: %d pairs, %d compiled", pairs, lowered)
+	t.Logf("differential corpus: %d pairs", pairs)
 }
 
-// TestDifferentialHandPicked pins tricky constructs that the generator hits
-// only occasionally.
+// handPickedDoc is the document of TestDifferentialHandPicked and
+// FuzzEvalBackends.
+const handPickedDoc = `<m><a id="1">x</a><a id="2">y</a><b><a id="3">z</a><c>7</c></b><total>9.5</total></m>`
+
+// handPickedExprs pins tricky constructs that the generator hits only
+// occasionally; they also seed FuzzEvalBackends.
+var handPickedExprs = []string{
+	`//a`,
+	`//a[2]`,
+	`//a[position() > 1]`,
+	`//a[last()]`,
+	`/m/b/a/../c`,
+	`//a[@id = "2"]`,
+	`//a/@id`,
+	`//*[c]`,
+	`count(//a) + sum(//c)`,
+	`//a[1][@id]`,
+	`(//a, //c)[2]`,
+	`(//a | //c)`,
+	`//text()`,
+	`/m/node()`,
+	`//a/ancestor::m`,
+	`//c/ancestor-or-self::*`,
+	`//a/following-sibling::*`,
+	`//c/preceding-sibling::a`,
+	`//a/self::a`,
+	`/m/descendant::a[2]`,
+	`for $x in //a return string($x)`,
+	`for $x at $i in //a return ($i, $x/@id)`,
+	`for $x in //a order by $x/@id descending return string($x)`,
+	// Error precedence: a later tuple's where clause must error before
+	// an earlier tuple's order-by key does.
+	`for $x in (1, 2) where (if ($x = 2) then (1 div 0) > 0 else true()) order by ("a" + 1) return $x`,
+	`for $x in (1, 2) order by ("a" + $x) return $x`,
+	`for $x in //a for $y in //c return concat($x, $y)`,
+	`for $x in //a let $s := string($x) where $s != "y" return $s`,
+	`some $x in //a satisfies $x/@id = "2"`,
+	`every $x in //a satisfies number($x/@id) < 10`,
+	`if (//b) then "yes" else "no"`,
+	`if (//missing) then "yes" else "no"`,
+	`if (//a and //c) then 1 else 2`,
+	`if (not(//missing) or //a) then 1 else 2`,
+	`<out n="{count(//a)}">{//b/c}</out>`,
+	`<out>{//a/text()}</out>`,
+	`<wrap><inner>{1 + 2}</inner>{"s"}</wrap>`,
+	`1 to 5`,
+	`(1 to 3)[2]`,
+	`-(//total)`,
+	`//total + 1`,
+	`//c * 2`,
+	`5 idiv 2`,
+	`5 mod 0`,
+	`1 div 0`,
+	`"a" < 1`,
+	`//a = //c`,
+	`//a[1] is //a[1]`,
+	`//a[1] is //a[2]`,
+	`string-join(for $x in //a return string($x), "-")`,
+	`do enqueue <msg>{//a[1]}</msg> into q1`,
+	`do enqueue <msg/> into q1 with prio value 3`,
+	`do reset slc key "k"`,
+	`qs:message()//a`,
+	`qs:queue("q1")//c`,
+	`qs:property("p")`,
+	`substring("hello", 2, 3)`,
+	`normalize-space("  a   b ")`,
+	`distinct-values((//a, //a))`,
+	`reverse(//a)`,
+	`subsequence(//a, 2, 1)`,
+	`index-of((1, 2, 3, 2), 2)`,
+	`number("nope")`,
+	`floor(//total)`,
+	`avg(//c)`,
+	`min((3, 1, 2))`,
+	`. = "x"`,
+	`//a[. = "x"]`,
+	`//b//a`,
+	`//b/descendant-or-self::node()`,
+	`string(//missing)`,
+	`boolean(//missing)`,
+	`count(//a) <= 3`,
+	`//a[@id <= 2]`,
+}
+
 func TestDifferentialHandPicked(t *testing.T) {
-	doc := xmldom.MustParse(`<m><a id="1">x</a><a id="2">y</a><b><a id="3">z</a><c>7</c></b><total>9.5</total></m>`)
-	exprs := []string{
-		`//a`,
-		`//a[2]`,
-		`//a[position() > 1]`,
-		`//a[last()]`,
-		`/m/b/a/../c`,
-		`//a[@id = "2"]`,
-		`//a/@id`,
-		`//*[c]`,
-		`count(//a) + sum(//c)`,
-		`//a[1][@id]`,
-		`(//a, //c)[2]`,
-		`(//a | //c)`,
-		`//text()`,
-		`/m/node()`,
-		`//a/ancestor::m`,
-		`//c/ancestor-or-self::*`,
-		`//a/following-sibling::*`,
-		`//c/preceding-sibling::a`,
-		`//a/self::a`,
-		`/m/descendant::a[2]`,
-		`for $x in //a return string($x)`,
-		`for $x at $i in //a return ($i, $x/@id)`,
-		`for $x in //a order by $x/@id descending return string($x)`,
-		// Error precedence: a later tuple's where clause must error before
-		// an earlier tuple's order-by key does.
-		`for $x in (1, 2) where (if ($x = 2) then (1 div 0) > 0 else true()) order by ("a" + 1) return $x`,
-		`for $x in (1, 2) order by ("a" + $x) return $x`,
-		`for $x in //a for $y in //c return concat($x, $y)`,
-		`for $x in //a let $s := string($x) where $s != "y" return $s`,
-		`some $x in //a satisfies $x/@id = "2"`,
-		`every $x in //a satisfies number($x/@id) < 10`,
-		`if (//b) then "yes" else "no"`,
-		`if (//missing) then "yes" else "no"`,
-		`if (//a and //c) then 1 else 2`,
-		`if (not(//missing) or //a) then 1 else 2`,
-		`<out n="{count(//a)}">{//b/c}</out>`,
-		`<out>{//a/text()}</out>`,
-		`<wrap><inner>{1 + 2}</inner>{"s"}</wrap>`,
-		`1 to 5`,
-		`(1 to 3)[2]`,
-		`-(//total)`,
-		`//total + 1`,
-		`//c * 2`,
-		`5 idiv 2`,
-		`5 mod 0`,
-		`1 div 0`,
-		`"a" < 1`,
-		`//a = //c`,
-		`//a[1] is //a[1]`,
-		`//a[1] is //a[2]`,
-		`string-join(for $x in //a return string($x), "-")`,
-		`do enqueue <msg>{//a[1]}</msg> into q1`,
-		`do enqueue <msg/> into q1 with prio value 3`,
-		`do reset slc key "k"`,
-		`qs:message()//a`,
-		`qs:queue("q1")//c`,
-		`qs:property("p")`,
-		`substring("hello", 2, 3)`,
-		`normalize-space("  a   b ")`,
-		`distinct-values((//a, //a))`,
-		`reverse(//a)`,
-		`subsequence(//a, 2, 1)`,
-		`index-of((1, 2, 3, 2), 2)`,
-		`number("nope")`,
-		`floor(//total)`,
-		`avg(//c)`,
-		`min((3, 1, 2))`,
-		`. = "x"`,
-		`//a[. = "x"]`,
-		`//b//a`,
-		`//b/descendant-or-self::node()`,
-		`string(//missing)`,
-		`boolean(//missing)`,
-	}
-	for _, src := range exprs {
-		if _, mismatch := runDifferentialCase(t, src, doc); mismatch != "" {
-			t.Errorf("expr %q: %s", src, mismatch)
-		}
+	doc := xmldom.MustParse(handPickedDoc)
+	for _, src := range handPickedExprs {
+		t.Run(src, func(t *testing.T) {
+			if mismatch := runDifferentialCase(t, src, doc); mismatch != "" {
+				t.Errorf("expr %q: %s", src, mismatch)
+			}
+		})
 	}
 }

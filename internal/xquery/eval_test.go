@@ -482,11 +482,10 @@ func TestEvalDynamicErrors(t *testing.T) {
 		`do enqueue "text" into q`, // atomic payload
 		`1 + "x"`,                  // non-numeric arithmetic
 		`(1,2) + 1`,                // sequence operand
-		`$undefined`,               // unbound variable (dynamic if not compiled)
+		`$undefined`,               // declared external variable with no value
 	}
 	for _, src := range bad {
-		e := mustParse(t, src)
-		c := &Compiled{ast: e}
+		c := MustCompile(src, CompileOptions{ExtraVars: []string{"undefined"}})
 		if _, _, err := Eval(c, &fakeRuntime{}, EvalOptions{ContextDoc: doc}); err == nil {
 			t.Errorf("expected dynamic error for %q", src)
 		}
@@ -515,6 +514,25 @@ func TestCompileStaticErrors(t *testing.T) {
 	e = mustParse(t, `$msg/a`)
 	if _, err := Compile(e, CompileOptions{ExtraVars: []string{"msg"}}); err != nil {
 		t.Errorf("extra vars: %v", err)
+	}
+}
+
+// unlowerable is an expression node kind the lowerer does not know.
+type unlowerable struct{ xpathExpr }
+
+// TestLoweringIsTotal pins that Compile never hands out an expression
+// without a program: what it cannot lower is an error.
+func TestLoweringIsTotal(t *testing.T) {
+	if c, err := Compile(nil, CompileOptions{}); err == nil || c != nil {
+		t.Fatalf("Compile(nil) = %v, %v; want an error", c, err)
+	}
+	if p, err := lower(unlowerable{}, CompileOptions{}); err == nil || p != nil {
+		t.Fatalf("lower(unknown node) = %v, %v; want an error", p, err)
+	}
+	for _, src := range handPickedExprs {
+		if c := MustCompile(src, CompileOptions{AllowSlice: true}); c.prog == nil {
+			t.Fatalf("%q compiled without a program", src)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
-	"demaq/internal/xpath"
 )
 
 // function describes one built-in function implementation.
@@ -41,22 +40,6 @@ func resolveFunction(prefix, local string, nargs int) (*function, error) {
 		return nil, fmt.Errorf("wrong number of arguments for %s(): got %d", key, nargs)
 	}
 	return f, nil
-}
-
-func (ev *evaluator) evalFuncCall(x *xpath.FuncCall, ctx *evalCtx) (xdm.Sequence, error) {
-	f, err := resolveFunction(x.Prefix, x.Local, len(x.Args))
-	if err != nil {
-		return nil, dynErr("XPST0017", "%v", err)
-	}
-	args := make([]xdm.Sequence, len(x.Args))
-	for i, a := range x.Args {
-		s, err := ev.eval(a, ctx)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = s
-	}
-	return f.call(ev, ctx, args)
 }
 
 // one-string-arg helper: returns "" for empty sequence per fn:string rules.

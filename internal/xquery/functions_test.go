@@ -5,7 +5,7 @@ package xquery
 // cases covering its edge behavior (empty sequences, type errors,
 // NaN/overflow, string boundaries). A coverage check fails the suite when
 // a newly registered function has no cases. Each case is also run through
-// the compiled/interpreted differential check, so the corpus doubles as a
+// the program/interpreter differential check, so the corpus doubles as a
 // targeted equivalence net for the function-call instruction.
 
 import (
@@ -219,17 +219,9 @@ func TestFunctionGoldenCorpus(t *testing.T) {
 					t.Fatalf("got %q, want %q", got, tc.want)
 				}
 			}
-			// Both backends must agree on every golden case as well.
-			rt := goldenRuntime(doc)
-			iSeq, _, iErr := EvalInterpreted(c, rt, EvalOptions{ContextDoc: doc})
-			cSeq, _, cErr := Eval(c, rt, EvalOptions{ContextDoc: doc})
-			if (iErr == nil) != (cErr == nil) || errCode(iErr) != errCode(cErr) {
-				t.Fatalf("backend error divergence: interpreted=%v compiled=%v", iErr, cErr)
-			}
-			if iErr == nil {
-				if ok, why := seqsEqual(iSeq, cSeq, doc); !ok {
-					t.Fatalf("backend result divergence: %s", why)
-				}
+			// Both evaluators must agree on every golden case as well.
+			if mismatch := compareBackends(c, goldenRuntime(doc), EvalOptions{ContextDoc: doc}); mismatch != "" {
+				t.Fatalf("backend divergence: %s", mismatch)
 			}
 		})
 	}

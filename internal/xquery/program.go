@@ -1,21 +1,23 @@
 package xquery
 
-// Compiled execution backend (the "plan/program split" of Sec. 4.4.1).
+// The evaluation program (the "plan/program split" of Sec. 4.4.1), the
+// only evaluator the product runs.
 //
-// The interpreter in eval.go walks the AST recursively for every evaluation:
-// each node pays a type switch, every path step boxes its node candidates
-// into xdm.Sequence values, every predicate allocates a fresh evalCtx, and
-// every function call resolves its name in a map. lower() removes all of
-// that once, at deployment time: the AST becomes a tree of typed closures
-// ("instructions") that hold pre-resolved functions, pre-compiled node
-// tests and slot indexes for variables. Execution runs the closures over a
-// pooled machine whose node-sequence buffers are reused across evaluations.
+// Walking the AST on every evaluation would pay a type switch per node,
+// box every path step's node candidates into xdm.Sequence values, allocate
+// a fresh context per predicate and resolve every function name in a map.
+// lower() does all of that once, at deployment time: the AST becomes a
+// tree of typed closures ("instructions") that hold pre-resolved
+// functions, pre-compiled node tests and slot indexes for variables.
+// Lowering is total — every expression the static check accepts lowers,
+// and anything else is a Compile error. Execution runs the closures over a
+// pooled machine whose node-sequence buffers are reused across
+// evaluations.
 //
-// The interpreter remains the reference implementation: Eval falls back to
-// it when a Compiled carries no program (CompileOptions.NoProgram, the
-// engine's NoRuleOptimizations escape hatch), and the differential harness
-// in differential_test.go asserts result- and error-equivalence of the two
-// backends over a generated corpus.
+// A reference AST interpreter lives in the package's tests
+// (interp_test.go); the differential harness (differential_test.go,
+// FuzzEvalBackends, the rule-body differential) asserts result-, update-
+// and error-equivalence of the program against it.
 
 import (
 	"math"
@@ -47,7 +49,7 @@ type externVar struct {
 type instr func(m *machine) (xdm.Sequence, error)
 
 // atomInstr computes an atomized single value; empty reports the empty
-// sequence (mirrors evaluator.atomicOperand).
+// sequence.
 type atomInstr func(m *machine) (v xdm.Value, empty bool, err error)
 
 // boolInstr computes an effective boolean value.
@@ -103,8 +105,7 @@ func boolSeq(b bool) xdm.Sequence {
 	return seqFalse
 }
 
-// evalProgram runs a lowered program; the counterpart of Eval's interpreter
-// path, with identical observable semantics.
+// evalProgram runs a lowered program.
 func evalProgram(p *program, rt Runtime, opts EvalOptions) (xdm.Sequence, *UpdateList, error) {
 	m := machinePool.Get().(*machine)
 	m.ev = evaluator{rt: rt, updates: &UpdateList{}, ns: opts.Namespaces}
@@ -167,10 +168,7 @@ func (sc lowerScope) extend() lowerScope {
 	return out
 }
 
-// lower builds a program for a statically checked expression. It returns
-// (nil, nil) for constructs it cannot lower, in which case the caller keeps
-// the interpreter; Compile has already validated the expression, so this is
-// purely defensive.
+// lower builds the program of a statically checked expression.
 func lower(e xpath.Expr, opts CompileOptions) (p *program, err error) {
 	lw := &lowerer{extern: map[string]externVar{}}
 	scope := lowerScope{}
@@ -180,7 +178,7 @@ func lower(e xpath.Expr, opts CompileOptions) (p *program, err error) {
 		lw.extern[v] = externVar{slot: slot, idx: i}
 	}
 	root, err := lw.lower(e, scope)
-	if err != nil || root == nil {
+	if err != nil {
 		return nil, err
 	}
 	return &program{root: root, nSlots: lw.nSlots, extern: lw.extern}, nil
@@ -192,8 +190,7 @@ func (lw *lowerer) alloc() int {
 	return s
 }
 
-// lower compiles one expression node. A nil instr (with nil error) means
-// "not lowerable": the whole program is abandoned.
+// lower compiles one expression node.
 func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 	switch x := e.(type) {
 	case *xpath.Literal:
@@ -230,7 +227,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 
 	case *xpath.SequenceExpr:
 		items, err := lw.lowerAll(x.Items, scope)
-		if err != nil || items == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -247,17 +244,17 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 
 	case *xpath.IfExpr:
 		cond, err := lw.lowerCond(x.Cond, scope)
-		if err != nil || cond == nil {
+		if err != nil {
 			return nil, err
 		}
 		then, err := lw.lower(x.Then, scope)
-		if err != nil || then == nil {
+		if err != nil {
 			return nil, err
 		}
 		var els instr
 		if x.Else != nil {
 			els, err = lw.lower(x.Else, scope)
-			if err != nil || els == nil {
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -283,7 +280,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 
 	case *xpath.UnaryExpr:
 		op, err := lw.lowerAtomic(x.Operand, scope)
-		if err != nil || op == nil {
+		if err != nil {
 			return nil, err
 		}
 		neg := x.Neg
@@ -300,11 +297,11 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 
 	case *xpath.FilterExpr:
 		prim, err := lw.lower(x.Primary, scope)
-		if err != nil || prim == nil {
+		if err != nil {
 			return nil, err
 		}
 		preds, err := lw.lowerAll(x.Preds, scope)
-		if err != nil || preds == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -321,7 +318,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 			return nil, staticErr("%v at %s", err, x.Span())
 		}
 		args, err := lw.lowerAll(x.Args, scope)
-		if err != nil || (args == nil && len(x.Args) > 0) {
+		if err != nil {
 			return nil, err
 		}
 		if len(args) == 0 {
@@ -349,7 +346,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 
 	case *xpath.ElementConstructor:
 		ce, err := lw.lowerElement(x, scope)
-		if err != nil || ce == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -373,7 +370,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 			}, nil
 		}
 		key, err := lw.lowerAtomic(x.Key, scope)
-		if err != nil || key == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -388,17 +385,14 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 			return xdm.EmptySequence, nil
 		}, nil
 	}
-	return nil, nil // unknown node kind: keep the interpreter
+	return nil, staticErr("cannot lower expression %T", e)
 }
 
 func (lw *lowerer) lowerAll(es []xpath.Expr, scope lowerScope) ([]instr, error) {
-	if len(es) == 0 {
-		return []instr{}, nil
-	}
 	out := make([]instr, len(es))
 	for i, e := range es {
 		in, err := lw.lower(e, scope)
-		if err != nil || in == nil {
+		if err != nil {
 			return nil, err
 		}
 		out[i] = in
@@ -406,14 +400,15 @@ func (lw *lowerer) lowerAll(es []xpath.Expr, scope lowerScope) ([]instr, error) 
 	return out, nil
 }
 
-// lowerAtomic mirrors evaluator.atomicOperand with a constant fast path.
+// lowerAtomic atomizes an operand to at most one value, with a constant
+// fast path.
 func (lw *lowerer) lowerAtomic(e xpath.Expr, scope lowerScope) (atomInstr, error) {
 	if lit, ok := e.(*xpath.Literal); ok {
 		v := lit.Value
 		return func(*machine) (xdm.Value, bool, error) { return v, false, nil }, nil
 	}
 	in, err := lw.lower(e, scope)
-	if err != nil || in == nil {
+	if err != nil {
 		return nil, err
 	}
 	return func(m *machine) (xdm.Value, bool, error) {
@@ -440,11 +435,11 @@ func (lw *lowerer) lowerCond(e xpath.Expr, scope lowerScope) (boolInstr, error) 
 	case *xpath.BinaryExpr:
 		if x.Op == xpath.BinAnd || x.Op == xpath.BinOr {
 			l, err := lw.lowerCond(x.Left, scope)
-			if err != nil || l == nil {
+			if err != nil {
 				return nil, err
 			}
 			r, err := lw.lowerCond(x.Right, scope)
-			if err != nil || r == nil {
+			if err != nil {
 				return nil, err
 			}
 			isOr := x.Op == xpath.BinOr
@@ -464,7 +459,7 @@ func (lw *lowerer) lowerCond(e xpath.Expr, scope lowerScope) (boolInstr, error) 
 			switch {
 			case x.Local == "not" && len(x.Args) == 1:
 				inner, err := lw.lowerCond(x.Args[0], scope)
-				if err != nil || inner == nil {
+				if err != nil {
 					return nil, err
 				}
 				return func(m *machine) (bool, error) {
@@ -473,8 +468,8 @@ func (lw *lowerer) lowerCond(e xpath.Expr, scope lowerScope) (boolInstr, error) 
 				}, nil
 			case x.Local == "exists" && len(x.Args) == 1:
 				if p, ok := x.Args[0].(*xpath.PathExpr); ok {
-					if ex, err := lw.lowerExists(p); ex != nil || err != nil {
-						return ex, err
+					if ex, ok := lowerExists(p); ok {
+						return ex, nil
 					}
 				}
 			case (x.Local == "true" || x.Local == "false") && len(x.Args) == 0:
@@ -485,12 +480,12 @@ func (lw *lowerer) lowerCond(e xpath.Expr, scope lowerScope) (boolInstr, error) 
 	case *xpath.PathExpr:
 		// A path in boolean context is an existence test when its steps are
 		// pure axis navigation (nodes only, EBV = non-empty).
-		if ex, err := lw.lowerExists(x); ex != nil || err != nil {
-			return ex, err
+		if ex, ok := lowerExists(x); ok {
+			return ex, nil
 		}
 	}
 	in, err := lw.lower(e, scope)
-	if err != nil || in == nil {
+	if err != nil {
 		return nil, err
 	}
 	return func(m *machine) (bool, error) {
@@ -509,19 +504,20 @@ type existsStep struct {
 }
 
 // lowerExists compiles a predicate-free axis path into an early-exit
-// existence walker; (nil, nil) when the path does not qualify.
-func (lw *lowerer) lowerExists(x *xpath.PathExpr) (boolInstr, error) {
+// existence walker, an optional fast path: ok is false when the path does
+// not qualify, and the caller lowers it in full.
+func lowerExists(x *xpath.PathExpr) (ex boolInstr, ok bool) {
 	if x.Start != nil {
-		return nil, nil
+		return nil, false
 	}
 	steps := pathSteps(x)
 	if len(steps) == 0 && !x.Rooted {
-		return nil, nil
+		return nil, false
 	}
 	es := make([]existsStep, len(steps))
 	for i, st := range steps {
 		if st.Primary != nil || len(st.Preds) > 0 {
-			return nil, nil
+			return nil, false
 		}
 		es[i] = existsStep{axis: st.Axis, match: lowerTest(st.Axis, st.Test)}
 	}
@@ -532,7 +528,7 @@ func (lw *lowerer) lowerExists(x *xpath.PathExpr) (boolInstr, error) {
 			return false, err
 		}
 		return existsWalk(m, es, n), nil
-	}, nil
+	}, true
 }
 
 // pathOrigin resolves the initial context node of a context-started path,
@@ -647,7 +643,7 @@ func (lw *lowerer) lowerBinary(x *xpath.BinaryExpr, scope lowerScope) (instr, er
 	switch x.Op {
 	case xpath.BinOr, xpath.BinAnd:
 		cond, err := lw.lowerCond(x, scope)
-		if err != nil || cond == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -660,11 +656,11 @@ func (lw *lowerer) lowerBinary(x *xpath.BinaryExpr, scope lowerScope) (instr, er
 
 	case xpath.BinUnion:
 		l, err := lw.lower(x.Left, scope)
-		if err != nil || l == nil {
+		if err != nil {
 			return nil, err
 		}
 		r, err := lw.lower(x.Right, scope)
-		if err != nil || r == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -689,11 +685,11 @@ func (lw *lowerer) lowerBinary(x *xpath.BinaryExpr, scope lowerScope) (instr, er
 
 	case xpath.BinRange:
 		lo, err := lw.lowerAtomic(x.Left, scope)
-		if err != nil || lo == nil {
+		if err != nil {
 			return nil, err
 		}
 		hi, err := lw.lowerAtomic(x.Right, scope)
-		if err != nil || hi == nil {
+		if err != nil {
 			return nil, err
 		}
 		return func(m *machine) (xdm.Sequence, error) {
@@ -709,15 +705,14 @@ func (lw *lowerer) lowerBinary(x *xpath.BinaryExpr, scope lowerScope) (instr, er
 		}, nil
 	}
 
-	// Arithmetic: left empty short-circuits the right operand, as in the
-	// interpreter.
+	// Arithmetic: left empty short-circuits the right operand.
 	op := x.Op
 	l, err := lw.lowerAtomic(x.Left, scope)
-	if err != nil || l == nil {
+	if err != nil {
 		return nil, err
 	}
 	r, err := lw.lowerAtomic(x.Right, scope)
-	if err != nil || r == nil {
+	if err != nil {
 		return nil, err
 	}
 	return func(m *machine) (xdm.Sequence, error) {
@@ -733,7 +728,7 @@ func (lw *lowerer) lowerBinary(x *xpath.BinaryExpr, scope lowerScope) (instr, er
 	}, nil
 }
 
-// rangeSeq materializes lo to hi, mirroring the interpreter's BinRange arm.
+// rangeSeq materializes the integer range lo to hi.
 func rangeSeq(lo, hi xdm.Value) (xdm.Sequence, error) {
 	loi, err := lo.Cast(xdm.TypeInteger)
 	if err != nil {
@@ -772,11 +767,11 @@ func negateValue(neg bool, v xdm.Value) (xdm.Sequence, error) {
 
 func (lw *lowerer) lowerComparison(x *xpath.ComparisonExpr, scope lowerScope) (instr, error) {
 	l, err := lw.lower(x.Left, scope)
-	if err != nil || l == nil {
+	if err != nil {
 		return nil, err
 	}
 	r, err := lw.lower(x.Right, scope)
-	if err != nil || r == nil {
+	if err != nil {
 		return nil, err
 	}
 	op, general, nodeIs := x.Op, x.General, x.NodeIs
@@ -844,7 +839,7 @@ func (lw *lowerer) lowerFLWOR(x *xpath.FLWORExpr, scope lowerScope) (instr, erro
 	var boundSlots []int
 	for i, cl := range x.Clauses {
 		in, err := lw.lower(cl.Expr, scope)
-		if err != nil || in == nil {
+		if err != nil {
 			return nil, err
 		}
 		c := cClause{forLoop: cl.For, expr: in, posSlot: -1}
@@ -861,7 +856,7 @@ func (lw *lowerer) lowerFLWOR(x *xpath.FLWORExpr, scope lowerScope) (instr, erro
 	var where boolInstr
 	if x.Where != nil {
 		w, err := lw.lowerCond(x.Where, scope)
-		if err != nil || w == nil {
+		if err != nil {
 			return nil, err
 		}
 		where = w
@@ -869,13 +864,13 @@ func (lw *lowerer) lowerFLWOR(x *xpath.FLWORExpr, scope lowerScope) (instr, erro
 	orderBy := make([]cOrder, len(x.OrderBy))
 	for i, spec := range x.OrderBy {
 		k, err := lw.lowerAtomic(spec.Key, scope)
-		if err != nil || k == nil {
+		if err != nil {
 			return nil, err
 		}
 		orderBy[i] = cOrder{key: k, descending: spec.Descending}
 	}
 	ret, err := lw.lower(x.Return, scope)
-	if err != nil || ret == nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -902,7 +897,7 @@ func (lw *lowerer) lowerFLWOR(x *xpath.FLWORExpr, scope lowerScope) (instr, erro
 	}
 
 	// Order-by form: materialize tuples (snapshots of the bound slots and
-	// their sort keys), sort with the interpreter's comparator, then emit.
+	// their sort keys), sort stably with empty keys least, then emit.
 	nOrder := len(orderBy)
 	return func(m *machine) (xdm.Sequence, error) {
 		type tuple struct {
@@ -923,8 +918,7 @@ func (lw *lowerer) lowerFLWOR(x *xpath.FLWORExpr, scope lowerScope) (instr, erro
 			return nil, err
 		}
 		// Sort keys are computed in a second pass after every tuple has
-		// been materialized, like the interpreter's evalFLWOR — a where
-		// clause that errors on a later tuple must win over a key
+		// been materialized — a where clause that errors on a later tuple must win over a key
 		// expression that errors on an earlier one.
 		for ti := range tuples {
 			t := &tuples[ti]
@@ -1048,7 +1042,7 @@ func (lw *lowerer) lowerQuantified(x *xpath.QuantifiedExpr, scope lowerScope) (i
 	binds := make([]binding, len(x.Bindings))
 	for i, b := range x.Bindings {
 		in, err := lw.lower(b.Expr, scope)
-		if err != nil || in == nil {
+		if err != nil {
 			return nil, err
 		}
 		slot := lw.alloc()
@@ -1056,7 +1050,7 @@ func (lw *lowerer) lowerQuantified(x *xpath.QuantifiedExpr, scope lowerScope) (i
 		binds[i] = binding{slot: slot, expr: in}
 	}
 	sat, err := lw.lowerCond(x.Satisfies, scope)
-	if err != nil || sat == nil {
+	if err != nil {
 		return nil, err
 	}
 	every := x.Every
@@ -1110,8 +1104,7 @@ type cStep struct {
 }
 
 // pathSteps returns the effective step list, materializing the implicit
-// leading descendant-or-self::node() of "//" once at lowering time (the
-// interpreter re-prepends it on every evaluation).
+// leading descendant-or-self::node() of "//" once at lowering time.
 func pathSteps(x *xpath.PathExpr) []xpath.Step {
 	if !x.Descend {
 		return x.Steps
@@ -1125,7 +1118,7 @@ func (lw *lowerer) lowerPath(x *xpath.PathExpr, scope lowerScope) (instr, error)
 	var start instr
 	if x.Start != nil {
 		s, err := lw.lower(x.Start, scope)
-		if err != nil || s == nil {
+		if err != nil {
 			return nil, err
 		}
 		start = s
@@ -1136,7 +1129,7 @@ func (lw *lowerer) lowerPath(x *xpath.PathExpr, scope lowerScope) (instr, error)
 		cs := cStep{axis: st.Axis}
 		if st.Primary != nil {
 			p, err := lw.lower(st.Primary, scope)
-			if err != nil || p == nil {
+			if err != nil {
 				return nil, err
 			}
 			cs.primary = p
@@ -1144,7 +1137,7 @@ func (lw *lowerer) lowerPath(x *xpath.PathExpr, scope lowerScope) (instr, error)
 			cs.match = lowerTest(st.Axis, st.Test)
 		}
 		preds, err := lw.lowerAll(st.Preds, scope)
-		if err != nil || preds == nil {
+		if err != nil {
 			return nil, err
 		}
 		cs.preds = preds
@@ -1191,7 +1184,9 @@ func lowerTest(axis xpath.Axis, test xpath.NodeTest) nodePred {
 
 func nameTest(kind xmldom.NodeKind, name xmldom.Name) nodePred {
 	if name.Prefix == "" {
-		// Lax namespace matching (see evaluator.matchName): local name only.
+		// Lax namespace matching: an unprefixed test matches the local name
+		// in any namespace, per the paper's convention that applications
+		// declare a default namespace and omit prefixes.
 		// The expected name is interned at compile time so the comparison
 		// against parsed/decoded documents (whose names are interned too)
 		// short-circuits on string pointer equality.
@@ -1222,8 +1217,7 @@ func forwardAxis(a xpath.Axis) bool {
 	return false
 }
 
-// runPath executes a lowered path over pooled node buffers, mirroring
-// evaluator.evalPath.
+// runPath executes a lowered path over pooled node buffers.
 func (m *machine) runPath(rooted bool, start instr, steps []cStep) (xdm.Sequence, error) {
 	saved := m.ctx
 	defer func() { m.ctx = saved }()
@@ -1336,8 +1330,8 @@ func (m *machine) runPath(rooted bool, start instr, steps []cStep) (xdm.Sequence
 }
 
 // axisAppend appends the axis candidates of n that pass the node test to
-// out, in axis order (reverse axes nearest-first, as the interpreter's
-// axisNodes does).
+// out, in axis order (reverse axes nearest-first, so positional predicates
+// see axis positions).
 func (m *machine) axisAppend(axis xpath.Axis, match nodePred, n *xmldom.Node, out []*xmldom.Node) []*xmldom.Node {
 	switch axis {
 	case xpath.AxisChild:
@@ -1472,7 +1466,7 @@ func (m *machine) filterNodePred(cands []*xmldom.Node, pred instr, out []*xmldom
 
 // predKeep decides whether a predicate result keeps the item at 0-based
 // index i: a single numeric value selects by position, anything else is an
-// effective boolean value (mirrors evaluator.applyPredicates).
+// effective boolean value.
 func predKeep(r xdm.Sequence, i int) (bool, error) {
 	if len(r) == 1 {
 		if v, ok := r[0].(xdm.Value); ok && v.T.IsNumeric() {
@@ -1555,7 +1549,7 @@ func (lw *lowerer) lowerElement(x *xpath.ElementConstructor, scope lowerScope) (
 				continue
 			}
 			in, err := lw.lower(part, scope)
-			if err != nil || in == nil {
+			if err != nil {
 				return nil, err
 			}
 			ca.parts = append(ca.parts, cPart{expr: in})
@@ -1568,13 +1562,13 @@ func (lw *lowerer) lowerElement(x *xpath.ElementConstructor, scope lowerScope) (
 			ce.content = append(ce.content, cContent{text: c.Text})
 		case *xpath.ElementConstructor:
 			nested, err := lw.lowerElement(c, scope)
-			if err != nil || nested == nil {
+			if err != nil {
 				return nil, err
 			}
 			ce.content = append(ce.content, cContent{elem: nested})
 		default:
 			in, err := lw.lower(content, scope)
-			if err != nil || in == nil {
+			if err != nil {
 				return nil, err
 			}
 			ce.content = append(ce.content, cContent{expr: in})
@@ -1643,7 +1637,7 @@ func (ce *cElem) build(m *machine, b *xmldom.Builder) error {
 
 func (lw *lowerer) lowerEnqueue(x *xpath.EnqueueExpr, scope lowerScope) (instr, error) {
 	what, err := lw.lower(x.What, scope)
-	if err != nil || what == nil {
+	if err != nil {
 		return nil, err
 	}
 	type cProp struct {
@@ -1653,7 +1647,7 @@ func (lw *lowerer) lowerEnqueue(x *xpath.EnqueueExpr, scope lowerScope) (instr, 
 	props := make([]cProp, len(x.Props))
 	for i, ps := range x.Props {
 		v, err := lw.lowerAtomic(ps.Value, scope)
-		if err != nil || v == nil {
+		if err != nil {
 			return nil, err
 		}
 		props[i] = cProp{name: ps.Name, value: v}

@@ -244,8 +244,10 @@ func (ms *Store) FlushDocCache() { ms.cache.clear() }
 
 // Open opens the message store in dir, recovering state from disk:
 // persistent queues and their messages (including processed flags) are
-// rebuilt by scanning the heaps, exactly as the paper's recovery story
-// requires — scheduler and slice state are derived data.
+// rebuilt by one store.Scan of each heap, which reads every chain page
+// once, outside the buffer pool's frames, exactly as the paper's recovery
+// story requires — scheduler and slice state are derived data, and so is
+// the property index, which the same scan refills.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheDocs == 0 {
 		opts.CacheDocs = 4096
@@ -389,9 +391,9 @@ func (ms *Store) QueueNames() []string {
 }
 
 // loadQueue rebuilds a persistent queue from its two heaps. A record that
-// does not decode, a status record of the wrong size, or a payload with no
-// status record fails the open: skipping one would lose a message, or its
-// processed flag, without a word.
+// does not decode, a status record of the wrong size, a payload with no
+// status record, or a message id already loaded fails the open: skipping
+// one would lose a message, or its processed flag, without a word.
 func (ms *Store) loadQueue(name string) error {
 	h, _ := ms.ps.Heap("q:" + name)
 	q := &Queue{Name: name, Mode: Persistent, heap: h}
@@ -435,6 +437,10 @@ func (ms *Store) loadQueue(name string) error {
 			e, ok := statuses[m.id]
 			if !ok {
 				loadErr = fmt.Errorf("msgstore: message %d has no status record (record %s of q:%s)", m.id, rid, name)
+				return false
+			}
+			if ms.shard(m.id).byID[m.id] != nil {
+				loadErr = fmt.Errorf("msgstore: message %d appears twice (record %s of q:%s)", m.id, rid, name)
 				return false
 			}
 			m.rid, m.statusRID, m.q = rid, e.rid, q

@@ -225,13 +225,17 @@ func (ms *Store) sessionCompactor() {
 
 // loadSessions rebuilds the session map from the system heap at Open:
 // newest version per key wins, every on-disk version is remembered for
-// compaction, and the version counter resumes past the maximum seen.
+// compaction, and the version counter resumes past the maximum seen. A
+// record that does not decode fails the open: it may be the newest
+// snapshot of its session, and skipping it would roll the session back.
 func (ms *Store) loadSessions() error {
 	var maxVer uint64
+	var decodeErr error
 	err := ms.ps.Scan(ms.sessionsHeap, func(rid store.RID, data []byte) bool {
 		ver, s, err := decodeSession(data)
 		if err != nil {
-			return true // skip corrupt records; superseded snapshots carry the state
+			decodeErr = fmt.Errorf("%w (record %s of %s)", err, rid, sessionsHeapName)
+			return false
 		}
 		key := sessionKey{kind: s.Kind, endpoint: s.Endpoint, peer: s.Peer}
 		e := ms.sessions[key]
@@ -249,6 +253,9 @@ func (ms *Store) loadSessions() error {
 		}
 		return true
 	})
+	if err == nil {
+		err = decodeErr
+	}
 	if err != nil {
 		return err
 	}

@@ -133,6 +133,17 @@ func TestLoadersFailLoudly(t *testing.T) {
 			}
 			return m.rid
 		}},
+		{"message id twice", "q:q", func(t *testing.T, ms *Store) store.RID {
+			m := ms.lookup(enqueue(t, ms, "q", `<m>x</m>`, nil))
+			rec, err := ms.ps.Read(m.rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return insertRaw(t, ms, "q:q", rec)
+		}},
+		{"undecodable session record", sessionsHeapName, func(t *testing.T, ms *Store) store.RID {
+			return insertRaw(t, ms, sessionsHeapName, []byte("short"))
+		}},
 		{"undecodable collection document", "c:rates", func(t *testing.T, ms *Store) store.RID {
 			if err := ms.CreateCollection("rates"); err != nil {
 				t.Fatal(err)

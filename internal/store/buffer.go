@@ -184,6 +184,54 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 	}
 }
 
+// readPage copies a page into dst (PageSize bytes) without caching it:
+// scans read every page of a heap once, and sending each through the
+// frames would only evict the working set. A buffered page is copied under
+// its read latch. Any other page is read from the file, with a loading
+// marker in the shard map for the length of the read: a getter of the page
+// waits for the marker and then loads the page itself, so no write-back of
+// the page can overlap the read — a page that is not buffered has nothing
+// to write back, and it cannot be buffered while the marker is there. The
+// copy is therefore never a torn page.
+func (bp *bufferPool) readPage(id PageID, dst []byte) error {
+	sh := bp.shard(id)
+	for {
+		sh.mu.Lock()
+		if f, ok := sh.frames[id]; ok {
+			if f.state != frameReady {
+				done := f.ioDone
+				sh.mu.Unlock()
+				<-done
+				continue
+			}
+			f.pins++
+			sh.mu.Unlock()
+			bp.hits.Add(1)
+			f.latch.RLock()
+			copy(dst, f.pg.buf)
+			f.latch.RUnlock()
+			bp.unpin(f, false)
+			return nil
+		}
+		marker := &frame{pg: page{id: id}, state: frameLoading, ioDone: make(chan struct{})}
+		sh.frames[id] = marker
+		sh.mu.Unlock()
+
+		bp.misses.Add(1)
+		_, err := bp.file.ReadAt(dst, int64(id)*PageSize)
+		sh.mu.Lock()
+		if sh.frames[id] == marker {
+			delete(sh.frames, id)
+		}
+		close(marker.ioDone)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("store: read page %d: %w", id, err)
+		}
+		return nil
+	}
+}
+
 func (bp *bufferPool) unpin(f *frame, dirty bool) {
 	sh := bp.shard(f.pg.id)
 	sh.mu.Lock()

@@ -238,13 +238,22 @@ func (s *Store) readRecord(rid RID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: %w: %s", errRecordNotFound, rid)
 	}
-	if rec[0] == recKindPlain {
+	switch {
+	case len(rec) >= 1 && rec[0] == recKindPlain:
 		out := make([]byte, len(rec)-1)
 		copy(out, rec[1:])
 		return out, nil
+	case len(rec) < overflowHeader || rec[0] != recKindOverflow:
+		return nil, fmt.Errorf("store: record %s has no valid inline header", rid)
 	}
 	first := PageID(binary.LittleEndian.Uint32(rec[1:]))
 	total := int(binary.LittleEndian.Uint32(rec[5:]))
+	s.allocMu.Lock()
+	size := int(s.pageCount) * PageSize
+	s.allocMu.Unlock()
+	if total > size {
+		return nil, fmt.Errorf("store: overflow record %s claims %d bytes, more than the data file holds", rid, total)
+	}
 	out := make([]byte, 0, total)
 	out = append(out, rec[overflowHeader:]...)
 	for pid := first; pid != InvalidPage; {
@@ -263,6 +272,9 @@ func (s *Store) readRecord(rid RID) ([]byte, error) {
 		next := of.pg.next()
 		of.latch.RUnlock()
 		s.pool.unpin(of, false)
+		if len(out) > total {
+			break // a corrupt chain; the length check below names it
+		}
 		pid = next
 	}
 	if len(out) != total {
@@ -383,9 +395,15 @@ func (t *Txn) SetByte(rid RID, off int, val byte) error {
 
 // Scan iterates all live records of a heap in storage order (which, for
 // append-only queue heaps, is insertion order). fn returns false to stop.
-// The chain lock is held shared for the walk, so retention reclaim cannot
-// unlink pages out from under the scanner; concurrent inserts and reads
-// proceed normally.
+//
+// Scan reads each chain page once into a private buffer, outside the
+// buffer pool's frames (bufferPool.readPage), and sees each page as of one
+// instant. The precondition is the callback's: payload aliases that buffer
+// and is valid only until fn returns — a caller that keeps the bytes
+// copies them. The chain lock is held shared for the walk, so retention
+// reclaim cannot unlink pages out from under the scanner; concurrent
+// inserts and reads proceed normally, and records inserted into a page
+// after the scanner copied it are not seen.
 func (s *Store) Scan(h HeapID, fn func(rid RID, payload []byte) bool) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
@@ -399,33 +417,44 @@ func (s *Store) Scan(h HeapID, fn func(rid RID, payload []byte) bool) error {
 func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) error {
 	h.chainMu.RLock()
 	defer h.chainMu.RUnlock()
-	for pid := h.first; pid != InvalidPage; {
-		f, err := s.pool.get(pid)
-		if err != nil {
+	pg := page{buf: make([]byte, PageSize)}
+	for pid := h.first; pid != InvalidPage; pid = pg.next() {
+		pg.id = pid
+		if err := s.pool.readPage(pid, pg.buf); err != nil {
 			return err
 		}
-		f.latch.RLock()
-		next := f.pg.next()
-		nslots := f.pg.slotCount()
-		f.latch.RUnlock()
-		for slot := uint16(0); slot < nslots; slot++ {
-			payload, err := s.readRecord(RID{Page: pid, Slot: slot})
+		for slot := uint16(0); slot < pg.slotCount(); slot++ {
+			rec, ok := pg.read(slot)
+			if !ok {
+				continue
+			}
+			rid := RID{Page: pid, Slot: slot}
+			payload, err := s.recordPayload(rid, rec)
+			if errors.Is(err, errRecordNotFound) {
+				continue // deleted since the page was copied
+			}
 			if err != nil {
-				if errors.Is(err, errRecordNotFound) {
-					continue // dead slot, or deleted while we scanned
-				}
-				s.pool.unpin(f, false)
 				return err
 			}
-			if !fn(RID{Page: pid, Slot: slot}, payload) {
-				s.pool.unpin(f, false)
+			if !fn(rid, payload) {
 				return nil
 			}
 		}
-		s.pool.unpin(f, false)
-		pid = next
 	}
 	return nil
+}
+
+// recordPayload returns the payload of the inline record rec at rid: a
+// plain record's bytes in place, an overflow record reassembled by
+// readRecord.
+func (s *Store) recordPayload(rid RID, rec []byte) ([]byte, error) {
+	switch {
+	case len(rec) >= 1 && rec[0] == recKindPlain:
+		return rec[1:], nil
+	case len(rec) >= overflowHeader && rec[0] == recKindOverflow:
+		return s.readRecord(rid)
+	}
+	return nil, fmt.Errorf("store: record %s has no valid inline header", rid)
 }
 
 // BatchDelete physically removes a set of processed records in one

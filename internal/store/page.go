@@ -3,7 +3,10 @@
 // write-ahead log with ARIES-style recovery, record heaps with overflow
 // chains for large XML messages, and an in-memory B+tree used for derived
 // indexes (materialized slices, scheduler state) that are rebuilt from the
-// logged base data on startup.
+// logged base data on startup. Open reads each data page once for it: one
+// sequential pass rebuilds the heap tails and the free list, and the
+// message store's Scan of each heap, which refills the derived indexes,
+// reads the chain pages outside the buffer pool's frames.
 //
 // It plays the role Natix plays in the paper (Sec. 4.1): a recoverable
 // store with queue extensions. Demaq queues are append-only, which this
@@ -81,7 +84,10 @@ func (p *page) next() PageID      { return PageID(binary.LittleEndian.Uint32(p.b
 func (p *page) setNext(n PageID)  { binary.LittleEndian.PutUint32(p.buf[8:], uint32(n)) }
 func (p *page) prev() PageID      { return PageID(binary.LittleEndian.Uint32(p.buf[12:])) }
 func (p *page) setPrev(n PageID)  { binary.LittleEndian.PutUint32(p.buf[12:], uint32(n)) }
-func (p *page) slotCount() uint16 { return binary.LittleEndian.Uint16(p.buf[16:]) }
+func (p *page) slotCount() uint16 { return min(p.rawSlotCount(), maxSlots) }
+func (p *page) rawSlotCount() uint16 {
+	return binary.LittleEndian.Uint16(p.buf[16:])
+}
 func (p *page) setSlotCount(n uint16) {
 	binary.LittleEndian.PutUint16(p.buf[16:], n)
 }
@@ -127,6 +133,33 @@ func (p *page) freeSpace() int {
 
 // maxRecordSize is the largest record storable in a fresh page.
 const maxRecordSize = PageSize - pageHeaderSize - slotSize
+
+// maxSlots is the most slots whose array fits in a page. slotCount clamps
+// the stored count to it, so a corrupt count never indexes past the buffer;
+// check reports it.
+const maxSlots = (PageSize - pageHeaderSize) / slotSize
+
+// check validates the slotted layout of a page read from disk: the slot
+// array ends where free space starts, free space lies inside the page, and
+// every live cell lies between the end of free space and the end of the
+// page. Every page mutation keeps these, so a page that fails is corrupt.
+// Open checks every heap page before it parses one.
+func (p *page) check() error {
+	arrEnd := p.slotOffset(p.rawSlotCount())
+	if arrEnd > PageSize || int(p.freeStart()) != arrEnd {
+		return fmt.Errorf("%d slots, free space starts at %d", p.rawSlotCount(), p.freeStart())
+	}
+	if p.freeEnd() < p.freeStart() || p.freeEnd() > PageSize {
+		return fmt.Errorf("free space [%d, %d) outside the page", p.freeStart(), p.freeEnd())
+	}
+	for s := uint16(0); s < p.rawSlotCount(); s++ {
+		off, n := p.slot(s)
+		if off != deadOffset && (off < p.freeEnd() || int(off)+int(n) > PageSize) {
+			return fmt.Errorf("slot %d cell [%d, %d) outside the cell area [%d, %d)", s, off, int(off)+int(n), p.freeEnd(), PageSize)
+		}
+	}
+	return nil
+}
 
 // canFit reports whether a record of n bytes fits (considering slot reuse).
 func (p *page) canFit(n int) bool {
@@ -188,15 +221,16 @@ func (p *page) insertAt(slot uint16, data []byte) {
 }
 
 // read returns the record bytes of a live slot (aliasing the page buffer).
+// A slot or cell outside the page reads as no record.
 func (p *page) read(slot uint16) ([]byte, bool) {
 	if slot >= p.slotCount() {
 		return nil, false
 	}
 	off, n := p.slot(slot)
-	if off == deadOffset {
+	if off == deadOffset || int(off)+int(n) > PageSize {
 		return nil, false
 	}
-	return p.buf[off : off+n], true
+	return p.buf[off : int(off)+int(n)], true
 }
 
 // del marks a slot dead. Space is reclaimed by compact on demand.

@@ -21,11 +21,12 @@ import (
 //     loser's records lie at or after the redo offset: a fuzzy checkpoint
 //     never advances it past the first record of a transaction that was
 //     still active at its begin fence;
-//  3. the free list is rebuilt by scanning page flags, and pages still
-//     referenced by live overflow pointers are rescued from it (closing the
-//     window between deferred overflow frees and the transaction outcome).
+//  3. the heap tails and the free list are rebuilt in one sequential pass
+//     over the data file, and pages still referenced by live overflow
+//     pointers are rescued from the free list (closing the window between
+//     deferred overflow frees and the transaction outcome).
 //
-// Step 3 runs in Store.load after the catalog is available.
+// Step 3 runs in Store.load (rebuildChainsAndFreeList).
 func (s *Store) recover() error {
 	started := time.Now()
 	replayed := uint64(0)

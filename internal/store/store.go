@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,9 +178,13 @@ type Store struct {
 	pool *bufferPool
 
 	// hdrSeq is the sequence number of the active header slot; checkpoints
-	// increment it and write the slot the new parity selects. Guarded by
-	// ckptMu (exclusive in every writer).
-	hdrSeq uint64
+	// increment it and write the slot the new parity selects. hdrDurable
+	// reports whether this instance synced that slot: Open cannot tell
+	// whether the slot it read reached the disk, and an idle checkpoint
+	// leaves its slot unsynced. Guarded by ckptMu (exclusive in every
+	// writer).
+	hdrSeq     uint64
+	hdrDurable bool
 
 	// allocMu guards page allocation: pageCount and the free list.
 	allocMu   sync.Mutex
@@ -356,6 +361,7 @@ func (s *Store) format() error {
 		return err
 	}
 	s.pageCount = 2
+	s.hdrDurable = true
 	s.heaps[catalogHeapID] = &heapInfo{id: catalogHeapID, name: "__catalog", first: catalogFirstPage, last: catalogFirstPage}
 	return nil
 }
@@ -390,95 +396,226 @@ func (s *Store) load() error {
 	if err := s.recover(); err != nil {
 		return fmt.Errorf("store: recovery: %w", err)
 	}
-	if err := s.loadCatalog(); err != nil {
-		return err
-	}
 	if err := s.rebuildChainsAndFreeList(); err != nil {
 		return err
 	}
 	// Quiescent checkpoint after recovery: the next crash replays from
-	// here instead of repeating this recovery's work.
+	// here instead of repeating this recovery's work. A clean reopen has
+	// nothing to checkpoint and writes nothing at all.
+	if s.idle() {
+		return nil
+	}
 	return s.checkpoint()
 }
 
+// loadCatalog registers the heaps the catalog records. A record that does
+// not decode, or repeats a heap id or name, fails the open naming it.
 func (s *Store) loadCatalog() error {
 	s.heapNames = map[string]uint32{}
 	maxID := uint32(0)
-	err := s.scanHeap(s.heaps[catalogHeapID], func(_ RID, data []byte) bool {
+	var bad error
+	err := s.scanHeap(s.heaps[catalogHeapID], func(rid RID, data []byte) bool {
+		if len(data) < 10 || len(data) < 10+int(binary.LittleEndian.Uint16(data[8:])) {
+			bad = fmt.Errorf("store: catalog record %s of %d bytes does not decode", rid, len(data))
+			return false
+		}
 		id := binary.LittleEndian.Uint32(data[0:])
 		first := PageID(binary.LittleEndian.Uint32(data[4:]))
-		nameLen := binary.LittleEndian.Uint16(data[8:])
-		name := string(data[10 : 10+nameLen])
+		name := string(data[10 : 10+int(binary.LittleEndian.Uint16(data[8:]))])
+		if _, dup := s.heapNames[name]; dup || s.heaps[id] != nil {
+			bad = fmt.Errorf("store: catalog record %s repeats heap %d %q", rid, id, name)
+			return false
+		}
 		s.heaps[id] = &heapInfo{id: id, name: name, first: first, last: first}
 		s.heapNames[name] = id
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, id)
 		return true
 	})
 	if err != nil {
 		return err
 	}
+	if bad != nil {
+		return bad
+	}
 	s.nextHeap = maxID + 1
 	return nil
 }
 
-// rebuildChainsAndFreeList walks every heap chain to find tail pages, then
-// scans the file for free-flagged pages, excluding any page still
-// referenced by a live overflow pointer (closing the crash window between
-// overflow frees and their transaction outcome).
+// openReadChunk is how much of the data file one ReadAt of the open pass
+// reads.
+const openReadChunk = 128 * PageSize
+
+// pageMap is what the open pass keeps of the data file: ≈ 6 bytes per
+// page, plus the overflow heads of live records and the pages that failed
+// to parse.
+type pageMap struct {
+	next   []PageID
+	flags  []uint16
+	ovRefs []ovRef
+	bad    map[PageID]error // record pages with an unsound layout or record header
+
+	inChain    []bool // page is on a heap chain walked so far
+	referenced []bool // page is on the overflow chain of a live record
+}
+
+// ovRef is a live overflow record and the first page of its chain.
+type ovRef struct {
+	rid  RID
+	head PageID
+}
+
+// rebuildChainsAndFreeList finds every heap's tail page and the free list
+// in one sequential pass over the data file, outside the buffer pool: Open
+// is single-threaded here, and once recovery's dirty pages are written
+// back the file is the store. Per page the pass keeps the chain pointer and
+// the flags, and per record page the overflow heads of its live records;
+// the chain tails, the pages live overflow records reference and the free
+// list are then computed in memory. The catalog is loaded between the two:
+// its chain is checked before it is scanned. A free-flagged page that a
+// live record still references stays off the free list and has its flag
+// cleared through the pool, closing the crash window between an overflow
+// free and its transaction's outcome.
+//
+// The pass checks what it reads and fails naming the page: no page carries
+// an LSN beyond the log end, every heap page has a sound slotted layout and
+// sound inline record headers, and every chain stays inside the file
+// without a cycle; heap chains share no page and hold no free or overflow
+// page.
 func (s *Store) rebuildChainsAndFreeList() error {
-	referenced := map[PageID]bool{}
-	for _, h := range s.heaps {
-		cur := h.first
-		last := cur
-		for cur != InvalidPage {
-			f, err := s.pool.get(cur)
-			if err != nil {
-				return err
-			}
-			// Collect overflow references from live records.
-			for slot := uint16(0); slot < f.pg.slotCount(); slot++ {
-				data, ok := f.pg.read(slot)
-				if !ok || len(data) == 0 {
-					continue
-				}
-				if data[0] == recKindOverflow {
-					ov := PageID(binary.LittleEndian.Uint32(data[1:]))
-					for ov != InvalidPage {
-						referenced[ov] = true
-						of, err := s.pool.get(ov)
-						if err != nil {
-							return err
-						}
-						next := of.pg.next()
-						s.pool.unpin(of, false)
-						ov = next
-					}
-				}
-			}
-			last = cur
-			next := f.pg.next()
-			s.pool.unpin(f, false)
-			cur = next
+	if err := s.pool.flushAll(); err != nil {
+		return err
+	}
+	m, err := s.readPageMap()
+	if err != nil {
+		return err
+	}
+	if err := m.walkHeap(s.heaps[catalogHeapID]); err != nil {
+		return err
+	}
+	if err := s.loadCatalog(); err != nil {
+		return err
+	}
+	ids := make([]uint32, 0, len(s.heaps))
+	for id := range s.heaps {
+		if id != catalogHeapID {
+			ids = append(ids, id)
 		}
-		h.last = last
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := m.walkHeap(s.heaps[id]); err != nil {
+			return err
+		}
+	}
+	if err := m.markReferenced(); err != nil {
+		return err
 	}
 	s.freeList = s.freeList[:0]
-	for pid := PageID(2); pid < PageID(s.pageCount); pid++ {
+	for pid := PageID(2); pid < PageID(len(m.flags)); pid++ {
+		if m.flags[pid]&flagFree == 0 {
+			continue
+		}
+		if !m.referenced[pid] {
+			s.freeList = append(s.freeList, pid)
+			continue
+		}
 		f, err := s.pool.get(pid)
 		if err != nil {
 			return err
 		}
-		free := f.pg.flags()&flagFree != 0
-		if free && referenced[pid] {
-			f.pg.setFlags(f.pg.flags() &^ flagFree)
-			s.pool.unpin(f, true)
+		f.pg.setFlags(f.pg.flags() &^ flagFree)
+		s.pool.unpin(f, true)
+	}
+	return nil
+}
+
+// readPageMap is the open pass: it reads the data file front to back, in
+// chunks of openReadChunk into one reused buffer.
+func (s *Store) readPageMap() (*pageMap, error) {
+	n := PageID(s.pageCount)
+	logEnd := s.log.size()
+	m := &pageMap{
+		next:       make([]PageID, n),
+		flags:      make([]uint16, n),
+		bad:        map[PageID]error{},
+		inChain:    make([]bool, n),
+		referenced: make([]bool, n),
+	}
+	buf := make([]byte, openReadChunk)
+	const chunkPages = openReadChunk / PageSize
+	for first := PageID(1); first < n; first += chunkPages {
+		cnt := min(n-first, chunkPages)
+		chunk := buf[:int(cnt)*PageSize]
+		if _, err := s.file.ReadAt(chunk, int64(first)*PageSize); err != nil {
+			return nil, fmt.Errorf("store: read pages %d-%d: %w", first, first+cnt-1, err)
+		}
+		for i := range cnt {
+			pg := page{id: first + i, buf: chunk[int(i)*PageSize:][:PageSize]}
+			if pg.lsn() > logEnd {
+				return nil, fmt.Errorf("store: page %d LSN %d beyond log end %d", pg.id, pg.lsn(), logEnd)
+			}
+			m.next[pg.id], m.flags[pg.id] = pg.next(), pg.flags()
+			if pg.flags()&(flagFree|flagOverflow) != 0 {
+				continue
+			}
+			if err := pg.check(); err != nil {
+				m.bad[pg.id] = err
+				continue
+			}
+			for slot := uint16(0); slot < pg.slotCount(); slot++ {
+				rec, ok := pg.read(slot)
+				switch {
+				case !ok || len(rec) >= 1 && rec[0] == recKindPlain:
+				case len(rec) >= overflowHeader && rec[0] == recKindOverflow:
+					m.ovRefs = append(m.ovRefs, ovRef{RID{pg.id, slot}, PageID(binary.LittleEndian.Uint32(rec[1:]))})
+				default:
+					m.bad[pg.id] = fmt.Errorf("slot %d holds no valid record header", slot)
+				}
+			}
+		}
+	}
+	return m, nil
+}
+
+// walkHeap follows a heap's chain to its tail page, checking every page on
+// the way.
+func (m *pageMap) walkHeap(h *heapInfo) error {
+	n := PageID(len(m.next))
+	if h.first == InvalidPage {
+		return fmt.Errorf("store: heap %q has no first page", h.name)
+	}
+	for pid := h.first; pid != InvalidPage; pid = m.next[pid] {
+		switch {
+		case pid == 0 || pid >= n:
+			return fmt.Errorf("store: heap %q: chain reaches page %d outside the data file (%d pages)", h.name, pid, n)
+		case m.inChain[pid]:
+			return fmt.Errorf("store: heap %q: page %d is linked into a heap chain twice", h.name, pid)
+		case m.flags[pid]&(flagFree|flagOverflow) != 0:
+			return fmt.Errorf("store: heap %q: chain page %d is flagged %#x", h.name, pid, m.flags[pid])
+		case m.bad[pid] != nil:
+			return fmt.Errorf("store: heap %q: page %d: %w", h.name, pid, m.bad[pid])
+		}
+		m.inChain[pid] = true
+		h.last = pid
+	}
+	return nil
+}
+
+// markReferenced marks the overflow chains of the live records on heap
+// chains.
+func (m *pageMap) markReferenced() error {
+	n := PageID(len(m.next))
+	for _, r := range m.ovRefs {
+		if !m.inChain[r.rid.Page] {
 			continue
 		}
-		s.pool.unpin(f, false)
-		if free {
-			s.freeList = append(s.freeList, pid)
+		steps := PageID(0)
+		for pid := r.head; pid != InvalidPage; pid = m.next[pid] {
+			if pid == 0 || pid >= n || steps == n {
+				return fmt.Errorf("store: overflow chain of record %s reaches page %d outside the data file (%d pages) or loops", r.rid, pid, n)
+			}
+			m.referenced[pid] = true
+			steps++
 		}
 	}
 	return nil
@@ -574,7 +711,7 @@ func (s *Store) checkpointFuzzy() error {
 	// A crash before this sync leaves the previous slot — which pairs with
 	// the previous on-disk state — in force; replaying the longer tail is
 	// idempotent (page LSN guards, full-page images).
-	if err := s.publishRedo(redo); err != nil {
+	if err := s.publishRedo(redo, true); err != nil {
 		return err
 	}
 	// Phase 6 — recycle segments wholly behind the published redo offset.
@@ -587,9 +724,18 @@ func (s *Store) checkpointFuzzy() error {
 // checkpoint is the quiescent variant, used at load (nothing concurrent)
 // and Close (ckptMu held exclusively): with no activity in flight it can
 // flush everything and publish the log end itself as the redo offset, so a
-// clean restart replays zero records.
+// clean restart replays zero records. An idle store takes the short path
+// of idleCheckpoint instead.
 func (s *Store) checkpoint() error {
 	start := time.Now()
+	if s.idle() {
+		if err := s.idleCheckpoint(); err != nil {
+			return err
+		}
+		s.checkpoints.Add(1)
+		s.lastCkptNs.Store(int64(time.Since(start)))
+		return nil
+	}
 	if err := s.log.flush(^uint64(0) >> 1); err != nil {
 		return err
 	}
@@ -608,7 +754,7 @@ func (s *Store) checkpoint() error {
 	// fresh full-page image after the new redo point.
 	s.pool.clearImaged()
 	redo := s.log.size()
-	if err := s.publishRedo(redo); err != nil {
+	if err := s.publishRedo(redo, true); err != nil {
 		return err
 	}
 	s.log.advanceHead(redo)
@@ -617,10 +763,39 @@ func (s *Store) checkpoint() error {
 	return nil
 }
 
-// publishRedo durably writes the next ping-pong header slot carrying the
-// given redo offset. Only one checkpoint runs at a time (lifeMu), so hdrSeq
-// is stable here.
-func (s *Store) publishRedo(redo uint64) error {
+// idle reports whether nothing was written since the last published
+// checkpoint: no page is dirty, and the log end is durable and equals the
+// published redo offset. Every write-back after a checkpoint logs a
+// full-page image first, so a page written since would have moved the log
+// end too. A log with a sticky I/O error is never idle: the full
+// checkpoint reports the error.
+func (s *Store) idle() bool {
+	end := s.log.size()
+	return end == s.log.headOffset() && end == s.log.durable() && s.log.err() == nil && s.pool.dirtyCount() == 0
+}
+
+// idleCheckpoint is Close's checkpoint of an idle store: the data file and
+// the log already hold everything, so it writes the next header slot as
+// every checkpoint does, with the redo offset the current slot carries, and
+// syncs nothing. Losing or tearing that write leaves the current slot in
+// force with the same offset — provided the current slot is durable. When
+// this instance did not sync it (it was read at Open, or an earlier idle
+// checkpoint wrote it), one data-file sync makes it durable first: two
+// unsynced slot writes in a row could both be lost or torn, and an older
+// redo offset may point into log segments already recycled.
+func (s *Store) idleCheckpoint() error {
+	if !s.hdrDurable {
+		if err := s.file.Sync(); err != nil {
+			return err
+		}
+	}
+	return s.publishRedo(s.log.size(), false)
+}
+
+// publishRedo writes the next ping-pong header slot carrying the given
+// redo offset, and syncs it when sync is set. Only one checkpoint runs at a
+// time (lifeMu), so hdrSeq is stable here.
+func (s *Store) publishRedo(redo uint64, sync bool) error {
 	seq := s.hdrSeq + 1
 	slot := make([]byte, hdrSlotSize)
 	writeHeaderSlot(slot, seq, redo)
@@ -631,10 +806,12 @@ func (s *Store) publishRedo(redo uint64) error {
 	if _, err := s.file.WriteAt(slot, off); err != nil {
 		return err
 	}
-	if err := s.file.Sync(); err != nil {
-		return err
+	if sync {
+		if err := s.file.Sync(); err != nil {
+			return err
+		}
 	}
-	s.hdrSeq = seq
+	s.hdrSeq, s.hdrDurable = seq, sync
 	return nil
 }
 

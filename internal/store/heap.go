@@ -36,6 +36,31 @@ const (
 	ovChunkMax = maxRecordSize
 )
 
+// inline is a decoded inline record header.
+type inline struct {
+	overflow bool
+	payload  []byte // a plain record's payload, an overflow record's prefix
+	head     PageID // overflow only: the first chunk page
+	total    int    // overflow only: the full payload length
+}
+
+// decodeInline decodes an inline record's header; ok is false when rec is
+// neither a plain nor an overflow record.
+func decodeInline(rec []byte) (in inline, ok bool) {
+	switch {
+	case len(rec) >= 1 && rec[0] == recKindPlain:
+		return inline{payload: rec[1:]}, true
+	case len(rec) >= overflowHeader && rec[0] == recKindOverflow:
+		return inline{
+			overflow: true,
+			payload:  rec[overflowHeader:],
+			head:     PageID(binary.LittleEndian.Uint32(rec[1:])),
+			total:    int(binary.LittleEndian.Uint32(rec[5:])),
+		}, true
+	}
+	return inline{}, false
+}
+
 // errRecordNotFound marks reads of dead or vanished slots; scans skip such
 // records instead of failing when retention deletes race them.
 var errRecordNotFound = errors.New("record not found")
@@ -238,16 +263,16 @@ func (s *Store) readRecord(rid RID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: %w: %s", errRecordNotFound, rid)
 	}
+	in, ok := decodeInline(rec)
 	switch {
-	case len(rec) >= 1 && rec[0] == recKindPlain:
-		out := make([]byte, len(rec)-1)
-		copy(out, rec[1:])
-		return out, nil
-	case len(rec) < overflowHeader || rec[0] != recKindOverflow:
+	case !ok:
 		return nil, fmt.Errorf("store: record %s has no valid inline header", rid)
+	case !in.overflow:
+		out := make([]byte, len(in.payload))
+		copy(out, in.payload)
+		return out, nil
 	}
-	first := PageID(binary.LittleEndian.Uint32(rec[1:]))
-	total := int(binary.LittleEndian.Uint32(rec[5:]))
+	total := in.total
 	s.allocMu.Lock()
 	size := int(s.pageCount) * PageSize
 	s.allocMu.Unlock()
@@ -255,8 +280,8 @@ func (s *Store) readRecord(rid RID) ([]byte, error) {
 		return nil, fmt.Errorf("store: overflow record %s claims %d bytes, more than the data file holds", rid, total)
 	}
 	out := make([]byte, 0, total)
-	out = append(out, rec[overflowHeader:]...)
-	for pid := first; pid != InvalidPage; {
+	out = append(out, in.payload...)
+	for pid := in.head; pid != InvalidPage; {
 		of, err := s.pool.get(pid)
 		if err != nil {
 			return nil, err
@@ -429,12 +454,20 @@ func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) err
 				continue
 			}
 			rid := RID{Page: pid, Slot: slot}
-			payload, err := s.recordPayload(rid, rec)
-			if errors.Is(err, errRecordNotFound) {
-				continue // deleted since the page was copied
+			in, ok := decodeInline(rec)
+			if !ok {
+				return fmt.Errorf("store: record %s has no valid inline header", rid)
 			}
-			if err != nil {
-				return err
+			payload := in.payload
+			if in.overflow {
+				var err error
+				payload, err = s.readRecord(rid)
+				if errors.Is(err, errRecordNotFound) {
+					continue // deleted since the page was copied
+				}
+				if err != nil {
+					return err
+				}
 			}
 			if !fn(rid, payload) {
 				return nil
@@ -442,19 +475,6 @@ func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) err
 		}
 	}
 	return nil
-}
-
-// recordPayload returns the payload of the inline record rec at rid: a
-// plain record's bytes in place, an overflow record reassembled by
-// readRecord.
-func (s *Store) recordPayload(rid RID, rec []byte) ([]byte, error) {
-	switch {
-	case len(rec) >= 1 && rec[0] == recKindPlain:
-		return rec[1:], nil
-	case len(rec) >= overflowHeader && rec[0] == recKindOverflow:
-		return s.readRecord(rid)
-	}
-	return nil, fmt.Errorf("store: record %s has no valid inline header", rid)
 }
 
 // BatchDelete physically removes a set of processed records in one

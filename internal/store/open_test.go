@@ -409,9 +409,8 @@ func TestOpenReadsDataFileOnce(t *testing.T) {
 
 // TestIdleRestartSyncsOnce counts the flushes of an idle restart: after a
 // Close, an Open with nothing to recover writes and syncs nothing, and the
-// following Close with nothing written since syncs the data file once — so
-// that the header slot the previous instance left is durable before the
-// next slot is overwritten — and writes the next slot without a sync.
+// following Close with nothing written since only writes and syncs the
+// next header slot: one slot write and one data-file sync.
 func TestIdleRestartSyncsOnce(t *testing.T) {
 	fs := NewFaultFS(1)
 	opts := Options{VFS: fs, SyncCommits: true}
@@ -465,7 +464,7 @@ func TestIdleRestartSyncsOnce(t *testing.T) {
 }
 
 // TestIdleHeaderWriteCrash crashes at every mutation of idle restarts —
-// the data-file sync and the unsynced header slot write — under several
+// the header slot write and its sync — under several
 // resolutions of the pending writes; each reopen replays nothing and finds
 // the same records.
 func TestIdleHeaderWriteCrash(t *testing.T) {

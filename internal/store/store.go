@@ -178,13 +178,9 @@ type Store struct {
 	pool *bufferPool
 
 	// hdrSeq is the sequence number of the active header slot; checkpoints
-	// increment it and write the slot the new parity selects. hdrDurable
-	// reports whether this instance synced that slot: Open cannot tell
-	// whether the slot it read reached the disk, and an idle checkpoint
-	// leaves its slot unsynced. Guarded by ckptMu (exclusive in every
-	// writer).
-	hdrSeq     uint64
-	hdrDurable bool
+	// increment it and write the slot the new parity selects. Guarded by
+	// ckptMu (exclusive in every writer).
+	hdrSeq uint64
 
 	// allocMu guards page allocation: pageCount and the free list.
 	allocMu   sync.Mutex
@@ -361,7 +357,6 @@ func (s *Store) format() error {
 		return err
 	}
 	s.pageCount = 2
-	s.hdrDurable = true
 	s.heaps[catalogHeapID] = &heapInfo{id: catalogHeapID, name: "__catalog", first: catalogFirstPage, last: catalogFirstPage}
 	return nil
 }
@@ -564,12 +559,15 @@ func (s *Store) readPageMap() (*pageMap, error) {
 			}
 			for slot := uint16(0); slot < pg.slotCount(); slot++ {
 				rec, ok := pg.read(slot)
+				if !ok {
+					continue
+				}
+				in, ok := decodeInline(rec)
 				switch {
-				case !ok || len(rec) >= 1 && rec[0] == recKindPlain:
-				case len(rec) >= overflowHeader && rec[0] == recKindOverflow:
-					m.ovRefs = append(m.ovRefs, ovRef{RID{pg.id, slot}, PageID(binary.LittleEndian.Uint32(rec[1:]))})
-				default:
+				case !ok:
 					m.bad[pg.id] = fmt.Errorf("slot %d holds no valid record header", slot)
+				case in.overflow:
+					m.ovRefs = append(m.ovRefs, ovRef{RID{pg.id, slot}, in.head})
 				}
 			}
 		}
@@ -711,7 +709,7 @@ func (s *Store) checkpointFuzzy() error {
 	// A crash before this sync leaves the previous slot — which pairs with
 	// the previous on-disk state — in force; replaying the longer tail is
 	// idempotent (page LSN guards, full-page images).
-	if err := s.publishRedo(redo, true); err != nil {
+	if err := s.publishRedo(redo); err != nil {
 		return err
 	}
 	// Phase 6 — recycle segments wholly behind the published redo offset.
@@ -724,12 +722,14 @@ func (s *Store) checkpointFuzzy() error {
 // checkpoint is the quiescent variant, used at load (nothing concurrent)
 // and Close (ckptMu held exclusively): with no activity in flight it can
 // flush everything and publish the log end itself as the redo offset, so a
-// clean restart replays zero records. An idle store takes the short path
-// of idleCheckpoint instead.
+// clean restart replays zero records. An idle store only publishes the
+// next header slot: the data file and the log already hold everything.
 func (s *Store) checkpoint() error {
 	start := time.Now()
 	if s.idle() {
-		if err := s.idleCheckpoint(); err != nil {
+		// Every published slot is synced, so tearing or losing this write
+		// leaves the current slot, with the same redo offset, in force.
+		if err := s.publishRedo(s.log.size()); err != nil {
 			return err
 		}
 		s.checkpoints.Add(1)
@@ -754,7 +754,7 @@ func (s *Store) checkpoint() error {
 	// fresh full-page image after the new redo point.
 	s.pool.clearImaged()
 	redo := s.log.size()
-	if err := s.publishRedo(redo, true); err != nil {
+	if err := s.publishRedo(redo); err != nil {
 		return err
 	}
 	s.log.advanceHead(redo)
@@ -774,28 +774,10 @@ func (s *Store) idle() bool {
 	return end == s.log.headOffset() && end == s.log.durable() && s.log.err() == nil && s.pool.dirtyCount() == 0
 }
 
-// idleCheckpoint is Close's checkpoint of an idle store: the data file and
-// the log already hold everything, so it writes the next header slot as
-// every checkpoint does, with the redo offset the current slot carries, and
-// syncs nothing. Losing or tearing that write leaves the current slot in
-// force with the same offset — provided the current slot is durable. When
-// this instance did not sync it (it was read at Open, or an earlier idle
-// checkpoint wrote it), one data-file sync makes it durable first: two
-// unsynced slot writes in a row could both be lost or torn, and an older
-// redo offset may point into log segments already recycled.
-func (s *Store) idleCheckpoint() error {
-	if !s.hdrDurable {
-		if err := s.file.Sync(); err != nil {
-			return err
-		}
-	}
-	return s.publishRedo(s.log.size(), false)
-}
-
-// publishRedo writes the next ping-pong header slot carrying the given
-// redo offset, and syncs it when sync is set. Only one checkpoint runs at a
-// time (lifeMu), so hdrSeq is stable here.
-func (s *Store) publishRedo(redo uint64, sync bool) error {
+// publishRedo durably writes the next ping-pong header slot carrying the
+// given redo offset. Only one checkpoint runs at a time (lifeMu), so hdrSeq
+// is stable here.
+func (s *Store) publishRedo(redo uint64) error {
 	seq := s.hdrSeq + 1
 	slot := make([]byte, hdrSlotSize)
 	writeHeaderSlot(slot, seq, redo)
@@ -806,12 +788,10 @@ func (s *Store) publishRedo(redo uint64, sync bool) error {
 	if _, err := s.file.WriteAt(slot, off); err != nil {
 		return err
 	}
-	if sync {
-		if err := s.file.Sync(); err != nil {
-			return err
-		}
+	if err := s.file.Sync(); err != nil {
+		return err
 	}
-	s.hdrSeq, s.hdrDurable = seq, sync
+	s.hdrSeq = seq
 	return nil
 }
 

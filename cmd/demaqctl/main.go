@@ -10,8 +10,9 @@
 // (X-Demaq-Property headers). "status" reads the JSON endpoint served by
 // demaqd -status and prints the engine counters, including the
 // set-oriented execution stats (batches claimed, average batch size,
-// deadlock requeues) and the outgoing gateway senders' (transfers sent,
-// consume commits, send errors).
+// deadlock requeues), the outgoing gateway senders' (transfers sent,
+// consume commits, send errors) and the page write-back's (pages written,
+// log flushes waited for: pages written over flushes is pages per flush).
 package main
 
 import (
@@ -121,6 +122,8 @@ func main() {
 		fmt.Printf("pipelined commits  %d\n", st.PipelinedCommits)
 		fmt.Printf("durability waits   %d\n", st.DurabilityWaits)
 		fmt.Printf("undurable batches  %d\n", st.UndurableBatches)
+		fmt.Printf("pages written      %d\n", st.PagesWritten)
+		fmt.Printf("write-back flushes %d\n", st.WriteBackFlushes)
 	default:
 		usage()
 	}

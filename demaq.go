@@ -384,6 +384,9 @@ func FormatStats(st Stats) string {
 	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
 		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
+	if st.PagesWritten > 0 {
+		s += fmt.Sprintf(" pages-written=%d wb-flushes=%d", st.PagesWritten, st.WriteBackFlushes)
+	}
 	if st.WALThrottles > 0 || st.WALShed > 0 {
 		s += fmt.Sprintf(" throttled=%d wal-shed=%d", st.WALThrottles, st.WALShed)
 	}

@@ -181,7 +181,10 @@ type Stats struct {
 	// WAL reached the hard budget. LastCheckpoint/LastRecovery are the
 	// durations of the most recent checkpoint and recovery, and
 	// RecoveryReplayed is how many log records that recovery replayed —
-	// the bounded-recovery metric.
+	// the bounded-recovery metric. PagesWritten counts pages written back
+	// to the data file and WriteBackFlushes the log flushes those
+	// write-backs waited for: the first over the second is the number of
+	// pages one flush covered.
 	WALLiveBytes     uint64
 	WALSegments      int
 	DirtyPages       int
@@ -191,6 +194,8 @@ type Stats struct {
 	LastCheckpoint   time.Duration
 	LastRecovery     time.Duration
 	RecoveryReplayed uint64
+	PagesWritten     uint64
+	WriteBackFlushes uint64
 }
 
 // Engine is a running Demaq server instance.
@@ -650,6 +655,8 @@ func (e *Engine) Stats() Stats {
 	st.LastCheckpoint = ps.LastCheckpointDuration
 	st.LastRecovery = ps.LastRecoveryDuration
 	st.RecoveryReplayed = ps.RecoveryRecordsReplayed
+	st.PagesWritten = ps.PagesWritten
+	st.WriteBackFlushes = ps.WriteBackFlushes
 	st.Degraded = e.degraded.Load()
 	if err := e.StorageError(); err != nil {
 		st.StorageError = err.Error()

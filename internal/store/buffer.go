@@ -1,7 +1,11 @@
 package store
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -11,8 +15,8 @@ import (
 // held for map and pin bookkeeping — never across disk I/O. Page content is
 // protected by a per-frame reader/writer latch, so lookups of different
 // pages (and concurrent readers of the same page) proceed fully in
-// parallel, and a page being read from disk or written back blocks only the
-// callers that need that very page.
+// parallel, and a page being read from disk blocks only the callers that
+// need that very page.
 //
 // Latch hierarchy (deadlock freedom), highest first:
 //
@@ -24,25 +28,35 @@ import (
 // Page latches of distinct pages are only held together when the second
 // page is unreachable by other threads (a freshly allocated page, an
 // overflow page of a record whose owning page we latched) — no thread
-// waits for a latched page while holding another the first thread wants.
+// waits for a latched page while holding another the first thread wants —
+// or when a write-back copies a page (see writeBackAll).
 //
 // Pin protocol: pin (get/fresh) → latch → operate → unlatch → unpin. A
-// pinned frame is never evicted; a frame is only latched while pinned, so
-// an unpinned frame with pin count zero has no latch holders and eviction
-// may write it back without taking its latch.
+// pinned frame is never evicted.
+//
+// A frame is in one of three states, each visible under its shard mutex:
+// loading (a disk read is in flight: loading is non-nil, and getters wait
+// for it), buffered, and buffered with a write-back in flight (writing is
+// non-nil and the write-back holds a pin). Frames stay readable and
+// writable while they are written: a write-back latches each page only for
+// as long as it copies it, and does its log flush and its page writes with
+// no latch held. Eviction does no I/O on its victim: it drops a clean
+// frame and cleans dirty ones through the same batched write-back first.
 const poolShardCount = 16
 
-type frameState uint8
-
-const (
-	frameReady    frameState = iota
-	frameLoading             // miss: disk read in flight
-	frameEvicting            // victim: WAL flush + write-back in flight
-)
+// writeBatch is the most pages one write-back batch copies, covers with one
+// log flush, and writes. A shard of the default 1024-page pool holds 64
+// frames, so an eviction that finds no clean frame cleans the older half of
+// its shard and leaves the recently used half, which is the likeliest to be
+// dirtied again, alone. 32 pages are 256 KB of copies; with a flush costing
+// a millisecond and a page write a few microseconds, a larger batch saves
+// little more per page and keeps more memory and more work under the
+// evicting caller's locks.
+const writeBatch = 32
 
 // frame is one buffered page. The latch guards the page bytes; the
-// bookkeeping fields (pins, dirty, lastUse, state) are guarded by the
-// owning shard's mutex.
+// bookkeeping fields (pins, dirty, lastUse, loading, writing) are guarded
+// by the owning shard's mutex.
 type frame struct {
 	pg    page
 	latch sync.RWMutex
@@ -50,8 +64,8 @@ type frame struct {
 	pins    int
 	dirty   bool
 	lastUse uint64
-	state   frameState
-	ioDone  chan struct{} // closed when a load or eviction completes
+	loading chan struct{} // non-nil while the page is read from disk; closed when done
+	writing chan struct{} // non-nil while a write-back of the page is in flight; closed when done
 }
 
 type poolShard struct {
@@ -66,7 +80,7 @@ type poolShard struct {
 // writes (no-force policy).
 //
 // Capacity is enforced per shard (total capacity split evenly). A shard
-// whose frames are all pinned or in flight grows past its share instead of
+// whose frames are all pinned or loading grows past its share instead of
 // failing — multi-page operations never dead-end on a full pool — and
 // shrinks back as pins release or later misses find evictable frames.
 type bufferPool struct {
@@ -76,12 +90,15 @@ type bufferPool struct {
 	log    *wal
 
 	// imaged tracks pages whose full image has been logged since the last
-	// checkpoint (torn-write protection, see writeBack). Cleared by the
+	// checkpoint (torn-write protection, see writeBackAll). Cleared by the
 	// checkpoint once the data file is synced.
 	imagedMu sync.Mutex
 	imaged   map[PageID]bool
 
 	hits, misses, evictions atomic.Uint64
+	// pagesWritten counts pages written back; wbFlushes the log flushes a
+	// write-back batch waited for.
+	pagesWritten, wbFlushes atomic.Uint64
 }
 
 func newBufferPool(capacity int, file File, log *wal) *bufferPool {
@@ -125,7 +142,7 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 	for {
 		sh.mu.Lock()
 		if f, ok := sh.frames[id]; ok {
-			if f.state == frameReady {
+			if f.loading == nil {
 				f.pins++
 				f.lastUse = bp.clock.Add(1)
 				sh.mu.Unlock()
@@ -134,11 +151,10 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 				}
 				return f, nil
 			}
-			// A load or eviction of this page is in flight: wait for it to
-			// finish, then retry. After a completed eviction the map entry
-			// is gone and the retry reloads from disk; after a failed
-			// eviction the frame is ready again.
-			done := f.ioDone
+			// A load of this page is in flight: wait for it to finish,
+			// then retry. After a failed load the map entry is gone and
+			// the retry loads the page itself.
+			done := f.loading
 			sh.mu.Unlock()
 			<-done
 			continue
@@ -149,8 +165,7 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 			lastUse: bp.clock.Add(1),
 		}
 		if load {
-			f.state = frameLoading
-			f.ioDone = make(chan struct{})
+			f.loading = make(chan struct{})
 		}
 		sh.frames[id] = f
 		over := len(sh.frames) > sh.cap
@@ -158,20 +173,26 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 
 		if load {
 			bp.misses.Add(1)
-			_, err := bp.file.ReadAt(f.pg.buf, int64(id)*PageSize)
+			n, err := bp.file.ReadAt(f.pg.buf, int64(id)*PageSize)
+			if n == 0 && errors.Is(err, io.EOF) {
+				// A page past the end of the file reads as zeros, as a
+				// hole inside it does: recovery redoes the formats of
+				// pages allocated side by side in log order, not page
+				// order, so it can grow the store past a page that never
+				// reached the file and then redo that page.
+				err = nil
+			}
 			sh.mu.Lock()
 			if err != nil {
-				// Drop the frame; waiters on ioDone retry, miss the map and
-				// issue their own load (getting their own error if it
-				// persists).
+				// Drop the frame; waiters retry, miss the map and issue
+				// their own load (getting their own error if it persists).
 				delete(sh.frames, id)
-				close(f.ioDone)
+				close(f.loading)
 				sh.mu.Unlock()
 				return nil, fmt.Errorf("store: read page %d: %w", id, err)
 			}
-			f.state = frameReady
-			close(f.ioDone)
-			f.ioDone = nil
+			close(f.loading)
+			f.loading = nil
 			sh.mu.Unlock()
 		}
 		if over {
@@ -198,8 +219,8 @@ func (bp *bufferPool) readPage(id PageID, dst []byte) error {
 	for {
 		sh.mu.Lock()
 		if f, ok := sh.frames[id]; ok {
-			if f.state != frameReady {
-				done := f.ioDone
+			if f.loading != nil {
+				done := f.loading
 				sh.mu.Unlock()
 				<-done
 				continue
@@ -213,7 +234,7 @@ func (bp *bufferPool) readPage(id PageID, dst []byte) error {
 			bp.unpin(f, false)
 			return nil
 		}
-		marker := &frame{pg: page{id: id}, state: frameLoading, ioDone: make(chan struct{})}
+		marker := &frame{pg: page{id: id}, loading: make(chan struct{})}
 		sh.frames[id] = marker
 		sh.mu.Unlock()
 
@@ -223,7 +244,7 @@ func (bp *bufferPool) readPage(id PageID, dst []byte) error {
 		if sh.frames[id] == marker {
 			delete(sh.frames, id)
 		}
-		close(marker.ioDone)
+		close(marker.loading)
 		sh.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("store: read page %d: %w", id, err)
@@ -249,18 +270,17 @@ func (bp *bufferPool) unpin(f *frame, dirty bool) {
 		// A shard that overflowed while its frames were pinned shrinks as
 		// pins release, not only on the next miss — a hit-only steady
 		// state must not hold memory past the configured budget. A failed
-		// write-back leaves the victim dirty and in the map; the error
+		// write-back leaves its pages dirty and buffered; the error
 		// resurfaces on the next miss-path eviction or checkpoint.
 		_ = bp.evictExcess(sh)
 	}
 }
 
-// evictExcess writes back and drops least-recently-used evictable frames of
-// a shard until it is back at capacity — a shard that overflowed while its
-// frames were pinned shrinks again here. Each victim is marked
-// frameEvicting under the shard mutex — so no getter can pin it — and its
-// I/O runs with the mutex released. Victims have pin count zero, hence no
-// latch holders, so their bytes are stable.
+// evictExcess drops least-recently-used clean, unpinned frames of a shard
+// until it is back at capacity — a shard that overflowed while its frames
+// were pinned shrinks again here. Dropping a clean frame needs no I/O. A
+// shard with no clean unpinned frame first cleans up to writeBatch of its
+// least recently used dirty unpinned frames through one write-back batch.
 func (bp *bufferPool) evictExcess(sh *poolShard) error {
 	for {
 		sh.mu.Lock()
@@ -269,148 +289,188 @@ func (bp *bufferPool) evictExcess(sh *poolShard) error {
 			return nil
 		}
 		var victim *frame
+		var dirty []*frame
 		for _, f := range sh.frames {
-			if f.pins != 0 || f.state != frameReady {
+			// A frame being written back is pinned by its write-back.
+			if f.pins != 0 || f.loading != nil {
 				continue
 			}
-			if victim == nil || f.lastUse < victim.lastUse {
+			if f.dirty {
+				dirty = append(dirty, f)
+			} else if victim == nil || f.lastUse < victim.lastUse {
 				victim = f
 			}
 		}
-		if victim == nil {
-			// Everything pinned or in flight: let the shard exceed its
-			// share for now.
+		if victim != nil {
+			delete(sh.frames, victim.pg.id)
+			bp.evictions.Add(1)
+			sh.mu.Unlock()
+			continue
+		}
+		if len(dirty) == 0 {
+			// Everything pinned or loading: let the shard exceed its share
+			// for now.
 			sh.mu.Unlock()
 			return nil
 		}
-		victim.state = frameEvicting
-		victim.ioDone = make(chan struct{})
-		dirty := victim.dirty
-		sh.mu.Unlock()
-
-		var err error
-		if dirty {
-			err = bp.writeBack(victim)
+		slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.lastUse, b.lastUse) })
+		dirty = dirty[:min(len(dirty), writeBatch)]
+		for _, f := range dirty {
+			f.claim()
 		}
-		sh.mu.Lock()
-		if err == nil {
-			victim.dirty = false
-			delete(sh.frames, victim.pg.id)
-			bp.evictions.Add(1)
-		}
-		victim.state = frameReady
-		close(victim.ioDone)
-		victim.ioDone = nil
 		sh.mu.Unlock()
-		if err != nil {
+		if err := bp.writeBackAll(dirty); err != nil {
 			return err
 		}
 	}
 }
 
-// writeBack flushes the WAL up to the page's LSN, then writes the page.
-// The read latch keeps the bytes stable against concurrent writers: it is
-// free for eviction victims (pin count zero ⇒ no latch holders) and guards
-// the checkpoint path, which may run next to late writers.
+// claim starts a write-back of a dirty frame with none in flight; the
+// caller holds the shard mutex. It pins the frame, so the frame stays
+// buffered until the write lands, and it clears dirty before the page is
+// copied: a writer that dirties the page during the write-back keeps its
+// flag, and the page is written again later. The writing marker keeps a
+// second write-back of the page from starting, so an older copy can never
+// land after a newer one, and lets a checkpoint wait for this one.
+func (f *frame) claim() {
+	f.pins++
+	f.dirty = false
+	f.writing = make(chan struct{})
+}
+
+// writeBackAll writes claimed frames to the data file, sorted by page:
+// copy every page, flush the log once up to the newest copy's LSN, then
+// write the copies. Each page is read-latched only while it is copied, so
+// no latch is held across the flush or the writes.
 //
 // The first write-back of a page since the last checkpoint logs a full
-// image of the page first (redo-only, like PostgreSQL's full-page writes):
-// should the 8K write below tear — persist only a byte prefix — the
-// on-disk page mixes two states and its LSN field cannot be trusted, so
-// physiological redo alone cannot repair it. Recovery restores the image
-// unconditionally and replays later records on top. Subsequent write-backs
-// of the same page need no new image: the one in the log already anchors
+// image of the page (redo-only, like PostgreSQL's full-page writes):
+// should the 8K write tear — persist only a byte prefix — the on-disk page
+// mixes two states and its LSN field cannot be trusted, so physiological
+// redo alone cannot repair it. Recovery restores the image unconditionally
+// and replays later records on top. The image is appended inside the same
+// latch hold as the copy: a record logged between the two would otherwise
+// sit below the image, which replay restores over it. Later write-backs of
+// the same page need no new image: the one in the log already anchors
 // replay for the whole checkpoint interval.
-func (bp *bufferPool) writeBack(f *frame) error {
-	f.latch.RLock()
-	defer f.latch.RUnlock()
-	lsn := f.pg.lsn()
-	bp.imagedMu.Lock()
-	imaged := bp.imaged[f.pg.id]
-	if !imaged {
-		bp.imaged[f.pg.id] = true
+//
+// Copying may wait for a page latch while the caller holds another (an
+// inserter evicts with its tail page latched). That cannot deadlock:
+// eviction claims a frame only while it is unpinned, so whoever latches
+// the frame later pinned it after the evicting caller had pinned its own
+// latched pages. Such a latch holder waits for a page latch only as an
+// overflow-page reader, and overflow pages are never latched across an
+// eviction, or as another evictor, whose claimed frames were then unpinned
+// before ours were pinned — there is no cycle. The checkpoint claims
+// pinned frames too, but it holds no latch while it copies.
+//
+// A frame whose write does not land is marked dirty again.
+func (bp *bufferPool) writeBackAll(frames []*frame) error {
+	if len(frames) == 0 {
+		return nil
 	}
-	bp.imagedMu.Unlock()
-	if !imaged {
-		img := &logRecord{typ: recFullPage, page: f.pg.id,
-			after: append([]byte(nil), f.pg.buf...)}
-		lsn = bp.log.append(img)
+	slices.SortFunc(frames, func(a, b *frame) int { return cmp.Compare(a.pg.id, b.pg.id) })
+	copies := make([]byte, len(frames)*PageSize)
+	var lsn uint64
+	for i, f := range frames {
+		c := copies[i*PageSize : (i+1)*PageSize]
+		f.latch.RLock()
+		copy(c, f.pg.buf)
+		lsn = max(lsn, f.pg.lsn())
+		bp.imagedMu.Lock()
+		imaged := bp.imaged[f.pg.id]
+		bp.imaged[f.pg.id] = true
+		bp.imagedMu.Unlock()
+		if !imaged {
+			lsn = max(lsn, bp.log.append(&logRecord{typ: recFullPage, page: f.pg.id, after: c}))
+		}
+		f.latch.RUnlock()
 	}
 	// WAL rule: log first.
-	if err := bp.log.flush(lsn); err != nil {
-		return err
+	if lsn > bp.log.durable() {
+		bp.wbFlushes.Add(1)
 	}
-	if _, err := bp.file.WriteAt(f.pg.buf, int64(f.pg.id)*PageSize); err != nil {
-		return fmt.Errorf("store: write page %d: %w", f.pg.id, err)
-	}
-	return nil
-}
-
-// flushAll writes back every dirty page (checkpoint). The store quiesces
-// transactions first, so no frame is being re-dirtied while we run; each
-// frame is pinned across its write-back so eviction cannot race it. A
-// dirty frame whose eviction is in flight is WAITED on, not skipped: the
-// checkpoint's data-file sync must cover that eviction's write, or
-// truncating the WAL would discard the only durable copy of its changes.
-func (bp *bufferPool) flushAll() error {
-	for i := range bp.shards {
-		sh := &bp.shards[i]
-		for {
-			sh.mu.Lock()
-			var f *frame
-			var evicting chan struct{}
-			for _, c := range sh.frames {
-				if c.state == frameEvicting && c.dirty {
-					evicting = c.ioDone
-					break
-				}
-				if c.state == frameReady && c.dirty {
-					f = c
-					break
-				}
-			}
-			if evicting != nil {
-				sh.mu.Unlock()
-				<-evicting
-				continue
-			}
-			if f == nil {
-				sh.mu.Unlock()
-				break
-			}
-			f.pins++
-			// Claim the current mutation set before writing: a writer that
-			// re-dirties the page during the write-back keeps its flag
-			// instead of having it clobbered afterward.
-			f.dirty = false
-			sh.mu.Unlock()
-			err := bp.writeBack(f)
-			sh.mu.Lock()
-			if err != nil {
-				f.dirty = true // disk is stale; keep the page flushable
-			}
-			f.pins--
-			sh.mu.Unlock()
-			if err != nil {
-				return err
-			}
+	err := bp.log.flush(lsn)
+	written := 0
+	for i, f := range frames {
+		if err != nil {
+			break
 		}
+		if _, werr := bp.file.WriteAt(copies[i*PageSize:(i+1)*PageSize], int64(f.pg.id)*PageSize); werr != nil {
+			err = fmt.Errorf("store: write page %d: %w", f.pg.id, werr)
+			break
+		}
+		written++
+	}
+	bp.pagesWritten.Add(uint64(written))
+	for i, f := range frames {
+		sh := bp.shard(f.pg.id)
+		sh.mu.Lock()
+		if i >= written {
+			f.dirty = true // disk is stale; keep the page flushable
+		}
+		f.pins--
+		close(f.writing)
+		f.writing = nil
+		sh.mu.Unlock()
+	}
+	return err
+}
+
+// flushPages writes back every listed page that is buffered and dirty, in
+// write-back batches, and returns once each listed page's write-back — its
+// own or one already in flight, which it waits for — has landed. The
+// checkpoints call it: the fuzzy one with its dirty snapshot while data
+// operations run beside it, the quiescent one with every dirty page. A
+// page no longer buffered was evicted clean, so its bytes are on disk.
+func (bp *bufferPool) flushPages(ids []PageID) error {
+	ids = slices.Sorted(slices.Values(ids))
+	for len(ids) > 0 {
+		var batch []*frame
+		var inFlight []chan struct{}
+		var retry []PageID
+		for len(ids) > 0 && len(batch) < writeBatch {
+			id := ids[0]
+			ids = ids[1:]
+			sh := bp.shard(id)
+			sh.mu.Lock()
+			if f, ok := sh.frames[id]; ok && f.loading == nil {
+				switch {
+				case f.writing != nil:
+					// Its copy may predate changes this caller must cover:
+					// wait for it, then look at the page again.
+					inFlight = append(inFlight, f.writing)
+					retry = append(retry, id)
+				case f.dirty:
+					f.claim()
+					batch = append(batch, f)
+				}
+			}
+			sh.mu.Unlock()
+		}
+		if err := bp.writeBackAll(batch); err != nil {
+			return err
+		}
+		for _, done := range inFlight {
+			<-done
+		}
+		ids = append(retry, ids...)
 	}
 	return nil
 }
 
-// dirtyPages snapshots the IDs of every dirty buffered page. The fuzzy
-// checkpoint calls it under the exclusive checkpoint fence — in-flight data
-// operations are drained, and evictions only run inside data operations, so
-// no frame is mid-eviction and the snapshot is the complete set of pages
-// whose effects predate the fence and are not yet on disk.
+// dirtyPages snapshots the IDs of every buffered page that is dirty or has
+// a write-back in flight — every page whose buffered bytes may not be on
+// disk yet. The fuzzy checkpoint calls it under the exclusive checkpoint
+// fence, so the snapshot covers every page whose effects predate the
+// fence.
 func (bp *bufferPool) dirtyPages() []PageID {
 	var pids []PageID
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
 		for id, f := range sh.frames {
-			if f.dirty {
+			if f.dirty || f.writing != nil {
 				pids = append(pids, id)
 			}
 		}
@@ -434,49 +494,6 @@ func (bp *bufferPool) dirtyCount() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// flushPage writes back one page if it is still buffered and dirty,
-// following flushAll's claim protocol. The fuzzy checkpoint calls it with
-// data operations running concurrently: a frame mid-eviction is waited on
-// (its write must land before the checkpoint's data sync), a frame already
-// evicted or clean needs nothing, and a writer re-dirtying the page during
-// the write-back keeps its flag for the next cycle.
-func (bp *bufferPool) flushPage(id PageID) error {
-	sh := bp.shard(id)
-	for {
-		sh.mu.Lock()
-		f, ok := sh.frames[id]
-		if !ok {
-			// Evicted since the snapshot: the eviction's write-back already
-			// put the bytes on disk (or its failure left the frame in the
-			// map, so we would have found it).
-			sh.mu.Unlock()
-			return nil
-		}
-		if f.state != frameReady {
-			done := f.ioDone
-			sh.mu.Unlock()
-			<-done
-			continue
-		}
-		if !f.dirty {
-			sh.mu.Unlock()
-			return nil
-		}
-		f.pins++
-		// Claim the current mutation set before writing, as in flushAll.
-		f.dirty = false
-		sh.mu.Unlock()
-		err := bp.writeBack(f)
-		sh.mu.Lock()
-		if err != nil {
-			f.dirty = true // disk is stale; keep the page flushable
-		}
-		f.pins--
-		sh.mu.Unlock()
-		return err
-	}
 }
 
 // clearImaged resets the full-page-image bookkeeping, starting a new

@@ -27,6 +27,7 @@ import (
 // Fault schedules:
 //
 //	CrashAt(k)          — crash when mutation op k executes
+//	TearAt(k)           — crash at op k, which persists as a torn write
 //	TransientEvery(k)   — every k-th mutation fails once with ErrTransientIO
 //	FailWritesAfter(k)  — from op k on, all mutations fail with ErrDiskFailure
 //	SetWriteBudget(n)   — after n more written bytes, writes fail ErrDiskFull
@@ -38,7 +39,8 @@ type FaultFS struct {
 	nOps  int
 	trace []FaultPoint
 
-	crashAt   int // crash when op counter reaches this value; 0 = disarmed
+	crashAt   int  // crash when op counter reaches this value; 0 = disarmed
+	tear      bool // a write that crashes persists its first half (TearAt)
 	crashed   bool
 	transient int   // every n-th op fails transiently; 0 = disarmed
 	permAt    int   // ops >= permAt fail permanently; 0 = disarmed
@@ -166,6 +168,16 @@ func (fs *FaultFS) CrashAt(n int) {
 	fs.mu.Unlock()
 }
 
+// TearAt arms a crash at mutation operation n, like CrashAt, and if that
+// operation is a write it persists as a torn write whatever the seed: its
+// first half reaches the durable image after the pending operations are
+// resolved. Passing 0 disarms.
+func (fs *FaultFS) TearAt(n int) {
+	fs.mu.Lock()
+	fs.crashAt, fs.tear = n, n > 0
+	fs.mu.Unlock()
+}
+
 // TransientEvery makes every n-th mutation fail once with ErrTransientIO
 // (the retried attempt gets a new op number and succeeds). 0 disarms.
 func (fs *FaultFS) TransientEvery(n int) {
@@ -196,6 +208,7 @@ func (fs *FaultFS) ClearFault() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.crashAt = 0
+	fs.tear = false
 	fs.transient = 0
 	fs.permAt = 0
 	fs.permanent = false
@@ -378,7 +391,12 @@ func (h *faultHandle) WriteAt(p []byte, off int64) (int, error) {
 	defer h.fs.mu.Unlock()
 	fail, crash := h.fs.checkFaults(h.path, "write", off, len(p))
 	if crash {
-		h.fs.crashNow(h.path, &pendingOp{off: off, data: append([]byte(nil), p...)})
+		if h.fs.tear {
+			h.fs.crashNow(h.path, nil)
+			h.d.durable = applyWrite(h.d.durable, off, p[:len(p)/2])
+		} else {
+			h.fs.crashNow(h.path, &pendingOp{off: off, data: append([]byte(nil), p...)})
+		}
 		return 0, ErrCrashed
 	}
 	if fail != nil {

@@ -323,33 +323,48 @@ func TestRebuildMatchesPoolWalk(t *testing.T) {
 	}
 }
 
-// countingVFS counts the bytes read from, and the syncs of, the data file.
+// countingVFS counts the bytes read from, the page writes to and the syncs
+// of the data file, and the syncs of every other file (the WAL segments).
 type countingVFS struct {
 	VFS
-	dataReads, dataSyncs atomic.Int64
+	dataReads, dataWrites, dataSyncs, walSyncs atomic.Int64
 }
 
 type countingFile struct {
 	File
-	v *countingVFS
+	v    *countingVFS
+	data bool
 }
 
 func (v *countingVFS) OpenFile(path string) (File, error) {
 	f, err := v.VFS.OpenFile(path)
-	if err != nil || filepath.Base(path) != dataFileName {
+	if err != nil {
 		return f, err
 	}
-	return countingFile{f, v}, nil
+	return countingFile{f, v, filepath.Base(path) == dataFileName}, nil
 }
 
 func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := f.File.ReadAt(p, off)
-	f.v.dataReads.Add(int64(n))
+	if f.data {
+		f.v.dataReads.Add(int64(n))
+	}
 	return n, err
 }
 
+func (f countingFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.data && len(p) == PageSize {
+		f.v.dataWrites.Add(1)
+	}
+	return f.File.WriteAt(p, off)
+}
+
 func (f countingFile) Sync() error {
-	f.v.dataSyncs.Add(1)
+	if f.data {
+		f.v.dataSyncs.Add(1)
+	} else {
+		f.v.walSyncs.Add(1)
+	}
 	return f.File.Sync()
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -146,6 +145,13 @@ type Stats struct {
 	WALFlushCalls uint64
 	WALCoalesced  uint64
 
+	// Write-back observability: PagesWritten counts pages written back to
+	// the data file (evictions and checkpoints); WriteBackFlushes counts
+	// the log flushes those write-backs waited for. PagesWritten /
+	// WriteBackFlushes is the number of pages one flush covered.
+	PagesWritten     uint64
+	WriteBackFlushes uint64
+
 	// Checkpoint/recovery observability: WALLiveBytes is the log volume a
 	// crash right now would replay through (bytes at or after the last
 	// published redo offset) — the quantity the WAL budgets bound.
@@ -167,8 +173,12 @@ type Stats struct {
 // latch hierarchy), page allocation and the free list sit under allocMu,
 // the heap catalog under heapMu, and each heap serializes only its own
 // inserts via a per-heap append lock. Record reads and B-tree lookups run
-// fully in parallel; disk I/O for misses and eviction write-back happens
-// outside every shared mutex.
+// fully in parallel. Disk I/O for misses and write-back happens outside the
+// shard mutexes and the page latches: a write-back copies each page of a
+// batch of up to writeBatch pages under its read latch, then flushes the
+// log once and writes the copies. An inserter whose allocation must evict
+// dirty pages still writes them under its heap's append lock; batching
+// pays one log flush there per writeBatch pages instead of one per page.
 type Store struct {
 	dir  string
 	opts Options
@@ -477,7 +487,7 @@ type ovRef struct {
 // without a cycle; heap chains share no page and hold no free or overflow
 // page.
 func (s *Store) rebuildChainsAndFreeList() error {
-	if err := s.pool.flushAll(); err != nil {
+	if err := s.pool.flushPages(s.pool.dirtyPages()); err != nil {
 		return err
 	}
 	m, err := s.readPageMap()
@@ -683,16 +693,12 @@ func (s *Store) checkpointFuzzy() error {
 	s.txnMu.Unlock()
 	s.ckptMu.Unlock()
 
-	// Phase 2 — incremental write-back of the snapshotted dirty set, page
-	// by page under per-page latches, yielding between batches so worker
-	// goroutines are never starved for long.
-	for i, pid := range dirty {
-		if err := s.pool.flushPage(pid); err != nil {
-			return err
-		}
-		if i%32 == 31 {
-			runtime.Gosched()
-		}
+	// Phase 2 — write back the snapshotted dirty set in write-back
+	// batches, one log flush each, with no latch held across I/O; a page
+	// whose write-back is in flight is waited for, so the sync below
+	// covers it.
+	if err := s.pool.flushPages(dirty); err != nil {
+		return err
 	}
 	// Phase 3 — make the written-back pages durable before anything
 	// references this checkpoint.
@@ -739,7 +745,7 @@ func (s *Store) checkpoint() error {
 	if err := s.log.flush(^uint64(0) >> 1); err != nil {
 		return err
 	}
-	if err := s.pool.flushAll(); err != nil {
+	if err := s.pool.flushPages(s.pool.dirtyPages()); err != nil {
 		return err
 	}
 	// Make the flushed pages durable BEFORE publishing the advanced redo
@@ -834,6 +840,9 @@ func (s *Store) Stats() Stats {
 		WALFsyncs:     fsyncs,
 		WALFlushCalls: flushCalls,
 		WALCoalesced:  coalesced,
+
+		PagesWritten:     s.pool.pagesWritten.Load(),
+		WriteBackFlushes: s.pool.wbFlushes.Load(),
 
 		WALLiveBytes:            s.log.liveBytes(),
 		WALSegments:             segments,

@@ -275,13 +275,14 @@ func TestWriteBackBesideWriters(t *testing.T) {
 	}
 }
 
-// batchCrashWorkload is the deterministic single-writer workload of
-// TestWriteBackBatchCrashSweep: rounds of inserts and in-place updates
-// through a 64-frame pool, so evictions write back in batches, with a
-// fuzzy checkpoint after every other round, whose dirty set goes out in
-// batches of up to writeBatch pages. It records each commit in committed
-// and stops at the first error.
-func batchCrashWorkload(s *Store, committed map[RID][]byte) error {
+// batchCrashWorkload is the deterministic single-writer workload of the
+// write-back crash sweeps: rounds of inserts and in-place updates through
+// a 64-frame pool, so evictions write back in batches. With checkpoints, a
+// fuzzy checkpoint follows every other round, whose dirty set goes out in
+// batches of up to writeBatch pages and leaves evictions mostly clean
+// frames to drop. It records each commit in committed and stops at the
+// first error.
+func batchCrashWorkload(s *Store, committed map[RID][]byte, checkpoints bool) error {
 	h, err := s.CreateHeap("q")
 	if err != nil {
 		return err
@@ -327,13 +328,60 @@ func batchCrashWorkload(s *Store, committed map[RID][]byte) error {
 		for rid, rec := range updated {
 			committed[rid] = rec
 		}
-		if round%2 == 1 {
+		if checkpoints && round%2 == 1 {
 			if err := s.Checkpoint(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+func batchCrashOptions(fs *FaultFS) Options {
+	return Options{VFS: fs, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
+}
+
+// sweepBatchCrashes runs batchCrashWorkload once to trace its operations,
+// then once per page write of the data file that site selects, given
+// whether the operation before it was a page write too, tearing that
+// write. After each crash it reopens the store and checks it with
+// crashInBatch.
+func sweepBatchCrashes(t *testing.T, checkpoints bool, site func(afterPageWrite bool) bool, minSites int) {
+	probe := NewFaultFS(1)
+	s, err := Open("sweep", batchCrashOptions(probe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := probe.Ops() // the format's writes are not a batch
+	if err := batchCrashWorkload(s, map[RID][]byte{}, checkpoints); err != nil {
+		t.Fatal(err)
+	}
+	s.CrashForTest()
+
+	data := filepath.Join("sweep", dataFileName)
+	isPageWrite := func(p FaultPoint) bool {
+		return p.Op == "write" && p.Path == data && p.Len == PageSize
+	}
+	trace := probe.Trace()
+	var sites []int
+	for i := opened + 1; i < len(trace); i++ {
+		if isPageWrite(trace[i]) && site(isPageWrite(trace[i-1])) {
+			sites = append(sites, trace[i].N)
+		}
+	}
+	if len(sites) < minSites {
+		t.Fatalf("only %d crash sites inside write-back batches", len(sites))
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 5
+	}
+	for i := 0; i < len(sites); i += stride {
+		site := sites[i]
+		t.Run(fmt.Sprintf("crash-at-%03d", site), func(t *testing.T) {
+			crashInBatch(t, site, trace, checkpoints)
+		})
+	}
 }
 
 // TestWriteBackBatchCrashSweep crashes between the page writes of one
@@ -343,90 +391,73 @@ func batchCrashWorkload(s *Store, committed map[RID][]byte) error {
 // its writes must let recovery restore every page: each committed record
 // reads back with its committed bytes and a scan finds nothing else.
 func TestWriteBackBatchCrashSweep(t *testing.T) {
-	opts := func(fs *FaultFS) Options {
-		return Options{VFS: fs, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
-	}
-	probe := NewFaultFS(1)
-	s, err := Open("sweep", opts(probe))
+	// A site is a page write that directly follows another page write of
+	// the data file: the two belong to one batch.
+	sweepBatchCrashes(t, true, func(afterPageWrite bool) bool { return afterPageWrite }, 50)
+}
+
+// TestWriteBackEvictionCrashSweep is TestWriteBackBatchCrashSweep without
+// checkpoints, so every page write is an eviction's: it cleans a shard's
+// least recently used dirty frames inside an open transaction, and the
+// crash cuts that transaction off. Every page write is a site, the first
+// of a batch too, which directly follows the batch's log flush. Pages
+// written back more than once since the fence carry no image of their
+// own; recovery restores them from their first.
+func TestWriteBackEvictionCrashSweep(t *testing.T) {
+	sweepBatchCrashes(t, false, func(bool) bool { return true }, 50)
+}
+
+// crashInBatch runs batchCrashWorkload with a torn write at site, which the
+// probe run traced as a page write inside a write-back batch, then reopens
+// and checks every committed record.
+func crashInBatch(t *testing.T, site int, trace []FaultPoint, checkpoints bool) {
+	fs := NewFaultFS(int64(site))
+	fs.TearAt(site)
+	s, err := Open("sweep", batchCrashOptions(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened := probe.Ops() // the format's writes are not a batch
-	if err := batchCrashWorkload(s, map[RID][]byte{}); err != nil {
-		t.Fatal(err)
+	committed := map[RID][]byte{}
+	if err := batchCrashWorkload(s, committed, checkpoints); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("site %d: workload ended with %v, want a crash", site, err)
 	}
 	s.CrashForTest()
-
-	// A site is a page write that directly follows another page write of
-	// the data file: the two belong to one batch.
-	data := filepath.Join("sweep", dataFileName)
-	isPageWrite := func(p FaultPoint) bool {
-		return p.Op == "write" && p.Path == data && p.Len == PageSize
+	// The model above is exact only if the crash hit the probe's page
+	// write, inside a batch, and not a commit's log write.
+	if got, want := fs.Trace()[site-1], trace[site-1]; got != want {
+		t.Fatalf("site %d: crashed in %v, the probe ran %v there", site, got, want)
 	}
-	trace := probe.Trace()
-	var sites []int
-	for i := opened + 1; i < len(trace); i++ {
-		if isPageWrite(trace[i-1]) && isPageWrite(trace[i]) {
-			sites = append(sites, trace[i].N)
+	fs.ClearFault()
+	s, err = Open("sweep", batchCrashOptions(fs))
+	if err != nil {
+		t.Fatalf("site %d: reopen: %v", site, err)
+	}
+	for rid, want := range committed {
+		got, err := s.Read(rid)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("site %d: committed record %s: %v, or not its committed bytes", site, rid, err)
 		}
 	}
-	if len(sites) < 50 {
-		t.Fatalf("only %d crash sites inside write-back batches", len(sites))
-	}
-	stride := 1
-	if testing.Short() {
-		stride = 5
-	}
-	for i := 0; i < len(sites); i += stride {
-		site := sites[i]
-		fs := NewFaultFS(int64(site))
-		fs.TearAt(site)
-		s, err := Open("sweep", opts(fs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		committed := map[RID][]byte{}
-		if err := batchCrashWorkload(s, committed); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("site %d: workload ended with %v, want a crash", site, err)
-		}
-		s.CrashForTest()
-		// The model above is exact only if the crash hit the probe's page
-		// write, inside a batch, and not a commit's log write.
-		if got, want := fs.Trace()[site-1], trace[site-1]; got != want {
-			t.Fatalf("site %d: crashed in %v, the probe ran %v there", site, got, want)
-		}
-		fs.ClearFault()
-		s, err = Open("sweep", opts(fs))
-		if err != nil {
-			t.Fatalf("site %d: reopen: %v", site, err)
-		}
-		for rid, want := range committed {
-			got, err := s.Read(rid)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("site %d: committed record %s: %v, or not its committed bytes", site, rid, err)
+	if h, ok := s.Heap("q"); ok {
+		n := 0
+		if err := s.Scan(h, func(rid RID, _ []byte) bool {
+			if _, ok := committed[rid]; !ok {
+				t.Errorf("site %d: scan finds uncommitted record %s", site, rid)
 			}
+			n++
+			return true
+		}); err != nil {
+			t.Fatalf("site %d: scan: %v", site, err)
 		}
-		if h, ok := s.Heap("q"); ok {
-			n := 0
-			if err := s.Scan(h, func(rid RID, _ []byte) bool {
-				if _, ok := committed[rid]; !ok {
-					t.Errorf("site %d: scan finds uncommitted record %s", site, rid)
-				}
-				n++
-				return true
-			}); err != nil {
-				t.Fatalf("site %d: scan: %v", site, err)
-			}
-			if n != len(committed) {
-				t.Fatalf("site %d: scan finds %d of %d committed records", site, n, len(committed))
-			}
+		if n != len(committed) {
+			t.Fatalf("site %d: scan finds %d of %d committed records", site, n, len(committed))
 		}
-		if err := s.VerifyPageLSNs(); err != nil {
-			t.Fatalf("site %d: %v", site, err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := s.VerifyPageLSNs(); err != nil {
+		t.Fatalf("site %d: %v", site, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -458,9 +458,6 @@ func (e *Engine) MessageStore() *msgstore.Store { return e.ms }
 // Slices exposes the slicing manager.
 func (e *Engine) Slices() *slicing.Manager { return e.slices }
 
-// Gateways exposes the communication subsystem.
-func (e *Engine) Gateways() *gatewayService { return e.gws }
-
 // Start launches the worker pool and background services.
 func (e *Engine) Start() {
 	e.mu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"strings"
@@ -595,10 +596,10 @@ func (g *gatewayService) deliver(queue string, payload []byte, props map[string]
 		// copies what it keeps, so the transport may recycle payload
 		// afterwards). Distinguish a malformed document (an
 		// application-visible error message, Sec. 3.6) from internal enqueue
-		// failures. The re-parse only happens on this cold error path.
-		if _, perr := xmldom.Parse(payload); perr != nil {
-			e.emitError(queue, 0, nil, nil, perr)
-			return nil, perr
+		// failures.
+		var perr *xmldom.ParseError
+		if errors.As(err, &perr) {
+			e.emitError(queue, 0, nil, nil, err)
 		}
 		return nil, err
 	}

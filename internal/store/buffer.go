@@ -254,6 +254,14 @@ func (bp *bufferPool) readPage(id PageID, dst []byte) error {
 	}
 }
 
+// pin adds a pin to a frame the caller already holds pinned.
+func (bp *bufferPool) pin(f *frame) {
+	sh := bp.shard(f.pg.id)
+	sh.mu.Lock()
+	f.pins++
+	sh.mu.Unlock()
+}
+
 func (bp *bufferPool) unpin(f *frame, dirty bool) {
 	sh := bp.shard(f.pg.id)
 	sh.mu.Lock()
@@ -478,6 +486,18 @@ func (bp *bufferPool) dirtyPages() []PageID {
 		sh.mu.Unlock()
 	}
 	return pids
+}
+
+// frameCount reports how many pages are buffered.
+func (bp *bufferPool) frameCount() int {
+	n := 0
+	for i := range bp.shards {
+		sh := &bp.shards[i]
+		sh.mu.Lock()
+		n += len(sh.frames)
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // dirtyCount reports how many buffered pages are currently dirty

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -49,6 +51,15 @@ func (s *Store) recover() error {
 		return t
 	}
 
+	// No page is written back before redo ends: the first write-back of a
+	// page logs a full-page image, which the next recovery restores
+	// unconditionally, and an image of a half-redone page would erase the
+	// records replayed before it should this recovery crash. So the
+	// forward pass keeps every page it touches pinned (the pool grows past
+	// its capacity to the pages touched since the redo offset, which the
+	// checkpoint scheduler bounds) and unpins them before undo, whose
+	// CLRs then land after any image, as in a runtime abort.
+	s.redoHeld = map[PageID]*frame{}
 	maxTxn := uint64(0)
 	err := s.log.scanFrom(s.log.headOffset(), func(r *logRecord) error {
 		replayed++
@@ -102,6 +113,14 @@ func (s *Store) recover() error {
 		}
 		return nil
 	})
+	s.recFrames = s.pool.frameCount()
+	held := s.redoHeld
+	s.redoHeld = nil
+	// In page order, so that the write-backs the unpins start are the same
+	// on every run of a recovery.
+	for _, pid := range slices.Sorted(maps.Keys(held)) {
+		s.pool.unpin(held[pid], false)
+	}
 	if err != nil {
 		return err
 	}

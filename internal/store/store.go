@@ -221,6 +221,11 @@ type Store struct {
 	lastCkptNs  atomic.Int64
 	lastRecNs   atomic.Int64
 	recReplayed atomic.Uint64
+	// redoHeld holds a pin on every page recovery's forward pass touched;
+	// nil outside the pass. recFrames is the number of frames buffered when
+	// the most recent pass ended, the most recovery held.
+	redoHeld  map[PageID]*frame
+	recFrames int
 
 	// lifeMu serializes lifecycle operations (Close, Checkpoint, crash
 	// simulation) against each other.

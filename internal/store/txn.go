@@ -297,7 +297,8 @@ func (s *Store) applyRedo(r *logRecord, lsn uint64) error {
 }
 
 // pageForRedo fetches a page, growing the file if the page had not been
-// written back before a crash.
+// written back before a crash. During recovery's forward pass it also
+// keeps the page pinned until the pass ends (see recover).
 func (s *Store) pageForRedo(pid PageID) (*frame, error) {
 	s.allocMu.Lock()
 	grow := uint32(pid) >= s.pageCount
@@ -305,10 +306,18 @@ func (s *Store) pageForRedo(pid PageID) (*frame, error) {
 		s.pageCount = uint32(pid) + 1
 	}
 	s.allocMu.Unlock()
+	var f *frame
+	var err error
 	if grow {
-		return s.pool.fresh(pid)
+		f, err = s.pool.fresh(pid)
+	} else {
+		f, err = s.pool.get(pid)
 	}
-	return s.pool.get(pid)
+	if err == nil && s.redoHeld != nil && s.redoHeld[pid] == nil {
+		s.pool.pin(f)
+		s.redoHeld[pid] = f
+	}
+	return f, err
 }
 
 func leU32(b []byte) uint32 {

@@ -1,6 +1,7 @@
 package xmldom
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,9 +25,9 @@ func (e *ParseError) Error() string {
 // declare entities are rejected (messages are exchanged between peers and
 // must be self-contained).
 func Parse(input []byte) (*Node, error) {
-	p := &parser{src: input, line: 1, col: 1}
-	doc, err := p.parseDocument()
-	if err != nil {
+	doc := &Node{Kind: DocumentNode}
+	p := &parser{src: input, line: 1, col: 1, h: &treeBuilder{open: []*Node{doc}}}
+	if err := p.document(); err != nil {
 		return nil, err
 	}
 	doc.Seal()
@@ -57,15 +58,46 @@ type nsBinding struct {
 // declarations were captured at encode time. The returned subtree is not
 // sealed; the caller splices it into a tree and seals the whole document.
 func parseDetached(src string, ns []nsBinding) (*Node, error) {
-	p := &parser{src: []byte(src), line: 1, col: 1, ns: ns}
-	el, err := p.parseElement()
-	if err != nil {
+	holder := &Node{}
+	p := &parser{src: []byte(src), line: 1, col: 1, ns: ns, h: &treeBuilder{open: []*Node{holder}}}
+	if err := p.element(); err != nil {
 		return nil, err
 	}
 	if p.pos != len(p.src) {
 		return nil, p.errf("trailing bytes after element")
 	}
+	el := holder.Children[0]
+	el.Parent = nil
 	return el, nil
+}
+
+// The grammar is written once, as a walk that reports what it reads to a
+// handler: Parse and parseDetached build a tree (treeBuilder below), and
+// StreamEncode emits the binary encoding directly (stream.go). Every
+// well-formedness check lives in the walk, so both ingest paths accept the
+// same inputs and reject the rest with the same errors.
+
+// handler receives the events of one walk. Slices passed to it are only
+// valid during the call.
+type handler interface {
+	// start reports a start tag once its name and attributes are resolved;
+	// outer holds the namespace bindings in scope outside the element.
+	start(name Name, attrs []attr, outer []nsBinding)
+	// end closes the innermost open element; raw is the whole element as
+	// it appears in the input.
+	end(raw []byte)
+	// text reports character data with references resolved and adjacent
+	// CDATA sections merged in.
+	text(data []byte)
+	comment(data []byte)
+	pi(target string, data []byte)
+}
+
+// attr is one attribute of a start tag.
+type attr struct {
+	raw   string // lexical QName, for the duplicate check
+	name  Name
+	value string
 }
 
 type parser struct {
@@ -74,6 +106,13 @@ type parser struct {
 	line int
 	col  int
 	ns   []nsBinding // stack of in-scope bindings
+	h    handler
+
+	// Scratch shared by every nesting level: a start tag is reported
+	// before its content is read, and text is reported before any other
+	// event.
+	attrs []attr
+	text  []byte
 }
 
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"
@@ -101,6 +140,18 @@ func (p *parser) advance() byte {
 		p.col++
 	}
 	return c
+}
+
+// advanceN is n calls of advance over bytes the caller has examined.
+func (p *parser) advanceN(n int) {
+	run := p.src[p.pos : p.pos+n]
+	if nl := bytes.Count(run, []byte{'\n'}); nl > 0 {
+		p.line += nl
+		p.col = n - bytes.LastIndexByte(run, '\n')
+	} else {
+		p.col += n
+	}
+	p.pos += n
 }
 
 func (p *parser) skipSpace() {
@@ -135,12 +186,12 @@ func (p *parser) expect(s string) error {
 	return nil
 }
 
-func (p *parser) parseDocument() (*Node, error) {
-	doc := &Node{Kind: DocumentNode}
-	// Optional XML declaration.
+// document walks a whole document: an optional XML declaration, then
+// exactly one element among comments, PIs and a DOCTYPE.
+func (p *parser) document() error {
 	if p.hasPrefix("<?xml") {
 		if err := p.skipPI(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	seenRoot := false
@@ -149,44 +200,277 @@ func (p *parser) parseDocument() (*Node, error) {
 		if p.eof() {
 			break
 		}
+		var err error
 		switch {
 		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return nil, err
-			}
-			c.Parent = doc
-			doc.Children = append(doc.Children, c)
+			err = p.comment()
 		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.skipDoctype(); err != nil {
-				return nil, err
-			}
+			err = p.skipDoctype()
 		case p.hasPrefix("<?"):
-			pi, err := p.parsePI()
-			if err != nil {
-				return nil, err
-			}
-			pi.Parent = doc
-			doc.Children = append(doc.Children, pi)
+			err = p.pi()
 		case p.peek() == '<':
 			if seenRoot {
-				return nil, p.errf("multiple document elements")
+				return p.errf("multiple document elements")
 			}
-			el, err := p.parseElement()
-			if err != nil {
-				return nil, err
-			}
-			el.Parent = doc
-			doc.Children = append(doc.Children, el)
+			err = p.element()
 			seenRoot = true
 		default:
-			return nil, p.errf("content outside document element")
+			return p.errf("content outside document element")
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if !seenRoot {
-		return nil, p.errf("no document element")
+		return p.errf("no document element")
 	}
-	return doc, nil
+	return nil
+}
+
+// element walks one element, from its '<' through its end tag.
+func (p *parser) element() error {
+	start := p.pos
+	if err := p.expect("<"); err != nil {
+		return err
+	}
+	b, err := p.rawName()
+	if err != nil {
+		return err
+	}
+	rawName := string(b)
+	nsMark := len(p.ns)
+	defer func() { p.ns = p.ns[:nsMark] }()
+
+	attrs := p.attrs[:0]
+	for {
+		p.skipSpace()
+		if p.eof() {
+			return p.errf("unterminated start tag <%s>", rawName)
+		}
+		c := p.peek()
+		if c == '>' || c == '/' {
+			break
+		}
+		b, err := p.rawName()
+		if err != nil {
+			return err
+		}
+		aname := string(b)
+		p.skipSpace()
+		if err := p.expect("="); err != nil {
+			return err
+		}
+		p.skipSpace()
+		aval, err := p.parseAttrValue()
+		if err != nil {
+			return err
+		}
+		// Namespace declarations take effect immediately for this element.
+		switch {
+		case aname == "xmlns":
+			p.ns = append(p.ns, nsBinding{prefix: "", uri: aval})
+		case strings.HasPrefix(aname, "xmlns:"):
+			px := aname[len("xmlns:"):]
+			if aval == "" {
+				return p.errf("cannot undeclare prefix %q with empty URI", px)
+			}
+			p.ns = append(p.ns, nsBinding{prefix: px, uri: aval})
+		default:
+			for i := range attrs {
+				if attrs[i].raw == aname {
+					return p.errf("duplicate attribute %q", aname)
+				}
+			}
+			attrs = append(attrs, attr{raw: aname, value: aval})
+		}
+	}
+	p.attrs = attrs[:0] // keep the grown capacity for nested start tags
+
+	prefix, local, err := splitQName(rawName)
+	if err != nil {
+		return p.errf("%v", err)
+	}
+	uri, ok := p.lookup(prefix)
+	if !ok {
+		return p.errf("undeclared namespace prefix %q", prefix)
+	}
+	for i := range attrs {
+		aprefix, alocal, err := splitQName(attrs[i].raw)
+		if err != nil {
+			return p.errf("%v", err)
+		}
+		auri := ""
+		if aprefix != "" { // unprefixed attributes are in no namespace
+			auri, ok = p.lookup(aprefix)
+			if !ok {
+				return p.errf("undeclared namespace prefix %q", aprefix)
+			}
+		}
+		attrs[i].name = Name{Space: auri, Prefix: aprefix, Local: alocal}
+	}
+	name := Name{Space: uri, Prefix: prefix, Local: local}
+	p.h.start(name, attrs, p.ns[:nsMark])
+
+	if !p.consume("/>") {
+		if err := p.expect(">"); err != nil {
+			return err
+		}
+		if err := p.content(name); err != nil {
+			return err
+		}
+		closeName, err := p.rawName()
+		if err != nil {
+			return err
+		}
+		if string(closeName) != rawName {
+			return p.errf("mismatched end tag </%s>, expected </%s>", closeName, rawName)
+		}
+		p.skipSpace()
+		if err := p.expect(">"); err != nil {
+			return err
+		}
+	}
+	p.h.end(p.src[start:p.pos])
+	return nil
+}
+
+// content walks element content up to (and consuming) the "</" of the
+// matching end tag.
+func (p *parser) content(name Name) error {
+	for {
+		if p.eof() {
+			return p.errf("unterminated element <%s>", name)
+		}
+		var err error
+		switch {
+		case p.hasPrefix("</"):
+			p.flushText()
+			p.consume("</")
+			return nil
+		case p.hasPrefix("<!--"):
+			p.flushText()
+			err = p.comment()
+		case p.hasPrefix("<![CDATA["):
+			err = p.cdata()
+		case p.hasPrefix("<?"):
+			p.flushText()
+			err = p.pi()
+		case p.peek() == '<':
+			p.flushText()
+			err = p.element()
+		case p.peek() == '&':
+			var r string
+			r, err = p.parseReference()
+			p.text = append(p.text, r...)
+		default:
+			// A run of character data, up to the next markup or reference.
+			run := p.src[p.pos:]
+			if n := bytes.IndexByte(run, '<'); n >= 0 {
+				run = run[:n]
+			}
+			if n := bytes.IndexByte(run, '&'); n >= 0 {
+				run = run[:n]
+			}
+			p.text = append(p.text, run...)
+			p.advanceN(len(run))
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+func (p *parser) flushText() {
+	if len(p.text) > 0 {
+		p.h.text(p.text)
+		p.text = p.text[:0]
+	}
+}
+
+func (p *parser) cdata() error {
+	p.consume("<![CDATA[")
+	start := p.pos
+	for !p.eof() {
+		if p.hasPrefix("]]>") {
+			p.text = append(p.text, p.src[start:p.pos]...)
+			p.consume("]]>")
+			return nil
+		}
+		p.advance()
+	}
+	return p.errf("unterminated CDATA section")
+}
+
+func (p *parser) comment() error {
+	p.consume("<!--")
+	start := p.pos
+	for !p.eof() {
+		if p.hasPrefix("-->") {
+			data := p.src[start:p.pos]
+			if bytes.Contains(data, []byte("--")) {
+				return p.errf("'--' not allowed inside comment")
+			}
+			p.consume("-->")
+			p.h.comment(data)
+			return nil
+		}
+		p.advance()
+	}
+	return p.errf("unterminated comment")
+}
+
+func (p *parser) pi() error {
+	p.consume("<?")
+	b, err := p.rawName()
+	if err != nil {
+		return err
+	}
+	target := string(b)
+	if strings.EqualFold(target, "xml") {
+		return p.errf("misplaced XML declaration")
+	}
+	p.skipSpace()
+	start := p.pos
+	for !p.eof() {
+		if p.hasPrefix("?>") {
+			data := p.src[start:p.pos]
+			p.consume("?>")
+			p.h.pi(target, data)
+			return nil
+		}
+		p.advance()
+	}
+	return p.errf("unterminated processing instruction")
+}
+
+// treeBuilder is the handler that builds a Node tree.
+type treeBuilder struct {
+	open []*Node // innermost last; open[0] is the document or a holder
+}
+
+func (b *treeBuilder) add(n *Node) {
+	parent := b.open[len(b.open)-1]
+	n.Parent = parent
+	parent.Children = append(parent.Children, n)
+}
+
+func (b *treeBuilder) start(name Name, attrs []attr, _ []nsBinding) {
+	el := &Node{Kind: ElementNode, Name: InternName(name)}
+	for _, a := range attrs {
+		el.Attrs = append(el.Attrs, &Node{Kind: AttributeNode, Name: InternName(a.name), Data: a.value, Parent: el})
+	}
+	b.add(el)
+	b.open = append(b.open, el)
+}
+
+func (b *treeBuilder) end([]byte) { b.open = b.open[:len(b.open)-1] }
+
+func (b *treeBuilder) text(data []byte) { b.add(&Node{Kind: TextNode, Data: string(data)}) }
+
+func (b *treeBuilder) comment(data []byte) { b.add(&Node{Kind: CommentNode, Data: string(data)}) }
+
+func (b *treeBuilder) pi(target string, data []byte) {
+	b.add(&Node{Kind: ProcessingInstructionNode, Name: InternName(Name{Local: target}), Data: string(data)})
 }
 
 func (p *parser) skipDoctype() error {
@@ -221,49 +505,6 @@ func (p *parser) skipPI() error {
 	return p.errf("unterminated processing instruction")
 }
 
-func (p *parser) parsePI() (*Node, error) {
-	if err := p.expect("<?"); err != nil {
-		return nil, err
-	}
-	target, err := p.parseRawName()
-	if err != nil {
-		return nil, err
-	}
-	if strings.EqualFold(target, "xml") {
-		return nil, p.errf("misplaced XML declaration")
-	}
-	p.skipSpace()
-	start := p.pos
-	for !p.eof() {
-		if p.hasPrefix("?>") {
-			data := string(p.src[start:p.pos])
-			p.consume("?>")
-			return &Node{Kind: ProcessingInstructionNode, Name: InternName(Name{Local: target}), Data: data}, nil
-		}
-		p.advance()
-	}
-	return nil, p.errf("unterminated processing instruction")
-}
-
-func (p *parser) parseComment() (*Node, error) {
-	if err := p.expect("<!--"); err != nil {
-		return nil, err
-	}
-	start := p.pos
-	for !p.eof() {
-		if p.hasPrefix("-->") {
-			data := string(p.src[start:p.pos])
-			if strings.Contains(data, "--") {
-				return nil, p.errf("'--' not allowed inside comment")
-			}
-			p.consume("-->")
-			return &Node{Kind: CommentNode, Data: data}, nil
-		}
-		p.advance()
-	}
-	return nil, p.errf("unterminated comment")
-}
-
 func isNameStart(c byte) bool {
 	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
 }
@@ -272,16 +513,16 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
-// parseRawName reads a lexical QName (prefix:local) without resolving it.
-func (p *parser) parseRawName() (string, error) {
+// rawName reads a lexical QName (prefix:local) without resolving it.
+func (p *parser) rawName() ([]byte, error) {
 	if p.eof() || !isNameStart(p.peek()) {
-		return "", p.errf("expected name")
+		return nil, p.errf("expected name")
 	}
 	start := p.pos
 	for !p.eof() && isNameChar(p.peek()) {
 		p.advance()
 	}
-	return string(p.src[start:p.pos]), nil
+	return p.src[start:p.pos], nil
 }
 
 func splitQName(raw string) (prefix, local string, err error) {
@@ -309,116 +550,6 @@ func (p *parser) lookup(prefix string) (string, bool) {
 		return "", true // default namespace undeclared = no namespace
 	}
 	return "", false
-}
-
-type rawAttr struct {
-	name  string
-	value string
-}
-
-func (p *parser) parseElement() (*Node, error) {
-	if err := p.expect("<"); err != nil {
-		return nil, err
-	}
-	rawName, err := p.parseRawName()
-	if err != nil {
-		return nil, err
-	}
-	var attrs []rawAttr
-	nsMark := len(p.ns)
-	defer func() { p.ns = p.ns[:nsMark] }()
-
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return nil, p.errf("unterminated start tag <%s>", rawName)
-		}
-		c := p.peek()
-		if c == '>' || c == '/' {
-			break
-		}
-		aname, err := p.parseRawName()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		aval, err := p.parseAttrValue()
-		if err != nil {
-			return nil, err
-		}
-		// Namespace declarations take effect immediately for this element.
-		switch {
-		case aname == "xmlns":
-			p.ns = append(p.ns, nsBinding{prefix: "", uri: aval})
-		case strings.HasPrefix(aname, "xmlns:"):
-			px := aname[len("xmlns:"):]
-			if aval == "" {
-				return nil, p.errf("cannot undeclare prefix %q with empty URI", px)
-			}
-			p.ns = append(p.ns, nsBinding{prefix: px, uri: aval})
-		default:
-			for _, prev := range attrs {
-				if prev.name == aname {
-					return nil, p.errf("duplicate attribute %q", aname)
-				}
-			}
-			attrs = append(attrs, rawAttr{name: aname, value: aval})
-		}
-	}
-
-	el := &Node{Kind: ElementNode}
-	prefix, local, err := splitQName(rawName)
-	if err != nil {
-		return nil, p.errf("%v", err)
-	}
-	uri, ok := p.lookup(prefix)
-	if !ok {
-		return nil, p.errf("undeclared namespace prefix %q", prefix)
-	}
-	el.Name = InternName(Name{Space: uri, Prefix: prefix, Local: local})
-
-	for _, ra := range attrs {
-		aprefix, alocal, err := splitQName(ra.name)
-		if err != nil {
-			return nil, p.errf("%v", err)
-		}
-		auri := ""
-		if aprefix != "" { // unprefixed attributes are in no namespace
-			auri, ok = p.lookup(aprefix)
-			if !ok {
-				return nil, p.errf("undeclared namespace prefix %q", aprefix)
-			}
-		}
-		an := &Node{Kind: AttributeNode, Name: InternName(Name{Space: auri, Prefix: aprefix, Local: alocal}), Data: ra.value, Parent: el}
-		el.Attrs = append(el.Attrs, an)
-	}
-
-	if p.consume("/>") {
-		return el, nil
-	}
-	if err := p.expect(">"); err != nil {
-		return nil, err
-	}
-	if err := p.parseContent(el); err != nil {
-		return nil, err
-	}
-	// Closing tag.
-	closeName, err := p.parseRawName()
-	if err != nil {
-		return nil, err
-	}
-	if closeName != rawName {
-		return nil, p.errf("mismatched end tag </%s>, expected </%s>", closeName, rawName)
-	}
-	p.skipSpace()
-	if err := p.expect(">"); err != nil {
-		return nil, err
-	}
-	return el, nil
 }
 
 func (p *parser) parseAttrValue() (string, error) {
@@ -452,82 +583,6 @@ func (p *parser) parseAttrValue() (string, error) {
 			sb.WriteByte(p.advance())
 		}
 	}
-}
-
-// parseContent parses element content up to (and consuming) the "</" of the
-// matching end tag.
-func (p *parser) parseContent(parent *Node) error {
-	var text strings.Builder
-	flush := func() {
-		if text.Len() > 0 {
-			t := &Node{Kind: TextNode, Data: text.String(), Parent: parent}
-			parent.Children = append(parent.Children, t)
-			text.Reset()
-		}
-	}
-	for {
-		if p.eof() {
-			return p.errf("unterminated element <%s>", parent.Name)
-		}
-		switch {
-		case p.hasPrefix("</"):
-			flush()
-			p.consume("</")
-			return nil
-		case p.hasPrefix("<!--"):
-			flush()
-			c, err := p.parseComment()
-			if err != nil {
-				return err
-			}
-			c.Parent = parent
-			parent.Children = append(parent.Children, c)
-		case p.hasPrefix("<![CDATA["):
-			if err := p.parseCDATA(&text); err != nil {
-				return err
-			}
-		case p.hasPrefix("<?"):
-			flush()
-			pi, err := p.parsePI()
-			if err != nil {
-				return err
-			}
-			pi.Parent = parent
-			parent.Children = append(parent.Children, pi)
-		case p.peek() == '<':
-			flush()
-			child, err := p.parseElement()
-			if err != nil {
-				return err
-			}
-			child.Parent = parent
-			parent.Children = append(parent.Children, child)
-		case p.peek() == '&':
-			r, err := p.parseReference()
-			if err != nil {
-				return err
-			}
-			text.WriteString(r)
-		default:
-			text.WriteByte(p.advance())
-		}
-	}
-}
-
-func (p *parser) parseCDATA(text *strings.Builder) error {
-	if err := p.expect("<![CDATA["); err != nil {
-		return err
-	}
-	start := p.pos
-	for !p.eof() {
-		if p.hasPrefix("]]>") {
-			text.Write(p.src[start:p.pos])
-			p.consume("]]>")
-			return nil
-		}
-		p.advance()
-	}
-	return p.errf("unterminated CDATA section")
 }
 
 func (p *parser) parseReference() (string, error) {

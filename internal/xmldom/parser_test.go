@@ -126,22 +126,29 @@ func TestParseErrors(t *testing.T) {
 		`<!DOCTYPE a [<!ENTITY x "y">]><a/>`, // internal subset
 	}
 	for _, src := range cases {
+		_, want := referenceParse([]byte(src))
 		if _, err := ParseString(src); err == nil {
 			t.Errorf("expected error for %q", src)
 		} else if _, ok := err.(*ParseError); !ok {
 			t.Errorf("error for %q is %T, want *ParseError", src, err)
+		} else if want == nil || err.Error() != want.Error() {
+			t.Errorf("error for %q is %v, reference reports %v", src, err, want)
 		}
 	}
 }
 
 func TestParseErrorPosition(t *testing.T) {
-	_, err := ParseString("<a>\n  <b></c>\n</a>")
+	const src = "<a>\n  <b></c>\n</a>"
+	_, err := ParseString(src)
 	pe, ok := err.(*ParseError)
 	if !ok {
 		t.Fatalf("got %v", err)
 	}
 	if pe.Line != 2 {
 		t.Fatalf("line = %d, want 2", pe.Line)
+	}
+	if _, ref := referenceParse([]byte(src)); ref == nil || *ref.(*ParseError) != *pe {
+		t.Fatalf("position %v, reference reports %v", pe, ref)
 	}
 }
 

@@ -3,24 +3,23 @@ package xmldom
 import (
 	"encoding/binary"
 	"sort"
-	"strings"
 	"sync"
 )
 
 // Streaming ingest: StreamEncode turns wire XML directly into the binary
-// document encoding in a single SAX-style pass — dictionary slots, the
-// pre-order node stream and child counts are produced on the fly, and no
+// document encoding in a single pass. It is the second handler of the
+// parser's walk (parser.go): dictionary slots, the pre-order node stream
+// and child counts are produced from the walk's events, and no
 // intermediate Node tree is ever built. Without a projection the output is
 // byte-identical to EncodeAppend(Parse(wire)) (FuzzStreamParse pins this),
 // so the rest of the system cannot tell the two ingest paths apart.
 //
 // With a projection, subtrees the target queue's rules cannot reference
-// are not encoded at all: the encoder still parses them (a skipped subtree
-// is validated exactly like a kept one — well-formedness, entities,
-// namespace declarations, duplicate attributes), but emits a single opaque
-// span carrying the raw wire bytes and the namespace bindings in scope, to
-// be re-parsed only if the document is ever fully materialized
-// (decode.go). The projected format:
+// are not encoded at all. The walk still reads them, so a pruned subtree
+// is validated exactly like a kept one, but the encoder only counts their
+// nesting and emits a single opaque span carrying the raw wire bytes and
+// the namespace bindings in scope, to be re-parsed only if the document is
+// ever fully materialized (decode.go). The projected format:
 //
 //	[0]      version byte EncVersionProjected (0x02)
 //	uvarint  projection fingerprint (Projection.Fingerprint)
@@ -52,13 +51,15 @@ const spanMarker byte = 0x0F
 // v2 projected encoding described above. Parse errors are *ParseError,
 // identical to what Parse reports for the same input.
 func StreamEncode(dst []byte, wire []byte, proj *Projection) ([]byte, error) {
-	p := &parser{src: wire, line: 1, col: 1}
 	e := streamEncPool.Get().(*streamEncoder)
-	e.reset()
-	if err := e.document(p, proj); err != nil {
-		streamEncPool.Put(e)
+	defer streamEncPool.Put(e)
+	e.reset(wire, proj)
+	err := e.p.document()
+	e.p.src = nil // the pool must not keep the caller's input alive
+	if err != nil {
 		return nil, err
 	}
+	e.close()
 	if proj != nil {
 		dst = append(dst, EncVersionProjected)
 		dst = binary.AppendUvarint(dst, proj.Fingerprint())
@@ -84,31 +85,35 @@ func StreamEncode(dst []byte, wire []byte, proj *Projection) ([]byte, error) {
 	}
 	dst = binary.AppendUvarint(dst, e.count)
 	dst = append(dst, e.stream...)
-	streamEncPool.Put(e)
 	return dst, nil
 }
 
-// seFrame is one open child list: the byte offset of its count slot and
-// the number of children emitted so far.
+// seFrame is one open child list: the byte offset of its count slot, the
+// number of children emitted so far, and the projection node its children
+// are looked up in (nil keeps everything below).
 type seFrame struct {
 	slot int
 	n    int
+	proj *Projection
 }
 
+// streamEncoder is the walk's handler that emits the node stream. It owns
+// the parser so that the parser's scratch is pooled with its own.
 type streamEncoder struct {
+	p       parser
 	nameIdx map[Name]uint64
 	names   []Name
 	count   uint64 // materialized node count
 	stream  []byte // node stream scratch, assembled after the header
 	frames  []seFrame
-	text    []byte // coalesced text scratch; empty whenever descending
-	attrs   []rawAttr
-	binds   []nsBinding // span binding compression scratch
 
+	// skip counts the open elements of the span being read; the span's
+	// bindings are captured when it starts and written when it ends.
+	skip       int
+	binds      []nsBinding
 	spanCount  int
 	pruned     map[string]struct{}
 	prunedList []string
-	skipNames  []string // skip-mode duplicate-attribute scratch
 }
 
 var streamEncPool = sync.Pool{New: func() any {
@@ -118,13 +123,16 @@ var streamEncPool = sync.Pool{New: func() any {
 	}
 }}
 
-func (e *streamEncoder) reset() {
+// reset readies the encoder for one document and emits its document node.
+func (e *streamEncoder) reset(wire []byte, proj *Projection) {
+	e.p = parser{src: wire, line: 1, col: 1, h: e, ns: e.p.ns[:0], attrs: e.p.attrs[:0], text: e.p.text[:0]}
 	clear(e.nameIdx)
 	e.names = e.names[:0]
-	e.count = 0
-	e.stream = e.stream[:0]
+	e.count = 1
+	e.stream = append(e.stream[:0], byte(DocumentNode))
 	e.frames = e.frames[:0]
-	e.text = e.text[:0]
+	e.open(proj)
+	e.skip = 0
 	e.spanCount = 0
 	clear(e.pruned)
 }
@@ -144,9 +152,14 @@ func (e *streamEncoder) str(s string) {
 	e.stream = append(e.stream, s...)
 }
 
+func (e *streamEncoder) data(b []byte) {
+	e.stream = binary.AppendUvarint(e.stream, uint64(len(b)))
+	e.stream = append(e.stream, b...)
+}
+
 // open reserves a one-byte child-count slot and pushes a frame for it.
-func (e *streamEncoder) open() {
-	e.frames = append(e.frames, seFrame{slot: len(e.stream)})
+func (e *streamEncoder) open(proj *Projection) {
+	e.frames = append(e.frames, seFrame{slot: len(e.stream), proj: proj})
 	e.stream = append(e.stream, 0)
 }
 
@@ -166,310 +179,54 @@ func (e *streamEncoder) close() {
 	copy(e.stream[f.slot:], tmp[:ln])
 }
 
-// childHere counts one more child in the innermost open list.
-func (e *streamEncoder) childHere() { e.frames[len(e.frames)-1].n++ }
+// emit counts one more child in the innermost open list and emits its
+// kind byte. Everything but a span also counts as a materialized node.
+func (e *streamEncoder) emit(kind byte) {
+	e.frames[len(e.frames)-1].n++
+	if kind != spanMarker {
+		e.count++
+	}
+	e.stream = append(e.stream, kind)
+}
 
-func (e *streamEncoder) flushText() {
-	if len(e.text) == 0 {
+// start emits a kept element's start tag, or opens a span where the
+// projection prunes it. The whole start tag is emitted before the walk
+// descends, so the parser's attribute scratch is free again.
+func (e *streamEncoder) start(name Name, attrs []attr, outer []nsBinding) {
+	if e.skip > 0 {
+		e.skip++
+		e.pruned[name.Local] = struct{}{}
 		return
 	}
-	e.childHere()
-	e.count++
-	e.stream = append(e.stream, byte(TextNode))
-	e.stream = binary.AppendUvarint(e.stream, uint64(len(e.text)))
-	e.stream = append(e.stream, e.text...)
-	e.text = e.text[:0]
-}
-
-func (e *streamEncoder) emitComment(data string) {
-	e.childHere()
-	e.count++
-	e.stream = append(e.stream, byte(CommentNode))
-	e.str(data)
-}
-
-func (e *streamEncoder) emitPI(pi *Node) {
-	e.childHere()
-	e.count++
-	e.stream = append(e.stream, byte(ProcessingInstructionNode))
-	e.stream = binary.AppendUvarint(e.stream, e.nameIndex(pi.Name))
-	e.str(pi.Data)
-}
-
-// document mirrors parser.parseDocument, emitting instead of building.
-func (e *streamEncoder) document(p *parser, proj *Projection) error {
-	e.count++
-	e.stream = append(e.stream, byte(DocumentNode))
-	e.open()
-	if p.hasPrefix("<?xml") {
-		if err := p.skipPI(); err != nil {
-			return err
-		}
-	}
-	seenRoot := false
-	for {
-		p.skipSpace()
-		if p.eof() {
-			break
-		}
-		switch {
-		case p.hasPrefix("<!--"):
-			c, err := p.parseComment()
-			if err != nil {
-				return err
-			}
-			e.emitComment(c.Data)
-		case p.hasPrefix("<!DOCTYPE"):
-			if err := p.skipDoctype(); err != nil {
-				return err
-			}
-		case p.hasPrefix("<?"):
-			pi, err := p.parsePI()
-			if err != nil {
-				return err
-			}
-			e.emitPI(pi)
-		case p.peek() == '<':
-			if seenRoot {
-				return p.errf("multiple document elements")
-			}
-			if err := e.child(p, proj); err != nil {
-				return err
-			}
-			seenRoot = true
-		default:
-			return p.errf("content outside document element")
-		}
-	}
-	if !seenRoot {
-		return p.errf("no document element")
-	}
-	e.close()
-	return nil
-}
-
-// child parses one child element at '<', deciding from the parent's trie
-// node whether to materialize it or store it as an opaque span. t == nil
-// means keep everything below.
-func (e *streamEncoder) child(p *parser, t *Projection) error {
-	start := p.pos
-	if err := p.expect("<"); err != nil {
-		return err
-	}
-	rawName, err := p.parseRawName()
-	if err != nil {
-		return err
-	}
 	var sub *Projection
-	if t != nil {
-		// The projection decision needs only the lexical local part; a
-		// malformed QName falls through to the keep path, which reports
-		// the same error the tree parser would.
-		local := rawName
-		if i := strings.IndexByte(rawName, ':'); i >= 0 {
-			local = rawName[i+1:]
-		}
-		s, keep := t.Lookup(local)
+	if t := e.frames[len(e.frames)-1].proj; t != nil {
+		s, keep := t.Lookup(name.Local)
 		if !keep {
-			return e.skip(p, start, rawName)
+			e.skip = 1
+			e.pruned[name.Local] = struct{}{}
+			e.spanBindings(outer)
+			return
 		}
 		sub = s
 	}
-	return e.element(p, rawName, sub)
-}
-
-// element mirrors parser.parseElement for a kept element, with the leading
-// "<name" already consumed.
-func (e *streamEncoder) element(p *parser, rawName string, t *Projection) error {
-	nsMark := len(p.ns)
-	defer func() { p.ns = p.ns[:nsMark] }()
-
-	attrs := e.attrs[:0]
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return p.errf("unterminated start tag <%s>", rawName)
-		}
-		c := p.peek()
-		if c == '>' || c == '/' {
-			break
-		}
-		aname, err := p.parseRawName()
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		if err := p.expect("="); err != nil {
-			return err
-		}
-		p.skipSpace()
-		aval, err := p.parseAttrValue()
-		if err != nil {
-			return err
-		}
-		switch {
-		case aname == "xmlns":
-			p.ns = append(p.ns, nsBinding{prefix: "", uri: aval})
-		case strings.HasPrefix(aname, "xmlns:"):
-			px := aname[len("xmlns:"):]
-			if aval == "" {
-				return p.errf("cannot undeclare prefix %q with empty URI", px)
-			}
-			p.ns = append(p.ns, nsBinding{prefix: px, uri: aval})
-		default:
-			for _, prev := range attrs {
-				if prev.name == aname {
-					return p.errf("duplicate attribute %q", aname)
-				}
-			}
-			attrs = append(attrs, rawAttr{name: aname, value: aval})
-		}
-	}
-	e.attrs = attrs[:0] // keep the grown capacity for reuse
-
-	prefix, local, err := splitQName(rawName)
-	if err != nil {
-		return p.errf("%v", err)
-	}
-	uri, ok := p.lookup(prefix)
-	if !ok {
-		return p.errf("undeclared namespace prefix %q", prefix)
-	}
-	name := Name{Space: uri, Prefix: prefix, Local: local}
-
-	// The whole start tag is emitted before descending, so the attribute
-	// scratch is free again for nested elements.
-	e.childHere()
-	e.count++
-	e.stream = append(e.stream, byte(ElementNode))
+	e.emit(byte(ElementNode))
 	e.stream = binary.AppendUvarint(e.stream, e.nameIndex(name))
 	e.stream = binary.AppendUvarint(e.stream, uint64(len(attrs)))
-	for _, ra := range attrs {
-		aprefix, alocal, err := splitQName(ra.name)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		auri := ""
-		if aprefix != "" { // unprefixed attributes are in no namespace
-			auri, ok = p.lookup(aprefix)
-			if !ok {
-				return p.errf("undeclared namespace prefix %q", aprefix)
-			}
-		}
+	for _, a := range attrs {
 		e.count++
-		e.stream = binary.AppendUvarint(e.stream, e.nameIndex(Name{Space: auri, Prefix: aprefix, Local: alocal}))
-		e.str(ra.value)
+		e.stream = binary.AppendUvarint(e.stream, e.nameIndex(a.name))
+		e.str(a.value)
 	}
-	e.open()
-
-	if p.consume("/>") {
-		e.close()
-		return nil
-	}
-	if err := p.expect(">"); err != nil {
-		return err
-	}
-	if err := e.content(p, t, name); err != nil {
-		return err
-	}
-	closeName, err := p.parseRawName()
-	if err != nil {
-		return err
-	}
-	if closeName != rawName {
-		return p.errf("mismatched end tag </%s>, expected </%s>", closeName, rawName)
-	}
-	p.skipSpace()
-	if err := p.expect(">"); err != nil {
-		return err
-	}
-	e.close()
-	return nil
+	e.open(sub)
 }
 
-// content mirrors parser.parseContent up to (and consuming) the "</" of
-// the matching end tag. The text scratch is empty whenever descending into
-// a child, so one buffer serves every nesting level.
-func (e *streamEncoder) content(p *parser, t *Projection, name Name) error {
-	for {
-		if p.eof() {
-			return p.errf("unterminated element <%s>", name)
-		}
-		switch {
-		case p.hasPrefix("</"):
-			e.flushText()
-			p.consume("</")
-			return nil
-		case p.hasPrefix("<!--"):
-			e.flushText()
-			c, err := p.parseComment()
-			if err != nil {
-				return err
-			}
-			e.emitComment(c.Data)
-		case p.hasPrefix("<![CDATA["):
-			if err := e.cdata(p); err != nil {
-				return err
-			}
-		case p.hasPrefix("<?"):
-			e.flushText()
-			pi, err := p.parsePI()
-			if err != nil {
-				return err
-			}
-			e.emitPI(pi)
-		case p.peek() == '<':
-			e.flushText()
-			if err := e.child(p, t); err != nil {
-				return err
-			}
-		case p.peek() == '&':
-			r, err := p.parseReference()
-			if err != nil {
-				return err
-			}
-			e.text = append(e.text, r...)
-		default:
-			e.text = append(e.text, p.advance())
-		}
-	}
-}
-
-func (e *streamEncoder) cdata(p *parser) error {
-	if err := p.expect("<![CDATA["); err != nil {
-		return err
-	}
-	start := p.pos
-	for !p.eof() {
-		if p.hasPrefix("]]>") {
-			e.text = append(e.text, p.src[start:p.pos]...)
-			p.consume("]]>")
-			return nil
-		}
-		p.advance()
-	}
-	return p.errf("unterminated CDATA section")
-}
-
-// skip validates the element exactly as the keep path would, then emits a
-// single opaque span carrying its raw bytes and the namespace bindings in
-// scope around it. start is the offset of the element's '<'; the leading
-// "<name" is already consumed.
-func (e *streamEncoder) skip(p *parser, start int, rawName string) error {
-	outer := len(p.ns)
-	if err := e.skipElement(p, rawName); err != nil {
-		return err
-	}
-	raw := p.src[start:p.pos]
-
-	e.childHere()
-	e.spanCount++
-	e.stream = append(e.stream, spanMarker)
-	// Innermost declaration per prefix wins; the compressed list seeds the
-	// namespace stack when the span is re-parsed.
+// spanBindings keeps the innermost declaration per prefix of the bindings
+// outside a span; the list seeds the namespace stack when the span is
+// re-parsed.
+func (e *streamEncoder) spanBindings(outer []nsBinding) {
 	binds := e.binds[:0]
-	for i := outer - 1; i >= 0; i-- {
-		b := p.ns[i]
+	for i := len(outer) - 1; i >= 0; i-- {
+		b := outer[i]
 		dup := false
 		for _, x := range binds {
 			if x.prefix == b.prefix {
@@ -482,166 +239,49 @@ func (e *streamEncoder) skip(p *parser, start int, rawName string) error {
 		}
 	}
 	e.binds = binds
-	e.stream = binary.AppendUvarint(e.stream, uint64(len(binds)))
-	for _, b := range binds {
+}
+
+// end closes a kept element, or, at the end of a span, emits the span
+// from the element's raw bytes.
+func (e *streamEncoder) end(raw []byte) {
+	if e.skip == 0 {
+		e.close()
+		return
+	}
+	if e.skip--; e.skip > 0 {
+		return
+	}
+	e.emit(spanMarker)
+	e.spanCount++
+	e.stream = binary.AppendUvarint(e.stream, uint64(len(e.binds)))
+	for _, b := range e.binds {
 		e.str(b.prefix)
 		e.str(b.uri)
 	}
-	e.stream = binary.AppendUvarint(e.stream, uint64(len(raw)))
-	e.stream = append(e.stream, raw...)
-	return nil
+	e.data(raw)
 }
 
-func (e *streamEncoder) recordPruned(rawName string) {
-	local := rawName
-	if i := strings.IndexByte(rawName, ':'); i >= 0 {
-		local = rawName[i+1:]
+func (e *streamEncoder) text(data []byte) {
+	if e.skip > 0 {
+		return
 	}
-	e.pruned[local] = struct{}{}
+	e.emit(byte(TextNode))
+	e.data(data)
 }
 
-// skipElement validates an element without emitting anything, mirroring
-// parseElement's checks (and their order) exactly: attribute syntax and
-// entities, namespace declarations, duplicate attributes, QName and prefix
-// resolution, tag matching.
-func (e *streamEncoder) skipElement(p *parser, rawName string) error {
-	nsMark := len(p.ns)
-	defer func() { p.ns = p.ns[:nsMark] }()
-	e.recordPruned(rawName)
-
-	names := e.skipNames[:0]
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return p.errf("unterminated start tag <%s>", rawName)
-		}
-		c := p.peek()
-		if c == '>' || c == '/' {
-			break
-		}
-		aname, err := p.parseRawName()
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		if err := p.expect("="); err != nil {
-			return err
-		}
-		p.skipSpace()
-		aval, err := p.parseAttrValue()
-		if err != nil {
-			return err
-		}
-		switch {
-		case aname == "xmlns":
-			p.ns = append(p.ns, nsBinding{prefix: "", uri: aval})
-		case strings.HasPrefix(aname, "xmlns:"):
-			px := aname[len("xmlns:"):]
-			if aval == "" {
-				return p.errf("cannot undeclare prefix %q with empty URI", px)
-			}
-			p.ns = append(p.ns, nsBinding{prefix: px, uri: aval})
-		default:
-			for _, prev := range names {
-				if prev == aname {
-					return p.errf("duplicate attribute %q", aname)
-				}
-			}
-			names = append(names, aname)
-		}
+func (e *streamEncoder) comment(data []byte) {
+	if e.skip > 0 {
+		return
 	}
-
-	prefix, _, err := splitQName(rawName)
-	if err != nil {
-		return p.errf("%v", err)
-	}
-	if _, ok := p.lookup(prefix); !ok {
-		return p.errf("undeclared namespace prefix %q", prefix)
-	}
-	for _, an := range names {
-		aprefix, _, err := splitQName(an)
-		if err != nil {
-			return p.errf("%v", err)
-		}
-		if aprefix != "" {
-			if _, ok := p.lookup(aprefix); !ok {
-				return p.errf("undeclared namespace prefix %q", aprefix)
-			}
-		}
-	}
-	e.skipNames = names[:0] // start tag done; scratch free for nested tags
-
-	if p.consume("/>") {
-		return nil
-	}
-	if err := p.expect(">"); err != nil {
-		return err
-	}
-	if err := e.skipContent(p, rawName); err != nil {
-		return err
-	}
-	closeName, err := p.parseRawName()
-	if err != nil {
-		return err
-	}
-	if closeName != rawName {
-		return p.errf("mismatched end tag </%s>, expected </%s>", closeName, rawName)
-	}
-	p.skipSpace()
-	return p.expect(">")
+	e.emit(byte(CommentNode))
+	e.data(data)
 }
 
-func (e *streamEncoder) skipContent(p *parser, rawName string) error {
-	for {
-		if p.eof() {
-			return p.errf("unterminated element <%s>", rawName)
-		}
-		switch {
-		case p.hasPrefix("</"):
-			p.consume("</")
-			return nil
-		case p.hasPrefix("<!--"):
-			if _, err := p.parseComment(); err != nil {
-				return err
-			}
-		case p.hasPrefix("<![CDATA["):
-			if err := e.skipCDATA(p); err != nil {
-				return err
-			}
-		case p.hasPrefix("<?"):
-			if _, err := p.parsePI(); err != nil {
-				return err
-			}
-		case p.peek() == '<':
-			if err := p.expect("<"); err != nil {
-				return err
-			}
-			childRaw, err := p.parseRawName()
-			if err != nil {
-				return err
-			}
-			if err := e.skipElement(p, childRaw); err != nil {
-				return err
-			}
-		case p.peek() == '&':
-			if _, err := p.parseReference(); err != nil {
-				return err
-			}
-		default:
-			p.advance()
-		}
+func (e *streamEncoder) pi(target string, data []byte) {
+	if e.skip > 0 {
+		return
 	}
-}
-
-func (e *streamEncoder) skipCDATA(p *parser) error {
-	if err := p.expect("<![CDATA["); err != nil {
-		return err
-	}
-	for !p.eof() {
-		if p.consume("]]>") {
-			return nil
-		}
-		p.advance()
-	}
-	return p.errf("unterminated CDATA section")
+	e.emit(byte(ProcessingInstructionNode))
+	e.stream = binary.AppendUvarint(e.stream, e.nameIndex(Name{Local: target}))
+	e.data(data)
 }

@@ -20,29 +20,73 @@ var streamSeeds = []string{
 	"<a>\n\tmixed <b>content</b> tail\n</a>",
 }
 
-// FuzzStreamParse pins the streaming encoder to the tree pipeline: for any
-// input, StreamEncode without a projection and Parse→Encode must agree on
-// acceptance, report the same error when rejecting, and produce
-// byte-identical encodings when accepting.
+// FuzzStreamParse pins both handlers of the walk to the reference grammar:
+// for any input, StreamEncode without a projection, Parse and
+// referenceParse must agree on acceptance and report the same error when
+// rejecting; when accepting, Parse must build the reference tree and
+// StreamEncode must produce its encoding byte for byte.
 func FuzzStreamParse(f *testing.F) {
 	for _, s := range streamSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		streamed, serr := StreamEncode(nil, data, nil)
-		doc, perr := Parse(data)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("accept/reject disagreement\ninput: %q\nstream err: %v\nparse err:  %v", data, serr, perr)
+		parsed, err := Parse(data)
+		doc, perr := referenceParse(data)
+		if (serr == nil) != (perr == nil) || (err == nil) != (perr == nil) {
+			t.Fatalf("accept/reject disagreement\ninput: %q\nstream err: %v\nparse err:  %v\nreference err: %v", data, serr, err, perr)
 		}
 		if perr != nil {
-			if serr.Error() != perr.Error() {
-				t.Fatalf("error disagreement\ninput: %q\nstream err: %v\nparse err:  %v", data, serr, perr)
+			if serr.Error() != perr.Error() || err.Error() != perr.Error() {
+				t.Fatalf("error disagreement\ninput: %q\nstream err: %v\nparse err:  %v\nreference err: %v", data, serr, err, perr)
 			}
 			return
 		}
 		want := Encode(doc)
 		if !bytes.Equal(streamed, want) {
 			t.Fatalf("streamed encoding differs from tree encoding\ninput:  %q\nstream: %x\ntree:   %x", data, streamed, want)
+		}
+		if got := Encode(parsed); !bytes.Equal(got, want) {
+			t.Fatalf("parsed tree differs from reference tree\ninput:  %q\nparse:     %x\nreference: %x", data, got, want)
+		}
+	})
+}
+
+// FuzzProjectedStreamParse drives the span path: every input is encoded
+// under a projection that prunes the root, one that prunes inside the
+// document, and one that keeps b under a and keep under root. Acceptance
+// and errors must match referenceParse, and a full decode of each accepted
+// encoding must rebuild the reference tree, re-parsing every span.
+func FuzzProjectedStreamParse(f *testing.F) {
+	for _, s := range streamSeeds {
+		f.Add([]byte(s))
+	}
+	f.Add([]byte(projDoc))
+	f.Add([]byte(`<root xmlns="urn:d" xmlns:p="urn:p"><keep>k</keep><drop><p:q a="1"/><inner/></drop></root>`))
+	keepSome := NewProjection()
+	keepSome.Child("a").Child("b").MarkAll()
+	keepSome.Child("root").Child("keep").MarkAll()
+	projs := []*Projection{NewProjection(), orderProjection(), keepSome}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, perr := referenceParse(data)
+		for i, proj := range projs {
+			enc, err := StreamEncode(nil, data, proj)
+			if (err == nil) != (perr == nil) {
+				t.Fatalf("projection %d: accept/reject disagreement\ninput: %q\nstream err: %v\nreference err: %v", i, data, err, perr)
+			}
+			if perr != nil {
+				if err.Error() != perr.Error() {
+					t.Fatalf("projection %d: error disagreement\ninput: %q\nstream err: %v\nreference err: %v", i, data, err, perr)
+				}
+				continue
+			}
+			full, err := Decode(enc)
+			if err != nil {
+				t.Fatalf("projection %d: decode of accepted input %q: %v", i, data, err)
+			}
+			if !DeepEqual(full, doc) {
+				t.Fatalf("projection %d: materialized tree differs\ninput: %q\ngot:   %s\nwant:  %s", i, data, Serialize(full), Serialize(doc))
+			}
 		}
 	})
 }
@@ -53,7 +97,7 @@ func TestStreamEncodeMatchesTreeEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StreamEncode(%q): %v", src, err)
 		}
-		want := Encode(MustParse(src))
+		want := Encode(mustReferenceParse(src))
 		if !bytes.Equal(streamed, want) {
 			t.Fatalf("encoding mismatch for %q\nstream: %x\ntree:   %x", src, streamed, want)
 		}
@@ -61,7 +105,7 @@ func TestStreamEncodeMatchesTreeEncode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Decode of streamed %q: %v", src, err)
 		}
-		if !DeepEqual(doc, MustParse(src)) {
+		if !DeepEqual(doc, mustReferenceParse(src)) {
 			t.Fatalf("decoded streamed tree differs for %q", src)
 		}
 	}
@@ -100,7 +144,7 @@ func TestStreamEncodeCorruptInput(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, serr := StreamEncode(nil, []byte(tc.input), nil)
-			_, perr := Parse([]byte(tc.input))
+			_, perr := referenceParse([]byte(tc.input))
 			if perr == nil {
 				t.Fatalf("tree parser unexpectedly accepts %q", tc.input)
 			}
@@ -160,7 +204,7 @@ func TestProjectedEncodeFullMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MustParse(projDoc)
+	want := mustReferenceParse(projDoc)
 	if !DeepEqual(full, want) {
 		t.Fatalf("materialized projected tree differs\ngot:  %s\nwant: %s", Serialize(full), Serialize(want))
 	}
@@ -224,7 +268,7 @@ func TestProjectedEncodeSpanNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := MustParse(src); !DeepEqual(full, want) {
+	if want := mustReferenceParse(src); !DeepEqual(full, want) {
 		t.Fatalf("span namespace resolution differs\ngot:  %s\nwant: %s", Serialize(full), Serialize(want))
 	}
 }
@@ -243,7 +287,7 @@ func TestProjectedEncodeRootSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := MustParse(projDoc); !DeepEqual(full, want) {
+	if want := mustReferenceParse(projDoc); !DeepEqual(full, want) {
 		t.Fatal("root-span materialization differs from parse")
 	}
 	partial, _, pruned, err := DecodeProjectedOwned(enc)
@@ -281,7 +325,7 @@ func TestProjectedEncodeNoSpans(t *testing.T) {
 	if fp != proj.Fingerprint() || len(pruned) != 0 {
 		t.Fatalf("fp=%d pruned=%v", fp, pruned)
 	}
-	if want := MustParse(projDoc); !DeepEqual(partial, want) {
+	if want := mustReferenceParse(projDoc); !DeepEqual(partial, want) {
 		t.Fatal("span-free projected decode differs from parse")
 	}
 }

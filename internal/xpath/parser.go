@@ -49,15 +49,6 @@ func ParseExprString(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParseExpr parses or panics; for tests and static fixtures.
-func MustParseExpr(src string) Expr {
-	e, err := ParseExprString(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func (p *Parser) next() error {
 	t, err := p.lex.Next()
 	if err != nil {

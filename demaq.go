@@ -382,6 +382,10 @@ func FormatStats(st Stats) string {
 		s += fmt.Sprintf(" pipelined=%d dur-waits=%d undurable=%d",
 			st.PipelinedCommits, st.DurabilityWaits, st.UndurableBatches)
 	}
+	if st.QueueReadsProbed > 0 || st.QueueReadsScanned > 0 {
+		s += fmt.Sprintf(" q-probed=%d/%ddocs q-scanned=%d/%ddocs",
+			st.QueueReadsProbed, st.QueueDocsProbed, st.QueueReadsScanned, st.QueueDocsScanned)
+	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
 		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
 	if st.PagesWritten > 0 {

@@ -171,6 +171,17 @@ func TestFormatStatsDegraded(t *testing.T) {
 	}
 }
 
+func TestFormatStatsQueueReads(t *testing.T) {
+	st := Stats{Processed: 3}
+	if s := FormatStats(st); strings.Contains(s, "q-probed") {
+		t.Fatalf("queue reads shown without any: %s", s)
+	}
+	st.QueueReadsProbed, st.QueueDocsProbed, st.QueueReadsScanned, st.QueueDocsScanned = 4, 5, 2, 60
+	if s := FormatStats(st); !strings.Contains(s, "q-probed=4/5docs q-scanned=2/60docs") {
+		t.Fatalf("queue reads not surfaced: %s", s)
+	}
+}
+
 // TestOpenPeerHonoursOptions: a peer node is configured by the same Options
 // mapping as a primary — every option set reaches its engine, lock
 // granularity included.

@@ -38,7 +38,35 @@ func (rt *evalRuntime) Queue(name string) ([]*xmldom.Node, error) {
 	if err := rt.eng.lm.Acquire(rt.txnID, locks.Resource("q", name), locks.S); err != nil {
 		return nil, err
 	}
-	return rt.eng.ms.QueueDocs(name)
+	docs, err := rt.eng.ms.QueueDocs(name)
+	rt.eng.stats.queueScanned.Add(1)
+	rt.eng.stats.queueScannedDocs.Add(uint64(len(docs)))
+	return docs, err
+}
+
+// QueueProbe implements xquery.QueueProber: the messages of the queue
+// posted in the property index under (prop, value) or under prop's
+// multi-valued marker, and every message below the probe floor. It takes
+// the shared queue lock of a whole-queue read, so that it conflicts with
+// the same writers.
+func (rt *evalRuntime) QueueProbe(name, prop, value string) ([]*xmldom.Node, bool, error) {
+	ms := rt.eng.ms
+	if !ms.PropertyIndexEnabled() {
+		return nil, false, nil
+	}
+	if name == "" {
+		name = rt.queue
+	}
+	if err := rt.eng.lm.Acquire(rt.txnID, locks.Resource("q", name), locks.S); err != nil {
+		return nil, false, err
+	}
+	floor := rt.eng.probeFloor
+	ids := ms.PropertyIDsRange(prop, value, floor, ^msgstore.MsgID(0), nil)
+	ids = ms.PropertyIDsRange(property.MultiValued(prop), "true", floor, ^msgstore.MsgID(0), ids)
+	docs, err := ms.QueueDocsAmong(name, ids, floor)
+	rt.eng.stats.queueProbed.Add(1)
+	rt.eng.stats.queueProbedDocs.Add(uint64(len(docs)))
+	return docs, true, err
 }
 
 func (rt *evalRuntime) Property(name string) (xdm.Value, error) {

@@ -196,6 +196,15 @@ type Stats struct {
 	RecoveryReplayed uint64
 	PagesWritten     uint64
 	WriteBackFlushes uint64
+
+	// QueueReadsProbed counts the qs:queue() reads answered from the
+	// property index, QueueReadsScanned those that read the whole queue;
+	// QueueDocsProbed and QueueDocsScanned count the documents each kind
+	// fetched.
+	QueueReadsProbed  uint64
+	QueueReadsScanned uint64
+	QueueDocsProbed   uint64
+	QueueDocsScanned  uint64
 }
 
 // Engine is a running Demaq server instance.
@@ -222,11 +231,18 @@ type Engine struct {
 	// queue). Like prog it is replaced only by Reload on an idle engine.
 	projs map[string]*xmldom.Projection
 
+	// probeFloor is the id of the first message whose properties prog
+	// computed: an index-probed qs:queue() read reads every message below
+	// it, whose properties (and multi-valued markers) an older build or
+	// application may have computed differently. Replaced with prog.
+	probeFloor msgstore.MsgID
+
 	stats struct {
 		processed, rulesEval, rulesFired, enqueued, resets, errors, deadlocks, collected atomic.Uint64
 		batches, batchMsgs, deadlockRequeues, ingestShed, walShed                        atomic.Uint64
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
 		pipelinedCommits, durabilityWaits                                                atomic.Uint64
+		queueProbed, queueScanned, queueProbedDocs, queueScannedDocs                     atomic.Uint64
 	}
 
 	// degraded flips (one-way, until restart) when the store reports a
@@ -328,13 +344,14 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:   cfg,
-		log:   cfg.Logger,
-		ms:    ms,
-		prog:  prog,
-		lm:    locks.NewLockManager(),
-		sched: newScheduler(),
-		decls: make(map[string]*qdl.QueueDecl, len(app.Queues)),
+		cfg:        cfg,
+		log:        cfg.Logger,
+		ms:         ms,
+		prog:       prog,
+		probeFloor: ms.NextID(),
+		lm:         locks.NewLockManager(),
+		sched:      newScheduler(),
+		decls:      make(map[string]*qdl.QueueDecl, len(app.Queues)),
 	}
 	for _, q := range app.Queues {
 		e.decls[q.Name] = q
@@ -637,6 +654,11 @@ func (e *Engine) Stats() Stats {
 		PipelinedCommits: e.stats.pipelinedCommits.Load(),
 		DurabilityWaits:  e.stats.durabilityWaits.Load(),
 		UndurableBatches: e.dur.undurable(),
+
+		QueueReadsProbed:  e.stats.queueProbed.Load(),
+		QueueReadsScanned: e.stats.queueScanned.Load(),
+		QueueDocsProbed:   e.stats.queueProbedDocs.Load(),
+		QueueDocsScanned:  e.stats.queueScannedDocs.Load(),
 	}
 	if st.BatchesClaimed > 0 {
 		st.AvgBatchSize = float64(e.stats.batchMsgs.Load()) / float64(st.BatchesClaimed)

@@ -94,6 +94,7 @@ func (e *Engine) Reload(app *qdl.Application) error {
 		}
 	}
 	e.prog = prog
+	e.probeFloor = e.ms.NextID()
 	e.schemas = nil
 	decls := make(map[string]*qdl.QueueDecl, len(app.Queues))
 	for _, q := range app.Queues {

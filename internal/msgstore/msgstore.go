@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -626,9 +627,10 @@ func decodeMessage(data []byte) (*msgMeta, error) {
 // index: "demaq:" properties (creating rule, wall-clock timestamps) are
 // never dispatch predicates or slice keys, and timestamps are near-unique —
 // indexing them would double the index for rule-created messages without
-// ever serving a probe.
+// ever serving a probe. The one exception is the multi-valued marker
+// (property.MultiValued), which index-probed qs:queue() reads look up.
 func indexableProp(name string) bool {
-	return len(name) < 6 || name[:6] != "demaq:"
+	return !strings.HasPrefix(name, "demaq:") || strings.HasPrefix(name, "demaq:multi:")
 }
 
 // indexMessage inserts a published message's property postings. Called with

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"demaq/internal/property"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 )
@@ -152,5 +153,63 @@ func TestPropertyIndexSkipsSystemProps(t *testing.T) {
 	}
 	if got := propIDs(ms, "user", "u1"); len(got) != 1 {
 		t.Fatalf("user property missing: %v", got)
+	}
+}
+
+// TestPropertyIndexPostsMultiValuedMarker: the multi-valued marker is the
+// one system property in the index, and QueueDocsAmong answers an
+// index-probed qs:queue() read from postings and the floor.
+func TestPropertyIndexPostsMultiValuedMarker(t *testing.T) {
+	ms := openTemp(t)
+	for _, q := range []string{"q", "other"} {
+		if _, err := ms.CreateQueue(q, Persistent, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marker := property.MultiValued("key")
+	tx := ms.Begin()
+	for i, props := range []map[string]xdm.Value{
+		{"key": xdm.NewString("a")},
+		{"key": xdm.NewString("b"), marker: xdm.NewBool(true)},
+		{"key": xdm.NewString("b")},
+		{"key": xdm.NewString("a")},
+	} {
+		queue := "q"
+		if i == 3 {
+			queue = "other"
+		}
+		if err := tx.Enqueue(queue, xmldom.MustParse(fmt.Sprintf(`<m i="%d"/>`, i)), props, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := propIDs(ms, marker, "true"); len(got) != 1 || got[0] != out[1].ID {
+		t.Fatalf("marker postings: %v", got)
+	}
+	ids := append(propIDs(ms, "key", "a"), propIDs(ms, marker, "true")...)
+	for _, tc := range []struct {
+		floor MsgID
+		want  string
+	}{
+		{0, "01"},              // postings only; message 3 is in another queue
+		{out[2].ID + 1, "012"}, // every message of q below the floor
+		{out[1].ID, "01"},      // message 0 below the floor, 1 posted
+		{out[0].ID + 1, "01"},  // a posting below the floor is read once
+	} {
+		docs, err := ms.QueueDocsAmong("q", append([]MsgID(nil), ids...), tc.floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, d := range docs {
+			i, _ := d.Root().Attr("i")
+			got += i
+		}
+		if got != tc.want {
+			t.Errorf("floor %d: documents %q, want %q", tc.floor, got, tc.want)
+		}
 	}
 }

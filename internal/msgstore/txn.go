@@ -608,6 +608,50 @@ func (ms *Store) QueueDocs(queue string) ([]*xmldom.Node, error) {
 	return docs, nil
 }
 
+// QueueDocsAmong returns the documents of the live messages of a queue that
+// ids names, together with all those with an id below floor, in id order —
+// the order of QueueDocs. ids may be unsorted and may repeat or name
+// messages of other queues; it is sorted in place. Index-probed qs:queue()
+// reads use it: ids are the probe's postings, and floor keeps every message
+// whose properties the running application did not compute.
+func (ms *Store) QueueDocsAmong(queue string, ids []MsgID, floor MsgID) ([]*xmldom.Node, error) {
+	q := ms.getQueue(queue)
+	if q == nil {
+		return nil, fmt.Errorf("msgstore: unknown queue %q", queue)
+	}
+	var pick []MsgID
+	q.mu.RLock()
+	below := sort.Search(len(q.msgs), func(i int) bool { return q.msgs[i].id >= floor })
+	for _, m := range q.msgs[:below] {
+		if !m.dead.Load() {
+			pick = append(pick, m.id)
+		}
+	}
+	q.mu.RUnlock()
+	slices.Sort(ids)
+	for i, id := range ids {
+		if id < floor || (i > 0 && id == ids[i-1]) {
+			continue
+		}
+		if m := ms.lookup(id); m != nil && m.q == q {
+			pick = append(pick, id)
+		}
+	}
+	docs := make([]*xmldom.Node, 0, len(pick))
+	for _, id := range pick {
+		d, err := ms.Doc(id)
+		if err != nil {
+			return nil, err
+		}
+		docs = append(docs, d)
+	}
+	return docs, nil
+}
+
+// NextID returns the id the next enqueued message will get: every message
+// in the store has a lower one.
+func (ms *Store) NextID() MsgID { return MsgID(ms.nextID.Load()) }
+
 // Remove physically deletes processed messages from a queue using the
 // retention-based redo-only batch delete (Sec. 4.1). It is called by the
 // garbage collector for messages no longer held by any live slice.

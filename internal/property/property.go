@@ -25,7 +25,16 @@ const (
 	SysCreated      = SystemPrefix + "created"    // creation timestamp
 	SysSender       = SystemPrefix + "sender"     // sender of incoming gateway messages
 	SysConnection   = SystemPrefix + "connection" // connection handle for synchronous replies
+	// SysMultiValued prefixes the marker MultiValued names.
+	SysMultiValued = SystemPrefix + "multi:"
 )
+
+// MultiValued names the marker a message carries, with the value true, when
+// the value expression of its fixed property name yielded more than one
+// item: the property keeps only the first, so an index lookup by value
+// alone would miss the others. The message store indexes these markers,
+// unlike the rest of the system namespace.
+func MultiValued(name string) string { return SysMultiValued + name }
 
 // Def is one property definition.
 type Def struct {
@@ -198,6 +207,9 @@ func (m *Manager) Evaluate(queue string, doc *xmldom.Node, explicit, parent, sys
 			return nil, fmt.Errorf("property: %q: %v", d.Name, err)
 		}
 		out[d.Name] = v
+		if d.Fixed && len(seq) > 1 {
+			out[MultiValued(d.Name)] = xdm.NewBool(true)
+		}
 	}
 	return out, nil
 }

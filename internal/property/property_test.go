@@ -165,3 +165,38 @@ func TestDuplicateDefineRejected(t *testing.T) {
 		t.Fatal("duplicate definition must fail")
 	}
 }
+
+// TestMultiValuedMarker: a fixed property whose expression yields several
+// items keeps the first and carries the multi-valued marker; one item, or a
+// non-fixed property, carries none.
+func TestMultiValuedMarker(t *testing.T) {
+	m := NewManager()
+	if err := m.Define(defOrderID(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Define(&Def{Name: "loose", Type: xdm.TypeString,
+		PerQueue: map[string]*xquery.Compiled{"order": compile(t, `//orderID`)}}); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	props, err := m.Evaluate("order", xmldom.MustParse(`<order><orderID>o1</orderID><orderID>o2</orderID></order>`), nil, nil, nil, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if props["orderID"].S != "o1" || props[MultiValued("orderID")] != xdm.NewBool(true) {
+		t.Fatalf("two orderIDs: %+v", props)
+	}
+	if _, ok := props[MultiValued("loose")]; ok {
+		t.Fatalf("non-fixed property marked: %+v", props)
+	}
+	props, err = m.Evaluate("order", xmldom.MustParse(`<order><orderID>o1</orderID></order>`), nil, nil, nil, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := props[MultiValued("orderID")]; ok {
+		t.Fatalf("one orderID marked: %+v", props)
+	}
+	if _, err := m.Evaluate("order", xmldom.MustParse(`<order/>`), map[string]xdm.Value{MultiValued("orderID"): xdm.NewBool(true)}, nil, nil, now); err == nil {
+		t.Fatal("the marker was set explicitly")
+	}
+}

@@ -3,10 +3,12 @@ package rule
 import (
 	"demaq/internal/xdm"
 	"demaq/internal/xpath"
+	"demaq/internal/xquery"
 )
 
 // rewrite applies the deployment-time rewrites of Sec. 4.4.1 to a rule body
-// attached to a queue:
+// attached to queue ("" for a rule attached to a slicing, whose messages
+// come from any queue):
 //
 //   - qs:queue() without arguments receives the rule's queue name, removing
 //     the runtime context dependency ("supplying default parameters to
@@ -16,11 +18,48 @@ import (
 //     property type's constructor — the "view merging" style inlining of
 //     fixed properties (Sec. 2.2/4.4.1). Only fixed properties qualify:
 //     non-fixed ones may carry explicit or inherited values that differ
-//     from the computed expression.
+//     from the computed expression. Only calls evaluated with the message
+//     as the focus qualify: inside a predicate or a path step the defining
+//     expression would read the focus's document instead;
+//   - qs:queue("Q") reads filtered on a fixed property's element become
+//     property-index probes (planQueueReads), on slicings too.
 //
 // Rewrites mutate argument lists and produce shared subtrees; evaluation
-// never mutates ASTs, so sharing is safe.
-func rewrite(body xpath.Expr, prog *Program, queue string) xpath.Expr {
+// never mutates ASTs, so sharing is safe. rewrite returns the body, the
+// probes to compile it with and its queue reads.
+func rewrite(body xpath.Expr, prog *Program, queue string) (xpath.Expr, []xquery.QueueProbe, []QueueRead) {
+	if queue != "" {
+		body = rewriteQueueRule(body, prog, queue)
+	}
+	probes, reads := planQueueReads(body, prog)
+	return body, probes, reads
+}
+
+// rewriteQueueRule applies the rewrites that need the rule's queue.
+func rewriteQueueRule(body xpath.Expr, prog *Program, queue string) xpath.Expr {
+	refocused := map[xpath.Expr]bool{}
+	mark := func(e xpath.Expr) {
+		xpath.Inspect(e, func(e xpath.Expr) bool {
+			refocused[e] = true
+			return true
+		})
+	}
+	xpath.Inspect(body, func(e xpath.Expr) bool {
+		switch x := e.(type) {
+		case *xpath.FilterExpr:
+			for _, p := range x.Preds {
+				mark(p)
+			}
+		case *xpath.PathExpr:
+			for _, st := range x.Steps {
+				mark(st.Primary)
+				for _, p := range st.Preds {
+					mark(p)
+				}
+			}
+		}
+		return true
+	})
 	return rewriteExpr(body, func(e xpath.Expr) xpath.Expr {
 		fc, ok := e.(*xpath.FuncCall)
 		if !ok || fc.Prefix != "qs" {
@@ -32,7 +71,7 @@ func rewrite(body xpath.Expr, prog *Program, queue string) xpath.Expr {
 				fc.Args = []xpath.Expr{xpath.NewLiteral(xdm.NewString(queue))}
 			}
 		case "property":
-			if prog.opts.Unoptimized || len(fc.Args) != 1 {
+			if prog.opts.Unoptimized || len(fc.Args) != 1 || refocused[fc] {
 				return e
 			}
 			lit, ok := fc.Args[0].(*xpath.Literal)

@@ -84,6 +84,9 @@ type Rule struct {
 	PropPreds []PropPred
 	// Access is the planner-chosen prefilter strategy (see AccessPath).
 	Access AccessPath
+	// QueueReads are the body's qs:queue() reads in source order, each
+	// with its access path: an index probe or a whole-queue read.
+	QueueReads []QueueRead
 	// Order is the declaration position, preserved when combining plans.
 	Order int
 }
@@ -262,17 +265,19 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 		if !opts.Unoptimized && !onSlicing {
 			propPreds = analyzePropPreds(body, prog)
 		}
-		if !onSlicing {
-			body = rewrite(body, prog, rd.Target)
+		queue := rd.Target
+		if onSlicing {
+			queue = ""
 		}
-		compiled, err := xquery.Compile(body, xquery.CompileOptions{AllowSlice: onSlicing})
+		body, probes, reads := rewrite(body, prog, queue)
+		compiled, err := xquery.Compile(body, xquery.CompileOptions{AllowSlice: onSlicing, QueueProbes: probes})
 		if err != nil {
 			return nil, fmt.Errorf("rule: %q: %v", rd.Name, err)
 		}
 		r := &Rule{
 			Name: rd.Name, Target: rd.Target, OnSlicing: onSlicing,
 			ErrorQueue: rd.ErrorQueue, Body: compiled, Order: i,
-			PropPreds: propPreds,
+			PropPreds: propPreds, QueueReads: reads,
 		}
 		if !opts.Unoptimized {
 			r.Trigger = analyzeTrigger(body)
@@ -321,14 +326,6 @@ func MustCompile(src string, opts Options) *Program {
 		panic(err)
 	}
 	return prog
-}
-
-// RulesFor selects the rules of the plan that must be evaluated for a
-// message containing the given element names, in declaration order. With
-// dispatch disabled (or for rules without an analyzable trigger) every rule
-// is returned — the canonical plan of Sec. 4.4.1.
-func (p *Plan) RulesFor(elementNames map[string]bool) []*Rule {
-	return p.Select(nil, func() map[string]bool { return elementNames })
 }
 
 // Select returns the rules to evaluate for a message, in declaration
@@ -550,119 +547,14 @@ func stringLiteral(e xpath.Expr) (string, bool) {
 // checkEnqueueTargets verifies statically that every "do enqueue ... into
 // Q" names a declared queue.
 func checkEnqueueTargets(e xpath.Expr, queues map[string]*qdl.QueueDecl) error {
-	var visit func(e xpath.Expr) error
-	visit = func(e xpath.Expr) error {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case *xpath.EnqueueExpr:
+	var err error
+	xpath.Inspect(e, func(e xpath.Expr) bool {
+		if x, ok := e.(*xpath.EnqueueExpr); ok {
 			if _, ok := queues[x.Queue]; !ok {
-				return fmt.Errorf("enqueue into unknown queue %q", x.Queue)
+				err = fmt.Errorf("enqueue into unknown queue %q", x.Queue)
 			}
-			if err := visit(x.What); err != nil {
-				return err
-			}
-			for _, p := range x.Props {
-				if err := visit(p.Value); err != nil {
-					return err
-				}
-			}
-		case *xpath.SequenceExpr:
-			for _, it := range x.Items {
-				if err := visit(it); err != nil {
-					return err
-				}
-			}
-		case *xpath.FLWORExpr:
-			for _, cl := range x.Clauses {
-				if err := visit(cl.Expr); err != nil {
-					return err
-				}
-			}
-			if err := visit(x.Where); err != nil {
-				return err
-			}
-			for _, os := range x.OrderBy {
-				if err := visit(os.Key); err != nil {
-					return err
-				}
-			}
-			return visit(x.Return)
-		case *xpath.QuantifiedExpr:
-			for _, b := range x.Bindings {
-				if err := visit(b.Expr); err != nil {
-					return err
-				}
-			}
-			return visit(x.Satisfies)
-		case *xpath.IfExpr:
-			if err := visit(x.Cond); err != nil {
-				return err
-			}
-			if err := visit(x.Then); err != nil {
-				return err
-			}
-			return visit(x.Else)
-		case *xpath.BinaryExpr:
-			if err := visit(x.Left); err != nil {
-				return err
-			}
-			return visit(x.Right)
-		case *xpath.ComparisonExpr:
-			if err := visit(x.Left); err != nil {
-				return err
-			}
-			return visit(x.Right)
-		case *xpath.UnaryExpr:
-			return visit(x.Operand)
-		case *xpath.PathExpr:
-			if err := visit(x.Start); err != nil {
-				return err
-			}
-			for _, st := range x.Steps {
-				if st.Primary != nil {
-					if err := visit(st.Primary); err != nil {
-						return err
-					}
-				}
-				for _, pr := range st.Preds {
-					if err := visit(pr); err != nil {
-						return err
-					}
-				}
-			}
-		case *xpath.FilterExpr:
-			if err := visit(x.Primary); err != nil {
-				return err
-			}
-			for _, pr := range x.Preds {
-				if err := visit(pr); err != nil {
-					return err
-				}
-			}
-		case *xpath.FuncCall:
-			for _, a := range x.Args {
-				if err := visit(a); err != nil {
-					return err
-				}
-			}
-		case *xpath.ElementConstructor:
-			for _, a := range x.Attrs {
-				for _, part := range a.Parts {
-					if err := visit(part); err != nil {
-						return err
-					}
-				}
-			}
-			for _, c := range x.Content {
-				if err := visit(c); err != nil {
-					return err
-				}
-			}
-		case *xpath.ResetExpr:
-			return visit(x.Key)
 		}
-		return nil
-	}
-	return visit(e)
+		return err == nil
+	})
+	return err
 }

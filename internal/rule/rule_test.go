@@ -36,7 +36,7 @@ func TestCompileProgram(t *testing.T) {
 	if len(crm.Rules) != 3 {
 		t.Fatalf("crm rules: %d", len(crm.Rules))
 	}
-	if !prog.SlicePlans["reqs"].Rules[0].Body.UsesSlice() {
+	if !prog.SlicePlans["reqs"].Rules[0].OnSlicing {
 		t.Fatal("slice rule should be flagged")
 	}
 	if _, ok := prog.Properties.Def("requestID"); !ok {
@@ -156,6 +156,25 @@ func TestFixedPropertyInlining(t *testing.T) {
 	})
 	if !still2 {
 		t.Fatal("inlining should be off")
+	}
+	// Inside a predicate the focus is another document: //requestID there
+	// would read it, so the call stays.
+	prog3 := MustCompile(`
+		create queue crm kind basic mode persistent;
+		create property requestID as xs:string fixed
+		  queue crm value //requestID;
+		create rule r for crm
+		  do enqueue <log>{count(qs:queue("crm")[//ref = qs:property("requestID")])}</log> into crm;
+	`, DefaultOptions())
+	still3 := false
+	rewriteExpr(prog3.QueuePlans["crm"].Rules[0].Body.AST(), func(e xpath.Expr) xpath.Expr {
+		if fc, ok := e.(*xpath.FuncCall); ok && fc.Prefix == "qs" && fc.Local == "property" {
+			still3 = true
+		}
+		return e
+	})
+	if !still3 {
+		t.Fatal("a property read inside a predicate was inlined")
 	}
 }
 

@@ -273,3 +273,77 @@ type ResetExpr struct {
 	Slicing string // empty: slicing of the current rule
 	Key     Expr   // nil: slice key of the current message
 }
+
+// Inspect traverses an expression tree depth-first in source order: it
+// calls f(e) and, when f returns true, visits e's subexpressions. Nil
+// subexpressions are skipped.
+func Inspect(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
+		return
+	}
+	switch x := e.(type) {
+	case *SequenceExpr:
+		for _, it := range x.Items {
+			Inspect(it, f)
+		}
+	case *FLWORExpr:
+		for _, cl := range x.Clauses {
+			Inspect(cl.Expr, f)
+		}
+		Inspect(x.Where, f)
+		for _, os := range x.OrderBy {
+			Inspect(os.Key, f)
+		}
+		Inspect(x.Return, f)
+	case *QuantifiedExpr:
+		for _, b := range x.Bindings {
+			Inspect(b.Expr, f)
+		}
+		Inspect(x.Satisfies, f)
+	case *IfExpr:
+		Inspect(x.Cond, f)
+		Inspect(x.Then, f)
+		Inspect(x.Else, f)
+	case *BinaryExpr:
+		Inspect(x.Left, f)
+		Inspect(x.Right, f)
+	case *ComparisonExpr:
+		Inspect(x.Left, f)
+		Inspect(x.Right, f)
+	case *UnaryExpr:
+		Inspect(x.Operand, f)
+	case *PathExpr:
+		Inspect(x.Start, f)
+		for _, st := range x.Steps {
+			Inspect(st.Primary, f)
+			for _, p := range st.Preds {
+				Inspect(p, f)
+			}
+		}
+	case *FilterExpr:
+		Inspect(x.Primary, f)
+		for _, p := range x.Preds {
+			Inspect(p, f)
+		}
+	case *FuncCall:
+		for _, a := range x.Args {
+			Inspect(a, f)
+		}
+	case *ElementConstructor:
+		for _, a := range x.Attrs {
+			for _, part := range a.Parts {
+				Inspect(part, f)
+			}
+		}
+		for _, c := range x.Content {
+			Inspect(c, f)
+		}
+	case *EnqueueExpr:
+		Inspect(x.What, f)
+		for _, p := range x.Props {
+			Inspect(p.Value, f)
+		}
+	case *ResetExpr:
+		Inspect(x.Key, f)
+	}
+}

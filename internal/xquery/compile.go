@@ -14,9 +14,6 @@ type Compiled struct {
 	ast      xpath.Expr
 	prog     *program // never nil
 	updating bool
-	// usesSlice reports whether qs:slice()/qs:slicekey() occur; such
-	// expressions are only valid for rules attached to slicings (Sec. 3.5.2).
-	usesSlice bool
 	// sharedState reports whether evaluation observes or mutates state
 	// shared across messages — qs:slice()/qs:slicekey()/qs:queue() reads
 	// or do-reset updates. The engine's set-oriented batch executor uses
@@ -38,9 +35,6 @@ func (c *Compiled) Updating() bool { return c.updating }
 // master-data collections.
 func (c *Compiled) SharedState() bool { return c.sharedState }
 
-// UsesSlice reports whether the expression calls qs:slice()/qs:slicekey().
-func (c *Compiled) UsesSlice() bool { return c.usesSlice }
-
 // CompileOptions configure static analysis.
 type CompileOptions struct {
 	// AllowSlice permits qs:slice()/qs:slicekey(); set for slicing rules.
@@ -48,12 +42,21 @@ type CompileOptions struct {
 	// ExtraVars are names of variables bound externally (beyond FLWOR and
 	// quantified bindings).
 	ExtraVars []string
+	// QueueProbes are the qs:queue() calls of the expression that may be
+	// answered from the property index (see QueueProbe); internal/rule
+	// plans them.
+	QueueProbes []QueueProbe
 }
 
 // Compile statically checks an expression and lowers it to an evaluation
 // program. An expression it cannot lower is an error.
 func Compile(e xpath.Expr, opts CompileOptions) (*Compiled, error) {
 	c := &Compiled{ast: e}
+	for _, qp := range opts.QueueProbes {
+		if qp.Call == nil || qp.Call.Prefix != "qs" || qp.Call.Local != "queue" || len(qp.Call.Args) != 1 || qp.Key == nil {
+			return nil, staticErr("a queue probe needs a one-argument qs:queue() call and a key")
+		}
+	}
 	vars := map[string]bool{}
 	for _, v := range opts.ExtraVars {
 		vars[v] = true
@@ -188,7 +191,6 @@ func (c *Compiled) check(e xpath.Expr, vars map[string]bool, opts CompileOptions
 			if !opts.AllowSlice {
 				return staticErr("%s:%s() is only available in rules on slicings (at %s)", x.Prefix, x.Local, x.Span())
 			}
-			c.usesSlice = true
 			c.sharedState = true
 		}
 		if f.name == "qs:queue" {

@@ -48,3 +48,33 @@ func BenchmarkEvalBackends(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPathAfterLargeScan measures a small path evaluated after a path
+// over a large document has grown the pooled node buffers. Every pooled
+// buffer is cleared when it is returned, so buffers kept at the size of the
+// large path's result would make every later path pay for clearing them;
+// oversized buffers are not pooled.
+//
+//	go test ./internal/xquery -run '^$' -bench PathAfterLargeScan
+func BenchmarkPathAfterLargeScan(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString(`<queue>`)
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&sb, `<offerRequest><requestID>r%d</requestID></offerRequest>`, i)
+	}
+	sb.WriteString(`</queue>`)
+	large := xmldom.MustParse(sb.String())
+	small := xmldom.MustParse(`<order><id>o-17</id><customerID>23</customerID></order>`)
+	rt := &fakeRuntime{message: small}
+	if _, _, err := Eval(MustCompile(`count(//requestID)`, CompileOptions{}), rt, EvalOptions{ContextDoc: large}); err != nil {
+		b.Fatal(err)
+	}
+	c := MustCompile(`/order/customerID`, CompileOptions{})
+	opts := EvalOptions{ContextDoc: small}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Eval(c, rt, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

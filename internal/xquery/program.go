@@ -79,10 +79,18 @@ var nodeBufPool = sync.Pool{New: func() any {
 
 func getNodeBuf() *[]*xmldom.Node { return nodeBufPool.Get().(*[]*xmldom.Node) }
 
+// maxPooledNodeBuf caps the capacity of a pooled node buffer. A path over a
+// whole queue grows its buffers to the queue's size; pooled, such a buffer
+// would make every later Put clear all of it.
+const maxPooledNodeBuf = 256
+
 // putNodeBuf clears the buffer before pooling it: a stale *Node would pin
 // its whole document (via Parent/Children links) for the lifetime of the
-// pool entry.
+// pool entry. Oversized buffers are left to the garbage collector.
 func putNodeBuf(b *[]*xmldom.Node) {
+	if cap(*b) > maxPooledNodeBuf {
+		return
+	}
 	full := (*b)[:cap(*b)]
 	for i := range full {
 		full[i] = nil
@@ -156,6 +164,7 @@ func evalProgram(p *program, rt Runtime, opts EvalOptions) (xdm.Sequence, *Updat
 type lowerer struct {
 	nSlots int
 	extern map[string]externVar
+	probes map[*xpath.FuncCall]QueueProbe
 }
 
 type lowerScope map[string]int
@@ -170,7 +179,10 @@ func (sc lowerScope) extend() lowerScope {
 
 // lower builds the program of a statically checked expression.
 func lower(e xpath.Expr, opts CompileOptions) (p *program, err error) {
-	lw := &lowerer{extern: map[string]externVar{}}
+	lw := &lowerer{extern: map[string]externVar{}, probes: map[*xpath.FuncCall]QueueProbe{}}
+	for _, qp := range opts.QueueProbes {
+		lw.probes[qp.Call] = qp
+	}
 	scope := lowerScope{}
 	for i, v := range opts.ExtraVars {
 		slot := lw.alloc()
@@ -326,7 +338,7 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 				return f.call(&m.ev, &m.ctx, nil)
 			}, nil
 		}
-		return func(m *machine) (xdm.Sequence, error) {
+		call := func(m *machine) (xdm.Sequence, error) {
 			argv := make([]xdm.Sequence, len(args))
 			for i, a := range args {
 				s, err := a(m)
@@ -336,7 +348,11 @@ func (lw *lowerer) lower(e xpath.Expr, scope lowerScope) (instr, error) {
 				argv[i] = s
 			}
 			return f.call(&m.ev, &m.ctx, argv)
-		}, nil
+		}
+		if qp, ok := lw.probes[x]; ok {
+			return lw.lowerQueueProbe(qp, args[0], call, scope)
+		}
+		return call, nil
 
 	case *xpath.FLWORExpr:
 		return lw.lowerFLWOR(x, scope)

@@ -92,9 +92,6 @@ func (b *ProjectionBuilder) Add(c *Compiled) {
 	b.consume(b.analyze(c.ast, map[string]aval{}, ctx))
 }
 
-// Imprecise reports whether analysis hit a construct it cannot bound.
-func (b *ProjectionBuilder) Imprecise() bool { return !b.precise }
-
 // Build finalizes the projection. It returns nil when the analysis was
 // imprecise or when the projection would keep the whole document anyway —
 // in both cases the caller should use plain (unprojected) ingest.

@@ -149,7 +149,7 @@ func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r 
 	props, err := e.prog.Properties.Evaluate(up.Queue, up.Doc, nil, nil, system, now)
 	if err != nil {
 		e.log.Error("error-message property evaluation failed", "err", err)
-		props = system
+		props = e.prog.Properties.Unevaluated(up.Queue, system)
 	}
 	tx := e.ms.Begin()
 	if err := tx.Enqueue(up.Queue, up.Doc, props, now); err != nil {

@@ -550,6 +550,8 @@ func (e *Engine) stageNetworkError(tx *msgstore.Txn, queue string, doc *xmldom.N
 	}
 	if pv, err := e.prog.Properties.Evaluate(target, errDoc, nil, nil, props, now); err == nil {
 		props = pv
+	} else {
+		props = e.prog.Properties.Unevaluated(target, props)
 	}
 	if err := tx.Enqueue(target, errDoc, props, now); err != nil {
 		e.log.Error("network error enqueue failed", "err", err)

@@ -13,16 +13,32 @@ import (
 	"demaq/internal/xmldom"
 )
 
-// queueProbeDiffApp is the paper's procurement application plus one rule
-// whose probed qs:queue() read gets a numeric key at run time: the key
-// compares as a number ("7.0" = 7), so the read must fall back to the whole
-// queue.
+// queueProbeDiffApp is the paper's procurement application plus three
+// audit rules. auditInvoice's probed qs:queue() read gets a numeric key at
+// run time: the key compares as a number ("7.0" = 7), so the read must fall
+// back to the whole queue. auditChain and auditShadowed filter a let
+// variable bound to another let variable that holds the read; their keys
+// are not bound at the read (auditShadowed's $k is, but to another value),
+// so neither read may probe.
 const queueProbeDiffApp = qdl.ProcurementApp + `
 create queue audits kind basic mode persistent;
 create rule auditInvoice for finance
   if (//audit) then
     do enqueue <audited>{qs:queue("invoices")[//requestID = number(qs:message()/audit/ref)]//amount}</audited>
       into audits;
+create rule auditChain for finance
+  if (//audit) then
+    let $all := qs:queue("invoices")
+    let $k := string(//audit/id)
+    let $d := $all
+    return do enqueue <chained>{$d[//requestID = $k]//amount}</chained> into audits;
+create rule auditShadowed for finance
+  if (//audit) then
+    let $k := "inv5"
+    let $all := qs:queue("invoices")
+    let $k := string(//audit/id)
+    let $d := $all/invoice
+    return do enqueue <shadowed>{$d[requestID = $k]/amount}</shadowed> into audits;
 `
 
 // runQueueProbeDiff preloads a procurement workload, runs it to completion
@@ -76,7 +92,7 @@ func runQueueProbeDiff(t *testing.T, run diffRun) (map[string][]string, Stats) {
 		}
 		enqueue("finance", fmt.Sprintf(`<timeoutNotification><requestID>inv%d</requestID></timeoutNotification>`, i))
 	}
-	enqueue("finance", `<audit><ref>7</ref></audit>`)
+	enqueue("finance", `<audit><ref>7</ref><id>inv2</id></audit>`)
 	e.Start()
 	if !e.Drain(60 * time.Second) {
 		t.Fatal("drain")
@@ -105,8 +121,11 @@ func TestQueueProbeDifferential(t *testing.T) {
 			t.Fatalf("reference customer queue lacks %q:\n%s", s, customer)
 		}
 	}
-	if audits := strings.Join(want["audits"], "\n"); !strings.Contains(audits, "<amount>77</amount>") {
-		t.Fatalf("reference audit did not match the numeric key: %s", audits)
+	audits := strings.Join(want["audits"], "\n")
+	for _, s := range []string{"<amount>77</amount>", "<chained><amount>102</amount><amount>5</amount>", "<shadowed><amount>102</amount><amount>5</amount>"} {
+		if !strings.Contains(audits, s) {
+			t.Fatalf("reference audits lack %q:\n%s", s, audits)
+		}
 	}
 	for _, run := range []diffRun{{}, {scan: true}} {
 		t.Run(fmt.Sprintf("scan=%v", run.scan), func(t *testing.T) {
@@ -145,6 +164,43 @@ func TestQueueProbeDifferential(t *testing.T) {
 				t.Errorf("processed/errors: %d/%d, reference %d/%d", gotStats.Processed, gotStats.Errors, wantStats.Processed, wantStats.Errors)
 			}
 		})
+	}
+}
+
+// TestQueueProbeFindsUnevaluatedErrors: an error message whose properties
+// fail to evaluate (its integer property casts "a") is stored without its
+// string property key, although its document holds <key>a</key>. It
+// carries key's multi-valued marker instead, so a probed read of the error
+// queue finds it as the whole-queue read does.
+func TestQueueProbeFindsUnevaluatedErrors(t *testing.T) {
+	const app = `
+create queue in kind basic mode persistent errorqueue errs
+  schema "<xs:schema xmlns:xs=""http://www.w3.org/2001/XMLSchema"">
+            <xs:element name=""order""><xs:complexType><xs:sequence>
+              <xs:element name=""id"" type=""xs:integer""/>
+            </xs:sequence></xs:complexType></xs:element>
+          </xs:schema>";
+create queue errs kind basic mode persistent;
+create queue look kind basic mode persistent;
+create queue out kind basic mode persistent;
+create property key as xs:string fixed queue errs value //key;
+create property num as xs:integer fixed queue errs value //key;
+create rule find for look
+  if (//find) then do enqueue <n>{count(qs:queue("errs")[//key = string(qs:message()//find)])}</n> into out;
+`
+	for _, unopt := range []bool{false, true} {
+		e := newEngine(t, app, func(c *Config) { c.Rules = rule.Options{Unoptimized: unopt}; c.Logger = quietLog })
+		if _, err := e.gws.deliver("in", []byte(`<order><key>a</key></order>`), nil, nil); err == nil {
+			t.Fatal("an invalid order was accepted")
+		}
+		e.EnqueueXML("look", `<find>a</find>`, nil)
+		drain(t, e)
+		if got := queueFingerprint(t, e, "out"); len(got) != 1 || !strings.Contains(got[0], "<n>1</n>") {
+			t.Errorf("unoptimized=%v: %v", unopt, got)
+		}
+		if probed := e.Stats().QueueReadsProbed; (probed == 0) == !unopt {
+			t.Errorf("unoptimized=%v: %d probed reads", unopt, probed)
+		}
 	}
 }
 

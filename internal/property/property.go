@@ -214,6 +214,27 @@ func (m *Manager) Evaluate(queue string, doc *xmldom.Node, explicit, parent, sys
 	return out, nil
 }
 
+// Unevaluated is the property set of a message entering queue whose
+// properties failed to evaluate: the system properties, plus the
+// multi-valued marker of each of the queue's fixed properties. The message
+// has no value for them, so an index lookup by value alone would miss it
+// even where its document holds the value; the marker makes every such
+// lookup fetch it.
+func (m *Manager) Unevaluated(queue string, system map[string]xdm.Value) map[string]xdm.Value {
+	out := make(map[string]xdm.Value, len(system))
+	for k, v := range system {
+		out[k] = v
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, d := range m.defs {
+		if _, onQueue := d.PerQueue[queue]; onQueue && d.Fixed {
+			out[MultiValued(d.Name)] = xdm.NewBool(true)
+		}
+	}
+	return out
+}
+
 func isSystemName(name string) bool {
 	switch name {
 	case SysCreatingRule, SysCreated, SysSender, SysConnection,

@@ -199,4 +199,10 @@ func TestMultiValuedMarker(t *testing.T) {
 	if _, err := m.Evaluate("order", xmldom.MustParse(`<order/>`), map[string]xdm.Value{MultiValued("orderID"): xdm.NewBool(true)}, nil, nil, now); err == nil {
 		t.Fatal("the marker was set explicitly")
 	}
+	// A message whose properties failed to evaluate carries the marker of
+	// every fixed property, so that a lookup by value still fetches it.
+	props = m.Unevaluated("order", map[string]xdm.Value{SysCreatingRule: xdm.NewString("r")})
+	if len(props) != 2 || props[SysCreatingRule].S != "r" || props[MultiValued("orderID")] != xdm.NewBool(true) {
+		t.Fatalf("unevaluated: %+v", props)
+	}
 }

@@ -29,8 +29,10 @@ type QueueRead struct {
 //   - R is a path relative to (or rooted at the root of) the filtered node:
 //     axis steps without predicates ending in an element name test N;
 //   - Q binds a fixed xs:string property p whose value expression is //N;
-//   - E does not depend on the focus (focusFree), and, in the let form, its
-//     variables are bound where the let is.
+//   - E does not depend on the focus (xquery.FocusFree), and, in the let
+//     form, each of its variables is bound at the read (in a chain of lets,
+//     at the let whose expression holds the call) to what it is bound to at
+//     the filter.
 //
 // R then selects only elements named N of the message's own document. Such
 // a message survives the filter only if one of them has the string value
@@ -76,7 +78,8 @@ func (sc probeScope) with(name string, b *binder) probeScope {
 }
 
 // binder is one variable binding. A let of a qs:queue read whose variable
-// is used once carries the read and the scope of the let.
+// is used once carries the read and the scope at the call: that of the let
+// whose expression holds it.
 type binder struct {
 	read  *xpath.FuncCall
 	scope probeScope
@@ -98,8 +101,14 @@ func (pl *probePlanner) visit(e xpath.Expr, sc probeScope) {
 				pl.visit(cl.Expr, inner)
 				b := &binder{}
 				if !cl.For {
-					if read, _ := pl.source(cl.Expr, inner); read != nil && usedOnce(x, i) {
+					if read, let := pl.source(cl.Expr, inner); read != nil && usedOnce(x, i) {
+						// A let of a let variable passes on the scope of
+						// the let that holds the read: the key is lowered
+						// at the read.
 						b.read, b.scope = read, inner
+						if let != nil {
+							b.scope = let.scope
+						}
 					}
 				}
 				inner = inner.with(cl.Var, b)
@@ -181,9 +190,9 @@ func (pl *probePlanner) site(src, pred xpath.Expr, sc probeScope) {
 	}
 	r, key := cmp.Left, cmp.Right
 	name, ok := elementPathName(r)
-	if !ok || !focusFree(key) {
+	if !ok || !xquery.FocusFree(key) {
 		r, key = key, r
-		if name, ok = elementPathName(r); !ok || !focusFree(key) {
+		if name, ok = elementPathName(r); !ok || !xquery.FocusFree(key) {
 			return
 		}
 	}
@@ -274,58 +283,6 @@ func elementPathName(e xpath.Expr) (string, bool) {
 		return "", false
 	}
 	return last.Test.Name.Local, true
-}
-
-// focusFree reports whether e evaluates to the same value wherever the
-// focus is, without reading a queue or slice and without updates: literals,
-// variables, operators over such operands, paths of pure axis steps from
-// such a start, and calls whose arguments are such (argument-less calls only
-// of functions that ignore the focus).
-func focusFree(e xpath.Expr) bool {
-	switch x := e.(type) {
-	case *xpath.Literal, *xpath.VarRef:
-		return true
-	case *xpath.FuncCall:
-		name := x.Local
-		if x.Prefix != "" {
-			name = x.Prefix + ":" + x.Local
-		}
-		switch name {
-		case "qs:queue", "qs:slice":
-			return false
-		}
-		if len(x.Args) == 0 {
-			switch name {
-			case "qs:slicekey", "qs:message", "true", "false", "current-dateTime":
-				return true
-			}
-			return false
-		}
-		for _, a := range x.Args {
-			if !focusFree(a) {
-				return false
-			}
-		}
-		return true
-	case *xpath.PathExpr:
-		return !x.Rooted && x.Start != nil && focusFree(x.Start) && pureSteps(x.Steps)
-	case *xpath.UnaryExpr:
-		return focusFree(x.Operand)
-	case *xpath.BinaryExpr:
-		return focusFree(x.Left) && focusFree(x.Right)
-	case *xpath.ComparisonExpr:
-		return focusFree(x.Left) && focusFree(x.Right)
-	case *xpath.SequenceExpr:
-		for _, it := range x.Items {
-			if !focusFree(it) {
-				return false
-			}
-		}
-		return true
-	case *xpath.IfExpr:
-		return focusFree(x.Cond) && focusFree(x.Then) && (x.Else == nil || focusFree(x.Else))
-	}
-	return false
 }
 
 // indexedProperty returns the fixed xs:string property that queue defines

@@ -54,7 +54,9 @@ func TestProcurementQueueReads(t *testing.T) {
 }
 
 // TestQueueReadProbeConditions covers the planner's soundness conditions
-// one by one: each rule below breaks one of them, except the first three.
+// one by one: each rule below breaks one of them, except the four the test
+// lists as probed. A let chain lowers the key at the read, in the first
+// let: the key's variables must be bound there as they are at the filter.
 func TestQueueReadProbeConditions(t *testing.T) {
 	const app = `
 create queue q kind basic mode persistent;
@@ -81,6 +83,25 @@ create rule letKeyBoundLater for q
     let $docs := qs:queue("inv")
     let $k := string(//k)
     return do enqueue <r>{$docs[//key = $k]}</r> into out;
+create rule letChain for q
+  if (//m) then
+    let $k := string(//k)
+    let $docs := qs:queue("inv")
+    let $d := $docs/doc
+    return do enqueue <r>{$d[.//key = $k]}</r> into out;
+create rule letChainKeyBoundLater for q
+  if (//m) then
+    let $docs := qs:queue("inv")
+    let $k := string(//k)
+    let $d := $docs
+    return do enqueue <r>{$d[//key = $k]}</r> into out;
+create rule letChainShadowed for q
+  if (//m) then
+    let $k := "x"
+    let $docs := qs:queue("inv")
+    let $k := string(//k)
+    let $d := $docs
+    return do enqueue <r>{$d[//key = $k]}</r> into out;
 create rule focusKey for q
   if (//m) then do enqueue <r>{qs:queue("inv")[//key = string(.)]}</r> into out;
 create rule notFirstPred for q
@@ -97,7 +118,7 @@ create rule predInPath for q
   if (//m) then do enqueue <r>{qs:queue("inv")/doc[1]/item[key = "x"]}</r> into out;
 `
 	prog := MustCompile(app, DefaultOptions())
-	probed := map[string]bool{"direct": true, "steps": true, "letOnce": true}
+	probed := map[string]bool{"direct": true, "steps": true, "letOnce": true, "letChain": true}
 	for _, r := range prog.QueuePlans["q"].Rules {
 		if len(r.QueueReads) != 1 {
 			t.Fatalf("%s: queue reads %+v", r.Name, r.QueueReads)

@@ -52,11 +52,6 @@ type CompileOptions struct {
 // program. An expression it cannot lower is an error.
 func Compile(e xpath.Expr, opts CompileOptions) (*Compiled, error) {
 	c := &Compiled{ast: e}
-	for _, qp := range opts.QueueProbes {
-		if qp.Call == nil || qp.Call.Prefix != "qs" || qp.Call.Local != "queue" || len(qp.Call.Args) != 1 || qp.Key == nil {
-			return nil, staticErr("a queue probe needs a one-argument qs:queue() call and a key")
-		}
-	}
 	vars := map[string]bool{}
 	for _, v := range opts.ExtraVars {
 		vars[v] = true
@@ -193,7 +188,7 @@ func (c *Compiled) check(e xpath.Expr, vars map[string]bool, opts CompileOptions
 			}
 			c.sharedState = true
 		}
-		if f.name == "qs:queue" {
+		if f.docs {
 			c.sharedState = true
 		}
 		for _, a := range x.Args {

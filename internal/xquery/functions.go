@@ -14,9 +14,10 @@ import (
 type function struct {
 	name     string
 	minArgs  int
-	maxArgs  int // -1: variadic
-	slice    bool
-	needsCtx bool
+	maxArgs  int  // -1: variadic
+	slice    bool // only available in rules on slicings
+	needsCtx bool // reads the focus when called without arguments
+	docs     bool // returns the documents of a queue or slice
 	call     func(ev *evaluator, ctx *evalCtx, args []xdm.Sequence) (xdm.Sequence, error)
 }
 
@@ -476,7 +477,7 @@ func init() {
 		}
 		return xdm.Singleton(xdm.Node{N: doc}), nil
 	}})
-	reg(&function{name: "qs:queue", minArgs: 0, maxArgs: 1, call: func(ev *evaluator, _ *evalCtx, args []xdm.Sequence) (xdm.Sequence, error) {
+	reg(&function{name: "qs:queue", minArgs: 0, maxArgs: 1, docs: true, call: func(ev *evaluator, _ *evalCtx, args []xdm.Sequence) (xdm.Sequence, error) {
 		name := ""
 		if len(args) == 1 {
 			var err error
@@ -502,7 +503,7 @@ func init() {
 		}
 		return singleton(v), nil
 	}})
-	reg(&function{name: "qs:slice", minArgs: 0, maxArgs: 0, slice: true, call: func(ev *evaluator, _ *evalCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
+	reg(&function{name: "qs:slice", minArgs: 0, maxArgs: 0, slice: true, docs: true, call: func(ev *evaluator, _ *evalCtx, _ []xdm.Sequence) (xdm.Sequence, error) {
 		docs, err := ev.rt.Slice()
 		if err != nil {
 			return nil, err

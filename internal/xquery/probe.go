@@ -16,9 +16,58 @@ import (
 type QueueProbe struct {
 	Call *xpath.FuncCall // a qs:queue call with one argument
 	Prop string
-	// Key does not depend on the focus, reads no queue or slice and
-	// updates nothing: it is evaluated once more, at the call.
+	// Key satisfies FocusFree: it is evaluated once more, at the call.
 	Key xpath.Expr
+}
+
+// FocusFree reports whether e evaluates to the same value wherever the
+// focus is, without reading the documents of a queue or slice: literals,
+// variables, operators over such operands, paths of axis steps without
+// predicates from such a start, and calls with such arguments of
+// functions that, so called, neither read the focus (needsCtx) nor return
+// documents (docs).
+func FocusFree(e xpath.Expr) bool {
+	switch x := e.(type) {
+	case *xpath.Literal, *xpath.VarRef:
+		return true
+	case *xpath.FuncCall:
+		f, err := resolveFunction(x.Prefix, x.Local, len(x.Args))
+		if err != nil || f.docs || (f.needsCtx && len(x.Args) == 0) {
+			return false
+		}
+		for _, a := range x.Args {
+			if !FocusFree(a) {
+				return false
+			}
+		}
+		return true
+	case *xpath.PathExpr:
+		if x.Rooted || x.Start == nil || !FocusFree(x.Start) {
+			return false
+		}
+		for _, st := range x.Steps {
+			if st.Primary != nil || len(st.Preds) > 0 {
+				return false
+			}
+		}
+		return true
+	case *xpath.UnaryExpr:
+		return FocusFree(x.Operand)
+	case *xpath.BinaryExpr:
+		return FocusFree(x.Left) && FocusFree(x.Right)
+	case *xpath.ComparisonExpr:
+		return FocusFree(x.Left) && FocusFree(x.Right)
+	case *xpath.SequenceExpr:
+		for _, it := range x.Items {
+			if !FocusFree(it) {
+				return false
+			}
+		}
+		return true
+	case *xpath.IfExpr:
+		return FocusFree(x.Cond) && FocusFree(x.Then) && (x.Else == nil || FocusFree(x.Else))
+	}
+	return false
 }
 
 // QueueProber is implemented by runtimes that answer qs:queue() reads from

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"fmt"
 	"testing"
 
 	"demaq/internal/xdm"
@@ -121,17 +122,68 @@ func TestQueueProbeExact(t *testing.T) {
 	}
 }
 
-// TestQueueProbeNeedsQueueCall rejects a probe on anything but a
-// one-argument qs:queue() call.
-func TestQueueProbeNeedsQueueCall(t *testing.T) {
-	e, err := xpath.ParseExprString(`count(qs:queue())`)
-	if err != nil {
-		t.Fatal(err)
+// TestFocusFree pins which keys FocusFree accepts, and checks the registry
+// flags it reads: every function it accepts without arguments returns the
+// same value under two different focuses.
+func TestFocusFree(t *testing.T) {
+	for src, want := range map[string]bool{
+		`"a"`:                         true,
+		`$k`:                          true,
+		`string($k)`:                  true,
+		`concat("a", $k)`:             true,
+		`qs:message()//m`:             true,
+		`qs:slicekey()`:               true,
+		`string(qs:property("p"))`:    true,
+		`if ($k) then "a" else $k`:    true,
+		`string(.)`:                   false,
+		`string()`:                    false,
+		`position()`:                  false,
+		`//m`:                         false,
+		`m`:                           false,
+		`qs:message()//m[1]`:          false,
+		`string(qs:queue("q")//key)`:  false,
+		`count(qs:slice())`:           false,
+		`unknown($k)`:                 false,
+		`for $x in $k return $x`:      false,
+		`qs:message()//m/string()`:    false,
+		`(qs:message()//m)[. = "a"]`:  false,
+		`string(qs:message()//m) = 1`: true,
+	} {
+		e, err := xpath.ParseExprString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FocusFree(e); got != want {
+			t.Errorf("FocusFree(%s) = %v, want %v", src, got, want)
+		}
 	}
-	outer := e.(*xpath.FuncCall)
-	for _, call := range []*xpath.FuncCall{outer, outer.Args[0].(*xpath.FuncCall)} {
-		if _, err := Compile(e, CompileOptions{QueueProbes: []QueueProbe{{Call: call, Prop: "p", Key: xpath.NewLiteral(xdm.NewString("x"))}}}); err == nil {
-			t.Errorf("probe on %s:%s with %d args compiled", call.Prefix, call.Local, len(call.Args))
+	a, b := xmldom.MustParse(`<a>1</a>`), xmldom.MustParse(`<b><c>2</c></b>`)
+	rt := &fakeRuntime{message: a, queues: map[string][]*xmldom.Node{}}
+	for name, f := range functions {
+		if f.minArgs > 0 {
+			continue
+		}
+		e, err := xpath.ParseExprString(name + "()")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !FocusFree(e) {
+			continue
+		}
+		c, err := Compile(e, CompileOptions{AllowSlice: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2]string
+		for i, doc := range []*xmldom.Node{a, b} {
+			seq, _, err := Eval(c, rt, EvalOptions{ContextDoc: doc})
+			if err != nil {
+				t.Fatalf("%s(): %v", name, err)
+			}
+			got[i] = fmt.Sprint(seq)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s() is focus-free but returned %s and %s", name, got[0], got[1])
 		}
 	}
 }

@@ -386,6 +386,9 @@ func FormatStats(st Stats) string {
 		s += fmt.Sprintf(" q-probed=%d/%ddocs q-scanned=%d/%ddocs",
 			st.QueueReadsProbed, st.QueueDocsProbed, st.QueueReadsScanned, st.QueueDocsScanned)
 	}
+	if st.GCPasses > 0 {
+		s += fmt.Sprintf(" gc=%d/%.2fms", st.GCPasses, float64(st.GCPassNs)/float64(st.GCPasses)/1e6)
+	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
 		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
 	if st.PagesWritten > 0 {

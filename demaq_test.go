@@ -182,6 +182,17 @@ func TestFormatStatsQueueReads(t *testing.T) {
 	}
 }
 
+func TestFormatStatsGCPasses(t *testing.T) {
+	st := Stats{Processed: 3}
+	if s := FormatStats(st); strings.Contains(s, "gc=") {
+		t.Fatalf("collector passes shown without any: %s", s)
+	}
+	st.GCPasses, st.GCPassNs = 4, 17_000_000
+	if s := FormatStats(st); !strings.Contains(s, " gc=4/4.25ms ") {
+		t.Fatalf("collector passes not surfaced: %s", s)
+	}
+}
+
 // TestOpenPeerHonoursOptions: a peer node is configured by the same Options
 // mapping as a primary — every option set reaches its engine, lock
 // granularity included.

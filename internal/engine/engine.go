@@ -205,6 +205,12 @@ type Stats struct {
 	QueueReadsScanned uint64
 	QueueDocsProbed   uint64
 	QueueDocsScanned  uint64
+
+	// GCPasses counts the retention passes that committed (CollectGarbage),
+	// GCPassNs the wall time they took together: pick, unlink, and the one
+	// commit each waits for.
+	GCPasses uint64
+	GCPassNs uint64
 }
 
 // Engine is a running Demaq server instance.
@@ -243,6 +249,7 @@ type Engine struct {
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
 		pipelinedCommits, durabilityWaits                                                atomic.Uint64
 		queueProbed, queueScanned, queueProbedDocs, queueScannedDocs                     atomic.Uint64
+		gcPasses, gcPassNs                                                               atomic.Uint64
 	}
 
 	// degraded flips (one-way, until restart) when the store reports a
@@ -659,6 +666,8 @@ func (e *Engine) Stats() Stats {
 		QueueReadsScanned: e.stats.queueScanned.Load(),
 		QueueDocsProbed:   e.stats.queueProbedDocs.Load(),
 		QueueDocsScanned:  e.stats.queueScannedDocs.Load(),
+		GCPasses:          e.stats.gcPasses.Load(),
+		GCPassNs:          e.stats.gcPassNs.Load(),
 	}
 	if st.BatchesClaimed > 0 {
 		st.AvgBatchSize = float64(e.stats.batchMsgs.Load()) / float64(st.BatchesClaimed)
@@ -684,36 +693,43 @@ func (e *Engine) Stats() Stats {
 }
 
 // CollectGarbage runs one retention GC pass (Sec. 2.3.3). It may run beside
-// the rule workers: each queue is collected under its exclusive lock, which
-// keeps out the transactions that work in the queue (they hold its intention
-// lock) and, above all, a rule's qs:queue() read (which holds it shared):
-// that read lists the queue and then fetches what it listed, and a message
-// removed in between would fail the rule. The collector holds one lock at a
-// time and nothing else while it waits for it, so it can delay the workers
-// but never deadlock with them.
+// the rule workers: each queue's garbage is picked and unlinked under the
+// queue's exclusive lock, which keeps out the transactions that work in the
+// queue (they hold its intention lock) and, above all, a rule's qs:queue()
+// read (which holds it shared): that read lists the queue and then fetches
+// what it listed, and a message removed in between would fail the rule. The
+// collector holds one lock at a time and nothing else while it waits for it,
+// so it can delay the workers but never deadlock with them. The disk deletes
+// of every queue, and of the resets nothing depends on any more, commit
+// after the last lock is released, in one transaction with one log flush
+// (slicing.Pass): no rule waits for the collector's flush.
 func (e *Engine) CollectGarbage() (int, error) {
 	if e.degraded.Load() {
 		return 0, ErrDegraded
 	}
+	started := time.Now()
+	pass := e.slices.BeginPass()
 	total := 0
 	for _, queue := range e.ms.QueueNames() {
-		n, err := e.collectQueue(queue)
-		total += n
-		e.stats.collected.Add(uint64(n))
+		n, err := e.collectQueue(pass, queue)
 		if err != nil {
-			e.noteStorageError(err)
 			return total, err
 		}
+		total += n
 	}
-	// The resets that dismissed what is gone now go last: see PruneResets.
-	if err := e.slices.PruneResets(); err != nil {
+	if err := pass.Commit(); err != nil {
 		e.noteStorageError(err)
 		return total, err
 	}
+	e.stats.collected.Add(uint64(total))
+	e.stats.gcPasses.Add(1)
+	e.stats.gcPassNs.Add(uint64(time.Since(started)))
 	return total, nil
 }
 
-func (e *Engine) collectQueue(queue string) (int, error) {
+// collectQueue picks and unlinks one queue's garbage under the queue's
+// exclusive lock.
+func (e *Engine) collectQueue(pass *slicing.Pass, queue string) (int, error) {
 	txnID := e.txnSeq.Add(1)
 	defer e.lm.ReleaseAll(txnID)
 	// Only ErrDeadlock can come back, and hardly that: nobody waits for a
@@ -721,7 +737,7 @@ func (e *Engine) collectQueue(queue string) (int, error) {
 	for e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X) != nil {
 		time.Sleep(50 * time.Microsecond)
 	}
-	return e.slices.CollectQueue(queue)
+	return pass.Collect(queue)
 }
 
 // checkpointLoop is the fuzzy checkpoint scheduler. It polls the page

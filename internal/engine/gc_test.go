@@ -3,12 +3,16 @@ package engine
 import (
 	"fmt"
 	"log/slog"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"demaq/internal/gateway"
+	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
+	"demaq/internal/store"
 	locks "demaq/internal/txn"
 )
 
@@ -159,5 +163,202 @@ func TestCollectGarbageBesideRules(t *testing.T) {
 	}
 	if len(sent) != n || len(rec.payloads()) != n {
 		t.Fatalf("the sink received %d transfers of %d distinct results, want %d of each", len(rec.payloads()), len(sent), n)
+	}
+}
+
+// TestCollectGarbageFlushesOnce: a retention pass over the procurement
+// application — garbage in several queues, and the resets of every finished
+// request — is one page-store commit with one log flush. It removes every
+// processed message outside a live slice, keeps every live member, and
+// forgets every reset that dismisses nothing any more.
+func TestCollectGarbageFlushesOnce(t *testing.T) {
+	const n = 120
+	fn := gateway.NewFaultNet(1)
+	defer fn.Close()
+	rec := &recorder{}
+	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, qdl.ProcurementApp+procurementTap, func(cfg *Config) {
+		cfg.Workers = 4
+		cfg.Resources = senderFiles
+		cfg.Transports = gateway.NewRegistry(fn)
+	})
+	for i := 0; i < n; i++ {
+		xml, _ := procurementRequest(i)
+		if _, err := e.EnqueueXML("crm", xml, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !e.Drain(60 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	waitFor(t, 10*time.Second, func() bool { return len(rec.payloads()) == n })
+
+	ms := e.MessageStore()
+	var garbage, members []msgstore.MsgID
+	for _, queue := range ms.QueueNames() {
+		msgs, _ := ms.Messages(queue)
+		for _, m := range msgs {
+			switch {
+			case len(e.slices.SlicesOf(m.ID)) > 0:
+				members = append(members, m.ID)
+			case m.Processed:
+				garbage = append(garbage, m.ID)
+			}
+		}
+	}
+	resets, err := ms.ResetEvents()
+	if err != nil || len(resets) < n {
+		t.Fatalf("before the pass: %d reset records (%v), want one per request", len(resets), err)
+	}
+	before := ms.PageStore().Stats()
+	collected, err := e.CollectGarbage()
+	after := ms.PageStore().Stats()
+	if err != nil || collected != len(garbage) {
+		t.Fatalf("collected %d (%v), want the %d processed messages outside a live slice", collected, err, len(garbage))
+	}
+	if commits, flushes := after.Commits-before.Commits, after.WALFsyncs-before.WALFsyncs; commits != 1 || flushes != 1 {
+		t.Fatalf("the pass made %d commits and %d log flushes, want 1 and 1", commits, flushes)
+	}
+	for _, id := range garbage {
+		if _, live := ms.Get(id); live {
+			t.Fatalf("processed message %d outside a live slice survived the pass", id)
+		}
+	}
+	for _, id := range members {
+		if _, live := ms.Get(id); !live {
+			t.Fatalf("live slice member %d was collected", id)
+		}
+	}
+	// The resets left are those that still dismiss a stored message.
+	props := map[string]string{"requestMsgs": "requestID", "invoiceRetention": "messageRequestID", "retainOrders": "orderID"}
+	resets, err = ms.ResetEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range resets {
+		if len(ms.PropertyIDsRange(props[ev.Slicing], ev.Key, 0, ev.Watermark, nil)) == 0 {
+			t.Fatalf("reset %s/%s dismisses no stored message and outlived the pass (%d reset records left)", ev.Slicing, ev.Key, len(resets))
+		}
+	}
+	if st := e.Stats(); st.GCPasses != 1 || st.GCPassNs == 0 || st.Collected != uint64(collected) {
+		t.Fatalf("stats: %d passes in %d ns collected %d, want 1 pass collecting %d", st.GCPasses, st.GCPassNs, st.Collected, collected)
+	}
+}
+
+// holdVFS is the OS file system with a gate on log flushes: while hold is
+// armed, every Sync of a WAL segment waits for release.
+type holdVFS struct {
+	store.VFS
+	mu   sync.Mutex
+	gate chan struct{}
+	held chan struct{}
+}
+
+func (v *holdVFS) OpenFile(path string) (store.File, error) {
+	f, err := v.VFS.OpenFile(path)
+	if err != nil || !strings.HasPrefix(filepath.Base(path), "wal.") {
+		return f, err
+	}
+	return &holdFile{File: f, v: v}, nil
+}
+
+// hold arms the gate. held receives once a flush is waiting at it; release
+// opens it (once).
+func (v *holdVFS) hold() (held <-chan struct{}, release func()) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.gate, v.held = make(chan struct{}), make(chan struct{}, 1)
+	gate := v.gate
+	var once sync.Once
+	return v.held, func() {
+		once.Do(func() {
+			v.mu.Lock()
+			v.gate = nil
+			v.mu.Unlock()
+			close(gate)
+		})
+	}
+}
+
+type holdFile struct {
+	store.File
+	v *holdVFS
+}
+
+func (f *holdFile) Sync() error {
+	f.v.mu.Lock()
+	gate, held := f.v.gate, f.v.held
+	f.v.mu.Unlock()
+	if gate != nil {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	return f.File.Sync()
+}
+
+// TestCollectGarbageReleasesQueuesBeforeFlush: the collector holds a queue's
+// exclusive lock only while it picks and unlinks that queue's garbage. While
+// the pass waits for its log flush, every queue it collected can be locked
+// exclusively by someone else.
+func TestCollectGarbageReleasesQueuesBeforeFlush(t *testing.T) {
+	const n = 20
+	vfs := &holdVFS{VFS: store.OSFileSystem()}
+	e := newEngine(t, pingPongApp, func(cfg *Config) {
+		cfg.Store.Store = store.DefaultOptions()
+		cfg.Store.Store.VFS = vfs
+	})
+	for i := 0; i < n; i++ {
+		if _, err := e.EnqueueXML("in", fmt.Sprintf(`<ping>%d</ping>`, i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, e) // every ping and every pong is processed: all of it is garbage
+
+	held, release := vfs.hold()
+	defer release()
+	type result struct {
+		n   int
+		err error
+	}
+	collected := make(chan result, 1)
+	go func() {
+		n, err := e.CollectGarbage()
+		collected <- result{n, err}
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pass never flushed the log")
+	}
+	for i, queue := range []string{"in", "out"} {
+		txn := uint64(1<<40 + i)
+		got := make(chan error, 1)
+		go func() { got <- e.lm.Acquire(txn, locks.Resource("q", queue), locks.X) }()
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			release()
+			<-got
+			e.lm.ReleaseAll(txn)
+			t.Fatalf("queue %s stays locked while the pass waits for its flush", queue)
+		}
+		e.lm.ReleaseAll(txn)
+	}
+	release()
+	select {
+	case r := <-collected:
+		if r.err != nil || r.n != 2*n {
+			t.Fatalf("collected (%d, %v), want %d", r.n, r.err, 2*n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the collector did not finish once its flush was released")
 	}
 }

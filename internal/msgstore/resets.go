@@ -12,13 +12,14 @@ import (
 // their slices again, changing application behavior (Sec. 2.3.2). Resets
 // are therefore persisted as small event records (slicing, key, watermark)
 // in a system heap, written inside the same page-store transaction as the
-// triggering message's other effects, and deleted again (DeleteResets) once
+// triggering message's other effects, and deleted again (CollectPass) once
 // the collector has removed every message they dismissed.
 
 const resetsHeapName = "sys:resets"
 
 // ResetEvent is one persisted slice reset. RID locates its record, for
-// DeleteResets; it is the zero RID for an event that was never written.
+// CollectPass.DeleteResets; it is the zero RID for an event that was never
+// written.
 type ResetEvent struct {
 	Slicing   string
 	Key       string
@@ -84,18 +85,4 @@ func (ms *Store) ResetEvents() ([]ResetEvent, error) {
 		err = decodeErr
 	}
 	return out, err
-}
-
-// DeleteResets removes the records of reset events nothing depends on any
-// more (zero RIDs are skipped), in one page-store transaction. A caller that
-// deletes the messages a reset dismissed first, in this log, never has the
-// reset gone and the messages back after a crash.
-func (ms *Store) DeleteResets(rids []store.RID) error {
-	written := rids[:0:0]
-	for _, rid := range rids {
-		if rid != (store.RID{}) {
-			written = append(written, rid)
-		}
-	}
-	return ms.ps.BatchDelete(ms.resetsHeap, written)
 }

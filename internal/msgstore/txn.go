@@ -652,73 +652,6 @@ func (ms *Store) QueueDocsAmong(queue string, ids []MsgID, floor MsgID) ([]*xmld
 // in the store has a lower one.
 func (ms *Store) NextID() MsgID { return MsgID(ms.nextID.Load()) }
 
-// Remove physically deletes processed messages from a queue using the
-// retention-based redo-only batch delete (Sec. 4.1). It is called by the
-// garbage collector for messages no longer held by any live slice.
-func (ms *Store) Remove(queue string, ids []MsgID) error {
-	q := ms.getQueue(queue)
-	if q == nil {
-		return fmt.Errorf("msgstore: unknown queue %q", queue)
-	}
-	var rids, statusRids []store.RID
-	var dropped []*msgMeta
-	removed := 0
-	for _, id := range ids {
-		sh := ms.shard(id)
-		sh.mu.Lock()
-		m := sh.byID[id]
-		if m == nil || m.q != q {
-			sh.mu.Unlock()
-			continue
-		}
-		delete(sh.byID, id)
-		sh.mu.Unlock()
-		if !m.dead.CompareAndSwap(false, true) {
-			continue
-		}
-		removed++
-		dropped = append(dropped, m)
-		if q.Mode == Persistent {
-			rids = append(rids, m.rid)
-			statusRids = append(statusRids, m.statusRID)
-		}
-		ms.cache.drop(id)
-	}
-	// Postings come out after the shard locks are released (same nesting
-	// discipline as indexing at commit). A probe between the CAS and this
-	// point sees the stale posting but filters it through lookup, which
-	// already misses: the id left the shard map above.
-	for _, m := range dropped {
-		ms.unindexMessage(m)
-	}
-	q.mu.Lock()
-	q.live -= removed
-	// Compact the in-memory slice when dead entries dominate.
-	if len(q.msgs) > 64 && q.live*2 < len(q.msgs) {
-		livemsgs := make([]*msgMeta, 0, q.live)
-		for _, m := range q.msgs {
-			if !m.dead.Load() {
-				livemsgs = append(livemsgs, m)
-			}
-		}
-		q.msgs = livemsgs
-	}
-	q.mu.Unlock()
-	// Disk deletion runs outside all msgstore locks; recovery re-runs of a
-	// lost batch delete are idempotent (processed messages re-collect).
-	// Payloads go first, their status records second: a crash between the
-	// two deletes leaves orphan status records, which loadQueue's join never
-	// matches and whose ids it never hands out again. The reverse order
-	// would leave payloads without a status record, which Open refuses.
-	if len(rids) == 0 {
-		return nil
-	}
-	if err := ms.ps.BatchDelete(q.heap, rids); err != nil {
-		return err
-	}
-	return ms.ps.BatchDelete(q.statusHeap, statusRids)
-}
-
 // UnprocessedAfter appends to dst, in id order, up to limit live unprocessed
 // messages of queue with ids above after. Ids are assigned before commit and
 // published after it, so two committers may publish out of id order; the

@@ -15,8 +15,8 @@ import (
 //   - every payload record decodes, and no message id appears twice;
 //   - the status side-heap joins cleanly: every live message's processed
 //     flag agrees with its status record, orphan status records (payload
-//     deleted, status delete lost in the crash — the one state the Remove
-//     WAL ordering permits) reference no live payload, and no status record
+//     deleted, status delete lost in the crash — the one state the
+//     CollectPass WAL ordering permits) reference no live payload, and no status record
 //     carries an id the store may still hand out;
 //   - the property index matches a recomputation from the queue scan,
 //     posting for posting;

@@ -2,7 +2,9 @@ package slicing
 
 import (
 	"fmt"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,7 +114,7 @@ func TestMaterializedMergedDifferential(t *testing.T) {
 	dismissedInCRM := inCRM[0]
 	for mode, sm := range managers {
 		markProcessed(t, stores[mode], inCRM...)
-		if n, err := sm.CollectQueue("crm"); n != 1 || err != nil {
+		if n, err := collect(sm, "crm"); n != 1 || err != nil {
 			t.Fatalf("%s: collected %d (%v), want message %d alone", mode, n, err, dismissedInCRM)
 		}
 		if _, live := stores[mode].Get(dismissedInCRM); live {
@@ -271,12 +273,13 @@ func joinAndReset(t testing.TB, ms *msgstore.Store, sm *Manager, key string) (di
 }
 
 func collectPass(sm *Manager) error {
+	pass := sm.BeginPass()
 	for _, queue := range []string{"crm", "customer"} {
-		if _, err := sm.CollectQueue(queue); err != nil {
+		if _, err := pass.Collect(queue); err != nil {
 			return err
 		}
 	}
-	return sm.PruneResets()
+	return pass.Commit()
 }
 
 // TestResetLogStaysBounded: a reset is remembered, in memory and on disk,
@@ -336,12 +339,16 @@ func TestResetLogStaysBounded(t *testing.T) {
 }
 
 // TestCollectPassCrashSweep crashes one collector pass at every disk
-// operation and reopens: whatever the crash kept of the message deletes and
-// of the reset-record deletes, no dismissed message is visible in its slice
-// again, and no member of a live slice is lost.
+// operation, and tears its one log write at every byte, and reopens:
+// whatever the crash kept of the message deletes and of the reset-record
+// deletes, the store verifies, no dismissed message is visible in its slice
+// again, and no member of a live slice is lost. The torn writes reach the
+// two states the pass's log order allows: payloads deleted with their status
+// records kept, and messages deleted with their resets kept.
 func TestCollectPassCrashSweep(t *testing.T) {
 	const dir = "sweep" // FaultFS only
 	props := requestIDProps("crm", "customer")
+	queues := []string{"crm", "customer"}
 	type outcome struct {
 		dismissed map[string][]msgstore.MsgID
 		live      []msgstore.MsgID
@@ -372,14 +379,79 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		before = fs.Ops()
 		return out, before, collectPass(sm)
 	}
+	// check reopens the crashed store and holds it to the model. It reports
+	// whether status records outlived their payloads and whether reset
+	// records outlived every message they dismiss.
+	check := func(at string, fs *store.FaultFS, out outcome) (orphanStatuses, staleResets bool) {
+		t.Helper()
+		fs.ClearFault()
+		opts := msgstore.DefaultOptions()
+		opts.Store.VFS = fs
+		ms, err := msgstore.Open(dir, opts)
+		if err != nil {
+			t.Fatalf("reopen after crash %s: %v", at, err)
+		}
+		defer ms.Crash()
+		if err := ms.VerifyIntegrity(); err != nil {
+			t.Fatalf("crash %s: %v", at, err)
+		}
+		sm := NewManager(ms, props)
+		sm.Define("requestMsgs", "requestID")
+		events, err := ms.ResetEvents()
+		if err != nil {
+			t.Fatalf("crash %s: %v", at, err)
+		}
+		for _, ev := range events {
+			sm.Reset(ev)
+		}
+		for key, ids := range out.dismissed {
+			for _, id := range sm.SliceMembers("requestMsgs", key) {
+				if slices.Contains(ids, id) {
+					t.Fatalf("crash %s: dismissed message %d is back in slice %s", at, id, key)
+				}
+			}
+		}
+		if got := sm.SliceMembers("requestMsgs", "r0"); !slices.Equal(got, out.live[:1]) {
+			t.Fatalf("crash %s: second lifetime of r0 holds %v, want %v", at, got, out.live[:1])
+		}
+		if got := sm.SliceMembers("requestMsgs", "keep"); !slices.Equal(got, out.live[1:]) {
+			t.Fatalf("crash %s: live slice holds %v, want %v", at, got, out.live[1:])
+		}
+		for _, queue := range queues {
+			h, _ := ms.PageStore().Heap("s:" + queue)
+			statuses := 0
+			ms.PageStore().Scan(h, func(store.RID, []byte) bool { statuses++; return true })
+			msgs, _ := ms.Messages(queue)
+			orphanStatuses = orphanStatuses || statuses > len(msgs)
+		}
+		for _, ev := range events {
+			gone := true
+			for _, id := range out.dismissed[ev.Key] {
+				_, stored := ms.Get(id)
+				gone = gone && !stored
+			}
+			staleResets = staleResets || gone
+		}
+		return orphanStatuses, staleResets
+	}
+
 	fs := store.NewFaultFS(1)
 	_, before, err := run(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := fs.Ops()
-	if total-before < 4 {
-		t.Fatalf("the pass made %d disk operations", total-before)
+	syncs, logWrite := 0, store.FaultPoint{}
+	for _, op := range fs.Trace()[before:] {
+		switch {
+		case op.Op == "sync":
+			syncs++
+		case op.Op == "write" && strings.HasPrefix(filepath.Base(op.Path), "wal."):
+			logWrite = op
+		}
+	}
+	if syncs != 1 || logWrite.N == 0 {
+		t.Fatalf("the pass flushed the log %d times, want once, in %d disk operations: %v", syncs, total-before, fs.Trace()[before:])
 	}
 	for k := before + 1; k <= total; k++ {
 		fs := store.NewFaultFS(int64(100 + k))
@@ -388,38 +460,20 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		if !fs.Crashed() {
 			t.Fatalf("crash point %d not reached: %v", k, err)
 		}
-		fs.ClearFault()
-		opts := msgstore.DefaultOptions()
-		opts.Store.VFS = fs
-		ms, err := msgstore.Open(dir, opts)
-		if err != nil {
-			t.Fatalf("reopen after crash at %d: %v", k, err)
+		check(fmt.Sprintf("at op %d", k), fs, out)
+	}
+	sawOrphans, sawStale := false, false
+	for keep := 0; keep <= logWrite.Len; keep++ {
+		fs := store.NewFaultFS(1)
+		fs.TearAtPrefix(logWrite.N, keep)
+		out, _, err := run(fs)
+		if !fs.Crashed() {
+			t.Fatalf("log write %s not torn: %v", logWrite, err)
 		}
-		if err := ms.VerifyIntegrity(); err != nil {
-			t.Fatalf("crash at %d: %v", k, err)
-		}
-		sm := NewManager(ms, props)
-		sm.Define("requestMsgs", "requestID")
-		events, err := ms.ResetEvents()
-		if err != nil {
-			t.Fatalf("crash at %d: %v", k, err)
-		}
-		for _, ev := range events {
-			sm.Reset(ev)
-		}
-		for key, ids := range out.dismissed {
-			for _, id := range sm.SliceMembers("requestMsgs", key) {
-				if slices.Contains(ids, id) {
-					t.Fatalf("crash at %d: dismissed message %d is back in slice %s", k, id, key)
-				}
-			}
-		}
-		if got := sm.SliceMembers("requestMsgs", "r0"); !slices.Equal(got, out.live[:1]) {
-			t.Fatalf("crash at %d: second lifetime of r0 holds %v, want %v", k, got, out.live[:1])
-		}
-		if got := sm.SliceMembers("requestMsgs", "keep"); !slices.Equal(got, out.live[1:]) {
-			t.Fatalf("crash at %d: live slice holds %v, want %v", k, got, out.live[1:])
-		}
-		ms.Crash()
+		orphans, stale := check(fmt.Sprintf("tearing the log write after %d of %d bytes", keep, logWrite.Len), fs, out)
+		sawOrphans, sawStale = sawOrphans || orphans, sawStale || stale
+	}
+	if !sawOrphans || !sawStale {
+		t.Fatalf("no torn prefix kept payload deletes without status deletes (%v) or message deletes without reset deletes (%v)", !sawOrphans, !sawStale)
 	}
 }

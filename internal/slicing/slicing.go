@@ -59,7 +59,7 @@ type Manager struct {
 	byProp   map[string][]*Slicing
 	resets   map[Membership]lifetime
 	// superseded holds the records of resets that a later reset of the same
-	// slice has overtaken, until PruneResets deletes them.
+	// slice has overtaken, until a retention pass deletes them.
 	superseded []store.RID
 }
 
@@ -205,47 +205,95 @@ func (m *Manager) Reset(ev msgstore.ResetEvent) {
 	m.resets[mb] = lifetime{watermark: ev.Watermark, record: ev.RID}
 }
 
-// Removable reports whether a processed message may be physically deleted:
-// it must belong to no live slice (Sec. 2.3.3). Messages that were never in
-// any slice are removable once processed.
-func (m *Manager) Removable(id msgstore.MsgID) bool { return len(m.SlicesOf(id)) == 0 }
+// Pass is one retention pass (Sec. 2.3.3): Collect picks and unlinks the
+// garbage of each queue, Commit deletes it and the resets that dismiss
+// nothing any more from disk in one page-store transaction (see
+// msgstore.CollectPass). This is the background task of Sec. 4.4.2; it runs
+// decoupled from message processing, but a reader that lists a queue and
+// then fetches what it listed must be kept out while Collect runs on that
+// queue (the engine holds the queue's exclusive lock around the call).
+type Pass struct {
+	m  *Manager
+	cp *msgstore.CollectPass
+}
 
-// CollectQueue scans the processed messages of a queue and physically
-// removes those no longer held by any live slice, using the redo-only batch
-// delete. It returns the number of messages removed. This is the background
-// task of Sec. 4.4.2; it runs decoupled from message
-// processing, but a reader that lists the queue and then fetches what it
-// listed must be kept out for the duration (the engine holds the queue's
-// exclusive lock around the call).
-func (m *Manager) CollectQueue(queue string) (int, error) {
-	msgs, err := m.ms.Messages(queue)
+// BeginPass starts a retention pass.
+func (m *Manager) BeginPass() *Pass { return &Pass{m: m, cp: m.ms.BeginCollect()} }
+
+// Collect removes the processed messages of a queue that no live slice
+// holds from memory and stages their deletes. It returns how many it took.
+func (p *Pass) Collect(queue string) (int, error) {
+	msgs, err := p.m.ms.Messages(queue)
 	if err != nil {
 		return 0, err
 	}
-	var removable []msgstore.MsgID
-	for _, msg := range msgs {
-		if msg.Processed && len(m.memberships(msg.ID, queue, msg.Props)) == 0 {
-			removable = append(removable, msg.ID)
-		}
-	}
-	if len(removable) == 0 {
-		return 0, nil
-	}
-	if err := m.ms.Remove(queue, removable); err != nil {
-		return 0, err
-	}
-	return len(removable), nil
+	return p.cp.Remove(queue, p.m.removable(queue, msgs))
 }
 
-// PruneResets forgets every reset that dismisses no message any more: a
-// watermark is needed only while a member at or below it is still stored,
-// and message ids never come back. The collector calls it after its
-// CollectQueue round, so the deletes of the dismissed messages are in the
-// log ahead of the delete of the reset records: whatever a crash keeps of
-// the round, no dismissed message comes back without its reset. A record
-// that outlives its map entry is replayed at the next start and pruned again.
-func (m *Manager) PruneResets() error {
+// removable lists the processed messages of queue that belong to no live
+// slice (Sec. 2.3.3); messages never in any slice are removable once
+// processed. The queue's sliced properties are resolved once, under one
+// read lock, and a message is kept at its first live membership.
+func (m *Manager) removable(queue string, msgs []msgstore.Message) []msgstore.MsgID {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var sliced []slicedProp
+	for prop, slicings := range m.byProp {
+		if m.slicedOn(prop, queue) {
+			sliced = append(sliced, slicedProp{prop, slicings})
+		}
+	}
+	var out []msgstore.MsgID
+	for _, msg := range msgs {
+		if msg.Processed && !m.heldLocked(msg, sliced) {
+			out = append(out, msg.ID)
+		}
+	}
+	return out
+}
+
+// slicedProp is a property sliced on some queue, with its slicings.
+type slicedProp struct {
+	name     string
+	slicings []*Slicing
+}
+
+// heldLocked reports whether a live slice over one of the sliced properties
+// holds msg. The caller holds m.mu.
+func (m *Manager) heldLocked(msg msgstore.Message, sliced []slicedProp) bool {
+	for _, prop := range sliced {
+		v, ok := msg.Props[prop.name]
+		if !ok {
+			continue
+		}
+		key := v.StringValue()
+		for _, s := range prop.slicings {
+			if msg.ID > m.resets[Membership{s.Name, key}].watermark {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Commit stages the deletes of every reset that dismisses no message any
+// more and commits the pass. A watermark is needed only while a member at
+// or below it is still stored, and message ids never come back; the records
+// of resets a later reset of the same slice overtook go too. The reset
+// deletes follow the message deletes in the pass's one log write, so
+// whatever a crash keeps of it, no dismissed message comes back without its
+// reset. A record that outlives its map entry is replayed at the next start
+// and pruned again.
+func (p *Pass) Commit() error {
+	p.cp.DeleteResets(p.m.prune())
+	return p.cp.Commit()
+}
+
+// prune forgets the resets that dismiss no stored message and returns their
+// records, with the superseded ones.
+func (m *Manager) prune() []store.RID {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	dead := m.superseded
 	m.superseded = nil
 	for mb, lt := range m.resets {
@@ -255,6 +303,5 @@ func (m *Manager) PruneResets() error {
 			dead = append(dead, lt.record)
 		}
 	}
-	m.mu.Unlock()
-	return m.ms.DeleteResets(dead)
+	return dead
 }

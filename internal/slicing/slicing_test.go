@@ -80,6 +80,16 @@ func markProcessed(t *testing.T, ms *msgstore.Store, ids ...msgstore.MsgID) {
 	}
 }
 
+// collect runs a retention pass over one queue.
+func collect(sm *Manager, queue string) (int, error) {
+	pass := sm.BeginPass()
+	n, err := pass.Collect(queue)
+	if err != nil {
+		return 0, err
+	}
+	return n, pass.Commit()
+}
+
 func testMembership(t *testing.T, noIndex bool) {
 	ms, props, sm := setup(t, noIndex)
 	a := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
@@ -131,19 +141,19 @@ func TestRetention(t *testing.T) {
 	noSlice := put(t, ms, props, "crm", `<m>plain</m>`)
 
 	// Unprocessed: never collected.
-	if n, _ := sm.CollectQueue("crm"); n != 0 {
+	if n, _ := collect(sm, "crm"); n != 0 {
 		t.Fatalf("collected unprocessed: %d", n)
 	}
 	markProcessed(t, ms, a, noSlice)
 
 	// a is in a live slice: retained. noSlice: removable.
-	if sm.Removable(a) {
+	if len(sm.SlicesOf(a)) == 0 {
 		t.Fatal("slice member must be retained")
 	}
-	if !sm.Removable(noSlice) {
+	if len(sm.SlicesOf(noSlice)) != 0 {
 		t.Fatal("sliceless processed message must be removable")
 	}
-	n, err := sm.CollectQueue("crm")
+	n, err := collect(sm, "crm")
 	if err != nil || n != 1 {
 		t.Fatalf("gc: %d %v", n, err)
 	}
@@ -156,7 +166,7 @@ func TestRetention(t *testing.T) {
 
 	// After reset, a becomes collectable.
 	reset(sm, "requestMsgs", "r1", a)
-	n, _ = sm.CollectQueue("crm")
+	n, _ = collect(sm, "crm")
 	if n != 1 {
 		t.Fatalf("gc after reset: %d", n)
 	}
@@ -185,15 +195,15 @@ func TestMultiSliceRetention(t *testing.T) {
 	id := put(t, ms, props, "q", `<m><a>x</a><b>y</b></m>`)
 	markProcessed(t, ms, id)
 
-	if sm.Removable(id) {
+	if n, _ := collect(sm, "q"); n != 0 {
 		t.Fatal("member of two live slices")
 	}
 	reset(sm, "s1", "x", id)
-	if sm.Removable(id) {
+	if n, _ := collect(sm, "q"); n != 0 {
 		t.Fatal("still member of s2")
 	}
 	reset(sm, "s2", "y", id)
-	if !sm.Removable(id) {
+	if n, _ := collect(sm, "q"); n != 1 {
 		t.Fatal("all slices reset: removable")
 	}
 }

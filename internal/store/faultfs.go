@@ -28,6 +28,7 @@ import (
 //
 //	CrashAt(k)          — crash when mutation op k executes
 //	TearAt(k)           — crash at op k, which persists as a torn write
+//	TearAtPrefix(k, n)  — crash at op k, which persists its first n bytes
 //	TransientEvery(k)   — every k-th mutation fails once with ErrTransientIO
 //	FailWritesAfter(k)  — from op k on, all mutations fail with ErrDiskFailure
 //	SetWriteBudget(n)   — after n more written bytes, writes fail ErrDiskFull
@@ -40,7 +41,8 @@ type FaultFS struct {
 	trace []FaultPoint
 
 	crashAt   int  // crash when op counter reaches this value; 0 = disarmed
-	tear      bool // a write that crashes persists its first half (TearAt)
+	tear      bool // a write that crashes persists a prefix (TearAt)
+	tearKeep  int  // that prefix's length; < 0 = half the write
 	crashed   bool
 	transient int   // every n-th op fails transiently; 0 = disarmed
 	permAt    int   // ops >= permAt fail permanently; 0 = disarmed
@@ -172,9 +174,15 @@ func (fs *FaultFS) CrashAt(n int) {
 // operation is a write it persists as a torn write whatever the seed: its
 // first half reaches the durable image after the pending operations are
 // resolved. Passing 0 disarms.
-func (fs *FaultFS) TearAt(n int) {
+func (fs *FaultFS) TearAt(n int) { fs.TearAtPrefix(n, -1) }
+
+// TearAtPrefix is TearAt with the torn prefix chosen: the first keep bytes
+// of the write (all of it if it is shorter; half of it for a negative keep)
+// reach the durable image. Sweeping keep over a log write crashes a commit
+// at every record boundary inside it.
+func (fs *FaultFS) TearAtPrefix(n, keep int) {
 	fs.mu.Lock()
-	fs.crashAt, fs.tear = n, n > 0
+	fs.crashAt, fs.tear, fs.tearKeep = n, n > 0, keep
 	fs.mu.Unlock()
 }
 
@@ -392,8 +400,12 @@ func (h *faultHandle) WriteAt(p []byte, off int64) (int, error) {
 	fail, crash := h.fs.checkFaults(h.path, "write", off, len(p))
 	if crash {
 		if h.fs.tear {
+			keep := h.fs.tearKeep
+			if keep < 0 {
+				keep = len(p) / 2
+			}
 			h.fs.crashNow(h.path, nil)
-			h.d.durable = applyWrite(h.d.durable, off, p[:len(p)/2])
+			h.d.durable = applyWrite(h.d.durable, off, p[:min(keep, len(p))])
 		} else {
 			h.fs.crashNow(h.path, &pendingOp{off: off, data: append([]byte(nil), p...)})
 		}

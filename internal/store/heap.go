@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Record heaps store variable-length records in chained pages. Records
@@ -478,63 +479,103 @@ func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) err
 }
 
 // BatchDelete physically removes a set of processed records in one
-// auto-committed operation. With Options.UnloggedDeletes it writes a single
-// redo-only batch record without before images — the paper's
-// retention-based deletion optimization (Sec. 4.1); otherwise each record
-// is deleted with a full before image (experiment E3's baseline).
-// Emptied pages (other than heap head pages) are unlinked and freed.
+// auto-committed transaction: Begin, Txn.BatchDelete, Commit.
 func (s *Store) BatchDelete(h HeapID, rids []RID) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
 	if len(rids) == 0 {
 		return nil
+	}
+	t := s.Begin()
+	if err := t.BatchDelete(h, rids); err != nil {
+		t.Abort()
+		return err
+	}
+	return t.Commit()
+}
+
+// BatchDelete stages the physical removal of a set of processed records into
+// the transaction. With Options.UnloggedDeletes it writes one redo-only
+// record per page, without before images — the paper's retention-based
+// deletion optimization (Sec. 4.1); otherwise each record is deleted with a
+// full before image (experiment E3's baseline). Records already gone are
+// skipped. Redo-only deletes cannot be rolled back and replay from any
+// durable prefix of the log, so their order in the transaction is the order
+// a crash may keep them in. Commit, once the transaction is durable, frees
+// the overflow pages of the deleted records and unlinks and frees the pages
+// they emptied (other than heap head and tail pages).
+func (t *Txn) BatchDelete(h HeapID, rids []RID) error {
+	if len(rids) == 0 {
+		return nil
+	}
+	s := t.s
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	if t.done {
+		return ErrTxnDone
 	}
 	hi, err := s.heapByID(uint32(h))
 	if err != nil {
 		return err
 	}
-	t := s.beginTxn()
-	var freed []PageID
-	if s.opts.UnloggedDeletes {
-		// One redo-only record per page, appended under that page's write
-		// latch. A single out-of-band record for the whole batch would
-		// break the per-page LSN invariant: if a later insert reused a
-		// dead slot and its higher LSN reached disk, recovery would replay
-		// the batch delete over the newer record (the insert's own redo
-		// being LSN-masked) and lose it. Per-page append-under-latch keeps
-		// page LSNs monotonic in log order, so the standard redo guard
-		// applies.
-		var pageOrder []PageID
-		byPage := map[PageID][]RID{}
-		for _, rid := range rids {
-			if _, ok := byPage[rid.Page]; !ok {
-				pageOrder = append(pageOrder, rid.Page)
-			}
-			byPage[rid.Page] = append(byPage[rid.Page], rid)
+	if !slices.Contains(t.reclaim, hi) {
+		t.reclaim = append(t.reclaim, hi)
+	}
+	if !s.opts.UnloggedDeletes {
+		if err := t.ensureActive(); err != nil {
+			return err
 		}
-		for _, pid := range pageOrder {
-			pgs, err := s.applyUnloggedDeletes(t, pid, byPage[pid])
-			if err != nil {
-				return err
-			}
-			freed = append(freed, pgs...)
-		}
-	} else {
 		for _, rid := range rids {
-			if err := s.deleteRecord(t, hi.id, rid); err != nil {
-				if errors.Is(err, errRecordNotFound) {
-					continue // already gone; idempotent like the unlogged path
-				}
+			if err := s.deleteRecord(t, hi.id, rid); err != nil && !errors.Is(err, errRecordNotFound) {
 				return err
 			}
 		}
+		return nil
 	}
-	if err := s.commitTxn(t); err != nil {
-		return err
+	// One redo-only record per page, appended under that page's write latch.
+	// A single out-of-band record for the whole batch would break the
+	// per-page LSN invariant: if a later insert reused a dead slot and its
+	// higher LSN reached disk, recovery would replay the batch delete over
+	// the newer record (the insert's own redo being LSN-masked) and lose it.
+	// Per-page append-under-latch keeps page LSNs monotonic in log order, so
+	// the standard redo guard applies. Redo-only records need no begin
+	// record: nothing is undone, and a checkpoint that passes them has
+	// written back the pages they changed.
+	var pageOrder []PageID
+	byPage := map[PageID][]RID{}
+	for _, rid := range rids {
+		if _, ok := byPage[rid.Page]; !ok {
+			pageOrder = append(pageOrder, rid.Page)
+		}
+		byPage[rid.Page] = append(byPage[rid.Page], rid)
 	}
-	// Free overflow pages outside the undo path (the batch committed).
-	s.freePages(freed)
-	return s.reclaimEmptyPages(hi)
+	for _, pid := range pageOrder {
+		ov, err := s.applyUnloggedDeletes(t, pid, byPage[pid])
+		if err != nil {
+			return err
+		}
+		t.freeAfterCommit = append(t.freeAfterCommit, ov...)
+	}
+	return nil
+}
+
+// releaseDeleted frees what a committed transaction's batch deletes left
+// behind: the overflow chains of the records and the pages they emptied.
+// It runs once the commit is durable — an emptied page must not be reused
+// while a loser's logged delete (E3) could still be undone into it.
+func (s *Store) releaseDeleted(t *Txn) error {
+	if len(t.reclaim) == 0 {
+		return nil
+	}
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	s.freePages(t.freeAfterCommit)
+	t.freeAfterCommit = nil
+	for _, hi := range t.reclaim {
+		if err := s.reclaimEmptyPages(hi); err != nil {
+			return err
+		}
+	}
+	t.reclaim = nil
+	return nil
 }
 
 // applyUnloggedDeletes kills a batch of slots of ONE page: the redo-only

@@ -378,6 +378,80 @@ func TestBatchDeleteSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestTxnBatchDeleteAcrossHeaps: one transaction batch-deletes from two
+// heaps, overflow records among them, in either delete mode. It is one
+// commit with one log flush; the records are gone, across a crash too, and
+// once it committed the emptied pages and the overflow chains are free.
+func TestTxnBatchDeleteAcrossHeaps(t *testing.T) {
+	for _, unlogged := range []bool{true, false} {
+		t.Run(fmt.Sprintf("unlogged=%v", unlogged), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := DefaultOptions()
+			opts.UnloggedDeletes = unlogged
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heaps := []HeapID{}
+			rids := map[HeapID][]RID{}
+			for _, name := range []string{"a", "b"} {
+				h, _ := s.CreateHeap(name)
+				heaps = append(heaps, h)
+				tx := s.Begin()
+				for i := 0; i < 200; i++ {
+					payload := bytes.Repeat([]byte("x"), 2000)
+					if i%50 == 0 {
+						payload = bytes.Repeat([]byte("o"), 3*PageSize) // overflow
+					}
+					rid, err := tx.Insert(h, payload)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rids[h] = append(rids[h], rid)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := s.Stats()
+			tx := s.Begin()
+			for _, h := range heaps {
+				if err := tx.BatchDelete(h, rids[h][:190]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if free := s.Stats().FreePages; free != before.FreePages {
+				t.Fatalf("%d pages freed before the commit", free-before.FreePages)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			after := s.Stats()
+			if after.Commits-before.Commits != 1 || after.WALFsyncs-before.WALFsyncs != 1 {
+				t.Fatalf("%d commits, %d log flushes, want 1 and 1", after.Commits-before.Commits, after.WALFsyncs-before.WALFsyncs)
+			}
+			// ~47 emptied pages per heap, and 4 overflow chains of 3+ pages each.
+			if freed := after.FreePages - before.FreePages; freed < 2*40+4*3 {
+				t.Fatalf("%d pages freed after the commit", freed)
+			}
+			s.CrashForTest()
+			s2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			for _, name := range []string{"a", "b"} {
+				h, _ := s2.Heap(name)
+				n := 0
+				s2.Scan(h, func(RID, []byte) bool { n++; return true })
+				if n != 10 {
+					t.Fatalf("heap %s after the commit and a crash: %d records, want 10", name, n)
+				}
+			}
+		})
+	}
+}
+
 func TestPageReclamation(t *testing.T) {
 	s := openTemp(t, DefaultOptions())
 	h, _ := s.CreateHeap("q")

@@ -22,6 +22,12 @@ type Txn struct {
 
 	undoRecs     []*logRecord // update records in execution order
 	freeOnCommit []PageID     // overflow chains of deleted records
+
+	// Left behind by BatchDelete, released once the commit is durable:
+	// overflow chains of redo-only deleted records, and the heaps to reclaim
+	// emptied pages from.
+	freeAfterCommit []PageID
+	reclaim         []*heapInfo
 }
 
 // Begin starts a transaction.
@@ -62,12 +68,17 @@ func (s *Store) forgetTxn(t *Txn) {
 }
 
 // Commit makes the transaction durable: Precommit, then wait for the log.
+// A transaction that batch-deleted then releases the pages its deletes
+// freed (BatchDelete), so it must end with Commit.
 func (t *Txn) Commit() error {
 	lsn, err := t.Precommit()
 	if err != nil {
 		return err
 	}
-	return t.s.WaitDurable(lsn)
+	if err := t.s.WaitDurable(lsn); err != nil {
+		return err
+	}
+	return t.s.releaseDeleted(t)
 }
 
 // Precommit appends the commit record and returns its LSN without waiting
@@ -111,8 +122,8 @@ func (s *Store) LogEnd() uint64 { return s.log.size() }
 // would return at once for every lsn at or below it. It does not wait.
 func (s *Store) Durable() uint64 { return s.log.durable() }
 
-// commitTxn commits an internal auto-committed transaction (DDL, batch
-// deletes) from a caller already inside the store.
+// commitTxn commits an internal auto-committed transaction (DDL) from a
+// caller already inside the store.
 func (s *Store) commitTxn(t *Txn) error {
 	lsn, err := s.prepareCommit(t)
 	if err != nil {

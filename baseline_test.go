@@ -1,4 +1,4 @@
-// Package baseline implements the comparison system for experiment E6: a
+// The comparison system for experiment E6 (BenchmarkE6, bench_test.go): a
 // BPEL-style "instance context" engine in the spirit of the Oracle BPEL
 // dehydration store the paper discusses (Sec. 2.1). Every process instance
 // owns one monolithic runtime-context document; handling an event loads
@@ -12,11 +12,13 @@
 // history length than constantly loading, manipulating and saving opaque
 // monolithic contexts. The benchmark harness drives both engines with the
 // same event stream.
-package baseline
+
+package demaq
 
 import (
 	"fmt"
 	"sync"
+	"testing"
 
 	"demaq/internal/store"
 	"demaq/internal/xmldom"
@@ -31,8 +33,8 @@ type ContextEngine struct {
 	index map[string]store.RID // instance → current context record
 }
 
-// Open creates a context engine backed by a page store in dir.
-func Open(dir string, opts store.Options) (*ContextEngine, error) {
+// openContextEngine creates a context engine backed by a page store in dir.
+func openContextEngine(dir string, opts store.Options) (*ContextEngine, error) {
 	ps, err := store.Open(dir, opts)
 	if err != nil {
 		return nil, err
@@ -150,4 +152,49 @@ func (e *ContextEngine) Instances() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.index)
+}
+
+func TestContextEngineAccumulatesEvents(t *testing.T) {
+	e, err := openContextEngine(t.TempDir(), store.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 10; i++ {
+		ev := xmldom.MustParse(fmt.Sprintf(`<event n="%d">payload</event>`, i))
+		if err := e.HandleEvent("inst-1", ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := e.EventCount("inst-1")
+	if err != nil || n != 10 {
+		t.Fatalf("events: %d %v", n, err)
+	}
+	if e.Instances() != 1 {
+		t.Fatal("instances")
+	}
+}
+
+func TestContextEngineMultiInstanceAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := openContextEngine(dir, store.DefaultOptions())
+	for i := 0; i < 5; i++ {
+		inst := fmt.Sprintf("inst-%d", i)
+		for j := 0; j <= i; j++ {
+			e.HandleEvent(inst, xmldom.MustParse(`<event/>`))
+		}
+	}
+	e.Close()
+	e2, err := openContextEngine(dir, store.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if e2.Instances() != 5 {
+		t.Fatalf("instances after restart: %d", e2.Instances())
+	}
+	n, _ := e2.EventCount("inst-4")
+	if n != 5 {
+		t.Fatalf("inst-4 events: %d", n)
+	}
 }

@@ -10,7 +10,7 @@ package demaq
 // merging (Sec. 4.4.1, Options.NoRuleOptimizations; both sides run compiled
 // bodies, which internal/xquery's BenchmarkEvalBackends compares with the
 // reference interpreter), E6 state-as-messages vs a dehydration store
-// (Sec. 2.1, internal/baseline) — plus A3, the commit durability policy
+// (Sec. 2.1, baseline_test.go) — plus A3, the commit durability policy
 // (Options.NoSync). Everything else is measured end to end by bench/ (see
 // bench/README.md).
 
@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"demaq/internal/baseline"
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/slicing"
@@ -156,13 +155,13 @@ func BenchmarkE3LoggingRecovery(b *testing.B) {
 				rids = append(rids, rid)
 			}
 			tx.Commit()
-			before := s.LogBytes()
+			before := s.Stats().LogBytes
 			b.ResetTimer()
 			if err := s.BatchDelete(h, rids); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(s.LogBytes()-before)/float64(b.N), "logB/op")
+			b.ReportMetric(float64(s.Stats().LogBytes-before)/float64(b.N), "logB/op")
 		})
 	}
 }
@@ -256,7 +255,7 @@ func BenchmarkE6StateModel(b *testing.B) {
 	b.Run("dehydration-store", func(b *testing.B) {
 		opts := store.DefaultOptions()
 		opts.SyncCommits = false
-		eng, err := baseline.Open(b.TempDir(), opts)
+		eng, err := openContextEngine(b.TempDir(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

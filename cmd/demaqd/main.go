@@ -42,7 +42,7 @@ func main() {
 		statusAddr = flag.String("status", "", "serve engine status as JSON on this address (e.g. :7070; demaqctl status reads it)")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain budget for in-flight work")
 		maxBacklog = flag.Int("max-backlog", 0, "shed ingest with 429 when the backlog exceeds this (0 = unbounded)")
-		walSoft    = flag.Int64("wal-soft", 0, "WAL soft budget in bytes: throttle commits and checkpoint past this much live log (0 = half of -wal-hard)")
+		walSoft    = flag.Int64("wal-soft", 0, "WAL soft budget in bytes: throttle commits and checkpoint past this much live log (0, or not below -wal-hard: half of -wal-hard)")
 		walHard    = flag.Int64("wal-hard", 0, "WAL hard budget in bytes: shed ingest with 429 when the live log reaches this (0 = unbudgeted)")
 		ckptEvery  = flag.Duration("checkpoint", 30*time.Second, "fuzzy checkpoint interval, bounding crash-recovery replay (0 disables the time trigger)")
 	)

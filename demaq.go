@@ -80,9 +80,9 @@ type Options struct {
 	// crash right now would replay through) in bytes. Past the soft budget
 	// commits are throttled and the background checkpointer runs; at the
 	// hard budget new ingest is shed with engine.ErrOverloaded (HTTP: 429
-	// with Retry-After) until a checkpoint advances the log head. A soft
-	// budget of zero with a hard budget set defaults to half the hard
-	// budget. Zero for both leaves the WAL unbudgeted.
+	// with Retry-After) until a checkpoint advances the log head. With a
+	// hard budget set, a soft budget of zero or not below it is half the
+	// hard budget. Zero for both leaves the WAL unbudgeted.
 	WALSoftBudget int64
 	WALHardBudget int64
 	// CheckpointInterval runs a fuzzy checkpoint at least this often,
@@ -117,7 +117,7 @@ type Stats = engine.Stats
 // Server is a running Demaq node.
 type Server struct {
 	eng  *engine.Engine
-	net  *SimNetwork
+	net  *gateway.Network
 	http *gateway.HTTPTransport
 }
 
@@ -139,7 +139,7 @@ func OpenApplication(dir string, app *qdl.Application, opts *Options) (*Server, 
 	}
 	srv := &Server{}
 	if opts.NetworkSeed != 0 {
-		srv.net = &SimNetwork{n: gateway.NewNetwork(opts.NetworkSeed)}
+		srv.net = gateway.NewNetwork(opts.NetworkSeed)
 	}
 	if opts.EnableHTTP {
 		srv.http = gateway.NewHTTPTransport()
@@ -151,7 +151,7 @@ func OpenApplication(dir string, app *qdl.Application, opts *Options) (*Server, 
 func (s *Server) open(dir string, app *qdl.Application, opts *Options) (*Server, error) {
 	reg := gateway.NewRegistry()
 	if s.net != nil {
-		reg.Add(s.net.n)
+		reg.Add(s.net)
 	}
 	if s.http != nil {
 		reg.Add(s.http)
@@ -200,7 +200,7 @@ func (s *Server) Start() { s.eng.Start() }
 func (s *Server) Close() error {
 	err := s.eng.Stop()
 	if s.net != nil {
-		s.net.n.Close()
+		s.net.Close()
 	}
 	if s.http != nil {
 		s.http.Close()
@@ -217,7 +217,7 @@ func (s *Server) Close() error {
 func (s *Server) Shutdown(drainTimeout time.Duration) (bool, error) {
 	drained, err := s.eng.Shutdown(drainTimeout)
 	if s.net != nil {
-		s.net.n.Close()
+		s.net.Close()
 	}
 	if s.http != nil {
 		s.http.Close()
@@ -314,10 +314,6 @@ func (s *Server) Reload(source string) error {
 // Stats returns engine counters.
 func (s *Server) Stats() Stats { return s.eng.Stats() }
 
-// Network returns the simulated network attached via Options.NetworkSeed,
-// or nil.
-func (s *Server) Network() *SimNetwork { return s.net }
-
 // OpenPeer opens a second node sharing this server's transports (simulated
 // network and/or HTTP), so multi-node applications run in one process.
 func (s *Server) OpenPeer(dir, source string, opts *Options) (*Server, error) {
@@ -330,23 +326,6 @@ func (s *Server) OpenPeer(dir, source string, opts *Options) (*Server, error) {
 	}
 	return (&Server{net: s.net, http: s.http}).open(dir, app, opts)
 }
-
-// SimNetwork exposes the failure-injection knobs of the simulated network.
-type SimNetwork struct {
-	n *gateway.Network
-}
-
-// SetLatency sets the one-way delivery delay.
-func (sn *SimNetwork) SetLatency(d time.Duration) { sn.n.SetLatency(d) }
-
-// SetLossRate silently drops the given fraction of transmissions.
-func (sn *SimNetwork) SetLossRate(p float64) { sn.n.SetLossRate(p) }
-
-// SetDupRate duplicates the given fraction of transmissions.
-func (sn *SimNetwork) SetDupRate(p float64) { sn.n.SetDupRate(p) }
-
-// SetDown marks an endpoint address unreachable.
-func (sn *SimNetwork) SetDown(addr string, down bool) { sn.n.SetDown(addr, down) }
 
 // ProcurementApplication is the complete QDL/QML source of the paper's
 // running example (Figs. 3-10, Examples 3.1-3.5): the chemical-industry

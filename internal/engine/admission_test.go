@@ -10,6 +10,7 @@ import (
 	"testing/fstest"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
@@ -36,13 +37,13 @@ type enqueueResult struct {
 // pre-committed — and none of it has left the node. Once the log goes
 // through, the caller gets its ack and the receiver its transfer, once each.
 func TestAdmissionScheduledBeforeDurable(t *testing.T) {
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	vfs := &syncVFS{VFS: store.NewFaultFS(17)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(17)}
 	e, err := New(Config{Dir: "early", Workers: 2, Logger: quietLog,
 		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
@@ -99,7 +100,7 @@ func TestAdmissionScheduledBeforeDurable(t *testing.T) {
 // Shutdown returns — and what a restart finds of the input, it processes
 // exactly once.
 func TestAdmissionWALFailureAfterSchedule(t *testing.T) {
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -170,7 +171,7 @@ func TestAdmissionWALFailureAfterSchedule(t *testing.T) {
 // may hold a reliable session's peer lock — and the error message is in its
 // queue once the log goes through.
 func TestMalformedTransferDoesNotWaitForLog(t *testing.T) {
-	vfs := &syncVFS{VFS: store.NewFaultFS(29)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(29)}
 	e, err := New(Config{Dir: "malformed", Workers: 1, Logger: quietLog,
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
 		qdl.MustParse(`
@@ -265,7 +266,7 @@ func reliableInNode(t *testing.T, vfs *syncVFS, retry time.Duration) (*Engine, *
 // could coalesce.
 func TestReliableSessionSharesFlush(t *testing.T) {
 	const n = 64
-	vfs := &syncVFS{VFS: store.NewFaultFS(19), delay: time.Millisecond}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(19), delay: time.Millisecond}
 	e, client := reliableInNode(t, vfs, 5*time.Second) // no retransmits
 	fsyncs := e.MessageStore().PageStore().Stats().WALFsyncs
 	start := time.Now()
@@ -304,7 +305,7 @@ func TestReliableSessionSharesFlush(t *testing.T) {
 // acknowledged: no ack is on the wire until the log has the transfer, and
 // then one message is stored and the sender gets its ack.
 func TestReliableDuplicateBeforeDurable(t *testing.T) {
-	vfs := &syncVFS{VFS: store.NewFaultFS(23)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(23)}
 	e, client := reliableInNode(t, vfs, 4*time.Millisecond) // retransmits every few ms
 	// The first transfer of a store's life creates the session heap, which is
 	// a durable commit of its own under the admit lock: get it out of the way.

@@ -108,3 +108,21 @@ func TestCheckpointSchedulerBoundsWAL(t *testing.T) {
 		t.Fatal("LastCheckpoint duration should be recorded")
 	}
 }
+
+// TestCheckpointSoftBudgetAtHard: a soft budget at the hard budget is
+// resolved the way the store's commit throttle resolves it, to half the hard
+// budget, so the scheduler checkpoints once the live WAL passes hard/2 —
+// before the node sheds ingest at the hard budget.
+func TestCheckpointSoftBudgetAtHard(t *testing.T) {
+	const hard = 256 << 10
+	e := newBasicEngine(t, Config{Workers: 1, Store: budgetedOptions(hard, hard)})
+	defer e.Stop()
+	before := e.Stats().Checkpoints
+	e.Start()
+	for i := 0; e.Stats().WALLiveBytes <= hard/2; i++ {
+		if _, err := e.EnqueueXML("in", "<m>soft-budget-at-hard-payload</m>", nil); err != nil {
+			t.Fatalf("enqueue %d: %v", i, err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool { return e.Stats().Checkpoints > before })
+}

@@ -107,7 +107,7 @@ func TestConcurrentProcessingSurvivesRestart(t *testing.T) {
 	}
 	wg.Wait()
 	drain(t, e)
-	e.MessageStore().Crash()
+	e.MessageStore().PageStore().CrashForTest()
 
 	e2 := newEngineInDir(t, app, dir)
 	if !e2.Drain(10 * time.Second) {

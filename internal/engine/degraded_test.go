@@ -4,8 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/store"
+	"demaq/internal/vfs"
 )
 
 // TestDegradedModeOnPermanentDiskFailure kills the device under a running
@@ -14,7 +16,7 @@ import (
 // error transports shed as 503, stats report the condition, and committed
 // messages stay readable.
 func TestDegradedModeOnPermanentDiskFailure(t *testing.T) {
-	fs := store.NewFaultFS(11)
+	fs := faultinject.NewFaultFS(11)
 	e := newEngine(t, pingPongApp, func(cfg *Config) {
 		cfg.Dir = "degraded" // FaultFS-backed: never touches the real FS
 		cfg.Store.Store = store.Options{
@@ -32,7 +34,7 @@ func TestDegradedModeOnPermanentDiskFailure(t *testing.T) {
 	// The first failing ingest reports the disk error and trips the mode.
 	if _, err := e.EnqueueXML("in", `<ping>during</ping>`, nil); err == nil {
 		t.Fatal("enqueue on a dead disk should fail")
-	} else if !store.IsPermanent(err) {
+	} else if !vfs.IsPermanent(err) {
 		t.Fatalf("want a permanent storage error, got: %v", err)
 	}
 	if !e.Degraded() {

@@ -9,6 +9,7 @@ import (
 	"testing/fstest"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
@@ -70,7 +71,7 @@ const e2eJobs = 12
 // commits.
 const e2eBacklogJobs = 32
 
-func e2eConfig(fs *store.FaultFS, fn *gateway.FaultNet) Config {
+func e2eConfig(fs *faultinject.FaultFS, fn *faultinject.FaultNet) Config {
 	cfg := Config{
 		Dir:        "e2e", // virtual: all I/O goes through the FaultFS
 		Workers:    1,
@@ -88,8 +89,8 @@ func e2eConfig(fs *store.FaultFS, fn *gateway.FaultNet) Config {
 // fault-free enumeration pass) before traffic starts.
 type e2eRun struct {
 	t    *testing.T
-	fs   *store.FaultFS
-	fn   *gateway.FaultNet
+	fs   *faultinject.FaultFS
+	fn   *faultinject.FaultNet
 	jobs int
 
 	// backlog cuts the receiver off until every job is admitted, so the
@@ -109,7 +110,7 @@ type e2eRun struct {
 
 func newE2ERun(t *testing.T, fsSeed, netSeed int64) *e2eRun {
 	t.Helper()
-	r := &e2eRun{t: t, fs: store.NewFaultFS(fsSeed), fn: gateway.NewFaultNet(netSeed), jobs: e2eJobs}
+	r := &e2eRun{t: t, fs: faultinject.NewFaultFS(fsSeed), fn: faultinject.NewFaultNet(netSeed), jobs: e2eJobs}
 	return r
 }
 
@@ -380,7 +381,7 @@ func TestE2ETortureNetCrashSweep(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("net-op-%d", k), func(t *testing.T) {
 			r := newE2ERun(t, int64(7000+k), int64(9000+k))
-			r.fn.SetOpHook(func(op gateway.NetOp) {
+			r.fn.SetOpHook(func(op faultinject.NetOp) {
 				if op.N == k {
 					r.fs.CrashNow()
 				}
@@ -430,7 +431,7 @@ func TestE2ETortureBacklogCrashSweep(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprintf("net-op-%d", k), func(t *testing.T) {
 			r := backlogRun(t, int64(7000+k), int64(9000+k))
-			r.fn.SetOpHook(func(op gateway.NetOp) {
+			r.fn.SetOpHook(func(op faultinject.NetOp) {
 				if op.N == k {
 					r.fs.CrashNow()
 				}
@@ -465,7 +466,7 @@ func TestE2ETortureChaosMatrix(t *testing.T) {
 // tortureStoreOptions mirrors the msgstore torture configuration: small
 // buffer pool (forces mid-run write-backs), durable commits, every byte
 // through the FaultFS.
-func tortureStoreOptions(fs *store.FaultFS) msgstore.Options {
+func tortureStoreOptions(fs *faultinject.FaultFS) msgstore.Options {
 	return msgstore.Options{
 		Store: store.Options{
 			VFS:             fs,

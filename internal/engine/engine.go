@@ -34,6 +34,7 @@ import (
 	"demaq/internal/slicing"
 	"demaq/internal/store"
 	locks "demaq/internal/txn"
+	"demaq/internal/vfs"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 	"demaq/internal/xquery"
@@ -316,15 +317,12 @@ func New(cfg Config, app *qdl.Application) (*Engine, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	// Store defaulting: each knob defaults independently, and the nested
-	// page-store options default only when fully zero — a caller that sets
-	// any page-store field (a buffer size, a durability choice) owns the
-	// whole struct and is taken verbatim, never silently overridden.
+	// Store defaulting: the nested page-store options default only when
+	// fully zero — a caller that sets any page-store field (a buffer size,
+	// a durability choice) owns the whole struct and is taken verbatim,
+	// never silently overridden. msgstore.Open defaults the document cache.
 	if cfg.Store.Store == (store.Options{}) {
 		cfg.Store.Store = store.DefaultOptions()
-	}
-	if cfg.Store.CacheDocs == 0 {
-		cfg.Store.CacheDocs = msgstore.DefaultOptions().CacheDocs
 	}
 	if cfg.Resources == nil {
 		cfg.Resources = fstest.MapFS{}
@@ -620,7 +618,7 @@ func (e *Engine) noteStorageError(err error) {
 	if err == nil {
 		return
 	}
-	if !store.IsPermanent(err) && e.ms.DiskError() == nil {
+	if !vfs.IsPermanent(err) && e.ms.DiskError() == nil {
 		return
 	}
 	if e.degraded.CompareAndSwap(false, true) {
@@ -749,10 +747,7 @@ func (e *Engine) collectQueue(pass *slicing.Pass, queue string) (int, error) {
 // needs no coordination with the workers.
 func (e *Engine) checkpointLoop() {
 	defer e.wg.Done()
-	soft := e.cfg.Store.Store.WALSoftBudget
-	if hard := e.cfg.Store.Store.WALHardBudget; soft <= 0 && hard > 0 {
-		soft = hard / 2
-	}
+	soft := e.ms.PageStore().WALSoftBudget()
 	// A checkpoint rewrites every dirty page once; capping the dirty set
 	// at half the buffer pool keeps each cycle's write-back burst small.
 	dirtyTrigger := e.cfg.Store.Store.BufferPages / 2
@@ -901,10 +896,10 @@ func (e *Engine) admitted(a admission, err error) (msgstore.MsgID, error) {
 // decode time. The encoder copies everything it keeps, so the caller may
 // reuse wire after the call.
 //
-// Queues that cannot stream — full-ingest or text-payload configuration,
-// transient mode, a declared schema (validation walks the whole
-// document), echo and outgoing-gateway kinds — transparently fall back to
-// parse-and-enqueue with identical semantics and error surface.
+// Queues that cannot stream — full-ingest configuration, transient mode,
+// a declared schema (validation walks the whole document), echo and
+// outgoing-gateway kinds — transparently fall back to parse-and-enqueue
+// with identical semantics and error surface.
 func (e *Engine) EnqueueWire(queue string, wire []byte, explicit map[string]xdm.Value) (msgstore.MsgID, error) {
 	return e.admitted(e.enqueueWire(queue, wire, explicit, nil))
 }

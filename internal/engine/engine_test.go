@@ -398,7 +398,7 @@ func TestRestartResumesUnprocessed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.MessageStore().Crash()
+	e.MessageStore().PageStore().CrashForTest()
 
 	e2, err := New(Config{Dir: dir, Workers: 2}, qdl.MustParse(pingPongApp))
 	if err != nil {

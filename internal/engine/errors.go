@@ -6,8 +6,8 @@ import (
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/rule"
-	"demaq/internal/store"
 	locks "demaq/internal/txn"
+	"demaq/internal/vfs"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 	"demaq/internal/xquery"
@@ -202,7 +202,7 @@ func (e *Engine) applyError(txnID uint64, queue string, id msgstore.MsgID, doc *
 // retryable reports whether a failed processing attempt says nothing about
 // the message: a deadlock victim, or a storage failure.
 func (e *Engine) retryable(err error) bool {
-	return err == locks.ErrDeadlock || store.IsPermanent(err) || e.degraded.Load()
+	return err == locks.ErrDeadlock || vfs.IsPermanent(err) || e.degraded.Load()
 }
 
 // handleRuleError consumes a message that an engine service — not a rule

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
@@ -91,7 +92,7 @@ func TestCollectGarbageWaitsForQueueReaders(t *testing.T) {
 // "message not found", and every request gets its one result.
 func TestCollectGarbageBesideRules(t *testing.T) {
 	const n, clients = 240, 4
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -173,7 +174,7 @@ func TestCollectGarbageBesideRules(t *testing.T) {
 // forgets every reset that dismisses nothing any more.
 func TestCollectGarbageFlushesOnce(t *testing.T) {
 	const n = 120
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {

@@ -14,10 +14,10 @@ import (
 	"testing/fstest"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
-	"demaq/internal/store"
 )
 
 // Tests of the outgoing sender pipeline (transmit stage + consume stage).
@@ -129,7 +129,7 @@ func checkAllProcessed(t *testing.T, e *Engine, queue string, n int) {
 // once, and Drain returns only after the last consume commit.
 func TestOutgoingSenderGroupsConsume(t *testing.T) {
 	const n = 200
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -169,7 +169,7 @@ func TestOutgoingSenderGroupsConsume(t *testing.T) {
 // once the receiver moves — no restart, nothing logged.
 func TestOutgoingSenderBacklogBeyondBuffer(t *testing.T) {
 	const n = 5000
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{gate: make(chan struct{})}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -205,7 +205,7 @@ func TestOutgoingSenderBacklogBeyondBuffer(t *testing.T) {
 // the interface's is not sent; it is consumed with an error message in the
 // queue's error queue, and the messages after it are still sent, in order.
 func TestSenderElementMismatch(t *testing.T) {
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -248,7 +248,7 @@ func TestSenderElementMismatch(t *testing.T) {
 // crashNode is one node on a FaultFS that the test crashes and reboots.
 type crashNode struct {
 	t   *testing.T
-	fs  *store.FaultFS
+	fs  *faultinject.FaultFS
 	cfg Config
 	app *qdl.Application
 	eng *Engine
@@ -259,7 +259,7 @@ type crashNode struct {
 }
 
 func newCrashNode(t *testing.T, src string, files fstest.MapFS, tr gateway.Transport) *crashNode {
-	fs := store.NewFaultFS(7)
+	fs := faultinject.NewFaultFS(7)
 	return &crashNode{t: t, fs: fs, app: qdl.MustParse(src), cfg: Config{
 		Dir: "node", Workers: 1, Store: tortureStoreOptions(fs), Resources: files,
 		Transports: gateway.NewRegistry(tr),
@@ -388,7 +388,7 @@ func TestGatewayDisconnectedErrorSurvivesCrash(t *testing.T) {
 func TestPlainSenderAtLeastOnceAcrossCrash(t *testing.T) {
 	const n = 300
 	run := func(t *testing.T, k int) (from, to int) {
-		fn := gateway.NewFaultNet(1)
+		fn := faultinject.NewFaultNet(1)
 		defer fn.Close()
 		rec := &recorder{}
 		if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -456,7 +456,7 @@ func TestPlainSenderAtLeastOnceAcrossCrash(t *testing.T) {
 func TestPlainSenderTrickleAcrossCrash(t *testing.T) {
 	const n = 40
 	run := func(t *testing.T, k int) (from, to int) {
-		fn := gateway.NewFaultNet(1)
+		fn := faultinject.NewFaultNet(1)
 		defer fn.Close()
 		rec := &recorder{}
 		if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
@@ -88,7 +89,7 @@ var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 // message nor adds it to the slice; it does both once the lock is released,
 // and it has let go of the lock again by the time it waits for the log.
 func TestAdmissionTakesSliceLock(t *testing.T) {
-	vfs := &syncVFS{VFS: store.NewFaultFS(5)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(5)}
 	e, err := New(Config{Dir: "admit", Workers: 1, Logger: quietLog,
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
 		qdl.MustParse(`
@@ -318,7 +319,7 @@ type pipelineNode struct {
 }
 
 func newPipelineNode(t *testing.T, workers int) *pipelineNode {
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	t.Cleanup(fn.Close)
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
@@ -507,7 +508,7 @@ func TestPipelinedCommitWALFailure(t *testing.T) {
 // for Shutdown — only once the transaction that processed it is durable.
 func TestDrainWaitsForDurability(t *testing.T) {
 	const n = 10
-	vfs := &syncVFS{VFS: store.NewFaultFS(3)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(3)}
 	e, err := New(Config{Dir: "drain", Workers: 2, Logger: quietLog,
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
 		qdl.MustParse(pingPongApp))
@@ -630,13 +631,13 @@ func TestEarlyLockReleaseOrdering(t *testing.T) {
 // durable — while internal transactions are bounded only by undurableCap.
 func TestOutputBackpressure(t *testing.T) {
 	const n, workers = 12, 3
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	vfs := &syncVFS{VFS: store.NewFaultFS(9)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(9)}
 	e, err := New(Config{Dir: "out", Workers: workers, BatchSize: 1, Logger: quietLog,
 		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
@@ -692,13 +693,13 @@ func TestOutputBackpressure(t *testing.T) {
 // after.
 func TestSenderSendsOnlyReleased(t *testing.T) {
 	const direct, forwarded = 1032, 4
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{gate: make(chan struct{})}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	vfs := &syncVFS{VFS: store.NewFaultFS(11)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(11)}
 	// A transient outgoing queue: consuming a transfer costs no flush, so the
 	// sender works off the direct backlog while the log is held.
 	e, err := New(Config{Dir: "released", Workers: 2, Logger: quietLog,
@@ -761,13 +762,13 @@ func TestSenderSendsOnlyReleased(t *testing.T) {
 // for that.
 func TestTransientOutputWaitsForItsCause(t *testing.T) {
 	const n = 6
-	fn := gateway.NewFaultNet(1)
+	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	vfs := &syncVFS{VFS: store.NewFaultFS(13)}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(13)}
 	e, err := New(Config{Dir: "transient", Workers: 2, Logger: quietLog,
 		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
 		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},

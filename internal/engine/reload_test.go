@@ -138,7 +138,7 @@ func TestEchoTimersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MessageStore().Crash()
+	e.MessageStore().PageStore().CrashForTest()
 
 	e2, err := New(Config{Dir: dir, Workers: 1}, qdl.MustParse(app))
 	if err != nil {

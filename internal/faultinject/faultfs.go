@@ -1,11 +1,20 @@
-package store
+// Package faultinject holds the deterministic fault injectors the crash
+// and robustness tests drive: FaultFS, a vfs.VFS that crashes, tears and
+// fails storage operations on a seeded schedule, and FaultNet, a
+// gateway.Transport that drops, duplicates, reorders and partitions
+// transfers on one. Only tests import it; the node never links it.
+package faultinject
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+
+	"demaq/internal/vfs"
 )
 
 // FaultFS is a deterministic in-memory VFS for crash and I/O fault
@@ -20,7 +29,7 @@ import (
 // current image to durable and clears the queue. A crash resolves each
 // pending operation with the seeded RNG — dropped, kept whole, or kept as a
 // torn byte-granularity prefix — modeling lost un-fsynced writes and torn
-// sectors. After the crash every call fails with ErrCrashed until
+// sectors. After the crash every call fails with vfs.ErrCrashed until
 // ClearFault, which re-arms the FS for "reboot": the durable images become
 // the visible content, exactly like reopening real files after power loss.
 //
@@ -29,9 +38,9 @@ import (
 //	CrashAt(k)          — crash when mutation op k executes
 //	TearAt(k)           — crash at op k, which persists as a torn write
 //	TearAtPrefix(k, n)  — crash at op k, which persists its first n bytes
-//	TransientEvery(k)   — every k-th mutation fails once with ErrTransientIO
-//	FailWritesAfter(k)  — from op k on, all mutations fail with ErrDiskFailure
-//	SetWriteBudget(n)   — after n more written bytes, writes fail ErrDiskFull
+//	TransientEvery(k)   — every k-th mutation fails once with vfs.ErrTransientIO
+//	FailWritesAfter(k)  — from op k on, all mutations fail with vfs.ErrDiskFailure
+//	SetWriteBudget(n)   — after n more written bytes, writes fail vfs.ErrDiskFull
 type FaultFS struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -97,11 +106,11 @@ func NewFaultFS(seed int64) *FaultFS {
 
 // OpenFile opens (creating if needed) an in-memory file. File contents
 // persist across Open/Close cycles, like a real filesystem.
-func (fs *FaultFS) OpenFile(path string) (File, error) {
+func (fs *FaultFS) OpenFile(path string) (vfs.File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.crashed {
-		return nil, ErrCrashed
+		return nil, vfs.ErrCrashed
 	}
 	d, ok := fs.files[path]
 	if !ok || d.removed {
@@ -122,14 +131,14 @@ func (fs *FaultFS) Remove(path string) error {
 	d, ok := fs.files[path]
 	if !ok || d.removed {
 		if fs.crashed {
-			return ErrCrashed
+			return vfs.ErrCrashed
 		}
 		return fmt.Errorf("faultfs: remove %s: no such file", path)
 	}
 	fail, crash := fs.checkFaults(path, "remove", 0, 0)
 	if crash {
 		fs.crashNow(path, &pendingOp{isRemove: true})
-		return ErrCrashed
+		return vfs.ErrCrashed
 	}
 	if fail != nil {
 		return fail
@@ -145,7 +154,7 @@ func (fs *FaultFS) ReadDir(dir string) ([]string, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.crashed {
-		return nil, ErrCrashed
+		return nil, vfs.ErrCrashed
 	}
 	prefix := dir
 	if prefix != "" && prefix[len(prefix)-1] != '/' {
@@ -186,7 +195,7 @@ func (fs *FaultFS) TearAtPrefix(n, keep int) {
 	fs.mu.Unlock()
 }
 
-// TransientEvery makes every n-th mutation fail once with ErrTransientIO
+// TransientEvery makes every n-th mutation fail once with vfs.ErrTransientIO
 // (the retried attempt gets a new op number and succeeds). 0 disarms.
 func (fs *FaultFS) TransientEvery(n int) {
 	fs.mu.Lock()
@@ -195,14 +204,14 @@ func (fs *FaultFS) TransientEvery(n int) {
 }
 
 // FailWritesAfter makes every mutation from op n onward fail with
-// ErrDiskFailure — a dead device. Reads keep working. 0 disarms.
+// vfs.ErrDiskFailure — a dead device. Reads keep working. 0 disarms.
 func (fs *FaultFS) FailWritesAfter(n int) {
 	fs.mu.Lock()
 	fs.permAt = n
 	fs.mu.Unlock()
 }
 
-// SetWriteBudget allows n more bytes of writes before ErrDiskFull; -1 is
+// SetWriteBudget allows n more bytes of writes before vfs.ErrDiskFull; -1 is
 // unlimited.
 func (fs *FaultFS) SetWriteBudget(n int64) {
 	fs.mu.Lock()
@@ -233,7 +242,7 @@ func (fs *FaultFS) ClearFault() {
 
 // CrashNow crashes the filesystem immediately, as if power was cut between
 // operations: pending (un-fsynced) writes resolve with the seeded RNG and
-// every subsequent call fails with ErrCrashed until ClearFault. It lets an
+// every subsequent call fails with vfs.ErrCrashed until ClearFault. It lets an
 // external event source — e.g. a simulated network — act as the crash
 // trigger while storage-state resolution stays deterministic.
 func (fs *FaultFS) CrashNow() {
@@ -265,34 +274,76 @@ func (fs *FaultFS) Trace() []FaultPoint {
 	return append([]FaultPoint(nil), fs.trace...)
 }
 
+// Clone copies a rebooted FaultFS, one with no pending operation: its
+// files and its operation count and trace, with no fault armed. seed
+// drives the copy's crash resolution. It panics if fs has crashed or holds
+// un-synced operations.
+func (fs *FaultFS) Clone(seed int64) *FaultFS {
+	c := NewFaultFS(seed)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for path, d := range fs.files {
+		if len(d.pending) != 0 || fs.crashed {
+			panic("faultfs: Clone of a filesystem that is not rebooted")
+		}
+		c.files[path] = &faultData{durable: bytes.Clone(d.durable), current: bytes.Clone(d.current), removed: d.removed, durRemoved: d.durRemoved}
+	}
+	c.nOps, c.trace = fs.nOps, slices.Clone(fs.trace)
+	return c
+}
+
+// DurableSize returns the length of the durable image of path: what a
+// crash now would leave on disk. It is 0 for a file never created.
+func (fs *FaultFS) DurableSize(path string) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if d := fs.files[path]; d != nil {
+		return len(d.durable)
+	}
+	return 0
+}
+
+// CutDurable truncates the durable image of path to its first n bytes and
+// makes that the visible content, with no pending operation: the file as a
+// reboot after a crash that lost everything beyond n would show it. It is
+// not a numbered operation and fires no fault.
+func (fs *FaultFS) CutDurable(path string, n int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	d := fs.files[path]
+	d.durable = d.durable[:n]
+	d.current = bytes.Clone(d.durable)
+	d.pending = nil
+}
+
 // checkFaults numbers one mutation op and applies the armed schedules.
 // Called with fs.mu held. Returns a non-nil error when the op must fail;
 // crash=true when the caller's own operation is the crash victim (the
 // caller then invokes crashNow with its pending op).
 func (fs *FaultFS) checkFaults(path, op string, off int64, n int) (fail error, crash bool) {
 	if fs.crashed {
-		return ErrCrashed, false
+		return vfs.ErrCrashed, false
 	}
 	if fs.permanent {
-		return ErrDiskFailure, false
+		return vfs.ErrDiskFailure, false
 	}
 	fs.nOps++
 	fs.trace = append(fs.trace, FaultPoint{N: fs.nOps, Path: path, Op: op, Off: off, Len: n})
 	if fs.permAt > 0 && fs.nOps >= fs.permAt {
 		fs.permanent = true
-		return ErrDiskFailure, false
+		return vfs.ErrDiskFailure, false
 	}
 	if fs.transient > 0 && fs.nOps%fs.transient == 0 {
-		return ErrTransientIO, false
+		return vfs.ErrTransientIO, false
 	}
 	if op == "write" && fs.budget >= 0 {
 		if int64(n) > fs.budget {
-			return ErrDiskFull, false
+			return vfs.ErrDiskFull, false
 		}
 		fs.budget -= int64(n)
 	}
 	if fs.crashAt > 0 && fs.nOps >= fs.crashAt {
-		return ErrCrashed, true
+		return vfs.ErrCrashed, true
 	}
 	return nil, false
 }
@@ -382,7 +433,7 @@ func (h *faultHandle) ReadAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.fs.crashed {
-		return 0, ErrCrashed
+		return 0, vfs.ErrCrashed
 	}
 	if off >= int64(len(h.d.current)) {
 		return 0, io.EOF
@@ -409,7 +460,7 @@ func (h *faultHandle) WriteAt(p []byte, off int64) (int, error) {
 		} else {
 			h.fs.crashNow(h.path, &pendingOp{off: off, data: append([]byte(nil), p...)})
 		}
-		return 0, ErrCrashed
+		return 0, vfs.ErrCrashed
 	}
 	if fail != nil {
 		return 0, fail
@@ -427,7 +478,7 @@ func (h *faultHandle) Sync() error {
 		// The crash interrupts the fsync: pending writes resolve randomly,
 		// they are NOT promoted to durable.
 		h.fs.crashNow("", nil)
-		return ErrCrashed
+		return vfs.ErrCrashed
 	}
 	if fail != nil {
 		return fail
@@ -446,7 +497,7 @@ func (h *faultHandle) Truncate(size int64) error {
 	fail, crash := h.fs.checkFaults(h.path, "truncate", size, 0)
 	if crash {
 		h.fs.crashNow(h.path, &pendingOp{isTrunc: true, size: size})
-		return ErrCrashed
+		return vfs.ErrCrashed
 	}
 	if fail != nil {
 		return fail
@@ -460,7 +511,7 @@ func (h *faultHandle) Size() (int64, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if h.fs.crashed {
-		return 0, ErrCrashed
+		return 0, vfs.ErrCrashed
 	}
 	return int64(len(h.d.current)), nil
 }

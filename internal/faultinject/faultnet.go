@@ -1,19 +1,21 @@
-package gateway
+package faultinject
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
+
+	"demaq/internal/gateway"
 )
 
-// FaultNet is the deterministic fault-injecting counterpart of Network:
+// FaultNet is the deterministic fault-injecting counterpart of gateway.Network:
 // every Send is a numbered, traced operation whose fate — delivered,
 // dropped, duplicated, held back for reordering, or cut by a partition —
 // is a pure function of (seed, operation schedule). Addresses have the
 // form "fnet://node/endpoint".
 //
-// Unlike Network, delivery is synchronous and in-line on the sender's
+// Unlike gateway.Network, delivery is synchronous and in-line on the sender's
 // goroutine: there are no delivery goroutines and no sleeps, so an
 // identical workload replays the identical op sequence and the k-th
 // operation is always the same transfer. That makes network op sites
@@ -21,10 +23,10 @@ import (
 // enumerable: the end-to-end torture harness arms "crash the node when net
 // op k fires" exactly like "crash the disk at write k".
 //
-// Two behaviors differ deliberately from Network:
+// Two behaviors differ deliberately from gateway.Network:
 //
 //   - Sending to an address nobody subscribes to is a silent drop ("void"),
-//     not ErrDisconnected: a rebooting node's endpoints are briefly gone,
+//     not gateway.ErrDisconnected: a rebooting node's endpoints are briefly gone,
 //     and the reliable layer's retransmits must ride out the outage rather
 //     than abort.
 //   - Partition(prefix) silently drops every transfer whose destination
@@ -33,7 +35,7 @@ import (
 type FaultNet struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
-	endpoints map[string]Handler
+	endpoints map[string]gateway.Handler
 	down      map[string]bool
 	cuts      []string // destination prefixes currently partitioned away
 
@@ -65,7 +67,7 @@ func (op NetOp) String() string {
 }
 
 type netDelivery struct {
-	h       Handler
+	h       gateway.Handler
 	payload []byte
 	props   map[string]string
 }
@@ -74,13 +76,13 @@ type netDelivery struct {
 func NewFaultNet(seed int64) *FaultNet {
 	return &FaultNet{
 		rng:       rand.New(rand.NewSource(seed)),
-		endpoints: map[string]Handler{},
+		endpoints: map[string]gateway.Handler{},
 		down:      map[string]bool{},
 		dropAt:    map[int]bool{},
 	}
 }
 
-// Scheme implements Transport.
+// Scheme implements gateway.Transport.
 func (fn *FaultNet) Scheme() string { return "fnet" }
 
 // SetDropRate drops the given fraction of sends (seeded, deterministic).
@@ -114,7 +116,7 @@ func (fn *FaultNet) DropAt(n int) {
 }
 
 // SetDown marks an endpoint as administratively unreachable: sends fail
-// fast with ErrDisconnected (Network's dead-link behavior, kept for the
+// fast with gateway.ErrDisconnected (Network's dead-link behavior, kept for the
 // deadLink rule path).
 func (fn *FaultNet) SetDown(addr string, down bool) {
 	fn.mu.Lock()
@@ -182,8 +184,8 @@ func (fn *FaultNet) Close() {
 	fn.mu.Unlock()
 }
 
-// Subscribe implements Transport.
-func (fn *FaultNet) Subscribe(addr string, h Handler) (func(), error) {
+// Subscribe implements gateway.Transport.
+func (fn *FaultNet) Subscribe(addr string, h gateway.Handler) (func(), error) {
 	fn.mu.Lock()
 	defer fn.mu.Unlock()
 	if _, ok := fn.endpoints[addr]; ok {
@@ -197,7 +199,7 @@ func (fn *FaultNet) Subscribe(addr string, h Handler) (func(), error) {
 	}, nil
 }
 
-// Send implements Transport. The operation is numbered and its fate
+// Send implements gateway.Transport. The operation is numbered and its fate
 // resolved under the lock; the handler runs synchronously on the caller's
 // goroutine with the lock released, so handlers may send (acks) without
 // deadlocking. A send that delivers also flushes any held (reordered)
@@ -211,7 +213,7 @@ func (fn *FaultNet) Send(dest string, payload []byte, props map[string]string) e
 	}
 	if fn.down[dest] {
 		fn.mu.Unlock()
-		return ErrDisconnected
+		return gateway.ErrDisconnected
 	}
 	fn.nOps++
 	op := NetOp{N: fn.nOps, Dest: dest, Len: len(payload)}

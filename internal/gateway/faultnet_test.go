@@ -1,168 +1,203 @@
-package gateway
+package gateway_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"demaq/internal/faultinject"
+	"demaq/internal/gateway"
 )
 
-// run pushes n sends through a FaultNet with one subscribed endpoint and
-// returns (trace, delivered payload strings).
-func runFaultNet(t *testing.T, fn *FaultNet, n int) ([]NetOp, []string) {
-	t.Helper()
+// TestReliablePartitionHealRetransmitsResume cuts first the data direction,
+// then the ack direction of a FaultNet link and asserts that capped-backoff
+// retransmission rides out both partitions and that receiver dedup holds
+// across the heal: every message is admitted exactly once even though the
+// lost-ack phase forces duplicate deliveries.
+func TestReliablePartitionHealRetransmitsResume(t *testing.T) {
+	fn := faultinject.NewFaultNet(3)
+	recv, err := gateway.NewReliable(fn, "fnet://b/in", time.Millisecond, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	var mu sync.Mutex
+	admitted := map[string]int{}
+	if err := recv.Subscribe(func(p []byte, _ map[string]string) error {
+		mu.Lock()
+		admitted[string(p)]++
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	send, err := gateway.NewReliable(fn, "fnet://a/acks", time.Millisecond, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	if err := send.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	// Phase 1: data direction partitioned; sends must survive on retransmit.
+	fn.Partition("fnet://b")
+	acks := make(chan error, 8)
+	for i := 0; i < 4; i++ {
+		send.SendAsync("fnet://b/in", []byte(fmt.Sprintf("p1-%d", i)), nil, func(err error) { acks <- err })
+	}
+	time.Sleep(20 * time.Millisecond)
+	mu.Lock()
+	if len(admitted) != 0 {
+		mu.Unlock()
+		t.Fatal("messages crossed the data partition")
+	}
+	mu.Unlock()
+	fn.HealPartition("fnet://b")
+	for i := 0; i < 4; i++ {
+		if err := <-acks; err != nil {
+			t.Fatalf("phase-1 send failed after heal: %v", err)
+		}
+	}
+
+	// Phase 2: ack direction partitioned; the receiver admits once, the
+	// sender keeps retransmitting, dedup suppresses the replays.
+	fn.Partition("fnet://a")
+	for i := 0; i < 4; i++ {
+		send.SendAsync("fnet://b/in", []byte(fmt.Sprintf("p2-%d", i)), nil, func(err error) { acks <- err })
+	}
+	gateway.WaitUntil(t, time.Second, "phase-2 deliveries", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(admitted) == 8
+	})
+	time.Sleep(10 * time.Millisecond) // let replays hammer the dedup window
+	fn.HealPartition("fnet://a")
+	for i := 0; i < 4; i++ {
+		if err := <-acks; err != nil {
+			t.Fatalf("phase-2 send failed after heal: %v", err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(admitted) != 8 {
+		t.Fatalf("admitted %d distinct messages, want 8", len(admitted))
+	}
+	for m, n := range admitted {
+		if n != 1 {
+			t.Fatalf("message %q admitted %d times", m, n)
+		}
+	}
+	if _, retrans, _ := send.Stats(); retrans == 0 {
+		t.Fatal("no retransmissions across two partitions")
+	}
+	if _, _, dups := recv.Stats(); dups == 0 {
+		t.Fatal("lost-ack phase produced no suppressed duplicates")
+	}
+}
+
+// memSessionStore is an in-memory SessionStore for sender-restart tests.
+type memSessionStore struct {
+	mu   sync.Mutex
+	send map[string]uint64
+	recv map[string][]gateway.RecvSession
+}
+
+func newMemSessionStore() *memSessionStore {
+	return &memSessionStore{send: map[string]uint64{}, recv: map[string][]gateway.RecvSession{}}
+}
+
+func (m *memSessionStore) SendNext(source string) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.send[source]
+}
+
+func (m *memSessionStore) ReserveSend(source string, upTo uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if upTo > m.send[source] {
+		m.send[source] = upTo
+	}
+	return nil
+}
+
+func (m *memSessionStore) RecvSessions(endpoint string) []gateway.RecvSession {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.recv[endpoint]
+}
+
+// TestReliableRestartedSenderResumesSequence is the regression test for the
+// sender sequence restarting at 0 after reconstruction: without the durable
+// next-seq reservation the second sender incarnation reissues sequence
+// numbers 1..n, the receiver's window flags them as duplicates, re-acks,
+// and the new messages are silently lost — acked but never admitted.
+func TestReliableRestartedSenderResumesSequence(t *testing.T) {
+	fn := faultinject.NewFaultNet(5)
+	store := newMemSessionStore()
+	recv, err := gateway.NewReliable(fn, "fnet://b/in", time.Millisecond, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
 	var mu sync.Mutex
 	var got []string
-	unsub, err := fn.Subscribe("fnet://b/in", func(p []byte, _ map[string]string) error {
+	if err := recv.Subscribe(func(p []byte, _ map[string]string) error {
 		mu.Lock()
 		got = append(got, string(p))
 		mu.Unlock()
 		return nil
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sendBatch := func(r *gateway.Reliable, label string, n int) {
+		t.Helper()
+		acks := make(chan error, n)
+		for i := 0; i < n; i++ {
+			r.SendAsync("fnet://b/in", []byte(fmt.Sprintf("%s-%d", label, i)), nil, func(err error) { acks <- err })
+		}
+		for i := 0; i < n; i++ {
+			if err := <-acks; err != nil {
+				t.Fatalf("%s send %d: %v", label, i, err)
+			}
+		}
+	}
+
+	s1, err := gateway.NewReliableOptions(fn, "fnet://a/acks", gateway.ReliableOptions{RetryInterval: time.Millisecond, MaxRetries: 1000, Session: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer unsub()
-	for i := 0; i < n; i++ {
-		if err := fn.Send("fnet://b/in", []byte(fmt.Sprintf("m%d", i)), nil); err != nil {
-			t.Fatal(err)
+	if err := s1.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	sendBatch(s1, "gen1", 3)
+	s1.Close()
+
+	// Restart: a new incarnation of the same source, same session store.
+	s2, err := gateway.NewReliableOptions(fn, "fnet://a/acks", gateway.ReliableOptions{RetryInterval: time.Millisecond, MaxRetries: 1000, Session: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := s2.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	sendBatch(s2, "gen2", 3)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 6 {
+		t.Fatalf("receiver admitted %d messages, want 6 (restarted sender's messages dropped as duplicates?): %v", len(got), got)
+	}
+	seen := map[string]bool{}
+	for _, m := range got {
+		if seen[m] {
+			t.Fatalf("duplicate admission of %q", m)
 		}
-	}
-	return fn.Trace(), got
-}
-
-// TestFaultNetDeterministic: identical seed + identical op schedule =>
-// identical fates and identical delivered sequence, op for op.
-func TestFaultNetDeterministic(t *testing.T) {
-	var traces [][]NetOp
-	var deliveries [][]string
-	for run := 0; run < 2; run++ {
-		fn := NewFaultNet(7)
-		fn.SetDropRate(0.2)
-		fn.SetDupRate(0.1)
-		fn.SetReorderRate(0.1)
-		tr, got := runFaultNet(t, fn, 200)
-		traces = append(traces, tr)
-		deliveries = append(deliveries, got)
-	}
-	if len(traces[0]) != len(traces[1]) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(traces[0]), len(traces[1]))
-	}
-	for i := range traces[0] {
-		if traces[0][i] != traces[1][i] {
-			t.Fatalf("op %d differs: %v vs %v", i, traces[0][i], traces[1][i])
-		}
-	}
-	if len(deliveries[0]) != len(deliveries[1]) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(deliveries[0]), len(deliveries[1]))
-	}
-	for i := range deliveries[0] {
-		if deliveries[0][i] != deliveries[1][i] {
-			t.Fatalf("delivery %d differs: %q vs %q", i, deliveries[0][i], deliveries[1][i])
-		}
-	}
-	// The schedule must actually exercise every fate.
-	fates := map[string]int{}
-	for _, op := range traces[0] {
-		fates[op.Fate]++
-	}
-	for _, f := range []string{"deliver", "drop", "dup", "hold"} {
-		if fates[f] == 0 {
-			t.Fatalf("fate %q never occurred in %v", f, fates)
-		}
-	}
-}
-
-// TestFaultNetFates: targeted single-op drop, duplication delivering twice,
-// and a held transfer arriving after the send that follows it.
-func TestFaultNetFates(t *testing.T) {
-	fn := NewFaultNet(1)
-	var got []string
-	unsub, _ := fn.Subscribe("fnet://b/in", func(p []byte, _ map[string]string) error {
-		got = append(got, string(p))
-		return nil
-	})
-	defer unsub()
-
-	fn.DropAt(2)
-	fn.Send("fnet://b/in", []byte("a"), nil)
-	fn.Send("fnet://b/in", []byte("lost"), nil)
-	fn.Send("fnet://b/in", []byte("b"), nil)
-	want := []string{"a", "b"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after targeted drop: %v, want %v", got, want)
-	}
-
-	// Force a hold, then a normal send: held transfer arrives second.
-	got = nil
-	fn.SetReorderRate(1)
-	fn.Send("fnet://b/in", []byte("first"), nil)
-	fn.SetReorderRate(0)
-	fn.Send("fnet://b/in", []byte("second"), nil)
-	if len(got) != 2 || got[0] != "second" || got[1] != "first" {
-		t.Fatalf("reorder: %v, want [second first]", got)
-	}
-}
-
-// TestFaultNetVoidAndPartition: unsubscribed endpoints and partitioned
-// destinations swallow transfers silently — the sender sees success and
-// must rely on its own retransmission, exactly like a rebooting peer.
-func TestFaultNetVoidAndPartition(t *testing.T) {
-	fn := NewFaultNet(1)
-	if err := fn.Send("fnet://nobody/in", []byte("x"), nil); err != nil {
-		t.Fatalf("send to unsubscribed endpoint: %v, want silent drop", err)
-	}
-
-	delivered := 0
-	unsub, _ := fn.Subscribe("fnet://b/in", func([]byte, map[string]string) error {
-		delivered++
-		return nil
-	})
-	defer unsub()
-	fn.Partition("fnet://b")
-	if err := fn.Send("fnet://b/in", []byte("x"), nil); err != nil {
-		t.Fatalf("send into partition: %v, want silent drop", err)
-	}
-	if delivered != 0 {
-		t.Fatal("transfer crossed the partition")
-	}
-	fn.HealPartition("fnet://b")
-	fn.Send("fnet://b/in", []byte("x"), nil)
-	if delivered != 1 {
-		t.Fatalf("delivered %d after heal, want 1", delivered)
-	}
-
-	tr := fn.Trace()
-	if tr[0].Fate != "void" || tr[1].Fate != "partitioned" || tr[2].Fate != "deliver" {
-		t.Fatalf("fates %v %v %v, want void/partitioned/deliver", tr[0].Fate, tr[1].Fate, tr[2].Fate)
-	}
-
-	// Down endpoints keep the fail-fast contract.
-	fn.SetDown("fnet://b/in", true)
-	if err := fn.Send("fnet://b/in", nil, nil); err != ErrDisconnected {
-		t.Fatalf("send to down endpoint: %v, want ErrDisconnected", err)
-	}
-}
-
-// TestFaultNetOpHook: the hook sees every op with its final fate, in order,
-// and can observe the op counter the torture harness arms crash sites on.
-func TestFaultNetOpHook(t *testing.T) {
-	fn := NewFaultNet(1)
-	unsub, _ := fn.Subscribe("fnet://b/in", func([]byte, map[string]string) error { return nil })
-	defer unsub()
-	var ns []int
-	fn.SetOpHook(func(op NetOp) { ns = append(ns, op.N) })
-	for i := 0; i < 5; i++ {
-		fn.Send("fnet://b/in", []byte("x"), nil)
-	}
-	if len(ns) != 5 {
-		t.Fatalf("hook fired %d times, want 5", len(ns))
-	}
-	for i, n := range ns {
-		if n != i+1 {
-			t.Fatalf("hook op numbers %v not sequential", ns)
-		}
-	}
-	if fn.Ops() != 5 {
-		t.Fatalf("Ops() = %d, want 5", fn.Ops())
+		seen[m] = true
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // Network is the simulated in-process network. Addresses have the form
@@ -14,7 +13,6 @@ type Network struct {
 	mu        sync.Mutex
 	endpoints map[string]Handler
 	rng       *rand.Rand
-	latency   time.Duration
 	lossRate  float64
 	dupRate   float64
 	down      map[string]bool
@@ -32,13 +30,6 @@ func NewNetwork(seed int64) *Network {
 		rng:       rand.New(rand.NewSource(seed)),
 		down:      map[string]bool{},
 	}
-}
-
-// SetLatency sets the one-way delivery delay.
-func (n *Network) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	n.latency = d
-	n.mu.Unlock()
 }
 
 // SetLossRate drops the given fraction of messages silently.
@@ -97,7 +88,7 @@ func (n *Network) Subscribe(addr string, h Handler) (func(), error) {
 }
 
 // Send implements Transport: asynchronous delivery with the configured
-// latency/loss/duplication.
+// loss/duplication.
 func (n *Network) Send(dest string, payload []byte, props map[string]string) error {
 	n.mu.Lock()
 	if n.closed {
@@ -120,7 +111,6 @@ func (n *Network) Send(dest string, payload []byte, props map[string]string) err
 	} else if n.dupRate > 0 && n.rng.Float64() < n.dupRate {
 		copies = 2
 	}
-	latency := n.latency
 	n.mu.Unlock()
 
 	// Copy to decouple from the caller's buffers.
@@ -133,9 +123,6 @@ func (n *Network) Send(dest string, payload []byte, props map[string]string) err
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if latency > 0 {
-				time.Sleep(latency)
-			}
 			if err := h(p, pr); err == nil {
 				n.mu.Lock()
 				n.delivered++

@@ -136,7 +136,7 @@ func TestBatchCommitSurvivesCrash(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms2, err := Open(dir, opts)
 	if err != nil {

@@ -39,16 +39,6 @@ type stagedDeletes struct {
 // BeginCollect starts a retention pass.
 func (ms *Store) BeginCollect() *CollectPass { return &CollectPass{ms: ms} }
 
-// Remove physically deletes processed messages from a queue: a pass of its
-// own, committed at once. It is the one-queue form of CollectPass.
-func (ms *Store) Remove(queue string, ids []MsgID) error {
-	p := ms.BeginCollect()
-	if _, err := p.Remove(queue, ids); err != nil {
-		return err
-	}
-	return p.Commit()
-}
-
 // Remove unlinks messages of a queue from memory — the id shards, the
 // document cache, the property index and the queue's list — and stages the
 // deletes of their records for Commit. Ids of other queues and of messages

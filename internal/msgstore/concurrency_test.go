@@ -116,7 +116,7 @@ func TestConcurrentEnqueueProcessRemove(t *testing.T) {
 	}
 	// Remove everything processed from the persistent queue, concurrently
 	// with a scanner.
-	if err := ms.Remove("disk", processedIDs(ms, "disk")); err != nil {
+	if err := removeNow(ms, "disk", processedIDs(ms, "disk")); err != nil {
 		t.Fatal(err)
 	}
 	if msgs, _ := ms.Messages("disk"); len(msgs) != 0 {
@@ -161,7 +161,7 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	if st.WALFsyncs > st.Commits {
 		t.Fatalf("more fsyncs (%d) than commits (%d)", st.WALFsyncs, st.Commits)
 	}
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms2, err := Open(dir, DefaultOptions())
 	if err != nil {

@@ -201,7 +201,7 @@ func (ms *Store) getQueue(name string) *Queue {
 // Options configure the message store.
 type Options struct {
 	Store     store.Options
-	CacheDocs int // parsed-document cache capacity (default 4096)
+	CacheDocs int // parsed-document cache capacity (0 = 4096)
 
 	// NoPropertyIndex keeps no derived index: dispatch and slice access
 	// then fall back to per-message property probes and whole-queue scans.
@@ -212,7 +212,7 @@ type Options struct {
 
 // DefaultOptions returns production settings.
 func DefaultOptions() Options {
-	return Options{Store: store.DefaultOptions(), CacheDocs: 4096}
+	return Options{Store: store.DefaultOptions()}
 }
 
 // Stats reports message-store counters: document-cache effectiveness and
@@ -238,10 +238,6 @@ func (ms *Store) Stats() Stats {
 	st.PayloadEncodedBytes = ms.payloadEncBytes.Load()
 	return st
 }
-
-// FlushDocCache empties the document cache; rehydration benchmarks use it
-// to measure the cold path.
-func (ms *Store) FlushDocCache() { ms.cache.clear() }
 
 // Open opens the message store in dir, recovering state from disk:
 // persistent queues and their messages (including processed flags) are
@@ -337,9 +333,6 @@ func (ms *Store) Close() error {
 	<-ms.sessGCDone
 	return ms.ps.Close()
 }
-
-// Crash simulates a crash for tests.
-func (ms *Store) Crash() { ms.ps.CrashForTest() }
 
 // PageStore exposes the underlying page store (stats, checkpoints).
 func (ms *Store) PageStore() *store.Store { return ms.ps }

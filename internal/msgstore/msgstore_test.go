@@ -21,6 +21,16 @@ func openTemp(t *testing.T) *Store {
 	return ms
 }
 
+// removeNow collects processed messages of one queue in a retention pass
+// of their own.
+func removeNow(ms *Store, queue string, ids []MsgID) error {
+	p := ms.BeginCollect()
+	if _, err := p.Remove(queue, ids); err != nil {
+		return err
+	}
+	return p.Commit()
+}
+
 func enqueue(t *testing.T, ms *Store, queue, xml string, props map[string]xdm.Value) MsgID {
 	t.Helper()
 	tx := ms.Begin()
@@ -170,7 +180,7 @@ func TestRestartRecoversMessagesAndFlags(t *testing.T) {
 	tx := ms.Begin()
 	tx.MarkProcessed(ids[2])
 	tx.Commit()
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms2, err := Open(dir, DefaultOptions())
 	if err != nil {
@@ -217,7 +227,7 @@ func TestRemoveAndRetentionScan(t *testing.T) {
 		tx.MarkProcessed(id)
 	}
 	tx.Commit()
-	if err := ms.Remove("q", ids[:10]); err != nil {
+	if err := removeNow(ms, "q", ids[:10]); err != nil {
 		t.Fatal(err)
 	}
 	msgs, _ := ms.Messages("q")

@@ -66,7 +66,7 @@ func TestPropertyIndexBasics(t *testing.T) {
 	}
 
 	// Remove drops postings.
-	if err := ms.Remove("q", ids[:4]); err != nil {
+	if err := removeNow(ms, "q", ids[:4]); err != nil {
 		t.Fatal(err)
 	}
 	if got := propIDs(ms, "region", "emea"); len(got) != 6 || got[0] != ids[4] {
@@ -91,7 +91,7 @@ func TestPropertyIndexRebuild(t *testing.T) {
 			"k": xdm.NewString("v"),
 		}))
 	}
-	if err := ms.Remove("q", ids[:2]); err != nil {
+	if err := removeNow(ms, "q", ids[:2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := ms.Close(); err != nil {

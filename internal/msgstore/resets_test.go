@@ -102,7 +102,7 @@ func TestIDsResumeAboveResetWatermarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	watermark := tx.AppliedResets[0].Watermark
-	if err := ms.Remove("q", ids); err != nil {
+	if err := removeNow(ms, "q", ids); err != nil {
 		t.Fatal(err)
 	}
 	if err := ms.Close(); err != nil {

@@ -90,7 +90,7 @@ func TestSessionTxnAtomicity(t *testing.T) {
 	if !ok || s.Seq != 5 {
 		t.Fatalf("live snapshot = %+v, %v; want Seq 5", s, ok)
 	}
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms2, err := Open(dir, DefaultOptions())
 	if err != nil {

@@ -82,7 +82,7 @@ func TestOrphanStatusIDsNotReused(t *testing.T) {
 	if err := ms.ps.BatchDelete(ms.getQueue("q").heap, []store.RID{ms.lookup(top).rid}); err != nil {
 		t.Fatal(err)
 	}
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms, err = Open(dir, DefaultOptions())
 	if err != nil {
@@ -95,7 +95,7 @@ func TestOrphanStatusIDsNotReused(t *testing.T) {
 	if fresh <= top {
 		t.Fatalf("new message got id %d, at or below the orphan status record's %d", fresh, top)
 	}
-	ms.Crash()
+	ms.PageStore().CrashForTest()
 
 	ms, err = Open(dir, DefaultOptions())
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/store"
+	"demaq/internal/vfs"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 )
@@ -34,7 +36,7 @@ import (
 
 const tortureDir = "torture" // never touches the real FS: FaultFS only
 
-func tortureOptions(fs *store.FaultFS) Options {
+func tortureOptions(fs *faultinject.FaultFS) Options {
 	return Options{
 		Store: store.Options{
 			VFS:             fs,
@@ -166,7 +168,7 @@ func runTortureWorkload(ms *Store, mdl *model, iters int) error {
 		}
 		if i%7 == 0 {
 			if mm := mdl.firstWhere(func(m *modelMsg) bool { return m.processed && !m.removed }); mm != nil {
-				if err := ms.Remove(mm.queue, []MsgID{mm.id}); err != nil {
+				if err := removeNow(ms, mm.queue, []MsgID{mm.id}); err != nil {
 					mdl.maybeRemoved = []MsgID{mm.id}
 					return err
 				}
@@ -314,7 +316,7 @@ const tortureReplayBound = 700
 // must pass its own checker, and must generate enough distinct crash
 // points across all five site categories for the sweep to be meaningful.
 func TestTortureNoFaults(t *testing.T) {
-	fs := store.NewFaultFS(1)
+	fs := faultinject.NewFaultFS(1)
 	ms, err := Open(tortureDir, tortureOptions(fs))
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +375,7 @@ func TestTortureNoFaults(t *testing.T) {
 // Under -short a stride samples ~30 points; the full sweep covers all.
 func TestTortureCrashSweep(t *testing.T) {
 	// First pass: enumerate.
-	fs := store.NewFaultFS(1)
+	fs := faultinject.NewFaultFS(1)
 	ms, err := Open(tortureDir, tortureOptions(fs))
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +393,7 @@ func TestTortureCrashSweep(t *testing.T) {
 	for k := 1; k <= total; k += stride {
 		k := k
 		t.Run(fmt.Sprintf("crash-at-%03d", k), func(t *testing.T) {
-			fs := store.NewFaultFS(int64(42 + k))
+			fs := faultinject.NewFaultFS(int64(42 + k))
 			fs.CrashAt(k)
 			mdl := newModel()
 			ms, err := Open(tortureDir, tortureOptions(fs))
@@ -402,7 +404,7 @@ func TestTortureCrashSweep(t *testing.T) {
 					err = ms.Close()
 				}
 				if err != nil {
-					ms.Crash() // release resources; the FaultFS keeps the disk state
+					ms.PageStore().CrashForTest() // release resources; the FaultFS keeps the disk state
 				}
 			}
 			if !fs.Crashed() {
@@ -427,7 +429,7 @@ func TestTortureCrashSweep(t *testing.T) {
 			// Bounded recovery: replay covers at most the records since the
 			// last complete checkpoint (the workload checkpoints every 11th
 			// iteration), never the whole history back to the log start.
-			if replayed, _ := ms2.PageStore().RecoveryReplayed(); replayed > tortureReplayBound {
+			if replayed := ms2.PageStore().Stats().RecoveryRecordsReplayed; replayed > tortureReplayBound {
 				t.Fatalf("crash at %d: recovery replayed %d records, bound %d — checkpoint head advance is not holding", k, replayed, tortureReplayBound)
 			}
 
@@ -451,7 +453,7 @@ func TestTortureCrashSweep(t *testing.T) {
 // operation; the bounded retry in the VFS layer must absorb all of them —
 // the workload and its checker behave exactly as with no faults.
 func TestTortureTransientAbsorbed(t *testing.T) {
-	fs := store.NewFaultFS(7)
+	fs := faultinject.NewFaultFS(7)
 	fs.TransientEvery(13)
 	ms, err := Open(tortureDir, tortureOptions(fs))
 	if err != nil {
@@ -473,12 +475,12 @@ func TestTortureTransientAbsorbed(t *testing.T) {
 // permanently, the store reports a sticky disk error, commits fail without
 // panicking, and committed data stays readable.
 func TestTorturePermanentFailure(t *testing.T) {
-	fs := store.NewFaultFS(3)
+	fs := faultinject.NewFaultFS(3)
 	ms, err := Open(tortureDir, tortureOptions(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Crash()
+	defer ms.PageStore().CrashForTest()
 	mdl := newModel()
 	if err := runTortureWorkload(ms, mdl, 10); err != nil {
 		t.Fatal(err)
@@ -488,7 +490,7 @@ func TestTorturePermanentFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("writes should fail after the device died")
 	}
-	if !store.IsPermanent(err) && !errors.Is(err, store.ErrDiskFailure) {
+	if !vfs.IsPermanent(err) && !errors.Is(err, vfs.ErrDiskFailure) {
 		t.Fatalf("want a permanent disk error, got: %v", err)
 	}
 	if ms.DiskError() == nil {
@@ -509,12 +511,12 @@ func TestTorturePermanentFailure(t *testing.T) {
 // TestTortureDiskFull exhausts the write budget: commits fail with
 // ErrDiskFull (a permanent condition for the engine) and nothing panics.
 func TestTortureDiskFull(t *testing.T) {
-	fs := store.NewFaultFS(5)
+	fs := faultinject.NewFaultFS(5)
 	ms, err := Open(tortureDir, tortureOptions(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Crash()
+	defer ms.PageStore().CrashForTest()
 	mdl := newModel()
 	if err := runTortureWorkload(ms, mdl, 10); err != nil {
 		t.Fatal(err)
@@ -524,10 +526,10 @@ func TestTortureDiskFull(t *testing.T) {
 	if err == nil {
 		t.Fatal("writes should fail once the disk fills")
 	}
-	if !errors.Is(err, store.ErrDiskFull) {
-		t.Fatalf("want ErrDiskFull, got: %v", err)
+	if !errors.Is(err, vfs.ErrDiskFull) {
+		t.Fatalf("want vfs.ErrDiskFull, got: %v", err)
 	}
-	if !store.IsPermanent(err) {
+	if !vfs.IsPermanent(err) {
 		t.Fatal("disk-full must classify as permanent so the engine degrades")
 	}
 }

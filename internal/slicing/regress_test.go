@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"demaq/internal/faultinject"
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/store"
@@ -355,14 +356,14 @@ func TestCollectPassCrashSweep(t *testing.T) {
 	}
 	// run builds the state and runs one pass; it returns the op count before
 	// the pass and the first error.
-	run := func(fs *store.FaultFS) (out outcome, before int, err error) {
+	run := func(fs *faultinject.FaultFS) (out outcome, before int, err error) {
 		opts := msgstore.DefaultOptions()
 		opts.Store.VFS = fs
 		ms, err := msgstore.Open(dir, opts)
 		if err != nil {
 			return out, 0, err
 		}
-		defer ms.Crash()
+		defer ms.PageStore().CrashForTest()
 		ms.CreateQueue("crm", msgstore.Persistent, 0)
 		ms.CreateQueue("customer", msgstore.Persistent, 0)
 		sm := NewManager(ms, props)
@@ -382,7 +383,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 	// check reopens the crashed store and holds it to the model. It reports
 	// whether status records outlived their payloads and whether reset
 	// records outlived every message they dismiss.
-	check := func(at string, fs *store.FaultFS, out outcome) (orphanStatuses, staleResets bool) {
+	check := func(at string, fs *faultinject.FaultFS, out outcome) (orphanStatuses, staleResets bool) {
 		t.Helper()
 		fs.ClearFault()
 		opts := msgstore.DefaultOptions()
@@ -391,7 +392,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopen after crash %s: %v", at, err)
 		}
-		defer ms.Crash()
+		defer ms.PageStore().CrashForTest()
 		if err := ms.VerifyIntegrity(); err != nil {
 			t.Fatalf("crash %s: %v", at, err)
 		}
@@ -435,13 +436,13 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		return orphanStatuses, staleResets
 	}
 
-	fs := store.NewFaultFS(1)
+	fs := faultinject.NewFaultFS(1)
 	_, before, err := run(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := fs.Ops()
-	syncs, logWrite := 0, store.FaultPoint{}
+	syncs, logWrite := 0, faultinject.FaultPoint{}
 	for _, op := range fs.Trace()[before:] {
 		switch {
 		case op.Op == "sync":
@@ -454,7 +455,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		t.Fatalf("the pass flushed the log %d times, want once, in %d disk operations: %v", syncs, total-before, fs.Trace()[before:])
 	}
 	for k := before + 1; k <= total; k++ {
-		fs := store.NewFaultFS(int64(100 + k))
+		fs := faultinject.NewFaultFS(int64(100 + k))
 		fs.CrashAt(k)
 		out, _, err := run(fs)
 		if !fs.Crashed() {
@@ -464,7 +465,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 	}
 	sawOrphans, sawStale := false, false
 	for keep := 0; keep <= logWrite.Len; keep++ {
-		fs := store.NewFaultFS(1)
+		fs := faultinject.NewFaultFS(1)
 		fs.TearAtPrefix(logWrite.N, keep)
 		out, _, err := run(fs)
 		if !fs.Crashed() {

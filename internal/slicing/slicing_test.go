@@ -231,7 +231,7 @@ func TestReopenNeedsNoRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			later := put(t, ms, props, "crm", `<m><requestID>r1</requestID></m>`)
-			ms.Crash()
+			ms.PageStore().CrashForTest()
 
 			ms2 := openStore(t, dir, mode.noIndex)
 			defer ms2.Close()

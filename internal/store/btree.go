@@ -46,17 +46,8 @@ type btNode struct {
 	next *btNode
 }
 
-// NewBTree returns an empty tree with the default fanout.
-func NewBTree() *BTree { return NewBTreeDegree(64) }
-
-// NewBTreeDegree returns an empty tree with at most 2*degree-1 keys per
-// node.
-func NewBTreeDegree(degree int) *BTree {
-	if degree < 2 {
-		degree = 2
-	}
-	return &BTree{root: &btNode{leaf: true}, degree: degree}
-}
+// NewBTree returns an empty tree with at most 127 keys per node.
+func NewBTree() *BTree { return &BTree{root: &btNode{leaf: true}, degree: 64} }
 
 // Len returns the number of keys.
 func (t *BTree) Len() int { return int(t.size.Load()) }
@@ -272,12 +263,6 @@ func (t *BTree) Scan(lo, hi []byte, fn func(key, val []byte) bool) {
 		n = next
 		lo = nil
 	}
-}
-
-// ScanPrefix visits all keys with the given prefix.
-func (t *BTree) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) {
-	hi := prefixEnd(prefix)
-	t.Scan(prefix, hi, fn)
 }
 
 // ScanPrefixFrom visits the keys with the given prefix starting at lo

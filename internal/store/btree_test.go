@@ -75,7 +75,8 @@ func TestBTreeScanPrefix(t *testing.T) {
 	bt.Insert([]byte("orders\x0043\x00m3"), nil)
 	bt.Insert([]byte("other\x0042\x00m4"), nil)
 	n := 0
-	bt.ScanPrefix([]byte("orders\x0042\x00"), func(_, _ []byte) bool { n++; return true })
+	prefix := []byte("orders\x0042\x00")
+	bt.ScanPrefixFrom(prefix, prefix, func(_, _ []byte) bool { n++; return true })
 	if n != 2 {
 		t.Fatalf("prefix scan: %d", n)
 	}

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"testing"
+
+	"demaq/internal/faultinject"
 )
 
 // TestCleanShutdownZeroReplay asserts the clean-restart contract: Close runs
@@ -43,7 +45,7 @@ func TestCleanShutdownZeroReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if n, _ := s2.RecoveryReplayed(); n != 0 {
+	if n := s2.Stats().RecoveryRecordsReplayed; n != 0 {
 		t.Fatalf("clean shutdown must replay zero records on reopen, replayed %d", n)
 	}
 	h2, err := s2.CreateHeap("q")
@@ -65,7 +67,7 @@ func TestCleanShutdownZeroReplay(t *testing.T) {
 func runBudgetedWorkload(t *testing.T, rounds int) uint64 {
 	t.Helper()
 	const budget = 16 << 10
-	fs := NewFaultFS(7)
+	fs := faultinject.NewFaultFS(7)
 	s, err := Open("br", Options{VFS: fs, SyncCommits: true})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func runBudgetedWorkload(t *testing.T, rounds int) uint64 {
 	if err := s2.VerifyPageLSNs(); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := s2.RecoveryReplayed()
+	n := s2.Stats().RecoveryRecordsReplayed
 	if n == 0 {
 		t.Fatal("crash with a post-checkpoint tail should replay at least the tail")
 	}
@@ -235,5 +237,28 @@ func TestWALSegmentRollAndRecycle(t *testing.T) {
 	s2.Scan(h2, func(RID, []byte) bool { count++; return true })
 	if count != 120 {
 		t.Fatalf("segment recycling lost data: %d of 120 records", count)
+	}
+}
+
+// TestWALSoftBudgetResolved pins the one rule for the soft budget the
+// commit throttle and the engine's checkpoint trigger share: half the hard
+// budget whenever the soft one is unset or not below it.
+func TestWALSoftBudgetResolved(t *testing.T) {
+	for _, c := range []struct{ soft, hard, want int64 }{
+		{0, 0, 0},
+		{4 << 10, 0, 4 << 10},
+		{0, 8 << 10, 4 << 10},
+		{2 << 10, 8 << 10, 2 << 10},
+		{8 << 10, 8 << 10, 4 << 10},
+		{16 << 10, 8 << 10, 4 << 10},
+	} {
+		s, err := Open("sb", Options{VFS: faultinject.NewFaultFS(1), WALSoftBudget: c.soft, WALHardBudget: c.hard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.WALSoftBudget(); got != c.want {
+			t.Errorf("soft %d, hard %d: soft budget in effect %d, want %d", c.soft, c.hard, got, c.want)
+		}
+		s.Close()
 	}
 }

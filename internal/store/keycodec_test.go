@@ -48,7 +48,8 @@ func TestIndexKeyScanIsolation(t *testing.T) {
 	}
 	for ti, tu := range tuples {
 		var got []uint64
-		bt.ScanPrefix(IndexKeyPrefix(tu[0], tu[1]), func(k, _ []byte) bool {
+		prefix := IndexKeyPrefix(tu[0], tu[1])
+		bt.ScanPrefixFrom(prefix, prefix, func(k, _ []byte) bool {
 			got = append(got, IndexKeyID(k))
 			return true
 		})

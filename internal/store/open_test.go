@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"demaq/internal/faultinject"
 )
 
 // poolRebuildChainsAndFreeList is the open path's former rebuild, kept as
@@ -224,7 +226,7 @@ func TestRebuildMatchesPoolWalk(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			fs := NewFaultFS(seed)
+			fs := faultinject.NewFaultFS(seed)
 			opts := Options{VFS: fs, SyncCommits: true, UnloggedDeletes: seed%2 == 0, BufferPages: 64}
 			s, err := Open("rb", opts)
 			if err != nil {
@@ -427,7 +429,7 @@ func TestOpenReadsDataFileOnce(t *testing.T) {
 // following Close with nothing written since only writes and syncs the
 // next header slot: one slot write and one data-file sync.
 func TestIdleRestartSyncsOnce(t *testing.T) {
-	fs := NewFaultFS(1)
+	fs := faultinject.NewFaultFS(1)
 	opts := Options{VFS: fs, SyncCommits: true}
 	s, err := Open("idle", opts)
 	if err != nil {
@@ -461,7 +463,7 @@ func TestIdleRestartSyncsOnce(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var syncs, writes []FaultPoint
+		var syncs, writes []faultinject.FaultPoint
 		for _, p := range fs.Trace()[before:] {
 			switch {
 			case p.Op == "sync":
@@ -483,8 +485,8 @@ func TestIdleRestartSyncsOnce(t *testing.T) {
 // resolutions of the pending writes; each reopen replays nothing and finds
 // the same records.
 func TestIdleHeaderWriteCrash(t *testing.T) {
-	build := func(seed int64) *FaultFS {
-		fs := NewFaultFS(seed)
+	build := func(seed int64) *faultinject.FaultFS {
+		fs := faultinject.NewFaultFS(seed)
 		s, err := Open("ih", Options{VFS: fs, SyncCommits: true})
 		if err != nil {
 			t.Fatal(err)
@@ -507,7 +509,7 @@ func TestIdleHeaderWriteCrash(t *testing.T) {
 		}
 		return fs
 	}
-	restarts := func(fs *FaultFS) {
+	restarts := func(fs *faultinject.FaultFS) {
 		for i := 0; i < 3; i++ {
 			s, err := Open("ih", Options{VFS: fs, SyncCommits: true})
 			if err != nil {
@@ -538,7 +540,7 @@ func TestIdleHeaderWriteCrash(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d, crash at idle op %d of %d: reopen: %v", seed, k, sites, err)
 			}
-			if n, _ := s.RecoveryReplayed(); n != 0 {
+			if n := s.Stats().RecoveryRecordsReplayed; n != 0 {
 				t.Fatalf("seed %d, crash at idle op %d: replayed %d records", seed, k, n)
 			}
 			h, _ := s.Heap("q")

@@ -39,9 +39,6 @@ type RID struct {
 // String renders the RID for diagnostics.
 func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
-// Nil reports whether the RID is the zero/invalid record reference.
-func (r RID) Nil() bool { return r.Page == InvalidPage }
-
 // NilRID is the invalid record reference.
 var NilRID = RID{Page: InvalidPage}
 

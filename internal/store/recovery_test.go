@@ -5,14 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"testing"
+
+	"demaq/internal/faultinject"
+	"demaq/internal/vfs"
 )
 
 // recoveryCrashOptions gives the recovery sweep a 16-frame pool, so redo
 // replays about four times the pool. Small log segments keep FaultFS's
 // syncs, which copy a whole file, cheap.
-func recoveryCrashOptions(fs *FaultFS) Options {
+func recoveryCrashOptions(fs *faultinject.FaultFS) Options {
 	return Options{VFS: fs, BufferPages: 16, SyncCommits: true, WALSegmentSize: 128 << 10}
 }
 
@@ -20,7 +22,7 @@ func recoveryCrashOptions(fs *FaultFS) Options {
 // then, in three more transactions, sets byte 0 of every record. The
 // filesystem then crashes, and reboots. It returns every record's
 // committed bytes.
-func recoveryCrashWorkload(t *testing.T, fs *FaultFS) map[RID][]byte {
+func recoveryCrashWorkload(t *testing.T, fs *faultinject.FaultFS) map[RID][]byte {
 	t.Helper()
 	s, err := Open("rec", recoveryCrashOptions(fs))
 	if err != nil {
@@ -63,26 +65,9 @@ func recoveryCrashWorkload(t *testing.T, fs *FaultFS) map[RID][]byte {
 	return committed
 }
 
-// cloneFaultFS copies a rebooted FaultFS, one with no pending operation:
-// its files and its operation count and trace. seed drives the copy's
-// crash resolution.
-func cloneFaultFS(fs *FaultFS, seed int64) *FaultFS {
-	c := NewFaultFS(seed)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for path, d := range fs.files {
-		if len(d.pending) != 0 || fs.crashed {
-			panic("cloneFaultFS: filesystem not rebooted")
-		}
-		c.files[path] = &faultData{durable: bytes.Clone(d.durable), current: bytes.Clone(d.current), removed: d.removed, durRemoved: d.durRemoved}
-	}
-	c.nOps, c.trace = fs.nOps, slices.Clone(fs.trace)
-	return c
-}
-
 // replayedPages returns the distinct pages the records recovery will replay
 // name: those from the redo offset the store header publishes on.
-func replayedPages(t *testing.T, fs *FaultFS) map[PageID]bool {
+func replayedPages(t *testing.T, fs *faultinject.FaultFS) map[PageID]bool {
 	t.Helper()
 	f, err := fs.OpenFile(filepath.Join("rec", dataFileName))
 	if err != nil {
@@ -131,13 +116,13 @@ func TestRecoveryCrashSweep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
-			fs := NewFaultFS(seed)
+			fs := faultinject.NewFaultFS(seed)
 			recoveryCrashWorkload(t, fs)
 			distinct := len(replayedPages(t, fs))
 
-			fs = NewFaultFS(seed)
+			fs = faultinject.NewFaultFS(seed)
 			committed := recoveryCrashWorkload(t, fs)
-			crashed := cloneFaultFS(fs, seed)
+			crashed := fs.Clone(seed)
 			opened := fs.Ops()
 			s, err := Open("rec", recoveryCrashOptions(fs))
 			if err != nil {
@@ -163,7 +148,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 			}
 			for site := opened + 1; site <= last; site += stride {
 				t.Run(fmt.Sprintf("crash-at-%03d", site), func(t *testing.T) {
-					crashInRecovery(t, cloneFaultFS(crashed, int64(site)), committed, site, trace)
+					crashInRecovery(t, crashed.Clone(int64(site)), committed, site, trace)
 				})
 			}
 		})
@@ -173,7 +158,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 // crashInRecovery crashes the recovering Open of the workload's files at
 // site (tearing it if it is a write), reboots, reopens and checks every
 // committed record.
-func crashInRecovery(t *testing.T, fs *FaultFS, committed map[RID][]byte, site int, trace []FaultPoint) {
+func crashInRecovery(t *testing.T, fs *faultinject.FaultFS, committed map[RID][]byte, site int, trace []faultinject.FaultPoint) {
 	fs.TearAt(site)
 	// A crash in the removal of a dead log segment, which ignores its
 	// error, can let the open succeed on a crashed filesystem.
@@ -181,7 +166,7 @@ func crashInRecovery(t *testing.T, fs *FaultFS, committed map[RID][]byte, site i
 	if err == nil {
 		s.CrashForTest()
 	}
-	if !fs.Crashed() || err != nil && !errors.Is(err, ErrCrashed) {
+	if !fs.Crashed() || err != nil && !errors.Is(err, vfs.ErrCrashed) {
 		t.Fatalf("recovering open ended with %v, want a crash", err)
 	}
 	if got, want := fs.Trace()[site-1], trace[site-1]; got != want {

@@ -15,8 +15,8 @@ import (
 // Options configure a store.
 type Options struct {
 	// VFS supplies the file implementation; nil means the real filesystem.
-	// Tests inject FaultFS here to replay crashes and I/O errors
-	// deterministically.
+	// Tests inject a fault-injecting file system here to replay crashes
+	// and I/O errors deterministically.
 	VFS VFS
 	// BufferPages is the buffer pool capacity in pages (default 1024).
 	BufferPages int
@@ -37,7 +37,9 @@ type Options struct {
 	// WALSoftBudget bounds the live WAL (bytes at or after the last
 	// checkpoint's redo point) softly: beyond it the checkpoint scheduler
 	// should run a checkpoint, and commits start to be throttled
-	// proportionally to how far past it the log has grown. 0 disables.
+	// proportionally to how far past it the log has grown. With a hard
+	// budget set, 0 or a value not below it means half the hard budget
+	// (Store.WALSoftBudget); without one, 0 disables.
 	WALSoftBudget int64
 	// WALHardBudget is the ceiling the throttle ramps toward: at or past
 	// it commits pay the maximum throttle delay and the engine sheds new
@@ -861,19 +863,21 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// LogBytes returns the cumulative logical WAL size (experiment E3 metric).
-func (s *Store) LogBytes() uint64 { return s.log.size() }
-
 // LiveLogBytes returns the log volume a crash right now would have to
 // replay through — the quantity the WAL soft/hard budgets bound. The engine
 // consults it for ingest admission under a hard budget.
 func (s *Store) LiveLogBytes() uint64 { return s.log.liveBytes() }
 
-// RecoveryReplayed returns how many log records the most recent Open of
-// this store replayed, and how long recovery took. Bounded-recovery tests
-// pin their guarantees on this.
-func (s *Store) RecoveryReplayed() (records uint64, dur time.Duration) {
-	return s.recReplayed.Load(), time.Duration(s.lastRecNs.Load())
+// WALSoftBudget returns the soft budget in effect: Options.WALSoftBudget,
+// or half the hard budget when a hard budget is set and the soft one is
+// unset or not below it. Commits are throttled past it, and the engine's
+// checkpoint scheduler checkpoints past it. 0 means no soft budget.
+func (s *Store) WALSoftBudget() int64 {
+	soft, hard := s.opts.WALSoftBudget, s.opts.WALHardBudget
+	if hard > 0 && (soft <= 0 || soft >= hard) {
+		return hard / 2
+	}
+	return soft
 }
 
 // commitThrottle is the graceful-degradation ramp between the WAL soft and
@@ -887,10 +891,7 @@ func (s *Store) commitThrottle() {
 	if hard <= 0 {
 		return
 	}
-	soft := s.opts.WALSoftBudget
-	if soft <= 0 || soft >= hard {
-		soft = hard / 2
-	}
+	soft := s.WALSoftBudget()
 	live := int64(s.log.liveBytes())
 	if live <= soft {
 		return

@@ -336,11 +336,11 @@ func TestBatchDeleteUnloggedVsLogged(t *testing.T) {
 			rids = append(rids, rid)
 		}
 		tx.Commit()
-		before := s.LogBytes()
+		before := s.Stats().LogBytes
 		if err := s.BatchDelete(h, rids); err != nil {
 			t.Fatal(err)
 		}
-		return s.LogBytes() - before
+		return s.Stats().LogBytes - before
 	}
 	unlogged := run(true)
 	logged := run(false)

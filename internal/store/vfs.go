@@ -1,108 +1,23 @@
 package store
 
 import (
-	"errors"
-	"io"
 	"math/rand"
-	"os"
 	"time"
+
+	"demaq/internal/vfs"
 )
 
-// The VFS seam: every byte the store reads or writes — data file, WAL —
-// goes through the File interface instead of a bare *os.File. Production
-// uses the thin OS wrapper below; tests substitute FaultFS (faultfs.go) to
-// inject crashes, torn writes, lost un-fsynced data, transient and
-// permanent I/O errors, and disk-full, on a deterministic schedule.
+// The file-system seam lives in package vfs; these aliases keep the
+// store's Options and its callers' device wrappers spelled in store terms.
 
 // File is the narrow file handle the storage engine performs I/O through.
-type File interface {
-	io.ReaderAt
-	io.WriterAt
-	Sync() error
-	Truncate(size int64) error
-	Size() (int64, error)
-	Close() error
-}
+type File = vfs.File
 
-// VFS opens files by path. Remove and ReadDir exist for WAL segment
-// recycling: the log manager creates numbered segment files, lists them at
-// open, and deletes segments wholly behind the checkpoint redo point.
-type VFS interface {
-	OpenFile(path string) (File, error)
-	// Remove deletes a file. Removal is metadata: like any other mutation
-	// it may or may not survive a crash (a fault FS resolves that at its
-	// simulated crash point), so callers must tolerate removed files
-	// reappearing after recovery.
-	Remove(path string) error
-	// ReadDir lists the file names (not full paths) in a directory.
-	ReadDir(dir string) ([]string, error)
-}
-
-// Error taxonomy for injected (and, where detectable, real) I/O failures.
-// Transient errors are retried with bounded jittered backoff by retryFile;
-// permanent errors propagate up so the engine can enter degraded read-only
-// mode instead of panicking or silently losing writes.
-var (
-	// ErrTransientIO marks a failure that may succeed on retry.
-	ErrTransientIO = errors.New("store: transient I/O error")
-	// ErrDiskFull marks an exhausted write budget; writes fail until space
-	// is reclaimed, reads still work.
-	ErrDiskFull = errors.New("store: disk full")
-	// ErrDiskFailure marks a permanent device failure; every subsequent
-	// write fails.
-	ErrDiskFailure = errors.New("store: permanent disk failure")
-	// ErrCrashed is returned by a fault FS after its simulated crash point;
-	// the process-under-test treats it as the end of the world.
-	ErrCrashed = errors.New("store: simulated crash")
-)
-
-// IsTransient reports whether an error is worth retrying.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransientIO) }
-
-// IsPermanent reports whether an error signals that the storage device can
-// no longer accept writes — the trigger for degraded read-only mode.
-func IsPermanent(err error) bool {
-	return errors.Is(err, ErrDiskFailure) || errors.Is(err, ErrDiskFull)
-}
+// VFS opens files by path (see vfs.VFS).
+type VFS = vfs.VFS
 
 // OSFileSystem returns the production VFS backed by the operating system.
-func OSFileSystem() VFS { return osVFS{} }
-
-type osVFS struct{}
-
-func (osVFS) OpenFile(path string) (File, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return osFile{f}, nil
-}
-
-func (osVFS) Remove(path string) error { return os.Remove(path) }
-
-func (osVFS) ReadDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}
-
-type osFile struct{ *os.File }
-
-func (f osFile) Size() (int64, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
+func OSFileSystem() VFS { return vfs.OSFileSystem() }
 
 // retryFile wraps a File with bounded retry of transient errors: each
 // failed attempt backs off exponentially with full jitter (half fixed, half
@@ -122,7 +37,7 @@ func withRetry(op func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = op()
-		if err == nil || !IsTransient(err) || attempt == retryAttempts-1 {
+		if err == nil || !vfs.IsTransient(err) || attempt == retryAttempts-1 {
 			return err
 		}
 		d := retryBaseDelay << attempt

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"testing"
+
+	"demaq/internal/faultinject"
 )
 
 // frameWAL encodes records in the on-disk WAL framing (length, crc,
@@ -35,7 +37,7 @@ func segHeaderBytes(seq, start uint64) []byte {
 // scans it, returning the number of records recovered and the scan error.
 func scanWALBytes(t *testing.T, data []byte) (int, error) {
 	t.Helper()
-	fs := NewFaultFS(1)
+	fs := faultinject.NewFaultFS(1)
 	f, err := fs.OpenFile("w/" + walSegName(1))
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +153,8 @@ func TestWALZeroedTailStopsCleanly(t *testing.T) {
 // the last checkpoint, and reopen — Open must always succeed and the pages
 // must verify.
 func TestWALTornTailThroughStore(t *testing.T) {
-	build := func() (*FaultFS, int) {
-		fs := NewFaultFS(1)
+	build := func() (*faultinject.FaultFS, int) {
+		fs := faultinject.NewFaultFS(1)
 		s, err := Open("tt", Options{VFS: fs, SyncCommits: true})
 		if err != nil {
 			t.Fatal(err)
@@ -172,12 +174,7 @@ func TestWALTornTailThroughStore(t *testing.T) {
 		}
 		// Leave the WAL populated: no checkpoint, no clean Close.
 		s.CrashForTest()
-		walLen := 0
-		fs.mu.Lock()
-		if d := fs.files["tt/"+walSegName(1)]; d != nil {
-			walLen = len(d.durable)
-		}
-		fs.mu.Unlock()
+		walLen := fs.DurableSize("tt/" + walSegName(1))
 		if walLen <= walSegHdrSize {
 			t.Fatal("workload left no durable WAL bytes")
 		}
@@ -188,11 +185,7 @@ func TestWALTornTailThroughStore(t *testing.T) {
 	// lost its header must reopen as an empty log.
 	for cut := 0; cut < walLen; cut++ {
 		fs, _ := build()
-		fs.mu.Lock()
-		d := fs.files["tt/"+walSegName(1)]
-		d.durable = d.durable[:cut]
-		d.current = append([]byte(nil), d.durable...)
-		fs.mu.Unlock()
+		fs.CutDurable("tt/"+walSegName(1), cut)
 		s, err := Open("tt", Options{VFS: fs, SyncCommits: true})
 		if err != nil {
 			t.Fatalf("cut at byte %d: reopen: %v", cut, err)

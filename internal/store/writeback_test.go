@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"demaq/internal/faultinject"
+	"demaq/internal/vfs"
 )
 
 // TestWriteBackFlushesPerBatch pins the batched write-back: pages evicted
@@ -116,7 +119,7 @@ func (m *wbModel) pick(rng *rand.Rand) (RID, []byte, bool) {
 func TestWriteBackBesideWriters(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			fs := NewFaultFS(seed)
+			fs := faultinject.NewFaultFS(seed)
 			opts := Options{VFS: fs, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
 			s, err := Open("wb", opts)
 			if err != nil {
@@ -337,7 +340,7 @@ func batchCrashWorkload(s *Store, committed map[RID][]byte, checkpoints bool) er
 	return nil
 }
 
-func batchCrashOptions(fs *FaultFS) Options {
+func batchCrashOptions(fs *faultinject.FaultFS) Options {
 	return Options{VFS: fs, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
 }
 
@@ -347,7 +350,7 @@ func batchCrashOptions(fs *FaultFS) Options {
 // write. After each crash it reopens the store and checks it with
 // crashInBatch.
 func sweepBatchCrashes(t *testing.T, checkpoints bool, site func(afterPageWrite bool) bool, minSites int) {
-	probe := NewFaultFS(1)
+	probe := faultinject.NewFaultFS(1)
 	s, err := Open("sweep", batchCrashOptions(probe))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +362,7 @@ func sweepBatchCrashes(t *testing.T, checkpoints bool, site func(afterPageWrite 
 	s.CrashForTest()
 
 	data := filepath.Join("sweep", dataFileName)
-	isPageWrite := func(p FaultPoint) bool {
+	isPageWrite := func(p faultinject.FaultPoint) bool {
 		return p.Op == "write" && p.Path == data && p.Len == PageSize
 	}
 	trace := probe.Trace()
@@ -410,15 +413,15 @@ func TestWriteBackEvictionCrashSweep(t *testing.T) {
 // crashInBatch runs batchCrashWorkload with a torn write at site, which the
 // probe run traced as a page write inside a write-back batch, then reopens
 // and checks every committed record.
-func crashInBatch(t *testing.T, site int, trace []FaultPoint, checkpoints bool) {
-	fs := NewFaultFS(int64(site))
+func crashInBatch(t *testing.T, site int, trace []faultinject.FaultPoint, checkpoints bool) {
+	fs := faultinject.NewFaultFS(int64(site))
 	fs.TearAt(site)
 	s, err := Open("sweep", batchCrashOptions(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	committed := map[RID][]byte{}
-	if err := batchCrashWorkload(s, committed, checkpoints); !errors.Is(err, ErrCrashed) {
+	if err := batchCrashWorkload(s, committed, checkpoints); !errors.Is(err, vfs.ErrCrashed) {
 		t.Fatalf("site %d: workload ended with %v, want a crash", site, err)
 	}
 	s.CrashForTest()
@@ -529,7 +532,7 @@ func (f gateFile) Sync() error {
 // then write the newer bytes, so its data-file sync covers the page and
 // the older copy never lands after the newer one.
 func TestCheckpointWaitsForWriteBackInFlight(t *testing.T) {
-	gv := &gateVFS{VFS: NewFaultFS(1)}
+	gv := &gateVFS{VFS: faultinject.NewFaultFS(1)}
 	opts := Options{VFS: gv, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
 	s, err := Open("inflight", opts)
 	if err != nil {

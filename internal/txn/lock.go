@@ -308,18 +308,6 @@ func (lm *LockManager) wake(resource string, ls *lockState) {
 	}
 }
 
-// Held returns a snapshot of the locks a transaction holds, for tests and
-// debugging.
-func (lm *LockManager) Held(txn uint64) map[string]Mode {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	out := map[string]Mode{}
-	for r, m := range lm.held[txn] {
-		out[r] = m
-	}
-	return out
-}
-
 // Resource builds a hierarchical resource name.
 func Resource(parts ...string) string {
 	out := ""

@@ -74,13 +74,6 @@ func (b *Builder) Text(data string) *Builder {
 	return b
 }
 
-// Comment appends a comment node.
-func (b *Builder) Comment(data string) *Builder {
-	parent := b.top()
-	parent.Children = append(parent.Children, &Node{Kind: CommentNode, Data: data, Parent: parent})
-	return b
-}
-
 // Subtree deep-copies an existing node (and its descendants) into the
 // current position. Attribute nodes are attached as attributes of the
 // current element; other kinds become children. This implements the
@@ -119,10 +112,4 @@ func (b *Builder) Done() *Node {
 	}
 	b.doc.Seal()
 	return b.doc
-}
-
-// Elem is a shorthand for constructing a simple document
-// <local>text</local> used widely in tests.
-func Elem(local, text string) *Node {
-	return NewBuilder().Element(Name{Local: local}, text).Done()
 }

@@ -67,11 +67,6 @@ func (n Name) String() string {
 	return n.Local
 }
 
-// Matches reports whether the name matches the given namespace/local pair.
-func (n Name) Matches(space, local string) bool {
-	return n.Space == space && n.Local == local
-}
-
 // docSeq numbers documents globally so that nodes from different trees have
 // a stable, total document order (required for union semantics).
 var docSeq atomic.Uint64
@@ -217,9 +212,6 @@ func (n *Node) Seal() {
 	}
 	walk(n)
 }
-
-// Sealed reports whether the tree has been sealed (document order assigned).
-func (n *Node) Sealed() bool { return n.seq != 0 }
 
 // Clone returns a deep copy of the subtree rooted at n, detached from any
 // parent, sealed as a fresh tree. Cloning an element or text node wraps no

@@ -195,19 +195,3 @@ func AppendEscapedAttr(dst []byte, s string) []byte {
 	}
 	return dst
 }
-
-// EscapeText escapes character data for element content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "<>&") {
-		return s
-	}
-	return string(AppendEscapedText(nil, s))
-}
-
-// EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, `<&"`+"\n\t") {
-		return s
-	}
-	return string(AppendEscapedAttr(nil, s))
-}

@@ -122,8 +122,8 @@ func main() {
 		fmt.Printf("pipelined commits  %d\n", st.PipelinedCommits)
 		fmt.Printf("durability waits   %d\n", st.DurabilityWaits)
 		fmt.Printf("undurable batches  %d\n", st.UndurableBatches)
-		fmt.Printf("pages written      %d\n", st.PagesWritten)
-		fmt.Printf("write-back flushes %d\n", st.WriteBackFlushes)
+		fmt.Printf("pages written      %d\n", st.Store.PagesWritten)
+		fmt.Printf("write-back flushes %d\n", st.Store.WriteBackFlushes)
 	default:
 		usage()
 	}

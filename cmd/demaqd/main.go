@@ -35,7 +35,7 @@ func main() {
 		batchSize  = flag.Int("batch", 0, "messages claimed and committed per set-oriented batch (0 = tuned default, 1 = one message per transaction)")
 		check      = flag.Bool("check", false, "validate the application and exit")
 		useHTTP    = flag.Bool("http", false, "attach the HTTP gateway transport")
-		simSeed    = flag.Int64("sim", 0, "attach the simulated network transport with this seed")
+		useSim     = flag.Bool("sim", false, "attach the simulated in-process network transport")
 		gcEvery    = flag.Duration("gc", 30*time.Second, "retention GC interval (0 disables)")
 		noSync     = flag.Bool("nosync", false, "disable fsync on commit")
 		statsSec   = flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
@@ -69,6 +69,7 @@ func main() {
 		BatchSize:          *batchSize,
 		GCInterval:         *gcEvery,
 		NoSync:             *noSync,
+		SimNetwork:         *useSim,
 		EnableHTTP:         *useHTTP,
 		MaxIngestBacklog:   *maxBacklog,
 		WALSoftBudget:      *walSoft,
@@ -76,9 +77,6 @@ func main() {
 		CheckpointInterval: *ckptEvery,
 		Resources:          os.DirFS(filepath.Dir(*appFile)),
 		Logger:             slog.New(slog.NewTextHandler(os.Stderr, nil)),
-	}
-	if *simSeed != 0 {
-		opts.NetworkSeed = *simSeed
 	}
 	srv, err := demaq.Open(*dataDir, string(source), opts)
 	if err != nil {

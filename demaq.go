@@ -35,7 +35,6 @@ import (
 	"demaq/internal/msgstore"
 	"demaq/internal/qdl"
 	"demaq/internal/rule"
-	"demaq/internal/store"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 )
@@ -92,9 +91,9 @@ type Options struct {
 	// Resources resolves WSDL, policy and schema files referenced by the
 	// application.
 	Resources fs.FS
-	// NetworkSeed, when non-zero, attaches the simulated network transport
-	// (addresses "sim://...") with deterministic behavior.
-	NetworkSeed int64
+	// SimNetwork attaches the simulated in-process network transport
+	// (addresses "sim://...").
+	SimNetwork bool
 	// EnableHTTP attaches the HTTP transport (addresses "http://...").
 	EnableHTTP bool
 	// Logger receives engine diagnostics.
@@ -138,8 +137,8 @@ func OpenApplication(dir string, app *qdl.Application, opts *Options) (*Server, 
 		opts = &Options{}
 	}
 	srv := &Server{}
-	if opts.NetworkSeed != 0 {
-		srv.net = gateway.NewNetwork(opts.NetworkSeed)
+	if opts.SimNetwork {
+		srv.net = gateway.NewNetwork(0)
 	}
 	if opts.EnableHTTP {
 		srv.http = gateway.NewHTTPTransport()
@@ -295,10 +294,6 @@ func (s *Server) AddMasterData(collection, xml string) error {
 // messages physically removed.
 func (s *Server) CollectGarbage() (int, error) { return s.eng.CollectGarbage() }
 
-// PageStats returns the page-store counters (commits, WAL fsyncs and
-// group-commit coalescing) for benchmarks and operational tooling.
-func (s *Server) PageStats() store.Stats { return s.eng.MessageStore().PageStore().Stats() }
-
 // Reload replaces the application program at runtime — the dynamic rule
 // evolution the paper lists as future work (Sec. 5). The engine must be
 // idle (Drain first); queues can be added but not removed or re-typed;
@@ -369,18 +364,18 @@ func FormatStats(st Stats) string {
 		s += fmt.Sprintf(" gc=%d/%.2fms", st.GCPasses, float64(st.GCPassNs)/float64(st.GCPasses)/1e6)
 	}
 	s += fmt.Sprintf(" wal-live=%d segs=%d dirty=%d ckpts=%d",
-		st.WALLiveBytes, st.WALSegments, st.DirtyPages, st.Checkpoints)
-	if st.PagesWritten > 0 {
-		s += fmt.Sprintf(" pages-written=%d wb-flushes=%d", st.PagesWritten, st.WriteBackFlushes)
+		st.Store.WALLiveBytes, st.Store.WALSegments, st.Store.DirtyPages, st.Store.Checkpoints)
+	if st.Store.PagesWritten > 0 {
+		s += fmt.Sprintf(" pages-written=%d wb-flushes=%d", st.Store.PagesWritten, st.Store.WriteBackFlushes)
 	}
-	if st.WALThrottles > 0 || st.WALShed > 0 {
-		s += fmt.Sprintf(" throttled=%d wal-shed=%d", st.WALThrottles, st.WALShed)
+	if st.Store.WALThrottles > 0 || st.WALShed > 0 {
+		s += fmt.Sprintf(" throttled=%d wal-shed=%d", st.Store.WALThrottles, st.WALShed)
 	}
-	if st.LastCheckpoint > 0 {
-		s += fmt.Sprintf(" last-ckpt=%s", st.LastCheckpoint.Round(time.Microsecond))
+	if st.Store.LastCheckpointDuration > 0 {
+		s += fmt.Sprintf(" last-ckpt=%s", st.Store.LastCheckpointDuration.Round(time.Microsecond))
 	}
-	if st.RecoveryReplayed > 0 || st.LastRecovery > 0 {
-		s += fmt.Sprintf(" recovered=%d in %s", st.RecoveryReplayed, st.LastRecovery.Round(time.Microsecond))
+	if st.Store.RecoveryRecordsReplayed > 0 || st.Store.LastRecoveryDuration > 0 {
+		s += fmt.Sprintf(" recovered=%d in %s", st.Store.RecoveryRecordsReplayed, st.Store.LastRecoveryDuration.Round(time.Microsecond))
 	}
 	if st.Degraded {
 		s += fmt.Sprintf(" DEGRADED(read-only: %s)", st.StorageError)

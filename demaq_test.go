@@ -202,7 +202,7 @@ func TestOpenPeerHonoursOptions(t *testing.T) {
 		NoMaterializedSlices: true, NoRuleOptimizations: true,
 		GCInterval: time.Hour, MaxIngestBacklog: 11,
 		WALSoftBudget: 1 << 20, WALHardBudget: 2 << 20,
-		CheckpointInterval: time.Minute, NetworkSeed: 1,
+		CheckpointInterval: time.Minute, SimNetwork: true,
 	}
 	srv, err := Open(t.TempDir(), quickApp, opts)
 	if err != nil {

@@ -409,7 +409,7 @@ func TestAdmissionPipelineCrashSweep(t *testing.T) {
 			}
 			for _, d := range docs {
 				if d.Root().Name.Local == "offerRequest" {
-					stored[d.Root().FirstChildElement("requestID").StringValue()] = true
+					stored[childElement(d.Root(), "requestID").StringValue()] = true
 				}
 			}
 			for id := range acked {

@@ -43,8 +43,8 @@ func TestShutdownZeroReplay(t *testing.T) {
 	e2 := newBasicEngine(t, Config{Dir: dir, Workers: 1})
 	defer e2.Stop()
 	st := e2.Stats()
-	if st.RecoveryReplayed != 0 {
-		t.Fatalf("clean shutdown must leave zero records to replay, reopened engine replayed %d", st.RecoveryReplayed)
+	if st.Store.RecoveryRecordsReplayed != 0 {
+		t.Fatalf("clean shutdown must leave zero records to replay, reopened engine replayed %d", st.Store.RecoveryRecordsReplayed)
 	}
 }
 
@@ -67,11 +67,11 @@ func TestWALHardBudgetSheds(t *testing.T) {
 	if st.WALShed == 0 {
 		t.Fatal("WALShed should count the refused enqueue")
 	}
-	if st.WALLiveBytes < 8<<10 {
-		t.Fatalf("shed fired below the hard budget: live=%d", st.WALLiveBytes)
+	if st.Store.WALLiveBytes < 8<<10 {
+		t.Fatalf("shed fired below the hard budget: live=%d", st.Store.WALLiveBytes)
 	}
 	// The store also throttled commits between the soft and hard budgets.
-	if st.WALThrottles == 0 {
+	if st.Store.WALThrottles == 0 {
 		t.Fatal("commits between the budgets should have been throttled")
 	}
 }
@@ -92,19 +92,19 @@ func TestCheckpointSchedulerBoundsWAL(t *testing.T) {
 			t.Fatalf("enqueue %d: %v (scheduler should keep the WAL under the hard budget)", i, err)
 		}
 	}
-	waitFor(t, 10*time.Second, func() bool { return e.Stats().Checkpoints > 0 })
+	waitFor(t, 10*time.Second, func() bool { return e.Stats().Store.Checkpoints > 0 })
 	waitFor(t, 10*time.Second, func() bool { return e.sched.Idle() })
 	// Once idle, the next scheduler pass brings the live WAL back under the
 	// soft budget (the last checkpoint's bracket records and page images
 	// remain live by design).
 	waitFor(t, 10*time.Second, func() bool {
-		return e.Stats().WALLiveBytes < 16<<10
+		return e.Stats().Store.WALLiveBytes < 16<<10
 	})
 	st := e.Stats()
 	if st.WALShed != 0 {
 		t.Fatalf("scheduler let the WAL reach the hard budget: %d sheds", st.WALShed)
 	}
-	if st.LastCheckpoint <= 0 {
+	if st.Store.LastCheckpointDuration <= 0 {
 		t.Fatal("LastCheckpoint duration should be recorded")
 	}
 }
@@ -117,12 +117,12 @@ func TestCheckpointSoftBudgetAtHard(t *testing.T) {
 	const hard = 256 << 10
 	e := newBasicEngine(t, Config{Workers: 1, Store: budgetedOptions(hard, hard)})
 	defer e.Stop()
-	before := e.Stats().Checkpoints
+	before := e.Stats().Store.Checkpoints
 	e.Start()
-	for i := 0; e.Stats().WALLiveBytes <= hard/2; i++ {
+	for i := 0; e.Stats().Store.WALLiveBytes <= hard/2; i++ {
 		if _, err := e.EnqueueXML("in", "<m>soft-budget-at-hard-payload</m>", nil); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
 		}
 	}
-	waitFor(t, 10*time.Second, func() bool { return e.Stats().Checkpoints > before })
+	waitFor(t, 10*time.Second, func() bool { return e.Stats().Store.Checkpoints > before })
 }

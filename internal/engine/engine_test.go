@@ -266,13 +266,13 @@ func TestErrorRoutedToRuleErrorQueue(t *testing.T) {
 	if root.Name.Local != "error" {
 		t.Fatal("error document shape")
 	}
-	if root.FirstChildElement("kind").StringValue() != "application" {
-		t.Fatalf("error kind: %s", root.FirstChildElement("kind").StringValue())
+	if childElement(root, "kind").StringValue() != "application" {
+		t.Fatalf("error kind: %s", childElement(root, "kind").StringValue())
 	}
-	if root.FirstChildElement("rule").StringValue() != "bad" {
+	if childElement(root, "rule").StringValue() != "bad" {
 		t.Fatal("error rule attribution")
 	}
-	if root.FirstChildElement("initialMessage") == nil {
+	if childElement(root, "initialMessage") == nil {
 		t.Fatal("initial message missing")
 	}
 	// The failing message is consumed (processed exactly once).

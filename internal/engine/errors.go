@@ -130,14 +130,14 @@ func (e *Engine) errorUpdate(queue string, id msgstore.MsgID, doc *xmldom.Node, 
 }
 
 // emitError enqueues the error message of a failure that has no message to
-// consume with it (a malformed or invalid external document, a misdirected
-// echo), in a transaction of its own. It does not wait for the log: the
-// message reaches its consumer at pre-commit like a worker's, and the
-// durability stage makes it durable — the caller, a gateway handler that may
-// hold a reliable session's peer lock, answers its sender at once.
-func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r *rule.Rule, cause error) {
+// consume with it (a malformed or invalid external document), in a
+// transaction of its own. It does not wait for the log: the message reaches
+// its consumer at pre-commit like a worker's, and the durability stage makes
+// it durable — the caller, a gateway handler that may hold a reliable
+// session's peer lock, answers its sender at once.
+func (e *Engine) emitError(queue string, doc *xmldom.Node, cause error) {
 	e.stats.errors.Add(1)
-	up, ok := e.errorUpdate(queue, id, doc, r, cause)
+	up, ok := e.errorUpdate(queue, 0, doc, nil, cause)
 	if !ok {
 		return
 	}
@@ -164,8 +164,7 @@ func (e *Engine) emitError(queue string, id msgstore.MsgID, doc *xmldom.Node, r 
 		return
 	}
 	e.dur.add(pc, 0)
-	e.log.Warn("error routed to error queue",
-		"queue", queue, "rule", ruleNameOf(r), "target", up.Queue, "err", cause)
+	e.log.Warn("error routed to error queue", "queue", queue, "target", up.Queue, "err", cause)
 }
 
 // applyError consumes, inside txnID, a message whose processing failed for

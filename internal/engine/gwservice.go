@@ -13,6 +13,7 @@ import (
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/qdl"
+	"demaq/internal/schema"
 	"demaq/internal/wsdl"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
@@ -583,14 +584,15 @@ func (g *gatewayService) deliver(queue string, payload []byte, props map[string]
 		doc, err := xmldom.Parse(payload)
 		if err != nil {
 			// Message-related error (Sec. 3.6): a malformed external document.
-			e.emitError(queue, 0, nil, nil, err)
-			return nil, err
-		}
-		if err := e.validateSchema(decl, doc); err != nil {
-			e.emitError(queue, 0, doc, nil, err)
+			e.emitError(queue, nil, err)
 			return nil, err
 		}
 		if a, err = e.enqueueDoc(queue, doc, explicit, sess); err != nil {
+			// enqueueDoc validates: an invalid document is a message error too.
+			var verr *schema.ValidationError
+			if errors.As(err, &verr) {
+				e.emitError(queue, doc, err)
+			}
 			return nil, err
 		}
 	} else if a, err = e.enqueueWire(queue, payload, explicit, sess); err != nil {
@@ -601,7 +603,7 @@ func (g *gatewayService) deliver(queue string, payload []byte, props map[string]
 		// failures.
 		var perr *xmldom.ParseError
 		if errors.As(err, &perr) {
-			e.emitError(queue, 0, nil, nil, err)
+			e.emitError(queue, nil, err)
 		}
 		return nil, err
 	}

@@ -263,7 +263,7 @@ func TestRuleErrorSurvivesCrash(t *testing.T) {
 		}
 		checkAllProcessed(t, c.eng, "in", 1)
 		errs, _ := ms.QueueDocs("errs")
-		if len(errs) != 1 || errs[0].Root().FirstChildElement("rule").StringValue() != "bad" {
+		if len(errs) != 1 || childElement(errs[0].Root(), "rule").StringValue() != "bad" {
 			t.Fatalf("want exactly one error message of rule bad, have %d", len(errs))
 		}
 		if out, _ := ms.Messages("out"); len(out) != 0 {
@@ -386,7 +386,7 @@ func (p *pipelineNode) checkConverged(n int) {
 	}
 	docs, _ := ms.QueueDocs("customer")
 	for _, d := range docs {
-		got = append(got, d.Root().Name.Local+" "+d.Root().FirstChildElement("requestID").StringValue())
+		got = append(got, d.Root().Name.Local+" "+childElement(d.Root(), "requestID").StringValue())
 	}
 	sort.Strings(want)
 	sort.Strings(got)

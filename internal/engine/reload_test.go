@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"demaq/internal/qdl"
+	"demaq/internal/rule"
 	"demaq/internal/xdm"
 )
 
@@ -154,4 +159,115 @@ func TestEchoTimersSurviveRestart(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("echo timer did not survive the restart")
+}
+
+// reloadAppA and reloadAppB are two versions of one application: B keeps
+// A's queue, property and slicing, and adds a queue, a collection, a second
+// slicing, a projected rule and an index-probed qs:queue() read.
+const reloadAppA = `
+create queue in kind basic mode persistent;
+create property k as xs:string fixed queue in value /m/k;
+create slicing byK on k;
+create rule done for byK if (/m/last) then do reset;
+`
+
+const reloadAppB = `
+create queue in kind basic mode persistent;
+create queue log kind basic mode persistent;
+create queue orders kind basic mode persistent;
+create collection master;
+create property k as xs:string fixed queue in value /m/k;
+create property r as xs:string fixed queue log value //r;
+create property ch as xs:string queue in value /m/ch;
+create slicing byK on k;
+create slicing alsoByK on k;
+create rule pair for byK
+  if (count(qs:slice()) >= 2) then do enqueue <pair>{qs:slicekey()}</pair> into log;
+create rule route for in
+  if (qs:property("ch") = "x") then do enqueue <r>{string(/m/k)}</r> into log;
+create rule ship for orders
+  if (/order/item) then do enqueue <shipped>{string(/order/id)}</shipped> into log;
+create rule lookup for in
+  if (qs:queue("log")[//r = "a"]) then do enqueue <seen/> into log;
+`
+
+// deployedState renders what deploying an application derives: every
+// queue and slice plan with each rule's access path and qs:queue() reads,
+// the projection fingerprint of every queue, the probe floor and the
+// members of every slice.
+func deployedState(e *Engine, keys ...string) string {
+	var b strings.Builder
+	plans := func(kind string, m map[string]*rule.Plan) {
+		names := make([]string, 0, len(m))
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s plan %s: probes %v\n", kind, name, m[name].IndexProbes())
+			for _, r := range m[name].Rules {
+				fmt.Fprintf(&b, "  rule %s: access %d, trigger %q, preds %v, queue reads %v\n",
+					r.Name, r.Access, r.Trigger, r.PropPreds, r.QueueReads)
+			}
+		}
+	}
+	plans("queue", e.prog.QueuePlans)
+	plans("slice", e.prog.SlicePlans)
+	for _, q := range e.prog.App.Queues {
+		fmt.Fprintf(&b, "queue %s: projection %x\n", q.Name, e.projFP(q.Name))
+	}
+	fmt.Fprintf(&b, "probe floor %d\n", e.probeFloor)
+	for _, s := range e.prog.App.Slicings {
+		for _, key := range keys {
+			fmt.Fprintf(&b, "slice %s/%s: members %v\n", s.Name, key, e.slices.SliceMembers(s.Name, key))
+		}
+	}
+	return b.String()
+}
+
+// TestReloadMatchesNew: Reload deploys an application exactly as New does —
+// an engine reloaded from A to B holds the state a fresh engine on B over
+// the same store holds.
+func TestReloadMatchesNew(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Workers: 2}
+	e, err := New(cfg, qdl.MustParse(reloadAppA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	for _, m := range []string{`<m><k>a</k></m>`, `<m><k>a</k></m>`, `<m><k>b</k></m>`, `<m><k>b</k><last/></m>`, `<m><k>c</k></m>`} {
+		if _, err := e.EnqueueXML("in", m, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, e)
+	if err := e.Reload(qdl.MustParse(reloadAppB)); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, reloadedDecls := deployedState(e, "a", "b", "c"), e.decls
+	if err := e.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := New(cfg, qdl.MustParse(reloadAppB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Stop()
+	if got := deployedState(fresh, "a", "b", "c"); got != reloaded {
+		t.Errorf("reloaded engine:\n%s\nfresh engine:\n%s", reloaded, got)
+	}
+	if !reflect.DeepEqual(fresh.decls, reloadedDecls) {
+		t.Errorf("queue declarations differ: reloaded %v, fresh %v", reloadedDecls, fresh.decls)
+	}
+	// The comparison covers each kind of derived state.
+	for _, want := range []string{"access 2", "queue reads [{log r}]",
+		"slice byK/a: members [1 2]", "slice byK/b: members []", "slice alsoByK/b: members [3 4]"} {
+		if !strings.Contains(reloaded, want) {
+			t.Errorf("deployed state lacks %q:\n%s", want, reloaded)
+		}
+	}
+	if fresh.projFP("orders") == 0 {
+		t.Errorf("queue orders has no projection:\n%s", reloaded)
+	}
 }

@@ -142,7 +142,7 @@ func TestGatewayRestartResubscribes(t *testing.T) {
 	docs, _ := buyer.MessageStore().QueueDocs("results")
 	seen := map[string]bool{}
 	for _, d := range docs {
-		key := d.Root().FirstChildElement("requestID").StringValue()
+		key := childElement(d.Root(), "requestID").StringValue()
 		if seen[key] {
 			t.Fatalf("duplicate result %s after supplier restart", key)
 		}

@@ -100,14 +100,14 @@ func TestSoakSustainedLoad(t *testing.T) {
 	var peakLive uint64
 	for time.Now().Before(deadline) {
 		st := e.Stats()
-		if st.WALLiveBytes > peakLive {
-			peakLive = st.WALLiveBytes
+		if st.Store.WALLiveBytes > peakLive {
+			peakLive = st.Store.WALLiveBytes
 		}
 		if st.Degraded {
 			t.Fatalf("engine degraded mid-soak: %s", st.StorageError)
 		}
-		if st.WALLiveBytes > uint64(4*hard) {
-			t.Fatalf("live WAL grew unbounded under load: %d bytes (hard budget %d)", st.WALLiveBytes, hard)
+		if st.Store.WALLiveBytes > uint64(4*hard) {
+			t.Fatalf("live WAL grew unbounded under load: %d bytes (hard budget %d)", st.Store.WALLiveBytes, hard)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -116,7 +116,7 @@ func TestSoakSustainedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkpoints := e.Stats().Checkpoints
+	checkpoints := e.Stats().Store.Checkpoints
 	drained, err := e.Shutdown(60 * time.Second)
 	if err != nil {
 		t.Fatalf("shutdown after soak: %v", err)
@@ -136,8 +136,8 @@ func TestSoakSustainedLoad(t *testing.T) {
 	}
 	defer e2.Stop()
 	st := e2.Stats()
-	if st.RecoveryReplayed != 0 {
-		t.Fatalf("clean shutdown after soak: reopened engine replayed %d records", st.RecoveryReplayed)
+	if st.Store.RecoveryRecordsReplayed != 0 {
+		t.Fatalf("clean shutdown after soak: reopened engine replayed %d records", st.Store.RecoveryRecordsReplayed)
 	}
 	if err := e2.MessageStore().VerifyIntegrity(); err != nil {
 		t.Fatalf("integrity after soak: %v", err)

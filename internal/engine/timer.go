@@ -135,7 +135,10 @@ func (t *timerService) loop() {
 }
 
 // fire moves the payload of an expired echo message into its target queue
-// and consumes the echo message, in one transaction.
+// and consumes the echo message, in one transaction. An echo it cannot
+// deliver — no target, an unknown target, or a payload the target's
+// property expressions fail on — is consumed together with its error
+// message instead, like a message whose rule failed (Sec. 3.6).
 func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 	e := t.eng
 	msg, ok := e.ms.Get(id)
@@ -147,12 +150,12 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 		target = v.StringValue()
 	}
 	if target == "" {
-		e.emitError(queue, id, nil, nil, fmt.Errorf("echo message %d has no target property", id))
-		return t.consume(id)
+		e.handleRuleError(queue, id, fmt.Errorf("echo message %d has no target property", id))
+		return nil
 	}
 	if _, ok := e.ms.Queue(target); !ok {
-		e.emitError(queue, id, nil, nil, fmt.Errorf("echo target queue %q does not exist", target))
-		return t.consume(id)
+		e.handleRuleError(queue, id, fmt.Errorf("echo target queue %q does not exist", target))
+		return nil
 	}
 	doc, err := e.ms.Doc(id)
 	if err != nil {
@@ -165,7 +168,8 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 	}
 	props, err := e.prog.Properties.Evaluate(target, doc, nil, msg.Props, system, now)
 	if err != nil {
-		return err
+		e.handleRuleError(queue, id, err)
+		return nil
 	}
 	tx := e.ms.Begin()
 	if err := tx.Enqueue(target, doc, props, now); err != nil {
@@ -181,11 +185,4 @@ func (t *timerService) fire(queue string, id msgstore.MsgID) error {
 	}
 	e.stats.enqueued.Add(1)
 	return nil
-}
-
-func (t *timerService) consume(id msgstore.MsgID) error {
-	tx := t.eng.ms.Begin()
-	tx.MarkProcessed(id)
-	_, err := tx.Commit()
-	return err
 }

@@ -116,8 +116,8 @@ func (fn *FaultNet) DropAt(n int) {
 }
 
 // SetDown marks an endpoint as administratively unreachable: sends fail
-// fast with gateway.ErrDisconnected (Network's dead-link behavior, kept for the
-// deadLink rule path).
+// fast with gateway.ErrDisconnected, as a send to an address nobody
+// subscribes on gateway.Network does (the deadLink rule path).
 func (fn *FaultNet) SetDown(addr string, down bool) {
 	fn.mu.Lock()
 	fn.down[addr] = down

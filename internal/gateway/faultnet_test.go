@@ -3,6 +3,7 @@ package gateway_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,5 +200,121 @@ func TestReliableRestartedSenderResumesSequence(t *testing.T) {
 			t.Fatalf("duplicate admission of %q", m)
 		}
 		seen[m] = true
+	}
+}
+
+func TestReliableDeliversDespiteLoss(t *testing.T) {
+	n := faultinject.NewFaultNet(7)
+	defer n.Close()
+	n.SetDropRate(0.4)
+
+	recv, err := gateway.NewReliable(n, "fnet://b/in", 5*time.Millisecond, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	var mu sync.Mutex
+	var got []string
+	if err := recv.Subscribe(func(p []byte, _ map[string]string) error {
+		mu.Lock()
+		got = append(got, string(p))
+		mu.Unlock()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	send, err := gateway.NewReliable(n, "fnet://a/out", 5*time.Millisecond, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	if err := send.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	const msgs = 30
+	var wg sync.WaitGroup
+	errs := make(chan error, msgs)
+	for i := 0; i < msgs; i++ {
+		wg.Add(1)
+		send.SendAsync("fnet://b/in", []byte(fmt.Sprintf("m%d", i)), nil, func(err error) {
+			errs <- err
+			wg.Done()
+		})
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("send failed: %v", err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// At-least-once with dedup = exactly-once to the application.
+	if len(got) != msgs {
+		t.Fatalf("delivered %d unique messages, want %d", len(got), msgs)
+	}
+	seen := map[string]bool{}
+	for _, m := range got {
+		if seen[m] {
+			t.Fatalf("duplicate delivered to application: %s", m)
+		}
+		seen[m] = true
+	}
+	_, retransmits, _ := send.Stats()
+	if retransmits == 0 {
+		t.Fatal("expected retransmissions under loss")
+	}
+}
+
+func TestReliableDedupUnderDuplication(t *testing.T) {
+	n := faultinject.NewFaultNet(3)
+	defer n.Close()
+	n.SetDupRate(0.8)
+	recv, _ := gateway.NewReliable(n, "fnet://b/in", 5*time.Millisecond, 50)
+	defer recv.Close()
+	var count atomic.Int64
+	recv.Subscribe(func([]byte, map[string]string) error {
+		count.Add(1)
+		return nil
+	})
+	send, _ := gateway.NewReliable(n, "fnet://a/out", 5*time.Millisecond, 50)
+	defer send.Close()
+	send.Subscribe(func([]byte, map[string]string) error { return nil })
+	done := make(chan error, 10)
+	for i := 0; i < 10; i++ {
+		send.SendAsync("fnet://b/in", []byte(fmt.Sprintf("%d", i)), nil, func(err error) { done <- err })
+	}
+	for i := 0; i < 10; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // let duplicates land
+	if got := count.Load(); got != 10 {
+		t.Fatalf("application saw %d messages, want 10", got)
+	}
+}
+
+func TestReliableRetryBudgetExhausted(t *testing.T) {
+	n := faultinject.NewFaultNet(5)
+	defer n.Close()
+	n.SetDropRate(1.0) // nothing gets through
+	unsub, _ := n.Subscribe("fnet://b/in", func([]byte, map[string]string) error { return nil })
+	defer unsub()
+	send, _ := gateway.NewReliable(n, "fnet://a/out", time.Millisecond, 3)
+	defer send.Close()
+	send.Subscribe(func([]byte, map[string]string) error { return nil })
+	done := make(chan error, 1)
+	send.SendAsync("fnet://b/in", []byte("x"), nil, func(err error) { done <- err })
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("expected failure after retry budget")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("no completion")
 	}
 }

@@ -4,10 +4,9 @@
 // HMAC message-integrity policy standing in for WS-Security.
 //
 // Two transports are provided. The simulated in-process network carries
-// traffic between Demaq nodes in one process with configurable latency,
-// loss, duplication and disconnected endpoints — the offline substitute
-// for the paper's SOAP/HTTP/SMTP stack that makes failure injection
-// deterministic (see DESIGN.md). The HTTP transport is a real loopback
+// traffic between Demaq nodes in one process — the offline substitute for
+// the paper's SOAP/HTTP/SMTP stack; its fault-injecting counterpart for
+// tests is faultinject.FaultNet. The HTTP transport is a real loopback
 // binding with the message payload as the request body and properties as
 // X-Demaq-Property headers.
 package gateway

@@ -88,18 +88,6 @@ func (m *Manager) Def(name string) (*Def, bool) {
 	return d, ok
 }
 
-// Defs returns all definitions, sorted by name.
-func (m *Manager) Defs() []*Def {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*Def, 0, len(m.defs))
-	for _, d := range m.defs {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // DefsForQueue returns the definitions declared on the given queue.
 func (m *Manager) DefsForQueue(queue string) []*Def {
 	m.mu.RLock()

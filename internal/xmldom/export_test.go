@@ -20,3 +20,14 @@ func EscapeAttr(s string) string {
 
 // Sealed reports whether the tree has been sealed (document order assigned).
 func (n *Node) Sealed() bool { return n.seq != 0 }
+
+// FirstChildElement returns the first child element with the given local
+// name (any namespace), or nil.
+func (n *Node) FirstChildElement(local string) *Node {
+	for _, c := range n.Children {
+		if c.Kind == ElementNode && c.Name.Local == local {
+			return c
+		}
+	}
+	return nil
+}

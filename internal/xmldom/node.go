@@ -168,17 +168,6 @@ func (n *Node) ChildElements() []*Node {
 	return out
 }
 
-// FirstChildElement returns the first child element with the given local
-// name (any namespace), or nil.
-func (n *Node) FirstChildElement(local string) *Node {
-	for _, c := range n.Children {
-		if c.Kind == ElementNode && c.Name.Local == local {
-			return c
-		}
-	}
-	return nil
-}
-
 // Before reports whether n precedes other in document order. Nodes from
 // different documents are ordered by document creation sequence, which is
 // arbitrary but stable, as XQuery requires.

@@ -201,7 +201,7 @@ func TestEvalPathDocOrderAndDedup(t *testing.T) {
 		t.Fatalf("union size = %d", len(seq))
 	}
 	first := seq[0].(xdm.Node).N
-	if first.FirstChildElement("sku").StringValue() != "A1" {
+	if childElement(first, "sku").StringValue() != "A1" {
 		t.Error("union not in document order")
 	}
 	// Parent steps dedup: every item's parent is the same items element.
@@ -252,7 +252,7 @@ func TestEvalConstructors(t *testing.T) {
 		t.Fatalf("constructed attr: %q", v)
 	}
 	// Node copy: the name element is deep-copied into the new tree.
-	nameEl := el.FirstChildElement("name")
+	nameEl := childElement(el, "name")
 	if nameEl == nil || nameEl.StringValue() != "ACME" {
 		t.Fatal("copied child element")
 	}

@@ -123,9 +123,9 @@ func TestRuleBodiesDifferential(t *testing.T) {
 					}
 				}
 			}
-			for _, def := range prog.Properties.Defs() {
-				for q, c := range def.PerQueue {
-					bodies = append(bodies, namedBody{"property " + def.Name + " on " + q, c})
+			for _, q := range prog.App.Queues {
+				for _, def := range prog.Properties.DefsForQueue(q.Name) {
+					bodies = append(bodies, namedBody{"property " + def.Name + " on " + q.Name, def.PerQueue[q.Name]})
 				}
 			}
 			for _, b := range bodies {

@@ -116,6 +116,8 @@ func main() {
 		fmt.Printf("backlog            %d\n", st.Backlog)
 		fmt.Printf("batches claimed    %d\n", st.BatchesClaimed)
 		fmt.Printf("avg batch size     %.2f\n", st.AvgBatchSize)
+		fmt.Printf("batches committed  %d\n", st.BatchesCommitted)
+		fmt.Printf("avg committed      %.2f\n", st.AvgCommittedBatch)
 		fmt.Printf("gateway sent       %d\n", st.GatewaySent)
 		fmt.Printf("gateway commits    %d\n", st.GatewayConsumeCommits)
 		fmt.Printf("gateway errors     %d\n", st.GatewaySendErrors)

@@ -344,10 +344,10 @@ func Validate(source string) error {
 
 // FormatStats renders stats for human consumption.
 func FormatStats(st Stats) string {
-	s := fmt.Sprintf("processed=%d rules=%d fired=%d enqueued=%d resets=%d errors=%d deadlocks=%d dlrequeues=%d collected=%d backlog=%d batches=%d avgbatch=%.1f",
+	s := fmt.Sprintf("processed=%d rules=%d fired=%d enqueued=%d resets=%d errors=%d deadlocks=%d dlrequeues=%d collected=%d backlog=%d batches=%d avgbatch=%.1f commits=%d avgcommit=%.1f",
 		st.Processed, st.RulesEvaluated, st.RulesFired, st.Enqueued, st.Resets,
 		st.Errors, st.Deadlocks, st.DeadlockRequeues, st.Collected, st.Backlog,
-		st.BatchesClaimed, st.AvgBatchSize)
+		st.BatchesClaimed, st.AvgBatchSize, st.BatchesCommitted, st.AvgCommittedBatch)
 	if st.GatewaySent > 0 {
 		s += fmt.Sprintf(" gw-sent=%d gw-commits=%d gw-errors=%d",
 			st.GatewaySent, st.GatewayConsumeCommits, st.GatewaySendErrors)

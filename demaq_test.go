@@ -193,6 +193,16 @@ func TestFormatStatsGCPasses(t *testing.T) {
 	}
 }
 
+// TestFormatStatsCommittedBatches: the stats line shows worker commits and
+// the messages each processed beside the claim rounds, which count a
+// requeued tail twice.
+func TestFormatStatsCommittedBatches(t *testing.T) {
+	st := Stats{BatchesClaimed: 6, AvgBatchSize: 4, BatchesCommitted: 4, AvgCommittedBatch: 5.5}
+	if s := FormatStats(st); !strings.Contains(s, " batches=6 avgbatch=4.0 commits=4 avgcommit=5.5") {
+		t.Fatalf("committed batches not surfaced: %s", s)
+	}
+}
+
 // TestOpenPeerHonoursOptions: a peer node is configured by the same Options
 // mapping as a primary — every option set reaches its engine, lock
 // granularity included.

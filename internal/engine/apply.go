@@ -6,6 +6,7 @@ import (
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
+	"demaq/internal/slicing"
 	locks "demaq/internal/txn"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
@@ -116,20 +117,54 @@ func (rt *evalRuntime) Collection(name string) ([]*xmldom.Node, error) {
 
 func (rt *evalRuntime) Now() time.Time { return rt.now }
 
-// batchItem carries one message's evaluation result — its pending update
-// list plus the context needed to apply it — into the combined batch
-// commit.
+// batchItem carries one message's evaluation result into the combined batch
+// commit: the messages it enqueues, their properties already evaluated, and
+// the slices it resets.
 type batchItem struct {
-	id      msgstore.MsgID
-	props   map[string]xdm.Value // parent props, inherited by child messages
-	updates *xquery.UpdateList
+	id       msgstore.MsgID
+	enqueues []newMessage
+	resets   []*xquery.ResetUpdate
 }
 
-// applyBatch executes the pending update lists of a whole batch and marks
-// every triggering message processed, in one message-store transaction.
-// Target queues and slices are locked before any effect is applied (strict
-// 2PL: everything is held until the worker releases at transaction end);
-// within the batch each distinct resource costs one lock-manager round.
+// newMessage is a message a batch member enqueues: the update, the
+// properties the new message gets and the slices it joins.
+type newMessage struct {
+	*xquery.EnqueueUpdate
+	props map[string]xdm.Value
+	joins []slicing.Membership
+}
+
+// newItem turns the pending update list of message id into its batch item.
+// The properties of each message it enqueues are evaluated here, once —
+// parent are those of message id, which the new messages inherit — so that
+// the slices they join are known before the item joins a batch.
+func (e *Engine) newItem(id msgstore.MsgID, updates *xquery.UpdateList, parent map[string]xdm.Value, now time.Time) (batchItem, error) {
+	it := batchItem{id: id}
+	for _, up := range updates.Updates {
+		switch u := up.(type) {
+		case *xquery.EnqueueUpdate:
+			system := map[string]xdm.Value{
+				property.SysCreatingRule: xdm.NewString(u.Rule),
+				property.SysCreated:      xdm.NewDateTime(now),
+			}
+			props, err := e.prog.Properties.Evaluate(u.Queue, u.Doc, u.Props, parent, system, now)
+			if err != nil {
+				return batchItem{}, err
+			}
+			it.enqueues = append(it.enqueues, newMessage{u, props, e.slices.Memberships(u.Queue, props)})
+		case *xquery.ResetUpdate:
+			it.resets = append(it.resets, u)
+		}
+	}
+	return it, nil
+}
+
+// applyBatch executes the pending updates of a whole batch and marks every
+// triggering message processed, in one message-store transaction. Target
+// queues and slices — those reset and those the new messages join — are
+// locked before any effect is applied (strict 2PL: everything is held until
+// the worker releases at transaction end); within the batch each distinct
+// resource costs one lock-manager round.
 //
 // The transaction ends in a pre-commit: the effects are published, the
 // reset watermarks move and the new messages reach their internal
@@ -143,7 +178,6 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 	if e.degraded.Load() {
 		return precommit{}, ErrDegraded
 	}
-	var stagedEnqs []stagedMsg
 
 	// lockOnce dedupes lock acquisition across the batch: re-acquiring a
 	// held resource is already cheap inside the manager, but every call
@@ -163,22 +197,31 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		acquired[res] = true
 		return nil
 	}
-
-	// Lock targets first.
+	enqMode := locks.IX
+	if e.cfg.Granularity == LockQueue {
+		enqMode = locks.X
+	}
 	for _, it := range items {
-		for _, up := range it.updates.Updates {
-			switch u := up.(type) {
-			case *xquery.EnqueueUpdate:
-				mode := locks.IX
-				if e.cfg.Granularity == LockQueue {
-					mode = locks.X
-				}
-				if err := lockOnce(locks.Resource("q", u.Queue), mode); err != nil {
+		for _, nm := range it.enqueues {
+			if err := lockOnce(locks.Resource("q", nm.Queue), enqMode); err != nil {
+				return precommit{}, err
+			}
+		}
+		if e.cfg.Granularity == LockSlice {
+			for _, u := range it.resets {
+				if err := lockOnce(locks.Resource("sl", u.Slicing, u.Key.StringValue()), locks.X); err != nil {
 					return precommit{}, err
 				}
-			case *xquery.ResetUpdate:
-				if e.cfg.Granularity == LockSlice {
-					if err := lockOnce(locks.Resource("sl", u.Slicing, u.Key.StringValue()), locks.X); err != nil {
+			}
+		}
+	}
+	// The slices the new messages join change shape when the pre-commit
+	// gives them their ids.
+	if e.cfg.Granularity == LockSlice {
+		for _, it := range items {
+			for _, nm := range it.enqueues {
+				for _, mb := range nm.joins {
+					if err := lockOnce(locks.Resource("sl", mb.Slicing, mb.Key), locks.X); err != nil {
 						return precommit{}, err
 					}
 				}
@@ -188,49 +231,29 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 
 	tx := e.ms.Begin()
 	processed := make([]msgstore.MsgID, 0, len(items))
+	var stagedEnqs []stagedMsg
 	for _, it := range items {
 		processed = append(processed, it.id)
-		for _, up := range it.updates.Updates {
-			switch u := up.(type) {
-			case *xquery.EnqueueUpdate:
-				if _, ok := e.ms.Queue(u.Queue); !ok {
-					tx.Abort()
-					return precommit{}, fmt.Errorf("engine: enqueue into unknown queue %q", u.Queue)
-				}
-				system := map[string]xdm.Value{
-					property.SysCreatingRule: xdm.NewString(u.Rule),
-					property.SysCreated:      xdm.NewDateTime(now),
-				}
-				props, err := e.prog.Properties.Evaluate(u.Queue, u.Doc, u.Props, it.props, system, now)
-				if err != nil {
-					tx.Abort()
-					return precommit{}, err
-				}
-				// Validate against the queue schema, if declared.
-				if decl := e.queueDecl(u.Queue); decl != nil && decl.Schema != "" {
-					if err := e.validateSchema(decl, u.Doc); err != nil {
-						tx.Abort()
-						return precommit{}, err
-					}
-				}
-				if err := tx.Enqueue(u.Queue, u.Doc, props, now); err != nil {
-					tx.Abort()
-					return precommit{}, err
-				}
-				// Lock the new message's slices (they change shape) before
-				// the pre-commit gives it its id.
-				if e.cfg.Granularity == LockSlice {
-					for _, res := range e.sliceLocks(u.Queue, props) {
-						if err := lockOnce(res, locks.X); err != nil {
-							tx.Abort()
-							return precommit{}, err
-						}
-					}
-				}
-				stagedEnqs = append(stagedEnqs, stagedMsg{queue: u.Queue, props: props})
-			case *xquery.ResetUpdate:
-				tx.RecordReset(u.Slicing, u.Key.StringValue())
+		for _, nm := range it.enqueues {
+			if _, ok := e.ms.Queue(nm.Queue); !ok {
+				tx.Abort()
+				return precommit{}, fmt.Errorf("engine: enqueue into unknown queue %q", nm.Queue)
 			}
+			// Validate against the queue schema, if declared.
+			if decl := e.queueDecl(nm.Queue); decl != nil && decl.Schema != "" {
+				if err := e.validateSchema(decl, nm.Doc); err != nil {
+					tx.Abort()
+					return precommit{}, err
+				}
+			}
+			if err := tx.Enqueue(nm.Queue, nm.Doc, nm.props, now); err != nil {
+				tx.Abort()
+				return precommit{}, err
+			}
+			stagedEnqs = append(stagedEnqs, stagedMsg{queue: nm.Queue, props: nm.props})
+		}
+		for _, u := range it.resets {
+			tx.RecordReset(u.Slicing, u.Key.StringValue())
 		}
 	}
 	if err := tx.MarkProcessedAll(processed); err != nil {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -365,4 +367,266 @@ func TestDeadlockExhaustionRequeues(t *testing.T) {
 	if st.Deadlocks > 0 {
 		t.Logf("deadlocks=%d requeues=%d", st.Deadlocks, st.DeadlockRequeues)
 	}
+}
+
+// --- shared-state messages in batches ---
+
+// runPreloaded enqueues msgs — queue and document pairs, in order — into a
+// new engine before it starts, runs it to completion and returns every
+// queue's fingerprint. With one worker the first claim takes the first half
+// of the backlog, so at BatchSize > 1 the leading messages share a claim.
+func runPreloaded(t *testing.T, app string, batch, workers int, setup func(*Engine), msgs ...[2]string) (map[string][]string, Stats) {
+	t.Helper()
+	cfg := Config{Dir: t.TempDir(), Workers: workers, BatchSize: batch}
+	cfg.Store = msgstore.DefaultOptions()
+	cfg.Store.Store.SyncCommits = false
+	e, err := New(cfg, qdl.MustParse(app))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	if setup != nil {
+		setup(e)
+	}
+	for _, m := range msgs {
+		if _, err := e.EnqueueXML(m[0], m[1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Start()
+	if !e.Drain(60 * time.Second) {
+		t.Fatal("drain")
+	}
+	state := map[string][]string{}
+	for _, q := range e.MessageStore().QueueNames() {
+		state[q] = queueFingerprint(t, e, q)
+	}
+	return state, e.Stats()
+}
+
+// sameState fails the test where two runs' queue fingerprints or counts
+// differ.
+func sameState(t *testing.T, want, got map[string][]string, wantStats, gotStats Stats) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("queue sets differ: %d vs %d", len(got), len(want))
+	}
+	for q, wantMsgs := range want {
+		if !slices.Equal(got[q], wantMsgs) {
+			t.Errorf("queue %q differs:\n  batch-1: %q\n  batched: %q", q, wantMsgs, got[q])
+		}
+	}
+	if gotStats.Processed != wantStats.Processed || gotStats.Enqueued != wantStats.Enqueued || gotStats.Errors != wantStats.Errors {
+		t.Errorf("processed/enqueued/errors: batch-1 %d/%d/%d, batched %d/%d/%d",
+			wantStats.Processed, wantStats.Enqueued, wantStats.Errors,
+			gotStats.Processed, gotStats.Enqueued, gotStats.Errors)
+	}
+}
+
+// conflictCase runs msgs with one worker at BatchSize 1 and 32, asserts
+// equal final states, and returns the batch-1 state for the case's own
+// check. The first two messages share the batched run's first claim; two
+// fillers follow.
+func conflictCase(t *testing.T, app string, first, second [2]string) map[string][]string {
+	t.Helper()
+	msgs := [][2]string{first, second, {"in", "<noop/>"}, {"in", "<noop/>"}}
+	want, wantStats := runPreloaded(t, app, 1, 1, nil, msgs...)
+	got, gotStats := runPreloaded(t, app, 32, 1, nil, msgs...)
+	sameState(t, want, got, wantStats, gotStats)
+	return want
+}
+
+// TestBatchConflictSliceReadAfterWrite (R1): a member enqueues a message
+// into slice k, and a later member's slicing rule counts slice k. The
+// count must see the new message, as in batch-1 order.
+func TestBatchConflictSliceReadAfterWrite(t *testing.T) {
+	state := conflictCase(t, `
+		create queue in kind basic mode persistent;
+		create queue out kind basic mode persistent;
+		create queue results kind basic mode persistent;
+		create property key as xs:string fixed queue in, out value //key;
+		create slicing byKey on key;
+		create rule spawn for in if (/spawn) then do enqueue <item><key>k</key></item> into out;
+		create rule tally for byKey if (/probe) then
+		  do enqueue <seen>{count(qs:slice()[/item])}</seen> into results;
+	`, [2]string{"in", "<spawn/>"}, [2]string{"in", "<probe><key>k</key></probe>"})
+	if r := state["results"]; len(r) != 1 || !strings.Contains(r[0], "<seen>1</seen>") {
+		t.Fatalf("results %q, want one <seen>1</seen>", r)
+	}
+}
+
+// TestBatchConflictQueueReadAfterWrite (R2): a member enqueues into queue
+// log, and a later member's rule counts qs:queue("log").
+func TestBatchConflictQueueReadAfterWrite(t *testing.T) {
+	state := conflictCase(t, `
+		create queue in kind basic mode persistent;
+		create queue log kind basic mode persistent;
+		create queue results kind basic mode persistent;
+		create rule put for in if (/put) then do enqueue <entry/> into log;
+		create rule look for in if (/look) then
+		  do enqueue <seen>{count(qs:queue("log"))}</seen> into results;
+	`, [2]string{"in", "<put/>"}, [2]string{"in", "<look/>"})
+	if r := state["results"]; len(r) != 1 || !strings.Contains(r[0], "<seen>1</seen>") {
+		t.Fatalf("results %q, want one <seen>1</seen>", r)
+	}
+}
+
+// TestBatchConflictWriteAfterReset (R3): a member resets slice k, and a
+// later member that reads no shared state enqueues a message into k. The
+// new message comes after the reset, so it stays in k and its slicing rule
+// fires.
+func TestBatchConflictWriteAfterReset(t *testing.T) {
+	state := conflictCase(t, `
+		create queue in kind basic mode persistent;
+		create queue out kind basic mode persistent;
+		create queue results kind basic mode persistent;
+		create property key as xs:string fixed queue out value //key;
+		create slicing byKey on key;
+		create rule clear for in if (/clear) then do reset byKey key "k";
+		create rule spawn for in if (/spawn) then do enqueue <item><key>k</key></item> into out;
+		create rule member for byKey if (/item) then do enqueue <member/> into results;
+	`, [2]string{"in", "<clear/>"}, [2]string{"in", "<spawn/>"})
+	if r := state["results"]; len(r) != 1 {
+		t.Fatalf("results %q, want the new message's <member/>", r)
+	}
+}
+
+// TestBatchConflictDismissedMember (R4): a member resets slice k, and a
+// later member of k — dismissed by that reset — must not fire its slicing
+// rule.
+func TestBatchConflictDismissedMember(t *testing.T) {
+	state := conflictCase(t, `
+		create queue in kind basic mode persistent;
+		create queue results kind basic mode persistent;
+		create property key as xs:string fixed queue in value //key;
+		create slicing byKey on key;
+		create rule clear for in if (/clear) then do reset byKey key "k";
+		create rule fire for byKey if (/probe) then do enqueue <fired/> into results;
+	`, [2]string{"in", "<clear/>"}, [2]string{"in", "<probe><key>k</key></probe>"})
+	if r := state["results"]; len(r) != 0 {
+		t.Fatalf("results %q: a dismissed member fired its slicing rule", r)
+	}
+}
+
+// historyApp is the history-lookup shape: each check joins its customer's
+// slice of invoices and answers with their count and sum.
+const historyApp = `
+	create queue invoices kind basic mode persistent;
+	create queue checks kind basic mode persistent;
+	create queue out kind basic mode persistent;
+	create property customerID as xs:string fixed
+	  queue invoices, checks value //customerID;
+	create slicing byCustomer on customerID;
+	create rule answer for byCustomer
+	  if (/creditCheck) then
+	    do enqueue <creditResult>{/creditCheck/checkID}
+	        <count>{count(qs:slice()[/invoice])}</count>
+	        <sum>{sum(qs:slice()/invoice/amount)}</sum>
+	      </creditResult> into out;
+`
+
+func creditCheck(id, customer int) [2]string {
+	return [2]string{"checks", fmt.Sprintf("<creditCheck><checkID>%d</checkID><customerID>c%d</customerID></creditCheck>", id, customer)}
+}
+
+// TestSharedStateJoinsBatches: slicing-rule messages that conflict with
+// nothing commit set-oriented. 64 checks of distinct customers take 7
+// claims of one worker, and their 64 answers 7 more — not one transaction
+// per check.
+func TestSharedStateJoinsBatches(t *testing.T) {
+	var msgs [][2]string
+	for i := 0; i < 64; i++ {
+		msgs = append(msgs, creditCheck(i, i))
+	}
+	state, st := runPreloaded(t, historyApp, 32, 1, nil, msgs...)
+	if len(state["out"]) != 64 {
+		t.Fatalf("%d answers, want 64", len(state["out"]))
+	}
+	if st.BatchesCommitted > 16 {
+		t.Fatalf("%d worker transactions for 64 checks and their answers, want at most 16 (avg %.1f messages)",
+			st.BatchesCommitted, st.AvgCommittedBatch)
+	}
+}
+
+// TestSliceRuleBatchDifferential runs two of the paper's slice-rule
+// applications at BatchSize 1 and 32 with 8 workers, everything enqueued
+// before the start, and asserts identical final state: the procurement
+// application with 50 unpaid invoices and the 70/10/10/10 request mix, and
+// the history-lookup shape. Runs under -race in CI.
+func TestSliceRuleBatchDifferential(t *testing.T) {
+	t.Run("procurement", func(t *testing.T) {
+		const unpaid, requests = 50, 120
+		var msgs [][2]string
+		for i := 0; i < unpaid; i++ {
+			msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
+				`<invoice><requestID>inv%d</requestID><customerID>u%d</customerID><amount>%d</amount></invoice>`, i, i, 100+i)})
+		}
+		rng := rand.New(rand.NewPCG(1, 2))
+		for i := 0; i < requests; i++ {
+			msgs = append(msgs, [2]string{"crm", offerRequest(rng, i, unpaid)})
+		}
+		pricelist := func(e *Engine) {
+			if err := e.MessageStore().AddToCollection("crm", xmldom.MustParse(`<pricelist><discount>3%</discount></pricelist>`)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantStats := runPreloaded(t, qdl.ProcurementApp, 1, 8, pricelist, msgs...)
+		got, gotStats := runPreloaded(t, qdl.ProcurementApp, 32, 8, pricelist, msgs...)
+		sameState(t, want, got, wantStats, gotStats)
+		if n := len(want["customer"]); n != requests {
+			t.Fatalf("%d offers and refusals for %d requests", n, requests)
+		}
+	})
+	t.Run("history-lookup", func(t *testing.T) {
+		const customers, perCustomer, checks = 20, 5, 200
+		var msgs [][2]string
+		for k := 0; k < perCustomer; k++ {
+			for c := 0; c < customers; c++ {
+				msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
+					"<invoice><customerID>c%d</customerID><amount>%d</amount></invoice>", c, 1+(c*7+k*13)%50)})
+			}
+		}
+		rng := rand.New(rand.NewPCG(3, 4))
+		for i := 0; i < checks; i++ {
+			msgs = append(msgs, creditCheck(i, rng.IntN(customers)))
+		}
+		want, wantStats := runPreloaded(t, historyApp, 1, 8, nil, msgs...)
+		got, gotStats := runPreloaded(t, historyApp, 32, 8, nil, msgs...)
+		sameState(t, want, got, wantStats, gotStats)
+		if n := len(want["out"]); n != checks {
+			t.Fatalf("%d answers for %d checks", n, checks)
+		}
+	})
+}
+
+// offerRequest draws one procurement request from the 70/10/10/10 mix:
+// accepted, a restricted item (legal refuses), a customer with an unpaid
+// invoice (finance refuses), over capacity (the supplier refuses).
+func offerRequest(rng *rand.Rand, id, unpaid int) string {
+	customer := fmt.Sprintf("c%d", rng.IntN(10000))
+	restricted, over := -1, false
+	nItems := 1 + rng.IntN(3)
+	switch rng.IntN(10) {
+	case 7:
+		restricted = rng.IntN(nItems)
+	case 8:
+		customer = fmt.Sprintf("u%d", rng.IntN(unpaid))
+	case 9:
+		over = true
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "<offerRequest><requestID>r%d</requestID><customerID>%s</customerID><items>", id, customer)
+	for i := 0; i < nItems; i++ {
+		qty := 1 + rng.IntN(200)
+		if over && i == 0 {
+			qty = 1000 + rng.IntN(9000)
+		}
+		yn := "no"
+		if i == restricted {
+			yn = "yes"
+		}
+		fmt.Fprintf(&b, `<item sku="sku-%d" restricted="%s"><qty>%d</qty></item>`, rng.IntN(500), yn, qty)
+	}
+	b.WriteString("</items></offerRequest>")
+	return b.String()
 }

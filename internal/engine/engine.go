@@ -145,6 +145,14 @@ type Stats struct {
 	AvgBatchSize     float64
 	DeadlockRequeues uint64
 
+	// BatchesCommitted counts the worker transactions that committed,
+	// AvgCommittedBatch the mean number of messages each one processed. A
+	// claim whose tail is requeued — a conflict within the batch,
+	// preemption — is counted again when that tail is claimed, and a claim
+	// that fails is bisected; these count what ran set-oriented.
+	BatchesCommitted  uint64
+	AvgCommittedBatch float64
+
 	// IngestBytesPooled counts wire bytes read through pooled gateway
 	// receive buffers (the streaming ingest path copies what it keeps, so
 	// the transport can recycle its read buffer immediately).
@@ -225,7 +233,7 @@ type Engine struct {
 
 	stats struct {
 		processed, rulesEval, rulesFired, enqueued, resets, errors, deadlocks, collected atomic.Uint64
-		batches, batchMsgs, deadlockRequeues, ingestShed, walShed                        atomic.Uint64
+		batches, batchMsgs, commits, commitMsgs, deadlockRequeues, ingestShed, walShed   atomic.Uint64
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
 		pipelinedCommits, durabilityWaits                                                atomic.Uint64
 		queueProbed, queueScanned, queueProbedDocs, queueScannedDocs                     atomic.Uint64
@@ -647,6 +655,9 @@ func (e *Engine) Stats() Stats {
 	}
 	if st.BatchesClaimed > 0 {
 		st.AvgBatchSize = float64(e.stats.batchMsgs.Load()) / float64(st.BatchesClaimed)
+	}
+	if st.BatchesCommitted = e.stats.commits.Load(); st.BatchesCommitted > 0 {
+		st.AvgCommittedBatch = float64(e.stats.commitMsgs.Load()) / float64(st.BatchesCommitted)
 	}
 	st.IngestBytesPooled = e.cfg.Transports.IngestBytesPooled()
 	st.WALShed = e.stats.walShed.Load()

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"time"
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
 	"demaq/internal/rule"
+	"demaq/internal/schema"
 	locks "demaq/internal/txn"
 	"demaq/internal/vfs"
 	"demaq/internal/xdm"
@@ -73,13 +75,27 @@ func buildErrorDoc(kind ErrorKind, code, ruleName, queue, description string, in
 	return b.Done()
 }
 
-// classify derives the error kind and code.
+// Codes of the message errors (Sec. 3.6: a message the node cannot
+// accept), which the XQuery error codes leave out.
+const (
+	// codeMalformed: the document is not well-formed XML.
+	codeMalformed = "DQME0001"
+	// codeSchemaInvalid: the queue's schema rejects the document.
+	codeSchemaInvalid = "DQME0002"
+)
+
+// classify derives the error kind and code, looking through wrapping.
 func classify(err error) (ErrorKind, string) {
-	switch e := err.(type) {
-	case *xquery.DynError:
-		return ErrorApplication, e.Code
-	case *xmldom.ParseError:
-		return ErrorMessage, "DQME0001"
+	var dyn *xquery.DynError
+	var perr *xmldom.ParseError
+	var verr *schema.ValidationError
+	switch {
+	case errors.As(err, &dyn):
+		return ErrorApplication, dyn.Code
+	case errors.As(err, &perr):
+		return ErrorMessage, codeMalformed
+	case errors.As(err, &verr):
+		return ErrorMessage, codeSchemaInvalid
 	}
 	return ErrorSystem, ""
 }
@@ -179,13 +195,17 @@ func (e *Engine) applyError(txnID uint64, queue string, id msgstore.MsgID, doc *
 	if routed {
 		updates.Append(up)
 	}
-	pc, err := e.applyBatch(txnID, queue, []batchItem{{id: id, updates: updates}}, now)
+	var pc precommit
+	it, err := e.newItem(id, updates, nil, now)
+	if err == nil {
+		pc, err = e.applyBatch(txnID, queue, []batchItem{it}, now)
+	}
 	if err != nil && routed && !e.retryable(err) {
 		// The error message itself is not acceptable to its queue: consume
 		// the message without it rather than never.
 		e.log.Error("error enqueue failed", "target", up.Queue, "err", err)
 		routed = false
-		pc, err = e.applyBatch(txnID, queue, []batchItem{{id: id, updates: &xquery.UpdateList{}}}, now)
+		pc, err = e.applyBatch(txnID, queue, []batchItem{{id: id}}, now)
 	}
 	if err != nil {
 		return pc, err

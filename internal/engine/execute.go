@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"demaq/internal/msgstore"
@@ -203,31 +204,37 @@ func (e *Engine) probeMasks(queue string, ids []msgstore.MsgID) []uint64 {
 }
 
 // processBatch runs the execution-model cycle for a same-queue batch under
-// one transaction ID: one home-queue lock round, per-message rule evaluation
-// through a single reused evalRuntime into per-message pending update lists,
-// and one combined message-store transaction that marks every message
-// processed and performs every enqueue and reset — one
-// prepare/persist/publish cycle and one WAL commit cohort instead of
-// len(ids). The transaction is pre-committed when processBatch returns, and
-// its locks released. Between messages the worker polls the scheduler: if
-// work of strictly higher priority became runnable, the evaluated prefix
-// commits and the rest of the batch is requeued in order.
+// one transaction ID: one lock round for the slices of every member, one
+// home-queue lock round, per-message rule evaluation through a single
+// reused evalRuntime into per-message batch items, and one combined
+// message-store transaction that marks every message processed and performs
+// every enqueue and reset — one prepare/persist/publish cycle and one WAL
+// commit cohort instead of len(ids). The transaction is pre-committed when
+// processBatch returns, and its locks released. Between messages the worker
+// polls the scheduler: if work of strictly higher priority became runnable,
+// the evaluated prefix commits and the rest of the batch is requeued in
+// order.
 //
-// A batch of one is the reference: a rule error consumes the message in the
-// same transaction, together with the error message naming the failing rule
+// A batch of one is the reference. Every member is evaluated as if the
+// members before it had committed: a member whose reads meet their pending
+// writes, or whose new messages an earlier reset would dismiss, ends the
+// batch (batchWrites); the prefix commits and the rest is requeued in order.
+//
+// In a batch of one a rule error consumes the message in the same
+// transaction, together with the error message naming the failing rule
 // (Sec. 3.6). With a cause the message has already failed for good: nothing
 // is evaluated, the message is consumed with the error message of the cause.
 // In a larger batch any failure — deadlock or rule error — aborts the batch
 // with no effects applied (the transaction never commits, all locks are
 // released) and is reported to the caller, which bisects down to batches of
 // one. It returns the prefix of ids it was responsible for (the remainder,
-// if any, was requeued after preemption).
+// if any, was requeued).
 func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, cause error) (attempted []msgstore.MsgID, pc precommit, err error) {
 	txnID := e.txnSeq.Add(1)
 	defer e.lm.ReleaseAll(txnID)
 
 	attempted = ids
-	if err := e.lockSlices(txnID, e.slices.SlicesOf(ids[0])); err != nil {
+	if err := e.lockSlices(txnID, ids); err != nil {
 		return attempted, pc, err
 	}
 	// Home-queue lock: one round for the whole batch.
@@ -243,6 +250,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 	rt := &evalRuntime{eng: e, txnID: txnID, queue: queue, now: now}
 	masks := e.probeMasks(queue, ids)
 	items := make([]batchItem, 0, len(ids))
+	var pending batchWrites
 	for i, id := range ids {
 		if i > 0 && e.sched.PreemptFor(prio) {
 			// Higher-priority work arrived: commit what is evaluated and
@@ -255,30 +263,28 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 		if !ok && cause == nil {
 			return attempted, pc, fmt.Errorf("engine: message %d vanished", id)
 		}
-		if !ok || msg.Processed {
+		if !ok || msg.Processed || slices.ContainsFunc(items, func(it batchItem) bool { return it.id == id }) {
 			continue // consumed already, or a duplicate schedule after crash recovery
 		}
 		fetch := e.docFetcher(queue, id)
 		var (
-			combined *xquery.UpdateList
-			shared   bool
-			failed   *ruleError
+			it     batchItem
+			failed *ruleError
 		)
 		if cause != nil {
 			failed = &ruleError{err: cause}
-			err = e.lockMessage(txnID, id, e.slices.SlicesOf(id))
+			err = e.lockMessage(txnID, id)
 		} else {
 			var mask uint64
 			if masks != nil {
 				mask = masks[i]
 			}
-			combined, shared, failed, err = e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, len(items) > 0)
+			it, failed, err = e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, &pending)
 		}
 		if err == errNotBatchable {
-			// This message's rules read or mutate shared state and
-			// updates from earlier batch members are already pending:
-			// commit the prefix, give the rest back in order. The message
-			// re-runs later at the head of its own transaction.
+			// The message conflicts with the pending writes of earlier
+			// members: commit the prefix, give the rest back in order. The
+			// message re-runs later with those writes committed.
 			e.sched.RequeueFront(queue, ids[i:])
 			attempted = ids[:i]
 			break
@@ -310,30 +316,12 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 				}
 			}
 			if pc, err = e.applyError(txnID, queue, id, doc, failed.rule, failed.err, now); err == nil {
-				e.stats.processed.Add(1)
+				e.noteCommit(1)
 			}
 			return attempted, pc, err
 		}
-		dup := false
-		for _, it := range items {
-			if it.id == id {
-				dup = true // duplicate schedule landed twice in one batch
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		items = append(items, batchItem{id: id, props: msg.Props, updates: combined})
-		if shared {
-			// A shared-state message rides alone (it was first, so its
-			// reads were live): close the batch behind it.
-			if i+1 < len(ids) {
-				e.sched.RequeueFront(queue, ids[i+1:])
-				attempted = ids[:i+1]
-			}
-			break
-		}
+		items = append(items, it)
+		pending.add(it)
 	}
 	if len(items) == 0 {
 		return attempted, pc, nil
@@ -341,62 +329,157 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 	if pc, err = e.applyBatch(txnID, queue, items, now); err != nil {
 		return attempted, pc, err
 	}
-	e.stats.processed.Add(uint64(len(items)))
+	e.noteCommit(len(items))
 	return attempted, pc, nil
 }
 
-// lockSlices takes the exclusive locks of the slices a message belongs to
-// (they are read by slice rules and advanced by resets). A transaction does
-// so for its first message before it takes its home-queue lock: two
-// messages of one slice are then serialized while the second holds nothing,
-// instead of its queue's intention lock — which the first may need out of
-// the way for a qs:queue() read, and the two would deadlock.
-func (e *Engine) lockSlices(txnID uint64, memberships []slicing.Membership) error {
+// noteCommit counts a worker transaction that processed n messages.
+func (e *Engine) noteCommit(n int) {
+	e.stats.processed.Add(uint64(n))
+	e.stats.commits.Add(1)
+	e.stats.commitMsgs.Add(uint64(n))
+}
+
+// batchWrites are the writes the members of a batch have pending: the
+// slices they reset, the slices their new messages join and the queues they
+// enqueue into. A later member is evaluated as if these had committed — the
+// batch-1 order — so it may join the batch unless
+//
+//   - R1: a slicing rule it runs reads a slice that is reset or joined;
+//   - R2: a rule it runs reads a queue that is enqueued into (a read of a
+//     computed queue meets any enqueue);
+//   - R3: a message it enqueues joins a slice that is reset — ids are given
+//     out before the resets' watermarks are taken, so the reset would
+//     dismiss the message that batch-1 order puts after it;
+//   - R4: it belongs to a slice that is reset, which dismisses it.
+//
+// R1, R2 and R4 are checked before the member evaluates anything
+// (readsPending), R3 after (dismissed), before its updates join the batch.
+type batchWrites struct {
+	resets, joins map[slicing.Membership]bool
+	queues        map[string]bool
+}
+
+func (w *batchWrites) add(it batchItem) {
+	for _, nm := range it.enqueues {
+		w.queues = setAdd(w.queues, nm.Queue)
+		for _, mb := range nm.joins {
+			w.joins = setAdd(w.joins, mb)
+		}
+	}
+	for _, u := range it.resets {
+		w.resets = setAdd(w.resets, slicing.Membership{Slicing: u.Slicing, Key: u.Key.StringValue()})
+	}
+}
+
+func setAdd[K comparable](set map[K]bool, k K) map[K]bool {
+	if set == nil {
+		set = map[K]bool{}
+	}
+	set[k] = true
+	return set
+}
+
+// readsPending reports whether a member of queue with these memberships
+// that runs these rules reads a pending write (R1, R2, R4).
+func (w *batchWrites) readsPending(queue string, memberships []slicing.Membership, toRun []ruleCtx) bool {
+	for _, mb := range memberships {
+		if w.resets[mb] {
+			return true
+		}
+	}
+	for _, rc := range toRun {
+		if rc.slicing != "" && rc.r.ReadsSlice {
+			if mb := (slicing.Membership{Slicing: rc.slicing, Key: rc.key}); w.resets[mb] || w.joins[mb] {
+				return true
+			}
+		}
+		for _, rd := range rc.r.QueueReads {
+			q := rd.Queue
+			if q == "" {
+				q = queue
+			}
+			if w.queues[q] || (rd.Computed && len(w.queues) > 0) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// dismissed reports whether a pending reset would dismiss a message the
+// member enqueues (R3).
+func (w *batchWrites) dismissed(it batchItem) bool {
+	for _, nm := range it.enqueues {
+		for _, mb := range nm.joins {
+			if w.resets[mb] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// lockSlices takes, in one sorted round, the exclusive locks of the slices
+// the messages of a claim belong to (they are read by slice rules and
+// advanced by resets). A transaction does so before it takes its home-queue
+// lock: two messages of one slice are then serialized while the second
+// holds nothing, instead of its queue's intention lock — which the first
+// may need out of the way for a qs:queue() read, and the two would
+// deadlock. In sorted order, two claims that share slices cannot take them
+// in opposite orders.
+func (e *Engine) lockSlices(txnID uint64, ids []msgstore.MsgID) error {
 	if e.cfg.Granularity != LockSlice {
 		return nil
 	}
-	for _, mb := range memberships {
-		if err := e.lm.Acquire(txnID, locks.Resource("sl", mb.Slicing, mb.Key), locks.X); err != nil {
+	var res []string
+	for _, id := range ids {
+		for _, mb := range e.slices.SlicesOf(id) {
+			res = append(res, locks.Resource("sl", mb.Slicing, mb.Key))
+		}
+	}
+	slices.Sort(res)
+	for _, r := range slices.Compact(res) {
+		if err := e.lm.Acquire(txnID, r, locks.X); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// lockMessage takes the exclusive locks of a message and of the slices it
-// belongs to, under slice locking; the home-queue lock covers both under
-// queue locking.
-func (e *Engine) lockMessage(txnID uint64, id msgstore.MsgID, memberships []slicing.Membership) error {
+// lockMessage takes the exclusive lock of a message under slice locking;
+// the home-queue lock covers it under queue locking.
+func (e *Engine) lockMessage(txnID uint64, id msgstore.MsgID) error {
 	if e.cfg.Granularity != LockSlice {
 		return nil
 	}
-	if err := e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X); err != nil {
-		return err
-	}
-	return e.lockSlices(txnID, memberships)
+	return e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X)
 }
 
-// errNotBatchable signals that a message's applicable rules touch shared
-// state and therefore may not evaluate in the middle of a batch (whose
-// earlier pending updates are not visible yet). The message is requeued
-// and later runs at the head of its own transaction, where reads are live.
-var errNotBatchable = fmt.Errorf("engine: message not batchable mid-batch")
+// errNotBatchable signals that a message conflicts with the pending writes
+// of the earlier members of its batch (batchWrites). The message is
+// requeued, and runs later in a transaction that sees those writes.
+var errNotBatchable = fmt.Errorf("engine: message conflicts with its batch")
+
+// ruleCtx is a rule selected for a message, with the slice it runs on if it
+// is a slicing rule.
+type ruleCtx struct {
+	r       *rule.Rule
+	slicing string
+	key     string
+}
 
 // evalMessage evaluates every applicable rule of one message inside txnID
-// — under the locks of the message's slices — and accumulates the pending
-// updates. A rule failure comes back in failed (the per-message error
-// path); deadlocks and system errors come back as err and abort the whole
-// processing transaction. rt is reused across the messages of a batch; the
-// per-message fields are reset here.
+// — under the locks of the message and of its slices — and turns the
+// pending updates into the message's batch item. A rule failure comes back
+// in failed (the per-message error path); deadlocks and system errors come
+// back as err and abort the whole processing transaction. rt is reused
+// across the messages of a batch; the per-message fields are reset here.
 //
-// shared reports whether any applicable rule observes or mutates shared
-// state (qs:slice/qs:queue reads, resets): such a message must be the only
-// one in its transaction to keep every batch equivalent to batches of one.
-// With noShared set, a shared message is rejected with errNotBatchable
-// before anything is locked or evaluated, so a requeued message is
-// immediately claimable by another worker; past that point the exclusive
-// locks of the message and of its slices are acquired.
-func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, noShared bool) (combined *xquery.UpdateList, shared bool, failed *ruleError, err error) {
+// A message that conflicts with the pending writes of its batch (R1, R2
+// and R4 before evaluation, R3 after) is rejected with errNotBatchable; on
+// the early rejection nothing is locked or evaluated.
+func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msgstore.MsgID, fetch func() (*xmldom.Node, []string, error), props map[string]xdm.Value, probeMask uint64, pending *batchWrites) (it batchItem, failed *ruleError, err error) {
 	// Element names are the dispatch key set: computed lazily, only when
 	// some applicable rule actually has an element trigger — that is the
 	// first point the document is needed at all; a message whose rules are
@@ -423,12 +506,6 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 	}
 
 	memberships := e.slices.SlicesOf(id)
-	combined = &xquery.UpdateList{}
-	type ruleCtx struct {
-		r       *rule.Rule
-		slicing string
-		key     string
-	}
 	var toRun []ruleCtx
 	if plan := e.prog.QueuePlans[queue]; plan != nil {
 		// probeMask carries the batch index-probe results; 0 degrades
@@ -445,38 +522,32 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 		}
 	}
 	if fetchErr != nil {
-		return nil, false, nil, fetchErr
+		return batchItem{}, nil, fetchErr
 	}
-	for _, rc := range toRun {
-		if rc.r.Body.SharedState() {
-			shared = true
-			break
-		}
+	if pending.readsPending(queue, memberships, toRun) {
+		return batchItem{}, nil, errNotBatchable
 	}
-	if shared && noShared {
-		return nil, true, nil, errNotBatchable
-	}
-	if err := e.lockMessage(txnID, id, memberships); err != nil {
-		return nil, shared, nil, err
+	if err := e.lockMessage(txnID, id); err != nil {
+		return batchItem{}, nil, err
 	}
 
-	if len(toRun) == 0 {
-		return combined, shared, nil, nil
+	combined := &xquery.UpdateList{}
+	if len(toRun) > 0 {
+		doc, _, err := fetch()
+		if err != nil {
+			return batchItem{}, nil, err
+		}
+		rt.msgID, rt.doc, rt.props = id, doc, props
 	}
-	doc, _, err := fetch()
-	if err != nil {
-		return nil, shared, nil, err
-	}
-	rt.msgID, rt.doc, rt.props = id, doc, props
 	for _, rc := range toRun {
 		rt.curSlicing, rt.curKey = rc.slicing, rc.key
 		e.stats.rulesEval.Add(1)
-		_, updates, evalErr := xquery.Eval(rc.r.Body, rt, xquery.EvalOptions{ContextDoc: doc})
+		_, updates, evalErr := xquery.Eval(rc.r.Body, rt, xquery.EvalOptions{ContextDoc: rt.doc})
 		if evalErr != nil {
 			if evalErr == locks.ErrDeadlock {
-				return nil, shared, nil, evalErr
+				return batchItem{}, nil, evalErr
 			}
-			return nil, shared, &ruleError{rule: rc.r, err: evalErr}, nil
+			return batchItem{}, &ruleError{rule: rc.r, err: evalErr}, nil
 		}
 		if updates.Len() > 0 {
 			e.stats.rulesFired.Add(1)
@@ -489,7 +560,7 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 				if u.Implicit {
 					// Resolve the implicit reset against the rule's slice.
 					if rc.slicing == "" {
-						return nil, shared, &ruleError{rule: rc.r, err: fmt.Errorf("bare 'do reset' outside a slicing rule")}, nil
+						return batchItem{}, &ruleError{rule: rc.r, err: fmt.Errorf("bare 'do reset' outside a slicing rule")}, nil
 					}
 					u.Slicing, u.Key = rc.slicing, xdm.NewString(rc.key)
 				}
@@ -497,7 +568,13 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 			combined.Append(up)
 		}
 	}
-	return combined, shared, nil, nil
+	if it, err = e.newItem(id, combined, props, rt.now); err != nil {
+		return batchItem{}, nil, err
+	}
+	if pending.dismissed(it) {
+		return batchItem{}, nil, errNotBatchable
+	}
+	return it, nil, nil
 }
 
 type ruleError struct {

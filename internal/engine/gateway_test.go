@@ -238,6 +238,11 @@ func TestGatewaySchemaQueueDelivery(t *testing.T) {
 			if d := childElement(root, "description").StringValue(); !strings.Contains(d, "not a valid xs:integer") {
 				t.Fatalf("error description %q does not name the violation", d)
 			}
+			// A schema rejection is a message error (Sec. 3.6), like a
+			// malformed document, with a code of its own.
+			if kind, code := childElement(root, "kind").StringValue(), childElement(root, "code"); kind != "message" || code == nil || code.StringValue() != "DQME0002" {
+				t.Fatalf("invalid transfer's error message has kind %q and code %v, want message and DQME0002", kind, code)
+			}
 			invalid++
 		case childElement(root, "kind").StringValue() == "message":
 			malformed++

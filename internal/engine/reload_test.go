@@ -261,7 +261,7 @@ func TestReloadMatchesNew(t *testing.T) {
 		t.Errorf("queue declarations differ: reloaded %v, fresh %v", reloadedDecls, fresh.decls)
 	}
 	// The comparison covers each kind of derived state.
-	for _, want := range []string{"access 2", "queue reads [{log r}]",
+	for _, want := range []string{"access 2", "queue reads [{log false r}]",
 		"slice byK/a: members [1 2]", "slice byK/b: members []", "slice alsoByK/b: members [3 4]"} {
 		if !strings.Contains(reloaded, want) {
 			t.Errorf("deployed state lacks %q:\n%s", want, reloaded)

@@ -10,8 +10,12 @@ import (
 // planner chose for it.
 type QueueRead struct {
 	// Queue is the literal queue name; "" for the argument-less call of a
-	// slicing rule (the queue of the message being processed).
+	// slicing rule (the queue of the message being processed) and for a
+	// computed argument.
 	Queue string
+	// Computed is set when the argument is not a string literal: the queue
+	// is known only when the body runs.
+	Computed bool
 	// Probe names the property whose index answers the read; "" means the
 	// read fetches the whole queue.
 	Probe string
@@ -53,7 +57,9 @@ func planQueueReads(body xpath.Expr, prog *Program) ([]xquery.QueueProbe, []Queu
 		}
 		var r QueueRead
 		if len(fc.Args) == 1 {
-			r.Queue, _ = stringLiteral(fc.Args[0])
+			var literal bool
+			r.Queue, literal = stringLiteral(fc.Args[0])
+			r.Computed = !literal
 		}
 		if qp, ok := pl.probes[fc]; ok {
 			probes = append(probes, qp)

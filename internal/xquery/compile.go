@@ -14,13 +14,6 @@ type Compiled struct {
 	ast      xpath.Expr
 	prog     *program // never nil
 	updating bool
-	// sharedState reports whether evaluation observes or mutates state
-	// shared across messages — qs:slice()/qs:slicekey()/qs:queue() reads
-	// or do-reset updates. The engine's set-oriented batch executor uses
-	// this: a batch's pending updates are invisible until the combined
-	// commit, so only expressions free of shared state may evaluate in
-	// the middle of a batch.
-	sharedState bool
 }
 
 // AST exposes the underlying expression, e.g. for plan explanation.
@@ -28,12 +21,6 @@ func (c *Compiled) AST() xpath.Expr { return c.ast }
 
 // Updating reports whether the expression contains do-enqueue/do-reset.
 func (c *Compiled) Updating() bool { return c.updating }
-
-// SharedState reports whether the expression reads or mutates state shared
-// across messages (qs:slice/qs:slicekey/qs:queue reads, do-reset updates);
-// false means evaluation depends only on the triggering message and
-// master-data collections.
-func (c *Compiled) SharedState() bool { return c.sharedState }
 
 // CompileOptions configure static analysis.
 type CompileOptions struct {
@@ -182,14 +169,8 @@ func (c *Compiled) check(e xpath.Expr, vars map[string]bool, opts CompileOptions
 		if err != nil {
 			return staticErr("%v at %s", err, x.Span())
 		}
-		if f.slice {
-			if !opts.AllowSlice {
-				return staticErr("%s:%s() is only available in rules on slicings (at %s)", x.Prefix, x.Local, x.Span())
-			}
-			c.sharedState = true
-		}
-		if f.docs {
-			c.sharedState = true
+		if f.slice && !opts.AllowSlice {
+			return staticErr("%s:%s() is only available in rules on slicings (at %s)", x.Prefix, x.Local, x.Span())
 		}
 		for _, a := range x.Args {
 			if err := c.check(a, vars, opts); err != nil {
@@ -221,7 +202,6 @@ func (c *Compiled) check(e xpath.Expr, vars map[string]bool, opts CompileOptions
 		}
 	case *xpath.ResetExpr:
 		c.updating = true
-		c.sharedState = true
 		if x.Slicing == "" && !opts.AllowSlice {
 			return staticErr("bare 'do reset' is only available in rules on slicings (at %s)", x.Span())
 		}

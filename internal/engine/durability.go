@@ -51,9 +51,9 @@ import (
 // precommit is a pre-committed transaction on its way to durability: a
 // worker's, or one committed by commitExternal.
 type precommit struct {
-	lsn    uint64 // WaitDurable target (routeStaged); 0: nothing to wait for
-	output bool   // created messages in outgoing gateway queues: settle nudges their senders
-	claims int    // scheduler claims the transaction completes (workers only)
+	lsn     uint64 // WaitDurable target (routeStaged); 0: nothing to wait for
+	outputs int    // messages created in outgoing gateway queues: settle nudges their senders
+	claims  int    // scheduler claims the transaction completes (workers only)
 }
 
 // stagedMsg is a message staged into a transaction, on its way to its slices
@@ -86,20 +86,24 @@ func (e *Engine) precommitStaged(tx *msgstore.Txn, staged []stagedMsg) (uint64, 
 // the flush in progress. Deep enough that the workers never stall on a 1 ms
 // device, small enough that the pre-committed window stays a few flushes.
 //
-// Of those, at most outputCap may carry messages for the outside. Output has
-// to wait for the log whatever the workers do, so where every transaction
-// sends — one commit and one send per input — running ahead buys nothing,
-// and it costs the admissions: the workers' pre-commits then land during
-// every flush, the stage starts the next flush the moment the last one
-// completes, and the inputs that the sends it has just released bring in
-// miss that flush by a hair and pay for two (bench/history-lookup: ack p50
-// 1.5 -> 1.9 ms). With the bound such workers are paced by the device, only
-// without their locks; chains of internal transactions are not touched by
-// it. Two is how far the benchmark's 2-worker node ran ahead when every
-// worker waited for its own commit. A bound that grows with the workers was
-// measured against it (CHANGES.md, PR 15): no different at 16 workers, at 4
-// workers 7 % more procurement throughput for acks 3-7 % slower — not worth
-// tying the pacing of output to a deployment setting.
+// Of those, at most outputCap messages for the outside may wait; a
+// transaction with more takes the whole bound. Output has to wait for
+// the log whatever the workers do, so where every input is sent on — one
+// send per input — running ahead buys nothing, and it costs the admissions:
+// the workers' pre-commits then land during every flush, the stage starts
+// the next flush the moment the last one completes, and the inputs that the
+// sends it has just released bring in miss that flush by a hair and pay for
+// two (bench/history-lookup: ack p50 1.5 -> 1.9 ms). With the bound such
+// workers are paced by the device, only without their locks; chains of
+// internal transactions are not touched by it. The bound counts messages,
+// not transactions: counted per transaction, batches of slicing-rule checks
+// ran two transactions of several answers each ahead, and history-lookup's
+// acks rose with them (ack tail +26 %; CHANGES.md). Two is how far the
+// benchmark's 2-worker node ran ahead when every worker waited for its own
+// commit. A bound that grows with the workers was measured against it
+// (CHANGES.md): no different at 16 workers, at 4 workers 7 % more
+// procurement throughput for acks 3-7 % slower — not worth tying the pacing
+// of output to a deployment setting.
 const (
 	undurableCap = 64
 	outputCap    = 2
@@ -110,20 +114,27 @@ const (
 // the previous flush ran and waits for the log once, for the highest LSN of
 // the lot — natural group commit, no linger of its own.
 type durabilityStage struct {
-	eng      *Engine
-	slots    chan struct{}  // semaphore: one slot per un-durable transaction
-	outSlots chan struct{}  // semaphore: and one of these if it has outgoing messages
-	queue    chan precommit // never blocks: a sender holds a slot
+	eng   *Engine
+	slots chan struct{}  // semaphore: one slot per un-durable transaction
+	queue chan precommit // never blocks: a sender holds a slot
+
+	// outputs counts the outgoing messages of the transactions handed over,
+	// up to outputCap each (outputsOf); a transaction takes its share at once
+	// or waits on outFree.
+	outMu   sync.Mutex
+	outFree *sync.Cond
+	outputs int
 
 	mu      sync.RWMutex // held shared by add, exclusively by close
 	stopped bool
 }
 
 func newDurabilityStage(e *Engine) *durabilityStage {
-	return &durabilityStage{eng: e,
-		slots:    make(chan struct{}, undurableCap),
-		outSlots: make(chan struct{}, outputCap),
-		queue:    make(chan precommit, undurableCap)}
+	d := &durabilityStage{eng: e,
+		slots: make(chan struct{}, undurableCap),
+		queue: make(chan precommit, undurableCap)}
+	d.outFree = sync.NewCond(&d.outMu)
+	return d
 }
 
 // add hands a pre-committed transaction, completing claims scheduler claims,
@@ -142,12 +153,20 @@ func (d *durabilityStage) add(pc precommit, claims int) {
 		return
 	}
 	d.slots <- struct{}{}
-	if pc.output {
-		d.outSlots <- struct{}{}
+	if n := outputsOf(pc); n > 0 {
+		d.outMu.Lock()
+		for d.outputs+n > outputCap {
+			d.outFree.Wait()
+		}
+		d.outputs += n
+		d.outMu.Unlock()
 	}
 	d.eng.stats.pipelinedCommits.Add(1)
 	d.queue <- pc
 }
+
+// outputsOf is a transaction's share of the outputCap bound.
+func outputsOf(pc precommit) int { return min(pc.outputs, outputCap) }
 
 // close stops the stage once the workers are gone: the loop settles what is
 // queued and exits.
@@ -168,11 +187,16 @@ func (d *durabilityStage) loop() {
 	commitBatches(d.queue, func(batch []precommit) bool {
 		d.eng.stats.durabilityWaits.Add(1)
 		d.eng.settle(batch...)
+		released := 0
 		for _, pc := range batch {
 			<-d.slots
-			if pc.output {
-				<-d.outSlots
-			}
+			released += outputsOf(pc)
+		}
+		if released > 0 {
+			d.outMu.Lock()
+			d.outputs -= released
+			d.outMu.Unlock()
+			d.outFree.Broadcast()
 		}
 		return true
 	})
@@ -225,7 +249,7 @@ func (e *Engine) settle(batch ...precommit) error {
 		e.log.Error("pre-committed transactions lost: the log did not become durable",
 			"transactions", len(batch), "err", err)
 	}
-	if err == nil && slices.ContainsFunc(batch, func(pc precommit) bool { return pc.output }) {
+	if err == nil && slices.ContainsFunc(batch, func(pc precommit) bool { return pc.outputs > 0 }) {
 		e.gws.nudge()
 	}
 	for _, pc := range batch {
@@ -248,7 +272,7 @@ func (e *Engine) routeStaged(lsn uint64, msgs []stagedMsg) precommit {
 	for _, m := range msgs {
 		switch e.queueKind(m.queue) {
 		case qdl.KindOutgoingGateway:
-			pc.output = true
+			pc.outputs++
 			pc.lsn = max(pc.lsn, m.release)
 		case qdl.KindEcho:
 			e.timers.schedule(m.queue, m.id)

@@ -345,7 +345,8 @@ func (e *Engine) noteCommit(n int) {
 // enqueue into. A later member is evaluated as if these had committed — the
 // batch-1 order — so it may join the batch unless
 //
-//   - R1: a slicing rule it runs reads a slice that is reset or joined;
+//   - R1: a slicing rule it runs reads a slice that is reset or joined
+//     (every selected slicing rule counts as reading its slice);
 //   - R2: a rule it runs reads a queue that is enqueued into (a read of a
 //     computed queue meets any enqueue);
 //   - R3: a message it enqueues joins a slice that is reset — ids are given
@@ -389,7 +390,7 @@ func (w *batchWrites) readsPending(queue string, memberships []slicing.Membershi
 		}
 	}
 	for _, rc := range toRun {
-		if rc.slicing != "" && rc.r.ReadsSlice {
+		if rc.slicing != "" {
 			if mb := (slicing.Membership{Slicing: rc.slicing, Key: rc.key}); w.resets[mb] || w.joins[mb] {
 				return true
 			}

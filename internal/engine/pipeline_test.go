@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -680,6 +681,110 @@ func TestOutputBackpressure(t *testing.T) {
 		t.Fatal("engine did not drain")
 	}
 	checkAllProcessed(t, e, "internal", n)
+	checkAllProcessed(t, e, "out", n)
+	if got := rec.payloads(); len(got) != n {
+		t.Fatalf("receiver got %d transfers, want %d", len(got), n)
+	}
+}
+
+// TestOutputBackpressureCountsMessages: outputCap bounds the messages for
+// the outside that wait for the log, not the transactions. A batch that
+// forwards outputCap messages holds every slot, and the worker's next batch
+// waits for the flush.
+func TestOutputBackpressureCountsMessages(t *testing.T) {
+	const n = 3 * outputCap
+	fn := faultinject.NewFaultNet(1)
+	defer fn.Close()
+	rec := &recorder{}
+	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+		t.Fatal(err)
+	}
+	vfs := &syncVFS{VFS: faultinject.NewFaultFS(9)}
+	e, err := New(Config{Dir: "out", Workers: 1, BatchSize: outputCap, Logger: quietLog,
+		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
+		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
+		qdl.MustParse(senderApp+`
+		create queue in kind basic mode persistent;
+		create rule fwd for in if (/m) then do enqueue <m>{/m/text()}</m> into out;
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	enqueueNumbered(t, e, "in", n)
+	release := vfs.holdSyncs()
+	defer release()
+	e.Start()
+	// One batch of outputCap messages is handed over; the next one is
+	// pre-committed and waits in the worker's hands.
+	stuck := func() bool {
+		st := e.Stats()
+		return st.PipelinedCommits == 1 && st.UndurableBatches == 2
+	}
+	waitFor(t, 10*time.Second, stuck)
+	time.Sleep(20 * time.Millisecond)
+	if !stuck() {
+		t.Fatalf("a second batch of output ran ahead of the log: %+v", e.Stats())
+	}
+	release()
+	if !e.Drain(10 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	checkAllProcessed(t, e, "out", n)
+	if got := rec.payloads(); len(got) != n {
+		t.Fatalf("receiver got %d transfers, want %d", len(got), n)
+	}
+}
+
+// TestOutputBoundSharedByWorkers: workers whose batches forward one to
+// three messages share the outputCap bound from several goroutines at once:
+// the count the stage holds never passes it, no worker is left waiting, and
+// every message is sent exactly once.
+func TestOutputBoundSharedByWorkers(t *testing.T) {
+	const n = 60
+	fn := faultinject.NewFaultNet(1)
+	defer fn.Close()
+	rec := &recorder{}
+	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{Dir: t.TempDir(), Workers: 4, BatchSize: 3, Logger: quietLog,
+		Resources: senderFiles, Transports: gateway.NewRegistry(fn)},
+		qdl.MustParse(senderApp+`
+		create queue in kind basic mode persistent;
+		create rule fwd for in if (/m) then do enqueue <m>{/m/text()}</m> into out;
+	`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	enqueueNumbered(t, e, "in", n)
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			e.dur.outMu.Lock()
+			most = max(most, e.dur.outputs)
+			e.dur.outMu.Unlock()
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	e.Start()
+	drained := e.Drain(10 * time.Second)
+	close(stop)
+	if most := <-peak; most > outputCap {
+		t.Fatalf("the stage held %d outgoing messages, bound %d", most, outputCap)
+	}
+	if !drained {
+		t.Fatal("engine did not drain")
+	}
 	checkAllProcessed(t, e, "out", n)
 	if got := rec.payloads(); len(got) != n {
 		t.Fatalf("receiver got %d transfers, want %d", len(got), n)

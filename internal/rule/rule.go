@@ -87,8 +87,6 @@ type Rule struct {
 	// QueueReads are the body's qs:queue() reads in source order, each
 	// with its access path: an index probe or a whole-queue read.
 	QueueReads []QueueRead
-	// ReadsSlice is set when the body calls qs:slice().
-	ReadsSlice bool
 	// Order is the declaration position, preserved when combining plans.
 	Order int
 }
@@ -279,7 +277,7 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 		r := &Rule{
 			Name: rd.Name, Target: rd.Target, OnSlicing: onSlicing,
 			ErrorQueue: rd.ErrorQueue, Body: compiled, Order: i,
-			PropPreds: propPreds, QueueReads: reads, ReadsSlice: readsSlice(body),
+			PropPreds: propPreds, QueueReads: reads,
 		}
 		if !opts.Unoptimized {
 			r.Trigger = analyzeTrigger(body)
@@ -548,18 +546,6 @@ func stringLiteral(e xpath.Expr) (string, bool) {
 
 // checkEnqueueTargets verifies statically that every "do enqueue ... into
 // Q" names a declared queue.
-// readsSlice reports whether a rule body calls qs:slice().
-func readsSlice(body xpath.Expr) bool {
-	found := false
-	xpath.Inspect(body, func(e xpath.Expr) bool {
-		if fc, ok := e.(*xpath.FuncCall); ok && fc.Prefix == "qs" && fc.Local == "slice" {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 func checkEnqueueTargets(e xpath.Expr, queues map[string]*qdl.QueueDecl) error {
 	var err error
 	xpath.Inspect(e, func(e xpath.Expr) bool {

@@ -123,6 +123,7 @@ func main() {
 		fmt.Printf("gateway errors     %d\n", st.GatewaySendErrors)
 		fmt.Printf("pipelined commits  %d\n", st.PipelinedCommits)
 		fmt.Printf("durability waits   %d\n", st.DurabilityWaits)
+		fmt.Printf("follower flushes   %d\n", st.FollowerFlushes)
 		fmt.Printf("undurable batches  %d\n", st.UndurableBatches)
 		fmt.Printf("pages written      %d\n", st.Store.PagesWritten)
 		fmt.Printf("write-back flushes %d\n", st.Store.WriteBackFlushes)

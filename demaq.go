@@ -353,8 +353,8 @@ func FormatStats(st Stats) string {
 			st.GatewaySent, st.GatewayConsumeCommits, st.GatewaySendErrors)
 	}
 	if st.PipelinedCommits > 0 {
-		s += fmt.Sprintf(" pipelined=%d dur-waits=%d undurable=%d",
-			st.PipelinedCommits, st.DurabilityWaits, st.UndurableBatches)
+		s += fmt.Sprintf(" pipelined=%d dur-waits=%d follower-flushes=%d undurable=%d",
+			st.PipelinedCommits, st.DurabilityWaits, st.FollowerFlushes, st.UndurableBatches)
 	}
 	if st.QueueReadsProbed > 0 || st.QueueReadsScanned > 0 {
 		s += fmt.Sprintf(" q-probed=%d/%ddocs q-scanned=%d/%ddocs",

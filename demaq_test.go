@@ -203,6 +203,20 @@ func TestFormatStatsCommittedBatches(t *testing.T) {
 	}
 }
 
+// TestFormatStatsPipeline: once a worker has committed, the stats line shows
+// the pipelined transactions, the stage's waits for the log, those of the
+// follower waits that flushed the log themselves, and the undurable gauge.
+func TestFormatStatsPipeline(t *testing.T) {
+	st := Stats{Processed: 3}
+	if s := FormatStats(st); strings.Contains(s, "pipelined=") || strings.Contains(s, "follower-flushes=") {
+		t.Fatalf("pipeline shown without a pipelined commit: %s", s)
+	}
+	st.PipelinedCommits, st.DurabilityWaits, st.FollowerFlushes, st.UndurableBatches = 9, 4, 1, 2
+	if s := FormatStats(st); !strings.Contains(s, " pipelined=9 dur-waits=4 follower-flushes=1 undurable=2 ") {
+		t.Fatalf("pipeline not surfaced: %s", s)
+	}
+}
+
 // TestOpenPeerHonoursOptions: a peer node is configured by the same Options
 // mapping as a primary — every option set reaches its engine, lock
 // granularity included.

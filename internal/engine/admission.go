@@ -132,7 +132,7 @@ func (e *Engine) admitted(a admission, err error) (msgstore.MsgID, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := e.settle(a.pc); err != nil {
+	if err := e.settle(false, a.pc); err != nil {
 		return 0, err
 	}
 	e.stats.enqueued.Add(1)

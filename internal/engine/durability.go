@@ -46,7 +46,11 @@ import (
 // before its output leaves, but the two overlap: the chain runs while the
 // admission's flush is under way, and nothing external can observe a message
 // whose admission — or anything else its existence depends on — is not
-// durable.
+// durable. Who starts the flushes matters as much: the durability stage and
+// the gateways' consume stages follow the log (settle) — they ride the next
+// flush an admission starts and flush the log themselves only when none
+// starts within a short hold — so the device is free when the next
+// admissions arrive, and their cohort is not split by a stage's flush.
 
 // precommit is a pre-committed transaction on its way to durability: a
 // worker's, or one committed by commitExternal.
@@ -85,56 +89,28 @@ func (e *Engine) precommitStaged(tx *msgstore.Txn, staged []stagedMsg) (uint64, 
 // waiting for the log at once; a worker that finds them all taken waits for
 // the flush in progress. Deep enough that the workers never stall on a 1 ms
 // device, small enough that the pre-committed window stays a few flushes.
-//
-// Of those, at most outputCap messages for the outside may wait; a
-// transaction with more takes the whole bound. Output has to wait for
-// the log whatever the workers do, so where every input is sent on — one
-// send per input — running ahead buys nothing, and it costs the admissions:
-// the workers' pre-commits then land during every flush, the stage starts
-// the next flush the moment the last one completes, and the inputs that the
-// sends it has just released bring in miss that flush by a hair and pay for
-// two (bench/history-lookup: ack p50 1.5 -> 1.9 ms). With the bound such
-// workers are paced by the device, only without their locks; chains of
-// internal transactions are not touched by it. The bound counts messages,
-// not transactions: counted per transaction, batches of slicing-rule checks
-// ran two transactions of several answers each ahead, and history-lookup's
-// acks rose with them (ack tail +26 %; CHANGES.md). Two is how far the
-// benchmark's 2-worker node ran ahead when every worker waited for its own
-// commit. A bound that grows with the workers was measured against it
-// (CHANGES.md): no different at 16 workers, at 4 workers 7 % more
-// procurement throughput for acks 3-7 % slower — not worth tying the pacing
-// of output to a deployment setting.
-const (
-	undurableCap = 64
-	outputCap    = 2
-)
+// It is the only bound on how far the workers run ahead: transactions that
+// carry messages for the outside run ahead like internal ones, and their
+// messages wait for the log in the queue (TestOutputBackpressure).
+const undurableCap = 64
 
 // durabilityStage is the one goroutine per engine that turns pre-committed
 // worker transactions into durable ones: it takes whatever accumulated while
 // the previous flush ran and waits for the log once, for the highest LSN of
-// the lot — natural group commit, no linger of its own.
+// the lot — natural group commit, as a follower of the log (settle).
 type durabilityStage struct {
 	eng   *Engine
 	slots chan struct{}  // semaphore: one slot per un-durable transaction
 	queue chan precommit // never blocks: a sender holds a slot
-
-	// outputs counts the outgoing messages of the transactions handed over,
-	// up to outputCap each (outputsOf); a transaction takes its share at once
-	// or waits on outFree.
-	outMu   sync.Mutex
-	outFree *sync.Cond
-	outputs int
 
 	mu      sync.RWMutex // held shared by add, exclusively by close
 	stopped bool
 }
 
 func newDurabilityStage(e *Engine) *durabilityStage {
-	d := &durabilityStage{eng: e,
+	return &durabilityStage{eng: e,
 		slots: make(chan struct{}, undurableCap),
 		queue: make(chan precommit, undurableCap)}
-	d.outFree = sync.NewCond(&d.outMu)
-	return d
 }
 
 // add hands a pre-committed transaction, completing claims scheduler claims,
@@ -149,24 +125,13 @@ func (d *durabilityStage) add(pc precommit, claims int) {
 		// Nothing was logged (a duplicate schedule, transient queues only)
 		// and nothing is owed to the outside (routeStaged): there is no flush
 		// to wait for. Once the stage has stopped, the caller waits itself.
-		d.eng.settle(pc)
+		d.eng.settle(false, pc)
 		return
 	}
 	d.slots <- struct{}{}
-	if n := outputsOf(pc); n > 0 {
-		d.outMu.Lock()
-		for d.outputs+n > outputCap {
-			d.outFree.Wait()
-		}
-		d.outputs += n
-		d.outMu.Unlock()
-	}
 	d.eng.stats.pipelinedCommits.Add(1)
 	d.queue <- pc
 }
-
-// outputsOf is a transaction's share of the outputCap bound.
-func outputsOf(pc precommit) int { return min(pc.outputs, outputCap) }
 
 // close stops the stage once the workers are gone: the loop settles what is
 // queued and exits.
@@ -186,17 +151,9 @@ func (d *durabilityStage) loop() {
 	defer d.eng.wg.Done()
 	commitBatches(d.queue, func(batch []precommit) bool {
 		d.eng.stats.durabilityWaits.Add(1)
-		d.eng.settle(batch...)
-		released := 0
-		for _, pc := range batch {
+		d.eng.settle(true, batch...)
+		for range batch {
 			<-d.slots
-			released += outputsOf(pc)
-		}
-		if released > 0 {
-			d.outMu.Lock()
-			d.outputs -= released
-			d.outMu.Unlock()
-			d.outFree.Broadcast()
 		}
 		return true
 	})
@@ -229,21 +186,32 @@ func commitBatches[T any](ch <-chan T, commit func([]T) bool) {
 
 // settle waits until a group of pre-committed transactions is durable and
 // then performs what they owe the outside: it nudges the outgoing gateway
-// senders and completes the scheduler claims. When the log fails, nothing
-// that is not durable leaves the node: the engine turns degraded, the error
-// goes back to whoever has a caller to refuse, and the claims are completed
-// all the same — the messages count as processed in memory, and a restart
-// re-derives what the durable prefix of the log does not hold from the
-// messages it finds unprocessed, as after any crash — so that Shutdown can
-// finish.
-func (e *Engine) settle(batch ...precommit) error {
+// senders and completes the scheduler claims. With follow — the durability
+// stage and the gateways' consume stages, which no caller waits on — it rides
+// the next flush someone else starts and flushes the log itself only when
+// none starts within the hold (msgstore.Store.FollowDurable); every other
+// caller flushes at once. When the log fails, nothing that is not durable
+// leaves the node: the engine turns degraded, the error goes back to whoever
+// has a caller to refuse, and the claims are completed all the same — the
+// messages count as processed in memory, and a restart re-derives what the
+// durable prefix of the log does not hold from the messages it finds
+// unprocessed, as after any crash — so that Shutdown can finish.
+func (e *Engine) settle(follow bool, batch ...precommit) error {
 	var lsn uint64
 	for _, pc := range batch {
 		if pc.lsn > lsn {
 			lsn = pc.lsn
 		}
 	}
-	err := e.ms.WaitDurable(lsn)
+	var err error
+	if follow {
+		var led bool
+		if led, err = e.ms.FollowDurable(lsn); led {
+			e.stats.followerFlushes.Add(1)
+		}
+	} else {
+		err = e.ms.WaitDurable(lsn)
+	}
 	if err != nil {
 		e.noteStorageError(err)
 		e.log.Error("pre-committed transactions lost: the log did not become durable",
@@ -294,8 +262,7 @@ func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
 }
 
 // commitExternal commits a transaction that does not run under a worker's
-// locks — the echo timers, the gateway senders — and returns once it is
-// durable. It is precommitExternal and settle in a row, as msgstore's Commit
+// locks — the echo timers' — and returns once it is durable. It is precommitExternal and settle in a row, as msgstore's Commit
 // is Precommit and WaitDurable: the messages it stages reach their internal
 // consumers before the wait; the outgoing gateway senders are nudged, and the
 // caller returns, after it.
@@ -304,7 +271,7 @@ func (e *Engine) commitExternal(tx *msgstore.Txn, msgs ...stagedMsg) error {
 	if err != nil {
 		return err
 	}
-	return e.settle(pc)
+	return e.settle(false, pc)
 }
 
 // precommitExternal pre-commits such a transaction and publishes the

@@ -172,10 +172,17 @@ type Stats struct {
 	// log that made them durable: the first over the second is the number of
 	// transactions per flush wait (1 on an idle or paced node).
 	// UndurableBatches is a gauge: the pre-committed worker transactions not
-	// yet found durable, at most undurableCap.
+	// yet found durable, at most undurableCap, the one bound on how far the
+	// workers run ahead of the log — with output or without.
+	// FollowerFlushes counts the waits of the durability stage and the
+	// gateways' consume stages, which follow the log, that found no flush
+	// started within the hold and flushed the log themselves; over
+	// DurabilityWaits (plus GatewayConsumeCommits) it is the share of the
+	// stages' waits that did not ride an admission's flush.
 	PipelinedCommits uint64
 	DurabilityWaits  uint64
 	UndurableBatches int
+	FollowerFlushes  uint64
 
 	// WALShed counts enqueues refused because the live WAL reached the
 	// hard budget.
@@ -235,7 +242,7 @@ type Engine struct {
 		processed, rulesEval, rulesFired, enqueued, resets, errors, deadlocks, collected atomic.Uint64
 		batches, batchMsgs, commits, commitMsgs, deadlockRequeues, ingestShed, walShed   atomic.Uint64
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
-		pipelinedCommits, durabilityWaits                                                atomic.Uint64
+		pipelinedCommits, durabilityWaits, followerFlushes                               atomic.Uint64
 		queueProbed, queueScanned, queueProbedDocs, queueScannedDocs                     atomic.Uint64
 		gcPasses, gcPassNs                                                               atomic.Uint64
 	}
@@ -645,6 +652,7 @@ func (e *Engine) Stats() Stats {
 		PipelinedCommits: e.stats.pipelinedCommits.Load(),
 		DurabilityWaits:  e.stats.durabilityWaits.Load(),
 		UndurableBatches: e.dur.undurable(),
+		FollowerFlushes:  e.stats.followerFlushes.Load(),
 
 		QueueReadsProbed:  e.stats.queueProbed.Load(),
 		QueueReadsScanned: e.stats.queueScanned.Load(),

@@ -234,5 +234,5 @@ func (e *Engine) handleRuleError(queue string, id msgstore.MsgID, cause error) {
 		e.log.Error("failed to consume message after error", "id", id, "err", err)
 		return
 	}
-	e.settle(pc)
+	e.settle(false, pc)
 }

@@ -518,7 +518,13 @@ func (g *gatewayService) consume(gw *outgoingGW, batch []transfer) bool {
 		}
 	}
 	tx.MarkProcessedAll(ids)
-	if err := e.commitExternal(tx, errMsgs...); err != nil {
+	// The stage follows the log (settle): no one outside waits on the
+	// consume commit, so it rides the admissions' flushes.
+	pc, err := e.precommitExternal(tx, errMsgs)
+	if err == nil {
+		err = e.settle(true, pc)
+	}
+	if err != nil {
 		// The messages stay unprocessed and are sent again on the next start.
 		e.noteStorageError(err)
 		e.log.Error("gateway consume failed; outgoing queue halted until restart",

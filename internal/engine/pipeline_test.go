@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -628,10 +627,10 @@ func TestEarlyLockReleaseOrdering(t *testing.T) {
 }
 
 // TestOutputBackpressure: transactions that carry messages for the outside
-// run at most outputCap ahead of the log — and nothing is sent before it is
-// durable — while internal transactions are bounded only by undurableCap.
+// run ahead of the log like internal ones, up to undurableCap in all — the
+// one bound on the workers — and nothing is sent before it is durable.
 func TestOutputBackpressure(t *testing.T) {
-	const n, workers = 12, 3
+	const internal, forwarded, workers = 12, undurableCap, 3
 	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
 	rec := &recorder{}
@@ -651,27 +650,25 @@ func TestOutputBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
-	// The older messages are internal (no rule, no output): they are worked
-	// off first, all of them ahead of the log.
-	for i := 0; i < n; i++ {
+	for i := 0; i < internal; i++ {
 		if _, err := e.EnqueueXML("internal", `<k/>`, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	enqueueNumbered(t, e, "in", n)
+	enqueueNumbered(t, e, "in", forwarded)
 	release := vfs.holdSyncs()
 	defer release()
 	e.Start()
-	// Then outputCap forwarding transactions are handed over, and every
-	// worker waits with its next one pre-committed in its hands.
+	// undurableCap transactions are handed over — at most internal of them
+	// without output — and the workers wait with their next ones.
 	stuck := func() bool {
 		st := e.Stats()
-		return st.PipelinedCommits == n+outputCap && st.UndurableBatches == n+outputCap+workers
+		return st.PipelinedCommits == undurableCap && st.UndurableBatches == undurableCap
 	}
 	waitFor(t, 10*time.Second, stuck)
 	time.Sleep(20 * time.Millisecond)
 	if !stuck() {
-		t.Fatalf("workers ran ahead with output: %+v", e.Stats())
+		t.Fatalf("workers ran past undurableCap: %+v", e.Stats())
 	}
 	if got := rec.payloads(); len(got) != 0 {
 		t.Fatalf("%d messages sent before their transaction was durable", len(got))
@@ -680,67 +677,17 @@ func TestOutputBackpressure(t *testing.T) {
 	if !e.Drain(10 * time.Second) {
 		t.Fatal("engine did not drain")
 	}
-	checkAllProcessed(t, e, "internal", n)
-	checkAllProcessed(t, e, "out", n)
-	if got := rec.payloads(); len(got) != n {
-		t.Fatalf("receiver got %d transfers, want %d", len(got), n)
+	checkAllProcessed(t, e, "internal", internal)
+	checkAllProcessed(t, e, "out", forwarded)
+	if got := rec.payloads(); len(got) != forwarded {
+		t.Fatalf("receiver got %d transfers, want %d", len(got), forwarded)
 	}
 }
 
-// TestOutputBackpressureCountsMessages: outputCap bounds the messages for
-// the outside that wait for the log, not the transactions. A batch that
-// forwards outputCap messages holds every slot, and the worker's next batch
-// waits for the flush.
-func TestOutputBackpressureCountsMessages(t *testing.T) {
-	const n = 3 * outputCap
-	fn := faultinject.NewFaultNet(1)
-	defer fn.Close()
-	rec := &recorder{}
-	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
-		t.Fatal(err)
-	}
-	vfs := &syncVFS{VFS: faultinject.NewFaultFS(9)}
-	e, err := New(Config{Dir: "out", Workers: 1, BatchSize: outputCap, Logger: quietLog,
-		Resources: senderFiles, Transports: gateway.NewRegistry(fn),
-		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
-		qdl.MustParse(senderApp+`
-		create queue in kind basic mode persistent;
-		create rule fwd for in if (/m) then do enqueue <m>{/m/text()}</m> into out;
-	`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop()
-	enqueueNumbered(t, e, "in", n)
-	release := vfs.holdSyncs()
-	defer release()
-	e.Start()
-	// One batch of outputCap messages is handed over; the next one is
-	// pre-committed and waits in the worker's hands.
-	stuck := func() bool {
-		st := e.Stats()
-		return st.PipelinedCommits == 1 && st.UndurableBatches == 2
-	}
-	waitFor(t, 10*time.Second, stuck)
-	time.Sleep(20 * time.Millisecond)
-	if !stuck() {
-		t.Fatalf("a second batch of output ran ahead of the log: %+v", e.Stats())
-	}
-	release()
-	if !e.Drain(10 * time.Second) {
-		t.Fatal("engine did not drain")
-	}
-	checkAllProcessed(t, e, "out", n)
-	if got := rec.payloads(); len(got) != n {
-		t.Fatalf("receiver got %d transfers, want %d", len(got), n)
-	}
-}
-
-// TestOutputBoundSharedByWorkers: workers whose batches forward one to
-// three messages share the outputCap bound from several goroutines at once:
-// the count the stage holds never passes it, no worker is left waiting, and
+// TestWorkersSendOutputOnce: workers whose batches forward one to three
+// messages hand them to the stage from several goroutines at once, and
 // every message is sent exactly once.
-func TestOutputBoundSharedByWorkers(t *testing.T) {
+func TestWorkersSendOutputOnce(t *testing.T) {
 	const n = 60
 	fn := faultinject.NewFaultNet(1)
 	defer fn.Close()
@@ -759,30 +706,8 @@ func TestOutputBoundSharedByWorkers(t *testing.T) {
 	}
 	defer e.Stop()
 	enqueueNumbered(t, e, "in", n)
-	stop := make(chan struct{})
-	peak := make(chan int)
-	go func() {
-		most := 0
-		for {
-			e.dur.outMu.Lock()
-			most = max(most, e.dur.outputs)
-			e.dur.outMu.Unlock()
-			select {
-			case <-stop:
-				peak <- most
-				return
-			default:
-				runtime.Gosched()
-			}
-		}
-	}()
 	e.Start()
-	drained := e.Drain(10 * time.Second)
-	close(stop)
-	if most := <-peak; most > outputCap {
-		t.Fatalf("the stage held %d outgoing messages, bound %d", most, outputCap)
-	}
-	if !drained {
+	if !e.Drain(10 * time.Second) {
 		t.Fatal("engine did not drain")
 	}
 	checkAllProcessed(t, e, "out", n)

@@ -163,6 +163,11 @@ func (t *Txn) Commit() ([]Message, error) {
 // survives a crash; see store.Store.WaitDurable.
 func (ms *Store) WaitDurable(lsn uint64) error { return ms.ps.WaitDurable(lsn) }
 
+// FollowDurable waits like WaitDurable, riding another caller's flush where
+// one starts within a short hold; it reports whether it had to flush the log
+// itself. See store.Store.FollowDurable.
+func (ms *Store) FollowDurable(lsn uint64) (bool, error) { return ms.ps.FollowDurable(lsn) }
+
 // LogEnd returns the LSN covering everything pre-committed so far — the one
 // to wait for before acting on state read without a transaction of one's
 // own in the log; see store.Store.LogEnd.

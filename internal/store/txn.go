@@ -113,6 +113,18 @@ func (s *Store) WaitDurable(lsn uint64) error {
 	return s.log.flush(lsn)
 }
 
+// FollowDurable is WaitDurable for a caller that need not start the flush:
+// it rides the next flush another caller starts, and flushes the log itself
+// — which it reports — only if none starts within a short hold. It suits
+// internal waiters that nobody outside is waiting on, beside callers that
+// flush at once.
+func (s *Store) FollowDurable(lsn uint64) (flushed bool, err error) {
+	if lsn == 0 {
+		return false, nil
+	}
+	return s.log.follow(lsn)
+}
+
 // LogEnd returns the LSN that covers every log record appended so far:
 // once WaitDurable(LogEnd()) has returned, everything that was pre-committed
 // before the call is durable, whoever's it was.

@@ -431,6 +431,58 @@ func (w *wal) flush(lsn uint64) error {
 		return nil
 	}
 	w.flushCalls++
+	return w.lead(lsn)
+}
+
+// followHold is how long a follower waits for some other caller to start
+// the flush that covers it: a quarter of the 1 ms flush the benchmark
+// models. A waiter with no caller of its own — a pipeline stage that
+// releases output, say — that took the device the moment it freed would
+// start half the flushes, and an admission arriving mid-flush would pay
+// for two; one that follows rides the admissions' flushes, and flushes the
+// log itself only when none comes within the hold.
+const followHold = 250 * time.Microsecond
+
+// follow makes the log durable up to at least lsn like flush, but first
+// waits up to followHold for another flusher to cover it; only if none
+// starts in that time does it flush the log itself, which it reports.
+// A flush in flight when the hold runs out is waited for first, as flush
+// would. A follower does not count toward a lingering flusher's cohort:
+// the linger waits for committers that someone is waiting on.
+func (w *wal) follow(lsn uint64) (led bool, err error) {
+	w.mu.Lock()
+	if lsn <= w.flushed {
+		w.mu.Unlock()
+		return false, nil
+	}
+	w.flushCalls++
+	expired := false
+	timer := time.AfterFunc(followHold, func() {
+		w.mu.Lock()
+		expired = true
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	})
+	for lsn > w.flushed && w.ioErr == nil && (!expired || w.syncing) {
+		w.cond.Wait()
+	}
+	timer.Stop()
+	if lsn <= w.flushed {
+		w.coalesced++
+		w.mu.Unlock()
+		return false, nil
+	}
+	if w.ioErr != nil {
+		err := w.ioErr
+		w.mu.Unlock()
+		return false, err
+	}
+	return true, w.lead(lsn)
+}
+
+// lead is the body of flush, entered with w.mu held and the request
+// counted; it returns with w.mu released.
+func (w *wal) lead(lsn uint64) error {
 	w.joiners++
 	myEpoch := w.swapEpoch
 	if w.lingering {

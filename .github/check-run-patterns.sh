@@ -2,7 +2,8 @@
 # Fails when an alternative of a `go test ... -run '<pattern>'` command in
 # the workflows matches no test, fuzz target or example of the package the
 # command tests: a renamed or deleted test would otherwise drop out of its
-# step silently. '^$' (run nothing, before -bench or -fuzz) is skipped.
+# step silently. '^$' (run nothing, before -bench or -fuzz) is skipped; of an
+# alternative with subtest levels ('Test/sub') the test level is checked.
 # Run from the repository root.
 set -euo pipefail
 
@@ -18,6 +19,9 @@ for wf in .github/workflows/*.yml; do
 		fi
 		IFS='|' read -ra alts <<<"$pattern"
 		for alt in "${alts[@]}"; do
+			# go test matches the levels after a '/' against subtests,
+			# which -list does not show: check the test level.
+			alt=${alt%%/*}
 			if ! grep -qE -- "$alt" <<<"${listed[$pkg]}"; then
 				echo "$wf: -run alternative '$alt' matches no test in $pkg"
 				fail=1

@@ -122,6 +122,11 @@ func BenchmarkE2LockGranularity(b *testing.B) {
 			if !srv.Drain(120 * time.Second) {
 				b.Fatal("drain")
 			}
+			// What the coarse names cost, counted: requests that queued
+			// behind another transaction, and deadlock victims.
+			st := srv.Stats()
+			b.ReportMetric(float64(st.LockWaits)/float64(b.N), "lockwaits/op")
+			b.ReportMetric(float64(st.Deadlocks)/float64(b.N), "deadlocks/op")
 		})
 	}
 }

@@ -10,9 +10,10 @@
 // (X-Demaq-Property headers). "status" reads the JSON endpoint served by
 // demaqd -status and prints the engine counters, including the
 // set-oriented execution stats (batches claimed, average batch size,
-// deadlock requeues), the outgoing gateway senders' (transfers sent,
-// consume commits, send errors) and the page write-back's (pages written,
-// log flushes waited for: pages written over flushes is pages per flush).
+// deadlocks, lock waits, deadlock requeues), the outgoing gateway senders'
+// (transfers sent, consume commits, send errors) and the page write-back's
+// (pages written, log flushes waited for: pages written over flushes is
+// pages per flush).
 package main
 
 import (
@@ -111,6 +112,7 @@ func main() {
 		fmt.Printf("resets             %d\n", st.Resets)
 		fmt.Printf("errors             %d\n", st.Errors)
 		fmt.Printf("deadlocks          %d\n", st.Deadlocks)
+		fmt.Printf("lock waits         %d\n", st.LockWaits)
 		fmt.Printf("deadlock requeues  %d\n", st.DeadlockRequeues)
 		fmt.Printf("collected          %d\n", st.Collected)
 		fmt.Printf("backlog            %d\n", st.Backlog)

@@ -52,8 +52,9 @@ type Options struct {
 	// failures bisect down to batches of one, and batches of low-priority
 	// work yield to higher-priority arrivals between messages.
 	BatchSize int
-	// CoarseLocking switches from slice- to queue-granularity locks
-	// (the experiment E2 baseline; slower under contention).
+	// CoarseLocking locks whole queues and whole slicings where the default
+	// locks single messages and slices (the experiment E2 baseline; slower
+	// under contention, with the same serializability).
 	CoarseLocking bool
 	// NoSync disables fsync on commit, trading the durability of the most
 	// recent transactions for throughput (experiment A3).
@@ -344,9 +345,9 @@ func Validate(source string) error {
 
 // FormatStats renders stats for human consumption.
 func FormatStats(st Stats) string {
-	s := fmt.Sprintf("processed=%d rules=%d fired=%d enqueued=%d resets=%d errors=%d deadlocks=%d dlrequeues=%d collected=%d backlog=%d batches=%d avgbatch=%.1f commits=%d avgcommit=%.1f",
+	s := fmt.Sprintf("processed=%d rules=%d fired=%d enqueued=%d resets=%d errors=%d deadlocks=%d lockwaits=%d dlrequeues=%d collected=%d backlog=%d batches=%d avgbatch=%.1f commits=%d avgcommit=%.1f",
 		st.Processed, st.RulesEvaluated, st.RulesFired, st.Enqueued, st.Resets,
-		st.Errors, st.Deadlocks, st.DeadlockRequeues, st.Collected, st.Backlog,
+		st.Errors, st.Deadlocks, st.LockWaits, st.DeadlockRequeues, st.Collected, st.Backlog,
 		st.BatchesClaimed, st.AvgBatchSize, st.BatchesCommitted, st.AvgCommittedBatch)
 	if st.GatewaySent > 0 {
 		s += fmt.Sprintf(" gw-sent=%d gw-commits=%d gw-errors=%d",

@@ -203,6 +203,15 @@ func TestFormatStatsCommittedBatches(t *testing.T) {
 	}
 }
 
+// TestFormatStatsLockWaits: the stats line shows the lock requests that
+// waited next to the deadlocks.
+func TestFormatStatsLockWaits(t *testing.T) {
+	st := Stats{Deadlocks: 2, LockWaits: 17}
+	if s := FormatStats(st); !strings.Contains(s, " deadlocks=2 lockwaits=17 ") {
+		t.Fatalf("lock waits not surfaced: %s", s)
+	}
+}
+
 // TestFormatStatsPipeline: once a worker has committed, the stats line shows
 // the pipelined transactions, the stage's waits for the log, those of the
 // follower waits that flushed the log themselves, and the undurable gauge.

@@ -36,7 +36,7 @@ func (rt *evalRuntime) Queue(name string) ([]*xmldom.Node, error) {
 		name = rt.queue
 	}
 	// Whole-queue read: shared lock at queue granularity.
-	if err := rt.eng.lm.Acquire(rt.txnID, locks.Resource("q", name), locks.S); err != nil {
+	if err := rt.eng.acquire(rt.txnID, queueLock(name, locks.S)); err != nil {
 		return nil, err
 	}
 	docs, err := rt.eng.ms.QueueDocs(name)
@@ -58,7 +58,7 @@ func (rt *evalRuntime) QueueProbe(name, prop, value string) ([]*xmldom.Node, boo
 	if name == "" {
 		name = rt.queue
 	}
-	if err := rt.eng.lm.Acquire(rt.txnID, locks.Resource("q", name), locks.S); err != nil {
+	if err := rt.eng.acquire(rt.txnID, queueLock(name, locks.S)); err != nil {
 		return nil, false, err
 	}
 	floor := rt.eng.probeFloor
@@ -81,10 +81,8 @@ func (rt *evalRuntime) Slice() ([]*xmldom.Node, error) {
 	if rt.curSlicing == "" {
 		return nil, fmt.Errorf("qs:slice() outside a slicing rule")
 	}
-	if rt.eng.cfg.Granularity == LockSlice {
-		if err := rt.eng.lm.Acquire(rt.txnID, locks.Resource("sl", rt.curSlicing, rt.curKey), locks.S); err != nil {
-			return nil, err
-		}
+	if err := rt.eng.acquire(rt.txnID, sliceLock(rt.curSlicing, rt.curKey, locks.S)); err != nil {
+		return nil, err
 	}
 	ids := rt.eng.slices.SliceMembers(rt.curSlicing, rt.curKey)
 	docs := make([]*xmldom.Node, 0, len(ids))
@@ -162,9 +160,8 @@ func (e *Engine) newItem(id msgstore.MsgID, updates *xquery.UpdateList, parent m
 // applyBatch executes the pending updates of a whole batch and marks every
 // triggering message processed, in one message-store transaction. Target
 // queues and slices — those reset and those the new messages join — are
-// locked before any effect is applied (strict 2PL: everything is held until
-// the worker releases at transaction end); within the batch each distinct
-// resource costs one lock-manager round.
+// locked in one round before any effect is applied (strict 2PL: everything
+// is held until the worker releases at transaction end).
 //
 // The transaction ends in a pre-commit: the effects are published, the
 // reset watermarks move and the new messages reach their internal
@@ -179,54 +176,22 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 		return precommit{}, ErrDegraded
 	}
 
-	// lockOnce dedupes lock acquisition across the batch: re-acquiring a
-	// held resource is already cheap inside the manager, but every call
-	// still crosses its global mutex, which the batch should touch once
-	// per distinct resource, not once per update.
-	var acquired map[string]bool
-	lockOnce := func(res string, mode locks.Mode) error {
-		if acquired[res] {
-			return nil
-		}
-		if err := e.lm.Acquire(txnID, res, mode); err != nil {
-			return err
-		}
-		if acquired == nil {
-			acquired = make(map[string]bool, 8)
-		}
-		acquired[res] = true
-		return nil
-	}
-	enqMode := locks.IX
-	if e.cfg.Granularity == LockQueue {
-		enqMode = locks.X
-	}
+	// The slices the new messages join change shape when the pre-commit
+	// gives the messages their ids; they are locked like the slices reset.
+	var reqs []lockReq
 	for _, it := range items {
 		for _, nm := range it.enqueues {
-			if err := lockOnce(locks.Resource("q", nm.Queue), enqMode); err != nil {
-				return precommit{}, err
+			reqs = append(reqs, queueLock(nm.Queue, locks.IX))
+			for _, mb := range nm.joins {
+				reqs = append(reqs, sliceLock(mb.Slicing, mb.Key, locks.X))
 			}
 		}
-		if e.cfg.Granularity == LockSlice {
-			for _, u := range it.resets {
-				if err := lockOnce(locks.Resource("sl", u.Slicing, u.Key.StringValue()), locks.X); err != nil {
-					return precommit{}, err
-				}
-			}
+		for _, u := range it.resets {
+			reqs = append(reqs, sliceLock(u.Slicing, u.Key.StringValue(), locks.X))
 		}
 	}
-	// The slices the new messages join change shape when the pre-commit
-	// gives them their ids.
-	if e.cfg.Granularity == LockSlice {
-		for _, it := range items {
-			for _, nm := range it.enqueues {
-				for _, mb := range nm.joins {
-					if err := lockOnce(locks.Resource("sl", mb.Slicing, mb.Key), locks.X); err != nil {
-						return precommit{}, err
-					}
-				}
-			}
-		}
+	if err := e.acquire(txnID, reqs...); err != nil {
+		return precommit{}, err
 	}
 
 	tx := e.ms.Begin()

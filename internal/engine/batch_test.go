@@ -285,8 +285,9 @@ func TestBatchSingleDifferential(t *testing.T) {
 
 // TestBatchSharedStateEquivalence replays the slice-join pattern — the
 // worst case for set-oriented execution, where a rule's firing depends on
-// updates of neighboring messages — across batch sizes: exactly one join
-// output per key, however the inputs are grouped into batches.
+// updates of neighboring messages — across batch sizes and lock
+// granularities: exactly one join output per key, however the inputs are
+// grouped into batches.
 func TestBatchSharedStateEquivalence(t *testing.T) {
 	const app = `
 		create queue in kind basic mode persistent;
@@ -299,31 +300,41 @@ func TestBatchSharedStateEquivalence(t *testing.T) {
 		create rule cleanup for byKey
 		  if (count(qs:slice()[/part]) >= 3) then do reset;
 	`
-	for _, batch := range []int{1, 32} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			e := newEngine(t, app, func(c *Config) {
-				c.Workers = 8
-				c.BatchSize = batch
-				c.Store = msgstore.DefaultOptions()
-				c.Store.Store.SyncCommits = false
-			})
-			const keys, parts = 20, 3
-			for p := 0; p < parts; p++ {
-				for k := 0; k < keys; k++ {
-					if _, err := e.EnqueueXML("in",
-						fmt.Sprintf(`<part><key>k%d</key><n>%d</n></part>`, k, p), nil); err != nil {
-						t.Fatal(err)
+	for _, g := range granularities {
+		for _, batch := range []int{1, 32} {
+			t.Run(fmt.Sprintf("%s/batch=%d", g.name, batch), func(t *testing.T) {
+				e := newEngine(t, app, func(c *Config) {
+					c.Workers = 8
+					c.BatchSize = batch
+					c.Granularity = g.g
+					c.Store = msgstore.DefaultOptions()
+					c.Store.Store.SyncCommits = false
+				})
+				const keys, parts = 20, 3
+				for p := 0; p < parts; p++ {
+					for k := 0; k < keys; k++ {
+						if _, err := e.EnqueueXML("in",
+							fmt.Sprintf(`<part><key>k%d</key><n>%d</n></part>`, k, p), nil); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-			}
-			drain(t, e)
-			joined, _ := e.MessageStore().Messages("joined")
-			if len(joined) != keys {
-				t.Fatalf("joined %d messages, want exactly %d (duplicate or missed joins)", len(joined), keys)
-			}
-		})
+				drain(t, e)
+				joined, _ := e.MessageStore().Messages("joined")
+				if len(joined) != keys {
+					t.Fatalf("joined %d messages, want exactly %d (duplicate or missed joins)", len(joined), keys)
+				}
+			})
+		}
 	}
 }
+
+// granularities are the lock granularities the tests that run under both
+// take as an input.
+var granularities = []struct {
+	name string
+	g    LockGranularity
+}{{"locking=slice", LockSlice}, {"locking=queue", LockQueue}}
 
 // TestDeadlockExhaustionRequeues drives a workload whose transactions
 // deadlock by construction (coarse queue locks plus symmetric cross-queue
@@ -375,9 +386,9 @@ func TestDeadlockExhaustionRequeues(t *testing.T) {
 // new engine before it starts, runs it to completion and returns every
 // queue's fingerprint. With one worker the first claim takes the first half
 // of the backlog, so at BatchSize > 1 the leading messages share a claim.
-func runPreloaded(t *testing.T, app string, batch, workers int, setup func(*Engine), msgs ...[2]string) (map[string][]string, Stats) {
+func runPreloaded(t *testing.T, app string, g LockGranularity, batch, workers int, setup func(*Engine), msgs ...[2]string) (map[string][]string, Stats) {
 	t.Helper()
-	cfg := Config{Dir: t.TempDir(), Workers: workers, BatchSize: batch}
+	cfg := Config{Dir: t.TempDir(), Workers: workers, BatchSize: batch, Granularity: g}
 	cfg.Store = msgstore.DefaultOptions()
 	cfg.Store.Store.SyncCommits = false
 	e, err := New(cfg, qdl.MustParse(app))
@@ -430,8 +441,8 @@ func sameState(t *testing.T, want, got map[string][]string, wantStats, gotStats 
 func conflictCase(t *testing.T, app string, first, second [2]string) map[string][]string {
 	t.Helper()
 	msgs := [][2]string{first, second, {"in", "<noop/>"}, {"in", "<noop/>"}}
-	want, wantStats := runPreloaded(t, app, 1, 1, nil, msgs...)
-	got, gotStats := runPreloaded(t, app, 32, 1, nil, msgs...)
+	want, wantStats := runPreloaded(t, app, LockSlice, 1, 1, nil, msgs...)
+	got, gotStats := runPreloaded(t, app, LockSlice, 32, 1, nil, msgs...)
 	sameState(t, want, got, wantStats, gotStats)
 	return want
 }
@@ -538,7 +549,7 @@ func TestSharedStateJoinsBatches(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		msgs = append(msgs, creditCheck(i, i))
 	}
-	state, st := runPreloaded(t, historyApp, 32, 1, nil, msgs...)
+	state, st := runPreloaded(t, historyApp, LockSlice, 32, 1, nil, msgs...)
 	if len(state["out"]) != 64 {
 		t.Fatalf("%d answers, want 64", len(state["out"]))
 	}
@@ -550,53 +561,58 @@ func TestSharedStateJoinsBatches(t *testing.T) {
 
 // TestSliceRuleBatchDifferential runs two of the paper's slice-rule
 // applications at BatchSize 1 and 32 with 8 workers, everything enqueued
-// before the start, and asserts identical final state: the procurement
-// application with 50 unpaid invoices and the 70/10/10/10 request mix, and
-// the history-lookup shape. Runs under -race in CI.
+// before the start, under each lock granularity, and asserts identical final
+// state: the procurement application with 50 unpaid invoices and the
+// 70/10/10/10 request mix, and the history-lookup shape. Runs under -race in
+// CI.
 func TestSliceRuleBatchDifferential(t *testing.T) {
-	t.Run("procurement", func(t *testing.T) {
-		const unpaid, requests = 50, 120
-		var msgs [][2]string
-		for i := 0; i < unpaid; i++ {
-			msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
-				`<invoice><requestID>inv%d</requestID><customerID>u%d</customerID><amount>%d</amount></invoice>`, i, i, 100+i)})
-		}
-		rng := rand.New(rand.NewPCG(1, 2))
-		for i := 0; i < requests; i++ {
-			msgs = append(msgs, [2]string{"crm", offerRequest(rng, i, unpaid)})
-		}
-		pricelist := func(e *Engine) {
-			if err := e.MessageStore().AddToCollection("crm", xmldom.MustParse(`<pricelist><discount>3%</discount></pricelist>`)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, wantStats := runPreloaded(t, qdl.ProcurementApp, 1, 8, pricelist, msgs...)
-		got, gotStats := runPreloaded(t, qdl.ProcurementApp, 32, 8, pricelist, msgs...)
-		sameState(t, want, got, wantStats, gotStats)
-		if n := len(want["customer"]); n != requests {
-			t.Fatalf("%d offers and refusals for %d requests", n, requests)
-		}
-	})
-	t.Run("history-lookup", func(t *testing.T) {
-		const customers, perCustomer, checks = 20, 5, 200
-		var msgs [][2]string
-		for k := 0; k < perCustomer; k++ {
-			for c := 0; c < customers; c++ {
-				msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
-					"<invoice><customerID>c%d</customerID><amount>%d</amount></invoice>", c, 1+(c*7+k*13)%50)})
-			}
-		}
-		rng := rand.New(rand.NewPCG(3, 4))
-		for i := 0; i < checks; i++ {
-			msgs = append(msgs, creditCheck(i, rng.IntN(customers)))
-		}
-		want, wantStats := runPreloaded(t, historyApp, 1, 8, nil, msgs...)
-		got, gotStats := runPreloaded(t, historyApp, 32, 8, nil, msgs...)
-		sameState(t, want, got, wantStats, gotStats)
-		if n := len(want["out"]); n != checks {
-			t.Fatalf("%d answers for %d checks", n, checks)
-		}
-	})
+	for _, g := range granularities {
+		t.Run(g.name, func(t *testing.T) {
+			t.Run("procurement", func(t *testing.T) {
+				const unpaid, requests = 50, 120
+				var msgs [][2]string
+				for i := 0; i < unpaid; i++ {
+					msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
+						`<invoice><requestID>inv%d</requestID><customerID>u%d</customerID><amount>%d</amount></invoice>`, i, i, 100+i)})
+				}
+				rng := rand.New(rand.NewPCG(1, 2))
+				for i := 0; i < requests; i++ {
+					msgs = append(msgs, [2]string{"crm", offerRequest(rng, i, unpaid)})
+				}
+				pricelist := func(e *Engine) {
+					if err := e.MessageStore().AddToCollection("crm", xmldom.MustParse(`<pricelist><discount>3%</discount></pricelist>`)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, wantStats := runPreloaded(t, qdl.ProcurementApp, g.g, 1, 8, pricelist, msgs...)
+				got, gotStats := runPreloaded(t, qdl.ProcurementApp, g.g, 32, 8, pricelist, msgs...)
+				sameState(t, want, got, wantStats, gotStats)
+				if n := len(want["customer"]); n != requests {
+					t.Fatalf("%d offers and refusals for %d requests", n, requests)
+				}
+			})
+			t.Run("history-lookup", func(t *testing.T) {
+				const customers, perCustomer, checks = 20, 5, 200
+				var msgs [][2]string
+				for k := 0; k < perCustomer; k++ {
+					for c := 0; c < customers; c++ {
+						msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
+							"<invoice><customerID>c%d</customerID><amount>%d</amount></invoice>", c, 1+(c*7+k*13)%50)})
+					}
+				}
+				rng := rand.New(rand.NewPCG(3, 4))
+				for i := 0; i < checks; i++ {
+					msgs = append(msgs, creditCheck(i, rng.IntN(customers)))
+				}
+				want, wantStats := runPreloaded(t, historyApp, g.g, 1, 8, nil, msgs...)
+				got, gotStats := runPreloaded(t, historyApp, g.g, 32, 8, nil, msgs...)
+				sameState(t, want, got, wantStats, gotStats)
+				if n := len(want["out"]); n != checks {
+					t.Fatalf("%d answers for %d checks", n, checks)
+				}
+			})
+		})
+	}
 }
 
 // offerRequest draws one procurement request from the 70/10/10/10 mix:

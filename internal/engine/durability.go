@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -251,16 +250,6 @@ func (e *Engine) routeStaged(lsn uint64, msgs []stagedMsg) precommit {
 	return pc
 }
 
-// sliceLocks returns the lock resources of the slices a new message with
-// these properties joins in queue.
-func (e *Engine) sliceLocks(queue string, props map[string]xdm.Value) []string {
-	var res []string
-	for _, mb := range e.slices.Memberships(queue, props) {
-		res = append(res, locks.Resource("sl", mb.Slicing, mb.Key))
-	}
-	return res
-}
-
 // commitExternal commits a transaction that does not run under a worker's
 // locks — the echo timers' — and returns once it is durable. It is precommitExternal and settle in a row, as msgstore's Commit
 // is Precommit and WaitDurable: the messages it stages reach their internal
@@ -296,27 +285,22 @@ func (e *Engine) precommitExternal(tx *msgstore.Txn, msgs []stagedMsg) (precommi
 // precommitLocked is the part of precommitExternal that runs under the slice
 // locks.
 func (e *Engine) precommitLocked(tx *msgstore.Txn, msgs []stagedMsg) (uint64, error) {
-	var res []string
-	if e.cfg.Granularity == LockSlice {
-		for _, m := range msgs {
-			res = append(res, e.sliceLocks(m.queue, m.props)...)
+	var reqs []lockReq
+	for _, m := range msgs {
+		for _, mb := range e.slices.Memberships(m.queue, m.props) {
+			reqs = append(reqs, sliceLock(mb.Slicing, mb.Key, locks.X))
 		}
-		sort.Strings(res)
 	}
-	if len(res) > 0 {
+	if len(reqs) > 0 {
 		txnID := e.txnSeq.Add(1)
 		defer e.lm.ReleaseAll(txnID)
-		backoff := 50 * time.Microsecond
-		for i := 0; i < len(res); i++ {
-			if err := e.lm.Acquire(txnID, res[i], locks.X); err != nil {
-				// Only ErrDeadlock comes back: let the other side through and
-				// start over.
-				e.lm.ReleaseAll(txnID)
-				time.Sleep(backoff)
-				if backoff < 10*time.Millisecond {
-					backoff *= 2
-				}
-				i = -1
+		// Only ErrDeadlock comes back: let the other side through and start
+		// over.
+		for backoff := 50 * time.Microsecond; e.acquire(txnID, reqs...) != nil; {
+			e.lm.ReleaseAll(txnID)
+			time.Sleep(backoff)
+			if backoff < 10*time.Millisecond {
+				backoff *= 2
 			}
 		}
 	}

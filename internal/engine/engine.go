@@ -44,7 +44,9 @@ const (
 	// LockSlice locks individual slices and messages under queue
 	// intention locks — the paper's recommendation (Sec. 4.3).
 	LockSlice LockGranularity = iota
-	// LockQueue locks whole queues, the coarse baseline.
+	// LockQueue locks whole queues and whole slicings, the coarse baseline:
+	// every site asks for the same locks as under LockSlice, and lockName
+	// maps a slice to its slicing, a message to its queue and IX to X.
 	LockQueue
 )
 
@@ -121,6 +123,7 @@ type Stats struct {
 	Resets         uint64
 	Errors         uint64
 	Deadlocks      uint64
+	LockWaits      uint64 // lock requests that waited for another transaction
 	Collected      uint64
 	Backlog        int
 
@@ -669,6 +672,7 @@ func (e *Engine) Stats() Stats {
 	}
 	st.IngestBytesPooled = e.cfg.Transports.IngestBytesPooled()
 	st.WALShed = e.stats.walShed.Load()
+	st.LockWaits, _ = e.lm.Stats()
 	st.Store = e.ms.PageStore().Stats()
 	st.Degraded = e.degraded.Load()
 	if err := e.StorageError(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"demaq/internal/qdl"
+	locks "demaq/internal/txn"
 	"demaq/internal/xdm"
 )
 
@@ -436,6 +437,48 @@ func TestSchemaValidationAtEnqueue(t *testing.T) {
 	}
 	if _, err := e.EnqueueXML("in", `<other/>`, nil); err == nil {
 		t.Fatal("undeclared root accepted")
+	}
+}
+
+// TestLockNameMap pins the one map from the lock a site asks for to the lock
+// taken under each granularity.
+func TestLockNameMap(t *testing.T) {
+	for _, c := range []struct {
+		g    LockGranularity
+		req  lockReq
+		res  string
+		mode locks.Mode
+	}{
+		{LockSlice, sliceLock("byKey", "k1", locks.S), "sl/byKey/k1", locks.S},
+		{LockSlice, messageLock("in", 1234), "m/1234", locks.X},
+		{LockSlice, queueLock("in", locks.IX), "q/in", locks.IX},
+		{LockSlice, queueLock("in", locks.S), "q/in", locks.S},
+		{LockQueue, sliceLock("byKey", "k1", locks.S), "sl/byKey", locks.S},
+		{LockQueue, messageLock("in", 1234), "q/in", locks.X},
+		{LockQueue, queueLock("in", locks.IX), "q/in", locks.X},
+		{LockQueue, queueLock("in", locks.S), "q/in", locks.S},
+	} {
+		e := &Engine{cfg: Config{Granularity: c.g}}
+		if res, mode := e.lockName(c.req); res != c.res || mode != c.mode {
+			t.Errorf("granularity %d: %+v takes %s %v, want %s %v", c.g, c.req, res, mode, c.res, c.mode)
+		}
+	}
+}
+
+// TestAcquireMergesModes: two requests for one resource in one round take it
+// in the weakest mode at least as strong as both — IX and S make X, which
+// holds up another transaction's IS until it is released.
+func TestAcquireMergesModes(t *testing.T) {
+	e := &Engine{lm: locks.NewLockManager()}
+	if err := e.acquire(1, queueLock("in", locks.IX), queueLock("in", locks.S)); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- e.lm.Acquire(2, "q/in", locks.IS) }()
+	waitFor(t, 10*time.Second, func() bool { w, _ := e.lm.Stats(); return w > 0 })
+	e.lm.ReleaseAll(1)
+	if err := <-got; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"demaq/internal/msgstore"
@@ -238,11 +240,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 		return attempted, pc, err
 	}
 	// Home-queue lock: one round for the whole batch.
-	mode := locks.IX
-	if e.cfg.Granularity == LockQueue {
-		mode = locks.X
-	}
-	if err := e.lm.Acquire(txnID, locks.Resource("q", queue), mode); err != nil {
+	if err := e.acquire(txnID, queueLock(queue, locks.IX)); err != nil {
 		return attempted, pc, err
 	}
 
@@ -273,7 +271,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 		)
 		if cause != nil {
 			failed = &ruleError{err: cause}
-			err = e.lockMessage(txnID, id)
+			err = e.acquire(txnID, messageLock(queue, id))
 		} else {
 			var mask uint64
 			if masks != nil {
@@ -421,40 +419,84 @@ func (w *batchWrites) dismissed(it batchItem) bool {
 	return false
 }
 
-// lockSlices takes, in one sorted round, the exclusive locks of the slices
-// the messages of a claim belong to (they are read by slice rules and
-// advanced by resets). A transaction does so before it takes its home-queue
-// lock: two messages of one slice are then serialized while the second
-// holds nothing, instead of its queue's intention lock — which the first
-// may need out of the way for a qs:queue() read, and the two would
-// deadlock. In sorted order, two claims that share slices cannot take them
-// in opposite orders.
+// lockSlices takes the exclusive locks of the slices the messages of a
+// claim belong to (they are read by slice rules and advanced by resets). A
+// transaction does so before it takes its home-queue lock: two messages of
+// one slice are then serialized while the second holds nothing, instead of
+// its queue's intention lock — which the first may need out of the way for
+// a qs:queue() read, and the two would deadlock.
 func (e *Engine) lockSlices(txnID uint64, ids []msgstore.MsgID) error {
-	if e.cfg.Granularity != LockSlice {
-		return nil
-	}
-	var res []string
+	var reqs []lockReq
 	for _, id := range ids {
 		for _, mb := range e.slices.SlicesOf(id) {
-			res = append(res, locks.Resource("sl", mb.Slicing, mb.Key))
+			reqs = append(reqs, sliceLock(mb.Slicing, mb.Key, locks.X))
 		}
 	}
-	slices.Sort(res)
-	for _, r := range slices.Compact(res) {
-		if err := e.lm.Acquire(txnID, r, locks.X); err != nil {
+	return e.acquire(txnID, reqs...)
+}
+
+// lockReq is a logical lock as a lock site asks for it, the same under
+// either granularity: a queue ('q', name), a slice ('s', slicing name and
+// key), or a message ('m', id and the name of its home queue).
+type lockReq struct {
+	kind      byte
+	name, key string
+	id        msgstore.MsgID
+	mode      locks.Mode
+}
+
+func queueLock(q string, m locks.Mode) lockReq        { return lockReq{'q', q, "", 0, m} }
+func sliceLock(sl, k string, m locks.Mode) lockReq    { return lockReq{'s', sl, k, 0, m} }
+func messageLock(q string, id msgstore.MsgID) lockReq { return lockReq{'m', q, "", id, locks.X} }
+
+// lockName names the lock a request takes under Config.Granularity, and is
+// the only place that reads it. LockSlice takes every request as asked.
+// LockQueue coarsens it: a slice lock locks its whole slicing, a message
+// lock its home queue exclusively (a batch holds that lock already), and an
+// intention-exclusive queue lock the whole queue.
+func (e *Engine) lockName(r lockReq) (string, locks.Mode) {
+	coarse := e.cfg.Granularity == LockQueue
+	switch {
+	case r.kind == 's' && coarse:
+		return locks.Resource("sl", r.name), r.mode
+	case r.kind == 's':
+		return locks.Resource("sl", r.name, r.key), r.mode
+	case r.kind == 'm' && !coarse:
+		return locks.Resource("m", strconv.FormatUint(uint64(r.id), 10)), r.mode
+	case r.kind == 'm', coarse && r.mode == locks.IX:
+		return locks.Resource("q", r.name), locks.X
+	}
+	return locks.Resource("q", r.name), r.mode
+}
+
+// acquire takes the locks of reqs for txnID in one round: each request is
+// named (lockName), the requests that name one resource merge into the
+// strongest of their modes, and the resources are taken in sorted order,
+// one lock-manager call each — two rounds that share resources cannot take
+// them in opposite orders. It stops at the first refusal, ErrDeadlock; the
+// locks taken so far stay held until the caller releases the transaction.
+func (e *Engine) acquire(txnID uint64, reqs ...lockReq) error {
+	type lock struct {
+		res  string
+		mode locks.Mode
+	}
+	var buf [4]lock // most rounds are this small, and named on the stack
+	named := buf[:0]
+	for _, r := range reqs {
+		res, mode := e.lockName(r)
+		named = append(named, lock{res, mode})
+	}
+	slices.SortFunc(named, func(a, b lock) int { return strings.Compare(a.res, b.res) })
+	for i, l := range named {
+		if i+1 < len(named) && named[i+1].res == l.res {
+			named[i+1].mode = locks.Supremum(l.mode, named[i+1].mode)
+			continue
+		}
+		if err := e.lm.Acquire(txnID, l.res, l.mode); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// lockMessage takes the exclusive lock of a message under slice locking;
-// the home-queue lock covers it under queue locking.
-func (e *Engine) lockMessage(txnID uint64, id msgstore.MsgID) error {
-	if e.cfg.Granularity != LockSlice {
-		return nil
-	}
-	return e.lm.Acquire(txnID, locks.Resource("m", fmt.Sprint(id)), locks.X)
 }
 
 // errNotBatchable signals that a message conflicts with the pending writes
@@ -528,7 +570,7 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 	if pending.readsPending(queue, memberships, toRun) {
 		return batchItem{}, nil, errNotBatchable
 	}
-	if err := e.lockMessage(txnID, id); err != nil {
+	if err := e.acquire(txnID, messageLock(queue, id)); err != nil {
 		return batchItem{}, nil, err
 	}
 

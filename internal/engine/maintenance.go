@@ -49,7 +49,7 @@ func (e *Engine) collectQueue(pass *slicing.Pass, queue string) (int, error) {
 	defer e.lm.ReleaseAll(txnID)
 	// Only ErrDeadlock can come back, and hardly that: nobody waits for a
 	// transaction that holds nothing. Ask again.
-	for e.lm.Acquire(txnID, locks.Resource("q", queue), locks.X) != nil {
+	for e.acquire(txnID, queueLock(queue, locks.X)) != nil {
 		time.Sleep(50 * time.Microsecond)
 	}
 	return pass.Collect(queue)

@@ -84,87 +84,118 @@ func (f *syncFile) Sync() error {
 
 var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// TestAdmissionTakesSliceLock: while a foreign transaction holds the lock of
-// the slice a new message joins, an external enqueue neither publishes the
-// message nor adds it to the slice; it does both once the lock is released,
-// and it has let go of the lock again by the time it waits for the log.
+// TestAdmissionTakesSliceLock: while a foreign transaction holds the lock a
+// slicing rule's evaluation of slice k1 holds under each granularity, an
+// external enqueue into k1 neither publishes the message nor adds it to the
+// slice; it does both once the lock is released, and it has let go of the
+// lock again by the time it waits for the log. An enqueue into k2 is held up
+// only where the two slices share a lock: under LockQueue, which locks the
+// whole slicing.
 func TestAdmissionTakesSliceLock(t *testing.T) {
-	vfs := &syncVFS{VFS: faultinject.NewFaultFS(5)}
-	e, err := New(Config{Dir: "admit", Workers: 1, Logger: quietLog,
-		Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
-		qdl.MustParse(`
-		create queue in kind basic mode persistent;
-		create property key as xs:string fixed queue in value //key;
-		create slicing byKey on key;
-	`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Stop() // never started: the messages stay unprocessed
+	for _, c := range []struct {
+		name   string
+		g      LockGranularity
+		k1     string // the slice lock as a slicing rule on k1 holds it
+		shared bool   // k2's admission needs it too
+	}{
+		{"locking=slice", LockSlice, locks.Resource("sl", "byKey", "k1"), false},
+		{"locking=queue", LockQueue, locks.Resource("sl", "byKey"), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vfs := &syncVFS{VFS: faultinject.NewFaultFS(5)}
+			e, err := New(Config{Dir: "admit", Workers: 1, Logger: quietLog, Granularity: c.g,
+				Store: msgstore.Options{Store: store.Options{VFS: vfs, SyncCommits: true}}},
+				qdl.MustParse(`
+				create queue in kind basic mode persistent;
+				create property key as xs:string fixed queue in value //key;
+				create slicing byKey on key;
+			`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Stop() // never started: the messages stay unprocessed
 
-	const foreign = 1 << 40
-	k1 := locks.Resource("sl", "byKey", "k1")
-	if err := e.lm.Acquire(foreign, k1, locks.S); err != nil {
-		t.Fatal(err)
-	}
-	waits, _ := e.lm.Stats()
-	type result struct {
-		id  msgstore.MsgID
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		id, err := e.EnqueueWire("in", []byte(`<part><key>k1</key></part>`), nil)
-		done <- result{id, err}
-	}()
-	// The enqueue is parked in the lock manager...
-	waitFor(t, 10*time.Second, func() bool { w, _ := e.lm.Stats(); return w > waits })
-	select {
-	case r := <-done:
-		t.Fatalf("enqueue returned (%d, %v) while the slice was locked", r.id, r.err)
-	default:
-	}
-	// ...and nothing of the message is visible.
-	if msgs, _ := e.MessageStore().Messages("in"); len(msgs) != 0 {
-		t.Fatalf("%d messages published under a foreign slice lock", len(msgs))
-	}
-	if ids := e.Slices().SliceMembers("byKey", "k1"); len(ids) != 0 {
-		t.Fatalf("slice has members %v under a foreign slice lock", ids)
-	}
-	// A message of another slice is not held up.
-	if _, err := e.EnqueueWire("in", []byte(`<part><key>k2</key></part>`), nil); err != nil {
-		t.Fatal(err)
-	}
+			const foreign = 1 << 40
+			if err := e.lm.Acquire(foreign, c.k1, locks.S); err != nil {
+				t.Fatal(err)
+			}
+			enqueue := func(key string) <-chan enqueueResult {
+				waits := e.Stats().LockWaits
+				done := make(chan enqueueResult, 1)
+				go func() {
+					id, err := e.EnqueueWire("in", []byte(`<part><key>`+key+`</key></part>`), nil)
+					done <- enqueueResult{id, err}
+				}()
+				if c.shared || key == "k1" {
+					// The enqueue is parked in the lock manager.
+					waitFor(t, 10*time.Second, func() bool { return e.Stats().LockWaits > waits })
+				}
+				return done
+			}
+			done := enqueue("k1")
+			select {
+			case r := <-done:
+				t.Fatalf("enqueue returned (%d, %v) while the slice was locked", r.id, r.err)
+			default:
+			}
+			// Nothing of the message is visible.
+			if msgs, _ := e.MessageStore().Messages("in"); len(msgs) != 0 {
+				t.Fatalf("%d messages published under a foreign slice lock", len(msgs))
+			}
+			if ids := e.Slices().SliceMembers("byKey", "k1"); len(ids) != 0 {
+				t.Fatalf("slice has members %v under a foreign slice lock", ids)
+			}
+			other := enqueue("k2")
+			if !c.shared {
+				// A message of another slice is not held up.
+				if r := <-other; r.err != nil {
+					t.Fatal(r.err)
+				}
+			} else {
+				select {
+				case r := <-other:
+					t.Fatalf("enqueue into k2 returned (%d, %v) while its slicing was locked", r.id, r.err)
+				default:
+				}
+			}
 
-	// Released, the enqueue publishes, and then waits for the log — without
-	// the slice lock: the foreign transaction gets it back at once.
-	release := vfs.holdSyncs()
-	defer release()
-	e.lm.ReleaseAll(foreign)
-	waitFor(t, 10*time.Second, func() bool { return vfs.waiting.Load() > 0 })
-	if ids := e.Slices().SliceMembers("byKey", "k1"); len(ids) != 1 {
-		t.Fatalf("slice members after release: %v, want one", ids)
+			// Released, the enqueue publishes, and then waits for the log —
+			// without the slice lock: the foreign transaction gets it back at
+			// once.
+			release := vfs.holdSyncs()
+			defer release()
+			e.lm.ReleaseAll(foreign)
+			waitFor(t, 10*time.Second, func() bool { return vfs.waiting.Load() > 0 })
+			if ids := e.Slices().SliceMembers("byKey", "k1"); len(ids) != 1 {
+				t.Fatalf("slice members after release: %v, want one", ids)
+			}
+			relocked := make(chan error, 1)
+			go func() { relocked <- e.lm.Acquire(foreign, c.k1, locks.X) }()
+			select {
+			case err := <-relocked:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the enqueue holds its slice lock while it waits for the log")
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("enqueue returned (%d, %v) before its commit was durable", r.id, r.err)
+			default:
+			}
+			release()
+			if r := <-done; r.err != nil {
+				t.Fatal(r.err)
+			}
+			if c.shared {
+				if r := <-other; r.err != nil {
+					t.Fatal(r.err)
+				}
+			}
+			e.lm.ReleaseAll(foreign)
+		})
 	}
-	relocked := make(chan error, 1)
-	go func() { relocked <- e.lm.Acquire(foreign, k1, locks.X) }()
-	select {
-	case err := <-relocked:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the enqueue holds its slice lock while it waits for the log")
-	}
-	select {
-	case r := <-done:
-		t.Fatalf("enqueue returned (%d, %v) before its commit was durable", r.id, r.err)
-	default:
-	}
-	release()
-	if r := <-done; r.err != nil {
-		t.Fatal(r.err)
-	}
-	e.lm.ReleaseAll(foreign)
 }
 
 // TestAdmissionStagedBeforeSliceReset: a message staged before a reset of

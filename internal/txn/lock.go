@@ -8,11 +8,13 @@
 // transactions while admitting more concurrency than queue-level locks.
 // The engine implements both granularities (experiment E2) on top of this
 // package; resources are named hierarchically by convention
-// ("q/<queue>", "sl/<slicing>/<key>", "m/<msgid>").
+// ("q/<queue>", "sl/<slicing>/<key>", "m/<msgid>"; queue granularity names
+// a whole slicing "sl/<slicing>").
 package txn
 
 import (
 	"errors"
+	"strings"
 	"sync"
 )
 
@@ -57,6 +59,10 @@ var supremum = [4][4]Mode{
 	S:  {IS: S, IX: X, S: S, X: X},
 	X:  {IS: X, IX: X, S: X, X: X},
 }
+
+// Supremum returns the weakest mode at least as strong as a and b: the mode
+// a transaction holds after asking for both.
+func Supremum(a, b Mode) Mode { return supremum[a][b] }
 
 // ErrDeadlock is returned to the victim of a deadlock; the caller is
 // expected to abort and retry its message-processing transaction.
@@ -308,14 +314,5 @@ func (lm *LockManager) wake(resource string, ls *lockState) {
 	}
 }
 
-// Resource builds a hierarchical resource name.
-func Resource(parts ...string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "/"
-		}
-		out += p
-	}
-	return out
-}
+// Resource builds a hierarchical resource name, with one allocation.
+func Resource(parts ...string) string { return strings.Join(parts, "/") }

@@ -230,3 +230,25 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+var nameSink string
+
+// TestResourceAllocs: naming a lock costs one allocation, for a slice lock
+// and a queue lock alike.
+func TestResourceAllocs(t *testing.T) {
+	slicing, key, queue := "byKey", "k1", "in"
+	for _, c := range []struct {
+		want string
+		name func() string
+	}{
+		{"sl/byKey/k1", func() string { return Resource("sl", slicing, key) }},
+		{"q/in", func() string { return Resource("q", queue) }},
+	} {
+		if got := c.name(); got != c.want {
+			t.Fatalf("Resource = %q, want %q", got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { nameSink = c.name() }); n != 1 {
+			t.Errorf("naming %s costs %v allocations, want 1", c.want, n)
+		}
+	}
+}

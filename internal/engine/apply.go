@@ -77,10 +77,9 @@ func (rt *evalRuntime) Property(name string) (xdm.Value, error) {
 	return xdm.Value{}, fmt.Errorf("message has no property %q", name)
 }
 
+// Slice and SliceKey serve slicing rules only: no other body compiles with
+// qs:slice() or qs:slicekey().
 func (rt *evalRuntime) Slice() ([]*xmldom.Node, error) {
-	if rt.curSlicing == "" {
-		return nil, fmt.Errorf("qs:slice() outside a slicing rule")
-	}
 	if err := rt.eng.acquire(rt.txnID, sliceLock(rt.curSlicing, rt.curKey, locks.S)); err != nil {
 		return nil, err
 	}
@@ -97,16 +96,8 @@ func (rt *evalRuntime) Slice() ([]*xmldom.Node, error) {
 }
 
 func (rt *evalRuntime) SliceKey() (xdm.Value, error) {
-	if rt.curSlicing == "" {
-		return xdm.Value{}, fmt.Errorf("qs:slicekey() outside a slicing rule")
-	}
-	// Return the typed property value where possible.
-	if prop, ok := rt.eng.prog.SlicingProps[rt.curSlicing]; ok {
-		if v, ok := rt.props[prop]; ok {
-			return v, nil
-		}
-	}
-	return xdm.NewString(rt.curKey), nil
+	// The typed property value: the message joined the slice by it.
+	return rt.props[rt.eng.prog.SlicingProps[rt.curSlicing]], nil
 }
 
 func (rt *evalRuntime) Collection(name string) ([]*xmldom.Node, error) {
@@ -200,10 +191,6 @@ func (e *Engine) applyBatch(txnID uint64, queue string, items []batchItem, now t
 	for _, it := range items {
 		processed = append(processed, it.id)
 		for _, nm := range it.enqueues {
-			if _, ok := e.ms.Queue(nm.Queue); !ok {
-				tx.Abort()
-				return precommit{}, fmt.Errorf("engine: enqueue into unknown queue %q", nm.Queue)
-			}
 			// Validate against the queue schema, if declared.
 			if decl := e.queueDecl(nm.Queue); decl != nil && decl.Schema != "" {
 				if err := e.validateSchema(decl, nm.Doc); err != nil {

@@ -482,6 +482,25 @@ func TestBatchConflictQueueReadAfterWrite(t *testing.T) {
 	}
 }
 
+// TestBatchConflictComputedQueueRead (R2): a member enqueues into queue
+// log, and a later member's rule counts the queue its document names,
+// qs:queue($q). A computed argument reads every queue, so it meets the
+// enqueue.
+func TestBatchConflictComputedQueueRead(t *testing.T) {
+	state := conflictCase(t, `
+		create queue in kind basic mode persistent;
+		create queue log kind basic mode persistent;
+		create queue results kind basic mode persistent;
+		create rule put for in if (/put) then do enqueue <entry/> into log;
+		create rule look for in if (/look) then
+		  let $q := string(/look/@queue)
+		  return do enqueue <seen>{count(qs:queue($q))}</seen> into results;
+	`, [2]string{"in", "<put/>"}, [2]string{"in", `<look queue="log"/>`})
+	if r := state["results"]; len(r) != 1 || !strings.Contains(r[0], "<seen>1</seen>") {
+		t.Fatalf("results %q, want one <seen>1</seen>", r)
+	}
+}
+
 // TestBatchConflictWriteAfterReset (R3): a member resets slice k, and a
 // later member that reads no shared state enqueues a message into k. The
 // new message comes after the reset, so it stays in k and its slicing rule

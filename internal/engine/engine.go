@@ -7,8 +7,10 @@
 // (Config.BatchSize): workers claim same-queue batches and commit them as
 // one unit, amortizing transaction, locking and WAL overhead across the
 // batch. A claim of one message is a batch of one: there is no separate
-// single-message path. Messages whose rules touch shared state run alone,
-// failures bisect down to batches of one, and higher-priority arrivals
+// single-message path. A member that meets the pending writes of the
+// members before it ends its batch (R1–R4, which the program's rule.Graph
+// rules out at deploy for some queues), failures bisect down to batches of
+// one, and higher-priority arrivals
 // preempt a running batch between messages. Error handling (Sec. 3.6),
 // echo-queue timers (Sec. 2.1.3), gateway communication (Sec. 4.2) and
 // retention-based garbage collection (Sec. 2.3.3) run as engine services.
@@ -451,10 +453,7 @@ func (e *Engine) Reload(app *qdl.Application) error {
 // openSlices builds the slicing view of a program over the message store and
 // replays the persisted resets into it.
 func (e *Engine) openSlices(prog *rule.Program) (*slicing.Manager, error) {
-	sm := slicing.NewManager(e.ms, prog.Properties)
-	for name, propName := range prog.SlicingProps {
-		sm.Define(name, propName)
-	}
+	sm := slicing.NewManager(e.ms, &prog.Graph)
 	events, err := e.ms.ResetEvents()
 	if err != nil {
 		return nil, err

@@ -248,7 +248,10 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 	rt := &evalRuntime{eng: e, txnID: txnID, queue: queue, now: now}
 	masks := e.probeMasks(queue, ids)
 	items := make([]batchItem, 0, len(ids))
-	var pending batchWrites
+	var pending *batchWrites // nil: the graph says no member can conflict
+	if e.prog.Queues[queue].Conflicts {
+		pending = &batchWrites{}
+	}
 	for i, id := range ids {
 		if i > 0 && e.sched.PreemptFor(prio) {
 			// Higher-priority work arrived: commit what is evaluated and
@@ -277,7 +280,7 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 			if masks != nil {
 				mask = masks[i]
 			}
-			it, failed, err = e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, &pending)
+			it, failed, err = e.evalMessage(rt, txnID, queue, id, fetch, msg.Props, mask, pending)
 		}
 		if err == errNotBatchable {
 			// The message conflicts with the pending writes of earlier
@@ -319,7 +322,9 @@ func (e *Engine) processBatch(queue string, prio int, ids []msgstore.MsgID, caus
 			return attempted, pc, err
 		}
 		items = append(items, it)
-		pending.add(it)
+		if pending != nil {
+			pending.add(it)
+		}
 	}
 	if len(items) == 0 {
 		return attempted, pc, nil
@@ -354,6 +359,8 @@ func (e *Engine) noteCommit(n int) {
 //
 // R1, R2 and R4 are checked before the member evaluates anything
 // (readsPending), R3 after (dismissed), before its updates join the batch.
+// A batch on a queue whose batches the program's graph shows cannot meet
+// them (rule.QueueNode.Conflicts) keeps no batchWrites.
 type batchWrites struct {
 	resets, joins map[slicing.Membership]bool
 	queues        map[string]bool
@@ -379,9 +386,9 @@ func setAdd[K comparable](set map[K]bool, k K) map[K]bool {
 	return set
 }
 
-// readsPending reports whether a member of queue with these memberships
-// that runs these rules reads a pending write (R1, R2, R4).
-func (w *batchWrites) readsPending(queue string, memberships []slicing.Membership, toRun []ruleCtx) bool {
+// readsPending reports whether a member with these memberships that runs
+// these rules reads a pending write (R1, R2, R4).
+func (w *batchWrites) readsPending(memberships []slicing.Membership, toRun []ruleCtx) bool {
 	for _, mb := range memberships {
 		if w.resets[mb] {
 			return true
@@ -393,12 +400,8 @@ func (w *batchWrites) readsPending(queue string, memberships []slicing.Membershi
 				return true
 			}
 		}
-		for _, rd := range rc.r.QueueReads {
-			q := rd.Queue
-			if q == "" {
-				q = queue
-			}
-			if w.queues[q] || (rd.Computed && len(w.queues) > 0) {
+		for _, q := range rc.r.Reads {
+			if w.queues[q] {
 				return true
 			}
 		}
@@ -567,7 +570,7 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 	if fetchErr != nil {
 		return batchItem{}, nil, fetchErr
 	}
-	if pending.readsPending(queue, memberships, toRun) {
+	if pending != nil && pending.readsPending(memberships, toRun) {
 		return batchItem{}, nil, errNotBatchable
 	}
 	if err := e.acquire(txnID, messageLock(queue, id)); err != nil {
@@ -601,10 +604,8 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 				u.Rule = rc.r.Name
 			case *xquery.ResetUpdate:
 				if u.Implicit {
-					// Resolve the implicit reset against the rule's slice.
-					if rc.slicing == "" {
-						return batchItem{}, &ruleError{rule: rc.r, err: fmt.Errorf("bare 'do reset' outside a slicing rule")}, nil
-					}
+					// A bare reset, which only a slicing rule compiles
+					// with, resets the rule's slice.
 					u.Slicing, u.Key = rc.slicing, xdm.NewString(rc.key)
 				}
 			}
@@ -614,7 +615,7 @@ func (e *Engine) evalMessage(rt *evalRuntime, txnID uint64, queue string, id msg
 	if it, err = e.newItem(id, combined, props, rt.now); err != nil {
 		return batchItem{}, nil, err
 	}
-	if pending.dismissed(it) {
+	if pending != nil && pending.dismissed(it) {
 		return batchItem{}, nil, errNotBatchable
 	}
 	return it, nil, nil

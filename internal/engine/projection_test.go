@@ -27,6 +27,18 @@ const projDiffApp = `
 	  if (/order/poison) then do enqueue <x>{1 idiv 0}</x> into hits;
 `
 
+// projDiffSlicedApp adds a slicing whose property is defined on audit
+// alone. Its rule reads the <items> subtree, so audit's projection keeps it,
+// while inbox's messages join no slicing, never run the rule, and keep
+// pruning it.
+const projDiffSlicedApp = projDiffApp + `
+	create queue audit kind basic mode persistent;
+	create property orderID as xs:string fixed queue audit value /order/id;
+	create slicing byOrder on orderID;
+	create rule tally for byOrder if (/order/items) then
+	  do enqueue <items>{count(/order/items/item)}</items> into hits;
+`
+
 func projDiffPayload(i int) string {
 	poison := ""
 	if i%6 == 5 {
@@ -36,9 +48,10 @@ func projDiffPayload(i int) string {
 		i, poison, i, i)
 }
 
-func runProjDiff(t *testing.T, batchSize int, fullIngest bool, n int) (map[string][]string, Stats) {
+// runProjDiff enqueues n payloads into each of queues and drains.
+func runProjDiff(t *testing.T, app string, queues []string, batchSize int, fullIngest bool, n int) (map[string][]string, Stats) {
 	t.Helper()
-	e := newEngine(t, projDiffApp, func(c *Config) {
+	e := newEngine(t, app, func(c *Config) {
 		c.Workers = 8
 		c.BatchSize = batchSize
 		c.FullIngest = fullIngest
@@ -50,11 +63,17 @@ func runProjDiff(t *testing.T, batchSize int, fullIngest bool, n int) (map[strin
 			t.Fatal("FullIngest must disable projections")
 		}
 	} else if e.Projection("inbox") == nil {
-		t.Fatal("projDiffApp must yield an inbox projection (analysis regressed?)")
+		t.Fatal("the app must yield an inbox projection (analysis regressed?)")
+	} else if order, _ := e.Projection("inbox").Lookup("order"); order == nil {
+		t.Fatal("inbox's projection keeps /order whole or not at all")
+	} else if _, keep := order.Lookup("items"); keep {
+		t.Fatal("inbox's projection keeps /order/items, which no rule that runs on inbox reads")
 	}
 	for i := 0; i < n; i++ {
-		if _, err := e.EnqueueXML("inbox", projDiffPayload(i), nil); err != nil {
-			t.Fatal(err)
+		for _, q := range queues {
+			if _, err := e.EnqueueXML(q, projDiffPayload(i), nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if !e.Drain(60 * time.Second) {
@@ -71,40 +90,57 @@ func runProjDiff(t *testing.T, batchSize int, fullIngest bool, n int) (map[strin
 // projected ingest and with the legacy full-DOM ingest, at batch sizes 1
 // and 32, and asserts identical final store state — including the error
 // queue, whose messages embed the complete original documents that the
-// projected run must lazily re-materialize.
+// projected run must lazily re-materialize. It runs each app: projDiffApp,
+// and projDiffSlicedApp, whose slicing rule runs on one of its two queues
+// and must widen that queue's projection alone.
 func TestProjectedIngestDifferential(t *testing.T) {
 	const n = 180
+	cases := []struct {
+		name, app string
+		queues    []string
+	}{
+		{"inbox", projDiffApp, []string{"inbox"}},
+		{"sliced-audit", projDiffSlicedApp, []string{"inbox", "audit"}},
+	}
 	for _, batch := range []int{1, 32} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			full, fullStats := runProjDiff(t, batch, true, n)
-			proj, projStats := runProjDiff(t, batch, false, n)
-			if len(full) != len(proj) {
-				t.Fatalf("queue sets differ: %d vs %d", len(full), len(proj))
-			}
-			for q, want := range full {
-				got, ok := proj[q]
-				if !ok {
-					t.Fatalf("queue %q missing in projected run", q)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("queue %q: %d messages projected vs %d full", q, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("queue %q message %d differs:\n  full:      %s\n  projected: %s", q, i, want[i], got[i])
-					}
-				}
-			}
-			if fullStats.Processed != projStats.Processed {
-				t.Errorf("processed: full %d, projected %d", fullStats.Processed, projStats.Processed)
-			}
-			if fullStats.Errors != projStats.Errors {
-				t.Errorf("errors: full %d, projected %d", fullStats.Errors, projStats.Errors)
-			}
-			if want := uint64(n / 6); projStats.Errors != want {
-				t.Errorf("poison errors: %d, want %d", projStats.Errors, want)
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) { projDiffCase(t, c.app, c.queues, batch, n) })
 			}
 		})
+	}
+}
+
+// projDiffCase runs one app with full and with projected ingest and
+// compares the final states.
+func projDiffCase(t *testing.T, app string, queues []string, batch, n int) {
+	full, fullStats := runProjDiff(t, app, queues, batch, true, n)
+	proj, projStats := runProjDiff(t, app, queues, batch, false, n)
+	if len(full) != len(proj) {
+		t.Fatalf("queue sets differ: %d vs %d", len(full), len(proj))
+	}
+	for q, want := range full {
+		got, ok := proj[q]
+		if !ok {
+			t.Fatalf("queue %q missing in projected run", q)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("queue %q: %d messages projected vs %d full", q, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("queue %q message %d differs:\n  full:      %s\n  projected: %s", q, i, want[i], got[i])
+			}
+		}
+	}
+	if fullStats.Processed != projStats.Processed {
+		t.Errorf("processed: full %d, projected %d", fullStats.Processed, projStats.Processed)
+	}
+	if fullStats.Errors != projStats.Errors {
+		t.Errorf("errors: full %d, projected %d", fullStats.Errors, projStats.Errors)
+	}
+	if want := uint64(n / 6); projStats.Errors != want {
+		t.Errorf("poison errors: %d, want %d", projStats.Errors, want)
 	}
 }
 

@@ -7,10 +7,9 @@ import (
 
 // QueueProjection computes the static path projection of a queue: the union
 // of every element path that any expression evaluated against the queue's
-// messages can reference — the queue's rule bodies, the property value
-// expressions bound to the queue, and the bodies of all slicing rules
-// (slice membership is property-driven and properties can arrive explicitly
-// with an enqueue, so a slicing rule may run against any queue's messages).
+// messages can reference — the bodies of the rules they can run (the
+// queue's own and the slicing rules of the slicings they join, Graph), and
+// the property value expressions bound to the queue.
 //
 // The result is nil when the analysis is imprecise (for example a `//`
 // descent or an externally bound variable) or when the union covers the
@@ -18,21 +17,16 @@ import (
 // returned projection is finalized (fingerprinted) and safe to share
 // read-only across goroutines.
 func (p *Program) QueueProjection(queue string) *xmldom.Projection {
-	plan, ok := p.QueuePlans[queue]
+	qn, ok := p.Queues[queue]
 	if !ok {
 		return nil
 	}
 	b := xquery.NewProjectionBuilder()
-	for _, r := range plan.Rules {
+	for _, r := range qn.Rules {
 		b.Add(r.Body)
 	}
 	for _, def := range p.Properties.DefsForQueue(queue) {
 		b.Add(def.PerQueue[queue])
-	}
-	for _, sp := range p.SlicePlans {
-		for _, r := range sp.Rules {
-			b.Add(r.Body)
-		}
 	}
 	return b.Build()
 }

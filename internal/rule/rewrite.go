@@ -82,32 +82,14 @@ func rewriteQueueRule(body xpath.Expr, prog *Program, queue string) xpath.Expr {
 			if !ok || !def.Fixed || def.Type != xdm.TypeString {
 				return e
 			}
-			valueExpr := findBindingExpr(prog, lit.Value.S, queue)
-			if valueExpr == nil {
+			binding, ok := def.PerQueue[queue]
+			if !ok {
 				return e
 			}
-			return &xpath.FuncCall{Local: "string", Args: []xpath.Expr{valueExpr}}
+			return &xpath.FuncCall{Local: "string", Args: []xpath.Expr{binding.AST()}}
 		}
 		return e
 	})
-}
-
-// findBindingExpr returns the raw value expression of property prop on the
-// given queue.
-func findBindingExpr(prog *Program, prop, queue string) xpath.Expr {
-	for _, pd := range prog.App.Properties {
-		if pd.Name != prop {
-			continue
-		}
-		for _, b := range pd.Bindings {
-			for _, q := range b.Queues {
-				if q == queue {
-					return b.Value
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // rewriteExpr applies f bottom-up over the expression tree, replacing nodes

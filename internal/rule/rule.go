@@ -4,7 +4,8 @@
 // executable Program: for each queue and slicing it collects the attached
 // rules, rewrites their bodies (defaulting context-dependent functions like
 // qs:queue(), inlining fixed properties like view merging), statically
-// checks them, and builds a combined per-queue plan. The plan optionally
+// checks them, builds a combined per-queue plan and the program's
+// dependency graph (Graph). The plan optionally
 // carries a condition-dispatch index in the spirit of XML filtering: rules
 // whose condition requires the presence of a specific element are only
 // evaluated when the triggering message contains that element (experiment
@@ -87,6 +88,13 @@ type Rule struct {
 	// QueueReads are the body's qs:queue() reads in source order, each
 	// with its access path: an index probe or a whole-queue read.
 	QueueReads []QueueRead
+	// Reads, Enqueues and Resets are the rule's edges in the program's
+	// Graph, each sorted: the queues its qs:queue() calls read (a computed
+	// argument reads every queue, a slicing rule's argument-less call the
+	// queues whose messages join its slicing), the queues it enqueues into
+	// and the slicings it resets. A slicing rule also reads the slices of
+	// its own slicing, Target.
+	Reads, Enqueues, Resets []string
 	// Order is the declaration position, preserved when combining plans.
 	Order int
 }
@@ -107,9 +115,8 @@ func (r *Rule) propMatch(props map[string]xdm.Value) bool {
 // Plan is the combined execution plan of one queue or slicing: all attached
 // rules in declaration order, with cached dispatch capabilities.
 type Plan struct {
-	Target    string
-	OnSlicing bool
-	Rules     []*Rule
+	Target string
+	Rules  []*Rule
 	// hasTriggers / hasPropPreds cache whether any rule carries an element
 	// trigger / a property prefilter, enabling the no-dispatch fast path.
 	hasTriggers  bool
@@ -137,12 +144,15 @@ func (p *Plan) IndexDispatchable() bool {
 	return len(p.probes) > 0 && len(p.Rules) <= 64
 }
 
-// planAccess assigns each rule its access path. Index probes are chosen for
-// every prefiltered rule when the plan fits the probe mask; past 64 rules
-// the per-message map check stays in place.
+// planAccess caches the plan's dispatch capabilities and assigns each rule
+// its access path. Index probes are chosen for every prefiltered rule when
+// the plan fits the probe mask; past 64 rules the per-message map check
+// stays in place.
 func (p *Plan) planAccess() {
 	wide := len(p.Rules) > 64
 	for i, r := range p.Rules {
+		p.hasTriggers = p.hasTriggers || r.Trigger != ""
+		p.hasPropPreds = p.hasPropPreds || len(r.PropPreds) > 0
 		switch {
 		case len(r.PropPreds) == 0:
 			r.Access = AccessScan
@@ -163,28 +173,26 @@ type Program struct {
 	Properties *property.Manager
 	QueuePlans map[string]*Plan
 	SlicePlans map[string]*Plan
-	// SlicingProps maps slicing name → property name.
-	SlicingProps map[string]string
-	opts         Options
+	Graph
+	opts Options
 }
 
 // Compile deploys an application.
 func Compile(app *qdl.Application, opts Options) (*Program, error) {
 	prog := &Program{
-		App:          app,
-		Properties:   property.NewManager(),
-		QueuePlans:   map[string]*Plan{},
-		SlicePlans:   map[string]*Plan{},
-		SlicingProps: map[string]string{},
-		opts:         opts,
+		App:        app,
+		Properties: property.NewManager(),
+		QueuePlans: map[string]*Plan{},
+		SlicePlans: map[string]*Plan{},
+		Graph:      Graph{SlicingProps: map[string]string{}},
+		opts:       opts,
 	}
-	queues := map[string]*qdl.QueueDecl{}
+	queues := prog.QueuePlans
 	for _, q := range app.Queues {
 		if _, dup := queues[q.Name]; dup {
 			return nil, fmt.Errorf("rule: queue %q declared twice", q.Name)
 		}
-		queues[q.Name] = q
-		prog.QueuePlans[q.Name] = &Plan{Target: q.Name}
+		queues[q.Name] = &Plan{Target: q.Name}
 	}
 	for _, q := range app.Queues {
 		if q.ErrorQueue != "" {
@@ -237,10 +245,11 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 			return nil, fmt.Errorf("rule: slicing %q declared twice", sd.Name)
 		}
 		prog.SlicingProps[sd.Name] = sd.Property
-		prog.SlicePlans[sd.Name] = &Plan{Target: sd.Name, OnSlicing: true}
+		prog.SlicePlans[sd.Name] = &Plan{Target: sd.Name}
 	}
 
 	// Rules.
+	var rules []*Rule // in declaration order
 	for i, rd := range app.Rules {
 		onSlicing := false
 		var plan *Plan
@@ -283,32 +292,16 @@ func Compile(app *qdl.Application, opts Options) (*Program, error) {
 			r.Trigger = analyzeTrigger(body)
 		}
 		plan.Rules = append(plan.Rules, r)
+		rules = append(rules, r)
+	}
+	if err := prog.buildGraph(rules); err != nil {
+		return nil, err
 	}
 
-	// Validate enqueue targets inside rule bodies.
+	// Only queue plans dispatch on properties; slice plans never carry
+	// PropPreds.
 	for _, plans := range []map[string]*Plan{prog.QueuePlans, prog.SlicePlans} {
 		for _, plan := range plans {
-			for _, r := range plan.Rules {
-				if err := checkEnqueueTargets(r.Body.AST(), queues); err != nil {
-					return nil, fmt.Errorf("rule: %q: %v", r.Name, err)
-				}
-			}
-		}
-	}
-
-	// Cache dispatch capabilities per plan, then let the planner pick each
-	// rule's access path (only queue plans dispatch on properties; slice
-	// plans never carry PropPreds).
-	for _, plans := range []map[string]*Plan{prog.QueuePlans, prog.SlicePlans} {
-		for _, plan := range plans {
-			for _, r := range plan.Rules {
-				if r.Trigger != "" {
-					plan.hasTriggers = true
-				}
-				if len(r.PropPreds) > 0 {
-					plan.hasPropPreds = true
-				}
-			}
 			plan.planAccess()
 		}
 	}
@@ -542,19 +535,4 @@ func stringLiteral(e xpath.Expr) (string, bool) {
 		return "", false
 	}
 	return lit.Value.S, true
-}
-
-// checkEnqueueTargets verifies statically that every "do enqueue ... into
-// Q" names a declared queue.
-func checkEnqueueTargets(e xpath.Expr, queues map[string]*qdl.QueueDecl) error {
-	var err error
-	xpath.Inspect(e, func(e xpath.Expr) bool {
-		if x, ok := e.(*xpath.EnqueueExpr); ok {
-			if _, ok := queues[x.Queue]; !ok {
-				err = fmt.Errorf("enqueue into unknown queue %q", x.Queue)
-			}
-		}
-		return err == nil
-	})
-	return err
 }

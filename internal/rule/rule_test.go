@@ -185,6 +185,10 @@ func TestCompileErrors(t *testing.T) {
 		// enqueue into unknown queue
 		`create queue q kind basic mode persistent;
 		 create rule r for q do enqueue <x/> into missing;`,
+		// reset of an unknown slicing: its record could never be pruned,
+		// and would dismiss members of a slicing a reload declares later
+		`create queue q kind basic mode persistent;
+		 create rule r for q do reset nosuch key "k";`,
 		// qs:slice in a queue rule
 		`create queue q kind basic mode persistent;
 		 create rule r for q if (qs:slice()[/a]) then do enqueue <x/> into q;`,

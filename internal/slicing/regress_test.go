@@ -11,11 +11,9 @@ import (
 
 	"demaq/internal/faultinject"
 	"demaq/internal/msgstore"
-	"demaq/internal/property"
 	"demaq/internal/store"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
-	"demaq/internal/xquery"
 )
 
 // putProps enqueues with a hand-built property map (bypassing Evaluate).
@@ -40,7 +38,6 @@ func putProps(t testing.TB, ms *msgstore.Store, queue string, props map[string]x
 // hand. The store has no other derived index: msgstore.VerifyIntegrity holds
 // the property index to a recomputation, this holds the view on top of it.
 func TestMaterializedMergedDifferential(t *testing.T) {
-	props := requestIDProps("crm", "customer", "tmp") // "other" deliberately absent
 	stores := map[string]*msgstore.Store{}
 	managers := map[string]*Manager{}
 	for _, mode := range modes {
@@ -51,13 +48,10 @@ func TestMaterializedMergedDifferential(t *testing.T) {
 		ms.CreateQueue("other", msgstore.Persistent, 0)
 		ms.CreateQueue("tmp", msgstore.Transient, 0)
 		stores[mode.name] = ms
-		sm := NewManager(ms, props)
-		sm.Define("requestMsgs", "requestID")
-		// "ghost" is never declared: a message may carry a value of that
-		// name (set by a rule, inherited), which must form no slice — the
-		// scan cannot see it, and a phantom membership would block retention.
-		sm.Define("ghosts", "ghost")
-		managers[mode.name] = sm
+		// "ghost" is never declared, so no slicing can be over it: a message
+		// may still carry a value of that name (set by a rule, inherited),
+		// which must hold nothing back in retention.
+		managers[mode.name] = NewManager(ms, requestMsgs("crm", "customer", "tmp")) // "other" deliberately absent
 	}
 
 	keys := []string{"r1", "r2", "r\x00odd", ""}
@@ -89,11 +83,6 @@ func TestMaterializedMergedDifferential(t *testing.T) {
 		}
 	}
 	check("initial", "requestMsgs", model)
-	for mode, sm := range managers {
-		if got := sm.SliceMembers("ghosts", "g1"); len(got) != 0 {
-			t.Fatalf("%s: undeclared property formed a slice: %v", mode, got)
-		}
-	}
 
 	const watermark = 10
 	visible := map[string][]msgstore.MsgID{}
@@ -124,16 +113,20 @@ func TestMaterializedMergedDifferential(t *testing.T) {
 	}
 	check("after collect", "requestMsgs", visible)
 
-	// A slicing declared now finds the members enqueued before it, in its
-	// own first lifetime: the reset of requestMsgs/r1 is not its reset.
+	// A slicing declared now (a reload's new manager, which replays the
+	// resets) finds the members enqueued before it, in its own first
+	// lifetime: the reset of requestMsgs/r1 is not its reset.
 	stored := map[string][]msgstore.MsgID{}
 	for key, ids := range model {
 		stored[key] = slices.DeleteFunc(slices.Clone(ids), func(id msgstore.MsgID) bool { return id == dismissedInCRM })
 	}
-	for _, sm := range managers {
-		sm.Define("late", "requestID")
+	late := graphOf(map[string]string{"requestMsgs": "requestID", "late": "requestID"}, "crm", "customer", "tmp")
+	for mode := range managers {
+		managers[mode] = NewManager(stores[mode], late)
+		reset(managers[mode], "requestMsgs", "r1", watermark)
 	}
 	check("late slicing", "late", stored)
+	check("late slicing", "requestMsgs", visible)
 }
 
 // TestSliceKeySeparatorIsolation pins the index key codec: under
@@ -144,15 +137,7 @@ func TestSliceKeySeparatorIsolation(t *testing.T) {
 	ms := openStore(t, t.TempDir(), false)
 	defer ms.Close()
 	ms.CreateQueue("q", msgstore.Persistent, 0)
-	props := property.NewManager()
-	for _, p := range []string{"p", "p\x00k"} {
-		props.Define(&property.Def{Name: p, Type: xdm.TypeString, PerQueue: map[string]*xquery.Compiled{
-			"q": xquery.MustCompile(`//x`, xquery.CompileOptions{}),
-		}})
-	}
-	sm := NewManager(ms, props)
-	sm.Define("s", "p")
-	sm.Define("s\x00k", "p\x00k")
+	sm := NewManager(ms, graphOf(map[string]string{"s": "p", "s\x00k": "p\x00k"}, "q"))
 
 	a := putProps(t, ms, "q", map[string]xdm.Value{"p": xdm.NewString("k\x00x")})
 	b := putProps(t, ms, "q", map[string]xdm.Value{"p\x00k": xdm.NewString("x")})
@@ -180,8 +165,7 @@ func TestSliceMembersWatermarkRace(t *testing.T) {
 	}
 	defer ms.Close()
 	ms.CreateQueue("crm", msgstore.Persistent, 0)
-	sm := NewManager(ms, requestIDProps("crm"))
-	sm.Define("requestMsgs", "requestID")
+	sm := NewManager(ms, requestMsgs("crm"))
 	pv := map[string]xdm.Value{"requestID": xdm.NewString("r1")}
 
 	var mu sync.Mutex
@@ -305,8 +289,7 @@ func TestResetLogStaysBounded(t *testing.T) {
 			defer ms.Close()
 			ms.CreateQueue("crm", msgstore.Persistent, 0)
 			ms.CreateQueue("customer", msgstore.Persistent, 0)
-			sm := NewManager(ms, requestIDProps("crm", "customer"))
-			sm.Define("requestMsgs", "requestID")
+			sm := NewManager(ms, requestMsgs("crm", "customer"))
 
 			// Never processed, so never collected: the resets of "hot" always
 			// have something left to dismiss.
@@ -348,7 +331,6 @@ func TestResetLogStaysBounded(t *testing.T) {
 // records kept, and messages deleted with their resets kept.
 func TestCollectPassCrashSweep(t *testing.T) {
 	const dir = "sweep" // FaultFS only
-	props := requestIDProps("crm", "customer")
 	queues := []string{"crm", "customer"}
 	type outcome struct {
 		dismissed map[string][]msgstore.MsgID
@@ -366,8 +348,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		defer ms.PageStore().CrashForTest()
 		ms.CreateQueue("crm", msgstore.Persistent, 0)
 		ms.CreateQueue("customer", msgstore.Persistent, 0)
-		sm := NewManager(ms, props)
-		sm.Define("requestMsgs", "requestID")
+		sm := NewManager(ms, requestMsgs(queues...))
 		out.dismissed = map[string][]msgstore.MsgID{}
 		for i := 0; i < 4; i++ {
 			key := fmt.Sprintf("r%d", i)
@@ -396,8 +377,7 @@ func TestCollectPassCrashSweep(t *testing.T) {
 		if err := ms.VerifyIntegrity(); err != nil {
 			t.Fatalf("crash %s: %v", at, err)
 		}
-		sm := NewManager(ms, props)
-		sm.Define("requestMsgs", "requestID")
+		sm := NewManager(ms, requestMsgs(queues...))
 		events, err := ms.ResetEvents()
 		if err != nil {
 			t.Fatalf("crash %s: %v", at, err)

@@ -6,7 +6,8 @@
 // physically removable only once it belongs to no live slice (Sec. 2.3.3).
 //
 // A slice is a derived relation — the messages that carry the slicing
-// property with the slice key, on a queue the property is defined on, above
+// property with the slice key, on a queue whose messages join the slicing
+// (the property is defined on it; rule.Graph decides this once), above
 // the slice's reset watermark — and the manager is a view of it that stores
 // no membership. The members of a slice are a range of the message store's
 // property index, keyed (property, value, msgID): the paper's "physical
@@ -23,22 +24,14 @@
 package slicing
 
 import (
-	"cmp"
 	"slices"
-	"strings"
 	"sync"
 
 	"demaq/internal/msgstore"
-	"demaq/internal/property"
+	"demaq/internal/rule"
 	"demaq/internal/store"
 	"demaq/internal/xdm"
 )
-
-// Slicing is one slicing declaration.
-type Slicing struct {
-	Name     string
-	Property string
-}
 
 // Membership names one slice: a slicing and a slice key.
 type Membership struct{ Slicing, Key string }
@@ -50,54 +43,23 @@ type lifetime struct {
 	record    store.RID
 }
 
-// Manager answers slice membership, lifetime and retention questions.
+// Manager answers slice membership, lifetime and retention questions. Which
+// slicings a queue's messages join, and over which property, it reads from
+// the program's dependency graph.
 type Manager struct {
-	mu       sync.RWMutex
-	ms       *msgstore.Store
-	props    *property.Manager
-	slicings map[string]*Slicing
-	byProp   map[string][]*Slicing
-	resets   map[Membership]lifetime
+	mu     sync.RWMutex
+	ms     *msgstore.Store
+	g      *rule.Graph
+	resets map[Membership]lifetime
 	// superseded holds the records of resets that a later reset of the same
 	// slice has overtaken, until a retention pass deletes them.
 	superseded []store.RID
 }
 
-// NewManager creates a slicing manager over a message store.
-func NewManager(ms *msgstore.Store, props *property.Manager) *Manager {
-	return &Manager{
-		ms:       ms,
-		props:    props,
-		slicings: map[string]*Slicing{},
-		byProp:   map[string][]*Slicing{},
-		resets:   map[Membership]lifetime{},
-	}
-}
-
-// Define registers a slicing over a property.
-func (m *Manager) Define(name, prop string) *Slicing {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.slicings[name]; ok {
-		return s
-	}
-	s := &Slicing{Name: name, Property: prop}
-	m.slicings[name] = s
-	m.byProp[prop] = append(m.byProp[prop], s)
-	return s
-}
-
-// slicedOn is the membership rule: a property value puts a message into a
-// slice only if the property is declared and defined on the message's queue.
-// A value that merely travelled there — inherited, or set by the enqueuing
-// rule — forms no slice.
-func (m *Manager) slicedOn(prop, queue string) bool {
-	def, ok := m.props.Def(prop)
-	if !ok {
-		return false
-	}
-	_, onQueue := def.PerQueue[queue]
-	return onQueue
+// NewManager creates a slicing manager over a message store for the
+// slicings of a program's graph.
+func NewManager(ms *msgstore.Store, g *rule.Graph) *Manager {
+	return &Manager{ms: ms, g: g, resets: map[Membership]lifetime{}}
 }
 
 // Memberships returns the slices a new message in queue with these properties
@@ -118,28 +80,25 @@ func (m *Manager) SlicesOf(id msgstore.MsgID) []Membership {
 }
 
 // memberships lists the slices message id in queue with these properties is
-// a live member of: one per slicing over each sliced property it carries,
-// unless a reset has dismissed it. A message still to be published passes
-// the highest id — it is above every watermark.
+// a live member of, ordered by slicing: one per slicing the queue's messages
+// join whose property the message carries, unless a reset has dismissed it.
+// A message still to be published passes the highest id — it is above every
+// watermark.
 func (m *Manager) memberships(id msgstore.MsgID, queue string, props map[string]xdm.Value) []Membership {
+	joins := m.g.Queues[queue].Joins
+	if len(joins) == 0 {
+		return nil
+	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []Membership
-	for prop, slicings := range m.byProp {
-		v, ok := props[prop]
-		if !ok || !m.slicedOn(prop, queue) {
-			continue
-		}
-		key := v.StringValue()
-		for _, s := range slicings {
-			if mb := (Membership{s.Name, key}); id > m.resets[mb].watermark {
+	for _, s := range joins {
+		if v, ok := props[m.g.SlicingProps[s]]; ok {
+			if mb := (Membership{s, v.StringValue()}); id > m.resets[mb].watermark {
 				out = append(out, mb)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Membership) int {
-		return cmp.Or(strings.Compare(a.Slicing, b.Slicing), strings.Compare(a.Key, b.Key))
-	})
 	return out
 }
 
@@ -150,23 +109,23 @@ func (m *Manager) memberships(id msgstore.MsgID, queue string, props map[string]
 func (m *Manager) SliceMembers(slicing, key string) []msgstore.MsgID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	s, ok := m.slicings[slicing]
-	if !ok {
+	if _, ok := m.g.SlicingProps[slicing]; !ok {
 		return nil
 	}
-	return m.members(s.Property, key, m.resets[Membership{slicing, key}].watermark+1, ^msgstore.MsgID(0))
+	return m.members(slicing, key, m.resets[Membership{slicing, key}].watermark+1, ^msgstore.MsgID(0))
 }
 
-// members lists the live messages with lo <= id <= hi that carry key as
-// their value of prop on a queue prop is defined on, ascending: one
-// contiguous range of the property index, or the scan of those queues on a
-// store that keeps none.
-func (m *Manager) members(prop, key string, lo, hi msgstore.MsgID) []msgstore.MsgID {
+// members lists the live messages with lo <= id <= hi of the slice (slicing,
+// key) on the queues whose messages join slicing, ascending: one contiguous
+// range of the property index, or the scan of those queues on a store that
+// keeps none.
+func (m *Manager) members(slicing, key string, lo, hi msgstore.MsgID) []msgstore.MsgID {
+	prop := m.g.SlicingProps[slicing]
 	if m.ms.PropertyIndexEnabled() {
 		ids := m.ms.PropertyIDsRange(prop, key, lo, hi, nil)
 		out := ids[:0]
 		for _, id := range ids {
-			if msg, live := m.ms.Get(id); live && m.slicedOn(prop, msg.Queue) {
+			if msg, live := m.ms.Get(id); live && slices.Contains(m.g.Queues[msg.Queue].Joins, slicing) {
 				out = append(out, id)
 			}
 		}
@@ -174,7 +133,7 @@ func (m *Manager) members(prop, key string, lo, hi msgstore.MsgID) []msgstore.Ms
 	}
 	var out []msgstore.MsgID
 	for _, queue := range m.ms.QueueNames() {
-		if !m.slicedOn(prop, queue) {
+		if !slices.Contains(m.g.Queues[queue].Joins, slicing) {
 			continue
 		}
 		msgs, _ := m.ms.Messages(queue) // fails for an unknown queue only
@@ -232,48 +191,16 @@ func (p *Pass) Collect(queue string) (int, error) {
 
 // removable lists the processed messages of queue that belong to no live
 // slice (Sec. 2.3.3); messages never in any slice are removable once
-// processed. The queue's sliced properties are resolved once, under one
-// read lock, and a message is kept at its first live membership.
+// processed. A reset landing meanwhile only dismisses more: a message it
+// frees is taken by the next pass.
 func (m *Manager) removable(queue string, msgs []msgstore.Message) []msgstore.MsgID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var sliced []slicedProp
-	for prop, slicings := range m.byProp {
-		if m.slicedOn(prop, queue) {
-			sliced = append(sliced, slicedProp{prop, slicings})
-		}
-	}
 	var out []msgstore.MsgID
 	for _, msg := range msgs {
-		if msg.Processed && !m.heldLocked(msg, sliced) {
+		if msg.Processed && m.memberships(msg.ID, queue, msg.Props) == nil {
 			out = append(out, msg.ID)
 		}
 	}
 	return out
-}
-
-// slicedProp is a property sliced on some queue, with its slicings.
-type slicedProp struct {
-	name     string
-	slicings []*Slicing
-}
-
-// heldLocked reports whether a live slice over one of the sliced properties
-// holds msg. The caller holds m.mu.
-func (m *Manager) heldLocked(msg msgstore.Message, sliced []slicedProp) bool {
-	for _, prop := range sliced {
-		v, ok := msg.Props[prop.name]
-		if !ok {
-			continue
-		}
-		key := v.StringValue()
-		for _, s := range prop.slicings {
-			if msg.ID > m.resets[Membership{s.Name, key}].watermark {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Commit stages the deletes of every reset that dismisses no message any
@@ -297,8 +224,7 @@ func (m *Manager) prune() []store.RID {
 	dead := m.superseded
 	m.superseded = nil
 	for mb, lt := range m.resets {
-		s, ok := m.slicings[mb.Slicing]
-		if ok && len(m.members(s.Property, mb.Key, 0, lt.watermark)) == 0 {
+		if _, ok := m.g.SlicingProps[mb.Slicing]; ok && len(m.members(mb.Slicing, mb.Key, 0, lt.watermark)) == 0 {
 			delete(m.resets, mb)
 			dead = append(dead, lt.record)
 		}

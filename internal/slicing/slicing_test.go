@@ -2,11 +2,14 @@ package slicing
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"demaq/internal/msgstore"
 	"demaq/internal/property"
+	"demaq/internal/rule"
 	"demaq/internal/xdm"
 	"demaq/internal/xmldom"
 	"demaq/internal/xquery"
@@ -44,13 +47,29 @@ func requestIDProps(queues ...string) *property.Manager {
 	return props
 }
 
+// graphOf is the dependency graph of a program whose slicings (name →
+// property) are over properties defined on each of queues: the messages of
+// those queues join every slicing.
+func graphOf(slicings map[string]string, queues ...string) *rule.Graph {
+	g := &rule.Graph{SlicingProps: slicings, Queues: map[string]rule.QueueNode{}}
+	joins := slices.Sorted(maps.Keys(slicings))
+	for _, q := range queues {
+		g.Queues[q] = rule.QueueNode{Joins: joins}
+	}
+	return g
+}
+
+// requestMsgs is the graph of slicing requestMsgs over requestID on queues.
+func requestMsgs(queues ...string) *rule.Graph {
+	return graphOf(map[string]string{"requestMsgs": "requestID"}, queues...)
+}
+
 func setup(t *testing.T, noIndex bool) (*msgstore.Store, *property.Manager, *Manager) {
 	t.Helper()
 	ms := openStore(t, t.TempDir(), noIndex)
 	t.Cleanup(func() { ms.Close() })
 	props := requestIDProps("crm", "customer")
-	sm := NewManager(ms, props)
-	sm.Define("requestMsgs", "requestID")
+	sm := NewManager(ms, requestMsgs("crm", "customer"))
 	ms.CreateQueue("crm", msgstore.Persistent, 0)
 	ms.CreateQueue("customer", msgstore.Persistent, 0)
 	return ms, props, sm
@@ -187,9 +206,7 @@ func TestMultiSliceRetention(t *testing.T) {
 	props.Define(&property.Def{Name: "p2", Type: xdm.TypeString, PerQueue: map[string]*xquery.Compiled{
 		"q": xquery.MustCompile(`//b`, xquery.CompileOptions{}),
 	}})
-	sm := NewManager(ms, props)
-	sm.Define("s1", "p1")
-	sm.Define("s2", "p2")
+	sm := NewManager(ms, graphOf(map[string]string{"s1": "p1", "s2": "p2"}, "q"))
 	ms.CreateQueue("q", msgstore.Persistent, 0)
 
 	id := put(t, ms, props, "q", `<m><a>x</a><b>y</b></m>`)
@@ -236,8 +253,7 @@ func TestReopenNeedsNoRebuild(t *testing.T) {
 			ms2 := openStore(t, dir, mode.noIndex)
 			defer ms2.Close()
 			ms2.CreateQueue("crm", msgstore.Persistent, 0)
-			sm2 := NewManager(ms2, props)
-			sm2.Define("requestMsgs", "requestID")
+			sm2 := NewManager(ms2, requestMsgs("crm"))
 			if got := sm2.SliceMembers("requestMsgs", "r2"); len(got) != 1 || got[0] != other {
 				t.Fatalf("slice r2 after reopen: %v", got)
 			}

@@ -74,7 +74,6 @@ type waiter struct {
 	mode   Mode
 	ticket uint64
 	ready  chan struct{}
-	err    error
 }
 
 type lockState struct {
@@ -152,7 +151,7 @@ func (lm *LockManager) Acquire(txn uint64, resource string, mode Mode) error {
 	lm.mu.Unlock()
 
 	<-w.ready
-	return w.err
+	return nil
 }
 
 // grantable reports whether txn can take mode on ls now. A request must be
@@ -252,7 +251,11 @@ func (lm *LockManager) grant(ls *lockState, txn uint64, resource string, mode Mo
 }
 
 // ReleaseAll drops every lock of txn (strict two-phase locking: all locks
-// are held to transaction end) and wakes eligible waiters.
+// are held to transaction end) and wakes eligible waiters. It visits only
+// txn's own locks: a released transaction is never a queued waiter, because
+// Acquire refuses a deadlocking request before it queues it, and a queued
+// request's goroutine is blocked in Acquire until it is granted — the same
+// goroutine that later releases.
 func (lm *LockManager) ReleaseAll(txn uint64) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
@@ -268,25 +271,6 @@ func (lm *LockManager) ReleaseAll(txn uint64) {
 		lm.wake(res, ls)
 		if len(ls.holders) == 0 && len(ls.waiters) == 0 {
 			delete(lm.locks, res)
-		}
-	}
-	// A released transaction may also have been enqueued as a waiter
-	// elsewhere (it is being torn down after a deadlock): drop those.
-	for res, ls := range lm.locks {
-		changed := false
-		for i := 0; i < len(ls.waiters); {
-			if ls.waiters[i].txn == txn {
-				w := ls.waiters[i]
-				ls.waiters = append(ls.waiters[:i], ls.waiters[i+1:]...)
-				w.err = ErrDeadlock
-				close(w.ready)
-				changed = true
-			} else {
-				i++
-			}
-		}
-		if changed {
-			lm.wake(res, ls)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,5 +252,32 @@ func TestResourceAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { nameSink = c.name() }); n != 1 {
 			t.Errorf("naming %s costs %v allocations, want 1", c.want, n)
 		}
+	}
+}
+
+// BenchmarkReleaseAll acquires and releases one transaction's four locks
+// beside others that hold n locks of their own. Release visits only the
+// transaction's locks, so the cost is flat in n.
+func BenchmarkReleaseAll(b *testing.B) {
+	for _, n := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("held=%d", n), func(b *testing.B) {
+			lm := NewLockManager()
+			for i := 0; i < n; i++ {
+				if err := lm.Acquire(uint64(1+i%10), Resource("m", strconv.Itoa(i)), X); err != nil {
+					b.Fatal(err)
+				}
+			}
+			own := []string{"q/in", "sl/byKey/k1", "m/a", "m/b"}
+			txn := uint64(n + 100)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, res := range own {
+					if err := lm.Acquire(txn, res, X); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lm.ReleaseAll(txn)
+			}
+		})
 	}
 }

@@ -11,9 +11,10 @@
 // demaqd -status and prints the engine counters, including the
 // set-oriented execution stats (batches claimed, average batch size,
 // deadlocks, lock waits, deadlock requeues), the outgoing gateway senders'
-// (transfers sent, consume commits, send errors) and the page write-back's
-// (pages written, log flushes waited for: pages written over flushes is
-// pages per flush).
+// (transfers sent, consume commits, send errors), the slice reads (reads
+// and the documents they fetched; a transaction reads each slice once) and
+// the page write-back's (pages written, log flushes waited for: pages
+// written over flushes is pages per flush).
 package main
 
 import (
@@ -127,6 +128,8 @@ func main() {
 		fmt.Printf("durability waits   %d\n", st.DurabilityWaits)
 		fmt.Printf("follower flushes   %d\n", st.FollowerFlushes)
 		fmt.Printf("undurable batches  %d\n", st.UndurableBatches)
+		fmt.Printf("slice reads        %d\n", st.SliceReads)
+		fmt.Printf("slice docs read    %d\n", st.SliceDocsRead)
 		fmt.Printf("pages written      %d\n", st.Store.PagesWritten)
 		fmt.Printf("write-back flushes %d\n", st.Store.WriteBackFlushes)
 	default:

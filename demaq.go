@@ -361,6 +361,9 @@ func FormatStats(st Stats) string {
 		s += fmt.Sprintf(" q-probed=%d/%ddocs q-scanned=%d/%ddocs",
 			st.QueueReadsProbed, st.QueueDocsProbed, st.QueueReadsScanned, st.QueueDocsScanned)
 	}
+	if st.SliceReads > 0 {
+		s += fmt.Sprintf(" slice-reads=%d/%ddocs", st.SliceReads, st.SliceDocsRead)
+	}
 	if st.GCPasses > 0 {
 		s += fmt.Sprintf(" gc=%d/%.2fms", st.GCPasses, float64(st.GCPassNs)/float64(st.GCPasses)/1e6)
 	}

@@ -182,6 +182,17 @@ func TestFormatStatsQueueReads(t *testing.T) {
 	}
 }
 
+func TestFormatStatsSliceReads(t *testing.T) {
+	st := Stats{Processed: 3}
+	if s := FormatStats(st); strings.Contains(s, "slice-reads") {
+		t.Fatalf("slice reads shown without any: %s", s)
+	}
+	st.SliceReads, st.SliceDocsRead = 7, 140
+	if s := FormatStats(st); !strings.Contains(s, "slice-reads=7/140docs") {
+		t.Fatalf("slice reads not surfaced: %s", s)
+	}
+}
+
 func TestFormatStatsGCPasses(t *testing.T) {
 	st := Stats{Processed: 3}
 	if s := FormatStats(st); strings.Contains(s, "gc=") {

@@ -27,6 +27,8 @@ type evalRuntime struct {
 
 	curSlicing string
 	curKey     string
+	// sliceDocs holds the slices the transaction has read (see Slice).
+	sliceDocs map[slicing.Membership][]*xmldom.Node
 }
 
 func (rt *evalRuntime) Message() (*xmldom.Node, error) { return rt.doc, nil }
@@ -79,11 +81,21 @@ func (rt *evalRuntime) Property(name string) (xdm.Value, error) {
 
 // Slice and SliceKey serve slicing rules only: no other body compiles with
 // qs:slice() or qs:slicekey().
+//
+// A transaction reads each slice once and answers every later qs:slice()
+// of it from that read. The slice cannot change under it: lockSlices holds
+// the slices of the batch's messages exclusively until the transaction
+// ends, and a member whose rules read a slice the batch's pending writes
+// touch ends the batch (R1, R4 in batchWrites).
 func (rt *evalRuntime) Slice() ([]*xmldom.Node, error) {
-	if err := rt.eng.acquire(rt.txnID, sliceLock(rt.curSlicing, rt.curKey, locks.S)); err != nil {
+	mb := slicing.Membership{Slicing: rt.curSlicing, Key: rt.curKey}
+	if docs, ok := rt.sliceDocs[mb]; ok {
+		return docs, nil
+	}
+	if err := rt.eng.acquire(rt.txnID, sliceLock(mb.Slicing, mb.Key, locks.S)); err != nil {
 		return nil, err
 	}
-	ids := rt.eng.slices.SliceMembers(rt.curSlicing, rt.curKey)
+	ids := rt.eng.slices.SliceMembers(mb.Slicing, mb.Key)
 	docs := make([]*xmldom.Node, 0, len(ids))
 	for _, id := range ids {
 		d, err := rt.eng.ms.Doc(id)
@@ -92,6 +104,12 @@ func (rt *evalRuntime) Slice() ([]*xmldom.Node, error) {
 		}
 		docs = append(docs, d)
 	}
+	rt.eng.stats.sliceReads.Add(1)
+	rt.eng.stats.sliceDocsRead.Add(uint64(len(docs)))
+	if rt.sliceDocs == nil {
+		rt.sliceDocs = map[slicing.Membership][]*xmldom.Node{}
+	}
+	rt.sliceDocs[mb] = docs
 	return docs, nil
 }
 

@@ -634,6 +634,75 @@ func TestSliceRuleBatchDifferential(t *testing.T) {
 	}
 }
 
+// TestSliceReadOncePerTransaction: a slicing rule that calls qs:slice()
+// up to eight times per evaluation, as joinOrder does, reads its slice once
+// per transaction. At BatchSize 1 that is one read per check, fetching the
+// slice's documents once; batched, the checks of one customer in a batch
+// share a read, and the final state is the batch-1 state.
+func TestSliceReadOncePerTransaction(t *testing.T) {
+	const app = `
+		create queue invoices kind basic mode persistent;
+		create queue checks kind basic mode persistent;
+		create queue out kind basic mode persistent;
+		create property customerID as xs:string fixed
+		  queue invoices, checks value //customerID;
+		create slicing byCustomer on customerID;
+		create rule answer for byCustomer
+		  if (/creditCheck) then
+		    if (qs:slice()[/invoice] and not(qs:slice()[/blocked])) then
+		      do enqueue <creditResult>{/creditCheck/checkID}
+		          <count>{count(qs:slice()[/invoice])}</count>
+		          <sum>{sum(qs:slice()/invoice/amount)}</sum>
+		          <max>{max(qs:slice()/invoice/amount)}</max>
+		          <min>{min(qs:slice()/invoice/amount)}</min>
+		          <avg>{avg(qs:slice()/invoice/amount)}</avg>
+		          <checks>{count(qs:slice()[/creditCheck])}</checks>
+		        </creditResult> into out
+		    else
+		      do enqueue <noHistory>{/creditCheck/checkID}<n>{count(qs:slice())}</n></noHistory> into out;
+	`
+	// Customer c<customers> has no invoices: its checks take the else branch.
+	const customers, perCustomer, checks = 10, 4, 120
+	var msgs [][2]string
+	sliceSize := map[int]int{}
+	for k := 0; k < perCustomer; k++ {
+		for c := 0; c < customers; c++ {
+			msgs = append(msgs, [2]string{"invoices", fmt.Sprintf(
+				"<invoice><customerID>c%d</customerID><amount>%d</amount></invoice>", c, 1+(c*7+k*13)%50)})
+			sliceSize[c]++
+		}
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	var checked []int
+	for i := 0; i < checks; i++ {
+		c := rng.IntN(customers + 1)
+		msgs = append(msgs, creditCheck(i, c))
+		checked = append(checked, c)
+		sliceSize[c]++
+	}
+	wantDocs := 0
+	for _, c := range checked {
+		wantDocs += sliceSize[c]
+	}
+	for _, g := range granularities {
+		t.Run(g.name, func(t *testing.T) {
+			want, wantStats := runPreloaded(t, app, g.g, 1, 4, nil, msgs...)
+			if wantStats.SliceReads != checks || wantStats.SliceDocsRead != uint64(wantDocs) {
+				t.Fatalf("batch-1: %d slice reads fetching %d documents, want one per check: %d fetching %d",
+					wantStats.SliceReads, wantStats.SliceDocsRead, checks, wantDocs)
+			}
+			got, gotStats := runPreloaded(t, app, g.g, 32, 4, nil, msgs...)
+			sameState(t, want, got, wantStats, gotStats)
+			if n := len(want["out"]); n != checks {
+				t.Fatalf("%d answers for %d checks", n, checks)
+			}
+			if r := gotStats.SliceReads; r < customers+1 || r >= checks {
+				t.Fatalf("batched: %d slice reads for %d checks of %d customers, want fewer than one per check", r, checks, customers+1)
+			}
+		})
+	}
+}
+
 // offerRequest draws one procurement request from the 70/10/10/10 mix:
 // accepted, a restricted item (legal refuses), a customer with an unpaid
 // invoice (finance refuses), over capacity (the supplier refuses).

@@ -205,6 +205,11 @@ type Stats struct {
 	QueueReadsScanned uint64
 	QueueDocsProbed   uint64
 	QueueDocsScanned  uint64
+	// SliceReads counts the qs:slice() reads that went to the slice — a
+	// transaction reads each slice once — and SliceDocsRead the documents
+	// they fetched.
+	SliceReads    uint64
+	SliceDocsRead uint64
 
 	// GCPasses counts the retention passes that committed (CollectGarbage),
 	// GCPassNs the wall time they took together: pick, unlink, and the one
@@ -249,6 +254,7 @@ type Engine struct {
 		gatewaySent, gatewayConsumeCommits, gatewaySendErrors                            atomic.Uint64
 		pipelinedCommits, durabilityWaits, followerFlushes                               atomic.Uint64
 		queueProbed, queueScanned, queueProbedDocs, queueScannedDocs                     atomic.Uint64
+		sliceReads, sliceDocsRead                                                        atomic.Uint64
 		gcPasses, gcPassNs                                                               atomic.Uint64
 	}
 
@@ -660,6 +666,8 @@ func (e *Engine) Stats() Stats {
 		QueueReadsScanned: e.stats.queueScanned.Load(),
 		QueueDocsProbed:   e.stats.queueProbedDocs.Load(),
 		QueueDocsScanned:  e.stats.queueScannedDocs.Load(),
+		SliceReads:        e.stats.sliceReads.Load(),
+		SliceDocsRead:     e.stats.sliceDocsRead.Load(),
 		GCPasses:          e.stats.gcPasses.Load(),
 		GCPassNs:          e.stats.gcPassNs.Load(),
 	}

@@ -124,6 +124,42 @@ func TestReloadNeedsNoRebuild(t *testing.T) {
 	}
 }
 
+// TestReloadDroppingSlicingForgetsItsResets: once a reload drops a
+// slicing, its reset records dismiss nothing the program can read, so the
+// retention passes delete them instead of replaying them at every open —
+// and would otherwise apply them to a slicing of that name declared again.
+func TestReloadDroppingSlicingForgetsItsResets(t *testing.T) {
+	e := newEngine(t, `
+		create queue in kind basic mode persistent;
+		create property k as xs:string queue in value //k;
+		create slicing byK on k;
+		create rule r for in if (//m) then do reset byK key "a";
+	`, nil)
+	for range 3 {
+		if _, err := e.EnqueueXML("in", `<m><k>a</k></m>`, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, e)
+	if events, err := e.MessageStore().ResetEvents(); err != nil || len(events) == 0 {
+		t.Fatalf("reset records before the reload: %v %v", events, err)
+	}
+	if err := e.Reload(qdl.MustParse(`create queue in kind basic mode persistent;`)); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := e.CollectGarbage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if msgs, _ := e.MessageStore().Messages("in"); len(msgs) != 0 {
+		t.Fatalf("%d messages survived the passes", len(msgs))
+	}
+	if events, err := e.MessageStore().ResetEvents(); err != nil || len(events) != 0 {
+		t.Fatalf("reset records of the dropped slicing after two passes: %v %v", events, err)
+	}
+}
+
 func TestEchoTimersSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	app := `

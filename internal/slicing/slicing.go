@@ -217,14 +217,17 @@ func (p *Pass) Commit() error {
 }
 
 // prune forgets the resets that dismiss no stored message and returns their
-// records, with the superseded ones.
+// records, with the superseded ones. A reset of a slicing the program no
+// longer declares dismisses nothing it can read; kept, it would be replayed
+// at every open and dismiss the members of a slicing of that name a later
+// program declares again.
 func (m *Manager) prune() []store.RID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	dead := m.superseded
 	m.superseded = nil
 	for mb, lt := range m.resets {
-		if _, ok := m.g.SlicingProps[mb.Slicing]; ok && len(m.members(mb.Slicing, mb.Key, 0, lt.watermark)) == 0 {
+		if _, ok := m.g.SlicingProps[mb.Slicing]; !ok || len(m.members(mb.Slicing, mb.Key, 0, lt.watermark)) == 0 {
 			delete(m.resets, mb)
 			dead = append(dead, lt.record)
 		}

@@ -40,9 +40,16 @@ import (
 // non-nil and the write-back holds a pin). Frames stay readable and
 // writable while they are written: a write-back latches each page only for
 // as long as it copies it, and does its log flush and its page writes with
-// no latch held. Eviction does no I/O on its victim: it drops a clean
-// frame and cleans dirty ones through the same batched write-back first.
+// no latch held. Eviction walks the shard's recency list (a hit or a miss
+// moves its frame to the front) from the back and does no I/O on its
+// victim: it drops the first clean frame neither pinned nor loading, whose
+// page buffer the next miss reads into, and cleans dirty frames through
+// the same batched write-back first.
 const poolShardCount = 16
+
+// spareBuffers bounds the page buffers of evicted frames a shard keeps for
+// its next misses; a steady miss takes one and its eviction returns one.
+const spareBuffers = 4
 
 // writeBatch is the most pages one write-back batch copies, covers with one
 // log flush, and writes. A shard of the default 1024-page pool holds 64
@@ -56,23 +63,46 @@ const poolShardCount = 16
 const writeBatch = 32
 
 // frame is one buffered page. The latch guards the page bytes; the
-// bookkeeping fields (pins, dirty, lastUse, loading, writing) are guarded
-// by the owning shard's mutex.
+// bookkeeping fields (pins, dirty, loading, writing, the list links) are
+// guarded by the owning shard's mutex.
 type frame struct {
 	pg    page
 	latch sync.RWMutex
 
 	pins    int
 	dirty   bool
-	lastUse uint64
 	loading chan struct{} // non-nil while the page is read from disk; closed when done
 	writing chan struct{} // non-nil while a write-back of the page is in flight; closed when done
+
+	newer, older *frame // links of the shard's recency list; nil while off it
 }
 
 type poolShard struct {
 	mu     sync.Mutex
 	cap    int // this shard's share of the pool capacity
 	frames map[PageID]*frame
+	lru    frame    // the recency list's sentinel: lru.older is the newest frame, lru.newer the oldest
+	spare  [][]byte // page buffers of evicted frames, at most spareBuffers
+}
+
+// use moves f to the front of the recency list; the caller holds the mutex.
+func (sh *poolShard) use(f *frame) {
+	sh.unlink(f)
+	f.newer, f.older = &sh.lru, sh.lru.older
+	f.older.newer, sh.lru.older = f, f
+}
+
+func (sh *poolShard) unlink(f *frame) {
+	if f.newer != nil {
+		f.newer.older, f.older.newer = f.older, f.newer
+		f.newer, f.older = nil, nil
+	}
+}
+
+func (sh *poolShard) reset() {
+	sh.frames = make(map[PageID]*frame, sh.cap)
+	sh.lru.newer, sh.lru.older = &sh.lru, &sh.lru
+	sh.spare = nil
 }
 
 // bufferPool caches pages of the data file with per-shard LRU eviction
@@ -86,7 +116,6 @@ type poolShard struct {
 // shrinks back as pins release or later misses find evictable frames.
 type bufferPool struct {
 	shards [poolShardCount]poolShard
-	clock  atomic.Uint64
 	file   File
 	log    *wal
 
@@ -116,7 +145,7 @@ func newBufferPool(capacity int, file File, log *wal) *bufferPool {
 		if i < rem {
 			sh.cap++
 		}
-		sh.frames = make(map[PageID]*frame, sh.cap)
+		sh.reset()
 	}
 	return bp
 }
@@ -145,7 +174,7 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 		if f, ok := sh.frames[id]; ok {
 			if f.loading == nil {
 				f.pins++
-				f.lastUse = bp.clock.Add(1)
+				sh.use(f)
 				sh.mu.Unlock()
 				if load {
 					bp.hits.Add(1)
@@ -160,15 +189,19 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 			<-done
 			continue
 		}
-		f := &frame{
-			pg:      page{id: id, buf: make([]byte, PageSize)},
-			pins:    1,
-			lastUse: bp.clock.Add(1),
+		f := &frame{pg: page{id: id}, pins: 1}
+		if n := len(sh.spare); n > 0 {
+			f.pg.buf, sh.spare = sh.spare[n-1], sh.spare[:n-1]
+		} else {
+			f.pg.buf = make([]byte, PageSize)
 		}
 		if load {
 			f.loading = make(chan struct{})
+		} else {
+			clear(f.pg.buf) // a new page is zeros past the header its caller formats
 		}
 		sh.frames[id] = f
+		sh.use(f)
 		over := len(sh.frames) > sh.cap
 		sh.mu.Unlock()
 
@@ -182,12 +215,17 @@ func (bp *bufferPool) acquire(id PageID, load bool) (*frame, error) {
 				// order, so it can grow the store past a page that never
 				// reached the file and then redo that page.
 				err = nil
+				clear(f.pg.buf)
 			}
 			sh.mu.Lock()
 			if err != nil {
-				// Drop the frame; waiters retry, miss the map and issue
-				// their own load (getting their own error if it persists).
-				delete(sh.frames, id)
+				// Drop the frame (unless a crash simulation did); waiters
+				// retry, miss the map and issue their own load (getting
+				// their own error if it persists).
+				if sh.frames[id] == f {
+					delete(sh.frames, id)
+					sh.unlink(f)
+				}
 				close(f.loading)
 				sh.mu.Unlock()
 				return nil, fmt.Errorf("store: read page %d: %w", id, err)
@@ -298,37 +336,43 @@ func (bp *bufferPool) evictExcess(sh *poolShard) error {
 			return nil
 		}
 		var victim *frame
-		var dirty []*frame
-		for _, f := range sh.frames {
+		var dirty [writeBatch]*frame
+		n := 0
+		for f := sh.lru.newer; f != &sh.lru; f = f.newer {
 			// A frame being written back is pinned by its write-back.
 			if f.pins != 0 || f.loading != nil {
 				continue
 			}
-			if f.dirty {
-				dirty = append(dirty, f)
-			} else if victim == nil || f.lastUse < victim.lastUse {
+			if !f.dirty {
 				victim = f
+				break
+			}
+			if n < writeBatch {
+				dirty[n] = f
+				n++
 			}
 		}
 		if victim != nil {
 			delete(sh.frames, victim.pg.id)
+			sh.unlink(victim)
+			if len(sh.spare) < spareBuffers {
+				sh.spare = append(sh.spare, victim.pg.buf)
+			}
 			bp.evictions.Add(1)
 			sh.mu.Unlock()
 			continue
 		}
-		if len(dirty) == 0 {
+		if n == 0 {
 			// Everything pinned or loading: let the shard exceed its share
 			// for now.
 			sh.mu.Unlock()
 			return nil
 		}
-		slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.lastUse, b.lastUse) })
-		dirty = dirty[:min(len(dirty), writeBatch)]
-		for _, f := range dirty {
+		for _, f := range dirty[:n] {
 			f.claim()
 		}
 		sh.mu.Unlock()
-		if err := bp.writeBackAll(dirty); err != nil {
+		if err := bp.writeBackAll(dirty[:n]); err != nil {
 			return err
 		}
 	}
@@ -533,7 +577,7 @@ func (bp *bufferPool) dropAll() {
 	for i := range bp.shards {
 		sh := &bp.shards[i]
 		sh.mu.Lock()
-		sh.frames = make(map[PageID]*frame, sh.cap)
+		sh.reset()
 		sh.mu.Unlock()
 	}
 }

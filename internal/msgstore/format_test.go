@@ -3,8 +3,10 @@ package msgstore
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -236,9 +238,13 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 }
 
 // FuzzMessageRecord feeds the message-record reader arbitrary bytes, seeded
-// with the builder's output for both payload kinds: decodeMessage and
-// payloadOffset never panic, and whenever decodeMessage accepts a record,
-// payloadOffset finds its payload inside it.
+// with the builder's output for both payload kinds, a typed property whose
+// cast changes its lexical form, and repeated and unordered names:
+// decodeMessage, payloadOffset and the open pass never panic; the open
+// pass accepts exactly the records decodeMessage accepts, builds the same
+// property map on first use and gathers the postings of decodeMessage's
+// map; and whenever decodeMessage accepts a record, payloadOffset finds its
+// payload inside it.
 func FuzzMessageRecord(f *testing.F) {
 	props := map[string]xdm.Value{"customer": xdm.NewString("acme"), "total": xdm.NewInteger(42)}
 	enc, err := xmldom.StreamEncode(nil, []byte(formatTestDoc), nil)
@@ -254,9 +260,29 @@ func FuzzMessageRecord(f *testing.F) {
 	} {
 		f.Add(ms.appendMessageRecord(nil, pe))
 	}
+	// "n" as xs:integer "007"; then "b", "a", "b": out of order, repeated.
+	rec := ms.appendMessageRecord(nil, &pendingEnqueue{id: 4, at: at, enc: enc,
+		props: map[string]xdm.Value{"n": xdm.NewString("007")}})
+	rec[19+2+1] = byte(xdm.TypeInteger)
+	f.Add(rec)
+	rec = binary.LittleEndian.AppendUint64([]byte{statusByte(false)}, 5)
+	rec = binary.LittleEndian.AppendUint64(rec, uint64(at.UnixNano()))
+	rec = binary.LittleEndian.AppendUint16(rec, 3)
+	for _, p := range []string{"b1", "a2", "b3"} {
+		rec = binary.LittleEndian.AppendUint16(append(binary.LittleEndian.AppendUint16(rec, 1), p[0], byte(xdm.TypeString)), 1)
+		rec = append(rec, p[1])
+	}
+	f.Add(append(binary.LittleEndian.AppendUint32(rec, uint32(len(enc))), enc...))
+
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		po := payloadOffset(rec)
-		if _, err := decodeMessage(rec); err != nil {
+		l := &loader{index: true}
+		lm, lerr := l.load(rec)
+		dm, err := decodeMessage(rec)
+		if (lerr == nil) != (err == nil) {
+			t.Fatalf("decodeMessage error %v, open pass error %v", err, lerr)
+		}
+		if err != nil {
 			return
 		}
 		if po < 4 || po > len(rec) {
@@ -264,6 +290,27 @@ func FuzzMessageRecord(f *testing.F) {
 		}
 		if n := int(binary.LittleEndian.Uint32(rec[po-4:])); n > len(rec)-po {
 			t.Fatalf("decoded record of %d bytes, payload of %d bytes at %d", len(rec), n, po)
+		}
+		if lm.id != dm.id || !lm.enqueued.Equal(dm.enqueued) {
+			t.Fatalf("open pass read message %d at %v, decodeMessage %d at %v", lm.id, lm.enqueued, dm.id, dm.enqueued)
+		}
+		if got, want := propsView(lm.propsMap()), propsView(dm.props); got != want {
+			t.Fatalf("map built on first use %q, decodeMessage's %q", got, want)
+		}
+		var want []string
+		for k, v := range dm.props {
+			if indexableProp(k) {
+				want = append(want, string(store.IndexKey(uint64(dm.id), k, v.StringValue())))
+			}
+		}
+		var got []string
+		for _, k := range l.keys {
+			got = append(got, string(k))
+		}
+		sort.Strings(want)
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("open pass postings %q, decodeMessage's %q", got, want)
 		}
 	})
 }

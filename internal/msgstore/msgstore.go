@@ -29,10 +29,11 @@
 package msgstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,19 +59,42 @@ const (
 // msgMeta is the in-memory descriptor of one message. Payloads of
 // persistent messages stay on disk and are parsed on demand through the
 // document cache; transient messages keep their document in memory.
-// id, rid, doc, props, enqueued, release and q are immutable once the
-// message is published; processed and dead are the only mutable fields.
+// Properties are read through propsMap: a message a commit published holds
+// its map in props, one loaded at Open holds its stored property section in
+// rawProps, which the first read decodes into decoded.
+// id, rid, doc, props, rawProps, enqueued, release and q are immutable once
+// the message is published; processed, dead and decoded are the only
+// mutable fields.
 type msgMeta struct {
 	id        MsgID
 	rid       store.RID // persistent queues
 	statusRID store.RID // persistent queues: the 9-byte status side-heap record
 	doc       *xmldom.Node
 	props     map[string]xdm.Value
+	rawProps  []byte // loaded at Open: the record's property section, in a shared chunk
+	decoded   atomic.Pointer[map[string]xdm.Value]
 	enqueued  time.Time
 	release   uint64 // Message.Release; 0 for a message loaded at Open
 	q         *Queue
 	processed atomic.Bool
 	dead      atomic.Bool // physically removed
+}
+
+// propsMap returns the message's properties. A loaded message's map is
+// built on the first call and published for every later one; first calls
+// that race build it more than once and all return the one published.
+func (m *msgMeta) propsMap() map[string]xdm.Value {
+	if m.rawProps == nil {
+		return m.props
+	}
+	if p := m.decoded.Load(); p != nil {
+		return *p
+	}
+	props := decodeProps(m.rawProps)
+	if m.decoded.CompareAndSwap(nil, &props) {
+		return props
+	}
+	return *m.decoded.Load()
 }
 
 // Queue is one message queue.
@@ -129,11 +153,11 @@ type Store struct {
 	// string form of every non-system message property, nil when disabled
 	// (Options.NoPropertyIndex). It is the one derived index — dispatch
 	// probes and slice access (internal/slicing) are ranges of it:
-	// maintained at commit publish time and on Remove, rebuilt from the
-	// heaps on Open, never logged. Keys use the length-prefixed codec
-	// (store.IndexKey), so embedded separator bytes cannot leak entries
-	// across (property, value) pairs, and the big-endian id suffix keeps
-	// each pair's postings in ascending id order.
+	// maintained at commit publish time and on Remove, built bottom-up from
+	// the keys Open's heap scan gathers, never logged. Keys use the
+	// length-prefixed codec (store.IndexKey), so embedded separator bytes
+	// cannot leak entries across (property, value) pairs, and the
+	// big-endian id suffix keeps each pair's postings in ascending id order.
 	propIndex *store.BTree
 
 	payloadEncBytes atomic.Uint64
@@ -244,7 +268,10 @@ func (ms *Store) Stats() Stats {
 // rebuilt by one store.Scan of each heap, which reads every chain page
 // once, outside the buffer pool's frames, exactly as the paper's recovery
 // story requires — scheduler and slice state are derived data, and so is
-// the property index, which the same scan refills.
+// the property index. The scan checks every record as decodeMessage does
+// but decodes no property map: each loaded message keeps its property
+// section for propsMap to decode on first use, and the scan gathers the
+// index keys, which are sorted once and built into the index bottom-up.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheDocs == 0 {
 		opts.CacheDocs = 4096
@@ -260,17 +287,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		sessions: map[sessionKey]*sessionEntry{},
 		cache:    newDocCache(opts.CacheDocs),
 	}
-	if !opts.NoPropertyIndex {
-		ms.propIndex = store.NewBTree()
-	}
 	for i := range ms.shards {
 		ms.shards[i].byID = map[MsgID]*msgMeta{}
 	}
 	ms.nextID.Store(1)
+	l := &loader{index: !opts.NoPropertyIndex}
 	for _, name := range ps.HeapNames() {
 		switch {
 		case len(name) > 2 && name[:2] == "q:":
-			if err := ms.loadQueue(name[2:]); err != nil {
+			if err := ms.loadQueue(name[2:], l); err != nil {
 				ps.Close()
 				return nil, err
 			}
@@ -280,6 +305,10 @@ func Open(dir string, opts Options) (*Store, error) {
 				return nil, err
 			}
 		}
+	}
+	if l.index {
+		slices.SortFunc(l.keys, bytes.Compare)
+		ms.propIndex = store.NewBTreeSorted(l.keys, nil)
 	}
 	if err := ms.openSystemHeaps(); err != nil {
 		ps.Close()
@@ -384,11 +413,97 @@ func (ms *Store) QueueNames() []string {
 	return out
 }
 
+// loader is what Open gathers across the queues it loads: the property
+// sections of the loaded messages, copied into shared chunks, and, when
+// the store keeps a property index, its keys.
+type loader struct {
+	index bool
+	chunk []byte   // free tail of the current chunk
+	keys  [][]byte // index keys, in chunks too
+	key   []byte   // the key being built
+	props []rawProp
+}
+
+// rawProp is one property of the record being loaded, as stored.
+type rawProp struct {
+	name, val []byte
+	typ       xdm.Type
+}
+
+// loaderChunk is the size of the chunks loaded property sections and index
+// keys are copied into. A chunk lives as long as any message or posting in
+// it does.
+const loaderChunk = 64 << 10
+
+// copyOf copies b into the current chunk and returns the copy, capped so
+// that nothing appended to it reaches its neighbour.
+func (l *loader) copyOf(b []byte) []byte {
+	if cap(l.chunk) < len(b) {
+		l.chunk = make([]byte, 0, max(loaderChunk, len(b)))
+	}
+	c := append(l.chunk, b...)
+	l.chunk = c[len(b):]
+	return c[:len(b):len(b)]
+}
+
+// load checks a payload record exactly as decodeMessage does and returns
+// its message with the property section kept undecoded, gathering the
+// message's index keys: each indexable property's value cast to its type,
+// in its string form, as indexMessage would post it.
+func (l *loader) load(rec []byte) (*msgMeta, error) {
+	l.props = l.props[:0]
+	sorted := true
+	r, err := walkRecord(rec, func(name, val []byte, typ xdm.Type) {
+		if n := len(l.props); n > 0 && bytes.Compare(l.props[n-1].name, name) >= 0 {
+			sorted = false
+		}
+		l.props = append(l.props, rawProp{name: name, val: val, typ: typ})
+	})
+	if err != nil {
+		return nil, err
+	}
+	m := &msgMeta{id: r.id, enqueued: r.enqueued}
+	switch {
+	case len(l.props) == 0:
+	case !sorted:
+		// appendMessageRecord writes names in ascending order; any other
+		// order may repeat a name, whose last value wins in the map: decode
+		// the map now and post what it holds.
+		m.props = decodeProps(r.props)
+		for k, v := range m.props {
+			if l.index && indexableProp(k) {
+				addKey(l, m.id, k, v.StringValue())
+			}
+		}
+	default:
+		m.rawProps = l.copyOf(r.props)
+		for _, p := range l.props {
+			if !l.index || !indexableProp(p.name) {
+				continue
+			}
+			if p.typ == xdm.TypeString || p.typ == xdm.TypeUntyped {
+				addKey(l, m.id, p.name, p.val) // the cast keeps the lexical form
+			} else {
+				addKey(l, m.id, p.name, castProp(string(p.val), p.typ).StringValue())
+			}
+		}
+	}
+	return m, nil
+}
+
+// addKey gathers the index key of one posting.
+func addKey[N, V ~string | ~[]byte](l *loader, id MsgID, name N, val V) {
+	l.key = store.AppendIndexKey(l.key[:0], name)
+	l.key = store.AppendIndexKey(l.key, val)
+	l.key = store.AppendIndexKeyID(l.key, uint64(id))
+	l.keys = append(l.keys, l.copyOf(l.key))
+}
+
 // loadQueue rebuilds a persistent queue from its two heaps. A record that
 // does not decode, a status record of the wrong size, a payload with no
 // status record, or a message id already loaded fails the open: skipping
 // one would lose a message, or its processed flag, without a word.
-func (ms *Store) loadQueue(name string) error {
+func (ms *Store) loadQueue(name string, l *loader) error {
 	h, _ := ms.ps.Heap("q:" + name)
 	q := &Queue{Name: name, Mode: Persistent, heap: h}
 	// CreateQueue makes q: and s: in two catalog commits, so a crash between
@@ -423,7 +538,7 @@ func (ms *Store) loadQueue(name string) error {
 	})
 	if err == nil && loadErr == nil {
 		err = ms.ps.Scan(h, func(rid store.RID, rec []byte) bool {
-			m, err := decodeMessage(rec)
+			m, err := l.load(rec)
 			if err != nil {
 				loadErr = fmt.Errorf("%w (record %s of q:%s)", err, rid, name)
 				return false
@@ -442,7 +557,6 @@ func (ms *Store) loadQueue(name string) error {
 			q.msgs = append(q.msgs, m)
 			q.live++
 			ms.shard(m.id).byID[m.id] = m
-			ms.indexMessage(m)
 			return true
 		})
 	}
@@ -564,54 +678,105 @@ func (ms *Store) appendMessageRecord(dst []byte, pe *pendingEnqueue) []byte {
 	return dst
 }
 
-func decodeMessage(data []byte) (*msgMeta, error) {
+// messageRecord is what walkRecord reads off an encoded message record.
+type messageRecord struct {
+	id       MsgID
+	enqueued time.Time
+	props    []byte // the property section, count included
+	payload  int    // offset of the payload
+}
+
+// walkRecord checks every length of an encoded message record against the
+// record and calls prop, if not nil, for each property in record order. It
+// is the one reader of the layout: decodeMessage, the open pass and the
+// payload reads all go through it, so they accept the same records.
+func walkRecord(data []byte, prop func(name, val []byte, typ xdm.Type)) (messageRecord, error) {
 	if len(data) < 19 {
-		return nil, fmt.Errorf("msgstore: record too short")
+		return messageRecord{}, fmt.Errorf("msgstore: record too short")
 	}
-	m := &msgMeta{
-		id:       MsgID(binary.LittleEndian.Uint64(data[1:])),
-		enqueued: time.Unix(0, int64(binary.LittleEndian.Uint64(data[9:]))).UTC(),
+	end, err := walkProps(data[17:], prop)
+	if err != nil {
+		return messageRecord{}, err
 	}
-	n := int(binary.LittleEndian.Uint16(data[17:]))
-	off := 19
-	if n > 0 {
-		m.props = make(map[string]xdm.Value, n)
-	}
-	for i := 0; i < n; i++ {
-		if off+2 > len(data) {
-			return nil, fmt.Errorf("msgstore: truncated property")
-		}
-		kl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+kl+1+2 > len(data) {
-			return nil, fmt.Errorf("msgstore: truncated property key")
-		}
-		key := string(data[off : off+kl])
-		off += kl
-		typ := xdm.Type(data[off])
-		off++
-		vl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+vl > len(data) {
-			return nil, fmt.Errorf("msgstore: truncated property value")
-		}
-		val := string(data[off : off+vl])
-		off += vl
-		v, err := xdm.NewString(val).Cast(typ)
-		if err != nil {
-			v = xdm.NewString(val)
-		}
-		m.props[key] = v
-	}
+	off := 17 + end
 	if off+4 > len(data) {
-		return nil, fmt.Errorf("msgstore: truncated payload length")
+		return messageRecord{}, fmt.Errorf("msgstore: truncated payload length")
 	}
 	plen := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
 	if off+plen > len(data) {
-		return nil, fmt.Errorf("msgstore: truncated payload")
+		return messageRecord{}, fmt.Errorf("msgstore: truncated payload")
 	}
-	return m, nil
+	return messageRecord{
+		id:       MsgID(binary.LittleEndian.Uint64(data[1:])),
+		enqueued: time.Unix(0, int64(binary.LittleEndian.Uint64(data[9:]))).UTC(),
+		props:    data[17 : 17+end],
+		payload:  off,
+	}, nil
+}
+
+// walkProps walks a property section — a u16 count, then the entries — and
+// returns its length.
+func walkProps(sec []byte, prop func(name, val []byte, typ xdm.Type)) (int, error) {
+	n := int(binary.LittleEndian.Uint16(sec))
+	off := 2
+	for i := 0; i < n; i++ {
+		if off+2 > len(sec) {
+			return 0, fmt.Errorf("msgstore: truncated property")
+		}
+		kl := int(binary.LittleEndian.Uint16(sec[off:]))
+		off += 2
+		if off+kl+1+2 > len(sec) {
+			return 0, fmt.Errorf("msgstore: truncated property key")
+		}
+		name := sec[off : off+kl]
+		off += kl
+		typ := xdm.Type(sec[off])
+		off++
+		vl := int(binary.LittleEndian.Uint16(sec[off:]))
+		off += 2
+		if off+vl > len(sec) {
+			return 0, fmt.Errorf("msgstore: truncated property value")
+		}
+		if prop != nil {
+			prop(name, sec[off:off+vl], typ)
+		}
+		off += vl
+	}
+	return off, nil
+}
+
+// decodeProps builds the property map of a section walkProps accepted; a
+// name that repeats keeps its last value.
+func decodeProps(sec []byte) map[string]xdm.Value {
+	n := binary.LittleEndian.Uint16(sec)
+	if n == 0 {
+		return nil
+	}
+	props := make(map[string]xdm.Value, n)
+	walkProps(sec, func(name, val []byte, typ xdm.Type) {
+		props[string(name)] = castProp(string(val), typ)
+	})
+	return props
+}
+
+// castProp is a stored property's value: its lexical form cast to its
+// recorded type, or the plain string if the cast fails.
+func castProp(val string, typ xdm.Type) xdm.Value {
+	v, err := xdm.NewString(val).Cast(typ)
+	if err != nil {
+		return xdm.NewString(val)
+	}
+	return v
+}
+
+// decodeMessage decodes a record's header and property map.
+func decodeMessage(data []byte) (*msgMeta, error) {
+	r, err := walkRecord(data, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &msgMeta{id: r.id, enqueued: r.enqueued, props: decodeProps(r.props)}, nil
 }
 
 // --- property secondary index ---
@@ -622,18 +787,21 @@ func decodeMessage(data []byte) (*msgMeta, error) {
 // indexing them would double the index for rule-created messages without
 // ever serving a probe. The one exception is the multi-valued marker
 // (property.MultiValued), which index-probed qs:queue() reads look up.
-func indexableProp(name string) bool {
-	return !strings.HasPrefix(name, "demaq:") || strings.HasPrefix(name, "demaq:multi:")
+func indexableProp[S ~string | ~[]byte](name S) bool {
+	return !hasPrefix(name, "demaq:") || hasPrefix(name, "demaq:multi:")
+}
+
+func hasPrefix[S ~string | ~[]byte](s S, prefix string) bool {
+	return len(s) >= len(prefix) && string(s[:len(prefix)]) == prefix
 }
 
 // indexMessage inserts a published message's property postings. Called with
-// no msgstore lock held (the B-tree has its own latches); loadQueue calls it
-// single-threaded during recovery.
+// no msgstore lock held (the B-tree has its own latches).
 func (ms *Store) indexMessage(m *msgMeta) {
 	if ms.propIndex == nil {
 		return
 	}
-	for k, v := range m.props {
+	for k, v := range m.propsMap() {
 		if indexableProp(k) {
 			ms.propIndex.Insert(store.IndexKey(uint64(m.id), k, v.StringValue()), nil)
 		}
@@ -646,7 +814,7 @@ func (ms *Store) unindexMessage(m *msgMeta) {
 	if ms.propIndex == nil {
 		return
 	}
-	for k, v := range m.props {
+	for k, v := range m.propsMap() {
 		if indexableProp(k) {
 			ms.propIndex.Delete(store.IndexKey(uint64(m.id), k, v.StringValue()))
 		}
@@ -685,30 +853,13 @@ func (ms *Store) PropertyIDsRange(prop, value string, lo, hi MsgID, dst []MsgID)
 }
 
 // payloadOffset computes where the payload starts in an encoded record, or
-// -1 if the record is truncated or inconsistent. Records are validated by
-// decodeMessage at load, but Doc re-reads them from disk, so the walk
-// re-checks bounds rather than trusting the stored lengths.
+// -1 if the record is truncated or inconsistent. Records are validated at
+// load, but Doc re-reads them from disk, so the walk re-checks bounds
+// rather than trusting the stored lengths.
 func payloadOffset(data []byte) int {
-	if len(data) < 19 {
+	r, err := walkRecord(data, nil)
+	if err != nil {
 		return -1
 	}
-	n := int(binary.LittleEndian.Uint16(data[17:]))
-	off := 19
-	for i := 0; i < n; i++ {
-		if off+2 > len(data) {
-			return -1
-		}
-		kl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2 + kl + 1
-		if off+2 > len(data) {
-			return -1
-		}
-		vl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2 + vl
-	}
-	off += 4
-	if off > len(data) {
-		return -1
-	}
-	return off
+	return r.payload
 }

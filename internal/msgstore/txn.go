@@ -564,7 +564,17 @@ func (ms *Store) Get(id MsgID) (Message, bool) {
 	if m == nil {
 		return Message{}, false
 	}
-	return Message{ID: m.id, Queue: m.q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release}, true
+	return Message{ID: m.id, Queue: m.q.Name, Props: m.propsMap(), Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release}, true
+}
+
+// QueueOf returns the queue of a live message. Unlike Get it builds no
+// property map, which a message loaded at Open decodes on first use.
+func (ms *Store) QueueOf(id MsgID) (string, bool) {
+	m := ms.lookup(id)
+	if m == nil {
+		return "", false
+	}
+	return m.q.Name, true
 }
 
 // Property returns one property value of a message.
@@ -573,7 +583,7 @@ func (ms *Store) Property(id MsgID, name string) (xdm.Value, bool) {
 	if m == nil {
 		return xdm.Value{}, false
 	}
-	v, ok := m.props[name]
+	v, ok := m.propsMap()[name]
 	return v, ok
 }
 
@@ -590,7 +600,7 @@ func (ms *Store) Messages(queue string) ([]Message, error) {
 		if m.dead.Load() {
 			continue
 		}
-		out = append(out, Message{ID: m.id, Queue: q.Name, Props: m.props, Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release})
+		out = append(out, Message{ID: m.id, Queue: q.Name, Props: m.propsMap(), Enqueued: m.enqueued, Processed: m.processed.Load(), Release: m.release})
 	}
 	return out, nil
 }
@@ -684,7 +694,7 @@ func (ms *Store) UnprocessedAfter(queue string, after MsgID, limit int, dst []Me
 		if m.dead.Load() || m.processed.Load() {
 			continue
 		}
-		dst = append(dst, Message{ID: m.id, Queue: q.Name, Props: m.props, Enqueued: m.enqueued, Release: m.release})
+		dst = append(dst, Message{ID: m.id, Queue: q.Name, Props: m.propsMap(), Enqueued: m.enqueued, Release: m.release})
 		n++
 	}
 	return dst

@@ -37,7 +37,7 @@ func (ms *Store) VerifyIntegrity() error {
 			if m.dead.Load() || ms.propIndex == nil {
 				continue
 			}
-			for k, v := range m.props {
+			for k, v := range m.propsMap() {
 				if !indexableProp(k) {
 					continue
 				}
@@ -80,12 +80,13 @@ func (ms *Store) VerifyIntegrity() error {
 				scanErr = fmt.Errorf("message %d: on disk in queue %s, in memory in %s", m.id, q.Name, live.q.Name)
 				return false
 			}
-			if len(live.props) != len(m.props) {
-				scanErr = fmt.Errorf("message %d: %d props on disk, %d in memory", m.id, len(m.props), len(live.props))
+			liveProps := live.propsMap()
+			if len(liveProps) != len(m.props) {
+				scanErr = fmt.Errorf("message %d: %d props on disk, %d in memory", m.id, len(m.props), len(liveProps))
 				return false
 			}
 			for k, v := range m.props {
-				lv, ok := live.props[k]
+				lv, ok := liveProps[k]
 				if !ok || lv.StringValue() != v.StringValue() {
 					scanErr = fmt.Errorf("message %d: property %q mismatch", m.id, k)
 					return false

@@ -125,7 +125,7 @@ func (m *Manager) members(slicing, key string, lo, hi msgstore.MsgID) []msgstore
 		ids := m.ms.PropertyIDsRange(prop, key, lo, hi, nil)
 		out := ids[:0]
 		for _, id := range ids {
-			if msg, live := m.ms.Get(id); live && slices.Contains(m.g.Queues[msg.Queue].Joins, slicing) {
+			if queue, live := m.ms.QueueOf(id); live && slices.Contains(m.g.Queues[queue].Joins, slicing) {
 				out = append(out, id)
 			}
 		}

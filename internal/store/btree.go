@@ -11,7 +11,9 @@ import (
 // materialized views concept ... for example using a B-Tree indexed by the
 // slice key"). Demaq indexes are derived data: they are rebuilt from the
 // logged heaps at startup rather than logged themselves, so the tree keeps
-// no page images or WAL hooks.
+// no page images or WAL hooks. A rebuild sorts its keys once and builds
+// the tree bottom-up (NewBTreeSorted); live Inserts and Deletes work on
+// that tree as on one grown by inserts.
 //
 // The tree is safe for concurrent use with reader parallelism: a
 // root-level reader/writer lock admits any number of concurrent
@@ -48,6 +50,62 @@ type btNode struct {
 
 // NewBTree returns an empty tree with at most 127 keys per node.
 func NewBTree() *BTree { return &BTree{root: &btNode{leaf: true}, degree: 64} }
+
+// bulkFill is how many keys NewBTreeSorted puts in a leaf, and how many
+// children in an interior node: three quarters of a node's capacity, so the
+// inserts that follow a rebuild split a node only after a quarter of it
+// has filled, as they would in a tree grown by inserts.
+const bulkFill = 96
+
+// NewBTreeSorted builds a tree from strictly ascending keys, bottom-up: the
+// keys are cut into leaves of about bulkFill keys, and each interior level
+// into nodes of about bulkFill children, with the first key of every child
+// but the first as separator. vals holds the value of each key, or is nil
+// for nil values. The tree takes ownership of both slices and of the key
+// bytes, which must not be changed afterwards. Keys out of order panic.
+func NewBTreeSorted(keys, vals [][]byte) *BTree {
+	t := NewBTree()
+	n := len(keys)
+	if n == 0 {
+		return t
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			panic("store: NewBTreeSorted: keys not strictly ascending")
+		}
+	}
+	if vals == nil {
+		vals = make([][]byte, n)
+	}
+	level := make([]*btNode, (n+bulkFill-1)/bulkFill)
+	first := make([][]byte, len(level)) // the smallest key under each node
+	for i := range level {
+		lo, hi := i*n/len(level), (i+1)*n/len(level)
+		// Capped windows: an insert into a leaf reallocates rather than
+		// writing into its neighbour's keys.
+		level[i] = &btNode{leaf: true, keys: keys[lo:hi:hi], vals: vals[lo:hi:hi]}
+		first[i] = keys[lo]
+		if i > 0 {
+			level[i-1].next = level[i]
+		}
+	}
+	for len(level) > 1 {
+		up := make([]*btNode, (len(level)+bulkFill-1)/bulkFill)
+		upFirst := make([][]byte, len(up))
+		for i := range up {
+			lo, hi := i*len(level)/len(up), (i+1)*len(level)/len(up)
+			up[i] = &btNode{
+				keys:     append([][]byte(nil), first[lo+1:hi]...),
+				children: append([]*btNode(nil), level[lo:hi]...),
+			}
+			upFirst[i] = first[lo]
+		}
+		level, first = up, upFirst
+	}
+	t.root = level[0]
+	t.size.Store(int64(n))
+	return t
+}
 
 // Len returns the number of keys.
 func (t *BTree) Len() int { return int(t.size.Load()) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -230,5 +231,111 @@ func TestHeapQuickAgainstMap(t *testing.T) {
 		if got[rid] != v {
 			t.Fatalf("record %v differs (len %d vs %d)", rid, len(got[rid]), len(v))
 		}
+	}
+}
+
+// TestBTreeBuildSortedMatchesInserts builds trees bottom-up at the sizes
+// around a leaf's fill and a node's capacity, and at a restart's size, and
+// checks each against a tree grown by inserts: the same Scan, Get and Len,
+// before and after random inserts (which split the built nodes) and
+// deletes applied to both, while readers walk the built tree.
+func TestBTreeBuildSortedMatchesInserts(t *testing.T) {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%07d", i)) }
+	same := func(t *testing.T, built, grown *BTree, n int) {
+		t.Helper()
+		if built.Len() != grown.Len() {
+			t.Fatalf("Len: built %d, grown %d", built.Len(), grown.Len())
+		}
+		var b, g []string
+		built.Scan(nil, nil, func(k, v []byte) bool { b = append(b, string(k)+"="+string(v)); return true })
+		grown.Scan(nil, nil, func(k, v []byte) bool { g = append(g, string(k)+"="+string(v)); return true })
+		if fmt.Sprint(b) != fmt.Sprint(g) {
+			t.Fatalf("Scan differs: built %d entries, grown %d", len(b), len(g))
+		}
+		for i := 0; i < 2*n+4; i++ {
+			bv, bok := built.Get(key(i))
+			gv, gok := grown.Get(key(i))
+			if bok != gok || !bytes.Equal(bv, gv) {
+				t.Fatalf("Get(%s): built %q %v, grown %q %v", key(i), bv, bok, gv, gok)
+			}
+		}
+		lo, hi := key(n/3), key(n/3+n/2+1)
+		b, g = nil, nil
+		built.Scan(lo, hi, func(k, _ []byte) bool { b = append(b, string(k)); return true })
+		grown.Scan(lo, hi, func(k, _ []byte) bool { g = append(g, string(k)); return true })
+		if fmt.Sprint(b) != fmt.Sprint(g) {
+			t.Fatalf("Scan[%s, %s) differs: built %v, grown %v", lo, hi, b, g)
+		}
+	}
+	for _, n := range []int{0, 1, bulkFill - 1, bulkFill, bulkFill + 1, 2*64 - 2, 2*64 - 1, 2 * 64, 20000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			// Even keys are built; the odd ones between them are inserted
+			// later, into the middle of the built leaves.
+			keys := make([][]byte, n)
+			vals := make([][]byte, n)
+			grown := NewBTree()
+			for i := range keys {
+				keys[i], vals[i] = key(2*i), []byte(fmt.Sprint(i))
+				grown.Insert(keys[i], vals[i])
+			}
+			built := NewBTreeSorted(keys, vals)
+			same(t, built, grown, n)
+
+			// Readers walk the built tree while it changes: keys that are
+			// multiples of 10 are never deleted.
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if n > 0 {
+							if i := 10 * rng.Intn((2*n+9)/10); i < 2*n {
+								if _, ok := built.Get(key(i)); !ok {
+									t.Errorf("stable key %s missing", key(i))
+									return
+								}
+							}
+						}
+						var prev []byte
+						built.Scan(nil, nil, func(k, _ []byte) bool {
+							if prev != nil && bytes.Compare(prev, k) >= 0 {
+								t.Errorf("scan out of order: %q after %q", k, prev)
+								return false
+							}
+							prev = append(prev[:0], k...)
+							return true
+						})
+					}
+				}(r)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			for op := 0; op < 3*n+200; op++ {
+				i := rng.Intn(2*n + 4)
+				if rng.Intn(3) == 0 && i%10 != 0 {
+					if built.Delete(key(i)) != grown.Delete(key(i)) {
+						t.Fatalf("Delete(%s) disagrees", key(i))
+					}
+					continue
+				}
+				v := []byte(fmt.Sprint("op", op))
+				if built.Insert(key(i), v) != grown.Insert(key(i), v) {
+					t.Fatalf("Insert(%s) disagrees", key(i))
+				}
+			}
+			close(stop)
+			wg.Wait()
+			same(t, built, grown, n)
+		})
+	}
+	if v, ok := NewBTreeSorted([][]byte{key(1)}, nil).Get(key(1)); !ok || v != nil {
+		t.Fatalf("nil vals: Get = %q, %v", v, ok)
 	}
 }

@@ -23,7 +23,7 @@ import "encoding/binary"
 // contiguous.
 
 // AppendIndexKey appends the length-prefixed encoding of the components.
-func AppendIndexKey(dst []byte, components ...string) []byte {
+func AppendIndexKey[S ~string | ~[]byte](dst []byte, components ...S) []byte {
 	for _, c := range components {
 		dst = binary.AppendUvarint(dst, uint64(len(c)))
 		dst = append(dst, c...)

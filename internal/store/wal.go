@@ -157,6 +157,7 @@ type wal struct {
 	segSize uint64    // roll threshold for the active segment, in bytes
 
 	buf      []byte
+	spare    []byte // the buffer the last flush wrote, emptied, for the next swap
 	fileSize uint64 // durable logical bytes
 	bufStart uint64 // logical offset of buf[0]
 	flushed  uint64 // logical offset known durable
@@ -408,17 +409,22 @@ func (w *wal) append(r *logRecord) uint64 {
 	return w.appendLocked(r)
 }
 
+// appendLocked encodes the record straight into the buffer, behind an
+// 8-byte header of payload length and CRC filled in afterwards.
 func (w *wal) appendLocked(r *logRecord) uint64 {
-	payload := encodeRecord(r)
-	lsn := w.bufStart + uint64(len(w.buf)) + 1
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	w.buf = append(w.buf, hdr[:]...)
-	w.buf = append(w.buf, payload...)
+	hdr := len(w.buf)
+	lsn := w.bufStart + uint64(hdr) + 1
+	w.buf = appendRecord(append(w.buf, make([]byte, 8)...), r)
+	payload := w.buf[hdr+8:]
+	binary.LittleEndian.PutUint32(w.buf[hdr:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[hdr+4:], crc32.ChecksumIEEE(payload))
 	r.lsn = lsn
 	return lsn
 }
+
+// maxSpareBuf bounds the buffer a flush hands back for reuse: a burst that
+// grew it larger does not stay pinned.
+const maxSpareBuf = 4 << 20
 
 // flush makes the log durable up to at least the given LSN. Only one
 // flusher writes at a time; it does so with the mutex released so appends
@@ -544,7 +550,7 @@ func (w *wal) lead(lsn uint64) error {
 	buf := w.buf
 	start := w.bufStart
 	active := w.segs[len(w.segs)-1]
-	w.buf = nil
+	w.buf, w.spare = w.spare, nil
 	w.bufStart += uint64(len(buf))
 	target := w.bufStart
 	w.swapEpoch++
@@ -571,6 +577,9 @@ func (w *wal) lead(lsn uint64) error {
 	}
 	w.fileSize = target
 	w.flushed = target
+	if cap(buf) <= maxSpareBuf {
+		w.spare = buf[:0]
+	}
 	if w.sync {
 		w.fsyncs++
 	}
@@ -755,8 +764,8 @@ func (w *wal) scanFrom(from uint64, fn func(r *logRecord) error) error {
 
 // --- record encoding ---
 
-func encodeRecord(r *logRecord) []byte {
-	var b []byte
+// appendRecord appends the encoding of r, the payload of its log record.
+func appendRecord(b []byte, r *logRecord) []byte {
 	b = append(b, byte(r.typ))
 	b = binary.LittleEndian.AppendUint64(b, r.txn)
 	b = binary.LittleEndian.AppendUint64(b, r.prevLSN)
@@ -797,7 +806,9 @@ func encodeRecord(r *logRecord) []byte {
 		b = binary.LittleEndian.AppendUint16(b, r.flags)
 	case recCLR:
 		b = binary.LittleEndian.AppendUint64(b, r.undoNext)
-		b = appendBytes(b, encodeRecord(r.comp))
+		n := len(b)
+		b = appendRecord(append(b, 0, 0, 0, 0), r.comp)
+		binary.LittleEndian.PutUint32(b[n:], uint32(len(b)-n-4))
 	case recFullPage:
 		b = binary.LittleEndian.AppendUint32(b, uint32(r.page))
 		b = appendBytes(b, r.after)

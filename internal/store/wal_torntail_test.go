@@ -13,7 +13,7 @@ import (
 // payload) and returns the bytes plus each record's end offset.
 func frameWAL(recs []*logRecord) (data []byte, ends []int) {
 	for _, r := range recs {
-		payload := encodeRecord(r)
+		payload := appendRecord(nil, r)
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))

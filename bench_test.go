@@ -17,6 +17,7 @@ package demaq
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -168,25 +169,24 @@ func BenchmarkE3LoggingRecovery(b *testing.B) {
 func BenchmarkE3Recovery(b *testing.B) {
 	// Time to reopen, cleanly, a message store holding a history of 20 000
 	// 2 KB messages with one indexed property: the restart pass that
-	// rebuilds the queues and the property index from the heaps.
-	b.Run("msgstore-reopen/msgs=20000", func(b *testing.B) {
-		dir := b.TempDir()
-		opts := msgstore.DefaultOptions()
-		opts.Store.SyncCommits = false
-		ms, err := msgstore.Open(dir, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ms.CreateQueue("invoices", msgstore.Persistent, 0); err != nil {
-			b.Fatal(err)
-		}
-		lines := strings.Repeat(`<line sku="item">2 units at 10.00</line>`, 48)
-		for i := 0; i < 20000; {
+	// rebuilds the queues and the property index from the heaps. The
+	// layouts: one queue written 500 messages per transaction, whose pages
+	// are contiguous; two queues written by concurrent writers that also
+	// mark each message processed, as the engine's ingest does, whose
+	// payload and status pages interleave; and a queue whose first half was
+	// collected by retention before the second half was written, so that
+	// its chain runs through reused pages and links back to lower ones.
+	lines := strings.Repeat(`<line sku="item">2 units at 10.00</line>`, 48)
+	enqueue := func(tx *msgstore.Txn, queue string, i int) error {
+		doc := xmldom.MustParse(fmt.Sprintf(`<invoice id="%d">%s</invoice>`, i, lines))
+		props := map[string]xdm.Value{"customer": xdm.NewString(fmt.Sprintf("c%d", i%200))}
+		return tx.Enqueue(queue, doc, props, time.Now())
+	}
+	batched := func(b *testing.B, ms *msgstore.Store, from, to int) {
+		for i := from; i < to; {
 			tx := ms.Begin()
-			for end := i + 500; i < end; i++ {
-				doc := xmldom.MustParse(fmt.Sprintf(`<invoice id="%d">%s</invoice>`, i, lines))
-				props := map[string]xdm.Value{"customer": xdm.NewString(fmt.Sprintf("c%d", i%200))}
-				if err := tx.Enqueue("invoices", doc, props, time.Now()); err != nil {
+			for end := min(i+500, to); i < end; i++ {
+				if err := enqueue(tx, "invoices", i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -194,21 +194,97 @@ func BenchmarkE3Recovery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := ms.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	}
+	reopen := func(name string, queues []string, fill func(b *testing.B, ms *msgstore.Store)) {
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			opts := msgstore.DefaultOptions()
+			opts.Store.SyncCommits = false
 			ms, err := msgstore.Open(dir, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.StopTimer()
-			ms.Close()
-			b.StartTimer()
+			for _, q := range queues {
+				if _, err := ms.CreateQueue(q, msgstore.Persistent, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fill(b, ms)
+			if err := ms.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ms, err := msgstore.Open(dir, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				ms.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+	reopen("msgstore-reopen/msgs=20000", []string{"invoices"}, func(b *testing.B, ms *msgstore.Store) {
+		batched(b, ms, 0, 20000)
+	})
+	reopen("msgstore-reopen-interleaved/msgs=20000", []string{"invoices", "checks"}, func(b *testing.B, ms *msgstore.Store) {
+		write := func(i int) error {
+			tx := ms.Begin()
+			if err := enqueue(tx, []string{"invoices", "checks"}[i%2], i); err != nil {
+				return err
+			}
+			out, err := tx.Commit()
+			if err != nil {
+				return err
+			}
+			tx = ms.Begin()
+			if err := tx.MarkProcessed(out[0].ID); err != nil {
+				return err
+			}
+			_, err = tx.Commit()
+			return err
 		}
-		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		const writers = 8
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := w; i < 20000; i += writers {
+					if err := write(i); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	reopen("msgstore-reopen-reused/msgs=20000", []string{"invoices"}, func(b *testing.B, ms *msgstore.Store) {
+		batched(b, ms, 0, 20000)
+		msgs, _ := ms.Messages("invoices")
+		ids := make([]msgstore.MsgID, 0, 10000)
+		for _, m := range msgs[500:10500] {
+			ids = append(ids, m.ID)
+		}
+		tx := ms.Begin()
+		if err := tx.MarkProcessedAll(ids); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		p := ms.BeginCollect()
+		if _, err := p.Remove("invoices", ids); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		batched(b, ms, 20000, 30000)
 	})
 	// Time to recover a store with N committed messages after a crash.
 	for _, n := range []int{1000, 10000} {

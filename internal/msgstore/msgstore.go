@@ -30,6 +30,7 @@ package msgstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -154,7 +155,7 @@ type Store struct {
 	// (Options.NoPropertyIndex). It is the one derived index — dispatch
 	// probes and slice access (internal/slicing) are ranges of it:
 	// maintained at commit publish time and on Remove, built bottom-up from
-	// the keys Open's heap scan gathers, never logged. Keys use the
+	// the keys Open's load gathers, never logged. Keys use the
 	// length-prefixed codec (store.IndexKey), so embedded separator bytes
 	// cannot leak entries across (property, value) pairs, and the
 	// big-endian id suffix keeps each pair's postings in ascending id order.
@@ -265,18 +266,21 @@ func (ms *Store) Stats() Stats {
 
 // Open opens the message store in dir, recovering state from disk:
 // persistent queues and their messages (including processed flags) are
-// rebuilt by one store.Scan of each heap, which reads every chain page
-// once, outside the buffer pool's frames, exactly as the paper's recovery
-// story requires — scheduler and slice state are derived data, and so is
-// the property index. The scan checks every record as decodeMessage does
-// but decodes no property map: each loaded message keeps its property
-// section for propsMap to decode on first use, and the scan gathers the
-// index keys, which are sorted once and built into the index bottom-up.
+// rebuilt from the records the page store's open pass hands over
+// (store.OpenLoading), so the data file is read once, front to back, as
+// the paper's recovery story requires — scheduler and slice state are
+// derived data, and so is the property index. The loader checks every
+// record as decodeMessage does but decodes no property map: each loaded
+// message keeps its property section for propsMap to decode on first use,
+// and the loader gathers the index keys, which are sorted once and built
+// into the index bottom-up. Collections, resets and sessions, small heaps,
+// are read by Store.Scan.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheDocs == 0 {
 		opts.CacheDocs = 4096
 	}
-	ps, err := store.Open(dir, opts.Store)
+	l := &loader{index: !opts.NoPropertyIndex, queues: map[string]*queueLoad{}}
+	ps, err := store.OpenLoading(dir, opts.Store, l.record)
 	if err != nil {
 		return nil, err
 	}
@@ -287,15 +291,18 @@ func Open(dir string, opts Options) (*Store, error) {
 		sessions: map[sessionKey]*sessionEntry{},
 		cache:    newDocCache(opts.CacheDocs),
 	}
+	loaded := 0
+	for _, ql := range l.queues {
+		loaded += len(ql.msgs)
+	}
 	for i := range ms.shards {
-		ms.shards[i].byID = map[MsgID]*msgMeta{}
+		ms.shards[i].byID = make(map[MsgID]*msgMeta, loaded/idShardCount)
 	}
 	ms.nextID.Store(1)
-	l := &loader{index: !opts.NoPropertyIndex}
 	for _, name := range ps.HeapNames() {
 		switch {
 		case len(name) > 2 && name[:2] == "q:":
-			if err := ms.loadQueue(name[2:], l); err != nil {
+			if err := ms.loadQueue(name[2:], l.queues[name[2:]]); err != nil {
 				ps.Close()
 				return nil, err
 			}
@@ -413,15 +420,64 @@ func (ms *Store) QueueNames() []string {
 	return out
 }
 
-// loader is what Open gathers across the queues it loads: the property
-// sections of the loaded messages, copied into shared chunks, and, when
-// the store keeps a property index, its keys.
+// loader is what Open gathers from the records of the queue heaps: per
+// queue its messages and status records, the property sections of the
+// messages, copied into shared chunks, and, when the store keeps a
+// property index, its keys.
 type loader struct {
-	index bool
-	chunk []byte   // free tail of the current chunk
-	keys  [][]byte // index keys, in chunks too
-	key   []byte   // the key being built
-	props []rawProp
+	index  bool
+	queues map[string]*queueLoad // by queue name
+	heap   string                // the heap of the last record
+	cur    *queueLoad            // its queue; nil if it is no queue heap
+	chunk  []byte                // free tail of the current chunk
+	keys   [][]byte              // index keys, in chunks too
+	key    []byte                // the key being built
+	props  []rawProp
+}
+
+// queueLoad is what the loader gathers of one persistent queue, in the
+// order the records arrive.
+type queueLoad struct {
+	msgs     []*msgMeta
+	statuses []statusRec
+}
+
+// statusRec is one record of a status side-heap.
+type statusRec struct {
+	id     MsgID
+	rid    store.RID
+	status byte
+}
+
+// record takes one record of the page store's open pass. A payload record
+// that does not decode and a status record of the wrong size fail the
+// open naming the record; records of other heaps are left to Scan.
+func (l *loader) record(heap string, rid store.RID, rec []byte) error {
+	if heap != l.heap {
+		l.heap, l.cur = heap, nil
+		if len(heap) > 2 && (heap[:2] == "q:" || heap[:2] == "s:") {
+			if l.cur = l.queues[heap[2:]]; l.cur == nil {
+				l.cur = &queueLoad{}
+				l.queues[heap[2:]] = l.cur
+			}
+		}
+	}
+	switch {
+	case l.cur == nil:
+	case heap[0] == 's':
+		if len(rec) != statusRecSize {
+			return fmt.Errorf("msgstore: status record of %d bytes (record %s of %s)", len(rec), rid, heap)
+		}
+		l.cur.statuses = append(l.cur.statuses, statusRec{MsgID(binary.LittleEndian.Uint64(rec)), rid, rec[8]})
+	default:
+		m, err := l.load(rec)
+		if err != nil {
+			return fmt.Errorf("%w (record %s of %s)", err, rid, heap)
+		}
+		m.rid = rid
+		l.cur.msgs = append(l.cur.msgs, m)
+	}
+	return nil
 }
 
 // rawProp is one property of the record being loaded, as stored.
@@ -499,11 +555,14 @@ func addKey[N, V ~string | ~[]byte](l *loader, id MsgID, name N, val V) {
 	l.keys = append(l.keys, l.copyOf(l.key))
 }
 
-// loadQueue rebuilds a persistent queue from its two heaps. A record that
-// does not decode, a status record of the wrong size, a payload with no
-// status record, or a message id already loaded fails the open: skipping
-// one would lose a message, or its processed flag, without a word.
-func (ms *Store) loadQueue(name string, l *loader) error {
+// loadQueue rebuilds a persistent queue from what the loader gathered of
+// its two heaps, joining payloads and status records in id order. A status
+// record of an id met twice, a payload with no status record, or a message
+// id already loaded fails the open: skipping one would lose a message, or
+// its processed flag, without a word. Every status id raises the next id,
+// not only the joined ones: an orphan left by a crash inside Remove must
+// never meet a new message with its id.
+func (ms *Store) loadQueue(name string, ql *queueLoad) error {
 	h, _ := ms.ps.Heap("q:" + name)
 	q := &Queue{Name: name, Mode: Persistent, heap: h}
 	// CreateQueue makes q: and s: in two catalog commits, so a crash between
@@ -517,56 +576,46 @@ func (ms *Store) loadQueue(name string, l *loader) error {
 		}
 	}
 	q.statusHeap = sh
-	// Status records first, so the payload scan can join against them. Every
-	// status id raises the next id, not only the live ones: an orphan left
-	// by a crash inside Remove must never meet a new message with its id.
-	type statusEntry struct {
-		rid    store.RID
-		status byte
+	if ql == nil {
+		ql = &queueLoad{}
 	}
-	statuses := make(map[MsgID]statusEntry)
-	var loadErr error
-	err := ms.ps.Scan(sh, func(rid store.RID, rec []byte) bool {
-		if len(rec) != statusRecSize {
-			loadErr = fmt.Errorf("msgstore: status record of %d bytes (record %s of s:%s)", len(rec), rid, name)
-			return false
+	// The records arrive in file order, which is mostly id order.
+	sts := ql.statuses
+	if byID := func(a, b statusRec) int { return cmp.Compare(a.id, b.id) }; !slices.IsSortedFunc(sts, byID) {
+		slices.SortFunc(sts, byID)
+	}
+	for i := 1; i < len(sts); i++ {
+		if a, b := sts[i-1], sts[i]; a.id == b.id {
+			return fmt.Errorf("msgstore: message %d has two status records (record %s of s:%s, record %s of s:%s)", a.id, a.rid, name, b.rid, name)
 		}
-		id := MsgID(binary.LittleEndian.Uint64(rec))
-		statuses[id] = statusEntry{rid: rid, status: rec[8]}
-		ms.assignAbove(id)
-		return true
-	})
-	if err == nil && loadErr == nil {
-		err = ms.ps.Scan(h, func(rid store.RID, rec []byte) bool {
-			m, err := l.load(rec)
-			if err != nil {
-				loadErr = fmt.Errorf("%w (record %s of q:%s)", err, rid, name)
-				return false
-			}
-			e, ok := statuses[m.id]
-			if !ok {
-				loadErr = fmt.Errorf("msgstore: message %d has no status record (record %s of q:%s)", m.id, rid, name)
-				return false
-			}
-			if ms.shard(m.id).byID[m.id] != nil {
-				loadErr = fmt.Errorf("msgstore: message %d appears twice (record %s of q:%s)", m.id, rid, name)
-				return false
-			}
-			m.rid, m.statusRID, m.q = rid, e.rid, q
-			m.processed.Store(e.status&statusProcessed != 0)
-			q.msgs = append(q.msgs, m)
-			q.live++
-			ms.shard(m.id).byID[m.id] = m
-			return true
-		})
 	}
-	if err == nil {
-		err = loadErr
+	if len(sts) > 0 {
+		ms.assignAbove(sts[len(sts)-1].id)
 	}
-	if err != nil {
-		return err
+	msgs := ql.msgs
+	if byID := func(a, b *msgMeta) int { return cmp.Compare(a.id, b.id) }; !slices.IsSortedFunc(msgs, byID) {
+		slices.SortFunc(msgs, byID)
 	}
-	sort.Slice(q.msgs, func(i, j int) bool { return q.msgs[i].id < q.msgs[j].id })
+	j := 0
+	for i, m := range msgs {
+		if i > 0 && msgs[i-1].id == m.id {
+			return fmt.Errorf("msgstore: message %d appears twice (record %s of q:%s, record %s of q:%s)", m.id, msgs[i-1].rid, name, m.rid, name)
+		}
+		for j < len(sts) && sts[j].id < m.id {
+			j++
+		}
+		if j == len(sts) || sts[j].id != m.id {
+			return fmt.Errorf("msgstore: message %d has no status record (record %s of q:%s)", m.id, m.rid, name)
+		}
+		m.statusRID, m.q = sts[j].rid, q
+		m.processed.Store(sts[j].status&statusProcessed != 0)
+		byID := ms.shard(m.id).byID
+		n := len(byID)
+		if byID[m.id] = m; len(byID) == n {
+			return fmt.Errorf("msgstore: message %d appears twice (record %s of q:%s)", m.id, m.rid, name)
+		}
+	}
+	q.msgs, q.live = msgs, len(msgs)
 	ms.queues[name] = q
 	return nil
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // buildOpenFuzzStore writes a small, cleanly closed message store — a queue
-// with properties, processed flags and one overflow message, a collection,
-// a reset event and a session — and returns its files by name.
+// with properties, processed flags and one overflow message, a queue whose
+// chain links back to a reused page, a collection, a reset event and a
+// session — and returns its files by name.
 func buildOpenFuzzStore(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -52,6 +53,44 @@ func buildOpenFuzzStore(tb testing.TB) map[string][]byte {
 				tb.Fatal(err)
 			}
 		}
+	}
+	// Queue r's chain links back to a reused page: collecting its middle
+	// pair of messages frees the page they filled, and the next page its
+	// tail needs is that one.
+	if _, err := ms.CreateQueue("r", Persistent, 0); err != nil {
+		tb.Fatal(err)
+	}
+	var rids []MsgID
+	for i := 0; i < 8; i++ {
+		tx := ms.Begin()
+		doc := xmldom.MustParse(fmt.Sprintf("<r i=%q>%s</r>", fmt.Sprint(i), strings.Repeat("y", 3000)))
+		if err := tx.Enqueue("r", doc, map[string]xdm.Value{"customer": xdm.NewString("c1")}, at); err != nil {
+			tb.Fatal(err)
+		}
+		out, err := tx.Commit()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rids = append(rids, out[0].ID)
+		if i == 5 {
+			tx := ms.Begin()
+			if err := tx.MarkProcessedAll(rids[2:4]); err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := tx.Commit(); err != nil {
+				tb.Fatal(err)
+			}
+			p := ms.BeginCollect()
+			if _, err := p.Remove("r", rids[2:4]); err != nil {
+				tb.Fatal(err)
+			}
+			if err := p.Commit(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if backwardLinks(tb, ms, "q:r") == 0 {
+		tb.Fatal("queue r's chain does not link back to a lower page")
 	}
 	if err := ms.AddToCollection("c", xmldom.MustParse(`<master><row k="1"/></master>`)); err != nil {
 		tb.Fatal(err)

@@ -126,6 +126,10 @@ func TestLoadersFailLoudly(t *testing.T) {
 		{"status record of the wrong size", "s:q", func(t *testing.T, ms *Store) store.RID {
 			return insertRaw(t, ms, "s:q", appendStatusRecord(nil, 99, statusByte(false))[:5])
 		}},
+		{"status record twice", "s:q", func(t *testing.T, ms *Store) store.RID {
+			id := enqueue(t, ms, "q", `<m>x</m>`, nil)
+			return insertRaw(t, ms, "s:q", appendStatusRecord(nil, id, statusByte(true)))
+		}},
 		{"payload without status record", "q:q", func(t *testing.T, ms *Store) store.RID {
 			m := ms.lookup(enqueue(t, ms, "q", `<m>x</m>`, nil))
 			if err := ms.ps.BatchDelete(m.q.statusHeap, []store.RID{m.statusRID}); err != nil {

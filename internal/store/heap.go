@@ -437,14 +437,10 @@ func (s *Store) Scan(h HeapID, fn func(rid RID, payload []byte) bool) error {
 	if err != nil {
 		return err
 	}
-	return s.scanHeap(hi, fn)
-}
-
-func (s *Store) scanHeap(h *heapInfo, fn func(rid RID, payload []byte) bool) error {
-	h.chainMu.RLock()
-	defer h.chainMu.RUnlock()
+	hi.chainMu.RLock()
+	defer hi.chainMu.RUnlock()
 	pg := page{buf: make([]byte, PageSize)}
-	for pid := h.first; pid != InvalidPage; pid = pg.next() {
+	for pid := hi.first; pid != InvalidPage; pid = pg.next() {
 		pg.id = pid
 		if err := s.pool.readPage(pid, pg.buf); err != nil {
 			return err

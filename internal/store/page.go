@@ -3,10 +3,12 @@
 // write-ahead log with ARIES-style recovery, record heaps with overflow
 // chains for large XML messages, and an in-memory B+tree used for derived
 // indexes (materialized slices, scheduler state) that are rebuilt from the
-// logged base data on startup. Open reads each data page once for it: one
-// sequential pass rebuilds the heap tails and the free list, and the
-// message store's Scan of each heap, which refills the derived indexes,
-// reads the chain pages outside the buffer pool's frames.
+// logged base data on startup. Open reads the data file once for it: one
+// sequential pass, outside the buffer pool's frames, rebuilds the heap
+// tails and the free list and hands every live record to the opener
+// (OpenLoading), from which the message store refills the derived indexes.
+// Only the chain pages a backward link reaches, such as reused free pages,
+// and the overflow chains are read a second time.
 //
 // It plays the role Natix plays in the paper (Sec. 4.1): a recoverable
 // store with queue extensions. Demaq queues are append-only, which this
@@ -153,6 +155,22 @@ func (p *page) check() error {
 		off, n := p.slot(s)
 		if off != deadOffset && (off < p.freeEnd() || int(off)+int(n) > PageSize) {
 			return fmt.Errorf("slot %d cell [%d, %d) outside the cell area [%d, %d)", s, off, int(off)+int(n), p.freeEnd(), PageSize)
+		}
+	}
+	return nil
+}
+
+// checkRecords checks a record page: its slotted layout, and the inline
+// header of every live record.
+func (p *page) checkRecords() error {
+	if err := p.check(); err != nil {
+		return err
+	}
+	for slot := uint16(0); slot < p.slotCount(); slot++ {
+		if rec, ok := p.read(slot); ok {
+			if _, ok := decodeInline(rec); !ok {
+				return fmt.Errorf("slot %d holds no valid record header", slot)
+			}
 		}
 	}
 	return nil

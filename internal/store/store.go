@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -249,6 +250,17 @@ type Store struct {
 // Open opens (creating if necessary) a store in dir and runs crash
 // recovery.
 func Open(dir string, opts Options) (*Store, error) {
+	return OpenLoading(dir, opts, nil)
+}
+
+// OpenLoading is Open that also hands every live record of every heap but
+// the catalog to load, from the open pass that reads the data file once:
+// heap is the heap's name, and rec aliases a buffer that is valid only
+// until load returns. Records arrive in no particular order. An error from
+// load fails the open. A failed open may have called load before it
+// failed, so the caller publishes what it gathered only once OpenLoading
+// returns a store.
+func OpenLoading(dir string, opts Options, load func(heap string, rid RID, rec []byte) error) (*Store, error) {
 	if opts.BufferPages == 0 {
 		opts.BufferPages = 1024
 	}
@@ -343,7 +355,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		return s, nil
 	}
-	if err := s.load(); err != nil {
+	if err := s.load(load); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
@@ -378,9 +390,10 @@ func (s *Store) format() error {
 	return nil
 }
 
-// load reads the header, catalog and heap chains, then runs recovery.
-// It runs single-threaded before the store is published.
-func (s *Store) load() error {
+// load reads the header, runs recovery, then reads the catalog and the heap
+// chains, handing their records to load if it is not nil. It runs
+// single-threaded before the store is published.
+func (s *Store) load(load func(heap string, rid RID, rec []byte) error) error {
 	size, err := s.file.Size()
 	if err != nil {
 		return err
@@ -408,7 +421,7 @@ func (s *Store) load() error {
 	if err := s.recover(); err != nil {
 		return fmt.Errorf("store: recovery: %w", err)
 	}
-	if err := s.rebuildChainsAndFreeList(); err != nil {
+	if err := s.rebuildChainsAndFreeList(load); err != nil {
 		return err
 	}
 	// Quiescent checkpoint after recovery: the next crash replays from
@@ -420,34 +433,64 @@ func (s *Store) load() error {
 	return s.checkpoint()
 }
 
-// loadCatalog registers the heaps the catalog records. A record that does
-// not decode, or repeats a heap id or name, fails the open naming it.
+// loadCatalog reads the catalog chain from the data file and registers the
+// heaps it records. It runs before the open pass, so that the pass knows
+// every heap's first page, and checks each catalog page as the pass checks
+// a heap page: an LSN beyond the log end, a free or overflow flag, an
+// unsound layout or record header, or a chain longer than the file fails
+// the open naming the page. A record that does not decode, or repeats a
+// heap id or name, fails the open naming it.
 func (s *Store) loadCatalog() error {
+	cat := s.heaps[catalogHeapID]
+	n := PageID(s.pageCount)
+	logEnd := s.log.size()
 	s.heapNames = map[string]uint32{}
 	maxID := uint32(0)
-	var bad error
-	err := s.scanHeap(s.heaps[catalogHeapID], func(rid RID, data []byte) bool {
-		if len(data) < 10 || len(data) < 10+int(binary.LittleEndian.Uint16(data[8:])) {
-			bad = fmt.Errorf("store: catalog record %s of %d bytes does not decode", rid, len(data))
-			return false
+	pg := page{buf: make([]byte, PageSize)}
+	for pid, steps := cat.first, PageID(0); pid != InvalidPage; pid, steps = pg.next(), steps+1 {
+		if pid == 0 || pid >= n || steps == n {
+			return fmt.Errorf("store: heap %q: chain reaches page %d outside the data file (%d pages) or loops", cat.name, pid, n)
 		}
-		id := binary.LittleEndian.Uint32(data[0:])
-		first := PageID(binary.LittleEndian.Uint32(data[4:]))
-		name := string(data[10 : 10+int(binary.LittleEndian.Uint16(data[8:]))])
-		if _, dup := s.heapNames[name]; dup || s.heaps[id] != nil {
-			bad = fmt.Errorf("store: catalog record %s repeats heap %d %q", rid, id, name)
-			return false
+		pg.id = pid
+		if _, err := s.file.ReadAt(pg.buf, int64(pid)*PageSize); err != nil {
+			return fmt.Errorf("store: read page %d: %w", pid, err)
 		}
-		s.heaps[id] = &heapInfo{id: id, name: name, first: first, last: first}
-		s.heapNames[name] = id
-		maxID = max(maxID, id)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if bad != nil {
-		return bad
+		if pg.lsn() > logEnd {
+			return fmt.Errorf("store: page %d LSN %d beyond log end %d", pid, pg.lsn(), logEnd)
+		}
+		if pg.flags()&(flagFree|flagOverflow) != 0 {
+			return fmt.Errorf("store: heap %q: chain page %d is flagged %#x", cat.name, pid, pg.flags())
+		}
+		if err := pg.checkRecords(); err != nil {
+			return fmt.Errorf("store: heap %q: page %d: %w", cat.name, pid, err)
+		}
+		for slot := uint16(0); slot < pg.slotCount(); slot++ {
+			rec, ok := pg.read(slot)
+			if !ok {
+				continue
+			}
+			rid := RID{pid, slot}
+			in, _ := decodeInline(rec)
+			data := in.payload
+			if in.overflow {
+				var err error
+				if data, err = s.readRecord(rid); err != nil {
+					return err
+				}
+			}
+			if len(data) < 10 || len(data) < 10+int(binary.LittleEndian.Uint16(data[8:])) {
+				return fmt.Errorf("store: catalog record %s of %d bytes does not decode", rid, len(data))
+			}
+			id := binary.LittleEndian.Uint32(data[0:])
+			first := PageID(binary.LittleEndian.Uint32(data[4:]))
+			name := string(data[10 : 10+int(binary.LittleEndian.Uint16(data[8:]))])
+			if _, dup := s.heapNames[name]; dup || s.heaps[id] != nil {
+				return fmt.Errorf("store: catalog record %s repeats heap %d %q", rid, id, name)
+			}
+			s.heaps[id] = &heapInfo{id: id, name: name, first: first, last: first}
+			s.heapNames[name] = id
+			maxID = max(maxID, id)
+		}
 	}
 	s.nextHeap = maxID + 1
 	return nil
@@ -457,7 +500,7 @@ func (s *Store) loadCatalog() error {
 // reads.
 const openReadChunk = 128 * PageSize
 
-// pageMap is what the open pass keeps of the data file: ≈ 6 bytes per
+// pageMap is what the open pass keeps of the data file: ≈ 10 bytes per
 // page, plus the overflow heads of live records and the pages that failed
 // to parse.
 type pageMap struct {
@@ -466,9 +509,19 @@ type pageMap struct {
 	ovRefs []ovRef
 	bad    map[PageID]error // record pages with an unsound layout or record header
 
+	// heap is, per page, the heap whose records the pass delivered from
+	// it, and once walkHeap has walked the page, the heap whose chain holds
+	// it; noHeap if neither. late lists, in chain order, the chain pages
+	// the pass did not deliver: those only a backward link reaches.
+	heap []uint32
+	late []PageID
+
 	inChain    []bool // page is on a heap chain walked so far
 	referenced []bool // page is on the overflow chain of a live record
 }
+
+// noHeap marks a page of no known heap.
+const noHeap = ^uint32(0)
 
 // ovRef is a live overflow record and the first page of its chain.
 type ovRef struct {
@@ -479,43 +532,45 @@ type ovRef struct {
 // rebuildChainsAndFreeList finds every heap's tail page and the free list
 // in one sequential pass over the data file, outside the buffer pool: Open
 // is single-threaded here, and once recovery's dirty pages are written
-// back the file is the store. Per page the pass keeps the chain pointer and
-// the flags, and per record page the overflow heads of its live records;
-// the chain tails, the pages live overflow records reference and the free
-// list are then computed in memory. The catalog is loaded between the two:
-// its chain is checked before it is scanned. A free-flagged page that a
-// live record still references stays off the free list and has its flag
-// cleared through the pool, closing the crash window between an overflow
-// free and its transaction's outcome.
+// back the file is the store. The catalog chain is read and checked first,
+// so the pass knows where every heap starts. Per page the pass keeps the
+// chain pointer and the flags, and per record page the overflow heads of
+// its live records; the chain tails, the pages live overflow records
+// reference and the free list are then computed in memory. A free-flagged
+// page that a live record still references stays off the free list and
+// has its flag cleared through the pool, closing the crash window between
+// an overflow free and its transaction's outcome.
+//
+// With a loader, the same pass hands over the records: a page belongs to
+// heap H if it is H's first page or a page of H the pass already read
+// links forward to it. The chain pages only a backward link reaches, such
+// as a reused free page, are read again once every chain is checked, and
+// the overflow records follow once the free list is rebuilt.
 //
 // The pass checks what it reads and fails naming the page: no page carries
 // an LSN beyond the log end, every heap page has a sound slotted layout and
 // sound inline record headers, and every chain stays inside the file
 // without a cycle; heap chains share no page and hold no free or overflow
-// page.
-func (s *Store) rebuildChainsAndFreeList() error {
+// page. Records come only from pages that pass these checks.
+func (s *Store) rebuildChainsAndFreeList(load func(heap string, rid RID, rec []byte) error) error {
 	if err := s.pool.flushPages(s.pool.dirtyPages()); err != nil {
-		return err
-	}
-	m, err := s.readPageMap()
-	if err != nil {
-		return err
-	}
-	if err := m.walkHeap(s.heaps[catalogHeapID]); err != nil {
 		return err
 	}
 	if err := s.loadCatalog(); err != nil {
 		return err
 	}
-	ids := make([]uint32, 0, len(s.heaps))
-	for id := range s.heaps {
-		if id != catalogHeapID {
-			ids = append(ids, id)
-		}
+	m, err := s.readPageMap(load)
+	if err != nil {
+		return err
 	}
-	slices.Sort(ids)
+	ids := slices.Sorted(maps.Keys(s.heaps))
 	for _, id := range ids {
 		if err := m.walkHeap(s.heaps[id]); err != nil {
+			return err
+		}
+	}
+	if load != nil {
+		if err := s.loadLatePages(m, load); err != nil {
 			return err
 		}
 	}
@@ -538,20 +593,46 @@ func (s *Store) rebuildChainsAndFreeList() error {
 		f.pg.setFlags(f.pg.flags() &^ flagFree)
 		s.pool.unpin(f, true)
 	}
+	if load == nil {
+		return nil
+	}
+	for _, r := range m.ovRefs {
+		h := m.heap[r.rid.Page]
+		if !m.inChain[r.rid.Page] || h == catalogHeapID {
+			continue
+		}
+		rec, err := s.readRecord(r.rid)
+		if err != nil {
+			return err
+		}
+		if err := load(s.heaps[h].name, r.rid, rec); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
 // readPageMap is the open pass: it reads the data file front to back, in
-// chunks of openReadChunk into one reused buffer.
-func (s *Store) readPageMap() (*pageMap, error) {
+// chunks of openReadChunk into one reused buffer, and hands load the plain
+// records of the pages it can place on a heap chain.
+func (s *Store) readPageMap(load func(heap string, rid RID, rec []byte) error) (*pageMap, error) {
 	n := PageID(s.pageCount)
 	logEnd := s.log.size()
 	m := &pageMap{
 		next:       make([]PageID, n),
 		flags:      make([]uint16, n),
 		bad:        map[PageID]error{},
+		heap:       make([]uint32, n),
 		inChain:    make([]bool, n),
 		referenced: make([]bool, n),
+	}
+	for i := range m.heap {
+		m.heap[i] = noHeap
+	}
+	for id, h := range s.heaps {
+		if id != catalogHeapID && h.first > catalogFirstPage && h.first < n && m.heap[h.first] == noHeap {
+			m.heap[h.first] = id
+		}
 	}
 	buf := make([]byte, openReadChunk)
 	const chunkPages = openReadChunk / PageSize
@@ -570,21 +651,24 @@ func (s *Store) readPageMap() (*pageMap, error) {
 			if pg.flags()&(flagFree|flagOverflow) != 0 {
 				continue
 			}
-			if err := pg.check(); err != nil {
+			if err := pg.checkRecords(); err != nil {
 				m.bad[pg.id] = err
 				continue
 			}
+			heap := m.heap[pg.id]
+			if next := pg.next(); heap != noHeap && next > pg.id && next < n && m.heap[next] == noHeap {
+				m.heap[next] = heap
+			}
 			for slot := uint16(0); slot < pg.slotCount(); slot++ {
-				rec, ok := pg.read(slot)
-				if !ok {
-					continue
+				if rec, ok := pg.read(slot); ok {
+					if in, _ := decodeInline(rec); in.overflow {
+						m.ovRefs = append(m.ovRefs, ovRef{RID{pg.id, slot}, in.head})
+					}
 				}
-				in, ok := decodeInline(rec)
-				switch {
-				case !ok:
-					m.bad[pg.id] = fmt.Errorf("slot %d holds no valid record header", slot)
-				case in.overflow:
-					m.ovRefs = append(m.ovRefs, ovRef{RID{pg.id, slot}, in.head})
+			}
+			if heap != noHeap && load != nil {
+				if err := loadPlain(&pg, s.heaps[heap].name, load); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -592,8 +676,42 @@ func (s *Store) readPageMap() (*pageMap, error) {
 	return m, nil
 }
 
+// loadLatePages reads the chain pages the pass did not deliver again, one
+// at a time, and hands their plain records to load.
+func (s *Store) loadLatePages(m *pageMap, load func(heap string, rid RID, rec []byte) error) error {
+	pg := page{buf: make([]byte, PageSize)}
+	for _, pid := range m.late {
+		pg.id = pid
+		if _, err := s.file.ReadAt(pg.buf, int64(pid)*PageSize); err != nil {
+			return fmt.Errorf("store: read page %d: %w", pid, err)
+		}
+		if err := pg.checkRecords(); err != nil {
+			return fmt.Errorf("store: page %d: %w", pid, err)
+		}
+		if err := loadPlain(&pg, s.heaps[m.heap[pid]].name, load); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadPlain hands each plain record of a checked heap page to load.
+func loadPlain(pg *page, heap string, load func(heap string, rid RID, rec []byte) error) error {
+	for slot := uint16(0); slot < pg.slotCount(); slot++ {
+		if rec, ok := pg.read(slot); ok {
+			if in, _ := decodeInline(rec); !in.overflow {
+				if err := load(heap, RID{pg.id, slot}, in.payload); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // walkHeap follows a heap's chain to its tail page, checking every page on
-// the way.
+// the way, and lists the pages of a heap other than the catalog that the
+// pass did not deliver.
 func (m *pageMap) walkHeap(h *heapInfo) error {
 	n := PageID(len(m.next))
 	if h.first == InvalidPage {
@@ -610,6 +728,10 @@ func (m *pageMap) walkHeap(h *heapInfo) error {
 		case m.bad[pid] != nil:
 			return fmt.Errorf("store: heap %q: page %d: %w", h.name, pid, m.bad[pid])
 		}
+		if h.id != catalogHeapID && m.heap[pid] != h.id {
+			m.late = append(m.late, pid)
+		}
+		m.heap[pid] = h.id
 		m.inChain[pid] = true
 		h.last = pid
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -335,6 +336,10 @@ func (w *wal) createSeg(seq, start uint64) (*walSeg, error) {
 	return &walSeg{seq: seq, start: start, f: rf}, nil
 }
 
+// walTailChunk is the size of the buffer trimSegTail reads the active
+// segment through; a longer record is checked in pieces.
+const walTailChunk = 64 << 10
+
 // trimSegTail scans the active segment for its last intact record, truncates
 // any torn tail after it, and returns the logical end offset of the log.
 func trimSegTail(seg *walSeg) (uint64, error) {
@@ -347,26 +352,13 @@ func trimSegTail(seg *walSeg) (uint64, error) {
 		// cannot happen, but guard anyway.
 		return seg.start, nil
 	}
-	data := make([]byte, size-walSegHdrSize)
-	if n, err := seg.f.ReadAt(data, walSegHdrSize); err != nil && err != io.EOF {
+	data := size - walSegHdrSize
+	off, err := intactPrefix(bufio.NewReaderSize(io.NewSectionReader(seg.f, walSegHdrSize, data), walTailChunk), data)
+	if err != nil {
 		return 0, err
-	} else {
-		data = data[:n]
 	}
-	off := 0
-	for off+8 <= len(data) {
-		n := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || off+8+int(n) > len(data) {
-			break
-		}
-		if crc32.ChecksumIEEE(data[off+8:off+8+int(n)]) != crc {
-			break
-		}
-		off += 8 + int(n)
-	}
-	if int64(walSegHdrSize+off) < size {
-		if err := seg.f.Truncate(int64(walSegHdrSize + off)); err != nil {
+	if off < data {
+		if err := seg.f.Truncate(walSegHdrSize + off); err != nil {
 			return 0, err
 		}
 		if err := seg.f.Sync(); err != nil {
@@ -374,6 +366,44 @@ func trimSegTail(seg *walSeg) (uint64, error) {
 		}
 	}
 	return seg.start + uint64(off), nil
+}
+
+// intactPrefix returns the length of the run of complete, CRC-valid
+// records that r, holding size bytes of records, starts with.
+func intactPrefix(r *bufio.Reader, size int64) (int64, error) {
+	endOK := func(err error) error {
+		if err == io.EOF {
+			return nil
+		}
+		return err
+	}
+	off := int64(0)
+	for {
+		hdr, err := r.Peek(8)
+		if err != nil {
+			return off, endOK(err)
+		}
+		n := int(binary.LittleEndian.Uint32(hdr))
+		crc := binary.LittleEndian.Uint32(hdr[4:])
+		if n == 0 || off+8+int64(n) > size {
+			return off, nil
+		}
+		r.Discard(8) // Discard cannot fail on bytes Peek returned
+		sum := uint32(0)
+		for rem := n; rem > 0; {
+			b, err := r.Peek(min(rem, r.Size()))
+			if err != nil {
+				return off, endOK(err)
+			}
+			sum = crc32.Update(sum, crc32.IEEETable, b)
+			r.Discard(len(b))
+			rem -= len(b)
+		}
+		if sum != crc {
+			return off, nil
+		}
+		off += 8 + int64(n)
+	}
 }
 
 func (w *wal) closeSegs() {

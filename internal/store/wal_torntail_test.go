@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -195,6 +196,83 @@ func TestWALTornTailThroughStore(t *testing.T) {
 		}
 		if err := s.Close(); err != nil {
 			t.Fatalf("cut at byte %d: close: %v", cut, err)
+		}
+	}
+}
+
+// TestWALTailCheckAcrossChunkEdges holds trimSegTail, which checks the
+// active segment through a buffer of walTailChunk bytes, to the check over
+// the whole segment at once that it replaced: frames that straddle the
+// buffer's edge and frames longer than the buffer, torn or flipped at
+// every frame boundary and inside the long frames, truncate the segment at
+// the same byte.
+func TestWALTailCheckAcrossChunkEdges(t *testing.T) {
+	var data []byte
+	var ends []int
+	for i, n := range []int{100, walTailChunk - 50, 30, 3*walTailChunk + 17, walTailChunk - 8, 1, walTailChunk, 5000} {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(i*31 + j)
+		}
+		data = binary.LittleEndian.AppendUint32(data, uint32(n))
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+		data = append(data, payload...)
+		ends = append(ends, len(data))
+	}
+	// whole is the former check: the segment in one buffer.
+	whole := func(data []byte) int {
+		off := 0
+		for off+8 <= len(data) {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			if n == 0 || off+8+n > len(data) || crc32.ChecksumIEEE(data[off+8:off+8+n]) != binary.LittleEndian.Uint32(data[off+4:]) {
+				break
+			}
+			off += 8 + n
+		}
+		return off
+	}
+	check := func(what string, data []byte) {
+		t.Helper()
+		fs := faultinject.NewFaultFS(1)
+		f, err := fs.OpenFile("w/" + walSegName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(append(segHeaderBytes(1, 1000), data...), 0); err != nil {
+			t.Fatal(err)
+		}
+		end, err := trimSegTail(&walSeg{seq: 1, start: 1000, f: f})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want := whole(data)
+		size, err := f.Size()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end != 1000+uint64(want) || size != int64(walSegHdrSize+want) {
+			t.Fatalf("%s: log ends at %d in a %d-byte segment, want %d in %d", what, end, size, 1000+want, walSegHdrSize+want)
+		}
+	}
+	check("intact", data)
+	var cuts []int
+	for i, e := range ends {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		cuts = append(cuts, start+1, start+4, start+7, start+8, start+9, (start+e)/2, e-1, e)
+		for c := start + walTailChunk; c < e; c += walTailChunk {
+			cuts = append(cuts, c-1, c, c+1)
+		}
+	}
+	for _, c := range cuts {
+		check(fmt.Sprint("torn at ", c), data[:c])
+		if c < len(data) {
+			mut := bytes.Clone(data)
+			mut[c] ^= 0x5a
+			check(fmt.Sprint("flipped at ", c), mut)
 		}
 	}
 }

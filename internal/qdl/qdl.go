@@ -190,7 +190,9 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 	for p.Peek().Kind == xpath.TokName {
 		switch p.Peek().Text {
 		case "kind":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			k, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -203,7 +205,9 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			}
 			seenKind = true
 		case "mode":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			m, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -218,14 +222,18 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			}
 			seenMode = true
 		case "schema":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			tok, err := p.ExpectKind(xpath.TokString)
 			if err != nil {
 				return nil, err
 			}
 			q.Schema = tok.Text
 		case "priority":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			tok, err := p.ExpectKind(xpath.TokInteger)
 			if err != nil {
 				return nil, err
@@ -236,14 +244,18 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			}
 			q.Priority = n
 		case "interface":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			f, err := nameOrString(p)
 			if err != nil {
 				return nil, err
 			}
 			q.Interface = f
 			if p.Peek().Kind == xpath.TokName && p.Peek().Text == "port" {
-				p.Advance()
+				if _, err := p.Advance(); err != nil {
+					return nil, err
+				}
 				port, err := p.QName()
 				if err != nil {
 					return nil, err
@@ -251,7 +263,9 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 				q.Port = port
 			}
 		case "using":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			pname, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -265,7 +279,9 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			}
 			q.Policies = append(q.Policies, Policy{Name: pname, File: pfile})
 		case "errorqueue":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			e, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -322,10 +338,14 @@ func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
 		done := false
 		switch p.Peek().Text {
 		case "inherited":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			d.Inherited = true
 		case "fixed":
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 			d.Fixed = true
 		default:
 			done = true
@@ -335,7 +355,9 @@ func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
 		}
 	}
 	for p.Peek().Kind == xpath.TokName && p.Peek().Text == "queue" {
-		p.Advance()
+		if _, err := p.Advance(); err != nil {
+			return nil, err
+		}
 		var queues []string
 		for {
 			qn, err := p.QName()
@@ -346,7 +368,9 @@ func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
 			if p.Peek().Kind != xpath.TokComma {
 				break
 			}
-			p.Advance()
+			if _, err := p.Advance(); err != nil {
+				return nil, err
+			}
 		}
 		if err := p.ExpectName("value"); err != nil {
 			return nil, err
@@ -413,7 +437,9 @@ func parseRule(p *xpath.Parser) (*RuleDecl, error) {
 	}
 	r := &RuleDecl{Name: name, Target: target}
 	if p.Peek().Kind == xpath.TokName && p.Peek().Text == "errorqueue" {
-		p.Advance()
+		if _, err := p.Advance(); err != nil {
+			return nil, err
+		}
 		e, err := p.QName()
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package qdl
 
 import (
+	"errors"
 	"testing"
 
 	"demaq/internal/xdm"
@@ -147,6 +148,20 @@ func TestParseErrorsQDL(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+	// A lexical error right after a keyword is reported as such; the
+	// keyword is not read as its own value.
+	lexBad := []string{
+		`create queue q kind basic mode persistent interface #;`,
+		`create queue q kind basic mode persistent errorqueue #;`,
+		`create queue q kind basic mode persistent interface "a" port #;`,
+		`create queue q kind "unterminated`,
+	}
+	for _, src := range lexBad {
+		var se *xpath.SyntaxError
+		if _, err := Parse(src); !errors.As(err, &se) {
+			t.Errorf("%q: want the lexer's syntax error, got %v", src, err)
 		}
 	}
 }

@@ -2,9 +2,7 @@ package xpath
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"demaq/internal/xmldom"
 )
@@ -274,7 +272,7 @@ func (p *Parser) parseConstructorRaw() (*ElementConstructor, error) {
 			}
 			return nil, p.rawErrf("unescaped '}' in constructor content")
 		case p.rawPeek() == '&':
-			s, err := p.rawEntity()
+			s, err := p.lex.lexEntity()
 			if err != nil {
 				return nil, err
 			}
@@ -346,7 +344,7 @@ func (p *Parser) parseAttrValueRaw() ([]Expr, error) {
 			}
 			return nil, p.rawErrf("unescaped '}' in attribute value")
 		case c == '&':
-			s, err := p.rawEntity()
+			s, err := p.lex.lexEntity()
 			if err != nil {
 				return nil, err
 			}
@@ -382,45 +380,4 @@ func (p *Parser) parseEnclosedRaw() (Expr, error) {
 	end := p.tok.Pos
 	p.lex.ResetTo(Pos{Offset: end.Offset + 1, Line: end.Line, Col: end.Col + 1})
 	return e, nil
-}
-
-func (p *Parser) rawEntity() (string, error) {
-	p.rawAdv() // '&'
-	var name strings.Builder
-	for !p.rawEOF() && p.rawPeek() != ';' {
-		if name.Len() > 10 {
-			return "", p.rawErrf("unterminated entity reference")
-		}
-		name.WriteByte(p.rawAdv())
-	}
-	if p.rawEOF() {
-		return "", p.rawErrf("unterminated entity reference")
-	}
-	p.rawAdv() // ';'
-	switch name.String() {
-	case "lt":
-		return "<", nil
-	case "gt":
-		return ">", nil
-	case "amp":
-		return "&", nil
-	case "apos":
-		return "'", nil
-	case "quot":
-		return "\"", nil
-	}
-	s := name.String()
-	if strings.HasPrefix(s, "#") {
-		num := s[1:]
-		radix := 10
-		if strings.HasPrefix(num, "x") || strings.HasPrefix(num, "X") {
-			num, radix = num[1:], 16
-		}
-		cp, err := strconv.ParseUint(num, radix, 32)
-		if err != nil || !utf8.ValidRune(rune(cp)) || cp == 0 {
-			return "", p.rawErrf("invalid character reference &%s;", s)
-		}
-		return string(rune(cp)), nil
-	}
-	return "", p.rawErrf("unknown entity &%s;", s)
 }

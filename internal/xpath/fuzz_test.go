@@ -1,13 +1,14 @@
 package xpath
 
 import (
+	"reflect"
 	"testing"
 )
 
 // FuzzXPathParse drives the expression parser with arbitrary source text.
 // The parser must never panic, and parsing must be deterministic: a second
 // parse of the same input yields the same accept/reject decision and the
-// same error message.
+// same error message or an identical tree.
 func FuzzXPathParse(f *testing.F) {
 	seeds := []string{
 		`//order/id`,
@@ -38,8 +39,11 @@ func FuzzXPathParse(f *testing.F) {
 			}
 			return
 		}
-		if (e1 == nil) != (e2 == nil) {
+		if e1 == nil {
 			t.Fatalf("nil expression without error for %q", src)
+		}
+		if !reflect.DeepEqual(e1, e2) {
+			t.Fatalf("non-deterministic tree for %q", src)
 		}
 	})
 }

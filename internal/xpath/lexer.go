@@ -9,7 +9,9 @@ package xpath
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TokKind classifies lexical tokens. XQuery has no reserved words: names
@@ -263,7 +265,7 @@ func (l *Lexer) Next() (Token, error) {
 	c := l.peekByte()
 	switch {
 	case isNameStartByte(c):
-		return l.lexName(pos)
+		return Token{Kind: TokName, Text: l.scanQName(), Pos: pos}, nil
 	case isDigit(c):
 		return l.lexNumber(pos)
 	case c == '.':
@@ -378,11 +380,6 @@ func (l *Lexer) scanQName() string {
 	return string(l.src[start:l.pos])
 }
 
-func (l *Lexer) lexName(pos Pos) (Token, error) {
-	name := l.scanQName()
-	return Token{Kind: TokName, Text: name, Pos: pos}, nil
-}
-
 func (l *Lexer) lexNumber(pos Pos) (Token, error) {
 	start := l.pos
 	kind := TokInteger
@@ -424,6 +421,14 @@ func (l *Lexer) lexString(pos Pos) (Token, error) {
 		if l.eof() {
 			return Token{}, l.errf(pos, "unterminated string literal")
 		}
+		if l.peekByte() == '&' {
+			ent, err := l.lexEntity()
+			if err != nil {
+				return Token{}, err
+			}
+			sb.WriteString(ent)
+			continue
+		}
 		c := l.adv()
 		if c == quote {
 			// Doubled quote is an escape.
@@ -434,31 +439,27 @@ func (l *Lexer) lexString(pos Pos) (Token, error) {
 			}
 			return Token{Kind: TokString, Text: sb.String(), Pos: pos}, nil
 		}
-		if c == '&' {
-			ent, err := l.lexEntity(pos)
-			if err != nil {
-				return Token{}, err
-			}
-			sb.WriteString(ent)
-			continue
-		}
 		sb.WriteByte(c)
 	}
 }
 
-func (l *Lexer) lexEntity(pos Pos) (string, error) {
+// lexEntity decodes the predefined entity or character reference at '&'.
+// String literals and constructor content and attributes share it.
+func (l *Lexer) lexEntity() (string, error) {
+	pos := l.Mark()
+	l.adv() // '&'
 	start := l.pos
 	for !l.eof() && l.peekByte() != ';' {
 		if l.pos-start > 10 {
-			return "", l.errf(pos, "unterminated entity reference in string literal")
+			return "", l.errf(pos, "unterminated entity reference")
 		}
 		l.adv()
 	}
 	if l.eof() {
-		return "", l.errf(pos, "unterminated entity reference in string literal")
+		return "", l.errf(pos, "unterminated entity reference")
 	}
 	name := string(l.src[start:l.pos])
-	l.adv()
+	l.adv() // ';'
 	switch name {
 	case "lt":
 		return "<", nil
@@ -470,6 +471,17 @@ func (l *Lexer) lexEntity(pos Pos) (string, error) {
 		return "'", nil
 	case "quot":
 		return "\"", nil
+	}
+	if num, ok := strings.CutPrefix(name, "#"); ok {
+		radix := 10
+		if strings.HasPrefix(num, "x") || strings.HasPrefix(num, "X") {
+			num, radix = num[1:], 16
+		}
+		cp, err := strconv.ParseUint(num, radix, 32)
+		if err != nil || !utf8.ValidRune(rune(cp)) || cp == 0 {
+			return "", l.errf(pos, "invalid character reference &%s;", name)
+		}
+		return string(rune(cp)), nil
 	}
 	return "", l.errf(pos, "unknown entity &%s;", name)
 }

@@ -9,10 +9,15 @@ import (
 	"demaq/internal/xmldom"
 )
 
-// Parser is a recursive-descent parser for the Demaq expression language
-// with one-token lookahead. It exposes its token cursor so that the QDL/QML
-// statement parsers can interleave keyword parsing with embedded expression
-// parsing on the same input.
+// Parser parses the Demaq expression language with one-token lookahead
+// (two where a keyword's meaning depends on the token after it). Two tables
+// drive it: exprForms, the keywords that open FLWOR, quantified, if and
+// update expressions, and the operator table (infixSymbols, infixKeywords,
+// prefixSymbols), which one binding-power loop, parseOperators, applies to
+// every unary and binary operator. Paths, steps and constructors are
+// parsed by recursive descent. It exposes its token cursor so that the
+// QDL/QML statement parsers can interleave keyword parsing with embedded
+// expression parsing on the same input.
 type Parser struct {
 	lex *Lexer
 	tok Token
@@ -147,45 +152,46 @@ func (p *Parser) ParseExpr() (Expr, error) {
 	return &SequenceExpr{base: base{pos}, Items: items}, nil
 }
 
+// An exprForm is a keyword that opens a non-operator ExprSingle, the token
+// that must follow it and the form's parser. Without that token the keyword
+// is a name step.
+type exprForm struct {
+	keyword string
+	follow  Token // Text is compared only when set
+	parse   func(*Parser) (Expr, error)
+}
+
+// exprForms is filled in init because the form parsers recurse into
+// ParseExprSingle, which reads it.
+var exprForms []exprForm
+
+func init() {
+	exprForms = []exprForm{
+		{"for", Token{Kind: TokVar}, (*Parser).parseFLWOR},
+		{"let", Token{Kind: TokVar}, (*Parser).parseFLWOR},
+		{"some", Token{Kind: TokVar}, (*Parser).parseQuantified},
+		{"every", Token{Kind: TokVar}, (*Parser).parseQuantified},
+		{"if", Token{Kind: TokLParen}, (*Parser).parseIf},
+		{"do", Token{Kind: TokName, Text: "enqueue"}, (*Parser).parseUpdate},
+		{"do", Token{Kind: TokName, Text: "reset"}, (*Parser).parseUpdate},
+	}
+}
+
 // ParseExprSingle parses one expression without top-level commas.
 func (p *Parser) ParseExprSingle() (Expr, error) {
-	if p.tok.Kind == TokName {
-		switch p.tok.Text {
-		case "for", "let":
-			t2, err := p.peek2()
-			if err != nil {
-				return nil, err
-			}
-			if t2.Kind == TokVar {
-				return p.parseFLWOR()
-			}
-		case "some", "every":
-			t2, err := p.peek2()
-			if err != nil {
-				return nil, err
-			}
-			if t2.Kind == TokVar {
-				return p.parseQuantified()
-			}
-		case "if":
-			t2, err := p.peek2()
-			if err != nil {
-				return nil, err
-			}
-			if t2.Kind == TokLParen {
-				return p.parseIf()
-			}
-		case "do":
-			t2, err := p.peek2()
-			if err != nil {
-				return nil, err
-			}
-			if t2.Kind == TokName && (t2.Text == "enqueue" || t2.Text == "reset") {
-				return p.parseUpdate()
-			}
+	for _, f := range exprForms {
+		if !p.isName(f.keyword) {
+			continue
+		}
+		t2, err := p.peek2()
+		if err != nil {
+			return nil, err
+		}
+		if t2.Kind == f.follow.Kind && (f.follow.Text == "" || t2.Text == f.follow.Text) {
+			return f.parse(p)
 		}
 	}
-	return p.parseOr()
+	return p.parseOperators(powLowest)
 }
 
 func (p *Parser) parseFLWOR() (Expr, error) {
@@ -442,204 +448,128 @@ func (p *Parser) parseUpdate() (Expr, error) {
 	return nil, p.errf("expected 'enqueue' or 'reset' after 'do'")
 }
 
-func (p *Parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
+// Binding powers of the operator table, loosest first.
+const (
+	powLowest = iota
+	powOr
+	powAnd
+	powCompare
+	powRange
+	powAdd
+	powMul
+	powUnion
+	powPrefix
+)
+
+// An operator is one row of the operator table: its binding power, whether
+// it is non-associative (a second operator of the same power may not follow
+// it), and the node it builds. Rows of power powCompare build a
+// ComparisonExpr, other infix rows a BinaryExpr, prefix rows a UnaryExpr.
+type operator struct {
+	pow      int
+	nonAssoc bool
+	bin      BinOpKind
+	cmp      xdm.CompOp
+	general  bool
+	nodeIs   bool
+	neg      bool
+}
+
+// infixSymbols and infixKeywords are the binary rows of the operator table.
+// A keyword is an operator only where an operand has just ended; in operand
+// position it is a name step (XQuery has no reserved words).
+var infixSymbols = map[TokKind]operator{
+	TokEq:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpEq, general: true},
+	TokNe:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpNe, general: true},
+	TokLt:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpLt, general: true},
+	TokLe:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpLe, general: true},
+	TokGt:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpGt, general: true},
+	TokGe:    {pow: powCompare, nonAssoc: true, cmp: xdm.OpGe, general: true},
+	TokPlus:  {pow: powAdd, bin: BinAdd},
+	TokMinus: {pow: powAdd, bin: BinSub},
+	TokStar:  {pow: powMul, bin: BinMul},
+	TokPipe:  {pow: powUnion, bin: BinUnion},
+}
+
+var infixKeywords = map[string]operator{
+	"or":    {pow: powOr, bin: BinOr},
+	"and":   {pow: powAnd, bin: BinAnd},
+	"eq":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpEq},
+	"ne":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpNe},
+	"lt":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpLt},
+	"le":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpLe},
+	"gt":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpGt},
+	"ge":    {pow: powCompare, nonAssoc: true, cmp: xdm.OpGe},
+	"is":    {pow: powCompare, nonAssoc: true, nodeIs: true},
+	"to":    {pow: powRange, nonAssoc: true, bin: BinRange},
+	"div":   {pow: powMul, bin: BinDiv},
+	"idiv":  {pow: powMul, bin: BinIDiv},
+	"mod":   {pow: powMul, bin: BinMod},
+	"union": {pow: powUnion, bin: BinUnion},
+}
+
+// prefixSymbols are the unary rows: they bind tighter than every infix
+// operator, so "-a | b" is (-a) | b.
+var prefixSymbols = map[TokKind]operator{
+	TokMinus: {pow: powPrefix, neg: true},
+	TokPlus:  {pow: powPrefix},
+}
+
+// parseOperators parses an operand and then every infix operator that binds
+// tighter than floor, each with a right operand of the operator's own power.
+// An operator that a right operand left unparsed (it binds tighter than the
+// operator just applied, or as tight as a non-associative one) ends this
+// expression too.
+func (p *Parser) parseOperators(floor int) (Expr, error) {
+	left, err := p.parseOperand()
 	if err != nil {
 		return nil, err
 	}
-	for p.isName("or") {
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
+	ceiling := powPrefix // highest power the next operator may have
+	for {
+		op, ok := infixSymbols[p.tok.Kind]
+		if p.tok.Kind == TokName {
+			op, ok = infixKeywords[p.tok.Text]
 		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{base: base{pos}, Op: BinOr, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	left, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.isName("and") {
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{base: base{pos}, Op: BinAnd, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-var valueCompNames = map[string]xdm.CompOp{
-	"eq": xdm.OpEq, "ne": xdm.OpNe, "lt": xdm.OpLt,
-	"le": xdm.OpLe, "gt": xdm.OpGt, "ge": xdm.OpGe,
-}
-
-func (p *Parser) parseComparison() (Expr, error) {
-	left, err := p.parseRange()
-	if err != nil {
-		return nil, err
-	}
-	pos := p.tok.Pos
-	var op xdm.CompOp
-	general := false
-	switch p.tok.Kind {
-	case TokEq:
-		op, general = xdm.OpEq, true
-	case TokNe:
-		op, general = xdm.OpNe, true
-	case TokLt:
-		op, general = xdm.OpLt, true
-	case TokLe:
-		op, general = xdm.OpLe, true
-	case TokGt:
-		op, general = xdm.OpGt, true
-	case TokGe:
-		op, general = xdm.OpGe, true
-	case TokName:
-		if vop, ok := valueCompNames[p.tok.Text]; ok {
-			op = vop
-		} else if p.tok.Text == "is" {
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-			right, err := p.parseRange()
-			if err != nil {
-				return nil, err
-			}
-			return &ComparisonExpr{base: base{pos}, NodeIs: true, Left: left, Right: right}, nil
-		} else {
+		if !ok || op.pow <= floor || op.pow > ceiling {
 			return left, nil
 		}
-	default:
-		return left, nil
+		pos := p.tok.Pos
+		if err := p.next(); err != nil {
+			return nil, err
+		}
+		right, err := p.parseOperators(op.pow)
+		if err != nil {
+			return nil, err
+		}
+		if op.pow == powCompare {
+			left = &ComparisonExpr{base: base{pos}, Op: op.cmp, General: op.general, NodeIs: op.nodeIs, Left: left, Right: right}
+		} else {
+			left = &BinaryExpr{base: base{pos}, Op: op.bin, Left: left, Right: right}
+		}
+		ceiling = op.pow
+		if op.nonAssoc {
+			ceiling--
+		}
 	}
+}
+
+// parseOperand parses a path expression under any number of prefix
+// operators.
+func (p *Parser) parseOperand() (Expr, error) {
+	op, ok := prefixSymbols[p.tok.Kind]
+	if !ok {
+		return p.parsePath()
+	}
+	pos := p.tok.Pos
 	if err := p.next(); err != nil {
 		return nil, err
 	}
-	right, err := p.parseRange()
+	operand, err := p.parseOperators(op.pow)
 	if err != nil {
 		return nil, err
 	}
-	return &ComparisonExpr{base: base{pos}, Op: op, General: general, Left: left, Right: right}, nil
-}
-
-func (p *Parser) parseRange() (Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if p.isName("to") {
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{base: base{pos}, Op: BinRange, Left: left, Right: right}, nil
-	}
-	return left, nil
-}
-
-func (p *Parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokPlus || p.tok.Kind == TokMinus {
-		op := BinAdd
-		if p.tok.Kind == TokMinus {
-			op = BinSub
-		}
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{base: base{pos}, Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnion()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinOpKind
-		switch {
-		case p.tok.Kind == TokStar:
-			op = BinMul
-		case p.isName("div"):
-			op = BinDiv
-		case p.isName("idiv"):
-			op = BinIDiv
-		case p.isName("mod"):
-			op = BinMod
-		default:
-			return left, nil
-		}
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{base: base{pos}, Op: op, Left: left, Right: right}
-	}
-}
-
-func (p *Parser) parseUnion() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.tok.Kind == TokPipe || p.isName("union") {
-		pos := p.tok.Pos
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{base: base{pos}, Op: BinUnion, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseUnary() (Expr, error) {
-	if p.tok.Kind == TokMinus || p.tok.Kind == TokPlus {
-		pos := p.tok.Pos
-		neg := p.tok.Kind == TokMinus
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{base: base{pos}, Neg: neg, Operand: inner}, nil
-	}
-	return p.parsePath()
+	return &UnaryExpr{base: base{pos}, Neg: op.neg, Operand: operand}, nil
 }
 
 // kind tests recognized in step position.
@@ -673,24 +603,17 @@ func (p *Parser) parsePath() (Expr, error) {
 		}
 	}
 
-	if !path.Rooted {
-		// First segment: an axis step or a primary (filter) expression.
-		if p.startsAxisStep() {
-			st, err := p.parseStep()
-			if err != nil {
-				return nil, err
-			}
-			path.Steps = append(path.Steps, st)
-		} else {
-			prim, err := p.parseFilter()
-			if err != nil {
-				return nil, err
-			}
-			if p.tok.Kind != TokSlash && p.tok.Kind != TokSlash2 {
-				return prim, nil
-			}
-			path.Start = prim
+	// First segment: an axis step or, unless rooted, a primary (filter)
+	// expression.
+	if !path.Rooted && !p.startsAxisStep() {
+		prim, err := p.parseFilter()
+		if err != nil {
+			return nil, err
 		}
+		if p.tok.Kind != TokSlash && p.tok.Kind != TokSlash2 {
+			return prim, nil
+		}
+		path.Start = prim
 	} else {
 		st, err := p.parseStep()
 		if err != nil {
@@ -712,9 +635,6 @@ func (p *Parser) parsePath() (Expr, error) {
 			return nil, err
 		}
 		path.Steps = append(path.Steps, st)
-	}
-	if path.Start == nil && len(path.Steps) == 0 && !path.Rooted {
-		return nil, p.errf("expected expression")
 	}
 	return path, nil
 }
@@ -738,9 +658,7 @@ func (p *Parser) startsAxisStep() bool {
 	case TokName:
 		// name '(' is a function call unless the name is a kind test;
 		// name '::' is an axis; anything else is a child-axis name test.
-		mark := p.lex.Mark()
-		t2, err := p.lex.Next()
-		p.lex.ResetTo(mark)
+		t2, err := p.peek2()
 		if err != nil {
 			return false
 		}
@@ -761,114 +679,84 @@ func (p *Parser) startsAxisStep() bool {
 // filter expression such as a function call ("a/count(b)", "p/number(.)").
 func (p *Parser) parseStep() (Step, error) {
 	// Primary steps: variables, literals, parenthesized expressions, and
-	// function calls that are not kind tests.
+	// function calls whose name is neither a kind test nor an axis.
+	primary := false
 	switch p.tok.Kind {
 	case TokVar, TokString, TokInteger, TokDecimal, TokDouble, TokLParen:
-		prim, err := p.parseFilter()
-		if err != nil {
-			return Step{}, err
-		}
-		return Step{Primary: prim}, nil
+		primary = true
 	case TokName:
-		if _, kind := kindTests[p.tok.Text]; !kind {
-			if _, axis := axisNames[p.tok.Text]; !axis {
-				mark := p.lex.Mark()
-				t2, err := p.lex.Next()
-				p.lex.ResetTo(mark)
-				if err == nil && t2.Kind == TokLParen {
-					prim, err := p.parseFilter()
-					if err != nil {
-						return Step{}, err
-					}
-					return Step{Primary: prim}, nil
-				}
-			}
-		}
+		_, kind := kindTests[p.tok.Text]
+		_, axis := axisNames[p.tok.Text]
+		t2, err := p.peek2()
+		primary = !kind && !axis && err == nil && t2.Kind == TokLParen
 	}
+	if primary {
+		prim, err := p.parseFilter()
+		return Step{Primary: prim}, err
+	}
+	var st Step
+	var err error
 	switch p.tok.Kind {
 	case TokDot:
-		if err := p.next(); err != nil {
-			return Step{}, err
-		}
-		st := Step{Axis: AxisSelf, Test: NodeTest{Kind: TestNode}}
-		return p.parsePredicates(st)
+		st, err = Step{Axis: AxisSelf, Test: NodeTest{Kind: TestNode}}, p.next()
 	case TokDotDot:
-		if err := p.next(); err != nil {
-			return Step{}, err
-		}
-		st := Step{Axis: AxisParent, Test: NodeTest{Kind: TestNode}}
-		return p.parsePredicates(st)
+		st, err = Step{Axis: AxisParent, Test: NodeTest{Kind: TestNode}}, p.next()
 	case TokAt:
 		if err := p.next(); err != nil {
 			return Step{}, err
 		}
-		test, err := p.parseNodeTest(true)
-		if err != nil {
-			return Step{}, err
-		}
-		st := Step{Axis: AxisAttribute, Test: test}
-		return p.parsePredicates(st)
-	case TokStar:
-		if err := p.next(); err != nil {
-			return Step{}, err
-		}
-		st := Step{Axis: AxisChild, Test: NodeTest{Kind: TestAnyName}}
-		return p.parsePredicates(st)
-	case TokName:
-		// Explicit axis?
+		st.Axis = AxisAttribute
+		st.Test, err = p.parseNodeTest()
+	case TokName, TokStar:
 		if ax, ok := axisNames[p.tok.Text]; ok {
-			mark := p.lex.Mark()
-			t2, err := p.lex.Next()
-			p.lex.ResetTo(mark)
-			if err == nil && t2.Kind == TokAxis {
+			if t2, perr := p.peek2(); perr == nil && t2.Kind == TokAxis {
 				if err := p.next(); err != nil { // axis name
 					return Step{}, err
 				}
 				if err := p.next(); err != nil { // '::'
 					return Step{}, err
 				}
-				test, err := p.parseNodeTest(ax == AxisAttribute)
-				if err != nil {
-					return Step{}, err
-				}
-				st := Step{Axis: ax, Test: test}
-				return p.parsePredicates(st)
+				st.Axis = ax
+				st.Test, err = p.parseNodeTest()
+				break
 			}
 		}
-		test, err := p.parseNodeTest(false)
-		if err != nil {
-			return Step{}, err
+		st.Axis = AxisChild
+		st.Test, err = p.parseNodeTest()
+		if st.Test.Kind == TestAttribute {
+			st.Axis = AxisAttribute
 		}
-		axis := AxisChild
-		if test.Kind == TestAttribute {
-			axis = AxisAttribute
-		}
-		st := Step{Axis: axis, Test: test}
-		return p.parsePredicates(st)
+	default:
+		return Step{}, p.errf("expected path step, found %s", p.tok.Kind)
 	}
-	return Step{}, p.errf("expected path step, found %s", p.tok.Kind)
+	if err != nil {
+		return Step{}, err
+	}
+	st.Preds, err = p.parsePredicates()
+	return st, err
 }
 
-func (p *Parser) parsePredicates(st Step) (Step, error) {
+// parsePredicates parses a possibly empty PredicateList.
+func (p *Parser) parsePredicates() ([]Expr, error) {
+	var preds []Expr
 	for p.tok.Kind == TokLBracket {
 		if err := p.next(); err != nil {
-			return Step{}, err
+			return nil, err
 		}
 		pred, err := p.ParseExpr()
 		if err != nil {
-			return Step{}, err
+			return nil, err
 		}
 		if _, err := p.ExpectKind(TokRBracket); err != nil {
-			return Step{}, err
+			return nil, err
 		}
-		st.Preds = append(st.Preds, pred)
+		preds = append(preds, pred)
 	}
-	return st, nil
+	return preds, nil
 }
 
-// parseNodeTest parses a name test or kind test. attrCtx selects the
-// attribute interpretation of a bare name.
-func (p *Parser) parseNodeTest(attrCtx bool) (NodeTest, error) {
+// parseNodeTest parses a name test or kind test.
+func (p *Parser) parseNodeTest() (NodeTest, error) {
 	if p.tok.Kind == TokStar {
 		if err := p.next(); err != nil {
 			return NodeTest{}, err
@@ -881,10 +769,7 @@ func (p *Parser) parseNodeTest(attrCtx bool) (NodeTest, error) {
 	name := p.tok.Text
 	// Kind test?
 	if kt, ok := kindTests[name]; ok {
-		mark := p.lex.Mark()
-		t2, err := p.lex.Next()
-		p.lex.ResetTo(mark)
-		if err == nil && t2.Kind == TokLParen {
+		if t2, err := p.peek2(); err == nil && t2.Kind == TokLParen {
 			if err := p.next(); err != nil { // kind name
 				return NodeTest{}, err
 			}
@@ -912,7 +797,6 @@ func (p *Parser) parseNodeTest(attrCtx bool) (NodeTest, error) {
 	if err := p.next(); err != nil {
 		return NodeTest{}, err
 	}
-	_ = attrCtx
 	return NodeTest{Kind: TestName, Name: splitTestName(name)}, nil
 }
 
@@ -929,24 +813,14 @@ func (p *Parser) parseFilter() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.Kind != TokLBracket {
+	preds, err := p.parsePredicates()
+	if err != nil {
+		return nil, err
+	}
+	if preds == nil {
 		return prim, nil
 	}
-	f := &FilterExpr{base: base{prim.Span()}, Primary: prim}
-	for p.tok.Kind == TokLBracket {
-		if err := p.next(); err != nil {
-			return nil, err
-		}
-		pred, err := p.ParseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.ExpectKind(TokRBracket); err != nil {
-			return nil, err
-		}
-		f.Preds = append(f.Preds, pred)
-	}
-	return f, nil
+	return &FilterExpr{base: base{prim.Span()}, Primary: prim, Preds: preds}, nil
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
@@ -1014,10 +888,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return p.parseDirectConstructor()
 	case TokName:
 		// Function call.
-		mark := p.lex.Mark()
-		t2, err := p.lex.Next()
-		p.lex.ResetTo(mark)
-		if err == nil && t2.Kind == TokLParen {
+		if t2, err := p.peek2(); err == nil && t2.Kind == TokLParen {
 			return p.parseFunctionCall()
 		}
 		return nil, p.errf("unexpected name %q", p.tok.Text)
@@ -1034,12 +905,8 @@ func (p *Parser) parseFunctionCall() (Expr, error) {
 	if _, err := p.ExpectKind(TokLParen); err != nil {
 		return nil, err
 	}
-	fc := &FuncCall{base: base{pos}}
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		fc.Prefix, fc.Local = name[:i], name[i+1:]
-	} else {
-		fc.Local = name
-	}
+	qn := splitTestName(name)
+	fc := &FuncCall{base: base{pos}, Prefix: qn.Prefix, Local: qn.Local}
 	if p.tok.Kind != TokRParen {
 		for {
 			arg, err := p.ParseExprSingle()

@@ -1,6 +1,8 @@
 package xpath
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 
 	"demaq/internal/xdm"
@@ -24,6 +26,9 @@ func TestParseLiterals(t *testing.T) {
 	}
 	if l := parse(t, `"&lt;&amp;"`).(*Literal); l.Value.S != "<&" {
 		t.Fatal("entities in string literal")
+	}
+	if l := parse(t, `"&#65;&#x42;"`).(*Literal); l.Value.S != "AB" {
+		t.Fatal("character references in string literal")
 	}
 	if l := parse(t, `42`).(*Literal); l.Value.T != xdm.TypeInteger || l.Value.I != 42 {
 		t.Fatal("integer literal")
@@ -181,6 +186,93 @@ func TestParseOperators(t *testing.T) {
 	if or.Op != BinOr {
 		t.Fatal("or lowest")
 	}
+
+	// Precedence, one row per adjacent pair of levels in both orders:
+	// or < and < comparison < to < + - < * div idiv mod < union | < unary.
+	shapes := []struct{ src, want string }{
+		{`a or b and c`, `(or a (and b c))`},
+		{`a and b or c`, `(or (and a b) c)`},
+		{`a and b = c`, `(and a (= b c))`},
+		{`a eq b and c`, `(and (eq a b) c)`},
+		{`1 = 2 to 3`, `(= 1 (to 2 3))`},
+		{`1 to 2 lt 3`, `(lt (to 1 2) 3)`},
+		{`1 to 2 + 3`, `(to 1 (+ 2 3))`},
+		{`1 - 2 to 3`, `(to (- 1 2) 3)`},
+		{`1 + 2 * 3`, `(+ 1 (* 2 3))`},
+		{`1 idiv 2 - 3`, `(- (idiv 1 2) 3)`},
+		{`a * b | c`, `(* a (union b c))`},
+		{`a union b mod c`, `(mod (union a b) c)`},
+		{`-a | b`, `(union (neg a) b)`},
+		{`a | -b`, `(union a (neg b))`},
+		// Left associativity.
+		{`1 - 2 - 3`, `(- (- 1 2) 3)`},
+		{`8 div 4 div 2`, `(div (div 8 4) 2)`},
+		{`a | b union c`, `(union (union a b) c)`},
+		// Prefix operators.
+		{`- - 5`, `(neg (neg 5))`},
+		{`-1 + 2`, `(+ (neg 1) 2)`},
+		{`+5`, `(pos 5)`},
+		{`. is .`, `(is . .)`},
+		{`1 != 2`, `(!= 1 2)`},
+		// Keywords are operators only after a complete operand.
+		{`or or and`, `(or or and)`},
+		{`div div div`, `(div div div)`},
+	}
+	for _, c := range shapes {
+		if got := shape(parse(t, c.src)); got != c.want {
+			t.Errorf("%q parsed as %s, want %s", c.src, got, c.want)
+		}
+	}
+	// Comparisons, "is" and "to" are non-associative.
+	// The operator a closed right operand leaves unparsed also ends the
+	// enclosing expressions.
+	for _, src := range []string{`1 = 2 = 3`, `1 eq 2 eq 3`, `. is . is .`, `1 to 2 to 3`, `1 < 2 >= 3`,
+		`a or 1 = 2 = 3`, `1 = 2 to 3 to 4`, `-1 to 2 to 3`} {
+		if _, err := ParseExprString(src); err == nil {
+			t.Errorf("%q: non-associative operator chained", src)
+		}
+	}
+}
+
+var binOpNames = [...]string{
+	BinOr: "or", BinAnd: "and", BinAdd: "+", BinSub: "-", BinMul: "*",
+	BinDiv: "div", BinIDiv: "idiv", BinMod: "mod", BinUnion: "union", BinRange: "to",
+}
+
+var generalCompNames = [...]string{
+	xdm.OpEq: "=", xdm.OpNe: "!=", xdm.OpLt: "<", xdm.OpLe: "<=", xdm.OpGt: ">", xdm.OpGe: ">=",
+}
+
+// shape renders operator trees as s-expressions over integer literals,
+// context items and single name steps.
+func shape(e Expr) string {
+	switch e := e.(type) {
+	case *BinaryExpr:
+		return "(" + binOpNames[e.Op] + " " + shape(e.Left) + " " + shape(e.Right) + ")"
+	case *ComparisonExpr:
+		op := e.Op.String()
+		switch {
+		case e.NodeIs:
+			op = "is"
+		case e.General:
+			op = generalCompNames[e.Op]
+		}
+		return "(" + op + " " + shape(e.Left) + " " + shape(e.Right) + ")"
+	case *UnaryExpr:
+		if e.Neg {
+			return "(neg " + shape(e.Operand) + ")"
+		}
+		return "(pos " + shape(e.Operand) + ")"
+	case *Literal:
+		return strconv.FormatInt(e.Value.I, 10)
+	case *ContextItemExpr:
+		return "."
+	case *PathExpr:
+		if e.Start == nil && !e.Rooted && len(e.Steps) == 1 {
+			return e.Steps[0].Test.Name.Local
+		}
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestParseSequence(t *testing.T) {

@@ -106,7 +106,7 @@ func TestAdmissionWALFailureAfterSchedule(t *testing.T) {
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	c := newCrashNode(t, forwardApp, senderFiles, fn)
+	c := newCrashNode(t, faultinject.NewFaultFS(7), forwardApp, senderFiles, fn)
 	vfs := &syncVFS{VFS: c.fs}
 	c.cfg.Workers = 2
 	c.cfg.Store.Store.VFS = vfs
@@ -364,85 +364,89 @@ func TestReliableDuplicateBeforeDurable(t *testing.T) {
 // every request has exactly one offer or refusal.
 func TestAdmissionPipelineCrashSweep(t *testing.T) {
 	const n, clients = 16, 4
-	run := func(t *testing.T, k int) (from, to int, ahead int64) {
-		p := newPipelineNode(t, 2)
-		p.open()
-		defer func() { p.eng.Stop() }()
-		p.eng.Start()
-		from = p.fs.Ops()
-		if k > 0 {
-			p.fs.CrashAt(k)
-		}
-		// The clients stop at the first refusal: the node is down then.
-		var mu sync.Mutex
-		acked := map[string]bool{}
-		var ranAhead atomic.Int64
-		var wg sync.WaitGroup
-		eng := p.eng
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := c; i < n; i += clients {
-					xml, _ := procurementRequest(i)
-					id, err := eng.EnqueueXML("crm", xml, nil)
-					if err != nil {
-						return
+	type run struct {
+		*pipelineNode
+		ahead int64 // inputs processed by the time their admission returned
+	}
+	faultinject.Sweep(t, faultinject.Scenario[*run]{
+		Short: 16,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *run {
+			p := newPipelineNode(t, fs, fn, 2)
+			p.boot()
+			p.eng.Start()
+			return &run{pipelineNode: p}
+		},
+		Run: func(t testing.TB, r *run) error {
+			// The clients stop at the first refusal: the node is down then.
+			var mu sync.Mutex
+			acked := map[string]bool{}
+			var ranAhead atomic.Int64
+			var wg sync.WaitGroup
+			eng := r.eng
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; i < n; i += clients {
+						xml, _ := procurementRequest(i)
+						id, err := eng.EnqueueXML("crm", xml, nil)
+						if err != nil {
+							return
+						}
+						if m, ok := eng.MessageStore().Get(id); ok && m.Processed {
+							ranAhead.Add(1)
+						}
+						mu.Lock()
+						acked[fmt.Sprintf("r%d", i)] = true
+						mu.Unlock()
 					}
-					if m, ok := eng.MessageStore().Get(id); ok && m.Processed {
-						ranAhead.Add(1)
-					}
-					mu.Lock()
-					acked[fmt.Sprintf("r%d", i)] = true
-					mu.Unlock()
-				}
-			}(c)
-		}
-		wg.Wait()
-		p.onReboot = func() {
-			when := fmt.Sprintf("after the crash at op %d", k)
-			p.checkSentIsStored(when)
-			stored := map[string]bool{}
-			docs, err := p.eng.MessageStore().QueueDocs("crm")
-			if err != nil {
-				t.Fatal(err)
+				}(c)
 			}
-			for _, d := range docs {
-				if d.Root().Name.Local == "offerRequest" {
-					stored[childElement(d.Root(), "requestID").StringValue()] = true
+			wg.Wait()
+			r.ahead = ranAhead.Load()
+			r.onReboot = func() {
+				when := "after the crash"
+				r.checkSentIsStored(when)
+				stored := map[string]bool{}
+				docs, err := r.eng.MessageStore().QueueDocs("crm")
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for id := range acked {
-				if !stored[id] {
-					t.Fatalf("%s: the client holds an ack for %s, the store does not hold it", when, id)
-				}
-			}
-			for i := 0; i < n; i++ {
-				if !stored[fmt.Sprintf("r%d", i)] {
-					xml, _ := procurementRequest(i)
-					if _, err := p.eng.EnqueueXML("crm", xml, nil); err != nil {
-						t.Fatal(err)
+				for _, d := range docs {
+					if d.Root().Name.Local == "offerRequest" {
+						stored[childElement(d.Root(), "requestID").StringValue()] = true
 					}
 				}
+				for id := range acked {
+					if !stored[id] {
+						t.Fatalf("%s: the client holds an ack for %s, the store does not hold it", when, id)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if !stored[fmt.Sprintf("r%d", i)] {
+						xml, _ := procurementRequest(i)
+						if _, err := r.eng.EnqueueXML("crm", xml, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 			}
-		}
-		if crashed := p.settle(); !crashed && len(acked) != n {
-			t.Fatalf("no crash, and only %d of %d inputs were acknowledged", len(acked), n)
-		}
-		p.checkSentIsStored("at the end")
-		p.checkConverged(n)
-		return from, p.fs.Ops(), ranAhead.Load()
-	}
-	from, to, ahead := run(t, 0)
-	// The probe: the sweep is only worth its name if inputs really were
-	// processed before their admission was durable.
-	if ahead == 0 {
-		t.Fatal("no input was processed by the time its admission returned")
-	}
-	sites := sweepSites(t, from, to, 16)
-	t.Logf("crashing at %d of %d disk sites; fault-free: %d of %d inputs were processed before their ack", len(sites), to-from, ahead, n)
-	for _, k := range sites {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
-	}
+			if crashed := r.settle(); !crashed && len(acked) != n {
+				return fmt.Errorf("no crash, and only %d of %d inputs were acknowledged", len(acked), n)
+			}
+			return nil
+		},
+		// The sweep is only worth its name if inputs really were processed
+		// before their admission was durable.
+		Probe: func(t testing.TB, r *run, window []faultinject.FaultPoint) {
+			if r.ahead == 0 {
+				t.Fatal("no input was processed by the time its admission returned")
+			}
+			t.Logf("%d disk sites; fault-free: %d of %d inputs were processed before their ack", len(window), r.ahead, n)
+		},
+		Check: func(_ testing.TB, r *run) {
+			r.checkSentIsStored("at the end")
+			r.checkConverged(n)
+		},
+	})
 }

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
-	"log/slog"
 	"sync"
 	"testing"
 	"testing/fstest"
@@ -12,7 +10,6 @@ import (
 	"demaq/internal/faultinject"
 	"demaq/internal/gateway"
 	"demaq/internal/msgstore"
-	"demaq/internal/qdl"
 	"demaq/internal/store"
 )
 
@@ -71,104 +68,57 @@ const e2eJobs = 12
 // commits.
 const e2eBacklogJobs = 32
 
-func e2eConfig(fs *faultinject.FaultFS, fn *faultinject.FaultNet) Config {
-	cfg := Config{
-		Dir:        "e2e", // virtual: all I/O goes through the FaultFS
-		Workers:    1,
-		Store:      tortureStoreOptions(fs),
-		Resources:  e2eFiles,
-		Transports: gateway.NewRegistry(fn),
-		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	return cfg
-}
-
 // e2eRun drives one complete workload: N serially-acked client sends
-// through the node to the receiver, restarting the node whenever its
-// FaultFS crashes. arm configures the crash site (or nothing, for the
-// fault-free enumeration pass) before traffic starts.
+// through the node to the receiver, rebooting the node whenever its FaultFS
+// crashes. The phases are start (receiver, node, client), admit (every job
+// acknowledged) and deliver (every job at the receiver, the node drained).
 type e2eRun struct {
-	t    *testing.T
-	fs   *faultinject.FaultFS
+	*crashNode
 	fn   *faultinject.FaultNet
 	jobs int
 
 	// backlog cuts the receiver off until every job is admitted, so the
-	// whole workload piles up in the outgoing queue and is then sent in one
-	// go. healDiskOp/healNetOp are the op counts at that moment, and stats
-	// the node's counters at the end of the run.
-	backlog               bool
-	healDiskOp, healNetOp int
-	stats                 Stats
+	// whole workload piles up in the outgoing queue and deliver sends it in
+	// one go. stats are the node's counters at the end of the run.
+	backlog bool
+	stats   Stats
 
-	mu  sync.Mutex
-	eng *Engine
+	client *gateway.Reliable
 
 	recvMu sync.Mutex
 	got    []string
 }
 
-func newE2ERun(t *testing.T, fsSeed, netSeed int64) *e2eRun {
-	t.Helper()
-	r := &e2eRun{t: t, fs: faultinject.NewFaultFS(fsSeed), fn: faultinject.NewFaultNet(netSeed), jobs: e2eJobs}
-	return r
+func newE2ERun(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet, jobs int, backlog bool) *e2eRun {
+	return &e2eRun{crashNode: newCrashNode(t, fs, e2eNodeApp, e2eFiles, fn), fn: fn, jobs: jobs, backlog: backlog}
 }
 
-func (r *e2eRun) engine() *Engine {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eng
+// received returns the receiver's observed payload sequence.
+func (r *e2eRun) received() []string {
+	r.recvMu.Lock()
+	defer r.recvMu.Unlock()
+	return append([]string(nil), r.got...)
 }
 
-func (r *e2eRun) openNode() {
-	r.t.Helper()
-	app, err := qdl.Parse(e2eNodeApp)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	for {
-		e, err := New(e2eConfig(r.fs, r.fn), app)
-		if err == nil {
-			e.Start()
-			r.mu.Lock()
-			r.eng = e
-			r.mu.Unlock()
-			return
-		}
-		if r.fs.Crashed() {
-			// The armed site fired during boot (queue creation, recovery):
-			// the node crashes and boots again.
-			r.fs.ClearFault()
-			continue
-		}
-		r.t.Fatalf("node open: %v", err)
+// rebootIfCrashed reboots the node if its storage crashed (the armed disk
+// site, or a net-op site crashing it as a transfer went out).
+func (r *e2eRun) rebootIfCrashed() {
+	if r.fs.Crashed() {
+		r.reboot()
 	}
 }
 
-// restartNode is the whole-node crash-restart: stop (the dead store makes
-// in-flight work fail, not block), clear the fault, reopen with recovery,
-// resubscribe the gateways.
-func (r *e2eRun) restartNode() {
-	r.t.Helper()
-	r.engine().Stop() // close on a crashed FS reports the crash; recovery fixes it
-	r.fs.ClearFault()
-	r.openNode()
-}
-
-// run executes the workload to completion and returns the receiver's
-// observed payload sequence. The monitor goroutine performs the restart
-// whenever the armed site fires.
-func (r *e2eRun) run() []string {
+// start subscribes the remote receiver, boots the node and the client.
+func (r *e2eRun) start() {
 	t := r.t
 	t.Helper()
-
 	// Remote receiver: a reliable endpoint that records every admitted
 	// payload (its own dedup window suppresses the node's retransmits).
 	recvRel, err := gateway.NewReliable(r.fn, "fnet://recv/inbox", 2*time.Millisecond, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recvRel.Close()
+	t.Cleanup(recvRel.Close)
 	err = recvRel.Subscribe(func(payload []byte, _ map[string]string) error {
 		r.recvMu.Lock()
 		r.got = append(r.got, string(payload))
@@ -178,265 +128,171 @@ func (r *e2eRun) run() []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	if r.backlog {
 		r.fn.Partition("fnet://recv/")
 	}
-	r.openNode()
-
-	// Crash monitor: whenever the node's storage crashes (armed disk site
-	// or net-op hook), restart the whole node.
-	stopMon := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		for {
-			select {
-			case <-stopMon:
-				return
-			case <-time.After(time.Millisecond):
-				if r.fs.Crashed() {
-					r.restartNode()
-				}
-			}
-		}
-	}()
-
+	r.open()
+	r.eng.Start()
 	// Client: serially-acked reliable sends; the generous retry budget
 	// rides out node downtime (unsubscribed endpoints swallow transfers).
-	clientRel, err := gateway.NewReliable(r.fn, "fnet://client/acks", 2*time.Millisecond, 100000)
-	if err != nil {
+	if r.client, err = gateway.NewReliable(r.fn, "fnet://client/acks", 2*time.Millisecond, 100000); err != nil {
 		t.Fatal(err)
 	}
-	defer clientRel.Close()
-	if err := clientRel.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
+	t.Cleanup(r.client.Close)
+	if err := r.client.Subscribe(func([]byte, map[string]string) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// admit sends every job and waits for its acknowledgement.
+func (r *e2eRun) admit() {
+	t := r.t
+	t.Helper()
 	for i := 1; i <= r.jobs; i++ {
 		done := make(chan error, 1)
-		clientRel.SendAsync("fnet://node/in",
+		r.client.SendAsync("fnet://node/in",
 			[]byte(fmt.Sprintf("<job><n>%d</n></job>", i)), nil,
 			func(err error) { done <- err })
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("job %d never acknowledged: %v", i, err)
+		deadline := time.Now().Add(60 * time.Second)
+		for acked := false; !acked; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("job %d never acknowledged: %v", i, err)
+				}
+				acked = true
+			case <-time.After(time.Millisecond):
+				if time.Now().After(deadline) {
+					t.Fatalf("job %d ack timed out", i)
+				}
+				r.rebootIfCrashed()
 			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("job %d ack timed out", i)
 		}
 	}
+}
 
+// deliver lets the backlog flow, waits for the receiver to hold every job,
+// drains the node and stops it. The armed crash can still fire here (a late
+// WAL flush, a drain-time write, the closing checkpoint): the node reboots
+// and drains again; an armed site fires at most once.
+func (r *e2eRun) deliver() {
+	t := r.t
+	t.Helper()
 	if r.backlog {
-		r.healDiskOp, r.healNetOp = r.fs.Ops(), r.fn.Ops()
 		r.fn.HealPartition("fnet://recv/")
 	}
-
-	// All jobs admitted; wait for the pipeline to deliver every one.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		r.recvMu.Lock()
-		n := len(r.got)
-		r.recvMu.Unlock()
-		if n >= r.jobs {
+	for deadline := time.Now().Add(60 * time.Second); len(r.received()) < r.jobs && time.Now().Before(deadline); r.rebootIfCrashed() {
+		time.Sleep(time.Millisecond)
+	}
+	for {
+		r.settle()
+		r.stats = r.eng.Stats()
+		err := r.eng.Stop()
+		if err == nil {
 			break
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stopMon)
-	monWG.Wait()
-
-	// Final phase: the armed crash can still fire here (a late WAL flush, a
-	// drain-time write, the closing checkpoint). Each pass restarts once
-	// more and re-verifies; an armed site fires at most once, so this
-	// terminates quickly.
-	for attempt := 0; ; attempt++ {
-		if attempt > 5 {
-			t.Fatal("node kept crashing in the final phase")
-		}
-		if r.fs.Crashed() {
-			r.restartNode()
-		}
-		eng := r.engine()
-		// Wait for the node to drain or for the armed crash to fire: a node
-		// whose consume commit crashed holds its sender's slots and never
-		// drains, so waiting out the timeout would only cost time.
-		for deadline := time.Now().Add(30 * time.Second); !eng.Drain(time.Millisecond) && !r.fs.Crashed() && time.Now().Before(deadline); {
-		}
-		if r.fs.Crashed() {
-			continue
-		}
-		// End-state invariants on the surviving node.
-		if err := eng.MessageStore().VerifyIntegrity(); err != nil {
-			if r.fs.Crashed() {
-				continue
-			}
-			t.Fatalf("integrity after recovery: %v", err)
-		}
-		if docs, _ := eng.MessageStore().QueueDocs("errs"); len(docs) != 0 {
-			t.Fatalf("error queue not empty: %d messages, first: %s", len(docs), docs[0].StringValue())
-		}
-		msgs, err := eng.MessageStore().Messages("in")
-		if err != nil {
-			if r.fs.Crashed() {
-				continue
-			}
-			t.Fatal(err)
-		}
-		if len(msgs) != r.jobs {
-			t.Fatalf("node admitted %d jobs, want %d (lost or duplicated at the incoming gateway)", len(msgs), r.jobs)
-		}
-		r.stats = eng.Stats()
-		if err := eng.Stop(); err != nil {
-			if r.fs.Crashed() {
-				continue
-			}
+		if !r.fs.Crashed() {
 			t.Fatalf("final stop: %v", err)
 		}
-		break
+		r.fs.ClearFault()
+		r.open()
+		r.eng.Start()
 	}
 	r.fn.Close()
-
-	r.recvMu.Lock()
-	defer r.recvMu.Unlock()
-	return append([]string(nil), r.got...)
 }
 
-// checkExactlyOnce asserts the receiver saw jobs 1..e2eJobs exactly once,
-// in send order.
-func checkExactlyOnce(t *testing.T, got []string, site string) {
-	t.Helper()
-	checkExactlyOnceN(t, got, e2eJobs, site)
+// run is the whole workload.
+func (r *e2eRun) run() {
+	r.start()
+	r.admit()
+	r.deliver()
 }
 
-func checkExactlyOnceN(t *testing.T, got []string, jobs int, site string) {
+// check reopens the stopped node and asserts end-to-end exactly-once: the
+// node admitted every job once, its error queue is empty, its store
+// verifies, and the receiver saw jobs 1..r.jobs exactly once, in send
+// order.
+func (r *e2eRun) check(t testing.TB) {
 	t.Helper()
-	if len(got) != jobs {
-		t.Fatalf("%s: receiver got %d transfers, want %d: %v", site, len(got), jobs, got)
+	r.open()
+	defer r.eng.Stop()
+	ms := r.eng.MessageStore()
+	if err := ms.VerifyIntegrity(); err != nil {
+		t.Fatalf("integrity after recovery: %v", err)
+	}
+	if docs, _ := ms.QueueDocs("errs"); len(docs) != 0 {
+		t.Fatalf("error queue not empty: %d messages, first: %s", len(docs), docs[0].StringValue())
+	}
+	if msgs, _ := ms.Messages("in"); len(msgs) != r.jobs {
+		t.Fatalf("node admitted %d jobs, want %d (lost or duplicated at the incoming gateway)", len(msgs), r.jobs)
+	}
+	got := r.received()
+	if len(got) != r.jobs {
+		t.Fatalf("receiver got %d transfers, want %d: %v", len(got), r.jobs, got)
 	}
 	for i, p := range got {
 		want := fmt.Sprintf("<done>%d</done>", i+1)
 		if p != want {
-			t.Fatalf("%s: transfer %d = %q, want %q (full: %v)", site, i, p, want, got)
+			t.Fatalf("transfer %d = %q, want %q (full: %v)", i, p, want, got)
 		}
 	}
 }
 
-// e2eStride picks the sweep stride: every site normally, a sampled subset
-// under -short (CI). The first and last sites are always included.
-func e2eStride(t *testing.T, total, shortSamples, fullSamples int) int {
-	samples := fullSamples
-	if testing.Short() {
-		samples = shortSamples
+// e2eScenario sweeps the whole workload, at its disk sites or, with net, at
+// its network sites: "the node dies as packet k arrives/departs". Its
+// fault-free probe is the baseline every site is compared against.
+func e2eScenario(net bool) faultinject.Scenario[*e2eRun] {
+	return faultinject.Scenario[*e2eRun]{
+		Short: 8, Net: net,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *e2eRun {
+			return newE2ERun(t, fs, fn, e2eJobs, false)
+		},
+		Run:   func(_ testing.TB, r *e2eRun) error { r.run(); return nil },
+		Check: func(t testing.TB, r *e2eRun) { r.check(t) },
 	}
-	if samples <= 0 || total <= samples {
-		return 1
-	}
-	return total/samples + 1
 }
 
-// TestE2ETortureFaultFree enumerates the op sites and proves the pipeline
-// meets exactly-once with no faults at all — the baseline every crash-site
-// iteration is compared against.
-func TestE2ETortureFaultFree(t *testing.T) {
-	r := newE2ERun(t, 1, 1)
-	got := r.run()
-	checkExactlyOnce(t, got, "fault-free")
-	if r.fs.Ops() == 0 || r.fn.Ops() == 0 {
-		t.Fatalf("op enumeration empty: disk=%d net=%d", r.fs.Ops(), r.fn.Ops())
-	}
-	t.Logf("enumerated %d disk op sites, %d net op sites", r.fs.Ops(), r.fn.Ops())
-}
-
-// TestE2ETortureStorageCrashSweep crashes the whole node at enumerated
-// disk op sites (write/sync/truncate) and asserts end-to-end exactly-once
-// after each crash-restart.
+// TestE2ETortureStorageCrashSweep crashes the whole node at its disk sites
+// (write/sync/truncate/remove) and asserts end-to-end exactly-once after
+// each crash-restart.
 func TestE2ETortureStorageCrashSweep(t *testing.T) {
-	probe := newE2ERun(t, 1, 1)
-	checkExactlyOnce(t, probe.run(), "probe")
-	sites := probe.fs.Ops()
-	stride := e2eStride(t, sites, 8, 48)
-	t.Logf("sweeping %d of %d disk sites (stride %d)", (sites+stride-1)/stride, sites, stride)
-	for k := 1; k <= sites; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) {
-			r := newE2ERun(t, int64(42+k), int64(100+k))
-			r.fs.CrashAt(k)
-			checkExactlyOnce(t, r.run(), fmt.Sprintf("crash at disk op %d", k))
-		})
-	}
+	faultinject.Sweep(t, e2eScenario(false))
 }
 
-// TestE2ETortureNetCrashSweep crashes the whole node at enumerated network
-// op sites — "the node dies as packet k arrives/departs" — covering the
-// windows between a transfer, its enqueue, its ack, and its forward.
+// TestE2ETortureNetCrashSweep crashes the whole node at its network sites
+// — "the node dies as packet k arrives/departs" — covering the windows
+// between a transfer, its enqueue, its ack, and its forward.
 func TestE2ETortureNetCrashSweep(t *testing.T) {
-	probe := newE2ERun(t, 1, 1)
-	checkExactlyOnce(t, probe.run(), "probe")
-	sites := probe.fn.Ops()
-	stride := e2eStride(t, sites, 8, 48)
-	t.Logf("sweeping %d of %d net sites (stride %d)", (sites+stride-1)/stride, sites, stride)
-	for k := 1; k <= sites; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("net-op-%d", k), func(t *testing.T) {
-			r := newE2ERun(t, int64(7000+k), int64(9000+k))
-			r.fn.SetOpHook(func(op faultinject.NetOp) {
-				if op.N == k {
-					r.fs.CrashNow()
-				}
-			})
-			checkExactlyOnce(t, r.run(), fmt.Sprintf("crash at net op %d", k))
-		})
-	}
+	faultinject.Sweep(t, e2eScenario(true))
 }
 
 // TestE2ETortureBacklogCrashSweep repeats the two sweeps over the part of
 // the workload where the sender's consume commits cover several acked
 // transfers: the receiver is cut off until every job sits in the outgoing
-// queue, and the node is crashed at the disk and network op sites from the
+// queue, and the node is crashed at the disk and network sites from the
 // moment the backlog starts to flow. A crash then leaves up to a whole
 // consume batch acked but unmarked; the restarted sender repeats those
 // transfers under their durable sequence numbers and the receiver still
 // sees every job exactly once, in order.
 func TestE2ETortureBacklogCrashSweep(t *testing.T) {
-	backlogRun := func(t *testing.T, fsSeed, netSeed int64) *e2eRun {
-		r := newE2ERun(t, fsSeed, netSeed)
-		r.jobs, r.backlog = e2eBacklogJobs, true
-		return r
-	}
-	probe := backlogRun(t, 1, 1)
-	checkExactlyOnceN(t, probe.run(), e2eBacklogJobs, "probe")
-	if st := probe.stats; st.GatewaySent != e2eBacklogJobs || st.GatewayConsumeCommits >= st.GatewaySent {
-		t.Fatalf("backlog of %d: %d transfers in %d consume commits — no consume batch above one to crash into",
-			e2eBacklogJobs, st.GatewaySent, st.GatewayConsumeCommits)
-	}
-	t.Logf("probe: %d transfers in %d consume commits", probe.stats.GatewaySent, probe.stats.GatewayConsumeCommits)
-
-	from, to := probe.healDiskOp, probe.fs.Ops()
-	stride := e2eStride(t, to-from, 6, 48)
-	t.Logf("sweeping %d of %d disk sites (stride %d)", (to-from+stride-1)/stride, to-from, stride)
-	for k := from + 1; k <= to; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) {
-			r := backlogRun(t, int64(42+k), int64(100+k))
-			r.fs.CrashAt(k)
-			checkExactlyOnceN(t, r.run(), e2eBacklogJobs, fmt.Sprintf("crash at disk op %d", k))
-		})
-	}
-	from, to = probe.healNetOp, probe.fn.Ops()
-	stride = e2eStride(t, to-from, 6, 48)
-	t.Logf("sweeping %d of %d net sites (stride %d)", (to-from+stride-1)/stride, to-from, stride)
-	for k := from + 1; k <= to; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("net-op-%d", k), func(t *testing.T) {
-			r := backlogRun(t, int64(7000+k), int64(9000+k))
-			r.fn.SetOpHook(func(op faultinject.NetOp) {
-				if op.N == k {
-					r.fs.CrashNow()
+	for _, net := range []bool{false, true} {
+		faultinject.Sweep(t, faultinject.Scenario[*e2eRun]{
+			Short: 6, Net: net,
+			Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *e2eRun {
+				r := newE2ERun(t, fs, fn, e2eBacklogJobs, true)
+				r.start()
+				r.admit()
+				return r
+			},
+			Run: func(_ testing.TB, r *e2eRun) error { r.deliver(); return nil },
+			Probe: func(t testing.TB, r *e2eRun, _ []faultinject.FaultPoint) {
+				if st := r.stats; st.GatewaySent != e2eBacklogJobs || st.GatewayConsumeCommits >= st.GatewaySent {
+					t.Fatalf("backlog of %d: %d transfers in %d consume commits — no consume batch above one to crash into",
+						e2eBacklogJobs, st.GatewaySent, st.GatewayConsumeCommits)
 				}
-			})
-			checkExactlyOnceN(t, r.run(), e2eBacklogJobs, fmt.Sprintf("crash at net op %d", k))
+				t.Logf("probe: %d transfers in %d consume commits", r.stats.GatewaySent, r.stats.GatewayConsumeCommits)
+			},
+			Check: func(t testing.TB, r *e2eRun) { r.check(t) },
 		})
 	}
 }
@@ -452,13 +308,14 @@ func TestE2ETortureChaosMatrix(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			r := newE2ERun(t, seed, seed*31)
+			r := newE2ERun(t, faultinject.NewFaultFS(seed), faultinject.NewFaultNet(seed*31), e2eJobs, false)
 			r.fn.SetDropRate(0.10)
 			r.fn.SetDupRate(0.05)
 			r.fn.SetReorderRate(0.05)
 			// One storage crash mid-workload on top of the chaos.
 			r.fs.CrashAt(int(200 + seed*97))
-			checkExactlyOnce(t, r.run(), fmt.Sprintf("chaos seed %d", seed))
+			r.run()
+			r.check(t)
 		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,7 +84,7 @@ func (l *problemLog) Handle(_ context.Context, r slog.Record) error {
 func (l *problemLog) WithAttrs([]slog.Attr) slog.Handler { return l }
 func (l *problemLog) WithGroup(string) slog.Handler      { return l }
 
-func enqueueNumbered(t *testing.T, e *Engine, queue string, n int) {
+func enqueueNumbered(t testing.TB, e *Engine, queue string, n int) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
 		if _, err := e.EnqueueXML(queue, fmt.Sprintf("<m>%d</m>", i), nil); err != nil {
@@ -107,7 +106,7 @@ func checkInOrder(t *testing.T, got []string, n int) {
 	}
 }
 
-func checkAllProcessed(t *testing.T, e *Engine, queue string, n int) {
+func checkAllProcessed(t testing.TB, e *Engine, queue string, n int) {
 	t.Helper()
 	msgs, err := e.MessageStore().Messages(queue)
 	if err != nil {
@@ -247,7 +246,7 @@ func TestSenderElementMismatch(t *testing.T) {
 
 // crashNode is one node on a FaultFS that the test crashes and reboots.
 type crashNode struct {
-	t   *testing.T
+	t   testing.TB
 	fs  *faultinject.FaultFS
 	cfg Config
 	app *qdl.Application
@@ -261,8 +260,7 @@ type crashNode struct {
 	settled func() bool
 }
 
-func newCrashNode(t *testing.T, src string, files fstest.MapFS, tr gateway.Transport) *crashNode {
-	fs := faultinject.NewFaultFS(7)
+func newCrashNode(t testing.TB, fs *faultinject.FaultFS, src string, files fstest.MapFS, tr gateway.Transport) *crashNode {
 	return &crashNode{t: t, fs: fs, app: qdl.MustParse(src), cfg: Config{
 		Dir: "node", Workers: 1, Store: tortureStoreOptions(fs), Resources: files,
 		Transports: gateway.NewRegistry(tr),
@@ -286,6 +284,28 @@ func (c *crashNode) open() {
 	}
 }
 
+// boot opens the node and stops it when the test, or the sweep's run,
+// ends.
+func (c *crashNode) boot() *crashNode {
+	c.open()
+	c.t.Cleanup(func() { c.eng.Stop() })
+	return c
+}
+
+// reboot is the whole-node crash-restart: stop (the dead store makes
+// in-flight work fail, not block), clear the fault, reopen with recovery
+// and start again.
+func (c *crashNode) reboot() {
+	c.t.Helper()
+	c.eng.Stop() // close on a crashed FS reports the crash; recovery fixes it
+	c.fs.ClearFault()
+	c.open()
+	if c.onReboot != nil {
+		c.onReboot()
+	}
+	c.eng.Start()
+}
+
 // settle lets the started node run until it is drained, rebooting it once
 // if the armed crash fires on the way. It reports whether it crashed.
 func (c *crashNode) settle() (crashed bool) {
@@ -297,27 +317,11 @@ func (c *crashNode) settle() (crashed bool) {
 		}
 		if c.fs.Crashed() {
 			crashed = true
-			c.eng.Stop()
-			c.fs.ClearFault()
-			c.open()
-			if c.onReboot != nil {
-				c.onReboot()
-			}
-			c.eng.Start()
+			c.reboot()
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
 	return crashed
-}
-
-// sweepSites returns the crash sites to visit between two op counts: all of
-// them in a full run, a strided sample under -short.
-func sweepSites(t *testing.T, from, to, shortSamples int) []int {
-	var sites []int
-	for k, stride := from+1, e2eStride(t, to-from, shortSamples, 0); k <= to; k += stride {
-		sites = append(sites, k)
-	}
-	return sites
 }
 
 // TestGatewayDisconnectedErrorSurvivesCrash crashes the node at every disk
@@ -327,60 +331,96 @@ func sweepSites(t *testing.T, from, to, shortSamples int) []int {
 // never left without the error it compensates on.
 func TestGatewayDisconnectedErrorSurvivesCrash(t *testing.T) {
 	const request = `<capacityRequest><requestID>d1</requestID><qty>5</qty></capacityRequest>`
-	// run plays the scenario with a crash armed at site k (0: none) and
-	// returns the op counts before the request and at the end.
-	run := func(t *testing.T, k int) (from, to int) {
-		net := faultinject.NewFaultNet(31)
-		defer net.Close()
-		net.SetDown("fnet://supplier/requests", true)
-		c := newCrashNode(t, buyerApp, gatewayFilesOn("fnet"), net)
-		c.open()
-		defer func() { c.eng.Stop() }()
-		c.eng.Start()
-		from = c.fs.Ops()
-		if k > 0 {
-			c.fs.CrashAt(k)
-		}
-		_, enqErr := c.eng.EnqueueXML("work", request, nil)
-		crashed := c.settle()
-		if enqErr != nil && !crashed {
-			t.Fatalf("enqueue: %v", enqErr)
-		}
-		ms := c.eng.MessageStore()
-		if err := ms.VerifyIntegrity(); err != nil {
-			t.Fatalf("integrity: %v", err)
-		}
-		work, _ := ms.Messages("work")
-		out, _ := ms.Messages("supplierOut")
-		errs, _ := ms.QueueDocs("netErrors")
-		if enqErr == nil && len(work) != 1 {
-			t.Fatalf("acknowledged request lost: work holds %d messages", len(work))
-		}
-		if len(out) != len(work) || len(errs) != len(out) {
-			t.Fatalf("work=%d supplierOut=%d netErrors=%d: want one failed transfer and one error message per request",
-				len(work), len(out), len(errs))
-		}
-		for _, m := range out {
-			if !m.Processed {
-				t.Fatalf("failed transfer %d not consumed", m.ID)
-			}
-		}
-		for _, d := range errs {
-			if childElement(d.Root(), "disconnectedTransport") == nil {
-				t.Fatalf("error message without disconnectedTransport: %s", d.StringValue())
-			}
-		}
-		return from, c.fs.Ops()
+	type run struct {
+		*crashNode
+		acked bool
 	}
-	from, to := run(t, 0)
-	if to == from {
-		t.Fatal("op enumeration empty")
+	faultinject.Sweep(t, faultinject.Scenario[*run]{
+		Short: 24,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *run {
+			fn.SetDown("fnet://supplier/requests", true)
+			c := newCrashNode(t, fs, buyerApp, gatewayFilesOn("fnet"), fn).boot()
+			c.eng.Start()
+			return &run{crashNode: c}
+		},
+		Run: func(_ testing.TB, r *run) error {
+			_, err := r.eng.EnqueueXML("work", request, nil)
+			r.acked = err == nil
+			if crashed := r.settle(); err != nil && !crashed {
+				return fmt.Errorf("enqueue: %w", err)
+			}
+			return nil
+		},
+		Check: func(t testing.TB, r *run) {
+			ms := r.eng.MessageStore()
+			if err := ms.VerifyIntegrity(); err != nil {
+				t.Fatalf("integrity: %v", err)
+			}
+			work, _ := ms.Messages("work")
+			out, _ := ms.Messages("supplierOut")
+			errs, _ := ms.QueueDocs("netErrors")
+			if r.acked && len(work) != 1 {
+				t.Fatalf("acknowledged request lost: work holds %d messages", len(work))
+			}
+			if len(out) != len(work) || len(errs) != len(out) {
+				t.Fatalf("work=%d supplierOut=%d netErrors=%d: want one failed transfer and one error message per request",
+					len(work), len(out), len(errs))
+			}
+			for _, m := range out {
+				if !m.Processed {
+					t.Fatalf("failed transfer %d not consumed", m.ID)
+				}
+			}
+			for _, d := range errs {
+				if childElement(d.Root(), "disconnectedTransport") == nil {
+					t.Fatalf("error message without disconnectedTransport: %s", d.StringValue())
+				}
+			}
+		},
+	})
+}
+
+// senderRun is a plain-sender sweep's state: the node, what its receiver
+// recorded, and whether the node crashed.
+type senderRun struct {
+	*crashNode
+	rec     *recorder
+	crashed bool
+}
+
+// newSenderRun boots a node with an outgoing queue whose transfers rec
+// records.
+func newSenderRun(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *senderRun {
+	rec := &recorder{}
+	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
+		t.Fatal(err)
 	}
-	sites := sweepSites(t, from, to, 24)
-	t.Logf("crashing at %d of %d disk sites", len(sites), to-from)
-	for _, k := range sites {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
+	return &senderRun{crashNode: newCrashNode(t, fs, senderApp, senderFiles, fn).boot(), rec: rec}
+}
+
+// checkDeliveries asserts that the first deliveries are want, in order,
+// and that duplicates — only after a crash — stay within the consume
+// batch cap.
+func (r *senderRun) checkDeliveries(t testing.TB, want []string) {
+	t.Helper()
+	seen, dups := map[string]bool{}, 0
+	var first []string
+	for _, p := range r.rec.payloads() {
+		if seen[p] {
+			dups++
+			continue
+		}
+		seen[p] = true
+		first = append(first, p)
+	}
+	if strings.Join(first, "") != strings.Join(want, "") {
+		t.Fatalf("first deliveries %v, want %v", first, want)
+	}
+	if dups > consumeBatchCap {
+		t.Fatalf("%d duplicates after one crash, cap is %d", dups, consumeBatchCap)
+	}
+	if !r.crashed && dups != 0 {
+		t.Fatalf("%d duplicates without a crash", dups)
 	}
 }
 
@@ -390,64 +430,33 @@ func TestGatewayDisconnectedErrorSurvivesCrash(t *testing.T) {
 // bounded by the consume batch cap.
 func TestPlainSenderAtLeastOnceAcrossCrash(t *testing.T) {
 	const n = 300
-	run := func(t *testing.T, k int) (from, to int) {
-		fn := faultinject.NewFaultNet(1)
-		defer fn.Close()
-		rec := &recorder{}
-		if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
-			t.Fatal(err)
-		}
-		c := newCrashNode(t, senderApp, senderFiles, fn)
-		c.open()
-		defer func() { c.eng.Stop() }()
-		enqueueNumbered(t, c.eng, "out", n)
-		from = c.fs.Ops()
-		if k > 0 {
-			c.fs.CrashAt(k)
-		}
-		c.eng.Start()
-		c.settle()
-		if err := c.eng.MessageStore().VerifyIntegrity(); err != nil {
-			t.Fatalf("integrity: %v", err)
-		}
-		checkAllProcessed(t, c.eng, "out", n)
-		if docs, _ := c.eng.MessageStore().QueueDocs("errs"); len(docs) != 0 {
-			t.Fatalf("error queue not empty: %s", docs[0].StringValue())
-		}
-		seen, next, dups := map[int]bool{}, 1, 0
-		for _, p := range rec.payloads() {
-			i, err := strconv.Atoi(p[len("<m>") : len(p)-len("</m>")])
-			if err != nil {
-				t.Fatalf("unexpected transfer %q", p)
+	faultinject.Sweep(t, faultinject.Scenario[*senderRun]{
+		Short: 12,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *senderRun {
+			r := newSenderRun(t, fs, fn)
+			enqueueNumbered(t, r.eng, "out", n)
+			return r
+		},
+		Run: func(_ testing.TB, r *senderRun) error {
+			r.eng.Start()
+			r.crashed = r.settle()
+			return nil
+		},
+		Check: func(t testing.TB, r *senderRun) {
+			if err := r.eng.MessageStore().VerifyIntegrity(); err != nil {
+				t.Fatalf("integrity: %v", err)
 			}
-			switch {
-			case seen[i]:
-				dups++
-			case i != next:
-				t.Fatalf("first delivery of %d before %d", i, next)
-			default:
-				seen[i] = true
-				next++
+			checkAllProcessed(t, r.eng, "out", n)
+			if docs, _ := r.eng.MessageStore().QueueDocs("errs"); len(docs) != 0 {
+				t.Fatalf("error queue not empty: %s", docs[0].StringValue())
 			}
-		}
-		if len(seen) != n {
-			t.Fatalf("%d of %d messages delivered", len(seen), n)
-		}
-		if dups > consumeBatchCap {
-			t.Fatalf("%d duplicates after one crash, cap is %d", dups, consumeBatchCap)
-		}
-		if k == 0 && dups != 0 {
-			t.Fatalf("%d duplicates without a crash", dups)
-		}
-		return from, c.fs.Ops()
-	}
-	from, to := run(t, 0)
-	sites := sweepSites(t, from, to, 12)
-	t.Logf("crashing at %d of %d disk sites", len(sites), to-from)
-	for _, k := range sites {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
-	}
+			var want []string
+			for i := 1; i <= n; i++ {
+				want = append(want, fmt.Sprintf("<m>%d</m>", i))
+			}
+			r.checkDeliveries(t, want)
+		},
+	})
 }
 
 // TestPlainSenderTrickleAcrossCrash: messages are published one transaction
@@ -458,82 +467,52 @@ func TestPlainSenderAtLeastOnceAcrossCrash(t *testing.T) {
 // duplicates bounded by the consume batch cap.
 func TestPlainSenderTrickleAcrossCrash(t *testing.T) {
 	const n = 40
-	run := func(t *testing.T, k int) (from, to int) {
-		fn := faultinject.NewFaultNet(1)
-		defer fn.Close()
-		rec := &recorder{}
-		if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
-			t.Fatal(err)
-		}
-		c := newCrashNode(t, senderApp, senderFiles, fn)
-		c.open()
-		defer func() { c.eng.Stop() }()
-		c.eng.Start()
-		from = c.fs.Ops()
-		if k > 0 {
-			c.fs.CrashAt(k)
-		}
-		crashed := false
-		for i := 1; i <= n; i++ {
-			// A failed enqueue may or may not have survived the crash; the
-			// queue read below is the judge.
-			if _, err := c.eng.EnqueueXML("out", fmt.Sprintf("<m>%d</m>", i), nil); err != nil {
-				if !c.fs.Crashed() {
-					t.Fatal(err)
+	faultinject.Sweep(t, faultinject.Scenario[*senderRun]{
+		Short: 12,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *senderRun {
+			r := newSenderRun(t, fs, fn)
+			r.eng.Start()
+			return r
+		},
+		Run: func(_ testing.TB, r *senderRun) error {
+			for i := 1; i <= n; i++ {
+				// A failed enqueue may or may not have survived the crash; the
+				// queue read below is the judge.
+				if _, err := r.eng.EnqueueXML("out", fmt.Sprintf("<m>%d</m>", i), nil); err != nil {
+					if !r.fs.Crashed() {
+						return err
+					}
+					r.crashed = r.settle() || r.crashed
 				}
-				crashed = c.settle() || crashed
 			}
-		}
-		crashed = c.settle() || crashed
-		if err := c.eng.MessageStore().VerifyIntegrity(); err != nil {
-			t.Fatalf("integrity: %v", err)
-		}
-		msgs, err := c.eng.MessageStore().Messages("out")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []string
-		for _, m := range msgs {
-			if !m.Processed {
-				t.Fatalf("message %d of out is still unprocessed", m.ID)
+			r.crashed = r.settle() || r.crashed
+			return nil
+		},
+		Check: func(t testing.TB, r *senderRun) {
+			if err := r.eng.MessageStore().VerifyIntegrity(); err != nil {
+				t.Fatalf("integrity: %v", err)
 			}
-			doc, err := c.eng.MessageStore().Doc(m.ID)
+			msgs, err := r.eng.MessageStore().Messages("out")
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, fmt.Sprintf("<m>%s</m>", doc.StringValue()))
-		}
-		if k == 0 && len(want) != n {
-			t.Fatalf("queue holds %d messages without a crash, want %d", len(want), n)
-		}
-		seen, dups := map[string]bool{}, 0
-		var first []string
-		for _, p := range rec.payloads() {
-			if seen[p] {
-				dups++
-				continue
+			var want []string
+			for _, m := range msgs {
+				if !m.Processed {
+					t.Fatalf("message %d of out is still unprocessed", m.ID)
+				}
+				doc, err := r.eng.MessageStore().Doc(m.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, fmt.Sprintf("<m>%s</m>", doc.StringValue()))
 			}
-			seen[p] = true
-			first = append(first, p)
-		}
-		if strings.Join(first, "") != strings.Join(want, "") {
-			t.Fatalf("first deliveries %v, queue holds %v", first, want)
-		}
-		if dups > consumeBatchCap {
-			t.Fatalf("%d duplicates after one crash, cap is %d", dups, consumeBatchCap)
-		}
-		if !crashed && dups != 0 {
-			t.Fatalf("%d duplicates without a crash", dups)
-		}
-		return from, c.fs.Ops()
-	}
-	from, to := run(t, 0)
-	sites := sweepSites(t, from, to, 12)
-	t.Logf("crashing at %d of %d disk sites", len(sites), to-from)
-	for _, k := range sites {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
-	}
+			if !r.crashed && len(want) != n {
+				t.Fatalf("queue holds %d messages without a crash, want %d", len(want), n)
+			}
+			r.checkDeliveries(t, want)
+		},
+	})
 }
 
 // --- the real socket path ----------------------------------------------------

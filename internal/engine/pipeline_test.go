@@ -262,54 +262,45 @@ create rule bad for in errorqueue errs
 // or processed with exactly one: the message is never consumed without the
 // error the application compensates on (Sec. 3.6).
 func TestRuleErrorSurvivesCrash(t *testing.T) {
-	run := func(t *testing.T, k int) (from, to int) {
-		net := gateway.NewNetwork(1)
-		defer net.Close()
-		c := newCrashNode(t, failingApp, nil, net)
-		c.open()
-		defer func() { c.eng.Stop() }()
-		if _, err := c.eng.EnqueueXML("in", `<m/>`, nil); err != nil {
-			t.Fatal(err)
-		}
-		from = c.fs.Ops()
-		if k > 0 {
-			c.fs.CrashAt(k)
-		}
-		c.onReboot = func() {
-			in, _ := c.eng.MessageStore().Messages("in")
-			errs, _ := c.eng.MessageStore().Messages("errs")
-			if len(in) != 1 {
-				t.Fatalf("acknowledged input lost: in holds %d messages", len(in))
+	faultinject.Sweep(t, faultinject.Scenario[*crashNode]{
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *crashNode {
+			c := newCrashNode(t, fs, failingApp, nil, fn).boot()
+			if _, err := c.eng.EnqueueXML("in", `<m/>`, nil); err != nil {
+				t.Fatal(err)
 			}
-			if want := map[bool]int{false: 0, true: 1}[in[0].Processed]; len(errs) != want {
-				t.Fatalf("recovered: input processed=%v with %d error messages, want %d",
-					in[0].Processed, len(errs), want)
+			c.onReboot = func() {
+				in, _ := c.eng.MessageStore().Messages("in")
+				errs, _ := c.eng.MessageStore().Messages("errs")
+				if len(in) != 1 {
+					t.Fatalf("acknowledged input lost: in holds %d messages", len(in))
+				}
+				if want := map[bool]int{false: 0, true: 1}[in[0].Processed]; len(errs) != want {
+					t.Fatalf("recovered: input processed=%v with %d error messages, want %d",
+						in[0].Processed, len(errs), want)
+				}
 			}
-		}
-		c.eng.Start()
-		c.settle()
-		ms := c.eng.MessageStore()
-		if err := ms.VerifyIntegrity(); err != nil {
-			t.Fatalf("integrity: %v", err)
-		}
-		checkAllProcessed(t, c.eng, "in", 1)
-		errs, _ := ms.QueueDocs("errs")
-		if len(errs) != 1 || childElement(errs[0].Root(), "rule").StringValue() != "bad" {
-			t.Fatalf("want exactly one error message of rule bad, have %d", len(errs))
-		}
-		if out, _ := ms.Messages("out"); len(out) != 0 {
-			t.Fatalf("failed rule produced %d messages", len(out))
-		}
-		return from, c.fs.Ops()
-	}
-	from, to := run(t, 0)
-	if to == from {
-		t.Fatal("op enumeration empty")
-	}
-	for _, k := range sweepSites(t, from, to, 0) {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
-	}
+			return c
+		},
+		Run: func(_ testing.TB, c *crashNode) error {
+			c.eng.Start()
+			c.settle()
+			return nil
+		},
+		Check: func(t testing.TB, c *crashNode) {
+			ms := c.eng.MessageStore()
+			if err := ms.VerifyIntegrity(); err != nil {
+				t.Fatalf("integrity: %v", err)
+			}
+			checkAllProcessed(t, c.eng, "in", 1)
+			errs, _ := ms.QueueDocs("errs")
+			if len(errs) != 1 || childElement(errs[0].Root(), "rule").StringValue() != "bad" {
+				t.Fatalf("want exactly one error message of rule bad, have %d", len(errs))
+			}
+			if out, _ := ms.Messages("out"); len(out) != 0 {
+				t.Fatalf("failed rule produced %d messages", len(out))
+			}
+		},
+	})
 }
 
 // --- the procurement pipeline under crashes and a dying log ------------------
@@ -349,14 +340,12 @@ type pipelineNode struct {
 	rec *recorder
 }
 
-func newPipelineNode(t *testing.T, workers int) *pipelineNode {
-	fn := faultinject.NewFaultNet(1)
-	t.Cleanup(fn.Close)
+func newPipelineNode(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet, workers int) *pipelineNode {
 	rec := &recorder{}
 	if _, err := fn.Subscribe(senderDest, rec.handle); err != nil {
 		t.Fatal(err)
 	}
-	c := newCrashNode(t, qdl.ProcurementApp+procurementTap, senderFiles, fn)
+	c := newCrashNode(t, fs, qdl.ProcurementApp+procurementTap, senderFiles, fn)
 	c.cfg.Workers = workers
 	// The torture store's 16 buffer pages make a worker flush the log itself,
 	// for every dirty page it evicts; with 32 the application's working set
@@ -446,44 +435,46 @@ func (p *pipelineNode) checkConverged(n int) {
 // offer or refusal.
 func TestPipelinedCommitCrashSweep(t *testing.T) {
 	const n = 16
-	run := func(t *testing.T, k int) (from, to int, st Stats) {
-		p := newPipelineNode(t, 2)
-		p.open()
-		defer func() { p.eng.Stop() }()
-		for i := 0; i < n; i++ {
-			xml, _ := procurementRequest(i)
-			if _, err := p.eng.EnqueueXML("crm", xml, nil); err != nil {
-				t.Fatal(err)
+	type run struct {
+		*pipelineNode
+		st Stats // the counters of a run that did not crash
+	}
+	faultinject.Sweep(t, faultinject.Scenario[*run]{
+		Short: 16,
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *run {
+			p := newPipelineNode(t, fs, fn, 2)
+			p.boot()
+			for i := 0; i < n; i++ {
+				xml, _ := procurementRequest(i)
+				if _, err := p.eng.EnqueueXML("crm", xml, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		from = p.fs.Ops()
-		if k > 0 {
-			p.fs.CrashAt(k)
-		}
-		p.onReboot = func() { p.checkSentIsStored(fmt.Sprintf("after the crash at op %d", k)) }
-		p.eng.Start()
-		crashed := p.settle()
-		if !crashed {
-			st = p.eng.Stats()
-		}
-		p.checkSentIsStored("at the end")
-		p.checkConverged(n)
-		return from, p.fs.Ops(), st
-	}
-	from, to, st := run(t, 0)
-	// The probe: the sweep is only worth its name if the workers really were
-	// ahead of the log at its crash sites.
-	if st.DurabilityWaits == 0 || st.PipelinedCommits < 2*st.DurabilityWaits {
-		t.Fatalf("workers did not run ahead of the log: %d pipelined commits in %d durability waits",
-			st.PipelinedCommits, st.DurabilityWaits)
-	}
-	sites := sweepSites(t, from, to, 16)
-	t.Logf("crashing at %d of %d disk sites; fault-free: %d pipelined commits in %d durability waits",
-		len(sites), to-from, st.PipelinedCommits, st.DurabilityWaits)
-	for _, k := range sites {
-		k := k
-		t.Run(fmt.Sprintf("disk-op-%d", k), func(t *testing.T) { run(t, k) })
-	}
+			p.onReboot = func() { p.checkSentIsStored("after the crash") }
+			return &run{pipelineNode: p}
+		},
+		Run: func(_ testing.TB, r *run) error {
+			r.eng.Start()
+			if !r.settle() {
+				r.st = r.eng.Stats()
+			}
+			return nil
+		},
+		// The sweep is only worth its name if the workers really were ahead
+		// of the log at its crash sites.
+		Probe: func(t testing.TB, r *run, window []faultinject.FaultPoint) {
+			if r.st.DurabilityWaits == 0 || r.st.PipelinedCommits < 2*r.st.DurabilityWaits {
+				t.Fatalf("workers did not run ahead of the log: %d pipelined commits in %d durability waits",
+					r.st.PipelinedCommits, r.st.DurabilityWaits)
+			}
+			t.Logf("%d disk sites; fault-free: %d pipelined commits in %d durability waits",
+				len(window), r.st.PipelinedCommits, r.st.DurabilityWaits)
+		},
+		Check: func(_ testing.TB, r *run) {
+			r.checkSentIsStored("at the end")
+			r.checkConverged(n)
+		},
+	})
 }
 
 // TestPipelinedCommitWALFailure lets the log device die under the running
@@ -492,7 +483,9 @@ func TestPipelinedCommitCrashSweep(t *testing.T) {
 // the reference result.
 func TestPipelinedCommitWALFailure(t *testing.T) {
 	const n = 24
-	p := newPipelineNode(t, 2)
+	fn := faultinject.NewFaultNet(1)
+	defer fn.Close()
+	p := newPipelineNode(t, faultinject.NewFaultFS(7), fn, 2)
 	p.open()
 	for i := 0; i < n; i++ {
 		xml, _ := procurementRequest(i)

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"demaq/internal/gateway"
+	"demaq/internal/faultinject"
 	"demaq/internal/msgstore"
 	"demaq/internal/xdm"
 )
@@ -35,7 +34,7 @@ func echoProcessed(e *Engine) bool {
 // checkEchoFailed asserts that the one echo message was consumed with
 // exactly one error message, which names the failure and embeds the echo,
 // and that nothing reached the target queue.
-func checkEchoFailed(t *testing.T, ms *msgstore.Store, cause string) {
+func checkEchoFailed(t testing.TB, ms *msgstore.Store, cause string) {
 	t.Helper()
 	echoes, _ := ms.Messages("echoes")
 	if len(echoes) != 1 || !echoes[0].Processed {
@@ -100,53 +99,41 @@ func TestMisdirectedEchoConsumedWithError(t *testing.T) {
 func TestMisdirectedEchoSurvivesCrash(t *testing.T) {
 	for _, echo := range misdirectedEchoes {
 		t.Run(echo.name, func(t *testing.T) {
-			run := func(t *testing.T, k int, tear bool) (from, to int) {
-				net := gateway.NewNetwork(1)
-				defer net.Close()
-				c := newCrashNode(t, echoApp, nil, net)
-				c.open()
-				defer func() { c.eng.Stop() }()
-				if err := enqueueEcho(c.eng, echo.payload, echo.target); err != nil {
-					t.Fatal(err)
-				}
-				from = c.fs.Ops()
-				switch {
-				case k > 0 && tear:
-					c.fs.TearAt(k)
-				case k > 0:
-					c.fs.CrashAt(k)
-				}
-				c.onReboot = func() {
+			faultinject.Sweep(t, faultinject.Scenario[*crashNode]{
+				Short: 8, Fault: faultinject.CrashAndTear,
+				Setup: func(t testing.TB, fs *faultinject.FaultFS, fn *faultinject.FaultNet) *crashNode {
+					c := newCrashNode(t, fs, echoApp, nil, fn).boot()
+					if err := enqueueEcho(c.eng, echo.payload, echo.target); err != nil {
+						t.Fatal(err)
+					}
+					c.onReboot = func() {
+						ms := c.eng.MessageStore()
+						echoes, _ := ms.Messages("echoes")
+						errs, _ := ms.Messages("errs")
+						if len(echoes) != 1 {
+							t.Fatalf("acknowledged echo lost: the echo queue holds %d messages", len(echoes))
+						}
+						if want := map[bool]int{false: 0, true: 1}[echoes[0].Processed]; len(errs) != want {
+							t.Fatalf("recovered: echo processed=%v with %d error messages, want %d",
+								echoes[0].Processed, len(errs), want)
+						}
+					}
+					c.settled = func() bool { return echoProcessed(c.eng) }
+					return c
+				},
+				Run: func(_ testing.TB, c *crashNode) error {
+					c.eng.Start()
+					c.settle()
+					return nil
+				},
+				Check: func(t testing.TB, c *crashNode) {
 					ms := c.eng.MessageStore()
-					echoes, _ := ms.Messages("echoes")
-					errs, _ := ms.Messages("errs")
-					if len(echoes) != 1 {
-						t.Fatalf("acknowledged echo lost: the echo queue holds %d messages", len(echoes))
+					if err := ms.VerifyIntegrity(); err != nil {
+						t.Fatalf("integrity: %v", err)
 					}
-					if want := map[bool]int{false: 0, true: 1}[echoes[0].Processed]; len(errs) != want {
-						t.Fatalf("recovered: echo processed=%v with %d error messages, want %d",
-							echoes[0].Processed, len(errs), want)
-					}
-				}
-				c.settled = func() bool { return echoProcessed(c.eng) }
-				c.eng.Start()
-				c.settle()
-				ms := c.eng.MessageStore()
-				if err := ms.VerifyIntegrity(); err != nil {
-					t.Fatalf("integrity: %v", err)
-				}
-				checkEchoFailed(t, ms, echo.cause)
-				return from, c.fs.Ops()
-			}
-			from, to := run(t, 0, false)
-			if to == from {
-				t.Fatal("op enumeration empty")
-			}
-			for _, k := range sweepSites(t, from, to, 8) {
-				k := k
-				t.Run(fmt.Sprintf("crash-disk-op-%d", k), func(t *testing.T) { run(t, k, false) })
-				t.Run(fmt.Sprintf("tear-disk-op-%d", k), func(t *testing.T) { run(t, k, true) })
-			}
+					checkEchoFailed(t, ms, echo.cause)
+				},
+			})
 		})
 	}
 }

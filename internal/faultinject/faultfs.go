@@ -10,18 +10,21 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"demaq/internal/vfs"
 )
 
 // FaultFS is a deterministic in-memory VFS for crash and I/O fault
-// injection. Every mutation (WriteAt, Sync, Truncate) across all files is a
-// numbered operation; the numbering, together with a seed, makes every
-// failure replayable: the k-th operation of an identical workload is always
-// the same byte range of the same file.
+// injection. Every mutation (WriteAt, Sync, Truncate, Remove) across all
+// files is a numbered operation of a file class; the numbering, together
+// with a seed, makes every failure replayable: the k-th operation of an
+// identical workload is always the same byte range of the same file, and
+// so is the n-th write (sync, ...) of a class counted from a fixed point.
 //
 // Durability model: each file keeps a durable image (what survives a crash)
 // and a current image (what the OS page cache would show). Writes land in
@@ -36,8 +39,7 @@ import (
 // Fault schedules:
 //
 //	CrashAt(k)          — crash when mutation op k executes
-//	TearAt(k)           — crash at op k, which persists as a torn write
-//	TearAtPrefix(k, n)  — crash at op k, which persists its first n bytes
+//	Sweep's sites       — crash, or tear a write, at the n-th op of a kind and class
 //	TransientEvery(k)   — every k-th mutation fails once with vfs.ErrTransientIO
 //	FailWritesAfter(k)  — from op k on, all mutations fail with vfs.ErrDiskFailure
 //	SetWriteBudget(n)   — after n more written bytes, writes fail vfs.ErrDiskFull
@@ -50,8 +52,11 @@ type FaultFS struct {
 	trace []FaultPoint
 
 	crashAt   int  // crash when op counter reaches this value; 0 = disarmed
-	tear      bool // a write that crashes persists a prefix (TearAt)
+	site      Site // crash at this site; N == 0 = disarmed
+	siteOps   int  // operations of the site's kind and class since it was armed
+	tear      bool // a write that crashes persists a prefix
 	tearKeep  int  // that prefix's length; < 0 = half the write
+	fired     FaultPoint
 	crashed   bool
 	transient int   // every n-th op fails transiently; 0 = disarmed
 	permAt    int   // ops >= permAt fail permanently; 0 = disarmed
@@ -59,18 +64,56 @@ type FaultFS struct {
 	budget    int64 // remaining write bytes; < 0 = unlimited
 }
 
-// FaultPoint records one mutation operation: its global number, the file,
-// the kind of operation, and the byte range it covered.
+// FaultPoint records one mutation operation: its global number, the file
+// and its class, the kind of operation, and the byte range it covered.
 type FaultPoint struct {
-	N    int
-	Path string
-	Op   string // "write", "sync", "truncate", "remove"
-	Off  int64
-	Len  int
+	N     int
+	Path  string
+	Class string // the file's class: wal, data, header, ...
+	Op    string // "write", "sync", "truncate", "remove"
+	Off   int64
+	Len   int
 }
 
 func (p FaultPoint) String() string {
 	return fmt.Sprintf("#%d %s %s off=%d len=%d", p.N, p.Op, p.Path, p.Off, p.Len)
+}
+
+// Site names a mutation operation by what it does rather than by its
+// global number: the N-th operation of kind Op on a file of class Class,
+// counted from the moment the site is armed. Concurrent work that moves
+// the global numbering leaves a site's name where it was.
+type Site struct {
+	Op    string
+	Class string
+	N     int
+}
+
+// String is the site's name, such as sync-wal-3 or write-data-12.
+func (s Site) String() string { return fmt.Sprintf("%s-%s-%d", s.Op, s.Class, s.N) }
+
+// headerBytes is the store's page size: a write that starts in a file's
+// first page and does not extend the file rewrites its header.
+const headerBytes = 8192
+
+// fileClass is the class of a file's operations: its base name with the
+// digits stripped, up to the first dot (wal.000003.log is wal). A header
+// rewrite is of class header.
+func fileClass(path string, headerWrite bool) string {
+	if headerWrite {
+		return "header"
+	}
+	class, _, _ := strings.Cut(stripDigits(filepath.Base(path)), ".")
+	return class
+}
+
+func stripDigits(s string) string {
+	return strings.Map(func(r rune) rune {
+		if r >= '0' && r <= '9' {
+			return -1
+		}
+		return r
+	}, s)
 }
 
 type faultData struct {
@@ -135,7 +178,7 @@ func (fs *FaultFS) Remove(path string) error {
 		}
 		return fmt.Errorf("faultfs: remove %s: no such file", path)
 	}
-	fail, crash := fs.checkFaults(path, "remove", 0, 0)
+	fail, crash := fs.checkFaults(path, fileClass(path, false), "remove", 0, 0)
 	if crash {
 		fs.crashNow(path, &pendingOp{isRemove: true})
 		return vfs.ErrCrashed
@@ -179,20 +222,24 @@ func (fs *FaultFS) CrashAt(n int) {
 	fs.mu.Unlock()
 }
 
-// TearAt arms a crash at mutation operation n, like CrashAt, and if that
-// operation is a write it persists as a torn write whatever the seed: its
-// first half reaches the durable image after the pending operations are
-// resolved. Passing 0 disarms.
-func (fs *FaultFS) TearAt(n int) { fs.TearAtPrefix(n, -1) }
-
-// TearAtPrefix is TearAt with the torn prefix chosen: the first keep bytes
-// of the write (all of it if it is shorter; half of it for a negative keep)
-// reach the durable image. Sweeping keep over a log write crashes a commit
-// at every record boundary inside it.
-func (fs *FaultFS) TearAtPrefix(n, keep int) {
+// armSite arms a crash at site s, counted from now, and reseeds the
+// resolution of the operations the crash finds pending. With tear, a write
+// crashed in persists its first keep bytes whatever the seed (all of it if
+// it is shorter; half of it for a negative keep): sweeping keep over a log
+// write crashes a commit at every record boundary inside it.
+func (fs *FaultFS) armSite(s Site, seed int64, tear bool, keep int) {
 	fs.mu.Lock()
-	fs.crashAt, fs.tear, fs.tearKeep = n, n > 0, keep
-	fs.mu.Unlock()
+	defer fs.mu.Unlock()
+	fs.rng = rand.New(rand.NewSource(seed))
+	fs.site, fs.siteOps, fs.tear, fs.tearKeep, fs.fired = s, 0, tear, keep, FaultPoint{}
+}
+
+// firedAt returns the operation an armed crash fired at, if one has since
+// the site was armed; a crash from CrashNow has no operation.
+func (fs *FaultFS) firedAt() (FaultPoint, bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.fired, fs.fired.N != 0
 }
 
 // TransientEvery makes every n-th mutation fail once with vfs.ErrTransientIO
@@ -225,6 +272,7 @@ func (fs *FaultFS) ClearFault() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.crashAt = 0
+	fs.site = Site{}
 	fs.tear = false
 	fs.transient = 0
 	fs.permAt = 0
@@ -320,7 +368,7 @@ func (fs *FaultFS) CutDurable(path string, n int) {
 // Called with fs.mu held. Returns a non-nil error when the op must fail;
 // crash=true when the caller's own operation is the crash victim (the
 // caller then invokes crashNow with its pending op).
-func (fs *FaultFS) checkFaults(path, op string, off int64, n int) (fail error, crash bool) {
+func (fs *FaultFS) checkFaults(path, class, op string, off int64, n int) (fail error, crash bool) {
 	if fs.crashed {
 		return vfs.ErrCrashed, false
 	}
@@ -328,7 +376,8 @@ func (fs *FaultFS) checkFaults(path, op string, off int64, n int) (fail error, c
 		return vfs.ErrDiskFailure, false
 	}
 	fs.nOps++
-	fs.trace = append(fs.trace, FaultPoint{N: fs.nOps, Path: path, Op: op, Off: off, Len: n})
+	point := FaultPoint{N: fs.nOps, Path: path, Class: class, Op: op, Off: off, Len: n}
+	fs.trace = append(fs.trace, point)
 	if fs.permAt > 0 && fs.nOps >= fs.permAt {
 		fs.permanent = true
 		return vfs.ErrDiskFailure, false
@@ -342,7 +391,15 @@ func (fs *FaultFS) checkFaults(path, op string, off int64, n int) (fail error, c
 		}
 		fs.budget -= int64(n)
 	}
+	if fs.site.N > 0 && op == fs.site.Op && class == fs.site.Class {
+		fs.siteOps++
+		if fs.siteOps == fs.site.N {
+			fs.fired = point
+			return vfs.ErrCrashed, true
+		}
+	}
 	if fs.crashAt > 0 && fs.nOps >= fs.crashAt {
+		fs.fired = point
 		return vfs.ErrCrashed, true
 	}
 	return nil, false
@@ -448,7 +505,7 @@ func (h *faultHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *faultHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	fail, crash := h.fs.checkFaults(h.path, "write", off, len(p))
+	fail, crash := h.fs.checkFaults(h.path, fileClass(h.path, off < headerBytes && off+int64(len(p)) <= int64(len(h.d.current))), "write", off, len(p))
 	if crash {
 		if h.fs.tear {
 			keep := h.fs.tearKeep
@@ -473,7 +530,7 @@ func (h *faultHandle) WriteAt(p []byte, off int64) (int, error) {
 func (h *faultHandle) Sync() error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	fail, crash := h.fs.checkFaults(h.path, "sync", 0, 0)
+	fail, crash := h.fs.checkFaults(h.path, fileClass(h.path, false), "sync", 0, 0)
 	if crash {
 		// The crash interrupts the fsync: pending writes resolve randomly,
 		// they are NOT promoted to durable.
@@ -494,7 +551,7 @@ func (h *faultHandle) Sync() error {
 func (h *faultHandle) Truncate(size int64) error {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
-	fail, crash := h.fs.checkFaults(h.path, "truncate", size, 0)
+	fail, crash := h.fs.checkFaults(h.path, fileClass(h.path, false), "truncate", size, 0)
 	if crash {
 		h.fs.crashNow(h.path, &pendingOp{isTrunc: true, size: size})
 		return vfs.ErrCrashed

@@ -146,7 +146,7 @@ func TestFaultFSCrashAt(t *testing.T) {
 	}
 }
 
-// TestFaultFSTearAtPrefix: a write torn at op n persists exactly its
+// TestFaultFSTearAtPrefix: a write torn at a site persists exactly its
 // chosen prefix over the durable image; a negative keep persists half.
 func TestFaultFSTearAtPrefix(t *testing.T) {
 	const base, write = "0123456789", "abcdef"
@@ -154,11 +154,8 @@ func TestFaultFSTearAtPrefix(t *testing.T) {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
 			fs := NewFaultFS(1)
 			f := syncedBase(t, fs, "d/a")
-			if keep < 0 {
-				fs.TearAt(3)
-			} else {
-				fs.TearAtPrefix(3, keep)
-			}
+			// A write inside the file's first page rewrites its header.
+			fs.armSite(Site{Op: "write", Class: "header", N: 1}, 1, true, keep)
 			if _, err := f.WriteAt([]byte(write), 2); !errors.Is(err, vfs.ErrCrashed) {
 				t.Fatalf("torn write = %v, want ErrCrashed", err)
 			}

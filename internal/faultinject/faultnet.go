@@ -45,13 +45,11 @@ type FaultNet struct {
 	dropRate    float64
 	dupRate     float64
 	reorderRate float64
-	dropAt      map[int]bool
 	held        []netDelivery // reorder buffer, flushed after later sends
 
 	hook func(NetOp) // crash-site injection; called outside fn.mu
 
-	delivered, dropped uint64
-	closed             bool
+	closed bool
 }
 
 // NetOp records one numbered send operation and its resolved fate.
@@ -78,7 +76,6 @@ func NewFaultNet(seed int64) *FaultNet {
 		rng:       rand.New(rand.NewSource(seed)),
 		endpoints: map[string]gateway.Handler{},
 		down:      map[string]bool{},
-		dropAt:    map[int]bool{},
 	}
 }
 
@@ -104,14 +101,6 @@ func (fn *FaultNet) SetDupRate(p float64) {
 func (fn *FaultNet) SetReorderRate(p float64) {
 	fn.mu.Lock()
 	fn.reorderRate = p
-	fn.mu.Unlock()
-}
-
-// DropAt drops exactly the numbered operation — targeted single-op loss for
-// regression tests.
-func (fn *FaultNet) DropAt(n int) {
-	fn.mu.Lock()
-	fn.dropAt[n] = true
 	fn.mu.Unlock()
 }
 
@@ -169,13 +158,6 @@ func (fn *FaultNet) Trace() []NetOp {
 	return append([]NetOp(nil), fn.trace...)
 }
 
-// Stats returns (delivered, dropped) counters.
-func (fn *FaultNet) Stats() (delivered, dropped uint64) {
-	fn.mu.Lock()
-	defer fn.mu.Unlock()
-	return fn.delivered, fn.dropped
-}
-
 // Close stops the network; subsequent sends fail.
 func (fn *FaultNet) Close() {
 	fn.mu.Lock()
@@ -230,19 +212,12 @@ func (fn *FaultNet) Send(dest string, payload []byte, props map[string]string) e
 	switch {
 	case cut:
 		op.Fate = "partitioned"
-		fn.dropped++
 	case !subscribed:
 		// The endpoint is gone (node down or rebooting): the transfer
 		// vanishes and the sender's reliable layer retransmits later.
 		op.Fate = "void"
-		fn.dropped++
-	case fn.dropAt[op.N]:
-		op.Fate = "drop"
-		delete(fn.dropAt, op.N)
-		fn.dropped++
 	case fn.dropRate > 0 && fn.rng.Float64() < fn.dropRate:
 		op.Fate = "drop"
-		fn.dropped++
 	case fn.dupRate > 0 && fn.rng.Float64() < fn.dupRate:
 		op.Fate = "dup"
 		copies = 2
@@ -281,19 +256,13 @@ func (fn *FaultNet) Send(dest string, payload []byte, props map[string]string) e
 	if hook != nil {
 		hook(op)
 	}
+	// A handler's error is the receiver refusing the transfer: it is lost,
+	// as on the wire, and the sender's reliable layer retransmits.
 	for i := 0; i < copies; i++ {
-		if err := h(p, pr); err == nil {
-			fn.mu.Lock()
-			fn.delivered++
-			fn.mu.Unlock()
-		}
+		_ = h(p, pr)
 	}
 	for _, d := range flush {
-		if err := d.h(d.payload, d.props); err == nil {
-			fn.mu.Lock()
-			fn.delivered++
-			fn.mu.Unlock()
-		}
+		_ = d.h(d.payload, d.props)
 	}
 	return nil
 }

@@ -74,8 +74,8 @@ func TestFaultNetDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultNetFates: targeted single-op drop, duplication delivering twice,
-// and a held transfer arriving after the send that follows it.
+// TestFaultNetFates: a held transfer arrives after the send that follows
+// it.
 func TestFaultNetFates(t *testing.T) {
 	fn := NewFaultNet(1)
 	var got []string
@@ -85,17 +85,7 @@ func TestFaultNetFates(t *testing.T) {
 	})
 	defer unsub()
 
-	fn.DropAt(2)
-	fn.Send("fnet://b/in", []byte("a"), nil)
-	fn.Send("fnet://b/in", []byte("lost"), nil)
-	fn.Send("fnet://b/in", []byte("b"), nil)
-	want := []string{"a", "b"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("after targeted drop: %v, want %v", got, want)
-	}
-
 	// Force a hold, then a normal send: held transfer arrives second.
-	got = nil
 	fn.SetReorderRate(1)
 	fn.Send("fnet://b/in", []byte("first"), nil)
 	fn.SetReorderRate(0)

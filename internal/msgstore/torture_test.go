@@ -312,141 +312,96 @@ const tortureIters = 40
 // advancing the log head trips it immediately.
 const tortureReplayBound = 700
 
-// TestTortureNoFaults is the baseline: the workload with no faults armed
-// must pass its own checker, and must generate enough distinct crash
-// points across all five site categories for the sweep to be meaningful.
-func TestTortureNoFaults(t *testing.T) {
-	fs := faultinject.NewFaultFS(1)
-	ms, err := Open(tortureDir, tortureOptions(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl := newModel()
-	if err := runTortureWorkload(ms, mdl, tortureIters); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.Close(); err != nil {
-		t.Fatal(err)
-	}
-	trace := fs.Trace()
-	if len(trace) < 50 {
-		t.Fatalf("workload produced only %d crash points, want >= 50", len(trace))
-	}
-	cats := map[string]int{}
-	wal := func(p string) bool {
-		return strings.HasSuffix(p, ".log") && strings.Contains(p, "wal.")
-	}
-	for _, p := range trace {
-		switch {
-		case wal(p.Path) && p.Op == "write":
-			cats["wal-append"]++ // includes the header write of each new segment
-		case wal(p.Path) && p.Op == "sync":
-			cats["group-commit-fsync"]++ // includes segment seals and redo publishes
-		case wal(p.Path) && p.Op == "remove":
-			cats["segment-recycle"]++ // checkpoint head advance deletes dead segments
-		case strings.HasSuffix(p.Path, "data.db") && p.Op == "write" && p.Off < store.PageSize:
-			cats["header-rewrite"]++
-		case strings.HasSuffix(p.Path, "data.db") && p.Op == "write":
-			cats["page-writeback"]++
-		case strings.HasSuffix(p.Path, "data.db") && p.Op == "sync":
-			cats["checkpoint-sync"]++
-		}
-	}
-	for _, want := range []string{"wal-append", "group-commit-fsync", "segment-recycle", "header-rewrite", "page-writeback", "checkpoint-sync"} {
-		if cats[want] == 0 {
-			t.Errorf("no crash points in category %s (have %v)", want, cats)
-		}
-	}
-	t.Logf("crash points: %d total, %v", len(trace), cats)
-
-	// Reopen and re-verify: clean shutdown state passes the checker too.
-	ms2, err := Open(tortureDir, tortureOptions(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms2.Close()
-	if err := checkRecovered(ms2, mdl); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTortureCrashSweep reruns the workload once per mutation operation,
 // crashing exactly there, and verifies recovery invariants each time.
 // Under -short a stride samples ~30 points; the full sweep covers all.
+// Each site crashes the recovering open that follows it too, at an
+// operation its name samples, before the reopen the checks run on. The
+// fault-free probe must pass the checker too, and cross every kind of
+// crash point.
 func TestTortureCrashSweep(t *testing.T) {
-	// First pass: enumerate.
-	fs := faultinject.NewFaultFS(1)
-	ms, err := Open(tortureDir, tortureOptions(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runTortureWorkload(ms, newModel(), tortureIters); err != nil {
-		t.Fatal(err)
-	}
-	ms.Close()
-	total := fs.Ops()
-
-	stride := 1
-	if testing.Short() {
-		stride = total/30 + 1
-	}
-	for k := 1; k <= total; k += stride {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-%03d", k), func(t *testing.T) {
-			fs := faultinject.NewFaultFS(int64(42 + k))
-			fs.CrashAt(k)
-			mdl := newModel()
-			ms, err := Open(tortureDir, tortureOptions(fs))
-			if err == nil {
-				err = runTortureWorkload(ms, mdl, tortureIters)
-				if err == nil {
-					// The tail crash points live in Close's final checkpoint.
-					err = ms.Close()
-				}
-				if err != nil {
-					ms.PageStore().CrashForTest() // release resources; the FaultFS keeps the disk state
-				}
+	faultinject.Sweep(t, faultinject.Scenario[*tortureRun]{
+		Short: 30, Exact: true, MinSites: 50,
+		Setup: func(_ testing.TB, fs *faultinject.FaultFS, _ *faultinject.FaultNet) *tortureRun {
+			return &tortureRun{fs: fs, mdl: newModel()}
+		},
+		Run: func(_ testing.TB, r *tortureRun) error {
+			ms, err := Open(tortureDir, tortureOptions(r.fs))
+			if err != nil {
+				return err
 			}
-			if !fs.Crashed() {
-				if err == nil {
-					t.Fatalf("workload finished without hitting crash point %d", k)
-				}
-				t.Fatalf("error before the crash point: %v", err)
+			err = runTortureWorkload(ms, r.mdl, tortureIters)
+			if err == nil {
+				// The tail crash points live in Close's final checkpoint.
+				err = ms.Close()
+			}
+			if err != nil {
+				ms.PageStore().CrashForTest() // release resources; the FaultFS keeps the disk state
 			}
 			// err may be nil even though the crash fired: segment-recycle
 			// removes tolerate failure (a stale segment is re-deleted at the
 			// next open), so a crash landing on one lets the run complete.
-
-			fs.ClearFault()
-			ms2, err := Open(tortureDir, tortureOptions(fs))
+			return err
+		},
+		// Log appends (segment headers too), group-commit syncs (segment
+		// seals and redo publishes too), segment recycling, header rewrites,
+		// page write-backs and checkpoint syncs.
+		Probe: func(t testing.TB, _ *tortureRun, window []faultinject.FaultPoint) {
+			kinds := map[string]int{}
+			for _, p := range window {
+				kinds[p.Op+"-"+p.Class]++
+			}
+			for _, want := range []string{"write-wal", "sync-wal", "remove-wal", "write-header", "write-data", "sync-data"} {
+				if kinds[want] == 0 {
+					t.Errorf("no crash points of kind %s (have %v)", want, kinds)
+				}
+			}
+			t.Logf("crash points: %d total, %v", len(window), kinds)
+		},
+		Reboot: func(_ testing.TB, fs *faultinject.FaultFS) error {
+			ms, err := Open(tortureDir, tortureOptions(fs))
+			if err == nil {
+				ms.PageStore().CrashForTest()
+			}
+			return err
+		},
+		Check: func(t testing.TB, r *tortureRun) {
+			ms2, err := Open(tortureDir, tortureOptions(r.fs))
 			if err != nil {
-				t.Fatalf("reopen after crash at %d: %v", k, err)
+				t.Fatalf("reopen: %v", err)
 			}
 			defer ms2.Close()
-			if err := checkRecovered(ms2, mdl); err != nil {
-				t.Fatalf("invariant violation after crash at %d: %v", k, err)
+			if err := checkRecovered(ms2, r.mdl); err != nil {
+				t.Fatalf("invariant violation: %v", err)
 			}
 			// Bounded recovery: replay covers at most the records since the
 			// last complete checkpoint (the workload checkpoints every 11th
 			// iteration), never the whole history back to the log start.
 			if replayed := ms2.PageStore().Stats().RecoveryRecordsReplayed; replayed > tortureReplayBound {
-				t.Fatalf("crash at %d: recovery replayed %d records, bound %d — checkpoint head advance is not holding", k, replayed, tortureReplayBound)
+				t.Fatalf("recovery replayed %d records, bound %d — checkpoint head advance is not holding", replayed, tortureReplayBound)
 			}
 
 			// Recovery is idempotent: a second crashless reopen agrees.
 			if err := ms2.Close(); err != nil {
 				t.Fatalf("close after recovery: %v", err)
 			}
-			ms3, err := Open(tortureDir, tortureOptions(fs))
+			ms3, err := Open(tortureDir, tortureOptions(r.fs))
 			if err != nil {
 				t.Fatalf("second reopen: %v", err)
 			}
 			defer ms3.Close()
-			if err := checkRecovered(ms3, mdl); err != nil {
+			if err := checkRecovered(ms3, r.mdl); err != nil {
 				t.Fatalf("post-recovery reopen violation: %v", err)
 			}
-		})
-	}
+		},
+	})
+}
+
+// tortureRun is the sweep's state: the disk and the model of what the
+// workload committed on it.
+type tortureRun struct {
+	fs  *faultinject.FaultFS
+	mdl *model
 }
 
 // TestTortureTransientAbsorbed injects a transient I/O error on every 13th

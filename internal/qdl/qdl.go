@@ -115,22 +115,24 @@ func Parse(src string) (*Application, error) {
 			}
 			continue
 		}
+		create := p.Peek().Pos
 		if err := p.ExpectName("create"); err != nil {
 			return nil, err
 		}
+		kindTok := p.Peek()
 		kind, err := p.QName()
 		if err != nil {
 			return nil, err
 		}
 		switch kind {
 		case "queue":
-			q, err := parseQueue(p)
+			q, err := parseQueue(p, create)
 			if err != nil {
 				return nil, err
 			}
 			app.Queues = append(app.Queues, q)
 		case "property":
-			pr, err := parseProperty(p)
+			pr, err := parseProperty(p, create)
 			if err != nil {
 				return nil, err
 			}
@@ -154,7 +156,7 @@ func Parse(src string) (*Application, error) {
 			}
 			app.Collections = append(app.Collections, &CollectionDecl{Name: name})
 		default:
-			return nil, fmt.Errorf("qdl: unknown statement 'create %s'", kind)
+			return nil, errAt(kindTok.Pos, "qdl: unknown statement 'create %s'", kind)
 		}
 		// Statement terminator.
 		switch p.Peek().Kind {
@@ -164,8 +166,8 @@ func Parse(src string) (*Application, error) {
 			}
 		case xpath.TokEOF:
 		default:
-			return nil, fmt.Errorf("qdl: expected ';' after statement, found %s %q at %s",
-				p.Peek().Kind, p.Peek().Text, p.Peek().Pos)
+			return nil, errAt(p.Peek().Pos, "qdl: expected ';' after statement, found %s %q",
+				p.Peek().Kind, p.Peek().Text)
 		}
 	}
 	return app, nil
@@ -180,19 +182,28 @@ func MustParse(src string) *Application {
 	return app
 }
 
-func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
+// errAt is a statement error at pos: the offending token, or the
+// statement's create when a clause is missing.
+func errAt(pos xpath.Pos, format string, args ...any) error {
+	return &xpath.SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// parseQueue parses the rest of the create queue statement at create.
+func parseQueue(p *xpath.Parser, create xpath.Pos) (*QueueDecl, error) {
 	name, err := p.QName()
 	if err != nil {
 		return nil, err
 	}
 	q := &QueueDecl{Name: name, Kind: KindBasic, Persistent: true}
 	seenKind, seenMode := false, false
+	var reliable *xpath.Pos // the WS-ReliableMessaging policy's name
 	for p.Peek().Kind == xpath.TokName {
 		switch p.Peek().Text {
 		case "kind":
 			if _, err := p.Advance(); err != nil {
 				return nil, err
 			}
+			at := p.Peek().Pos
 			k, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -201,13 +212,14 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			case KindBasic, KindIncomingGateway, KindOutgoingGateway, KindEcho:
 				q.Kind = QueueKind(k)
 			default:
-				return nil, fmt.Errorf("qdl: unknown queue kind %q", k)
+				return nil, errAt(at, "qdl: unknown queue kind %q", k)
 			}
 			seenKind = true
 		case "mode":
 			if _, err := p.Advance(); err != nil {
 				return nil, err
 			}
+			at := p.Peek().Pos
 			m, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -218,7 +230,7 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			case "transient":
 				q.Persistent = false
 			default:
-				return nil, fmt.Errorf("qdl: unknown queue mode %q", m)
+				return nil, errAt(at, "qdl: unknown queue mode %q", m)
 			}
 			seenMode = true
 		case "schema":
@@ -266,6 +278,7 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			if _, err := p.Advance(); err != nil {
 				return nil, err
 			}
+			at := p.Peek().Pos
 			pname, err := p.QName()
 			if err != nil {
 				return nil, err
@@ -276,6 +289,9 @@ func parseQueue(p *xpath.Parser) (*QueueDecl, error) {
 			pfile, err := nameOrString(p)
 			if err != nil {
 				return nil, err
+			}
+			if pname == "WS-ReliableMessaging" && reliable == nil {
+				reliable = &at
 			}
 			q.Policies = append(q.Policies, Policy{Name: pname, File: pfile})
 		case "errorqueue":
@@ -295,14 +311,10 @@ done:
 	if !seenKind || !seenMode {
 		// The paper's examples always state both; requiring them catches
 		// declaration typos early.
-		return nil, fmt.Errorf("qdl: queue %q requires 'kind' and 'mode'", q.Name)
+		return nil, errAt(create, "qdl: queue %q requires 'kind' and 'mode'", q.Name)
 	}
-	if (q.Kind == KindIncomingGateway || q.Kind == KindOutgoingGateway) && !q.Persistent {
-		for _, pol := range q.Policies {
-			if pol.Name == "WS-ReliableMessaging" {
-				return nil, fmt.Errorf("qdl: queue %q: reliable messaging requires a persistent queue", q.Name)
-			}
-		}
+	if (q.Kind == KindIncomingGateway || q.Kind == KindOutgoingGateway) && !q.Persistent && reliable != nil {
+		return nil, errAt(*reliable, "qdl: queue %q: reliable messaging requires a persistent queue", q.Name)
 	}
 	return q, nil
 }
@@ -317,7 +329,8 @@ func nameOrString(p *xpath.Parser) (string, error) {
 	return p.QName()
 }
 
-func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
+// parseProperty parses the rest of the create property statement at create.
+func parseProperty(p *xpath.Parser, create xpath.Pos) (*PropertyDecl, error) {
 	name, err := p.QName()
 	if err != nil {
 		return nil, err
@@ -325,13 +338,14 @@ func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
 	if err := p.ExpectName("as"); err != nil {
 		return nil, err
 	}
+	at := p.Peek().Pos
 	typeName, err := p.QName()
 	if err != nil {
 		return nil, err
 	}
 	typ, ok := xdm.TypeByName(typeName)
 	if !ok {
-		return nil, fmt.Errorf("qdl: unknown property type %q", typeName)
+		return nil, errAt(at, "qdl: unknown property type %q", typeName)
 	}
 	d := &PropertyDecl{Name: name, Type: typ, TypeName: typeName}
 	for p.Peek().Kind == xpath.TokName {
@@ -382,7 +396,7 @@ func parseProperty(p *xpath.Parser) (*PropertyDecl, error) {
 		d.Bindings = append(d.Bindings, PropBinding{Queues: queues, Value: normalizeBooleanName(expr)})
 	}
 	if len(d.Bindings) == 0 {
-		return nil, fmt.Errorf("qdl: property %q needs at least one 'queue ... value ...' binding", name)
+		return nil, errAt(create, "qdl: property %q needs at least one 'queue ... value ...' binding", name)
 	}
 	return d, nil
 }

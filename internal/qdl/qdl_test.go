@@ -133,21 +133,28 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseErrorsQDL(t *testing.T) {
-	bad := []string{
-		`create widget x;`,
-		`create queue q;`, // missing kind/mode
-		`create queue q kind basic;`,
-		`create queue q kind wrong mode persistent;`,
-		`create queue q kind basic mode sometimes;`,
-		`create property p as xs:string;`, // no bindings
-		`create property p as no:such queue q value 1;`,
-		`create slicing s;`,
-		`create rule r for q`, // missing body
-		`create queue a kind basic mode persistent create queue b kind basic mode persistent;`, // missing ';'
+	// Each error is positioned at the offending token, or at the
+	// statement's create when a clause is missing.
+	bad := []struct{ src, pos string }{
+		{`create widget x;`, "1:8"},
+		{`create queue q;`, "1:1"}, // missing kind/mode
+		{"create queue a kind basic mode persistent;\n  create queue q kind basic;", "2:3"},
+		{`create queue q kind wrong mode persistent;`, "1:21"},
+		{`create queue q kind basic mode sometimes;`, "1:32"},
+		{`create property p as xs:string;`, "1:1"}, // no bindings
+		{`create property p as no:such queue q value 1;`, "1:22"},
+		{`create queue g kind incomingGateway mode transient interface g.wsdl using WS-ReliableMessaging policy rm.xml;`, "1:75"},
+		{`create slicing s;`, "1:17"},
+		{`create rule r for q`, "1:20"}, // missing body
+		// missing ';'
+		{`create queue a kind basic mode persistent create queue b kind basic mode persistent;`, "1:43"},
 	}
-	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("expected error for %q", src)
+	for _, c := range bad {
+		var se *xpath.SyntaxError
+		if _, err := Parse(c.src); !errors.As(err, &se) {
+			t.Errorf("%q: want a positioned syntax error, got %v", c.src, err)
+		} else if se.Pos.String() != c.pos {
+			t.Errorf("%q: error at %s, want %s: %v", c.src, se.Pos, c.pos, err)
 		}
 	}
 	// A lexical error right after a keyword is reported as such; the

@@ -2,9 +2,7 @@ package slicing
 
 import (
 	"fmt"
-	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -332,129 +330,112 @@ func TestResetLogStaysBounded(t *testing.T) {
 func TestCollectPassCrashSweep(t *testing.T) {
 	const dir = "sweep" // FaultFS only
 	queues := []string{"crm", "customer"}
-	type outcome struct {
-		dismissed map[string][]msgstore.MsgID
-		live      []msgstore.MsgID
-	}
-	// run builds the state and runs one pass; it returns the op count before
-	// the pass and the first error.
-	run := func(fs *faultinject.FaultFS) (out outcome, before int, err error) {
+	opts := func(fs *faultinject.FaultFS) msgstore.Options {
 		opts := msgstore.DefaultOptions()
 		opts.Store.VFS = fs
-		ms, err := msgstore.Open(dir, opts)
-		if err != nil {
-			return out, 0, err
-		}
-		defer ms.PageStore().CrashForTest()
-		ms.CreateQueue("crm", msgstore.Persistent, 0)
-		ms.CreateQueue("customer", msgstore.Persistent, 0)
-		sm := NewManager(ms, requestMsgs(queues...))
-		out.dismissed = map[string][]msgstore.MsgID{}
-		for i := 0; i < 4; i++ {
-			key := fmt.Sprintf("r%d", i)
-			out.dismissed[key] = joinAndReset(t, ms, sm, key)
-		}
-		// A second lifetime of r0 and a slice never reset: both stay.
-		out.live = append(out.live, putProps(t, ms, "crm", map[string]xdm.Value{"requestID": xdm.NewString("r0")}))
-		out.live = append(out.live, putProps(t, ms, "customer", map[string]xdm.Value{"requestID": xdm.NewString("keep")}))
-		markProcessed(t, ms, out.live...)
-		before = fs.Ops()
-		return out, before, collectPass(sm)
-	}
-	// check reopens the crashed store and holds it to the model. It reports
-	// whether status records outlived their payloads and whether reset
-	// records outlived every message they dismiss.
-	check := func(at string, fs *faultinject.FaultFS, out outcome) (orphanStatuses, staleResets bool) {
-		t.Helper()
-		fs.ClearFault()
-		opts := msgstore.DefaultOptions()
-		opts.Store.VFS = fs
-		ms, err := msgstore.Open(dir, opts)
-		if err != nil {
-			t.Fatalf("reopen after crash %s: %v", at, err)
-		}
-		defer ms.PageStore().CrashForTest()
-		if err := ms.VerifyIntegrity(); err != nil {
-			t.Fatalf("crash %s: %v", at, err)
-		}
-		sm := NewManager(ms, requestMsgs(queues...))
-		events, err := ms.ResetEvents()
-		if err != nil {
-			t.Fatalf("crash %s: %v", at, err)
-		}
-		for _, ev := range events {
-			sm.Reset(ev)
-		}
-		for key, ids := range out.dismissed {
-			for _, id := range sm.SliceMembers("requestMsgs", key) {
-				if slices.Contains(ids, id) {
-					t.Fatalf("crash %s: dismissed message %d is back in slice %s", at, id, key)
-				}
-			}
-		}
-		if got := sm.SliceMembers("requestMsgs", "r0"); !slices.Equal(got, out.live[:1]) {
-			t.Fatalf("crash %s: second lifetime of r0 holds %v, want %v", at, got, out.live[:1])
-		}
-		if got := sm.SliceMembers("requestMsgs", "keep"); !slices.Equal(got, out.live[1:]) {
-			t.Fatalf("crash %s: live slice holds %v, want %v", at, got, out.live[1:])
-		}
-		for _, queue := range queues {
-			h, _ := ms.PageStore().Heap("s:" + queue)
-			statuses := 0
-			ms.PageStore().Scan(h, func(store.RID, []byte) bool { statuses++; return true })
-			msgs, _ := ms.Messages(queue)
-			orphanStatuses = orphanStatuses || statuses > len(msgs)
-		}
-		for _, ev := range events {
-			gone := true
-			for _, id := range out.dismissed[ev.Key] {
-				_, stored := ms.Get(id)
-				gone = gone && !stored
-			}
-			staleResets = staleResets || gone
-		}
-		return orphanStatuses, staleResets
-	}
-
-	fs := faultinject.NewFaultFS(1)
-	_, before, err := run(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := fs.Ops()
-	syncs, logWrite := 0, faultinject.FaultPoint{}
-	for _, op := range fs.Trace()[before:] {
-		switch {
-		case op.Op == "sync":
-			syncs++
-		case op.Op == "write" && strings.HasPrefix(filepath.Base(op.Path), "wal."):
-			logWrite = op
-		}
-	}
-	if syncs != 1 || logWrite.N == 0 {
-		t.Fatalf("the pass flushed the log %d times, want once, in %d disk operations: %v", syncs, total-before, fs.Trace()[before:])
-	}
-	for k := before + 1; k <= total; k++ {
-		fs := faultinject.NewFaultFS(int64(100 + k))
-		fs.CrashAt(k)
-		out, _, err := run(fs)
-		if !fs.Crashed() {
-			t.Fatalf("crash point %d not reached: %v", k, err)
-		}
-		check(fmt.Sprintf("at op %d", k), fs, out)
+		return opts
 	}
 	sawOrphans, sawStale := false, false
-	for keep := 0; keep <= logWrite.Len; keep++ {
-		fs := faultinject.NewFaultFS(1)
-		fs.TearAtPrefix(logWrite.N, keep)
-		out, _, err := run(fs)
-		if !fs.Crashed() {
-			t.Fatalf("log write %s not torn: %v", logWrite, err)
-		}
-		orphans, stale := check(fmt.Sprintf("tearing the log write after %d of %d bytes", keep, logWrite.Len), fs, out)
-		sawOrphans, sawStale = sawOrphans || orphans, sawStale || stale
-	}
-	if !sawOrphans || !sawStale {
+	all := faultinject.Sweep(t, faultinject.Scenario[*collectRun]{
+		Fault: faultinject.CrashAndTearEveryPrefix, Exact: true,
+		// Setup builds the state the pass collects.
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, _ *faultinject.FaultNet) *collectRun {
+			ms, err := msgstore.Open(dir, opts(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.CreateQueue("crm", msgstore.Persistent, 0)
+			ms.CreateQueue("customer", msgstore.Persistent, 0)
+			r := &collectRun{fs: fs, ms: ms, sm: NewManager(ms, requestMsgs(queues...)), dismissed: map[string][]msgstore.MsgID{}}
+			for i := 0; i < 4; i++ {
+				key := fmt.Sprintf("r%d", i)
+				r.dismissed[key] = joinAndReset(t, ms, r.sm, key)
+			}
+			// A second lifetime of r0 and a slice never reset: both stay.
+			r.live = append(r.live, putProps(t, ms, "crm", map[string]xdm.Value{"requestID": xdm.NewString("r0")}))
+			r.live = append(r.live, putProps(t, ms, "customer", map[string]xdm.Value{"requestID": xdm.NewString("keep")}))
+			markProcessed(t, ms, r.live...)
+			return r
+		},
+		Run: func(_ testing.TB, r *collectRun) error {
+			defer r.ms.PageStore().CrashForTest()
+			return collectPass(r.sm)
+		},
+		Probe: func(t testing.TB, _ *collectRun, window []faultinject.FaultPoint) {
+			syncs, logWrites := 0, 0
+			for _, op := range window {
+				switch {
+				case op.Op == "sync":
+					syncs++
+				case op.Op == "write" && op.Class == "wal":
+					logWrites++
+				}
+			}
+			if syncs != 1 || logWrites != 1 {
+				t.Fatalf("the pass flushed the log %d times, want once, in %d disk operations: %v", syncs, len(window), window)
+			}
+		},
+		// Check reopens the crashed store and holds it to the model. It notes
+		// whether status records outlived their payloads and whether reset
+		// records outlived every message they dismiss.
+		Check: func(t testing.TB, r *collectRun) {
+			ms, err := msgstore.Open(dir, opts(r.fs))
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer ms.PageStore().CrashForTest()
+			if err := ms.VerifyIntegrity(); err != nil {
+				t.Fatal(err)
+			}
+			sm := NewManager(ms, requestMsgs(queues...))
+			events, err := ms.ResetEvents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range events {
+				sm.Reset(ev)
+			}
+			for key, ids := range r.dismissed {
+				for _, id := range sm.SliceMembers("requestMsgs", key) {
+					if slices.Contains(ids, id) {
+						t.Fatalf("dismissed message %d is back in slice %s", id, key)
+					}
+				}
+			}
+			if got := sm.SliceMembers("requestMsgs", "r0"); !slices.Equal(got, r.live[:1]) {
+				t.Fatalf("second lifetime of r0 holds %v, want %v", got, r.live[:1])
+			}
+			if got := sm.SliceMembers("requestMsgs", "keep"); !slices.Equal(got, r.live[1:]) {
+				t.Fatalf("live slice holds %v, want %v", got, r.live[1:])
+			}
+			for _, queue := range queues {
+				h, _ := ms.PageStore().Heap("s:" + queue)
+				statuses := 0
+				ms.PageStore().Scan(h, func(store.RID, []byte) bool { statuses++; return true })
+				msgs, _ := ms.Messages(queue)
+				sawOrphans = sawOrphans || statuses > len(msgs)
+			}
+			for _, ev := range events {
+				gone := true
+				for _, id := range r.dismissed[ev.Key] {
+					_, stored := ms.Get(id)
+					gone = gone && !stored
+				}
+				sawStale = sawStale || gone
+			}
+		},
+	})
+	if all && (!sawOrphans || !sawStale) {
 		t.Fatalf("no torn prefix kept payload deletes without status deletes (%v) or message deletes without reset deletes (%v)", !sawOrphans, !sawStale)
 	}
+}
+
+// collectRun is the collector sweep's state: the store and slices one pass
+// collects, the messages four resets dismissed, and two live ones.
+type collectRun struct {
+	fs        *faultinject.FaultFS
+	ms        *msgstore.Store
+	sm        *Manager
+	dismissed map[string][]msgstore.MsgID
+	live      []msgstore.MsgID
 }

@@ -90,7 +90,7 @@ func reset(sm *Manager, slicing, key string, watermark msgstore.MsgID) {
 	sm.Reset(msgstore.ResetEvent{Slicing: slicing, Key: key, Watermark: watermark})
 }
 
-func markProcessed(t *testing.T, ms *msgstore.Store, ids ...msgstore.MsgID) {
+func markProcessed(t testing.TB, ms *msgstore.Store, ids ...msgstore.MsgID) {
 	t.Helper()
 	tx := ms.Begin()
 	tx.MarkProcessedAll(ids)

@@ -481,76 +481,68 @@ func TestIdleRestartSyncsOnce(t *testing.T) {
 }
 
 // TestIdleHeaderWriteCrash crashes at every mutation of idle restarts —
-// the header slot write and its sync — under several
-// resolutions of the pending writes; each reopen replays nothing and finds
-// the same records.
+// the header slot write and its sync — under several resolutions of the
+// pending writes; each reopen replays nothing and finds the same records.
 func TestIdleHeaderWriteCrash(t *testing.T) {
-	build := func(seed int64) *faultinject.FaultFS {
-		fs := faultinject.NewFaultFS(seed)
-		s, err := Open("ih", Options{VFS: fs, SyncCommits: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := s.CreateHeap("q")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			tx := s.Begin()
-			if _, err := tx.Insert(h, []byte(fmt.Sprint("rec-", i))); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
-	restarts := func(fs *faultinject.FaultFS) {
-		for i := 0; i < 3; i++ {
-			s, err := Open("ih", Options{VFS: fs, SyncCommits: true})
-			if err != nil {
-				return
-			}
-			if s.Close() != nil {
-				return
-			}
-		}
-	}
-	probe := build(1)
-	base := probe.Ops()
-	restarts(probe)
-	sites := probe.Ops() - base
-	if sites == 0 {
-		t.Fatal("idle restarts performed no mutation to crash at")
-	}
+	opts := func(fs *faultinject.FaultFS) Options { return Options{VFS: fs, SyncCommits: true} }
 	for seed := int64(1); seed <= 8; seed++ {
-		for k := 1; k <= sites; k++ {
-			fs := build(seed)
-			fs.CrashAt(fs.Ops() + k)
-			restarts(fs)
-			if !fs.Crashed() {
-				t.Fatalf("seed %d: crash site %d of %d never reached", seed, k, sites)
-			}
-			fs.ClearFault()
-			s, err := Open("ih", Options{VFS: fs, SyncCommits: true})
-			if err != nil {
-				t.Fatalf("seed %d, crash at idle op %d of %d: reopen: %v", seed, k, sites, err)
-			}
-			if n := s.Stats().RecoveryRecordsReplayed; n != 0 {
-				t.Fatalf("seed %d, crash at idle op %d: replayed %d records", seed, k, n)
-			}
-			h, _ := s.Heap("q")
-			var got []string
-			s.Scan(h, func(_ RID, p []byte) bool { got = append(got, string(p)); return true })
-			if len(got) != 20 || got[0] != "rec-0" || got[19] != "rec-19" {
-				t.Fatalf("seed %d, crash at idle op %d: records %v", seed, k, got)
-			}
-			s.Close()
-		}
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			faultinject.Sweep(t, faultinject.Scenario[*faultinject.FaultFS]{
+				Seed: seed, Exact: true,
+				Setup: func(t testing.TB, fs *faultinject.FaultFS, _ *faultinject.FaultNet) *faultinject.FaultFS {
+					s, err := Open("ih", opts(fs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					h, err := s.CreateHeap("q")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 20; i++ {
+						tx := s.Begin()
+						if _, err := tx.Insert(h, []byte(fmt.Sprint("rec-", i))); err != nil {
+							t.Fatal(err)
+						}
+						if err := tx.Commit(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					return fs
+				},
+				// Three idle restarts.
+				Run: func(_ testing.TB, fs *faultinject.FaultFS) error {
+					for i := 0; i < 3; i++ {
+						s, err := Open("ih", opts(fs))
+						if err != nil {
+							return err
+						}
+						if err := s.Close(); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+				Check: func(t testing.TB, fs *faultinject.FaultFS) {
+					s, err := Open("ih", opts(fs))
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					defer s.Close()
+					if n := s.Stats().RecoveryRecordsReplayed; n != 0 {
+						t.Fatalf("replayed %d records", n)
+					}
+					h, _ := s.Heap("q")
+					var got []string
+					s.Scan(h, func(_ RID, p []byte) bool { got = append(got, string(p)); return true })
+					if len(got) != 20 || got[0] != "rec-0" || got[19] != "rec-19" {
+						t.Fatalf("records %v", got)
+					}
+				},
+			})
+		})
 	}
 }
 

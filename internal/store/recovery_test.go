@@ -2,13 +2,11 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 
 	"demaq/internal/faultinject"
-	"demaq/internal/vfs"
 )
 
 // recoveryCrashOptions gives the recovery sweep a 16-frame pool, so redo
@@ -116,78 +114,64 @@ func TestRecoveryCrashSweep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			t.Parallel()
-			fs := faultinject.NewFaultFS(seed)
-			recoveryCrashWorkload(t, fs)
-			distinct := len(replayedPages(t, fs))
-
-			fs = faultinject.NewFaultFS(seed)
-			committed := recoveryCrashWorkload(t, fs)
-			crashed := fs.Clone(seed)
-			opened := fs.Ops()
-			s, err := Open("rec", recoveryCrashOptions(fs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := fs.Ops()
-			trace := fs.Trace()
-			peak := s.recFrames
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("recovery replays %d distinct pages, buffers %d frames, makes %d disk operations", distinct, peak, last-opened)
-			if peak > distinct || peak <= 16 {
-				t.Errorf("recovery buffered %d frames; the replayed range names %d distinct pages and the pool has 16", peak, distinct)
-			}
-			if last-opened < 50 {
-				t.Fatalf("the recovering open made only %d disk operations", last-opened)
-			}
-
-			stride := 1
-			if testing.Short() {
-				stride = 7
-			}
-			for site := opened + 1; site <= last; site += stride {
-				t.Run(fmt.Sprintf("crash-at-%03d", site), func(t *testing.T) {
-					crashInRecovery(t, crashed.Clone(int64(site)), committed, site, trace)
-				})
-			}
+			crashed := faultinject.NewFaultFS(seed)
+			committed := recoveryCrashWorkload(t, crashed)
+			distinct := len(replayedPages(t, crashed.Clone(seed)))
+			faultinject.Sweep(t, faultinject.Scenario[*recoveryRun]{
+				Disk: crashed, Short: 29, Fault: faultinject.Tear, Exact: true,
+				Setup: func(_ testing.TB, fs *faultinject.FaultFS, _ *faultinject.FaultNet) *recoveryRun {
+					return &recoveryRun{fs: fs}
+				},
+				// The workload is the recovering open alone.
+				Run: func(_ testing.TB, r *recoveryRun) error {
+					s, err := Open("rec", recoveryCrashOptions(r.fs))
+					if err == nil {
+						// A crash in the removal of a dead log segment, which
+						// ignores its error, can let the open succeed on a
+						// crashed filesystem.
+						r.frames = s.recFrames
+						s.CrashForTest()
+					}
+					return err
+				},
+				Probe: func(t testing.TB, r *recoveryRun, window []faultinject.FaultPoint) {
+					t.Logf("recovery replays %d distinct pages, buffers %d frames, makes %d disk operations", distinct, r.frames, len(window))
+					if r.frames > distinct || r.frames <= 16 {
+						t.Errorf("recovery buffered %d frames; the replayed range names %d distinct pages and the pool has 16", r.frames, distinct)
+					}
+					if len(window) < 50 {
+						t.Fatalf("the recovering open made only %d disk operations", len(window))
+					}
+				},
+				Check: func(t testing.TB, r *recoveryRun) {
+					s, err := Open("rec", recoveryCrashOptions(r.fs))
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					for rid, want := range committed {
+						got, err := s.Read(rid)
+						if err != nil {
+							t.Fatalf("committed record %s: %v", rid, err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("committed record %s reads back byte 0 = %d, want %d", rid, got[0], want[0])
+						}
+					}
+					if err := s.VerifyPageLSNs(); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+				},
+			})
 		})
 	}
 }
 
-// crashInRecovery crashes the recovering Open of the workload's files at
-// site (tearing it if it is a write), reboots, reopens and checks every
-// committed record.
-func crashInRecovery(t *testing.T, fs *faultinject.FaultFS, committed map[RID][]byte, site int, trace []faultinject.FaultPoint) {
-	fs.TearAt(site)
-	// A crash in the removal of a dead log segment, which ignores its
-	// error, can let the open succeed on a crashed filesystem.
-	s, err := Open("rec", recoveryCrashOptions(fs))
-	if err == nil {
-		s.CrashForTest()
-	}
-	if !fs.Crashed() || err != nil && !errors.Is(err, vfs.ErrCrashed) {
-		t.Fatalf("recovering open ended with %v, want a crash", err)
-	}
-	if got, want := fs.Trace()[site-1], trace[site-1]; got != want {
-		t.Fatalf("crashed in %v, the probe ran %v there", got, want)
-	}
-	fs.ClearFault()
-	s, err = Open("rec", recoveryCrashOptions(fs))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s.Close()
-	for rid, want := range committed {
-		got, err := s.Read(rid)
-		if err != nil {
-			t.Fatalf("committed record %s: %v", rid, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("committed record %s reads back byte 0 = %d, want %d", rid, got[0], want[0])
-		}
-	}
-	if err := s.VerifyPageLSNs(); err != nil {
-		t.Fatal(err)
-	}
+// recoveryRun is the recovery sweep's state: the crashed workload's disk
+// and the frames its recovering open buffered.
+type recoveryRun struct {
+	fs     *faultinject.FaultFS
+	frames int
 }

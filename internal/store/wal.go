@@ -239,17 +239,31 @@ func openWALDir(vfs VFS, dir string, redoOff uint64, syncOnCommit bool, segSize 
 			// A missing or torn segment header means the roll that created
 			// this file never completed — no record in it was ever
 			// acknowledged durable (the roll's fsync would have carried the
-			// header). It must be the newest segment; drop it.
+			// header). Drop it. It is the newest segment, or one dropped
+			// before whose removal a crash undid; the check below finds a
+			// segment that held records by the gap it leaves.
 			rf.Close()
-			if seq != seqs[len(seqs)-1] {
-				return nil, fmt.Errorf("wal: segment %s has a bad header but is not the newest segment", path)
-			}
 			vfs.Remove(path)
 			continue
 		}
-		if len(w.segs) > 0 && seg.start < w.segs[len(w.segs)-1].start {
+		// A roll seals a segment before its successor exists, so a successor
+		// starts where its predecessor's records end — unless the segments
+		// between them lie wholly behind the redo offset and were removed —
+		// and the first segment starts at or before the redo offset.
+		var gap error
+		if len(w.segs) == 0 && seg.start > w.head {
+			gap = fmt.Errorf("wal: the log starts at %d in segment %s, after the redo offset %d", seg.start, path, w.head)
+		} else if len(w.segs) > 0 {
+			prev := w.segs[len(w.segs)-1]
+			size, err := prev.f.Size()
+			if gap = err; err == nil && (seg.start < prev.start || seg.start > w.head && seg.start+walSegHdrSize != prev.start+uint64(size)) {
+				gap = fmt.Errorf("wal: segment %s starts at %d, its predecessor %s holds %d bytes from %d", path, seg.start, walSegName(prev.seq), size, prev.start)
+			}
+		}
+		if gap != nil {
 			rf.Close()
-			return nil, fmt.Errorf("wal: segment %s starts at %d, before its predecessor", path, seg.start)
+			w.closeSegs()
+			return nil, gap
 		}
 		w.segs = append(w.segs, seg)
 	}

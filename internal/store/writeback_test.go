@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"demaq/internal/faultinject"
-	"demaq/internal/vfs"
 )
 
 // TestWriteBackFlushesPerBatch pins the batched write-back: pages evicted
@@ -344,47 +342,74 @@ func batchCrashOptions(fs *faultinject.FaultFS) Options {
 	return Options{VFS: fs, BufferPages: 64, SyncCommits: true, UnloggedDeletes: true}
 }
 
-// sweepBatchCrashes runs batchCrashWorkload once to trace its operations,
-// then once per page write of the data file that site selects, given
-// whether the operation before it was a page write too, tearing that
-// write. After each crash it reopens the store and checks it with
-// crashInBatch.
-func sweepBatchCrashes(t *testing.T, checkpoints bool, site func(afterPageWrite bool) bool, minSites int) {
-	probe := faultinject.NewFaultFS(1)
-	s, err := Open("sweep", batchCrashOptions(probe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened := probe.Ops() // the format's writes are not a batch
-	if err := batchCrashWorkload(s, map[RID][]byte{}, checkpoints); err != nil {
-		t.Fatal(err)
-	}
-	s.CrashForTest()
-
-	data := filepath.Join("sweep", dataFileName)
+// batchCrashScenario sweeps batchCrashWorkload's page writes of the data
+// file that site selects, given whether the operation before it was a page
+// write too, tearing that write. After each crash it reopens the store and
+// checks every committed record.
+func batchCrashScenario(checkpoints bool, short int, site func(afterPageWrite bool) bool) faultinject.Scenario[*batchRun] {
 	isPageWrite := func(p faultinject.FaultPoint) bool {
-		return p.Op == "write" && p.Path == data && p.Len == PageSize
+		return p.Op == "write" && p.Class == "data" && p.Len == PageSize
 	}
-	trace := probe.Trace()
-	var sites []int
-	for i := opened + 1; i < len(trace); i++ {
-		if isPageWrite(trace[i]) && site(isPageWrite(trace[i-1])) {
-			sites = append(sites, trace[i].N)
-		}
+	return faultinject.Scenario[*batchRun]{
+		Short: short, Fault: faultinject.Tear, Exact: true, MinSites: 50,
+		Select: func(window []faultinject.FaultPoint, i int) bool {
+			return i > 0 && isPageWrite(window[i]) && site(isPageWrite(window[i-1]))
+		},
+		// The format's writes are not a batch.
+		Setup: func(t testing.TB, fs *faultinject.FaultFS, _ *faultinject.FaultNet) *batchRun {
+			s, err := Open("sweep", batchCrashOptions(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &batchRun{fs: fs, s: s, committed: map[RID][]byte{}}
+		},
+		Run: func(t testing.TB, r *batchRun) error {
+			err := batchCrashWorkload(r.s, r.committed, checkpoints)
+			r.s.CrashForTest()
+			return err
+		},
+		Check: func(t testing.TB, r *batchRun) {
+			s, err := Open("sweep", batchCrashOptions(r.fs))
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			for rid, want := range r.committed {
+				got, err := s.Read(rid)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("committed record %s: %v, or not its committed bytes", rid, err)
+				}
+			}
+			if h, ok := s.Heap("q"); ok {
+				n := 0
+				if err := s.Scan(h, func(rid RID, _ []byte) bool {
+					if _, ok := r.committed[rid]; !ok {
+						t.Errorf("scan finds uncommitted record %s", rid)
+					}
+					n++
+					return true
+				}); err != nil {
+					t.Fatalf("scan: %v", err)
+				}
+				if n != len(r.committed) {
+					t.Fatalf("scan finds %d of %d committed records", n, len(r.committed))
+				}
+			}
+			if err := s.VerifyPageLSNs(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
 	}
-	if len(sites) < minSites {
-		t.Fatalf("only %d crash sites inside write-back batches", len(sites))
-	}
-	stride := 1
-	if testing.Short() {
-		stride = 5
-	}
-	for i := 0; i < len(sites); i += stride {
-		site := sites[i]
-		t.Run(fmt.Sprintf("crash-at-%03d", site), func(t *testing.T) {
-			crashInBatch(t, site, trace, checkpoints)
-		})
-	}
+}
+
+// batchRun is a write-back sweep's state: the store the workload runs on
+// and the records it committed before the crash.
+type batchRun struct {
+	fs        *faultinject.FaultFS
+	s         *Store
+	committed map[RID][]byte
 }
 
 // TestWriteBackBatchCrashSweep crashes between the page writes of one
@@ -396,7 +421,7 @@ func sweepBatchCrashes(t *testing.T, checkpoints bool, site func(afterPageWrite 
 func TestWriteBackBatchCrashSweep(t *testing.T) {
 	// A site is a page write that directly follows another page write of
 	// the data file: the two belong to one batch.
-	sweepBatchCrashes(t, true, func(afterPageWrite bool) bool { return afterPageWrite }, 50)
+	faultinject.Sweep(t, batchCrashScenario(true, 23, func(afterPageWrite bool) bool { return afterPageWrite }))
 }
 
 // TestWriteBackEvictionCrashSweep is TestWriteBackBatchCrashSweep without
@@ -407,61 +432,7 @@ func TestWriteBackBatchCrashSweep(t *testing.T) {
 // written back more than once since the fence carry no image of their
 // own; recovery restores them from their first.
 func TestWriteBackEvictionCrashSweep(t *testing.T) {
-	sweepBatchCrashes(t, false, func(bool) bool { return true }, 50)
-}
-
-// crashInBatch runs batchCrashWorkload with a torn write at site, which the
-// probe run traced as a page write inside a write-back batch, then reopens
-// and checks every committed record.
-func crashInBatch(t *testing.T, site int, trace []faultinject.FaultPoint, checkpoints bool) {
-	fs := faultinject.NewFaultFS(int64(site))
-	fs.TearAt(site)
-	s, err := Open("sweep", batchCrashOptions(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed := map[RID][]byte{}
-	if err := batchCrashWorkload(s, committed, checkpoints); !errors.Is(err, vfs.ErrCrashed) {
-		t.Fatalf("site %d: workload ended with %v, want a crash", site, err)
-	}
-	s.CrashForTest()
-	// The model above is exact only if the crash hit the probe's page
-	// write, inside a batch, and not a commit's log write.
-	if got, want := fs.Trace()[site-1], trace[site-1]; got != want {
-		t.Fatalf("site %d: crashed in %v, the probe ran %v there", site, got, want)
-	}
-	fs.ClearFault()
-	s, err = Open("sweep", batchCrashOptions(fs))
-	if err != nil {
-		t.Fatalf("site %d: reopen: %v", site, err)
-	}
-	for rid, want := range committed {
-		got, err := s.Read(rid)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("site %d: committed record %s: %v, or not its committed bytes", site, rid, err)
-		}
-	}
-	if h, ok := s.Heap("q"); ok {
-		n := 0
-		if err := s.Scan(h, func(rid RID, _ []byte) bool {
-			if _, ok := committed[rid]; !ok {
-				t.Errorf("site %d: scan finds uncommitted record %s", site, rid)
-			}
-			n++
-			return true
-		}); err != nil {
-			t.Fatalf("site %d: scan: %v", site, err)
-		}
-		if n != len(committed) {
-			t.Fatalf("site %d: scan finds %d of %d committed records", site, n, len(committed))
-		}
-	}
-	if err := s.VerifyPageLSNs(); err != nil {
-		t.Fatalf("site %d: %v", site, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	faultinject.Sweep(t, batchCrashScenario(false, 13, func(bool) bool { return true }))
 }
 
 // gate holds the first operation it matches until the test opens it.

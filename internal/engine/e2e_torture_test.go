@@ -313,9 +313,12 @@ func TestE2ETortureChaosMatrix(t *testing.T) {
 			r.fn.SetDupRate(0.05)
 			r.fn.SetReorderRate(0.05)
 			// One storage crash mid-workload on top of the chaos.
-			r.fs.CrashAt(int(200 + seed*97))
+			r.fs.CrashAtSite(faultinject.Site{Op: "write", Class: "wal", N: 2 + 3*int(seed)}, seed)
 			r.run()
 			r.check(t)
+			if _, ok := r.fs.Fired(); !ok {
+				t.Fatal("the storage crash never fired")
+			}
 		})
 	}
 }

@@ -38,11 +38,10 @@ import (
 //
 // Fault schedules:
 //
-//	CrashAt(k)          — crash when mutation op k executes
-//	Sweep's sites       — crash, or tear a write, at the n-th op of a kind and class
-//	TransientEvery(k)   — every k-th mutation fails once with vfs.ErrTransientIO
-//	FailWritesAfter(k)  — from op k on, all mutations fail with vfs.ErrDiskFailure
-//	SetWriteBudget(n)   — after n more written bytes, writes fail vfs.ErrDiskFull
+//	CrashAtSite(s, seed) — crash at site s: the n-th op of a kind and class from now
+//	TransientEvery(k)    — every k-th mutation fails once with vfs.ErrTransientIO
+//	FailWritesAfter(k)   — from op k on, all mutations fail with vfs.ErrDiskFailure
+//	SetWriteBudget(n)    — after n more written bytes, writes fail vfs.ErrDiskFull
 type FaultFS struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -51,7 +50,6 @@ type FaultFS struct {
 	nOps  int
 	trace []FaultPoint
 
-	crashAt   int  // crash when op counter reaches this value; 0 = disarmed
 	site      Site // crash at this site; N == 0 = disarmed
 	siteOps   int  // operations of the site's kind and class since it was armed
 	tear      bool // a write that crashes persists a prefix
@@ -214,13 +212,9 @@ func (fs *FaultFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// CrashAt arms a crash at mutation operation n (1-based). Passing 0
-// disarms.
-func (fs *FaultFS) CrashAt(n int) {
-	fs.mu.Lock()
-	fs.crashAt = n
-	fs.mu.Unlock()
-}
+// CrashAtSite arms a crash at site s, counted from now; seed reseeds the
+// resolution of the operations the crash finds pending.
+func (fs *FaultFS) CrashAtSite(s Site, seed int64) { fs.armSite(s, seed, false, 0) }
 
 // armSite arms a crash at site s, counted from now, and reseeds the
 // resolution of the operations the crash finds pending. With tear, a write
@@ -234,9 +228,9 @@ func (fs *FaultFS) armSite(s Site, seed int64, tear bool, keep int) {
 	fs.site, fs.siteOps, fs.tear, fs.tearKeep, fs.fired = s, 0, tear, keep, FaultPoint{}
 }
 
-// firedAt returns the operation an armed crash fired at, if one has since
+// Fired returns the operation an armed crash fired at, if one has since
 // the site was armed; a crash from CrashNow has no operation.
-func (fs *FaultFS) firedAt() (FaultPoint, bool) {
+func (fs *FaultFS) Fired() (FaultPoint, bool) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.fired, fs.fired.N != 0
@@ -271,7 +265,6 @@ func (fs *FaultFS) SetWriteBudget(n int64) {
 func (fs *FaultFS) ClearFault() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.crashAt = 0
 	fs.site = Site{}
 	fs.tear = false
 	fs.transient = 0
@@ -397,10 +390,6 @@ func (fs *FaultFS) checkFaults(path, class, op string, off int64, n int) (fail e
 			fs.fired = point
 			return vfs.ErrCrashed, true
 		}
-	}
-	if fs.crashAt > 0 && fs.nOps >= fs.crashAt {
-		fs.fired = point
-		return vfs.ErrCrashed, true
 	}
 	return nil, false
 }

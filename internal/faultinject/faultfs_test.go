@@ -105,12 +105,12 @@ func TestFaultFSUnsyncedWriteResolution(t *testing.T) {
 	}
 }
 
-// TestFaultFSCrashAt: op n fails with ErrCrashed, the ops before it
-// succeed, and every call after it fails until ClearFault.
+// TestFaultFSCrashAt: the site's op fails with ErrCrashed, the ops before
+// it succeed, and every call after it fails until ClearFault.
 func TestFaultFSCrashAt(t *testing.T) {
 	fs := NewFaultFS(1)
 	f := syncedBase(t, fs, "d/a")
-	fs.CrashAt(4)
+	fs.CrashAtSite(Site{Op: "sync", Class: "a", N: 1}, 1) // op 4
 	if _, err := f.WriteAt([]byte("x"), 0); err != nil {
 		t.Fatalf("op 3: %v", err)
 	}
@@ -322,9 +322,9 @@ func TestFaultFSCrashDeterministic(t *testing.T) {
 	if total != 17 {
 		t.Fatalf("workload has %d ops, want 17", total)
 	}
-	disk := func(crashAt int) string {
+	disk := func(at Site) string {
 		fs := NewFaultFS(5)
-		fs.CrashAt(crashAt)
+		fs.CrashAtSite(at, 5)
 		workload(fs)
 		fs.ClearFault()
 		names, _ := fs.ReadDir("d")
@@ -334,9 +334,9 @@ func TestFaultFSCrashDeterministic(t *testing.T) {
 		}
 		return s
 	}
-	for k := 1; k <= total; k++ {
-		if a, b := disk(k), disk(k); a != b {
-			t.Fatalf("crash at op %d: %s, then %s", k, a, b)
+	for _, v := range sites(clean.Trace(), nil) {
+		if a, b := disk(v.site), disk(v.site); a != b {
+			t.Fatalf("crash at %s: %s, then %s", v.name, a, b)
 		}
 	}
 }

@@ -235,7 +235,7 @@ func (sc *Scenario[S]) crashReboot(t testing.TB, fs *FaultFS, seed int64, tear b
 // workload ended in that crash.
 func requireFired(t testing.TB, fs *FaultFS, want FaultPoint, err error) {
 	t.Helper()
-	got, ok := fs.firedAt()
+	got, ok := fs.Fired()
 	switch {
 	case !ok:
 		t.Fatalf("the workload never reached the site %v (it ended with %v)", want, err)

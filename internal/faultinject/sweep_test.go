@@ -90,7 +90,7 @@ func TestSweepSiteTriggerHitsProbedOperation(t *testing.T) {
 			fs := NewFaultFS(1)
 			fs.armSite(v.site, 2, tear, -1)
 			err := sc.Run(t, fs)
-			if got, ok := fs.firedAt(); !ok || got != v.probe {
+			if got, ok := fs.Fired(); !ok || got != v.probe {
 				t.Fatalf("%s (tear %v): crashed at %v (fired %v), the probe ran %v there", v.name, tear, got, ok, v.probe)
 			}
 			if err == nil {

@@ -171,18 +171,16 @@ func (r *e2eRun) admit() {
 	}
 }
 
-// deliver lets the backlog flow, waits for the receiver to hold every job,
-// drains the node and stops it. The armed crash can still fire here (a late
-// WAL flush, a drain-time write, the closing checkpoint): the node reboots
-// and drains again; an armed site fires at most once.
+// deliver lets the backlog flow, drains the node — its senders hold every
+// transfer the receiver has not acknowledged — and stops it. The armed
+// crash can still fire here (a late WAL flush, a drain-time write, the
+// closing checkpoint): the node reboots and drains again; an armed site
+// fires at most once.
 func (r *e2eRun) deliver() {
 	t := r.t
 	t.Helper()
 	if r.backlog {
 		r.fn.HealPartition("fnet://recv/")
-	}
-	for deadline := time.Now().Add(60 * time.Second); len(r.received()) < r.jobs && time.Now().Before(deadline); r.rebootIfCrashed() {
-		time.Sleep(time.Millisecond)
 	}
 	for {
 		r.settle()

@@ -90,18 +90,19 @@ type Site struct {
 // String is the site's name, such as sync-wal-3 or write-data-12.
 func (s Site) String() string { return fmt.Sprintf("%s-%s-%d", s.Op, s.Class, s.N) }
 
-// headerBytes is the store's page size: a write that starts in a file's
+// headerBytes is the page size of the store's data file, store.PageSize,
+// which a store test holds it to: a write that starts in the data file's
 // first page and does not extend the file rewrites its header.
 const headerBytes = 8192
 
 // fileClass is the class of a file's operations: its base name with the
 // digits stripped, up to the first dot (wal.000003.log is wal). A header
-// rewrite is of class header.
+// write to the data file is of class header.
 func fileClass(path string, headerWrite bool) string {
-	if headerWrite {
+	class, _, _ := strings.Cut(stripDigits(filepath.Base(path)), ".")
+	if headerWrite && class == "data" {
 		return "header"
 	}
-	class, _, _ := strings.Cut(stripDigits(filepath.Base(path)), ".")
 	return class
 }
 

@@ -153,8 +153,8 @@ func TestFaultFSTearAtPrefix(t *testing.T) {
 	for _, keep := range []int{-1, 0, 1, 3, 6, 10} {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
 			fs := NewFaultFS(1)
-			f := syncedBase(t, fs, "d/a")
-			// A write inside the file's first page rewrites its header.
+			f := syncedBase(t, fs, "d/data.db")
+			// A write inside the data file's first page rewrites its header.
 			fs.armSite(Site{Op: "write", Class: "header", N: 1}, 1, true, keep)
 			if _, err := f.WriteAt([]byte(write), 2); !errors.Is(err, vfs.ErrCrashed) {
 				t.Fatalf("torn write = %v, want ErrCrashed", err)
@@ -166,7 +166,7 @@ func TestFaultFSTearAtPrefix(t *testing.T) {
 			}
 			n = min(n, len(write))
 			want := base[:2] + write[:n] + base[2+n:]
-			if got := visible(t, fs, "d/a"); string(got) != want {
+			if got := visible(t, fs, "d/data.db"); string(got) != want {
 				t.Fatalf("after reboot %q, want %q", got, want)
 			}
 		})

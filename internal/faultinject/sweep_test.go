@@ -64,7 +64,7 @@ func siteNames(sites []visit) []string {
 
 // TestSweepSiteNames: a site is named by its operation, its file's class
 // and its ordinal in that class, the same in every run; a write into the
-// first page of a file that it does not extend is a header write.
+// first page of the data file that it does not extend is a header write.
 func TestSweepSiteNames(t *testing.T) {
 	sc := toyScenario()
 	want := []string{"write-data-1"}

@@ -220,6 +220,7 @@ func openWALDir(vfs VFS, dir string, redoOff uint64, syncOnCommit bool, segSize 
 	w.cond = sync.NewCond(&w.mu)
 
 	maxSeen := uint64(0)
+	var torn []string // segments with a bad header, removed once the rest pass
 	for _, seq := range seqs {
 		if seq > maxSeen {
 			maxSeen = seq
@@ -241,9 +242,10 @@ func openWALDir(vfs VFS, dir string, redoOff uint64, syncOnCommit bool, segSize 
 			// acknowledged durable (the roll's fsync would have carried the
 			// header). Drop it. It is the newest segment, or one dropped
 			// before whose removal a crash undid; the check below finds a
-			// segment that held records by the gap it leaves.
+			// segment that held records by the gap it leaves, and then Open
+			// fails with the segment still on disk.
 			rf.Close()
-			vfs.Remove(path)
+			torn = append(torn, path)
 			continue
 		}
 		// A roll seals a segment before its successor exists, so a successor
@@ -266,6 +268,9 @@ func openWALDir(vfs VFS, dir string, redoOff uint64, syncOnCommit bool, segSize 
 			return nil, gap
 		}
 		w.segs = append(w.segs, seg)
+	}
+	for _, path := range torn {
+		vfs.Remove(path)
 	}
 
 	if len(w.segs) == 0 {

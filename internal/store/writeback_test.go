@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -366,6 +367,10 @@ func batchCrashScenario(checkpoints bool, short int, site func(afterPageWrite bo
 		Run: func(t testing.TB, r *batchRun) error {
 			err := batchCrashWorkload(r.s, r.committed, checkpoints)
 			r.s.CrashForTest()
+			if err == nil && r.fs.Crashed() {
+				// The model holds only if the workload stopped at the crash.
+				return errors.New("no error after the crash")
+			}
 			return err
 		},
 		Check: func(t testing.TB, r *batchRun) {
